@@ -5,15 +5,19 @@ Every observable output — delivered events (content, order, offsets),
 seconds, and on-disk store contents — must be identical between
 ``batch_size=0`` (the ``SCAP_BATCH=0`` escape hatch) and any batched
 configuration, on clean traces, under wire-plane fault injection, and
-on overlap-heavy traces.  This is the batching correctness contract
-that lets the CI trajectory gate compare the two paths' speed while
-trusting their outputs are the same.
+on overlap-heavy traces.  The per-packet fingerprints are also frozen
+in ``golden_fingerprints.json`` (recorded with ``python
+tests/batch/test_differential.py --record``); every path must equal
+the goldens as well as each other.
 """
 
 from __future__ import annotations
 
 import hashlib
+import json
 import os
+import sys
+import tempfile
 from dataclasses import asdict
 
 import pytest
@@ -26,6 +30,11 @@ from repro.store import StreamStore
 from repro.traffic import campus_mix
 from repro.traffic.tcpsession import Impairments
 
+GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "golden_fingerprints.json")
+
+#: The ``batch_size`` every other size is compared against, and the one
+#: the goldens were recorded from.
+REFERENCE = 0
 BATCH_SIZES = [2, 7, 64]
 
 
@@ -49,6 +58,36 @@ def _overlap_trace():
     )
 
 
+def _fault_plan():
+    return FaultPlan(
+        seed=9,
+        wire=WireFaults(
+            drop_rate=0.02,
+            duplicate_rate=0.02,
+            reorder_rate=0.02,
+            fcs_corrupt_rate=0.01,
+        ),
+        memory=MemoryFaults(alloc_failure_rate=0.01),
+    )
+
+
+#: Scenario name -> ``_fingerprint`` keyword arguments.  The names key
+#: the golden file.  ``fault_plan`` is a factory: plans hold RNG state,
+#: so every run needs a fresh one.
+SCENARIOS = {
+    "clean": dict(trace_factory=_delivery_trace),
+    "overlap": dict(trace_factory=_overlap_trace),
+    "overload_cutoff": dict(
+        trace_factory=_delivery_trace,
+        rate_bps=6e9,
+        memory_size=1 << 18,
+        cutoff=8_192,
+    ),
+    "wire_faulted": dict(trace_factory=_delivery_trace, fault_plan=_fault_plan),
+    "store": dict(trace_factory=_delivery_trace, cutoff=16_384),
+}
+
+
 def _fingerprint(
     batch_size,
     trace_factory,
@@ -63,6 +102,8 @@ def _fingerprint(
     The delivered-event digest hashes each event in dispatch order
     (identity, direction, offset, payload, hole flag), so any
     difference in content, ordering, or segmentation changes it.
+    With ``store_dir`` the capture is also recorded and the hash of
+    every file the store wrote joins the fingerprint.
     """
     obs = Observability(enabled=True)
     socket = ScapSocket(
@@ -71,7 +112,7 @@ def _fingerprint(
         memory_size=memory_size,
         observability=obs,
         batch_size=batch_size,
-        fault_plan=fault_plan,
+        fault_plan=fault_plan() if fault_plan is not None else None,
     )
     if cutoff is not None:
         socket.set_cutoff(cutoff)
@@ -111,7 +152,7 @@ def _fingerprint(
     socket.close()
     if store is not None:
         store.close()
-    return {
+    fingerprint = {
         "events": events,
         "digest": digest.hexdigest(),
         "stats": asdict(stats),
@@ -120,6 +161,9 @@ def _fingerprint(
         "busy": busy,
         "trace_emitted": obs.trace.emitted,
     }
+    if store_dir is not None:
+        fingerprint["store_files"] = _store_contents(store_dir)
+    return fingerprint
 
 
 def _store_contents(store_dir) -> dict:
@@ -142,65 +186,93 @@ def _assert_identical(reference, candidate, label):
         )
 
 
+def _golden_view(fingerprint) -> dict:
+    """The fingerprint as the golden file stores it.
+
+    The event list is replaced by its length (the digest already pins
+    order and content) and everything goes through a JSON round trip,
+    which stringifies integer dict keys and preserves floats exactly.
+    """
+    view = dict(fingerprint, events=len(fingerprint["events"]))
+    return json.loads(json.dumps(view))
+
+
+def _assert_matches_golden(scenario, fingerprint, label):
+    with open(GOLDEN_PATH) as handle:
+        golden = json.load(handle)[scenario]
+    view = _golden_view(fingerprint)
+    assert sorted(view) == sorted(golden), f"{label}: fingerprint keys changed"
+    for key, expected in golden.items():
+        assert view[key] == expected, (
+            f"{label}: {key} diverged from the committed per-packet golden"
+        )
+
+
+def _check_scenario(scenario, batch_size):
+    """``batch_size`` must equal both the reference run and the goldens."""
+    kwargs = SCENARIOS[scenario]
+    label = f"{scenario}/batch={batch_size}"
+    reference = _fingerprint(REFERENCE, **kwargs)
+    _assert_matches_golden(scenario, reference, f"{scenario}/reference")
+    candidate = _fingerprint(batch_size, **kwargs)
+    _assert_identical(reference, candidate, label)
+    _assert_matches_golden(scenario, candidate, label)
+    return reference
+
+
 @pytest.mark.parametrize("batch_size", BATCH_SIZES)
 def test_clean_trace_identical(batch_size):
-    reference = _fingerprint(0, _delivery_trace)
+    reference = _check_scenario("clean", batch_size)
     assert reference["events"], "sanity: the run must deliver events"
-    candidate = _fingerprint(batch_size, _delivery_trace)
-    _assert_identical(reference, candidate, f"clean/batch={batch_size}")
 
 
 @pytest.mark.parametrize("batch_size", BATCH_SIZES)
 def test_overlap_heavy_trace_identical(batch_size):
-    reference = _fingerprint(0, _overlap_trace)
+    reference = _check_scenario("overlap", batch_size)
     assert reference["events"]
-    candidate = _fingerprint(batch_size, _overlap_trace)
-    _assert_identical(reference, candidate, f"overlap/batch={batch_size}")
 
 
 @pytest.mark.parametrize("batch_size", BATCH_SIZES)
 def test_overload_with_cutoff_identical(batch_size):
-    kwargs = dict(rate_bps=6e9, memory_size=1 << 18, cutoff=8_192)
-    reference = _fingerprint(0, _delivery_trace, **kwargs)
+    reference = _check_scenario("overload_cutoff", batch_size)
     assert reference["result"]["discarded_packets"] > 0 or (
         reference["result"]["dropped_packets"] > 0
     ), "sanity: overload must engage drop/discard machinery"
-    candidate = _fingerprint(batch_size, _delivery_trace, **kwargs)
-    _assert_identical(reference, candidate, f"overload/batch={batch_size}")
 
 
 @pytest.mark.parametrize("batch_size", BATCH_SIZES)
 def test_wire_faulted_trace_identical(batch_size):
-    def plan():
-        return FaultPlan(
-            seed=9,
-            wire=WireFaults(
-                drop_rate=0.02,
-                duplicate_rate=0.02,
-                reorder_rate=0.02,
-                fcs_corrupt_rate=0.01,
-            ),
-            memory=MemoryFaults(alloc_failure_rate=0.01),
-        )
-
-    reference = _fingerprint(0, _delivery_trace, fault_plan=plan())
+    reference = _check_scenario("wire_faulted", batch_size)
     assert reference["stats"]["faults_injected_total"] > 0, (
         "sanity: the plan must actually inject faults"
     )
-    candidate = _fingerprint(batch_size, _delivery_trace, fault_plan=plan())
-    _assert_identical(reference, candidate, f"faulted/batch={batch_size}")
 
 
 def test_store_contents_identical(tmp_path):
-    pp_dir = tmp_path / "per-packet"
-    batched_dir = tmp_path / "batched"
-    reference = _fingerprint(
-        0, _delivery_trace, cutoff=16_384, store_dir=pp_dir
-    )
-    candidate = _fingerprint(
-        64, _delivery_trace, cutoff=16_384, store_dir=batched_dir
-    )
+    kwargs = SCENARIOS["store"]
+    reference = _fingerprint(REFERENCE, store_dir=tmp_path / "reference", **kwargs)
+    candidate = _fingerprint(64, store_dir=tmp_path / "batched", **kwargs)
+    assert reference["store_files"], "sanity: the store must have written something"
     _assert_identical(reference, candidate, "store/batch=64")
-    pp_contents = _store_contents(pp_dir)
-    assert pp_contents, "sanity: the store must have written something"
-    assert _store_contents(batched_dir) == pp_contents
+    _assert_matches_golden("store", reference, "store/reference")
+    _assert_matches_golden("store", candidate, "store/batch=64")
+
+
+def _record_goldens() -> None:
+    """Rewrite the golden file from the reference batch size."""
+    goldens = {}
+    for scenario, kwargs in SCENARIOS.items():
+        with tempfile.TemporaryDirectory() as scratch:
+            store_dir = os.path.join(scratch, "store") if scenario == "store" else None
+            goldens[scenario] = _golden_view(
+                _fingerprint(REFERENCE, store_dir=store_dir, **kwargs)
+            )
+    with open(GOLDEN_PATH, "w") as handle:
+        json.dump(goldens, handle, indent=1, sort_keys=True)
+        handle.write("\n")
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--record"]:
+        sys.exit("usage: python tests/batch/test_differential.py --record")
+    _record_goldens()
