@@ -7,11 +7,10 @@ fingerprint of the pipeline's performance behaviour, so a committed
 baseline can gate regressions without the noise that plagues
 wall-clock CI benchmarks.
 
-Three modes::
+Two modes::
 
     PYTHONPATH=src python benchmarks/regression.py --record
     PYTHONPATH=src python benchmarks/regression.py --check --out cmp.json
-    PYTHONPATH=src python benchmarks/regression.py --trajectory --out BENCH_PR6.json
 
 ``--record`` replays the scenarios and (re)writes ``BENCH_BASELINE.json``
 at the repository root; commit the file when a change intentionally
@@ -24,16 +23,7 @@ informational timing honest on shared runners, every scenario does one
 untimed warmup pass and reports the best of three timed runs, and the
 ``__main__`` entry re-executes itself with ``PYTHONHASHSEED=0`` so dict
 iteration (and therefore allocation patterns) cannot vary run to run.
-
-``--trajectory`` is the batched-path speed gate: it measures the
-``delivery`` scenario on the batched pipeline and on the per-packet
-pipeline (``SCAP_BATCH=0``), interleaving warmed best-of-N pairs, and
-fails unless batched throughput is at least ``--min-speedup`` (default
-1.5x) times the per-packet path — while also requiring both paths'
-simulated metrics to be *identical*, the batching correctness
-contract.  The gate ratio uses CPU time (``time.process_time``): on a
-noisy shared runner wall clock measures the neighbours, CPU time
-measures the pipeline.  Wall-clock figures are reported alongside.
+Absolute real-time rates are ``benchmarks/perf``'s job, not this file's.
 
 Metric directions:
 
@@ -111,31 +101,26 @@ def _run_once(
     rate_gbit: float,
     memory_size: int,
     cutoff: Optional[int],
-    batch_size: Optional[int],
-) -> Tuple[Dict[str, Dict[str, object]], float, float]:
-    """One replay; return (metrics, wall_seconds, cpu_seconds)."""
+) -> Tuple[Dict[str, Dict[str, object]], float]:
+    """One replay; return (metrics, wall_seconds)."""
     trace = campus_mix(
         flow_count=flow_count, max_flow_bytes=max_flow_bytes, seed=seed
     )
     obs = Observability(enabled=True)
-    kwargs = {} if batch_size is None else {"batch_size": batch_size}
     socket = ScapSocket(
         trace,
         rate_bps=rate_gbit * GBIT,
         memory_size=memory_size,
         observability=obs,
         cost_model=COST_MODEL,
-        **kwargs,
     )
     if cutoff is not None:
         socket.set_cutoff(cutoff)
     attach_app(socket, StreamDeliveryApp())
     wall_start = time.perf_counter()
-    cpu_start = time.process_time()
     result = socket.start_capture(name="regression")
-    cpu = time.process_time() - cpu_start
     wall = time.perf_counter() - wall_start
-    return _capture_metrics(socket, result, obs), wall, cpu
+    return _capture_metrics(socket, result, obs), wall
 
 
 def _run_scenario(
@@ -145,7 +130,6 @@ def _run_scenario(
     rate_gbit: float,
     memory_size: int,
     cutoff: Optional[int] = None,
-    batch_size: Optional[int] = None,
 ) -> Tuple[Dict[str, Dict[str, object]], float]:
     """Replay one configuration; return (metrics, wall_clock_seconds).
 
@@ -153,13 +137,12 @@ def _run_scenario(
     the informational wall clock gets a warmup pass and the best of
     :data:`BEST_OF` timed runs so it is comparable across CI hosts.
     """
-    args = (flow_count, max_flow_bytes, seed, rate_gbit, memory_size, cutoff,
-            batch_size)
+    args = (flow_count, max_flow_bytes, seed, rate_gbit, memory_size, cutoff)
     _run_once(*args)  # warmup: imports, caches, branch predictors
     best_wall = float("inf")
     metrics: Dict[str, Dict[str, object]] = {}
     for _ in range(BEST_OF):
-        metrics, wall, _cpu = _run_once(*args)
+        metrics, wall = _run_once(*args)
         best_wall = min(best_wall, wall)
     return metrics, best_wall
 
@@ -188,92 +171,6 @@ SCENARIOS: Dict[str, Callable[[], Tuple[Dict[str, Dict[str, object]], float]]] =
     "delivery": lambda: _run_scenario(**DELIVERY_PARAMS),
     "overload": lambda: _run_scenario(**OVERLOAD_PARAMS),
 }
-
-
-def _flat_values(metrics: Dict[str, Dict[str, object]]) -> Dict[str, object]:
-    return {name: entry["value"] for name, entry in metrics.items()}
-
-
-def run_trajectory(
-    repeats: int = 5, min_speedup: float = 1.5
-) -> Dict[str, object]:
-    """Measure batched vs per-packet on ``delivery``; return the report.
-
-    Runs ``repeats`` interleaved pairs (per-packet, then batched —
-    adjacent in time, so slow drift in the host hits both sides of each
-    pair equally) after one warmup pass per path.  The gate ratio is
-    the median of the per-pair CPU-time ratios; wall-clock figures ride
-    along for context.  Fails (non-empty ``failures``) when the median
-    CPU speedup is below ``min_speedup`` or the two paths' simulated
-    metrics differ at all.
-    """
-    if repeats < 1:
-        raise ValueError("need at least one timed pair")
-    from statistics import median
-
-    base = (
-        DELIVERY_PARAMS["flow_count"],
-        DELIVERY_PARAMS["max_flow_bytes"],
-        DELIVERY_PARAMS["seed"],
-        DELIVERY_PARAMS["rate_gbit"],
-        DELIVERY_PARAMS["memory_size"],
-        None,  # cutoff
-    )
-    pp_args = base + (0,)  # SCAP_BATCH=0: the per-packet escape hatch
-    batched_args = base + (None,)  # socket default: the batched path
-    pp_metrics, _, _ = _run_once(*pp_args)  # warmup (also fixes metrics)
-    batched_metrics, _, _ = _run_once(*batched_args)
-    pp_cpu: List[float] = []
-    pp_wall: List[float] = []
-    batched_cpu: List[float] = []
-    batched_wall: List[float] = []
-    for _ in range(repeats):
-        _, wall, cpu = _run_once(*pp_args)
-        pp_cpu.append(cpu)
-        pp_wall.append(wall)
-        _, wall, cpu = _run_once(*batched_args)
-        batched_cpu.append(cpu)
-        batched_wall.append(wall)
-    cpu_ratios = [p / b for p, b in zip(pp_cpu, batched_cpu)]
-    wall_ratios = [p / b for p, b in zip(pp_wall, batched_wall)]
-    speedup = median(cpu_ratios)
-    identical = _flat_values(pp_metrics) == _flat_values(batched_metrics)
-    failures: List[str] = []
-    if not identical:
-        diffs = [
-            f"{name}: per-packet {pp_metrics[name]['value']!r} "
-            f"!= batched {batched_metrics[name]['value']!r}"
-            for name in sorted(pp_metrics)
-            if pp_metrics[name]["value"] != batched_metrics.get(name, {}).get("value")
-        ]
-        failures.append(
-            "batched path diverged from per-packet path: " + "; ".join(diffs)
-        )
-    if speedup < min_speedup:
-        failures.append(
-            f"batched speedup {speedup:.3f}x below required "
-            f"{min_speedup:.2f}x (per-pair CPU ratios: "
-            + ", ".join(f"{ratio:.3f}" for ratio in cpu_ratios)
-            + ")"
-        )
-    return {
-        "version": 1,
-        "date": time.strftime("%Y-%m-%d"),
-        "scenario": "delivery",
-        "repeats": repeats,
-        "min_speedup": min_speedup,
-        "speedup": {
-            "cpu_median": speedup,
-            "cpu_ratios": cpu_ratios,
-            "wall_median": median(wall_ratios),
-            "wall_ratios": wall_ratios,
-        },
-        "per_packet": {"cpu_seconds": pp_cpu, "wall_seconds": pp_wall},
-        "batched": {"cpu_seconds": batched_cpu, "wall_seconds": batched_wall},
-        "metrics_identical": identical,
-        "metrics": _flat_values(batched_metrics),
-        "failures": failures,
-    }
 
 
 def run_scenarios() -> Dict[str, Dict[str, object]]:
@@ -376,25 +273,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     mode.add_argument(
         "--check", action="store_true", help="compare against the baseline"
     )
-    mode.add_argument(
-        "--trajectory",
-        action="store_true",
-        help="gate batched-path speedup over the per-packet path",
-    )
     parser.add_argument(
         "--baseline", default=BASELINE_PATH, help="baseline file location"
-    )
-    parser.add_argument(
-        "--min-speedup",
-        type=float,
-        default=1.5,
-        help="required batched/per-packet CPU-time ratio (--trajectory)",
-    )
-    parser.add_argument(
-        "--repeats",
-        type=int,
-        default=5,
-        help="interleaved timing pairs to run (--trajectory)",
     )
     parser.add_argument(
         "--tolerance",
@@ -406,29 +286,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "--out", default=None, help="write the comparison report JSON here"
     )
     args = parser.parse_args(argv)
-
-    if args.trajectory:
-        payload = run_trajectory(
-            repeats=args.repeats, min_speedup=args.min_speedup
-        )
-        speed = payload["speedup"]
-        print(
-            f"batched vs per-packet ({payload['repeats']} pairs): "
-            f"CPU {speed['cpu_median']:.3f}x (wall {speed['wall_median']:.3f}x), "
-            f"metrics identical: {payload['metrics_identical']}"
-        )
-        if args.out:
-            with open(args.out, "w") as handle:
-                json.dump(payload, handle, indent=2, sort_keys=True)
-                handle.write("\n")
-            print(f"wrote trajectory report to {args.out}")
-        if payload["failures"]:
-            print("\nFAILED:", file=sys.stderr)
-            for failure in payload["failures"]:
-                print(f"  {failure}", file=sys.stderr)
-            return 1
-        print(f"\ntrajectory gate passed (>= {args.min_speedup:.2f}x)")
-        return 0
 
     if args.record:
         payload = run_scenarios()

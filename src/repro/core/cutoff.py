@@ -66,7 +66,7 @@ class CutoffPolicy:
     def is_trivial(self) -> bool:
         """True when no scope can impose a cutoff except per-stream.
 
-        The batched hot path uses this to skip cutoff resolution for
+        The hot path uses this to skip cutoff resolution for
         streams whose own cutoff is unlimited: with no class, direction,
         or default cutoff configured, ``remaining()`` is None for them
         by construction.

@@ -108,10 +108,10 @@ class KernelCounters:
 
 
 class _FlowEntry:
-    """One directional five-tuple's cache line for the batched hot path.
+    """One directional five-tuple's cache line on the hot path.
 
-    Caches everything the per-packet path re-derives on every packet of
-    an established flow: the pair, the directional stream descriptor,
+    Caches what would otherwise be re-derived on every packet of an
+    established flow: the pair, the directional stream descriptor,
     the direction index, the stream's string label (``str(five_tuple)``
     is the single most expensive per-store operation), and — once
     created — the direction's reassembler and chunk assembler.  Entries
@@ -137,8 +137,8 @@ class _BatchContext:
 
     The flow cache persists across batches; the per-core packet/byte
     accumulators are flushed into the metrics registry by
-    :meth:`ScapKernelModule.end_batch` so the registry totals stay
-    identical to the per-packet path at every batch boundary.
+    :meth:`ScapKernelModule.end_batch`, so the registry totals are
+    exact at every batch boundary.
     """
 
     __slots__ = (
@@ -238,9 +238,9 @@ class ScapKernelModule:
         # observability is on, keeping the two paths identical.
         self._cycles = 0.0
         self.stage_cycles: List[float] = [0.0, 0.0, 0.0, 0.0]
-        # Batched hot path state: the flow-entry cache is invalidated
-        # whenever the epoch moves (any stream termination), and the
-        # context persists across batches of one run.
+        # The flow-entry cache is invalidated whenever the epoch moves
+        # (any stream termination); the context persists across the
+        # batches of one run.
         self._flow_epoch = 0
         self._batch_ctx: Optional[_BatchContext] = None
         self._cutoff_trivial = False
@@ -273,89 +273,14 @@ class ScapKernelModule:
     # Entry point
     # ------------------------------------------------------------------
     def handle_packet(self, packet: Packet, core: int) -> float:
-        """Process one packet on ``core``; return softirq cycles charged."""
-        now = packet.timestamp
-        self._cycles = 0.0
-        stages = self.stage_cycles
-        stages[0] = stages[1] = stages[2] = stages[3] = 0.0
-        self._charge(_ST_RECV, self.cost.softirq_per_packet)
-        self.counters.packets_seen += 1
-        self.counters.bytes_seen += packet.wire_len
-        if self.obs.enabled:
-            packets, nbytes, _, _ = self._core(core)
-            packets.inc()
-            nbytes.inc(packet.wire_len)
-        self._sweep(now, core)
-
-        if not self.config.bpf.matches(packet):
-            # Early in-kernel discard: headers touched, nothing copied.
-            self.counters.filtered_out += 1
-            self._charge(_ST_RECV, 40.0)
-            return self._cycles
-
-        if packet.ip is not None and packet.ip.is_fragment:
-            self.counters.fragment_packets += 1
-            self._charge(_ST_REASM, self.cost.reassembly_per_segment)
-            whole = self._fragments.push(packet)
-            if whole is None:
-                return self._cycles
-            packet = whole
-
-        five_tuple = packet.five_tuple
-        if five_tuple is None:
-            return self._cycles  # non-IP frames are ignored by Scap
-
-        self._charge(_ST_LOOKUP, self.cost.hash_lookup)
-        if (
-            packet.tcp is not None
-            and not packet.payload
-            and not packet.tcp.syn
-            and not packet.tcp.fin
-            and not packet.tcp.rst
-            and self.flows.get(five_tuple) is None
-        ):
-            # A bare ACK for a flow we are not tracking (e.g. the final
-            # ACK of a connection just torn down): no stream state.
-            self.counters.stray_acks += 1
-            return self._cycles
-        pair, created, evicted = self.flows.lookup_or_create(five_tuple, now)
-        for victim in evicted:
-            self._terminate(victim, now, victim.core, StreamStatus.TIMED_OUT)
-        if created:
-            pair.core = core
-            self._charge(_ST_LOOKUP, self.cost.stream_update)
-            self._emit(core, Event(EventType.STREAM_CREATED, pair.client, now))
-            if self.obs.enabled:
-                self.obs.trace.emit(
-                    now, HOOK_STREAM_CREATED, core=core,
-                    five_tuple=str(pair.client.five_tuple),
-                )
-        direction = pair.direction_of(five_tuple)
-        stream = pair.descriptor(direction)
-        self._charge(_ST_LOOKUP, self.cost.stream_update)
-        self._update_stats(stream, packet, now)
-        self.counters.packets_by_priority[stream.priority] = (
-            self.counters.packets_by_priority.get(stream.priority, 0) + 1
-        )
-
-        if packet.tcp is not None:
-            self._handle_tcp(pair, stream, direction, packet, now, core)
-        elif packet.udp is not None:
-            self._handle_payload(pair, stream, direction, packet.payload, now, core)
-            self._maybe_flush_timeout(pair, stream, direction, now, core)
-        else:
-            # Other IP protocols: no reassembly, each packet delivered
-            # for processing on its own (§2.3).
-            self._handle_payload(pair, stream, direction, packet.payload, now, core)
-            assembler = pair.assemblers.get(direction)
-            if assembler is not None and assembler.pending_bytes:
-                chunk = assembler.flush(now)
-                if chunk is not None:
-                    self._emit_data(core, stream, chunk, DataReason.CHUNK_FULL, now)
-        return self._cycles
+        """Process one packet on ``core`` as a one-packet batch."""
+        ctx = self.begin_batch()
+        cycles = self.handle_batch_packet(packet, core, packet.five_tuple, ctx)
+        self.end_batch(ctx)
+        return cycles
 
     # ------------------------------------------------------------------
-    # Batched entry point
+    # Batch protocol: begin_batch -> handle_batch_packet* -> end_batch
     # ------------------------------------------------------------------
     def begin_batch(self) -> _BatchContext:
         """Prepare (and return) the batch context for a batch of packets.
@@ -399,16 +324,16 @@ class ScapKernelModule:
     def handle_batch_packet(
         self, packet: Packet, core: int, five_tuple, ctx: _BatchContext
     ) -> float:
-        """Batched twin of :meth:`handle_packet`: identical side effects.
+        """Process one packet of a batch on ``core``; return cycles charged.
 
         ``five_tuple`` is the packet's directional tuple, computed once
-        at batch construction.  Amortizations over the per-packet path:
-        the flow-entry cache replaces canonicalization + flow-table
-        lookup for packets of known flows, a match-all BPF is skipped
-        per batch, and the stream label string is computed once per flow
-        instead of once per stored piece.  Every counter, trace hook,
-        sanitizer call, and charged cycle is the same as the per-packet
-        path — this method must never observably diverge from it.
+        at batch construction.  The flow-entry cache replaces
+        canonicalization + flow-table lookup for packets of known
+        flows, a match-all BPF is skipped per batch, and the stream
+        label string is computed once per flow instead of once per
+        stored piece.  None of this may be observable: counters, trace
+        hooks, sanitizer calls and charged cycles must not depend on
+        where the batch boundaries fall.
         """
         now = packet.timestamp
         cost = self.cost
@@ -426,13 +351,14 @@ class ScapKernelModule:
             core_packets[core] = core_packets.get(core, 0) + 1
             core_bytes = ctx.core_bytes
             core_bytes[core] = core_bytes.get(core, 0) + packet.wire_len
-        if now - self._last_sweep >= 0.01:  # inlined _sweep guard
+        if now - self._last_sweep >= 0.01:  # housekeeping cadence
             self._sweep(now, core)
         if ctx.epoch != self._flow_epoch:
             ctx.flows.clear()
             ctx.epoch = self._flow_epoch
 
         if not ctx.bpf_match_all and not self.config.bpf.matches(packet):
+            # Early in-kernel discard: headers touched, nothing copied.
             counters.filtered_out += 1
             self._charge(_ST_RECV, 40.0)
             return self._cycles
@@ -461,6 +387,9 @@ class ScapKernelModule:
                 and not tcp.rst
                 and self.flows.get(five_tuple) is None
             ):
+                # A bare ACK for a flow we are not tracking (e.g. the
+                # final ACK of a connection just torn down): no stream
+                # state.
                 counters.stray_acks += 1
                 return self._cycles
             pair, created, evicted = self.flows.lookup_or_create(five_tuple, now)
@@ -488,6 +417,12 @@ class ScapKernelModule:
             self._charge(_ST_LOOKUP, cost.stream_update)
         else:
             pair = entry.pair
+            if self._san is not None and self.flows.get(five_tuple) is not pair:
+                self._san.fail(
+                    "flow-cache-coherence",
+                    "cached flow entry outlived its flow-table record",
+                    five_tuple=entry.label,
+                )
             stream = entry.stream
             direction = entry.direction
             # Same LRU effect as the hit path of ``lookup_or_create``;
@@ -496,7 +431,6 @@ class ScapKernelModule:
             lookup_cycles = ctx.lookup_hit_cycles
             self._cycles += lookup_cycles
             stages[1] += lookup_cycles
-        # Inlined _update_stats.
         stats = stream.stats
         stats.pkts += 1
         stats.bytes += len(packet.payload)
@@ -514,7 +448,7 @@ class ScapKernelModule:
                 # handshake/termination branches it would fall through.
                 pair.last_seq[direction] = tcp.seq
                 self._handle_tcp_payload(
-                    pair, stream, direction, packet, now, core, entry=entry
+                    pair, stream, direction, packet, now, core, entry
                 )
                 if (
                     stream.flush_timeout is not None
@@ -522,17 +456,17 @@ class ScapKernelModule:
                 ):
                     self._maybe_flush_timeout(pair, stream, direction, now, core)
             else:
-                self._handle_tcp(
-                    pair, stream, direction, packet, now, core, entry=entry
-                )
+                self._handle_tcp(pair, stream, direction, packet, now, core, entry)
         elif packet.udp is not None:
             self._handle_payload(
-                pair, stream, direction, packet.payload, now, core, entry=entry
+                pair, stream, direction, packet.payload, now, core, entry
             )
             self._maybe_flush_timeout(pair, stream, direction, now, core)
         else:
+            # Other IP protocols: no reassembly, each packet delivered
+            # for processing on its own (§2.3).
             self._handle_payload(
-                pair, stream, direction, packet.payload, now, core, entry=entry
+                pair, stream, direction, packet.payload, now, core, entry
             )
             assembler = pair.assemblers.get(direction)
             if assembler is not None and assembler.pending_bytes:
@@ -540,17 +474,6 @@ class ScapKernelModule:
                 if chunk is not None:
                     self._emit_data(core, stream, chunk, DataReason.CHUNK_FULL, now)
         return self._cycles
-
-    # ------------------------------------------------------------------
-    # Statistics
-    # ------------------------------------------------------------------
-    def _update_stats(self, stream: StreamDescriptor, packet: Packet, now: float) -> None:
-        stats = stream.stats
-        stats.pkts += 1
-        stats.bytes += len(packet.payload)
-        stats.end = now
-        if stats.start == 0.0:
-            stats.start = now
 
     # ------------------------------------------------------------------
     # TCP handling
@@ -578,7 +501,7 @@ class ScapKernelModule:
         packet: Packet,
         now: float,
         core: int,
-        entry: Optional[_FlowEntry] = None,
+        entry: _FlowEntry,
     ) -> None:
         tcp = packet.tcp
         assert tcp is not None
@@ -609,9 +532,7 @@ class ScapKernelModule:
             return
 
         if packet.payload:
-            self._handle_tcp_payload(
-                pair, stream, direction, packet, now, core, entry=entry
-            )
+            self._handle_tcp_payload(pair, stream, direction, packet, now, core, entry)
 
         if tcp.fin:
             self._estimate_from_seq(pair, stream, direction, tcp.seq)
@@ -634,7 +555,7 @@ class ScapKernelModule:
         packet: Packet,
         now: float,
         core: int,
-        entry: Optional[_FlowEntry] = None,
+        entry: _FlowEntry,
     ) -> None:
         mode = stream.reassembly_mode or self.config.reassembly_mode
         if mode == SCAP_TCP_STRICT and not pair.established:
@@ -645,13 +566,10 @@ class ScapKernelModule:
             stream.stats.discarded_bytes += len(packet.payload)
             return
 
-        if entry is not None:
-            reassembler = entry.reassembler
-            if reassembler is None:
-                reassembler = self._reassembler_for(pair, stream, direction)
-                entry.reassembler = reassembler
-        else:
+        reassembler = entry.reassembler
+        if reassembler is None:
             reassembler = self._reassembler_for(pair, stream, direction)
+            entry.reassembler = reassembler
         if not pair.established and not reassembler.anchored:
             stream.set_error(StreamError.INCOMPLETE_HANDSHAKE)
 
@@ -682,8 +600,7 @@ class ScapKernelModule:
                 self.obs.trace.emit(
                     now, HOOK_PPL_DROP, core=core, priority=stream.priority,
                     reason=decision.reason, bytes=len(packet.payload),
-                    five_tuple=entry.label if entry is not None
-                    else str(stream.five_tuple),
+                    five_tuple=entry.label,
                 )
             return
 
@@ -706,8 +623,7 @@ class ScapKernelModule:
         delivered = reassembler.on_segment(packet.tcp.seq, packet.payload, now=now)
         stored_any = False
         if (
-            entry is not None
-            and len(delivered) > 1
+            len(delivered) > 1
             and self._cutoff_trivial
             and stream.cutoff == SCAP_UNLIMITED_CUTOFF
         ):
@@ -720,8 +636,8 @@ class ScapKernelModule:
         else:
             for piece in delivered:
                 stored = self._store_piece(
-                    pair, stream, direction, piece.data, now, core,
-                    follows_hole=piece.follows_hole, entry=entry,
+                    pair, stream, direction, piece.data, now, core, entry,
+                    follows_hole=piece.follows_hole,
                 )
                 stored_any = stored_any or stored
         # A record exists only for packets whose bytes were stored in
@@ -770,7 +686,7 @@ class ScapKernelModule:
         payload: bytes,
         now: float,
         core: int,
-        entry: Optional[_FlowEntry] = None,
+        entry: _FlowEntry,
     ) -> None:
         """UDP / other protocols: concatenate payloads, no reassembly."""
         if not payload:
@@ -781,13 +697,10 @@ class ScapKernelModule:
             self.counters.discarded_cutoff_packets += 1
             self.counters.discarded_cutoff_bytes += len(payload)
             return
-        if entry is not None:
-            assembler = entry.assembler
-            if assembler is None:
-                assembler = self._assembler_for(pair, stream, direction)
-                entry.assembler = assembler
-        else:
+        assembler = entry.assembler
+        if assembler is None:
             assembler = self._assembler_for(pair, stream, direction)
+            entry.assembler = assembler
         decision = self.ppl.check(
             self.memory.fraction_used(now), stream.priority, assembler.stream_offset
         )
@@ -803,14 +716,11 @@ class ScapKernelModule:
                 self.obs.trace.emit(
                     now, HOOK_PPL_DROP, core=core, priority=stream.priority,
                     reason=decision.reason, bytes=len(payload),
-                    five_tuple=entry.label if entry is not None
-                    else str(stream.five_tuple),
+                    five_tuple=entry.label,
                 )
             return
         record_offset = assembler.stream_offset
-        stored = self._store_piece(
-            pair, stream, direction, payload, now, core, entry=entry
-        )
+        stored = self._store_piece(pair, stream, direction, payload, now, core, entry)
         stream.stats.captured_pkts += 1
         if stored and self.config.need_pkts:
             stream.packet_records.append(
@@ -833,28 +743,22 @@ class ScapKernelModule:
         data: bytes,
         now: float,
         core: int,
+        entry: _FlowEntry,
         follows_hole: bool = False,
-        entry: Optional[_FlowEntry] = None,
     ) -> bool:
         """Write reassembled bytes into the stream's chunk block."""
         if not data:
             return False
-        if entry is not None:
-            assembler = entry.assembler
-            if assembler is None:
-                assembler = self._assembler_for(pair, stream, direction)
-                entry.assembler = assembler
-            if self._cutoff_trivial and stream.cutoff == SCAP_UNLIMITED_CUTOFF:
-                # No scope can impose a cutoff on this stream: identical
-                # to ``cutoffs.remaining`` returning None, without the
-                # resolution walk.
-                remaining = None
-            else:
-                remaining = self.config.cutoffs.remaining(
-                    stream, assembler.stream_offset
-                )
-        else:
+        assembler = entry.assembler
+        if assembler is None:
             assembler = self._assembler_for(pair, stream, direction)
+            entry.assembler = assembler
+        if self._cutoff_trivial and stream.cutoff == SCAP_UNLIMITED_CUTOFF:
+            # No scope can impose a cutoff on this stream: identical to
+            # ``cutoffs.remaining`` returning None, without the
+            # resolution walk.
+            remaining = None
+        else:
             remaining = self.config.cutoffs.remaining(stream, assembler.stream_offset)
         truncated = False
         if remaining is not None and len(data) >= remaining:
@@ -865,8 +769,7 @@ class ScapKernelModule:
             data = data[:remaining]
             truncated = True
         if data:
-            label = entry.label if entry is not None else str(stream.five_tuple)
-            if not self.memory.try_store(now, len(data), label):
+            if not self.memory.try_store(now, len(data), entry.label):
                 self.counters.dropped_memory += 1
                 # Memory exhaustion is the overload drop of last resort;
                 # account it per priority like a PPL drop so the PPL
@@ -1035,10 +938,13 @@ class ScapKernelModule:
         self._flow_epoch += 1
         for direction, stream in enumerate(pair.both):
             reassembler = pair.reassemblers.get(direction)
-            if reassembler is not None:
-                for piece in reassembler.flush(now=now):
+            pieces = reassembler.flush(now=now) if reassembler is not None else ()
+            if pieces:
+                # The cache was just invalidated; a throwaway entry.
+                entry = _FlowEntry(pair, stream, direction, str(stream.five_tuple))
+                for piece in pieces:
                     self._store_piece(
-                        pair, stream, direction, piece.data, now, core,
+                        pair, stream, direction, piece.data, now, core, entry,
                         follows_hole=piece.follows_hole,
                     )
             assembler = pair.assemblers.get(direction)
@@ -1068,6 +974,8 @@ class ScapKernelModule:
 
     def expire_and_drain(self, now: float) -> None:
         """End of capture: time out everything still in the table."""
+        # Runs outside any batch, so refresh what begin_batch caches.
+        self._cutoff_trivial = self.config.cutoffs.is_trivial
         for pair in self.flows.drain():
             self._terminate(pair, now, pair.core, StreamStatus.TIMED_OUT)
 
@@ -1075,8 +983,6 @@ class ScapKernelModule:
     # Housekeeping sweep (inactivity + FDIR timeouts)
     # ------------------------------------------------------------------
     def _sweep(self, now: float, core: int) -> None:
-        if now - self._last_sweep < 0.01:
-            return
         self._last_sweep = now
         for pair in self.flows.expire_idle(now, self.config.inactivity_timeout):
             self._terminate(pair, now, pair.core, StreamStatus.TIMED_OUT)

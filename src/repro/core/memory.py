@@ -356,7 +356,7 @@ class ChunkAssembler:
         segments that follow a reassembly hole.  Completed chunks are
         returned in delivery order; the result is exactly the
         concatenation of per-segment :meth:`append` results — the
-        batched hot path relies on this equivalence when it stores a
+        kernel module relies on this equivalence when it stores a
         multi-piece reassembly delivery with one call.
         """
         completed: List[Chunk] = []

@@ -17,7 +17,6 @@ reduces everything to a :class:`~repro.bench.results.RunResult`.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from itertools import islice
 from typing import Dict, List, Optional, Tuple
@@ -26,7 +25,6 @@ from ..results import RunResult
 from ..kernelsim.cache import LocalityProfile
 from ..kernelsim.costmodel import DEFAULT_COST_MODEL, CostModel
 from ..kernelsim.host import Host
-from ..netstack.packet import Packet
 from ..nic.batch import (
     PacketBatch,
     VERDICT_DROP_FCS,
@@ -51,32 +49,10 @@ from .kernel_module import ScapKernelModule
 from .loadbalance import LoadBalancer
 from .workers import Callbacks, WorkerPool
 
-__all__ = ["ScapRuntime", "AggregateStats", "DEFAULT_BATCH_SIZE", "resolve_batch_size"]
+__all__ = ["ScapRuntime", "AggregateStats", "DEFAULT_BATCH_SIZE"]
 
-#: Packets per batch on the batched hot path when ``SCAP_BATCH`` does
-#: not say otherwise.
+#: Packets per batch when the caller does not pass ``batch_size``.
 DEFAULT_BATCH_SIZE = 64
-
-
-def resolve_batch_size(explicit: Optional[int] = None) -> int:
-    """The effective batch size: explicit argument, else ``SCAP_BATCH``.
-
-    ``SCAP_BATCH=0`` (or 1) selects the per-packet path — the escape
-    hatch for differential testing; ``SCAP_BATCH=N`` for N >= 2 sets the
-    batch size; unset/invalid values select :data:`DEFAULT_BATCH_SIZE`.
-    Returns 0 for "per-packet".
-    """
-    if explicit is None:
-        raw = os.environ.get("SCAP_BATCH")
-        if raw is None or not raw.strip():
-            return DEFAULT_BATCH_SIZE
-        try:
-            explicit = int(raw.strip())
-        except ValueError:
-            return DEFAULT_BATCH_SIZE
-    if explicit < 2:
-        return 0
-    return explicit
 
 
 @dataclass
@@ -124,7 +100,7 @@ class ScapRuntime:
         observability: Optional[Observability] = None,
         sanitizers: Optional["SanitizerContext"] = None,
         fault_injector: Optional[object] = None,
-        batch_size: Optional[int] = None,
+        batch_size: int = DEFAULT_BATCH_SIZE,
         telemetry: Optional[TelemetryRing] = None,
     ):
         self.config = config or ScapConfig()
@@ -188,8 +164,11 @@ class ScapRuntime:
         self.ring_drops = 0
         self.packets_offered = 0
         self.bytes_offered = 0
-        #: 0 = per-packet path (``SCAP_BATCH=0``); >= 2 = batched path.
-        self.batch_size = resolve_batch_size(batch_size)
+        if batch_size < 1:
+            raise ValueError(f"batch_size must be >= 1, got {batch_size}")
+        #: Packets per batch.  Size 1 is the per-packet degenerate case:
+        #: classify right before each softirq, flush after each packet.
+        self.batch_size = batch_size
         #: Optional cadenced registry snapshots, clocked on *simulated*
         #: packet time (never the wall clock — SC001 discipline).  Only
         #: library runs use this; the daemon runs its own wall-clock
@@ -226,56 +205,18 @@ class ScapRuntime:
         self.balancer.moved(source, target)
 
     # ------------------------------------------------------------------
-    def process_packet(self, packet: Packet) -> None:
-        """Run one packet through NIC → softirq → kernel → workers."""
-        self.packets_offered += 1
-        self.bytes_offered += packet.wire_len
-        queue = self.nic.classify(packet)
-        if queue is None:
-            return  # dropped in hardware: subzero copy
-        server = self.host.softirq[queue]
-        now = packet.timestamp
-        if not server.would_accept(now, 1):
-            server.reject()
-            self.ring_drops += 1
-            if self.obs.enabled:
-                self._m_ring_drops.inc()
-            return
-        self._pending_events.clear()
-        cycles = self.kernel.handle_packet(packet, queue)
-        service = self.cost.seconds(cycles)
-        if self.obs.enabled:
-            self._m_softirq_service.observe(service)
-            self._m_softirq_depth[queue].set(server.occupancy(now))
-        kernel_finish = server.push(now, 1, service)
-        if self.obs.enabled:
-            profiler = self.obs.profiler
-            stage_cycles = self.kernel.stage_cycles
-            for index, stage in enumerate(KERNEL_STAGES):
-                if stage_cycles[index]:
-                    profiler.record(
-                        stage, queue, self.cost.seconds(stage_cycles[index])
-                    )
-            # The packet's wait in the RX ring before its softirq ran.
-            profiler.record_wait(
-                STAGE_PACKET_RECEIVE, queue, kernel_finish - service - now
-            )
-        for core, event in self._pending_events:
-            self.workers.dispatch(core, event, kernel_finish)
-        self._pending_events.clear()
-
     def process_batch(self, batch: PacketBatch) -> None:
         """Run one batch through offload → softirq → kernel → workers.
 
         The offload stage fills the batch's verdict vectors up front; the
-        loop then consumes packets in exact arrival order, so every
-        simulated effect (admission, cycles, events, hooks) is identical
-        to :meth:`process_packet` per packet.  If the FDIR table mutates
-        mid-batch (cutoff filter install, load-balance steer, timeout
-        removal), the unconsumed tail is re-classified, which reproduces
-        per-packet classify-then-handle interleaving exactly.  NIC
-        counters and profiler attributions are accumulated locally and
-        flushed once per batch.
+        loop then consumes packets in exact arrival order.  If the FDIR
+        table mutates mid-batch (cutoff filter install, load-balance
+        steer, timeout removal), the unconsumed tail is re-classified,
+        so every packet is handled under the verdict it would get if
+        classified immediately before its softirq — which makes every
+        simulated effect (admission, cycles, events, hooks) independent
+        of the batch size.  NIC counters and profiler attributions are
+        accumulated locally and flushed once per batch.
         """
         packets = batch.packets
         count = len(packets)
@@ -312,9 +253,8 @@ class ScapRuntime:
         # Profiler samples, one (queue, cycles) sequence per kernel
         # stage in packet order.  The flush replays them through
         # ``record_seq`` so every accumulator sees the same per-sample
-        # adds in the same order as the per-packet path — integer
-        # cycles divide to seconds at flush, which is the identical
-        # pure operation the per-packet path performs at record time.
+        # adds in the same order whatever the batch size; cycles divide
+        # to seconds per sample, never as a batch sum.
         stage_q = ([], [], [], [])
         stage_v = ([], [], [], [])
         sq0, sq1, sq2, sq3 = stage_q
@@ -349,9 +289,8 @@ class ScapRuntime:
             if enabled:
                 observe_service(service)
                 depth_last[queue] = now
-                # Unrolled per-stage sample capture (hot loop); zero
-                # cycles are skipped exactly as the per-packet path
-                # skips them.
+                # Unrolled per-stage sample capture (hot loop); stages
+                # that charged nothing record no sample.
                 cyc = stage_cycles[0]
                 if cyc:
                     sq0.append(queue)
@@ -431,30 +370,23 @@ class ScapRuntime:
         if self.fault_injector is not None:
             workload = self.fault_injector.wrap_workload(workload)
         last_time = 0.0
-        # Pre-resolved guard: the cadence check runs once per batch (or
-        # packet), so the disabled path must stay a single None test.
+        # Pre-resolved guard: the cadence check runs once per batch, so
+        # the disabled path must stay a single None test.
         telemetry = self.telemetry
-        if self.batch_size >= 2:
-            size = self.batch_size
-            replay_batches = getattr(workload, "replay_batches", None)
-            if replay_batches is not None:
-                batches = replay_batches(rate_bps, size)
-            else:
-                # Workloads without a native batched replay: regroup
-                # the per-packet generator.
-                replay = workload.replay(rate_bps)
-                batches = iter(lambda: list(islice(replay, size)), [])
-            for packets in batches:
-                self.process_batch(PacketBatch(packets))
-                last_time = packets[-1].timestamp
-                if telemetry is not None:
-                    telemetry.maybe_sample(last_time)
+        size = self.batch_size
+        replay_batches = getattr(workload, "replay_batches", None)
+        if replay_batches is not None:
+            batches = replay_batches(rate_bps, size)
         else:
-            for packet in workload.replay(rate_bps):
-                self.process_packet(packet)
-                last_time = packet.timestamp
-                if telemetry is not None:
-                    telemetry.maybe_sample(last_time)
+            # Workloads without a native batched replay: regroup the
+            # per-packet generator.
+            replay = workload.replay(rate_bps)
+            batches = iter(lambda: list(islice(replay, size)), [])
+        for packets in batches:
+            self.process_batch(PacketBatch(packets))
+            last_time = packets[-1].timestamp
+            if telemetry is not None:
+                telemetry.maybe_sample(last_time)
         if telemetry is not None:
             # Close the run with one unconditional sample so short runs
             # (shorter than the cadence) still yield a final snapshot.

@@ -51,12 +51,12 @@ class FaultedWorkload:
     ) -> Iterator[List[Packet]]:
         """Batched replay with wire faults applied.
 
-        Defined explicitly so the batched runtime path cannot reach the
-        wrapped workload's own ``replay_batches`` through
-        ``__getattr__`` — that would replay the clean trace and skip
-        the wire plane entirely.  The chunks regroup this wrapper's
-        faulted :meth:`replay` stream, so batched and per-packet runs
-        see the identical faulted packet sequence.
+        Defined explicitly so the runtime cannot reach the wrapped
+        workload's own ``replay_batches`` through ``__getattr__`` —
+        that would replay the clean trace and skip the wire plane
+        entirely.  The chunks regroup this wrapper's faulted
+        :meth:`replay` stream, so every batch size sees the identical
+        faulted packet sequence.
         """
         if size < 1:
             raise ValueError("batch size must be positive")

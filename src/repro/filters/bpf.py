@@ -460,7 +460,7 @@ class BPFFilter:
     def is_match_all(self) -> bool:
         """True when the filter accepts every packet (empty expression).
 
-        The batched hot path checks this once per batch and skips the
+        The hot path checks this once per batch and skips the
         per-packet :meth:`matches` call entirely — behaviour-preserving
         because a match-all root returns True unconditionally.
         """

@@ -1,26 +1,24 @@
-"""Packet batches: the unit of work on the batched hot path.
+"""Packet batches: the unit of work on the capture hot path.
 
 Moving one Python object per packet per pipeline hop is exactly the
 per-packet overhead the paper removes from the kernel (§2, §4); the
-batched fast path moves a :class:`PacketBatch` instead.  A batch is a
-read-only view over a bounded run of consecutively arriving packets:
+pipeline moves a :class:`PacketBatch` instead.  A batch is a read-only
+view over a bounded run of consecutively arriving packets (a run of
+one is the degenerate case, not a different path):
 
 * ``packets``      — the packets, in arrival order;
 * ``five_tuples``  — each packet's directional five-tuple, computed
-  exactly once per packet (the per-packet path recomputes the property
-  at every classification and lookup site);
+  exactly once per packet for every classification and lookup site;
 * ``arena``        — one contiguous ``bytes`` buffer holding every
   payload back to back, built lazily on first use;
-* ``payload_view(i)`` — a zero-copy ``memoryview`` slice of the arena
-  for packet ``i``;
 * ``queues`` / ``verdicts`` — the per-batch RSS/FDIR verdict vectors
   filled in by the NIC's offload stage before any packet is charged to
   host cost-model accounting.
 
 The batch carries *hardware* decisions only; all kernel-visible side
 effects (counters, trace hooks, sanitizer calls) happen per packet as
-the runtime consumes the batch, which is what keeps the batched path
-byte-identical to ``SCAP_BATCH=0``.
+the runtime consumes the batch, which is what keeps every output
+independent of the batch size.
 """
 
 from __future__ import annotations
@@ -55,15 +53,7 @@ VERDICT_DROP_FCS = 3
 class PacketBatch:
     """A bounded run of packets moving through the pipeline together."""
 
-    __slots__ = (
-        "packets",
-        "five_tuples",
-        "queues",
-        "verdicts",
-        "_arena",
-        "_bounds",
-        "_views",
-    )
+    __slots__ = ("packets", "five_tuples", "queues", "verdicts", "_arena")
 
     def __init__(self, packets: Sequence[Packet]):
         self.packets: List[Packet] = list(packets)
@@ -75,8 +65,6 @@ class PacketBatch:
         self.queues: List[int] = [0] * count
         self.verdicts: List[int] = [VERDICT_PENDING] * count
         self._arena: Optional[bytes] = None
-        self._bounds: Optional[List[int]] = None
-        self._views: Optional[List[memoryview]] = None
 
     # ------------------------------------------------------------------
     def __len__(self) -> int:
@@ -84,35 +72,14 @@ class PacketBatch:
 
     @property
     def arena(self) -> bytes:
-        """All payloads of the batch, back to back in one buffer."""
+        """All payloads of the batch, back to back in one buffer.
+
+        Nothing in the pipeline reads it yet; it stays because the
+        benchmark's layer table (``benchmarks/perf/spec.py``) names it.
+        """
         if self._arena is None:
-            self._build_arena()
-        assert self._arena is not None
+            self._arena = b"".join(packet.payload for packet in self.packets)
         return self._arena
-
-    def _build_arena(self) -> None:
-        bounds: List[int] = [0]
-        offset = 0
-        for packet in self.packets:
-            offset += len(packet.payload)
-            bounds.append(offset)
-        self._arena = b"".join(packet.payload for packet in self.packets)
-        self._bounds = bounds
-
-    def payload_view(self, index: int) -> memoryview:
-        """Packet ``index``'s payload as a zero-copy slice of the arena."""
-        views = self._views
-        if views is None:
-            if self._arena is None:
-                self._build_arena()
-            assert self._arena is not None and self._bounds is not None
-            arena = memoryview(self._arena)
-            bounds = self._bounds
-            views = [
-                arena[bounds[i]:bounds[i + 1]] for i in range(len(self.packets))
-            ]
-            self._views = views
-        return views[index]
 
     # ------------------------------------------------------------------
     def total_wire_bytes(self) -> int:

@@ -90,10 +90,10 @@ class FlowDirectorTable:  # scapcheck: single-owner
         self._by_tuple: Dict[FiveTuple, List[FdirFilter]] = {}
         self._count = 0
         #: Coherence counter for batch classification: bumped on every
-        #: table mutation (install, removal, eviction).  The runtime's
-        #: batched path re-classifies the unconsumed tail of a batch
-        #: whenever the version moved, so verdicts computed ahead of
-        #: time stay identical to per-packet classification.
+        #: table mutation (install, removal, eviction).  The runtime
+        #: re-classifies the unconsumed tail of a batch whenever the
+        #: version moved, so verdicts computed ahead of time equal
+        #: classifying each packet right before its softirq.
         self.version = 0
         self.installed_total = 0
         self.evicted_total = 0
@@ -205,7 +205,7 @@ class FlowDirectorTable:  # scapcheck: single-owner
     ) -> Optional[FdirFilter]:
         """The first filter matching ``packet``, without accounting.
 
-        Pure lookup for the batched offload stage, which may classify a
+        Pure lookup for the offload stage, which may classify a
         packet more than once (the batch tail is re-classified after a
         mid-batch table mutation); match statistics are recorded via
         :meth:`count_match` when the verdict is actually consumed.
@@ -231,7 +231,7 @@ class FlowDirectorTable:  # scapcheck: single-owner
         return None
 
     def count_match(self, count: int = 1) -> None:
-        """Record ``count`` consumed filter matches (batched path)."""
+        """Record ``count`` consumed filter matches."""
         self.matched_total += count
         if self._obs.enabled:
             self._m_matches.inc(count)
@@ -240,9 +240,7 @@ class FlowDirectorTable:  # scapcheck: single-owner
         """The first filter matching ``packet``, or None."""
         matched = self.peek(packet)
         if matched is not None:
-            self.matched_total += 1
-            if self._obs.enabled:
-                self._m_matches.inc()
+            self.count_match()
         return matched
 
     def expired(self, now: float) -> List[FdirFilter]:

@@ -13,8 +13,14 @@ from typing import List, Optional
 
 from ..netstack.packet import Packet
 from ..observability import Observability
-from .batch import PacketBatch
-from .fdir import FDIR_DROP, FlowDirectorTable
+from .batch import (
+    PacketBatch,
+    VERDICT_DROP_FCS,
+    VERDICT_DROP_FDIR,
+    VERDICT_HOST,
+    VERDICT_STEERED,
+)
+from .fdir import FlowDirectorTable
 from .offload import OffloadEngine
 from .rss import SYMMETRIC_RSS_KEY, RSSHasher
 
@@ -56,32 +62,29 @@ class SimulatedNIC:
     def classify(self, packet: Packet) -> Optional[int]:
         """Return the RX queue for ``packet``, or None if dropped in hardware.
 
-        FDIR perfect-match filters take precedence over RSS, as on the
-        82599.
+        A one-packet batch through the offload stage, accounted at once:
+        the FCS → FDIR drop/steer → RSS precedence lives only in
+        :class:`~repro.nic.offload.OffloadEngine`.
         """
-        self.stats.received += 1
-        if packet.fcs_corrupt:
-            # Bad checksum: the MAC drops the frame before FDIR/RSS
-            # ever see it; only the error counter records it existed.
-            self.stats.fcs_errors += 1
-            return None
-        matched = self.fdir.match(packet)
-        if matched is not None:
-            if matched.action_queue == FDIR_DROP:
-                self.stats.dropped_at_nic += 1
-                self.fdir.dropped_at_nic += 1
-                return None
-            self.stats.steered_by_fdir += 1
-            queue = matched.action_queue % self.queue_count
-            self.stats.per_queue[queue] += 1
-            return queue
-        five_tuple = packet.five_tuple
-        if five_tuple is None:
-            queue = 0  # non-IP frames land on queue 0
-        else:
-            queue = self.rss.queue_for(five_tuple)
-        self.stats.per_queue[queue] += 1
-        return queue
+        batch = PacketBatch((packet,))
+        self.offload.classify(batch)
+        verdict = batch.verdicts[0]
+        queue = batch.queues[0]
+        fdir_drop = verdict == VERDICT_DROP_FDIR
+        steered = verdict == VERDICT_STEERED
+        delivered = steered or verdict == VERDICT_HOST
+        per_queue = [0] * self.queue_count
+        if delivered:
+            per_queue[queue] = 1
+        self.apply_batch_stats(
+            received=1,
+            fcs_errors=int(verdict == VERDICT_DROP_FCS),
+            fdir_drops=int(fdir_drop),
+            steered=int(steered),
+            matched=int(fdir_drop or steered),
+            per_queue=per_queue,
+        )
+        return queue if delivered else None
 
     def classify_batch(self, batch: PacketBatch, start: int = 0) -> int:
         """Fill the batch's verdict/queue vectors via the offload stage.
@@ -89,8 +92,7 @@ class SimulatedNIC:
         Side-effect free (see :class:`~repro.nic.offload.OffloadEngine`);
         returns the FDIR table version the verdicts are valid against.
         The runtime accounts each verdict at consumption time through
-        :meth:`apply_batch_stats`, keeping :class:`NICStats` identical
-        to per-packet :meth:`classify`.
+        :meth:`apply_batch_stats`.
         """
         return self.offload.classify(batch, start)
 

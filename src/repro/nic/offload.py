@@ -14,8 +14,8 @@ re-classified after a mid-batch filter install or removal never
 double-counts.  ``FlowDirectorTable.version`` is the coherence signal:
 the runtime re-runs :meth:`OffloadEngine.classify` over the unconsumed
 tail whenever the version moved, which makes verdicts identical to
-classifying every packet immediately before its softirq — i.e. to the
-per-packet path.
+classifying every packet immediately before its softirq, whatever the
+batch size.
 """
 
 from __future__ import annotations

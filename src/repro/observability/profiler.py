@@ -240,7 +240,7 @@ class StageProfiler:
         with the same (core, seconds) pairs in the same order: the
         stage total, per-core totals, histogram sum, and busy counter
         all accumulate sample-by-sample, so even the float rounding
-        matches the per-packet path.  Values must be non-negative
+        is independent of the batch size.  Values must be non-negative
         (cycle-derived); only the per-call overhead is amortized.
         """
         if not values:

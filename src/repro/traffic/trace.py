@@ -114,8 +114,8 @@ class Trace:
     def replay_batches(self, rate_bps: float, size: int) -> Iterator[List[Packet]]:
         """Yield retimed packets in lists of up to ``size``.
 
-        Identical retiming and ordering to :meth:`replay`; the batched
-        runtime uses this to skip one generator resume per packet.
+        Identical retiming and ordering to :meth:`replay`; the runtime
+        uses this to skip one generator resume per packet.
         """
         if rate_bps <= 0:
             raise ValueError("replay rate must be positive")

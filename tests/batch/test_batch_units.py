@@ -1,10 +1,10 @@
-"""Unit tests for the batched hot path's building blocks.
+"""Unit tests for the hot path's batching building blocks.
 
-The batched pipeline defers observability to per-batch flushes; these
-tests pin the bit-identity contract of each primitive (``inc_many``,
+The pipeline defers observability to per-batch flushes; these tests
+pin the bit-identity contract of each primitive (``inc_many``,
 ``observe_many``, ``record_seq``/``record_wait_seq``, the stream-memory
 batch window), the faulted workload's batched replay, timeline reset,
-and the ``SCAP_BATCH`` environment switch.
+and the one remaining knob: ``batch_size``, packets per batch.
 """
 
 from __future__ import annotations
@@ -14,7 +14,8 @@ import random
 import pytest
 
 from repro.core.memory import StreamMemory
-from repro.core.runtime import DEFAULT_BATCH_SIZE, resolve_batch_size
+from repro.core import ScapRuntime
+from repro.core.runtime import DEFAULT_BATCH_SIZE
 from repro.faultinject import FaultInjector, FaultPlan, WireFaults
 from repro.observability import STAGE_EVENT_DEQUEUE, Observability
 from repro.traffic import campus_mix
@@ -181,27 +182,26 @@ class TestTimelineReset:
 
 
 class TestBatchSizeSwitch:
-    def test_explicit_argument_wins(self, monkeypatch):
-        monkeypatch.setenv("SCAP_BATCH", "32")
-        assert resolve_batch_size(8) == 8
-        assert resolve_batch_size(0) == 0
-        assert resolve_batch_size(1) == 0
-
-    @pytest.mark.parametrize(
-        "raw,expected",
-        [
-            ("0", 0),
-            ("1", 0),
-            ("2", 2),
-            ("128", 128),
-            ("", DEFAULT_BATCH_SIZE),
-            ("nonsense", DEFAULT_BATCH_SIZE),
-        ],
-    )
-    def test_environment_parsing(self, monkeypatch, raw, expected):
-        monkeypatch.setenv("SCAP_BATCH", raw)
-        assert resolve_batch_size() == expected
+    """``batch_size`` is packets per batch, 1 and up — nothing else."""
 
     def test_unset_selects_default(self, monkeypatch):
         monkeypatch.delenv("SCAP_BATCH", raising=False)
-        assert resolve_batch_size() == DEFAULT_BATCH_SIZE
+        assert ScapRuntime().batch_size == DEFAULT_BATCH_SIZE == 64
+
+    def test_explicit_argument_wins(self, monkeypatch):
+        monkeypatch.setenv("SCAP_BATCH", "32")
+        assert ScapRuntime(batch_size=8).batch_size == 8
+        assert ScapRuntime(batch_size=1).batch_size == 1
+
+    @pytest.mark.parametrize("size", [0, -1, -64])
+    def test_sizes_below_one_rejected(self, size):
+        with pytest.raises(ValueError):
+            ScapRuntime(batch_size=size)
+
+    @pytest.mark.parametrize(
+        "raw", ["0", "1", "2", "128", "", "nonsense"],
+        ids=["0", "1", "2", "128", "empty", "nonsense"],
+    )
+    def test_environment_has_no_effect(self, monkeypatch, raw):
+        monkeypatch.setenv("SCAP_BATCH", raw)
+        assert ScapRuntime().batch_size == DEFAULT_BATCH_SIZE

@@ -1,14 +1,18 @@
-"""Differential suite: the batched path must equal the per-packet path.
+"""Differential suite: every output is invariant under the batch size.
 
-Every observable output — delivered events (content, order, offsets),
-``scap_get_stats`` fields, trace-hook emission counts, profiler stage
-seconds, and on-disk store contents — must be identical between
-``batch_size=0`` (the ``SCAP_BATCH=0`` escape hatch) and any batched
-configuration, on clean traces, under wire-plane fault injection, and
-on overlap-heavy traces.  The per-packet fingerprints are also frozen
-in ``golden_fingerprints.json`` (recorded with ``python
-tests/batch/test_differential.py --record``); every path must equal
-the goldens as well as each other.
+There is one pipeline; ``batch_size`` only says how many packets move
+through it together.  Every observable output — delivered events
+(content, order, offsets), ``scap_get_stats`` fields, trace-hook
+emission counts, profiler stage seconds, and on-disk store contents —
+must be identical between ``batch_size=1`` (classify, handle and flush
+one packet at a time: the reference) and sizes 2, 7 and 64, on clean
+traces, under wire-plane fault injection, and on overlap-heavy traces.
+
+All of them must also equal ``golden_fingerprints.json``.  The goldens
+were recorded from the separate per-packet implementation
+(``batch_size=0``) on the last commit that had one, so they pin the
+behaviour that implementation had; ``--record`` rewrites them from
+``batch_size=1`` and is for intentional behaviour changes only.
 """
 
 from __future__ import annotations
@@ -32,9 +36,8 @@ from repro.traffic.tcpsession import Impairments
 
 GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "golden_fingerprints.json")
 
-#: The ``batch_size`` every other size is compared against, and the one
-#: the goldens were recorded from.
-REFERENCE = 0
+#: The ``batch_size`` every other size is compared against.
+REFERENCE = 1
 BATCH_SIZES = [2, 7, 64]
 
 
@@ -182,7 +185,7 @@ def _store_contents(store_dir) -> dict:
 def _assert_identical(reference, candidate, label):
     for key in reference:
         assert candidate[key] == reference[key], (
-            f"{label}: {key} diverged between per-packet and batched paths"
+            f"{label}: {key} diverged from batch_size={REFERENCE}"
         )
 
 
@@ -204,7 +207,7 @@ def _assert_matches_golden(scenario, fingerprint, label):
     assert sorted(view) == sorted(golden), f"{label}: fingerprint keys changed"
     for key, expected in golden.items():
         assert view[key] == expected, (
-            f"{label}: {key} diverged from the committed per-packet golden"
+            f"{label}: {key} diverged from the committed golden"
         )
 
 

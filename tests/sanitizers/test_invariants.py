@@ -3,12 +3,14 @@ silent on a correct pipeline."""
 
 import pytest
 
-from repro.core import ScapConfig, ScapRuntime, ScapSocket
+from repro.core import ScapConfig, ScapKernelModule, ScapRuntime, ScapSocket, StreamStatus
 from repro.core.memory import StreamMemory
 from repro.core.ppl import PPLDecision, PrioritizedPacketLoss
 from repro.core.reassembly import TCPDirectionReassembler
+from repro.kernelsim import DEFAULT_COST_MODEL
 from repro.nic.fdir import FdirFilter, FlowDirectorTable
-from repro.netstack import FiveTuple, IPProtocol
+from repro.netstack import FiveTuple, IPProtocol, TCPFlags, make_tcp_packet
+from repro.nic import SimulatedNIC
 from repro.observability import Observability
 from repro.sanitizers import (
     SANITIZE_ENV,
@@ -160,6 +162,29 @@ class TestPplBands:
         ppl.priority_levels = 2  # bands must only grow
         with pytest.raises(InvariantViolation):
             ppl.check(0.2, 0, 0)
+
+
+class TestFlowCacheCoherence:
+    def _data(self, seq):
+        return make_tcp_packet(
+            1, 1234, 2, 80, seq=seq, flags=TCPFlags.ACK, payload=b"x" * 100
+        )
+
+    def test_stale_cached_entry_raises(self, san):
+        kernel = ScapKernelModule(
+            ScapConfig(), SimulatedNIC(queue_count=1), DEFAULT_COST_MODEL,
+            sanitizers=san,
+        )
+        kernel.handle_packet(self._data(1), 0)  # fills the flow-entry cache
+        kernel.handle_packet(self._data(101), 0)  # a coherent hit is silent
+        # Break the harness: terminate the stream but hide the epoch
+        # move that tells the cache its entries may be dead.
+        epoch = kernel._flow_epoch
+        kernel._terminate(kernel.flows.get(_tuple()), 1.0, 0, StreamStatus.TIMED_OUT)
+        kernel._flow_epoch = epoch
+        with pytest.raises(InvariantViolation) as excinfo:
+            kernel.handle_packet(self._data(201), 0)
+        assert excinfo.value.invariant == "flow-cache-coherence"
 
 
 class TestTraceTail:

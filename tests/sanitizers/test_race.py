@@ -115,11 +115,15 @@ class TestLocksetMode:
         detector = RaceDetector()
         token = detector.register("queue", mode="lockset")
         shared = threading.Event()
+        checked = threading.Event()
         caught: list = []
 
         def locked_toucher() -> None:
             detector.check(token, locks=("_lock",))
             shared.set()
+            # Stay alive until the bare access ran (ident recycling,
+            # as in ``provoke_owner_race``).
+            checked.wait(timeout=5.0)
 
         def bare_toucher() -> None:
             shared.wait(timeout=5.0)
@@ -127,6 +131,8 @@ class TestLocksetMode:
                 detector.check(token, locks=())
             except InvariantViolation as violation:
                 caught.append(violation)
+            finally:
+                checked.set()
 
         threads = [
             threading.Thread(target=locked_toucher),
