@@ -11,6 +11,9 @@ if:
 * a mid-soak scrape of the daemon's HTTP sidecar returns a **healthy**
   `/healthz` verdict, a ready `/readyz`, and a parseable `/metrics`
   exposition (the daemon runs with observability + telemetry on),
+* the daemon never runs more than its loop thread and its owner thread
+  (at most 3 live `scapd-*` threads, sampled while the clients are
+  mid-flight, whatever `--clients` is),
 * the daemon shuts down gracefully with **balanced ledgers**
   (`enqueued == delivered + dropped` for every client).
 
@@ -39,6 +42,8 @@ from repro.service import ClientQuotas, DaemonConfig, ScapClient, ScapDaemon
 from repro.service.protocol import MSG_REQUEST, encode_frame
 
 GBIT = 1e9
+#: The loop thread and the owner thread, with one to spare.
+MAX_DAEMON_THREADS = 3
 
 
 def _soak_client(index: int, path: str, rounds: int, report: dict, errors: list):
@@ -149,8 +154,18 @@ def main(argv=None) -> int:
     # verdict must hold *under* the soak's self-inflicted load.
     time.sleep(1.0)
     scrape = _scrape_sidecar(daemon, errors)
-    for thread in threads:
-        thread.join(timeout=600)
+    peak_threads = 0
+    deadline = time.monotonic() + 600
+    while any(t.is_alive() for t in threads) and time.monotonic() < deadline:
+        peak_threads = max(peak_threads, sum(
+            1 for t in threading.enumerate() if t.name.startswith("scapd-")
+        ))
+        time.sleep(0.05)
+    if peak_threads > MAX_DAEMON_THREADS:
+        errors.append(
+            f"{peak_threads} live scapd-* threads mid-soak "
+            f"(at most {MAX_DAEMON_THREADS} whatever the client count)"
+        )
     elapsed = time.perf_counter() - start
 
     telemetry_history = daemon.telemetry.as_dict() if daemon.telemetry else None
@@ -170,6 +185,7 @@ def main(argv=None) -> int:
         "ledgers_balanced": balanced,
         "ledgers": ledgers,
         "scrape": scrape,
+        "peak_daemon_threads": peak_threads,
         "telemetry_samples": (
             telemetry_history["sampled"] if telemetry_history else 0
         ),
@@ -187,7 +203,8 @@ def main(argv=None) -> int:
         f"{payload['events']} events; {len(errors)} errors; "
         f"ledgers balanced: {balanced}; mid-soak verdict: "
         f"{scrape.get('health', {}).get('verdict', 'unscraped')}; "
-        f"{payload['telemetry_samples']} telemetry samples"
+        f"{payload['telemetry_samples']} telemetry samples; "
+        f"peak scapd-* threads: {peak_threads}"
     )
     for line in errors:
         print(f"  ERROR {line}")

@@ -9,9 +9,10 @@ the native microsecond little-endian form.
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass
-from typing import BinaryIO, Iterable, Iterator
+from typing import BinaryIO, Iterable, Iterator, Union
 
 from .packet import Packet
 
@@ -31,8 +32,16 @@ class _Format:
     nanosecond: bool
 
 
+def _open(target: Union[str, BinaryIO], mode: str) -> "tuple[BinaryIO, bool]":
+    """``(file, ours)``: a path is opened here (and closed by us); an
+    open binary file is used as it is and stays the caller's to close."""
+    if isinstance(target, (str, os.PathLike)):
+        return open(target, mode), True
+    return target, False
+
+
 class PcapWriter:
-    """Streams packets into a pcap file.
+    """Streams packets into a pcap file (a path, or an open binary file).
 
     Use as a context manager::
 
@@ -41,8 +50,8 @@ class PcapWriter:
                 writer.write(packet)
     """
 
-    def __init__(self, path: str, snaplen: int = 65535):
-        self._file: BinaryIO = open(path, "wb")
+    def __init__(self, path: Union[str, BinaryIO], snaplen: int = 65535):
+        self._file, self._ours = _open(path, "wb")
         self._snaplen = snaplen
         self._file.write(
             _GLOBAL_HEADER.pack(_MAGIC_USEC, 2, 4, 0, 0, snaplen, LINKTYPE_ETHERNET)
@@ -63,8 +72,9 @@ class PcapWriter:
         self._file.write(captured)
 
     def close(self) -> None:
-        """Close the underlying file."""
-        self._file.close()
+        """Close the underlying file (a caller's file is left open)."""
+        if self._ours:
+            self._file.close()
 
     def __enter__(self) -> "PcapWriter":
         return self
@@ -74,20 +84,20 @@ class PcapWriter:
 
 
 class PcapReader:
-    """Iterates packets out of a pcap file."""
+    """Iterates packets out of a pcap file (a path, or an open binary file)."""
 
-    def __init__(self, path: str):
-        self._file: BinaryIO = open(path, "rb")
+    def __init__(self, path: Union[str, BinaryIO]):
+        self._file, self._ours = _open(path, "rb")
         header = self._file.read(_GLOBAL_HEADER.size)
         if len(header) < _GLOBAL_HEADER.size:
-            self._file.close()
+            self.close()
             raise ValueError("truncated pcap global header")
         self._format = self._detect_format(header)
         fields = struct.unpack(self._format.endian + "IHHiIII", header)
         self.snaplen = fields[5]
         self.linktype = fields[6]
         if self.linktype != LINKTYPE_ETHERNET:
-            self._file.close()
+            self.close()
             raise ValueError(f"unsupported linktype: {self.linktype}")
         self._record = struct.Struct(self._format.endian + "IIII")
 
@@ -119,8 +129,9 @@ class PcapReader:
             yield Packet.parse(frame, timestamp=timestamp, wire_len=wire_len)
 
     def close(self) -> None:
-        """Close the underlying file."""
-        self._file.close()
+        """Close the underlying file (a caller's file is left open)."""
+        if self._ours:
+            self._file.close()
 
     def __enter__(self) -> "PcapReader":
         return self
@@ -129,8 +140,10 @@ class PcapReader:
         self.close()
 
 
-def write_pcap(path: str, packets: Iterable[Packet], snaplen: int = 65535) -> int:
-    """Write ``packets`` to ``path``; return the number written."""
+def write_pcap(
+    path: Union[str, BinaryIO], packets: Iterable[Packet], snaplen: int = 65535
+) -> int:
+    """Write ``packets`` to ``path`` (or an open file); return the number written."""
     count = 0
     with PcapWriter(path, snaplen=snaplen) as writer:
         for packet in packets:
@@ -139,7 +152,7 @@ def write_pcap(path: str, packets: Iterable[Packet], snaplen: int = 65535) -> in
     return count
 
 
-def read_pcap(path: str) -> "list[Packet]":
-    """Read all packets from ``path`` into a list."""
+def read_pcap(path: Union[str, BinaryIO]) -> "list[Packet]":
+    """Read all packets from ``path`` (or an open file) into a list."""
     with PcapReader(path) as reader:
         return list(reader)

@@ -165,32 +165,6 @@ class RaceDetector:
                 self.violations += 1
                 raise
 
-    def adopt(self, token: int) -> None:
-        """Hand an owner-mode resource to the current thread.
-
-        Some single-owner resources migrate between threads by design:
-        the daemon serializes every capture — and every store flush —
-        under one lock, so a *different* client thread legitimately
-        plays the owner role each time.  The code that takes that
-        serialization lock calls this to declare the handoff; every
-        access until the next adoption must then come from the
-        adopting thread, so an unserialized toucher still trips the
-        detector.  Lockset-mode resources reject adoption — their
-        discipline is the common lockset, not a single owner.
-        """
-        ident = threading.get_ident()
-        name = threading.current_thread().name
-        tail = _stack_tail()
-        with self._guard:
-            resource = self._resources[token]
-            if resource.mode != "owner":
-                raise ValueError(
-                    f"cannot adopt {resource.label!r}: not an owner-mode resource"
-                )
-            resource.owner_ident = ident
-            resource.owner_name = name
-            resource.owner_tail = tail
-
     # ------------------------------------------------------------------
     def _check_owner(
         self, resource: _Resource, ident: int, name: str, tail: StackTail, op: str

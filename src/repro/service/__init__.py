@@ -10,7 +10,8 @@ format, message catalog, quota semantics, and failure modes.
 """
 
 from .client import CallTimeout, EventStream, RemoteCallError, ScapClient
-from .daemon import DaemonConfig, ScapDaemon, trace_to_pcap_bytes
+from .daemon import DaemonConfig, ScapDaemon
+from .owner import trace_to_pcap_bytes
 from .protocol import (
     COMMAND_CODE_MAP,
     ERROR_CODES,

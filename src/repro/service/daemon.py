@@ -18,30 +18,32 @@ Clients can:
 * issue five-tuple/time-range queries (single or bulk) against the
   stream store, receiving reassembled payload bytes.
 
-Threading model: one accept thread per listener, one reader thread per
-client connection, one sender thread per client queue.  Captures are
-serialized through ``_capture_lock`` (the simulated pipeline is a
-single-threaded machine); everything else is concurrent.  Mutable
-daemon state is partitioned under ``_state_lock`` (sessions,
-listeners, lifecycle) and ``_config_lock`` (filters/cutoffs/
-priorities); fault-injector draws are serialized by ``_fault_lock``
-so the client plane's schedule is well-defined under concurrency.
+Threading model (``docs/SERVICE.md`` has the full table): two threads
+whose state never overlaps, whatever the number of clients.  **The loop
+thread** (this module) runs one ``selectors`` loop over every socket
+and owns the sessions, the runtime config, the lifecycle flags, the
+client-plane fault draws and a timer heap; cheap commands are answered
+inline on it.  **The owner thread** (:mod:`repro.service.owner`) is the
+only code that touches a ``ScapSocket`` or the ``StreamStore``; its
+events and completions come back through the loop's one bounded inbox,
+in order.  Foreign threads calling the public methods post to the same
+inbox and wait.  Nothing is locked because nothing is shared.
 """
 
 from __future__ import annotations
 
 import os
+import queue
+import sched
+import selectors
 import socket as socket_module
-import tempfile
 import threading
 import time
+import traceback
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from ..core.api import ScapSocket
 from ..filters.bpf import BPFFilter
-from ..netstack.flows import FiveTuple
-from ..netstack.pcap import read_pcap, write_pcap
 from ..observability import (
     HOOK_SERVICE_CLIENT_EVICTED,
     HOOK_SERVICE_EVENT_DROPPED,
@@ -53,19 +55,13 @@ from ..observability import (
     TelemetryRing,
     span_records,
 )
-from ..observability.spans import (
-    KIND_INTERNAL,
-    KIND_SERVER,
-    KIND_STORE,
-    Span,
-)
-from ..traffic import Trace, campus_mix
+from ..observability.spans import KIND_INTERNAL, KIND_SERVER, Span
 from .health import DEFAULT_HEALTH_RULES, HealthReport, HealthServer, evaluate_health
+from .owner import POST_DONE, POST_EVENT, CaptureOwner, guarded, store_stats
 from .protocol import (
     COMMAND_CODE_MAP,
     ERR_BAD_FRAME,
     ERR_BAD_REQUEST,
-    ERR_INTERNAL,
     ERR_QUOTA,
     ERR_SHUTTING_DOWN,
     ERR_UNAUTHORIZED,
@@ -78,8 +74,8 @@ from .protocol import (
     PROTOCOL_MINOR,
     REJECT_CATEGORIES,
     Frame,
-    FrameReader,
     FrameRejection,
+    ProtocolError,
     ServiceError,
     encode_frame,
 )
@@ -87,14 +83,33 @@ from .session import EVENT_KINDS, ClientQuotas, ClientSession
 
 __all__ = ["DaemonConfig", "ScapDaemon", "register_service_metrics"]
 
-#: ``category`` of fault-injected garbage frames (not a wire category).
+#: ``category`` of fault-injected garbage frames (not a wire category),
+#: and the rejection such a frame is answered with.
 REJECT_INJECTED = "injected"
-
-GBIT = 1e9
+_INJECTED_GARBAGE = FrameRejection(
+    "bad_frame", "injected garbage frame", 0, category=REJECT_INJECTED
+)
 
 #: Close a connection after this many consecutive malformed frames —
 #: a peer that never resynchronizes is noise, not a client.
 MAX_CONSECUTIVE_REJECTIONS = 8
+
+#: Bytes asked of a readable socket per loop pass.
+RECV_BYTES = 1 << 16
+#: Items (events, completions, foreign calls) the inbox holds before a
+#: producer blocks, and how many the loop takes between socket passes.
+INBOX_DEPTH = 1024
+INBOX_BATCH = 256
+#: Inbox tag of a call marshalled from a foreign thread.
+POST_CALL = "call"
+#: Seconds a disconnected client's queued output is given to leave.
+RETIRE_SECONDS = 2.0
+#: Seconds a reload waits for client queues to empty.
+RELOAD_DRAIN_SECONDS = 5.0
+#: What a handler returns when the response comes later (from the
+#: owner thread, or when a reload finishes).
+DEFERRED: Tuple[None, bytes] = (None, b"")
+_CAPTURE_COMMANDS = ("submit_trace", "feed_commit")
 
 
 @dataclass
@@ -151,8 +166,8 @@ def register_service_metrics(registry) -> Dict[str, Any]:
     --check-parity``), so parity is verified for the whole service
     registry — span and telemetry families included — without needing
     a live daemon.  Pre-creating the labeled children here means
-    handler threads only ever ``.inc()``/``.observe()`` existing
-    instruments, which keeps SCAP_RACE quiet.
+    the loop thread only ever ``.inc()``/``.observe()`` existing
+    instruments.
     """
     metrics: Dict[str, Any] = {
         "connections": registry.counter(
@@ -234,8 +249,35 @@ def register_service_metrics(registry) -> Dict[str, Any]:
     return metrics
 
 
+@dataclass
+class _Request:
+    """One dispatched request, until its response is written."""
+
+    session: ClientSession
+    request_id: int
+    command: str
+    #: ``daemon:<command>`` and ``handler:<command>`` (tracing only);
+    #: the owner parents its capture/store spans under the latter.
+    span: Optional[Span] = None
+    handler_span: Optional[Span] = None
+
+
+@dataclass
+class _Reload:
+    """A reload in progress: sealed by the owner, then queues drained."""
+
+    done: Callable[[Dict[str, int]], None]
+    #: ``time.monotonic()`` after which client queues are not waited for.
+    deadline: float
+    sealed: Optional[int] = None
+
+
 class ScapDaemon:
-    """A long-running capture service over Unix/TCP sockets."""
+    """A long-running capture service over Unix/TCP sockets.
+
+    Loop-thread state throughout; the public methods may be called
+    from any thread (those that need loop state post and wait).
+    """
 
     def __init__(
         self,
@@ -246,18 +288,15 @@ class ScapDaemon:
         self.config = config or DaemonConfig()
         self.config.validate()
         self._obs = observability or NULL_OBSERVABILITY
-        self._state_lock = threading.Lock()
-        self._config_lock = threading.Lock()
-        self._capture_lock = threading.Lock()
-        self._fault_lock = threading.Lock()
         self._sessions: Dict[int, ClientSession] = {}
         self._listeners: List[Tuple[socket_module.socket, str]] = []
-        self._accept_threads: List[threading.Thread] = []
-        self._handler_threads: List[threading.Thread] = []
         self._next_client_id = 1
+        # closing: shutdown began.  draining: the owner has stopped and
+        # the clients are being given their last writes.
         self._closing = False
-        self._shutdown_done = threading.Event()
-        self._reloading = False
+        self._draining = False
+        self._drain_timeout = 0.0
+        self._reload: Optional[_Reload] = None
         self._captures = 0
         #: Simulated clock high-water mark across submitted captures.
         self._sim_now = 0.0
@@ -271,6 +310,8 @@ class ScapDaemon:
                 compress=self.config.store_compress,
                 observability=observability,
             )
+        #: The store's counters as of the owner's last command.
+        self._store_stats = store_stats(self.store)
         # Config the clients program at runtime.
         self._filters: Dict[int, str] = {}
         self._next_filter_id = 1
@@ -285,9 +326,12 @@ class ScapDaemon:
             self.fault_injector = FaultInjector(fault_plan, observability=observability)
         #: Ledger snapshots of sessions that finished (id -> dict).
         self.final_ledgers: Dict[int, Dict[str, object]] = {}
-        # Service metrics: families are registered here, on the owning
-        # thread (children pre-created inside the helper), so session
-        # threads only ever increment existing instruments.
+        self._balanced = True
+        #: For the sidecar thread and foreign callers: the loop
+        #: publishes a new dict by rebinding, never by mutation.
+        self._facts: Dict[str, object] = {"ledgers_balanced": True, "ready": False}
+        # Families are registered here, on the registry's owning
+        # thread (children pre-created); the loop only increments.
         registry = self._obs.registry
         metrics = register_service_metrics(registry)
         self._m_connections = metrics["connections"]
@@ -322,51 +366,50 @@ class ScapDaemon:
                 cadence=self.config.telemetry_cadence,
                 capacity=self.config.telemetry_capacity,
             )
-        self._telemetry_stop = threading.Event()
-        self._telemetry_thread: Optional[threading.Thread] = None
         #: The HTTP sidecar (started by :meth:`start` when configured).
         self.health_server: Optional[HealthServer] = None
         #: Bound ``(host, port)`` of the sidecar once it is listening.
         self.http_address: Optional[Tuple[str, int]] = None
-        _Handler = Callable[
-            [ClientSession, Frame], Optional[Tuple[Dict[str, Any], bytes]]
-        ]
-        self._handlers: Dict[str, _Handler] = {
-            "hello": self._cmd_hello,
-            "ping": self._cmd_ping,
-            "submit_trace": self._cmd_submit_trace,
-            "feed_open": self._cmd_feed_open,
-            "feed_append": self._cmd_feed_append,
-            "feed_commit": self._cmd_feed_commit,
-            "install_filter": self._cmd_install_filter,
-            "remove_filter": self._cmd_remove_filter,
-            "set_cutoff": self._cmd_set_cutoff,
-            "set_priority": self._cmd_set_priority,
-            "remove_priority": self._cmd_remove_priority,
-            "subscribe": self._cmd_subscribe,
-            "unsubscribe": self._cmd_unsubscribe,
-            "query": self._cmd_query,
-            "bulk_query": self._cmd_bulk_query,
-            "stats": self._cmd_stats,
-            "spans": self._cmd_spans,
-            "telemetry": self._cmd_telemetry,
-            "health": self._cmd_health,
-            "reload": self._cmd_reload,
-            "shutdown": self._cmd_shutdown,
+        # The inbox is the one way in from any other thread; a byte on
+        # the wake pipe tells a sleeping ``select`` it is not empty.
+        self._selector = selectors.DefaultSelector()
+        self._inbox: "queue.Queue[tuple]" = queue.Queue(maxsize=INBOX_DEPTH)
+        self._wake_r, self._wake_w = socket_module.socketpair()
+        self._wake_r.setblocking(False)
+        self._wake_w.setblocking(False)
+        self._selector.register(self._wake_r, selectors.EVENT_READ, None)
+        self._wake_sent = False
+        #: The timer heap; the loop runs what is due between selects.
+        self._timers = sched.scheduler(time.monotonic)
+        self._done = False
+        self._stopped = threading.Event()
+        self._loop_thread: Optional[threading.Thread] = None
+        self._owner = CaptureOwner(
+            self.store,
+            memory_size=self.config.memory_size,
+            core_count=self.config.core_count,
+            tracer=self._spans,
+            post=self._post,
+        )
+        #: One ``_cmd_<name>`` per command of the protocol's catalogue:
+        #: ``(request, frame) -> (header, payload) | DEFERRED``.
+        self._handlers: Dict[str, Callable] = {
+            name: getattr(self, f"_cmd_{name}") for name in COMMAND_CODE_MAP
         }
 
     # ------------------------------------------------------------------
-    # Listeners and lifecycle
+    # The public surface (any thread)
     # ------------------------------------------------------------------
     def add_unix_listener(self, path: str) -> str:
         """Bind a Unix stream socket at ``path``; returns the path."""
-        if os.path.exists(path):
-            os.unlink(path)
         sock = socket_module.socket(socket_module.AF_UNIX, socket_module.SOCK_STREAM)
-        sock.bind(path)
+        # Bound under a staging name and moved into place (over any stale
+        # file) once listening: whoever sees ``path`` can connect to it.
+        staging = f"{path}.{os.getpid()}"
+        sock.bind(staging)
         sock.listen(64)
-        with self._state_lock:
-            self._listeners.append((sock, f"unix:{path}"))
+        os.replace(staging, path)
+        self._on_loop(self._add_listener, sock, f"unix:{path}")
         return path
 
     def add_tcp_listener(self, host: str = "127.0.0.1", port: int = 0) -> Tuple[str, int]:
@@ -376,31 +419,24 @@ class ScapDaemon:
         sock.bind((host, port))
         sock.listen(64)
         bound = sock.getsockname()
-        with self._state_lock:
-            self._listeners.append((sock, f"tcp:{bound[0]}:{bound[1]}"))
+        self._on_loop(self._add_listener, sock, f"tcp:{bound[0]}:{bound[1]}")
         return bound[0], bound[1]
 
     def start(self) -> None:
-        """Start accept threads, the telemetry ticker, and the sidecar."""
-        with self._state_lock:
-            listeners = list(self._listeners)
-            for sock, label in listeners[len(self._accept_threads):]:
-                thread = threading.Thread(
-                    target=self._accept_loop,
-                    args=(sock, label),
-                    name=f"scapd-accept-{label}",
-                    daemon=True,
-                )
-                self._accept_threads.append(thread)
-                thread.start()
-        if self.telemetry is not None and self._telemetry_thread is None:
-            self._telemetry_thread = threading.Thread(
-                target=self._telemetry_loop,
-                name="scapd-telemetry",
-                daemon=True,
+        """Start the loop thread, the owner thread, and the sidecar."""
+        if self._loop_thread is not None:
+            return
+        if self.telemetry is not None:
+            self._call_at(
+                time.monotonic() + self.config.telemetry_cadence, self._telemetry_tick
             )
-            self._telemetry_thread.start()
-        if self.config.http_host is not None and self.health_server is None:
+        self._loop_thread = threading.Thread(
+            target=self._run_loop, name="scapd-loop", daemon=True
+        )
+        self._publish_facts()
+        self._owner.thread.start()
+        self._loop_thread.start()
+        if self.config.http_host is not None:
             self.health_server = HealthServer(
                 self._obs.registry,
                 self.telemetry,
@@ -410,28 +446,202 @@ class ScapDaemon:
             )
             self.http_address = self.health_server.start()
 
-    # ------------------------------------------------------------------
-    # Telemetry ticker and health surface
-    # ------------------------------------------------------------------
-    def _telemetry_loop(self) -> None:
-        """Wall-clock ticker: one ring sample per configured cadence."""
-        while not self._telemetry_stop.wait(self.config.telemetry_cadence):
-            self.sample_telemetry(time.monotonic())
+    def serve_forever(self) -> None:
+        """Serve until a shutdown has *completed*: clients drained,
+        store sealed, both threads gone."""
+        self.start()
+        self._loop_thread.join()
+
+    def shutdown(self, drain_timeout: float = 5.0) -> None:
+        """Graceful stop: refuse new work, drain clients, seal the store.
+
+        Idempotent and blocking: every caller returns once the one
+        teardown (possibly begun by a remote ``shutdown``) has finished.
+        """
+        self.start()  # a daemon that never ran still has listeners and a store to close
+        self._on_loop(self._begin_shutdown, drain_timeout)
+        self._loop_thread.join()
+
+    def reload(self) -> Dict[str, Any]:
+        """Drain queues and seal store segments; keep connections open."""
+        reply: "queue.SimpleQueue[Dict[str, int]]" = queue.SimpleQueue()
+        self._on_loop(self._begin_reload, reply.put)
+        return reply.get()
 
     def sample_telemetry(self, now: float):
-        """Refresh derived queue gauges, then snapshot the registry.
+        """Refresh derived queue gauges, then snapshot the registry at
+        the injected time ``now`` (the loop's timer passes
+        ``time.monotonic()``)."""
+        return self._on_loop(self._sample_telemetry, now)
 
-        ``now`` is injected (the ticker passes ``time.monotonic()``),
-        matching the observability layer's clock discipline.
-        """
+    def health_structural(self) -> Dict[str, object]:
+        """Non-rate facts the health verdict folds in: readiness, and
+        ledger balance over *retired* sessions (a live one has events
+        queued but not yet written)."""
+        return self._facts
+
+    def health_report(self) -> HealthReport:
+        """Evaluate the default rule set right now (command + sidecar)."""
+        return evaluate_health(self.telemetry, DEFAULT_HEALTH_RULES, self._facts)
+
+    def ledgers_balanced(self) -> bool:
+        """True when every retired client's ledger reconciles."""
+        return bool(self._facts["ledgers_balanced"])
+
+    # ------------------------------------------------------------------
+    # Getting onto the loop
+    # ------------------------------------------------------------------
+    def _post(self, item: tuple) -> None:
+        """Put ``item`` in the inbox (waiting while it is full) and make
+        sure the loop will look."""
+        self._inbox.put(item)
+        if not self._wake_sent:
+            self._wake()
+
+    def _wake(self) -> None:
+        self._wake_sent = True
+        try:
+            self._wake_w.send(b"\0")
+        except OSError:
+            pass  # pipe full (a wake is pending anyway) or the loop is gone
+
+    def _on_loop(self, fn: Callable, *args: Any):
+        """Run ``fn(*args)`` on the loop thread; the caller waits for it."""
+        if self._loop_thread is None or self._stopped.is_set():
+            return fn(*args)  # no loop is running: the caller is the only thread here
+        reply: "queue.SimpleQueue[Tuple[bool, Any]]" = queue.SimpleQueue()
+        self._post((POST_CALL, fn, args, reply))
+        if self._stopped.is_set():
+            self._drain_inbox()  # the loop exited under us: nobody else will run it
+        ok, value = reply.get()
+        if not ok:
+            raise value
+        return value
+
+    def _call_at(self, when: float, fn: Callable, *args: Any) -> None:
+        self._timers.enterabs(when, 0, fn, args)
+
+    # ------------------------------------------------------------------
+    # The loop
+    # ------------------------------------------------------------------
+    def _run_loop(self) -> None:
+        select = self._selector.select
+        run_due_timers = self._timers.run
+        try:
+            while not self._done:
+                # Runs the timers that are due; seconds to the next, or None.
+                for key, mask in select(run_due_timers(blocking=False)):
+                    target = key.data
+                    if type(target) is ClientSession:
+                        try:
+                            if mask & selectors.EVENT_WRITE:
+                                self._pump(target)
+                            if mask & selectors.EVENT_READ:
+                                self._on_readable(target)
+                        except Exception:  # noqa: BLE001 — costs that client, not the daemon
+                            traceback.print_exc()
+                            self._retire(target, 0.0)
+                    elif target is None:
+                        self._wake_r.recv(4096)
+                        # Cleared before the drain: a producer that sees
+                        # it set has put its item where the drain finds it.
+                        self._wake_sent = False
+                        self._drain_inbox()
+                    else:
+                        self._on_accept(key.fileobj, target)
+        finally:
+            self._stopped.set()
+            self._drain_inbox()  # answer the calls that raced the exit
+            self._selector.close()
+            self._wake_r.close()
+            self._wake_w.close()
+
+    def _drain_inbox(self) -> None:
+        get = self._inbox.get_nowait
+        for _ in range(INBOX_BATCH):
+            try:
+                item = get()
+            except queue.Empty:
+                return
+            tag = item[0]
+            if tag == POST_EVENT:
+                self._fanout(*item[1:])
+            elif tag == POST_DONE:
+                self._on_done(*item[1:])
+            elif tag == POST_CALL:
+                _, fn, args, reply = item
+                try:
+                    reply.put((True, fn(*args)))
+                except Exception as exc:  # noqa: BLE001 — raised in the caller
+                    reply.put((False, exc))
+            else:
+                self._on_owner_stopped()
+        self._wake()  # more may be waiting: come back after a pass over the sockets
+
+    def _add_listener(self, sock: socket_module.socket, label: str) -> None:
+        sock.setblocking(False)
+        self._listeners.append((sock, label))
+        self._selector.register(sock, selectors.EVENT_READ, label)
+
+    def _on_accept(self, listener: socket_module.socket, label: str) -> None:
+        try:
+            conn, _addr = listener.accept()
+        except OSError:
+            return
+        if not self._ready():
+            conn.close()
+            return
+        conn.setblocking(False)
+        client_id = self._next_client_id
+        self._next_client_id += 1
+        session = ClientSession(
+            client_id,
+            conn,
+            self.config.quotas,
+            peer=label,
+            on_send=self._m_bytes_sent.inc if self._obs.enabled else None,
+        )
+        session.reader.max_frame_bytes = self.config.max_frame_bytes
+        session.authenticated = self.config.auth_tokens is None
+        injector = self.fault_injector
+        if injector is not None:
+            session.delivery_stall = lambda: injector.client_slow(self._sim_now)
+        self._sessions[client_id] = session
+        if self._obs.enabled:
+            session.on_delivered = self._m_delivered.inc
+            session.on_dropped = self._m_dropped.inc
+            self._m_connections.inc()
+            self._m_active.set(len(self._sessions))
+        self._rearm(session)
+
+    def _publish_facts(self) -> None:
+        self._facts = {
+            "ledgers_balanced": self._balanced,
+            "ready": self._ready(),
+        }
+
+    def _ready(self) -> bool:
+        return (
+            self._loop_thread is not None
+            and not self._closing
+            and self._reload is None
+        )
+
+    # ------------------------------------------------------------------
+    # Telemetry (a timer on the loop's clock)
+    # ------------------------------------------------------------------
+    def _telemetry_tick(self) -> None:
+        now = time.monotonic()
+        self._sample_telemetry(now)
+        self._call_at(now + self.config.telemetry_cadence, self._telemetry_tick)
+
+    def _sample_telemetry(self, now: float):
         telemetry = self.telemetry
         if telemetry is None:
             return None
-        with self._state_lock:
-            sessions = list(self._sessions.values())
         queued = 0
         saturation = 0.0
-        for session in sessions:
+        for session in self._sessions.values():
             depth = session.queue_depth()
             queued += depth
             limit = session.quotas.max_queued_events
@@ -443,187 +653,56 @@ class ScapDaemon:
             self._m_telemetry_samples.inc()
         return telemetry.sample(now)
 
-    def health_structural(self) -> Dict[str, object]:
-        """Non-rate facts the health verdict folds in.
-
-        Ledger balance is judged over *retired* sessions only: a live
-        session's counters move between reads, so a mid-soak scrape
-        must not flap on transient enqueue/deliver races.
-        """
-        with self._state_lock:
-            closing = self._closing
-            reloading = self._reloading
-        started = bool(self._accept_threads)
-        return {
-            "ledgers_balanced": self.ledgers_balanced(),
-            "ready": started and not closing and not reloading,
-        }
-
-    def health_report(self) -> HealthReport:
-        """Evaluate the default rule set right now (command + sidecar)."""
-        if self.health_server is not None:
-            return self.health_server.report()
-        return evaluate_health(
-            self.telemetry, DEFAULT_HEALTH_RULES, self.health_structural()
-        )
-
-    def serve_forever(self, poll_seconds: float = 0.2) -> None:
-        """Blocking serve loop; returns once :meth:`shutdown` ran."""
-        import time as _time
-
-        self.start()
-        while True:
-            with self._state_lock:
-                if self._closing:
-                    return
-            _time.sleep(poll_seconds)
-
-    def _accept_loop(self, listener: socket_module.socket, label: str) -> None:
-        listener.settimeout(0.2)
-        while True:
-            with self._state_lock:
-                if self._closing:
-                    break
-                refusing = self._reloading
-            try:
-                conn, _addr = listener.accept()
-            except socket_module.timeout:
-                continue
-            except OSError:
-                break
-            if refusing:
-                conn.close()
-                continue
-            self._register_client(conn, label)
-
-    def _register_client(self, conn: socket_module.socket, label: str) -> None:
-        with self._state_lock:
-            if self._closing:
-                conn.close()
-                return
-            client_id = self._next_client_id
-            self._next_client_id += 1
-            session = ClientSession(
-                client_id,
-                conn,
-                self.config.quotas,
-                peer=label,
-                on_send=self._note_sent_bytes,
-            )
-            session.authenticated = self.config.auth_tokens is None
-            self._sessions[client_id] = session
-            if self._obs.enabled:
-                self._m_connections.inc()
-                self._m_active.set(len(self._sessions))
-            thread = threading.Thread(
-                target=self._serve_client,
-                args=(session,),
-                name=f"scapd-client-{client_id}",
-                daemon=True,
-            )
-            self._handler_threads.append(thread)
-        if self.fault_injector is not None:
-            session.delivery_stall = self._client_stall
-        session.on_delivered = self._note_delivered
-        session.on_dropped = self._note_dropped
-        session.start_sender()
-        thread.start()
-
-    def _note_sent_bytes(self, nbytes: int) -> None:
-        if self._obs.enabled:
-            self._m_bytes_sent.inc(nbytes)
-
-    def _note_delivered(self, count: int) -> None:
-        if self._obs.enabled:
-            self._m_delivered.inc(count)
-
-    def _note_dropped(self, count: int) -> None:
-        if self._obs.enabled:
-            self._m_dropped.inc(count)
-
     # ------------------------------------------------------------------
-    # Client-plane fault injection (draws serialized by _fault_lock)
+    # One connection: reading, dispatching, writing, retiring
     # ------------------------------------------------------------------
-    def _client_stall(self) -> float:
-        injector = self.fault_injector
-        if injector is None:
-            return 0.0
-        with self._fault_lock:
-            return injector.client_slow(self._sim_now)
-
-    def _client_garbage(self) -> bool:
-        injector = self.fault_injector
-        if injector is None:
-            return False
-        with self._fault_lock:
-            return injector.client_garbage(self._sim_now)
-
-    def _client_disconnect(self) -> bool:
-        injector = self.fault_injector
-        if injector is None:
-            return False
-        with self._fault_lock:
-            return injector.client_disconnect(self._sim_now)
-
-    # ------------------------------------------------------------------
-    # Per-connection reader loop
-    # ------------------------------------------------------------------
-    def _serve_client(self, session: ClientSession) -> None:
-        reader = FrameReader(max_frame_bytes=self.config.max_frame_bytes)
-        consecutive_rejections = 0
-        session.sock.settimeout(0.2)
+    def _on_readable(self, session: ClientSession) -> None:
         try:
-            while True:
-                with self._state_lock:
-                    if self._closing:
-                        break
-                try:
-                    data = session.sock.recv(65536)
-                except socket_module.timeout:
-                    continue
-                except OSError:
-                    break
-                if not data:
-                    break
-                if self._obs.enabled:
-                    self._m_bytes_received.inc(len(data))
-                session.note_received(len(data))
-                for item in reader.feed(data):
-                    if isinstance(item, FrameRejection):
-                        consecutive_rejections += 1
-                        self._reject_frame(session, item)
-                    else:
-                        consecutive_rejections = 0
-                        if item.msg_type != MSG_REQUEST:
-                            self._send_error(
-                                session, item.request_id, ERR_BAD_REQUEST,
-                                f"unexpected {item.msg_type} frame from a client",
-                            )
-                            continue
-                        if self._client_garbage():
-                            # Fault plane: pretend the wire mangled this
-                            # frame; the daemon must answer with a typed
-                            # error and keep the connection alive.
-                            consecutive_rejections += 1
-                            self._reject_frame(
-                                session,
-                                FrameRejection(
-                                    "bad_frame", "injected garbage frame", 0,
-                                    category=REJECT_INJECTED,
-                                ),
-                                request_id=item.request_id,
-                            )
-                            continue
-                        self._dispatch(session, item)
-                if consecutive_rejections >= MAX_CONSECUTIVE_REJECTIONS:
-                    break
-        finally:
-            self._retire_client(session)
+            data = session.sock.recv(RECV_BYTES)
+        except BlockingIOError:
+            return
+        except OSError:
+            data = b""
+        if not data:
+            self._retire(session)
+            return
+        if self._obs.enabled:
+            self._m_bytes_received.inc(len(data))
+        session.ledger.bytes_received += len(data)
+        session.backlog.extend(session.reader.feed(data))
+        self._serve(session)
+
+    def _serve(self, session: ClientSession) -> None:
+        """Dispatch what the reader completed, in order, until a request
+        defers its response (the rest waits behind it)."""
+        backlog = session.backlog
+        injector = self.fault_injector
+        while backlog and session.inflight is None and session.deadline is None:
+            item = backlog.popleft()
+            if isinstance(item, FrameRejection):
+                self._reject_frame(session, item)
+            elif item.msg_type != MSG_REQUEST:
+                session.consecutive_rejections = 0
+                self._send_error(
+                    session, item.request_id, ERR_BAD_REQUEST,
+                    f"unexpected {item.msg_type} frame from a client",
+                )
+            elif injector is not None and injector.client_garbage(self._sim_now):
+                # Fault plane: pretend the wire mangled this frame.
+                self._reject_frame(session, _INJECTED_GARBAGE, item.request_id)
+            else:
+                session.consecutive_rejections = 0
+                self._dispatch(session, item)
+            if session.consecutive_rejections >= MAX_CONSECUTIVE_REJECTIONS:
+                self._retire(session)
+                return
+        self._rearm(session)
 
     def _reject_frame(
         self, session: ClientSession, rejection: FrameRejection, request_id: int = 0
     ) -> None:
-        session.note_rejection()
+        session.ledger.frames_rejected += 1
+        session.consecutive_rejections += 1
         if self._obs.enabled:
             self._m_rejected.labels(rejection.reason).inc()
             self._m_bad_frames.labels(rejection.category).inc()
@@ -637,7 +716,7 @@ class ScapDaemon:
     def _send_error(
         self, session: ClientSession, request_id: int, code: str, message: str
     ) -> None:
-        session.note_error()
+        session.ledger.errors += 1
         if self._obs.enabled:
             self._m_errors.labels(code).inc()
         session.send_bytes(
@@ -648,7 +727,7 @@ class ScapDaemon:
 
     def _dispatch(self, session: ClientSession, frame: Frame) -> None:
         command = frame.command
-        session.note_request()
+        session.ledger.requests += 1
         if self._obs.enabled:
             self._m_requests.labels(command or "?").inc()
             self._obs.trace.emit(
@@ -657,128 +736,266 @@ class ScapDaemon:
                 client=session.client_id,
                 command=command,
             )
+        request = _Request(session, frame.request_id, command)
         tracer = self._spans
-        if tracer is None:
-            self._dispatch_inner(session, frame, command, None)
+        if tracer is not None:
+            # Adopt the caller's trace context (protocol minor 1) when
+            # the frame carries one; otherwise root a new trace.
+            context = frame.header.get("trace")
+            trace_id = parent_id = None
+            if isinstance(context, dict):
+                raw_trace = context.get("id")
+                raw_parent = context.get("span")
+                trace_id = str(raw_trace) if raw_trace is not None else None
+                parent_id = str(raw_parent) if raw_parent is not None else None
+            request.span = tracer.start_span(
+                f"daemon:{command or '?'}",
+                kind=KIND_SERVER,
+                trace_id=trace_id,
+                parent_id=parent_id,
+                command=command or "?",
+                client=session.client_id,
+            )
+        refusal = self._refusal(session, command)
+        if refusal is not None:
+            self._finish(request, *refusal)
             return
-        # Adopt the caller's trace context (protocol minor 1) when the
-        # frame carries one; otherwise this dispatch roots a new trace.
-        context = frame.header.get("trace")
-        trace_id = parent_id = None
-        if isinstance(context, dict):
-            raw_trace = context.get("id")
-            raw_parent = context.get("span")
-            trace_id = str(raw_trace) if raw_trace is not None else None
-            parent_id = str(raw_parent) if raw_parent is not None else None
-        span = tracer.start_span(
-            f"daemon:{command or '?'}",
-            kind=KIND_SERVER,
-            trace_id=trace_id,
-            parent_id=parent_id,
-            command=command or "?",
-            client=session.client_id,
-        )
-        status = ERR_INTERNAL
-        try:
-            status = self._dispatch_inner(session, frame, command, span)
-        finally:
-            record = span.end(status=status)
-            if self._obs.enabled:
-                label = command if command in self._handlers else "?"
-                self._m_command_seconds.labels(label).observe(record.duration)
-
-    def _dispatch_inner(
-        self,
-        session: ClientSession,
-        frame: Frame,
-        command: str,
-        span: Optional[Span],
-    ) -> str:
-        """Route one request; returns the outcome ("ok" or an ERR code)."""
-        with self._state_lock:
-            draining = self._closing or self._reloading
-        if draining and command not in ("stats", "ping"):
-            self._send_error(
-                session, frame.request_id, ERR_SHUTTING_DOWN,
-                "daemon is shutting down or reloading",
-            )
-            return ERR_SHUTTING_DOWN
-        handler = self._handlers.get(command)
-        if handler is None:
-            self._send_error(
-                session, frame.request_id, ERR_UNKNOWN_COMMAND,
-                f"unknown command {command!r}",
-            )
-            return ERR_UNKNOWN_COMMAND
-        if not session.authenticated and command != "hello":
-            self._send_error(
-                session, frame.request_id, ERR_UNAUTHORIZED,
-                "authenticate with hello first",
-            )
-            return ERR_UNAUTHORIZED
-        handler_span = None
-        tracer = self._spans
-        if tracer is not None and span is not None:
-            handler_span = tracer.start_span(
+        if tracer is not None:
+            request.handler_span = tracer.start_span(
                 f"handler:{command}",
                 kind=KIND_INTERNAL,
-                trace_id=span.trace_id,
-                parent_id=span.span_id,
+                trace_id=request.span.trace_id,
+                parent_id=request.span.span_id,
             )
-            # Handlers run on this session's reader thread only, so the
-            # active span can ride the session without a lock; store
-            # and capture paths parent their child spans under it.
-            session.active_span = handler_span
-        status = "ok"
-        try:
-            result = handler(session, frame)
-        except ServiceError as exc:
-            self._send_error(session, frame.request_id, exc.code, exc.message)
-            status = exc.code
-            return status
-        except (KeyError, ValueError, TypeError) as exc:
-            self._send_error(
-                session, frame.request_id, ERR_BAD_REQUEST,
-                f"{type(exc).__name__}: {exc}",
-            )
-            status = ERR_BAD_REQUEST
-            return status
-        except Exception as exc:  # noqa: BLE001 — the daemon must survive
-            self._send_error(
-                session, frame.request_id, ERR_INTERNAL,
-                f"{type(exc).__name__}: {exc}",
-            )
-            status = ERR_INTERNAL
-            return status
-        finally:
-            if handler_span is not None:
-                session.active_span = None
-                handler_span.end(status=status)
-        if result is None:
-            return status  # the handler already answered (e.g. shutdown)
-        header, payload = result
-        session.send_bytes(
-            encode_frame(MSG_RESPONSE, frame.request_id, header, payload)
-        )
-        return status
+        status, header, payload = guarded(self._handlers[command], request, frame)
+        if header is None:
+            session.inflight = request  # DEFERRED: _resume() answers it
+        else:
+            self._finish(request, status, header, payload)
 
-    def _retire_client(self, session: ClientSession) -> None:
+    def _refusal(self, session: ClientSession, command: str) -> Optional[Tuple[str, str]]:
+        """``(code, message)`` when ``command`` must not run now."""
+        if not self._ready() and command not in ("stats", "ping"):
+            return ERR_SHUTTING_DOWN, "daemon is shutting down or reloading"
+        if command not in self._handlers:
+            return ERR_UNKNOWN_COMMAND, f"unknown command {command!r}"
+        if not session.authenticated and command != "hello":
+            return ERR_UNAUTHORIZED, "authenticate with hello first"
+        return None
+
+    def _finish(
+        self, request: _Request, status: str, header: Any, payload: bytes = b""
+    ) -> None:
+        """Write the response (``header`` is the error message when
+        ``status`` is not ok) and close the request's spans."""
+        if request.handler_span is not None:
+            request.handler_span.end(status=status)
+        if status == "ok":
+            try:
+                frame = encode_frame(MSG_RESPONSE, request.request_id, header, payload)
+            except ProtocolError as exc:  # the result does not fit one frame
+                status, header = exc.code, exc.message
+            else:
+                request.session.send_bytes(frame)
+        if status != "ok":
+            self._send_error(request.session, request.request_id, status, header)
+        if request.span is not None:
+            record = request.span.end(status=status)
+            if self._obs.enabled:
+                label = request.command if request.command in self._handlers else "?"
+                self._m_command_seconds.labels(label).observe(record.duration)
+
+    def _resume(
+        self, request: _Request, status: str, header: Any, payload: bytes = b""
+    ) -> None:
+        """Answer a deferred request and take up its session's backlog."""
+        self._finish(request, status, header, payload)
+        request.session.inflight = None
+        self._serve(request.session)
+
+    def _on_done(self, token, status: str, header: Any, payload: bytes, stats) -> None:
+        """The owner finished ``token``'s command: answer it."""
+        self._store_stats = stats
+        if isinstance(token, _Reload):
+            token.sealed = header["sealed_segments"]
+            self._reload_progress()
+            return
+        if status == "ok" and token.command in _CAPTURE_COMMANDS:
+            summary = header["result"]
+            self._captures += 1
+            self._sim_now = max(self._sim_now, summary["duration"])
+            if self._obs.enabled:
+                self._m_captures.inc()
+                if summary["dropped_packets"]:
+                    self._m_capture_dropped.inc(summary["dropped_packets"])
+        self._resume(token, status, header, payload)
+
+    def _pump(self, session: ClientSession) -> None:
+        """Write what the socket takes; finalize a closing session that
+        has nothing, or no patience, left."""
+        if session.closed:
+            return
+        if session.deadline is None:
+            session.pump()
+        elif session.drain(session.deadline - time.monotonic()):
+            self._finalize(session)
+            return
+        self._reload_progress()
+        self._rearm(session)
+
+    def _rearm(self, session: ClientSession) -> None:
+        """Wait for what the session waits on: requests (unless one is
+        deferred, responses are backing up, or it is closing),
+        write-readiness (a tail is unsent), a timer (an injected stall)."""
+        if session.closed:
+            return
+        mask = 0
+        if (
+            session.inflight is None
+            and session.deadline is None
+            and not session.response_unsent
+        ):
+            mask = selectors.EVENT_READ
+        if session.has_unsent:
+            mask |= selectors.EVENT_WRITE
+        if mask != session.mask:
+            if not session.mask:
+                self._selector.register(session.sock, mask, session)
+            elif not mask:
+                self._selector.unregister(session.sock)
+            else:
+                self._selector.modify(session.sock, mask, session)
+            session.mask = mask
+        if session.resume_at is not None and not session.stall_timer:
+            session.stall_timer = True
+            self._call_at(session.resume_at, self._stall_over, session)
+
+    def _stall_over(self, session: ClientSession) -> None:
+        session.stall_timer = False
+        self._pump(session)
+
+    def _retire(self, session: ClientSession, patience: float = RETIRE_SECONDS) -> None:
+        """Stop serving the session; close it once its queued output has
+        left, or after ``patience`` seconds."""
+        deadline = time.monotonic() + patience
+        if session.closed or (session.deadline is not None and session.deadline < deadline):
+            return  # already closing, and sooner
         session.begin_close()
-        session.drain(timeout=2.0)
+        session.deadline = deadline
+        if session.drain(patience):
+            self._finalize(session)
+            return
+        self._call_at(deadline, self._pump, session)
+        self._rearm(session)
+
+    def _finalize(self, session: ClientSession) -> None:
+        """Close a closed session's connection and retire its ledger."""
+        if session.mask:
+            self._selector.unregister(session.sock)
+            session.mask = 0
         try:
             session.sock.close()
         except OSError:
             pass
-        with self._state_lock:
-            self._sessions.pop(session.client_id, None)
-            self.final_ledgers[session.client_id] = session.describe()
-            if self._obs.enabled:
-                self._m_active.set(len(self._sessions))
+        self._sessions.pop(session.client_id, None)
+        self.final_ledgers[session.client_id] = session.describe()
+        if not session.ledger.balanced():
+            self._balanced = False
+        if self._obs.enabled:
+            self._m_active.set(len(self._sessions))
+        self._publish_facts()
+        self._reload_progress()
+        if self._draining and not self._sessions:
+            self._finish_shutdown()
 
     # ------------------------------------------------------------------
-    # Command handlers (return (header, payload) or raise ServiceError)
+    # Stream events from the owner thread
     # ------------------------------------------------------------------
-    def _cmd_hello(self, session: ClientSession, frame: Frame):
+    def _fanout(
+        self,
+        kind: str,
+        capture_number: int,
+        five_tuple,
+        direction: int,
+        stream_id: int,
+        offset: int,
+        payload: bytes,
+    ) -> None:
+        """Push one stream event to every matching subscription."""
+        header = {
+            "event": kind,
+            "capture": capture_number,
+            "flow": list(five_tuple),
+            "direction": direction,
+            "stream_id": stream_id,
+            "offset": offset,
+            "len": len(payload),
+        }
+        injector = self.fault_injector
+        for receiver in list(self._sessions.values()):  # a copy: retiring one mutates the dict
+            queued = False
+            for subscription in receiver.subscriptions.values():
+                if not subscription.wants(kind):
+                    continue
+                bpf = subscription.bpf
+                if bpf is not None and not bpf.matches_five_tuple(five_tuple):
+                    continue
+                enqueued, dropped = receiver.enqueue_event(subscription, header, payload)
+                if self._obs.enabled:
+                    if enqueued:
+                        self._m_enqueued.inc(enqueued)
+                    if dropped:
+                        self._obs.trace.emit(
+                            self._sim_now,
+                            HOOK_SERVICE_EVENT_DROPPED,
+                            client=receiver.client_id,
+                            sub=subscription.subscription_id,
+                        )
+                if enqueued:
+                    queued = True
+                    if injector is not None and injector.client_disconnect(self._sim_now):
+                        # Fault plane: sever this receiver mid-subscription.
+                        self._retire(receiver, 0.0)
+                        break
+            if queued:
+                self._pump(receiver)
+        self._enforce_global_budget()
+        self._enforce_evictions()
+
+    def _enforce_global_budget(self) -> None:
+        budget = self.config.global_event_budget
+        if budget is None:
+            return
+        # Evict from the slowest client (deepest queue) first, oldest
+        # event first — the PPL lowest-priority-oldest discipline.
+        sessions = sorted(self._sessions.values(), key=ClientSession.queue_depth, reverse=True)
+        excess = sum(session.queue_depth() for session in sessions) - budget
+        for session in sessions:
+            if excess <= 0:
+                return
+            excess -= session.drop_oldest(excess)
+
+    def _enforce_evictions(self) -> None:
+        limit = self.config.quotas.eviction_drop_limit
+        if limit is None:
+            return
+        for session in list(self._sessions.values()):
+            if session.mark_evicted(limit):
+                if self._obs.enabled:
+                    self._m_evictions.inc()
+                    self._obs.trace.emit(
+                        self._sim_now,
+                        HOOK_SERVICE_CLIENT_EVICTED,
+                        client=session.client_id,
+                        dropped=session.ledger.dropped,
+                    )
+                self._retire(session, 0.0)
+
+    # ------------------------------------------------------------------
+    # Command handlers: return (header, payload), DEFERRED, or raise
+    # ------------------------------------------------------------------
+    def _cmd_hello(self, request: _Request, frame: Frame):
+        session = request.session
         tokens = self.config.auth_tokens
         token = frame.header.get("token")
         if tokens is not None and token not in tokens:
@@ -800,35 +1017,28 @@ class ScapDaemon:
             b"",
         )
 
-    def _cmd_ping(self, session: ClientSession, frame: Frame):
+    def _cmd_ping(self, request: _Request, frame: Frame):
         return ({"pong": True, "echo": frame.header.get("echo")}, b"")
 
-    # -- capture ---------------------------------------------------------
-    def _trace_from_request(self, header: Dict[str, Any], payload: bytes) -> Trace:
-        kind = header.get("kind", "pcap")
-        if kind == "campus":
-            return campus_mix(
-                flow_count=int(header.get("flows", 100)),
-                seed=int(header.get("seed", 7)),
-                max_flow_bytes=int(header.get("max_flow_bytes", 200_000)),
-            )
-        if kind == "pcap":
-            if not payload:
-                raise ServiceError(ERR_BAD_REQUEST, "pcap submission has no payload")
-            return _trace_from_pcap_bytes(payload, name=str(header.get("name", "remote")))
-        raise ServiceError(ERR_BAD_REQUEST, f"unknown trace kind {kind!r}")
+    # -- capture (owner thread) ------------------------------------------
+    def _capture(self, request: _Request, header: Dict[str, Any], payload: bytes, name: str):
+        """Queue a capture under the runtime config as it is now."""
+        self._owner.submit(
+            request, self._owner.capture, request.handler_span, header, payload, name,
+            tuple(self._filters.values()), self._cutoff, tuple(self._priorities.values()),
+        )
+        return DEFERRED
 
-    def _cmd_submit_trace(self, session: ClientSession, frame: Frame):
-        trace = self._trace_from_request(frame.header, frame.payload)
-        rate_bps = float(frame.header.get("rate_bps", GBIT))
-        name = str(frame.header.get("name", f"remote-{session.client_id}"))
-        summary = self._run_capture(session, trace, rate_bps, name)
-        return ({"result": summary}, b"")
+    def _cmd_submit_trace(self, request: _Request, frame: Frame):
+        return self._capture(
+            request, frame.header, frame.payload, f"remote-{request.session.client_id}"
+        )
 
-    def _cmd_feed_open(self, session: ClientSession, frame: Frame):
-        return ({"feed_id": session.open_feed()}, b"")
+    def _cmd_feed_open(self, request: _Request, frame: Frame):
+        return ({"feed_id": request.session.open_feed()}, b"")
 
-    def _cmd_feed_append(self, session: ClientSession, frame: Frame):
+    def _cmd_feed_append(self, request: _Request, frame: Frame):
+        session = request.session
         feed_id = int(frame.header["feed_id"])
         try:
             accepted = session.append_feed(feed_id, frame.payload)
@@ -841,256 +1051,58 @@ class ScapDaemon:
             )
         return ({"feed_id": feed_id, "ok": True}, b"")
 
-    def _cmd_feed_commit(self, session: ClientSession, frame: Frame):
+    def _cmd_feed_commit(self, request: _Request, frame: Frame):
         feed_id = int(frame.header["feed_id"])
         try:
-            payload = session.close_feed(feed_id)
+            payload = request.session.close_feed(feed_id)
         except KeyError:
             raise ServiceError(ERR_BAD_REQUEST, f"unknown feed {feed_id}") from None
-        trace = _trace_from_pcap_bytes(
-            payload, name=str(frame.header.get("name", f"feed-{feed_id}"))
+        return self._capture(
+            request, dict(frame.header, kind="pcap"), payload, f"feed-{feed_id}"
         )
-        rate_bps = float(frame.header.get("rate_bps", GBIT))
-        summary = self._run_capture(
-            session, trace, rate_bps, str(frame.header.get("name", f"feed-{feed_id}"))
-        )
-        return ({"result": summary}, b"")
-
-    def _run_capture(
-        self, session: ClientSession, trace: Trace, rate_bps: float, name: str
-    ) -> Dict[str, Any]:
-        """Replay ``trace`` through the pipeline under the daemon config."""
-        with self._config_lock:
-            filters = list(self._filters.values())
-            cutoff = self._cutoff
-            priorities = [
-                (BPFFilter(expression), priority)
-                for expression, priority in self._priorities.values()
-            ]
-        with self._capture_lock:
-            if self.store is not None:
-                # This thread drives every store touch until the lock
-                # is released — declare the ownership handoff so
-                # SCAP_RACE knows serialized captures are not a race.
-                self.store.adopt_obs_owner()
-            capture_number = self._captures
-            scap = ScapSocket(
-                trace,
-                rate_bps=rate_bps,
-                memory_size=self.config.memory_size,
-                core_count=self.config.core_count,
-            )
-            if filters:
-                scap.set_filter(" or ".join(f"({f})" for f in filters))
-            if cutoff is not None:
-                scap.set_cutoff(cutoff)
-            recorder = None
-            if self.store is not None:
-                from ..apps.recorder import StreamRecorder
-
-                recorder = StreamRecorder(self.store)
-                scap.set_store(recorder)
-
-            def on_creation(stream) -> None:
-                for bpf, priority in priorities:
-                    if bpf.matches_five_tuple(stream.five_tuple):
-                        scap.set_stream_priority(stream, priority)
-                        break
-                self._fanout(
-                    session, "created", stream, capture_number, payload=b""
-                )
-
-            def on_data(stream) -> None:
-                self._fanout(
-                    session, "data", stream, capture_number,
-                    payload=bytes(stream.data),
-                )
-
-            def on_termination(stream) -> None:
-                self._fanout(
-                    session, "closed", stream, capture_number, payload=b""
-                )
-
-            scap.dispatch_creation(on_creation)
-            scap.dispatch_data(on_data)
-            scap.dispatch_termination(on_termination)
-            capture_span = None
-            tracer = self._spans
-            parent = session.active_span
-            if tracer is not None and parent is not None:
-                capture_span = tracer.start_span(
-                    "capture:run",
-                    kind=KIND_INTERNAL,
-                    trace_id=parent.trace_id,
-                    parent_id=parent.span_id,
-                    capture=name,
-                )
-            result = scap.start_capture(name=name)
-            if capture_span is not None:
-                capture_span.annotate(
-                    offered_packets=result.offered_packets,
-                    dropped_packets=result.dropped_packets,
-                )
-                capture_span.end()
-            if self.store is not None:
-                self.store.flush()
-            with self._state_lock:
-                self._captures += 1
-                self._sim_now = max(self._sim_now, result.duration)
-            if self._obs.enabled:
-                self._m_captures.inc()
-                if result.dropped_packets:
-                    self._m_capture_dropped.inc(result.dropped_packets)
-            return {
-                "name": name,
-                "capture": capture_number,
-                "duration": result.duration,
-                "offered_packets": result.offered_packets,
-                "offered_bytes": result.offered_bytes,
-                "dropped_packets": result.dropped_packets,
-                "discarded_packets": result.discarded_packets,
-                "delivered_bytes": result.delivered_bytes,
-                "delivered_events": result.delivered_events,
-                "streams_created": result.streams_created,
-            }
-
-    def _fanout(
-        self,
-        submitting: ClientSession,
-        kind: str,
-        stream,
-        capture_number: int,
-        payload: bytes,
-    ) -> None:
-        """Push one stream event to every matching subscription."""
-        header = {
-            "event": kind,
-            "capture": capture_number,
-            "flow": list(stream.five_tuple),
-            "direction": stream.direction,
-            "stream_id": stream.stream_id,
-            "offset": stream.data_offset if kind == "data" else 0,
-            "len": len(payload),
-        }
-        with self._state_lock:
-            sessions = list(self._sessions.values())
-        for receiver in sessions:
-            for subscription in receiver.live_subscriptions():
-                if not subscription.wants(kind):
-                    continue
-                bpf = getattr(subscription, "bpf", None)
-                if bpf is not None and not bpf.matches_five_tuple(stream.five_tuple):
-                    continue
-                enqueued, dropped = receiver.enqueue_event(
-                    subscription, header, payload if kind == "data" else b""
-                )
-                if self._obs.enabled:
-                    if enqueued:
-                        self._m_enqueued.inc(enqueued)
-                    if dropped:
-                        self._obs.trace.emit(
-                            self._sim_now,
-                            HOOK_SERVICE_EVENT_DROPPED,
-                            client=receiver.client_id,
-                            sub=subscription.subscription_id,
-                        )
-                if enqueued and self._client_disconnect():
-                    # Fault plane: sever this receiver mid-subscription.
-                    self._force_disconnect(receiver)
-                    break
-        self._enforce_global_budget()
-        self._enforce_evictions()
-
-    def _force_disconnect(self, session: ClientSession) -> None:
-        try:
-            session.sock.shutdown(socket_module.SHUT_RDWR)
-        except OSError:
-            pass
-
-    def _enforce_global_budget(self) -> None:
-        budget = self.config.global_event_budget
-        if budget is None:
-            return
-        while True:
-            with self._state_lock:
-                sessions = list(self._sessions.values())
-            depths = [(s.queue_depth(), s) for s in sessions]
-            total = sum(depth for depth, _ in depths)
-            if total <= budget or not depths:
-                return
-            # Evict from the slowest client (deepest queue), oldest
-            # event first — the PPL lowest-priority-oldest discipline.
-            depths.sort(key=lambda pair: pair[0], reverse=True)
-            slowest = depths[0][1]
-            if slowest.drop_oldest(total - budget) == 0:
-                return
-
-    def _enforce_evictions(self) -> None:
-        limit = self.config.quotas.eviction_drop_limit
-        if limit is None:
-            return
-        with self._state_lock:
-            sessions = list(self._sessions.values())
-        for session in sessions:
-            if session.mark_evicted(limit):
-                if self._obs.enabled:
-                    self._m_evictions.inc()
-                    self._obs.trace.emit(
-                        self._sim_now,
-                        HOOK_SERVICE_CLIENT_EVICTED,
-                        client=session.client_id,
-                        dropped=session.ledger.dropped,
-                    )
-                self._force_disconnect(session)
 
     # -- runtime config --------------------------------------------------
-    def _cmd_install_filter(self, session: ClientSession, frame: Frame):
+    def _cmd_install_filter(self, request: _Request, frame: Frame):
         expression = str(frame.header.get("expression", ""))
         if not expression:
             raise ServiceError(ERR_BAD_REQUEST, "install_filter needs an expression")
         BPFFilter(expression)  # validate before accepting
-        with self._config_lock:
-            filter_id = self._next_filter_id
-            self._next_filter_id += 1
-            self._filters[filter_id] = expression
+        filter_id = self._next_filter_id
+        self._next_filter_id += 1
+        self._filters[filter_id] = expression
         return ({"filter_id": filter_id, "expression": expression}, b"")
 
-    def _cmd_remove_filter(self, session: ClientSession, frame: Frame):
+    def _cmd_remove_filter(self, request: _Request, frame: Frame):
         filter_id = int(frame.header["filter_id"])
-        with self._config_lock:
-            removed = self._filters.pop(filter_id, None)
-        if removed is None:
+        if self._filters.pop(filter_id, None) is None:
             raise ServiceError(ERR_BAD_REQUEST, f"unknown filter {filter_id}")
         return ({"filter_id": filter_id, "removed": True}, b"")
 
-    def _cmd_set_cutoff(self, session: ClientSession, frame: Frame):
+    def _cmd_set_cutoff(self, request: _Request, frame: Frame):
         cutoff = frame.header.get("cutoff")
-        with self._config_lock:
-            self._cutoff = None if cutoff is None else int(cutoff)
+        self._cutoff = None if cutoff is None else int(cutoff)
         return ({"cutoff": self._cutoff}, b"")
 
-    def _cmd_set_priority(self, session: ClientSession, frame: Frame):
+    def _cmd_set_priority(self, request: _Request, frame: Frame):
         expression = str(frame.header.get("expression", ""))
         priority = int(frame.header.get("priority", 0))
         if priority < 0:
             raise ServiceError(ERR_BAD_REQUEST, "priority must be non-negative")
         BPFFilter(expression)  # validate before accepting
-        with self._config_lock:
-            priority_id = self._next_priority_id
-            self._next_priority_id += 1
-            self._priorities[priority_id] = (expression, priority)
+        priority_id = self._next_priority_id
+        self._next_priority_id += 1
+        self._priorities[priority_id] = (expression, priority)
         return ({"priority_id": priority_id, "priority": priority}, b"")
 
-    def _cmd_remove_priority(self, session: ClientSession, frame: Frame):
+    def _cmd_remove_priority(self, request: _Request, frame: Frame):
         priority_id = int(frame.header["priority_id"])
-        with self._config_lock:
-            removed = self._priorities.pop(priority_id, None)
-        if removed is None:
+        if self._priorities.pop(priority_id, None) is None:
             raise ServiceError(ERR_BAD_REQUEST, f"unknown priority {priority_id}")
         return ({"priority_id": priority_id, "removed": True}, b"")
 
     # -- subscriptions ---------------------------------------------------
-    def _cmd_subscribe(self, session: ClientSession, frame: Frame):
+    def _cmd_subscribe(self, request: _Request, frame: Frame):
+        session = request.session
         kinds = frame.header.get("events") or list(EVENT_KINDS)
         if not isinstance(kinds, list) or not kinds:
             raise ServiceError(ERR_BAD_REQUEST, "events must be a non-empty list")
@@ -1115,135 +1127,62 @@ class ScapDaemon:
             b"",
         )
 
-    def _cmd_unsubscribe(self, session: ClientSession, frame: Frame):
+    def _cmd_unsubscribe(self, request: _Request, frame: Frame):
         subscription_id = int(frame.header["subscription_id"])
-        if not session.remove_subscription(subscription_id):
+        if not request.session.remove_subscription(subscription_id):
             raise ServiceError(
                 ERR_BAD_REQUEST, f"unknown subscription {subscription_id}"
             )
         return ({"subscription_id": subscription_id, "removed": True}, b"")
 
-    # -- store queries ---------------------------------------------------
-    def _require_store(self):
+    # -- store queries (owner thread) ------------------------------------
+    def _require_store(self) -> None:
         if self.store is None:
             raise ServiceError(
                 ERR_BAD_REQUEST, "daemon was started without a stream store"
             )
-        return self.store
 
-    def _one_query(
-        self, spec: Dict[str, Any], parent: Optional[Span] = None
-    ) -> Tuple[Dict[str, Any], bytes]:
-        store = self._require_store()
-        query_span = None
-        tracer = self._spans
-        if tracer is not None and parent is not None:
-            query_span = tracer.start_span(
-                "store:query",
-                kind=KIND_STORE,
-                trace_id=parent.trace_id,
-                parent_id=parent.span_id,
-            )
-        try:
-            flow = spec.get("flow")
-            five_tuple = FiveTuple(*flow) if flow is not None else None
-            result = store.query(
-                five_tuple,
-                start_ts=spec.get("start"),
-                end_ts=spec.get("end"),
-            )
-            streams = []
-            chunks = []
-            for stream in result.streams:
-                streams.append(
-                    {
-                        "flow": list(stream.client_tuple),
-                        "direction": stream.direction,
-                        "len": len(stream.data),
-                        "first_ts": stream.first_ts,
-                        "last_ts": stream.last_ts,
-                        "base_offset": stream.base_offset,
-                        "gap_bytes": stream.gap_bytes,
-                    }
-                )
-                chunks.append(stream.data)
-            if query_span is not None:
-                query_span.annotate(
-                    streams=len(streams), bytes=result.total_bytes
-                )
-            return (
-                {"streams": streams, "total_bytes": result.total_bytes},
-                b"".join(chunks),
-            )
-        finally:
-            if query_span is not None:
-                query_span.end()
+    def _cmd_query(self, request: _Request, frame: Frame):
+        self._require_store()
+        self._owner.submit(
+            request, self._owner.query, request.handler_span, [frame.header], False
+        )
+        return DEFERRED
 
-    def _cmd_query(self, session: ClientSession, frame: Frame):
-        store = self._require_store()
-        # Flush mutates the writer's metric counters, which captures
-        # own under _capture_lock — the query path must take the same
-        # lock (flushing mid-capture would also race the enqueues).
-        with self._capture_lock:
-            store.adopt_obs_owner()
-            store.flush()  # make everything recorded so far queryable
-        header, payload = self._one_query(frame.header, parent=session.active_span)
-        return (header, payload)
-
-    def _cmd_bulk_query(self, session: ClientSession, frame: Frame):
-        store = self._require_store()
+    def _cmd_bulk_query(self, request: _Request, frame: Frame):
+        self._require_store()
         queries = frame.header.get("queries")
         if not isinstance(queries, list) or not queries:
             raise ServiceError(ERR_BAD_REQUEST, "queries must be a non-empty list")
-        with self._capture_lock:  # same discipline as _cmd_query
-            store.adopt_obs_owner()
-            store.flush()
-        results = []
-        chunks = []
-        for spec in queries:
-            header, payload = self._one_query(spec, parent=session.active_span)
-            results.append(header)
-            chunks.append(payload)
-        return ({"results": results}, b"".join(chunks))
+        self._owner.submit(
+            request, self._owner.query, request.handler_span, queries, True
+        )
+        return DEFERRED
 
     # -- introspection and control --------------------------------------
-    def _cmd_stats(self, session: ClientSession, frame: Frame):
-        with self._state_lock:
-            sessions = list(self._sessions.values())
-            captures = self._captures
-            closing = self._closing
-        store_stats = None
-        if self.store is not None:
-            stats = self.store.stats()
-            store_stats = {
-                "stored_bytes": stats.stored_bytes,
-                "record_count": stats.record_count,
-                "segment_count": stats.segment_count,
-                "evicted_bytes": stats.evicted_bytes,
-            }
+    def _cmd_stats(self, request: _Request, frame: Frame):
         faults = None
         if self.fault_injector is not None:
-            with self._fault_lock:
-                faults = {
-                    "total": self.fault_injector.total_injected,
-                    "counts": self.fault_injector.counts_by_key(),
-                }
+            faults = {
+                "total": self.fault_injector.total_injected,
+                "counts": self.fault_injector.counts_by_key(),
+            }
         return (
             {
                 "server": {
-                    "captures": captures,
-                    "active_clients": len(sessions),
-                    "closing": closing,
+                    "captures": self._captures,
+                    "active_clients": len(self._sessions),
+                    "closing": self._closing,
                     "sim_now": self._sim_now,
                 },
-                "clients": [s.describe() for s in sessions],
-                "store": store_stats,
+                "clients": [s.describe() for s in self._sessions.values()],
+                "store": self._store_stats,
                 "faults": faults,
             },
             b"",
         )
 
-    def _cmd_spans(self, session: ClientSession, frame: Frame):
+    def _cmd_spans(self, request: _Request, frame: Frame):
         """Retained span records — all, one trace, or the slowest N traces."""
         records = span_records(self._obs.trace.events())
         reconstructor = SpanTreeReconstructor(records)
@@ -1267,7 +1206,7 @@ class ScapDaemon:
             b"",
         )
 
-    def _cmd_telemetry(self, session: ClientSession, frame: Frame):
+    def _cmd_telemetry(self, request: _Request, frame: Frame):
         """The telemetry ring's history (optionally forcing a sample)."""
         telemetry = self.telemetry
         if telemetry is None:
@@ -1276,164 +1215,103 @@ class ScapDaemon:
                 b"",
             )
         if frame.header.get("sample"):
-            self.sample_telemetry(time.monotonic())
+            self._sample_telemetry(time.monotonic())
         payload = telemetry.as_dict()
         payload["enabled"] = True
         return ({"telemetry": payload}, b"")
 
-    def _cmd_health(self, session: ClientSession, frame: Frame):
+    def _cmd_health(self, request: _Request, frame: Frame):
         """The health verdict, same shape the sidecar's /healthz serves."""
         return ({"health": self.health_report().as_dict()}, b"")
 
-    def _cmd_reload(self, session: ClientSession, frame: Frame):
+    def _require_control(self) -> None:
         if not self.config.allow_control:
             raise ServiceError(ERR_UNAUTHORIZED, "control commands are disabled")
-        report = self.reload()
-        return ({"reloaded": True, **report}, b"")
 
-    def _cmd_shutdown(self, session: ClientSession, frame: Frame):
-        if not self.config.allow_control:
-            raise ServiceError(ERR_UNAUTHORIZED, "control commands are disabled")
-        # Answer first — synchronously, before the teardown thread can
-        # close this connection — then shut down from a helper thread so
-        # this handler's connection drains like everyone else's.
-        session.send_bytes(
-            encode_frame(MSG_RESPONSE, frame.request_id, {"shutting_down": True})
+    def _cmd_reload(self, request: _Request, frame: Frame):
+        self._require_control()
+        # Dispatch refuses `reload` unless the daemon is ready, so this
+        # never completes before DEFERRED is returned.
+        self._begin_reload(
+            lambda report: self._resume(request, "ok", {"reloaded": True, **report})
         )
-        threading.Thread(target=self.shutdown, name="scapd-shutdown", daemon=True).start()
-        return None
+        return DEFERRED
+
+    def _cmd_shutdown(self, request: _Request, frame: Frame):
+        self._require_control()
+        # Clients are drained only once the owner has stopped, so this
+        # response is written long before its connection is closed.
+        self._begin_shutdown(5.0)
+        return ({"shutting_down": True}, b"")
 
     # ------------------------------------------------------------------
     # Lifecycle: reload and graceful shutdown
     # ------------------------------------------------------------------
-    def reload(self) -> Dict[str, Any]:
-        """Drain queues and seal store segments; keep connections open."""
-        with self._state_lock:
-            if self._reloading or self._closing:
-                return {"sealed_segments": 0, "drained_clients": 0}
-            self._reloading = True
-        try:
-            with self._state_lock:
-                sessions = list(self._sessions.values())
-            drained = 0
-            for session in sessions:
-                if session.flush(timeout=5.0):
-                    drained += 1
-            sealed = 0
-            if self.store is not None:
-                before = self.store.stats().segments_sealed
-                with self._capture_lock:
-                    self.store.adopt_obs_owner()
-                    self.store.flush()
-                sealed = self.store.stats().segments_sealed - before
-            return {"sealed_segments": sealed, "drained_clients": drained}
-        finally:
-            with self._state_lock:
-                self._reloading = False
-
-    def shutdown(self, drain_timeout: float = 5.0) -> None:
-        """Graceful stop: refuse new work, drain clients, seal the store."""
-        with self._state_lock:
-            if self._closing:
-                already = True
-            else:
-                already = False
-                self._closing = True
-                listeners = list(self._listeners)
-                self._listeners.clear()
-        if already:
-            # Another caller (e.g. a remote `shutdown` command) is already
-            # tearing down; wait for it so shutdown() is idempotent AND
-            # blocking for every caller.
-            self._shutdown_done.wait(timeout=max(drain_timeout, 5.0) + 10.0)
+    def _begin_reload(self, done: Callable[[Dict[str, int]], None]) -> None:
+        if not self._ready():
+            done({"sealed_segments": 0, "drained_clients": 0})
             return
-        for sock, label in listeners:
-            try:
-                sock.close()
-            except OSError:
-                pass
+        self._reload = reload = _Reload(done, time.monotonic() + RELOAD_DRAIN_SECONDS)
+        self._publish_facts()
+        self._owner.submit(reload, self._owner.flush)
+        self._call_at(reload.deadline, self._reload_progress)
+
+    def _reload_progress(self) -> None:
+        """Finish the reload once the owner sealed the store and every
+        client queue is empty (or the wait for them is over)."""
+        reload = self._reload
+        if reload is None or reload.sealed is None:
+            return
+        waiting = sum(
+            1 for s in self._sessions.values() if s.queue_depth() or s.has_unsent
+        )
+        if waiting and time.monotonic() < reload.deadline:
+            return
+        self._reload = None
+        self._publish_facts()
+        reload.done(
+            {
+                "sealed_segments": reload.sealed,
+                "drained_clients": len(self._sessions) - waiting,
+            }
+        )
+
+    def _begin_shutdown(self, drain_timeout: float) -> None:
+        """Refuse new work and stop the owner; the clients are drained
+        when it reports back (:meth:`_on_owner_stopped`)."""
+        if self._closing:
+            return
+        self._closing = True
+        self._drain_timeout = drain_timeout
+        self._publish_facts()
+        for sock, label in self._listeners:
+            self._selector.unregister(sock)
+            sock.close()
             if label.startswith("unix:"):
                 try:
                     os.unlink(label[len("unix:"):])
                 except OSError:
                     pass
-        # Wait out any in-flight capture before sealing the store.
-        with self._capture_lock:
-            pass
-        with self._state_lock:
-            sessions = list(self._sessions.values())
-        for session in sessions:
-            session.begin_close()
-        for session in sessions:
-            session.drain(timeout=drain_timeout)
-            try:
-                session.sock.close()
-            except OSError:
-                pass
-        for thread in list(self._accept_threads):
-            thread.join(timeout=2.0)
-        for thread in list(self._handler_threads):
-            thread.join(timeout=2.0)
-        self._telemetry_stop.set()
-        if self._telemetry_thread is not None:
-            self._telemetry_thread.join(timeout=2.0)
-            self._telemetry_thread = None
+        self._listeners.clear()
+        self._owner.stop()
+
+    def _on_owner_stopped(self) -> None:
+        """Every capture has finished and the store is sealed: give
+        each client ``drain_timeout`` seconds for its last writes."""
+        self._owner.thread.join()
+        if self._reload is not None:
+            self._reload.deadline = 0.0
+            self._reload_progress()
+        for session in list(self._sessions.values()):
+            self._retire(session, self._drain_timeout)
+        self._draining = True
+        if not self._sessions:
+            self._finish_shutdown()
+
+    def _finish_shutdown(self) -> None:
         if self.health_server is not None:
             self.health_server.stop()
             self.health_server = None
-        with self._state_lock:
-            for session in sessions:
-                self.final_ledgers.setdefault(session.client_id, session.describe())
-            remaining = list(self._sessions.keys())
-            for client_id in remaining:
-                self._sessions.pop(client_id, None)
-            if self._obs.enabled:
-                self._m_active.set(0)
-        if self.store is not None:
-            # close() seals segments (metric emission) — serialize with
-            # any capture still in flight, and adopt the owner role.
-            with self._capture_lock:
-                self.store.adopt_obs_owner()
-                self.store.close()
-        self._shutdown_done.set()
-
-    # ------------------------------------------------------------------
-    def ledgers_balanced(self) -> bool:
-        """True when every retired client's ledger reconciles."""
-        with self._state_lock:
-            ledgers = list(self.final_ledgers.values())
-        for entry in ledgers:
-            ledger = entry["ledger"]
-            if ledger["enqueued"] != ledger["delivered"] + ledger["dropped"]:
-                return False
-        return True
-
-
-def _trace_from_pcap_bytes(payload: bytes, name: str = "remote") -> Trace:
-    """Materialize a Trace from pcap bytes shipped inside one frame."""
-    handle = tempfile.NamedTemporaryFile(suffix=".pcap", delete=False)
-    try:
-        handle.write(payload)
-        handle.close()
-        packets = read_pcap(handle.name)
-    finally:
-        try:
-            os.unlink(handle.name)
-        except OSError:
-            pass
-    return Trace(packets, name=name)
-
-
-def trace_to_pcap_bytes(trace: Trace) -> bytes:
-    """Serialize a Trace's packets to pcap bytes (the submission form)."""
-    handle = tempfile.NamedTemporaryFile(suffix=".pcap", delete=False)
-    try:
-        handle.close()
-        write_pcap(handle.name, trace.packets)
-        with open(handle.name, "rb") as reader:
-            return reader.read()
-    finally:
-        try:
-            os.unlink(handle.name)
-        except OSError:
-            pass
+        if self._obs.enabled:
+            self._m_active.set(0)
+        self._done = True

@@ -1,10 +1,14 @@
 """Per-client session state: auth, quotas, subscriptions, event queue.
 
-Each accepted connection gets one :class:`ClientSession`.  The session
-owns the connection's outbound half: responses and subscribed events
-are serialized through a per-session send lock, and events flow
-through a **bounded** queue drained by a dedicated sender thread, so a
-slow client backpressures only itself.
+Each accepted connection gets one :class:`ClientSession`, and only the
+daemon's loop thread ever touches it, so nothing here takes a lock.
+Inbound bytes go into the session's
+:class:`~repro.service.protocol.FrameReader`; outbound frames leave
+through :meth:`ClientSession.send_bytes`, a non-blocking write that
+keeps what the socket did not take in an ordered tail the loop
+finishes on write-readiness.  Responses join that tail; subscribed
+events wait behind it in a **bounded** queue, so a slow client
+backpressures only itself.
 
 Quota semantics (:class:`ClientQuotas`):
 
@@ -19,20 +23,20 @@ Quota semantics (:class:`ClientQuotas`):
 * ``max_feed_bytes`` bounds the bytes a client may accumulate into a
   pending packet feed.
 
-Every enqueue/delivery/drop is ledgered, and the daemon's shutdown
-asserts ``enqueued == delivered + dropped`` per client once queues are
-drained — the balanced-ledger invariant the integration tests and the
-CI soak check.
+Every enqueue/delivery/drop is ledgered: ``enqueued == delivered +
+dropped + queued`` whenever the loop looks, and nothing is queued once
+a session is closed — the balanced-ledger invariant the integration
+tests and the CI soak check.
 """
 
 from __future__ import annotations
 
-import threading
+import time
 from collections import deque
-from dataclasses import dataclass, field
-from typing import Callable, Deque, Dict, List, Optional, Tuple
+from dataclasses import asdict, dataclass
+from typing import Callable, Deque, Dict, Optional, Tuple, Union
 
-from .protocol import MSG_EVENT, encode_frame
+from .protocol import MSG_EVENT, Frame, FrameReader, FrameRejection, encode_frame
 
 __all__ = ["ClientQuotas", "Subscription", "SessionLedger", "ClientSession"]
 
@@ -53,8 +57,6 @@ class ClientQuotas:
     eviction_drop_limit: Optional[int] = None
     #: Bytes a client may stage into a pending packet feed.
     max_feed_bytes: int = 32 << 20
-    #: Concurrent connections per auth token (None = unbounded).
-    max_connections: Optional[int] = None
 
     def validate(self) -> None:
         """Raise ValueError on nonsensical bounds."""
@@ -69,7 +71,7 @@ class ClientQuotas:
 
 
 @dataclass
-class Subscription:
+class Subscription:  # scapcheck: single-owner
     """One client's standing request for stream events."""
 
     subscription_id: int
@@ -86,7 +88,7 @@ class Subscription:
 
 
 @dataclass
-class SessionLedger:
+class SessionLedger:  # scapcheck: single-owner
     """The per-client event accounting the daemon must keep balanced."""
 
     enqueued: int = 0
@@ -104,25 +106,15 @@ class SessionLedger:
 
     def as_dict(self) -> Dict[str, int]:
         """The ledger as a JSON-ready mapping."""
-        return {
-            "enqueued": self.enqueued,
-            "delivered": self.delivered,
-            "dropped": self.dropped,
-            "requests": self.requests,
-            "errors": self.errors,
-            "frames_rejected": self.frames_rejected,
-            "bytes_sent": self.bytes_sent,
-            "bytes_received": self.bytes_received,
-        }
+        return asdict(self)
 
 
-class ClientSession:
+class ClientSession:  # scapcheck: single-owner
     """One connected client: identity, quotas, queue, and ledger.
 
-    Mutable state is guarded by ``self._lock``; the sender thread and
-    the handler thread are the only writers.  Socket sends go through
-    :meth:`send_bytes` so response frames and event frames never
-    interleave mid-frame.
+    Loop-thread state.  ``sock`` must be non-blocking; every write goes
+    through :meth:`send_bytes`, so frames reach the wire whole and in
+    the order they were handed over.
     """
 
     def __init__(
@@ -140,12 +132,27 @@ class ClientSession:
         self.name = f"client-{client_id}"
         self.authenticated = False
         self.ledger = SessionLedger()
-        self._lock = threading.Lock()
-        self._send_lock = threading.Lock()
+        #: Inbound: the scanner, and what it completed that the loop has
+        #: not dispatched yet (requests behind a deferred one).
+        self.reader = FrameReader()
+        self.backlog: Deque[Union[Frame, FrameRejection]] = deque()
+        #: Malformed frames since the last well-formed one.
+        self.consecutive_rejections = 0
+        #: The request whose response is still to come (from the owner
+        #: thread, or a reload); nothing more is read until it is answered.
+        self.inflight: Optional[object] = None
+        #: Event frames waiting for the socket (bounded, drop-oldest).
         self._queue: Deque[bytes] = deque()
-        self._queue_cv = threading.Condition(self._lock)
+        #: What was handed to :meth:`send_bytes` and the socket has not
+        #: taken yet (views, no copies), and whether that holds the tail
+        #: of an event frame / any response bytes (a client not taking
+        #: answers is not read from).
+        self._unsent: Deque[memoryview] = deque()
+        self._event_unsent = False
+        self.response_unsent = False
         self._closing = False
         self._closed = False
+        self._dead = False
         self.evicted = False
         self.subscriptions: Dict[int, Subscription] = {}
         self._next_subscription_id = 1
@@ -153,86 +160,134 @@ class ClientSession:
         self.feeds: Dict[int, bytearray] = {}
         self._next_feed_id = 1
         self._on_send = on_send
-        self._sender: Optional[threading.Thread] = None
-        #: Injected delay per delivered event (slow-client fault plane).
-        self.slow_delivery_seconds = 0.0
-        #: Callable returning per-event injected stall (fault plane).
+        #: Callable returning per-event injected stall (fault plane),
+        #: and the ``time.monotonic()`` at which one being served ends.
         self.delivery_stall: Optional[Callable[[], float]] = None
-        #: Called (count) after events are delivered / dropped, outside
-        #: the session lock — the daemon points these at its metrics.
+        self.resume_at: Optional[float] = None
+        #: Called (count) after events are delivered / dropped — the
+        #: daemon points these at its metrics.
         self.on_delivered: Optional[Callable[[int], None]] = None
         self.on_dropped: Optional[Callable[[int], None]] = None
-        #: The in-flight request's handler span (set by the daemon's
-        #: dispatch).  Only this session's reader thread touches it —
-        #: handlers run serially per connection — so no lock is needed.
-        self.active_span = None
+        #: Loop bookkeeping: the registered selector mask (0 = none),
+        #: whether a timer is set for ``resume_at``, and, once closing,
+        #: the ``time.monotonic()`` at which patience runs out.
+        self.mask = 0
+        self.stall_timer = False
+        self.deadline: Optional[float] = None
 
     # ------------------------------------------------------------------
     # Outbound half
     # ------------------------------------------------------------------
-    def start_sender(self) -> None:
-        """Start the event sender thread (idempotent)."""
-        with self._lock:
-            if self._sender is not None:
-                return
-            self._sender = threading.Thread(
-                target=self._drain_queue,
-                name=f"scapd-send-{self.client_id}",
-                daemon=True,
-            )
-        self._sender.start()
-
     def send_bytes(self, data: bytes) -> bool:
-        """Write one whole frame to the socket (False on a dead peer)."""
-        try:
-            with self._send_lock:
-                self.sock.sendall(data)
-        except OSError:
+        """Hand one whole frame to the socket (False on a dead peer).
+
+        Never blocks: what is not taken now joins the unsent tail.
+        """
+        if self._dead:
             return False
-        with self._lock:
-            self.ledger.bytes_sent += len(data)
-        if self._on_send is not None:
-            self._on_send(len(data))
+        if self._unsent:
+            self._unsent.append(memoryview(data))
+            self.response_unsent = True  # events never queue behind a tail
+            return True
+        sent = self._write(data)
+        if sent < 0:
+            return False
+        if sent < len(data):
+            self._unsent.append(memoryview(data)[sent:])
+            self.response_unsent = not self._event_unsent
         return True
 
+    def _write(self, data) -> int:
+        """One non-blocking ``send``; -1 when the peer is gone."""
+        try:
+            sent = self.sock.send(data)
+        except BlockingIOError:
+            return 0
+        except OSError:
+            self._abandon()
+            return -1
+        self.ledger.bytes_sent += sent
+        if self._on_send is not None:
+            self._on_send(sent)
+        return sent
+
+    def _abandon(self) -> None:
+        """Nothing more can be written: what is queued is dropped."""
+        self._dead = True
+        self._closing = True
+        abandoned = len(self._queue) + self._event_unsent
+        self._queue.clear()
+        self._unsent.clear()
+        self._event_unsent = self.response_unsent = False
+        self._count_dropped(abandoned)
+
+    def _count_dropped(self, count: int) -> None:
+        if count:
+            self.ledger.dropped += count
+            if self.on_dropped is not None:
+                self.on_dropped(count)
+
+    def _event_written(self) -> None:
+        self._event_unsent = False
+        self.ledger.delivered += 1
+        if self.on_delivered is not None:
+            self.on_delivered(1)
+
+    @property
+    def has_unsent(self) -> bool:
+        """True while the socket has not taken all :meth:`send_bytes` got."""
+        return bool(self._unsent)
+
+    def pump(self) -> None:
+        """Write what the socket takes now: the unsent tail, then events.
+
+        Events leave the queue oldest first and only while no tail is
+        pending: a queued event can still be dropped, a half-written
+        one cannot.
+        """
+        unsent = self._unsent
+        if unsent:
+            while unsent:
+                sent = self._write(unsent[0])
+                if sent < 0:
+                    return
+                if sent < len(unsent[0]):
+                    unsent[0] = unsent[0][sent:]
+                    return
+                unsent.popleft()
+            self.response_unsent = False
+            if self._event_unsent:
+                self._event_written()
+        queue = self._queue
+        while queue and not self._unsent:
+            if self.delivery_stall is not None:
+                now = time.monotonic()
+                if self.resume_at is None:
+                    stall = self.delivery_stall()
+                    if stall > 0.0:
+                        self.resume_at = now + stall
+                        return
+                elif now < self.resume_at:
+                    return
+                self.resume_at = None
+            self._event_unsent = True
+            if self.send_bytes(queue.popleft()) and not self._unsent:
+                self._event_written()
+
     # ------------------------------------------------------------------
-    # Ledger accounting (the daemon's only write path into the session)
+    # Event queue (bounded, drop-oldest)
     # ------------------------------------------------------------------
-    def note_received(self, nbytes: int) -> None:
-        """Account frame bytes read from this client's socket."""
-        with self._lock:
-            self.ledger.bytes_received += nbytes
-
-    def note_request(self) -> None:
-        """Account one dispatched request frame."""
-        with self._lock:
-            self.ledger.requests += 1
-
-    def note_error(self) -> None:
-        """Account one typed error response sent to this client."""
-        with self._lock:
-            self.ledger.errors += 1
-
-    def note_rejection(self) -> None:
-        """Account one malformed frame rejected on this connection."""
-        with self._lock:
-            self.ledger.frames_rejected += 1
-
     def mark_evicted(self, drop_limit: int) -> bool:
         """Flip the evicted flag once drops cross ``drop_limit``.
 
         Returns True exactly once — on the call that performs the
         transition — so the daemon counts each eviction a single time.
         """
-        with self._lock:
-            if self.evicted or self.ledger.dropped < drop_limit:
-                return False
-            self.evicted = True
-            return True
+        if self.evicted or self.ledger.dropped < drop_limit:
+            return False
+        self.evicted = True
+        return True
 
-    # ------------------------------------------------------------------
-    # Event queue (bounded, drop-oldest)
-    # ------------------------------------------------------------------
     def enqueue_event(
         self, subscription: Subscription, header: Dict[str, object], payload: bytes
     ) -> Tuple[int, int]:
@@ -248,71 +303,28 @@ class ClientSession:
         header["seq"] = subscription.next_seq
         subscription.next_seq += 1
         frame = encode_frame(MSG_EVENT, 0, header, payload)
+        if self._closing:
+            return (0, 0)
         dropped = 0
-        with self._lock:
-            if self._closing or self._closed:
-                return (0, 0)
-            if len(self._queue) >= self.quotas.max_queued_events:
-                self._queue.popleft()
-                self.ledger.dropped += 1
-                dropped = 1
-            self._queue.append(frame)
-            self.ledger.enqueued += 1
-            self._queue_cv.notify()
-        if dropped and self.on_dropped is not None:
-            self.on_dropped(dropped)
+        if len(self._queue) >= self.quotas.max_queued_events:
+            self._queue.popleft()
+            dropped = 1
+        self._queue.append(frame)
+        self.ledger.enqueued += 1
+        self._count_dropped(dropped)
         return (1, dropped)
 
     def drop_oldest(self, count: int = 1) -> int:
         """Evict up to ``count`` oldest queued events (global pressure)."""
-        with self._lock:
-            evicted = 0
-            while self._queue and evicted < count:
-                self._queue.popleft()
-                self.ledger.dropped += 1
-                evicted += 1
-        if evicted and self.on_dropped is not None:
-            self.on_dropped(evicted)
+        evicted = min(count, len(self._queue))
+        for _ in range(evicted):
+            self._queue.popleft()
+        self._count_dropped(evicted)
         return evicted
 
     def queue_depth(self) -> int:
         """Events currently queued and not yet written."""
-        with self._lock:
-            return len(self._queue)
-
-    def _drain_queue(self) -> None:
-        """Sender thread: pop frames in order and write them out."""
-        import time as _time
-
-        while True:
-            with self._lock:
-                while not self._queue and not self._closing:
-                    self._queue_cv.wait(timeout=0.2)
-                if not self._queue and self._closing:
-                    self._closed = True
-                    self._queue_cv.notify_all()
-                    return
-                if not self._queue:
-                    continue
-                frame = self._queue.popleft()
-            stall = self.slow_delivery_seconds
-            if self.delivery_stall is not None:
-                stall += self.delivery_stall()
-            if stall > 0.0:
-                _time.sleep(stall)
-            ok = self.send_bytes(frame)
-            with self._lock:
-                if ok:
-                    self.ledger.delivered += 1
-                else:
-                    # Dead peer: the write failed, the event is gone.
-                    self.ledger.dropped += 1
-                    self._closing = True
-                self._queue_cv.notify_all()
-            if ok and self.on_delivered is not None:
-                self.on_delivered(1)
-            elif not ok and self.on_dropped is not None:
-                self.on_dropped(1)
+        return len(self._queue)
 
     # ------------------------------------------------------------------
     # Subscriptions
@@ -321,116 +333,78 @@ class ClientSession:
         self, kinds: Tuple[str, ...], expression: str = ""
     ) -> Optional[Subscription]:
         """Register a subscription (None when over quota)."""
-        with self._lock:
-            if len(self.subscriptions) >= self.quotas.max_subscriptions:
-                return None
-            subscription = Subscription(
-                subscription_id=self._next_subscription_id,
-                kinds=kinds,
-                expression=expression,
-            )
-            self._next_subscription_id += 1
-            self.subscriptions[subscription.subscription_id] = subscription
-            return subscription
+        if len(self.subscriptions) >= self.quotas.max_subscriptions:
+            return None
+        subscription = Subscription(
+            subscription_id=self._next_subscription_id,
+            kinds=kinds,
+            expression=expression,
+        )
+        self._next_subscription_id += 1
+        self.subscriptions[subscription.subscription_id] = subscription
+        return subscription
 
     def remove_subscription(self, subscription_id: int) -> bool:
         """Drop a subscription; False when the id is unknown."""
-        with self._lock:
-            return self.subscriptions.pop(subscription_id, None) is not None
-
-    def live_subscriptions(self) -> List[Subscription]:
-        """Snapshot of the session's subscriptions."""
-        with self._lock:
-            return list(self.subscriptions.values())
+        return self.subscriptions.pop(subscription_id, None) is not None
 
     # ------------------------------------------------------------------
     # Packet feeds
     # ------------------------------------------------------------------
     def open_feed(self) -> int:
         """Allocate a pending packet-feed buffer; returns its id."""
-        with self._lock:
-            feed_id = self._next_feed_id
-            self._next_feed_id += 1
-            self.feeds[feed_id] = bytearray()
-            return feed_id
+        feed_id = self._next_feed_id
+        self._next_feed_id += 1
+        self.feeds[feed_id] = bytearray()
+        return feed_id
 
     def append_feed(self, feed_id: int, data: bytes) -> bool:
         """Append bytes to a pending feed (False over the byte quota)."""
-        with self._lock:
-            buffer = self.feeds.get(feed_id)
-            if buffer is None:
-                raise KeyError(feed_id)
-            if len(buffer) + len(data) > self.quotas.max_feed_bytes:
-                return False
-            buffer.extend(data)
-            return True
+        buffer = self.feeds[feed_id]
+        if len(buffer) + len(data) > self.quotas.max_feed_bytes:
+            return False
+        buffer.extend(data)
+        return True
 
     def close_feed(self, feed_id: int) -> bytes:
         """Remove and return a pending feed's accumulated bytes."""
-        with self._lock:
-            return bytes(self.feeds.pop(feed_id))
+        return bytes(self.feeds.pop(feed_id))
 
     # ------------------------------------------------------------------
     # Shutdown
     # ------------------------------------------------------------------
-    def flush(self, timeout: float = 5.0) -> bool:
-        """Wait for the queue to empty without closing (reload drain)."""
-        with self._lock:
-            return self._queue_cv.wait_for(
-                lambda: not self._queue or self._closed, timeout=timeout
-            )
-
     def begin_close(self) -> None:
-        """Stop accepting events; the sender drains what is queued."""
-        with self._lock:
-            self._closing = True
-            self._queue_cv.notify_all()
+        """Stop accepting events; what is queued may still be written."""
+        self._closing = True
 
-    def drain(self, timeout: float = 5.0) -> bool:
-        """Wait for the sender to flush the queue; True when drained."""
-        abandoned = 0
-        if self._sender is None:
-            with self._lock:
-                # No sender ever ran: whatever is queued will never be
-                # written; account it as dropped so ledgers balance.
-                while self._queue:
-                    self._queue.popleft()
-                    self.ledger.dropped += 1
-                    abandoned += 1
-                self._closed = True
-            if abandoned and self.on_dropped is not None:
-                self.on_dropped(abandoned)
-            return True
-        with self._lock:
-            self._queue_cv.wait_for(lambda: self._closed, timeout=timeout)
-            drained = self._closed
-            if not drained:
-                # Sender is stuck (dead peer mid-write): drop the rest.
-                while self._queue:
-                    self._queue.popleft()
-                    self.ledger.dropped += 1
-                    abandoned += 1
-                self._closed = True
-        if abandoned and self.on_dropped is not None:
-            self.on_dropped(abandoned)
-        return drained
+    def drain(self, timeout: float = 0.0) -> bool:
+        """One step of closing the outbound half; True once it is closed.
+
+        Writes what the socket takes now.  ``timeout`` is the patience
+        left (the loop passes the time to the session's deadline): with
+        none, what is still queued is accounted as dropped.
+        """
+        self.pump()
+        if timeout <= 0.0 and (self._queue or self._unsent):
+            self._abandon()
+        if not self._queue and not self._unsent:
+            self._closed = True
+        return self._closed
 
     @property
     def closed(self) -> bool:
         """True once the outbound queue is fully drained or abandoned."""
-        with self._lock:
-            return self._closed
+        return self._closed
 
     def describe(self) -> Dict[str, object]:
         """JSON-ready session summary for the ``stats`` command."""
-        with self._lock:
-            return {
-                "client_id": self.client_id,
-                "name": self.name,
-                "peer": self.peer,
-                "authenticated": self.authenticated,
-                "subscriptions": len(self.subscriptions),
-                "queued": len(self._queue),
-                "evicted": self.evicted,
-                "ledger": self.ledger.as_dict(),
-            }
+        return {
+            "client_id": self.client_id,
+            "name": self.name,
+            "peer": self.peer,
+            "authenticated": self.authenticated,
+            "subscriptions": len(self.subscriptions),
+            "queued": len(self._queue) + self._event_unsent,
+            "evicted": self.evicted,
+            "ledger": self.ledger.as_dict(),
+        }

@@ -144,14 +144,6 @@ class StreamStore:
         """Drain the queues and seal every active segment."""
         self.writer.seal_all()
 
-    def adopt_obs_owner(self) -> None:
-        """Declare the calling thread the writer's metrics owner.
-
-        See :meth:`StoreWriter.adopt_obs_owner`: call it after taking
-        whatever lock serializes this store across threads.
-        """
-        self.writer.adopt_obs_owner()
-
     # ------------------------------------------------------------------
     def query(
         self,

@@ -243,19 +243,6 @@ class StoreWriter:
             raise ValueError("cannot attach a fault injector to a writer already in use")
         self._fault = fault_injector
 
-    def adopt_obs_owner(self) -> None:
-        """Declare the calling thread the metrics-emission owner.
-
-        The metric counters are owner-thread state (plain ``+=`` with
-        no lock; see ``_flush_obs``).  A host that serializes writer
-        use across threads with its own lock — the daemon's capture
-        lock — calls this after taking that lock so ``SCAP_RACE``
-        tracks the ownership handoff instead of convicting threads
-        that are in fact serialized.
-        """
-        if self._race is not None:
-            self._race.adopt(self._race_token)
-
     @property
     def cores(self) -> int:
         """Number of per-core spill queues."""

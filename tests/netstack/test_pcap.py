@@ -1,5 +1,6 @@
 """Tests for pcap file reading and writing."""
 
+import io
 import struct
 
 import pytest
@@ -16,16 +17,33 @@ def _sample_packets():
     ]
 
 
-def test_write_read_round_trip(tmp_path):
-    path = str(tmp_path / "sample.pcap")
-    packets = _sample_packets()
-    assert write_pcap(path, packets) == 3
-    loaded = read_pcap(path)
-    assert len(loaded) == 3
+def _assert_round_trip(packets, loaded):
+    assert len(loaded) == len(packets)
     for original, restored in zip(packets, loaded):
         assert restored.payload == original.payload
         assert restored.five_tuple == original.five_tuple
         assert abs(restored.timestamp - original.timestamp) < 1e-5
+
+
+def test_write_read_round_trip(tmp_path):
+    path = str(tmp_path / "sample.pcap")
+    packets = _sample_packets()
+    assert write_pcap(path, packets) == 3
+    _assert_round_trip(packets, read_pcap(path))
+
+
+def test_round_trip_through_an_open_file(tmp_path):
+    """An open binary file works like a path and stays the caller's."""
+    packets = _sample_packets()
+    buffer = io.BytesIO()
+    assert write_pcap(buffer, packets) == 3
+    assert not buffer.closed
+    path = tmp_path / "same.pcap"
+    write_pcap(str(path), packets)
+    assert buffer.getvalue() == path.read_bytes()
+    buffer.seek(0)
+    _assert_round_trip(packets, read_pcap(buffer))
+    assert not buffer.closed
 
 
 def test_snaplen_truncates(tmp_path):

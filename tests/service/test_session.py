@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import threading
-
 import pytest
 
 from repro.service.protocol import MSG_EVENT, FrameReader
@@ -11,18 +9,20 @@ from repro.service.session import ClientQuotas, ClientSession, SessionLedger
 
 
 class FakeSocket:
-    """Collects sendall() bytes; can be told to start failing."""
+    """A non-blocking socket that takes ``chunk`` bytes per send();
+    can be told to start failing."""
 
-    def __init__(self):
+    def __init__(self, chunk=1 << 20):
         self.sent = bytearray()
         self.fail = False
-        self._lock = threading.Lock()
+        self.chunk = chunk
 
-    def sendall(self, data):
-        with self._lock:
-            if self.fail:
-                raise OSError("peer gone")
-            self.sent.extend(data)
+    def send(self, data):
+        if self.fail:
+            raise OSError("peer gone")
+        taken = bytes(data[: self.chunk])
+        self.sent.extend(taken)
+        return len(taken)
 
     def close(self):
         pass
@@ -60,10 +60,13 @@ def test_drop_oldest_when_queue_full():
     assert session.ledger.enqueued == 10
     assert session.ledger.dropped == 7
     assert session.ledger.balanced(pending=session.queue_depth())
-    # The survivors are the three *newest* events, in order.
-    session.start_sender()
+    # The survivors are the three *newest* events, in order.  The
+    # socket takes 7 bytes a time, so every frame goes out over several
+    # write-readiness steps.
+    session.sock.chunk = 7
     session.begin_close()
-    assert session.drain(timeout=5.0)
+    while not session.drain(timeout=5.0):
+        pass
     assert session.ledger.balanced()
     reader = FrameReader()
     frames = reader.feed(bytes(session.sock.sent))
@@ -79,9 +82,7 @@ def test_dead_peer_counts_drops_and_balances():
     session.sock.fail = True
     for i in range(5):
         session.enqueue_event(sub, {"event": "data", "i": i}, b"")
-    session.start_sender()
-    session.begin_close()
-    session.drain(timeout=5.0)
+    session.pump()  # the first write fails: everything queued is dropped
     assert session.ledger.enqueued == 5
     assert session.ledger.delivered == 0
     assert session.ledger.dropped == 5
