@@ -2,11 +2,15 @@
 
 The index is *derived* state: opening a store directory scans every
 ``seg-*.scap`` file with the truncation-tolerant reader, so recovery
-after a crash and a normal open are the same code path.  Per record we
-keep a small :class:`RecordMeta` (identity, time, offset into both the
-stream and the file) grouped per segment, plus two lookup maps — by
-canonical five-tuple and a time-sorted list — so queries never touch
-disk until they need payload bytes.
+after a crash and a normal open are the same code path; a segment the
+writer seals while the store is open is indexed from the entries the
+writer kept, without re-reading it.  Per record we keep a small
+:class:`RecordMeta` (identity, time, offset into both the stream and
+the file, and the segment it lives in) grouped per segment in file
+order, plus one lookup map from canonical five-tuple to that
+connection's entries.  A five-tuple lookup costs what it matches, a
+lookup without one walks every entry, and neither touches disk: the
+file is opened only for the payload bytes of the frames a lookup named.
 """
 
 from __future__ import annotations
@@ -16,27 +20,9 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from ..netstack.flows import FiveTuple
-from .segment import SegmentInfo, StreamRecord, read_segment
+from .segment import RecordMeta, SegmentInfo, read_segment
 
 __all__ = ["RecordMeta", "SegmentMeta", "StoreIndex"]
-
-
-@dataclass
-class RecordMeta:
-    """Index entry for one stored record (payload stays on disk)."""
-
-    five_tuple: FiveTuple
-    direction: int
-    stream_offset: int
-    timestamp: float
-    length: int
-    priority: int
-    file_offset: int
-
-    @property
-    def client_tuple(self) -> FiveTuple:
-        """The connection's five-tuple from the client's perspective."""
-        return self.five_tuple if self.direction == 0 else self.five_tuple.reversed()
 
 
 @dataclass
@@ -99,42 +85,20 @@ class StoreIndex:
 
     def add_segment_file(self, path: str) -> SegmentMeta:
         """Scan one segment file and index everything recoverable."""
-        records, info = read_segment(path)
-        metas = [
-            RecordMeta(
-                five_tuple=record.five_tuple,
-                direction=record.direction,
-                stream_offset=record.stream_offset,
-                timestamp=record.timestamp,
-                length=len(record.data),
-                priority=record.priority,
-                file_offset=offset,
-            )
-            for (offset, _length), record in zip(info.frames, records)
-        ]
-        return self._install(SegmentMeta(info=info, records=metas))
+        _records, info = read_segment(path)
+        return self._install(SegmentMeta(info=info, records=info.records))
 
-    def add_sealed(self, info: SegmentInfo, records: List[Tuple[int, StreamRecord]]) -> SegmentMeta:
+    def add_sealed(self, info: SegmentInfo) -> SegmentMeta:
         """Index a segment the writer just sealed, without rescanning."""
-        metas = [
-            RecordMeta(
-                five_tuple=record.five_tuple,
-                direction=record.direction,
-                stream_offset=record.stream_offset,
-                timestamp=record.timestamp,
-                length=len(record.data),
-                priority=record.priority,
-                file_offset=offset,
-            )
-            for offset, record in records
-        ]
-        return self._install(SegmentMeta(info=info, records=metas))
+        return self._install(SegmentMeta(info=info, records=info.records))
 
     def _install(self, segment: SegmentMeta) -> SegmentMeta:
+        # Records are installed in file order, so inside a bucket the
+        # entries of one segment stay in file order (lookup relies on it).
         self.segments[segment.path] = segment
         for meta in segment.records:
-            key = self._key(meta.client_tuple)
-            self._by_tuple.setdefault(key, []).append(meta)
+            meta.segment = segment
+            self._by_tuple.setdefault(self._key(meta.client_tuple), []).append(meta)
         return segment
 
     def remove_segment(self, path: str) -> Optional[SegmentMeta]:
@@ -142,13 +106,12 @@ class StoreIndex:
         segment = self.segments.pop(path, None)
         if segment is None:
             return None
-        doomed = {id(meta) for meta in segment.records}
         for key in {self._key(meta.client_tuple) for meta in segment.records}:
-            bucket = [meta for meta in self._by_tuple.get(key, []) if id(meta) not in doomed]
+            bucket = [meta for meta in self._by_tuple[key] if meta.segment is not segment]
             if bucket:
                 self._by_tuple[key] = bucket
             else:
-                self._by_tuple.pop(key, None)
+                del self._by_tuple[key]
         return segment
 
     def replace_segment(self, path: str, replacement: SegmentMeta) -> None:
@@ -178,36 +141,42 @@ class StoreIndex:
 
         ``five_tuple`` matches either direction of the connection;
         ``start_ts``/``end_ts`` bound the record timestamp inclusively.
-        With no arguments, everything is yielded.
+        With no arguments, everything is yielded.  Matches come segment
+        by segment in ``(first_ts, path)`` order, in file order inside a
+        segment; with a ``five_tuple`` only that connection's entries
+        are visited, not the whole index.
         """
-        wanted = self._key(five_tuple) if five_tuple is not None else None
-        for segment in self._segments_in_time_order():
+        if five_tuple is None:
+            candidates = [(segment, segment.records) for segment in self.segments.values()]
+        else:
+            by_segment: Dict[str, Tuple[SegmentMeta, List[RecordMeta]]] = {}
+            for meta in self._by_tuple.get(self._key(five_tuple), ()):
+                by_segment.setdefault(meta.segment.path, (meta.segment, []))[1].append(meta)
+            candidates = list(by_segment.values())
+        candidates.sort(key=lambda pair: (pair[0].info.first_ts, pair[0].path))
+        for segment, metas in candidates:
             info = segment.info
             if start_ts is not None and info.record_count and info.last_ts < start_ts:
                 continue
             if end_ts is not None and info.record_count and info.first_ts > end_ts:
                 continue
-            for meta in segment.records:
-                if wanted is not None and self._key(meta.client_tuple) != wanted:
-                    continue
+            for meta in metas:
                 if start_ts is not None and meta.timestamp < start_ts:
                     continue
                 if end_ts is not None and meta.timestamp > end_ts:
                     continue
                 yield segment, meta
 
-    def _segments_in_time_order(self) -> List[SegmentMeta]:
-        return sorted(
-            self.segments.values(),
-            key=lambda segment: (segment.info.first_ts, segment.info.path),
-        )
-
     def connections(self) -> List[FiveTuple]:
-        """All distinct connections stored, as client-perspective tuples."""
-        seen: Dict[Tuple[int, int, int, int, int], FiveTuple] = {}
-        for segment in self._segments_in_time_order():
-            for meta in segment.records:
-                key = self._key(meta.client_tuple)
-                if key not in seen:
-                    seen[key] = meta.client_tuple
-        return list(seen.values())
+        """All distinct connections stored, as client-perspective tuples.
+
+        In order of first appearance, segments taken in ``(first_ts,
+        path)`` order and records in file order.
+        """
+
+        def store_order(meta: RecordMeta) -> Tuple[float, str, int]:
+            return (meta.segment.info.first_ts, meta.segment.path, meta.file_offset)
+
+        first = [min(bucket, key=store_order) for bucket in self._by_tuple.values()]
+        first.sort(key=store_order)
+        return [meta.client_tuple for meta in first]

@@ -1,11 +1,13 @@
 """Query API: turn indexed records back into reassembled streams.
 
 A query selects records by five-tuple and/or time range through the
-:class:`~repro.store.index.StoreIndex`, reads the matching payloads
-from their segments, and assembles them per stream direction.  Records
-carry their ``stream_offset``, so assembly sorts by offset and trims
-any overlap between adjacent records — re-recorded bytes (chunk
-overlap, retransmission re-delivery) never appear twice in the output.
+:class:`~repro.store.index.StoreIndex`, reads exactly the frames the
+index named from their segments (one open per segment, ascending
+offsets, every frame CRC-checked), and assembles them per stream
+direction.  Records carry their ``stream_offset``, so assembly sorts by
+offset and trims any overlap between adjacent records — re-recorded
+bytes (chunk overlap, retransmission re-delivery) never appear twice in
+the output.
 """
 
 from __future__ import annotations
@@ -14,8 +16,8 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from ..netstack.flows import FiveTuple
-from .index import RecordMeta, SegmentMeta, StoreIndex
-from .segment import StreamRecord, scan_records
+from .index import StoreIndex
+from .segment import StreamRecord, read_frames
 
 __all__ = ["StreamPayload", "QueryResult", "run_query"]
 
@@ -64,11 +66,10 @@ class QueryResult:
 
     def connections(self) -> List[FiveTuple]:
         """Distinct client-perspective connections in this result."""
-        seen = []
+        seen: Dict[Tuple[int, int, int, int, int], FiveTuple] = {}
         for stream in self.streams:
-            if stream.client_tuple not in seen:
-                seen.append(stream.client_tuple)
-        return seen
+            seen.setdefault(StoreIndex._key(stream.client_tuple), stream.client_tuple)
+        return list(seen.values())
 
 
 def run_query(
@@ -79,22 +80,20 @@ def run_query(
 ) -> QueryResult:
     """Select, load, and reassemble matching streams from the store.
 
-    Payloads are read segment-by-segment (one sequential scan per
-    segment that contributed a match), then grouped by connection and
-    direction, offset-sorted, and overlap-trimmed.
+    Only the matching frames are read: each segment that contributed a
+    match is opened once and read at the matches' file offsets, which
+    the index yields in ascending order — so the cost is the matching
+    records and their bytes, and a query that matches everything reads
+    each segment front to back.  Records are then grouped by connection
+    and direction, offset-sorted, and overlap-trimmed.
     """
-    matches: Dict[str, List[RecordMeta]] = {}
-    segments: Dict[str, SegmentMeta] = {}
+    wanted: Dict[str, List[int]] = {}
     for segment, meta in index.lookup(five_tuple, start_ts, end_ts):
-        matches.setdefault(segment.path, []).append(meta)
-        segments[segment.path] = segment
+        wanted.setdefault(segment.path, []).append(meta.file_offset)
     groups: Dict[Tuple[Tuple[int, int, int, int, int], int], List[StreamRecord]] = {}
     group_tuple: Dict[Tuple[Tuple[int, int, int, int, int], int], FiveTuple] = {}
-    for path, metas in matches.items():
-        wanted = {meta.file_offset for meta in metas}
-        for offset, record in scan_records(path):
-            if offset not in wanted:
-                continue
+    for path, offsets in wanted.items():
+        for record in read_frames(path, offsets):
             key = (StoreIndex._key(record.client_tuple), record.direction)
             groups.setdefault(key, []).append(record)
             group_tuple.setdefault(key, record.client_tuple)

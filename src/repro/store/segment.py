@@ -29,18 +29,23 @@ import os
 import struct
 import zlib
 from dataclasses import dataclass, field
-from typing import BinaryIO, Iterator, List, Optional, Tuple
+from typing import TYPE_CHECKING, BinaryIO, Iterable, Iterator, List, Optional, Tuple
 
 from ..netstack.flows import FiveTuple
+
+if TYPE_CHECKING:
+    from .index import SegmentMeta
 
 __all__ = [
     "SEGMENT_MAGIC",
     "FOOTER_MAGIC",
     "StreamRecord",
+    "RecordMeta",
     "SegmentInfo",
     "SegmentWriter",
     "read_segment",
     "scan_records",
+    "read_frames",
 ]
 
 SEGMENT_MAGIC = b"SCAPSEG\x01"
@@ -49,7 +54,9 @@ FOOTER_MAGIC = b"SCAPEND\x01"
 _HEADER = struct.Struct("!8sII")
 _FRAME = struct.Struct("!IIB")
 _BODY = struct.Struct("!IHIHBBdQH")  # five-tuple, direction, ts, offset, priority
+_FOOTER_HEAD = struct.Struct("!II")  # sentinel, crc32(fbody)
 _FOOTER_BODY = struct.Struct("!QddQ")
+_FOOTER_SIZE = _FOOTER_HEAD.size + _FOOTER_BODY.size + len(FOOTER_MAGIC)
 _FOOTER_SENTINEL = 0xFFFFFFFF
 _FLAG_ZLIB = 0x01
 _MAX_BODY = (1 << 31) - 1
@@ -123,6 +130,44 @@ class StreamRecord:
 
 
 @dataclass
+class RecordMeta:
+    """Index entry for one stored record (payload stays on disk).
+
+    Built where the frame's file offset is known — by the writer as it
+    appends, by the scan as it recovers — so indexing a segment never
+    needs its payloads.
+    """
+
+    five_tuple: FiveTuple
+    direction: int
+    stream_offset: int
+    timestamp: float
+    length: int
+    priority: int
+    file_offset: int
+    #: The indexed segment holding this record; set by ``StoreIndex``.
+    segment: Optional[SegmentMeta] = field(default=None, repr=False, compare=False)
+
+    @classmethod
+    def of(cls, record: StreamRecord, file_offset: int) -> "RecordMeta":
+        """The index entry of ``record`` framed at ``file_offset``."""
+        return cls(
+            record.five_tuple,
+            record.direction,
+            record.stream_offset,
+            record.timestamp,
+            len(record.data),
+            record.priority,
+            file_offset,
+        )
+
+    @property
+    def client_tuple(self) -> FiveTuple:
+        """The connection's five-tuple from the client's perspective."""
+        return self.five_tuple if self.direction == 0 else self.five_tuple.reversed()
+
+
+@dataclass
 class SegmentInfo:
     """What a scan (or a seal) learned about one segment file."""
 
@@ -136,17 +181,20 @@ class SegmentInfo:
     last_ts: float = 0.0
     #: Bytes of torn tail discarded by recovery (0 for clean segments).
     torn_bytes: int = 0
-    #: (file_offset, frame_bytes) of every recovered record, in order.
-    frames: List[Tuple[int, int]] = field(default_factory=list)
+    #: Index entry of every written / recovered record, in file order.
+    records: List[RecordMeta] = field(default_factory=list, repr=False)
 
 
 class SegmentWriter:
     """Appends records to one segment file; ``seal`` finishes it.
 
     The writer owns the file handle; ``append`` returns the frame's
-    file offset so the index can point straight at it.  ``fsync=True``
-    makes every append durable individually (slow, used by tests that
-    model crash points); otherwise data is flushed on seal/close.
+    file offset and keeps the record's index entry (no payload), which
+    ``seal`` hands over with the :class:`SegmentInfo` so the index can
+    point straight at every frame without re-reading the file.
+    ``fsync=True`` makes every append durable individually (slow, used
+    by tests that model crash points); otherwise data is flushed on
+    seal/close.
     """
 
     def __init__(
@@ -165,6 +213,7 @@ class SegmentWriter:
         self.compressed_saved = 0
         self.first_ts = 0.0
         self.last_ts = 0.0
+        self._records: List[RecordMeta] = []
         self._file: Optional[BinaryIO] = open(path, "wb")
         self._file.write(_HEADER.pack(SEGMENT_MAGIC, core, 0))
         self._offset = _HEADER.size
@@ -205,6 +254,7 @@ class SegmentWriter:
         self.last_ts = max(self.last_ts, record.timestamp)
         self.record_count += 1
         self.payload_bytes += len(record.data)
+        self._records.append(RecordMeta.of(record, offset))
         return offset
 
     def seal(self) -> SegmentInfo:
@@ -215,9 +265,9 @@ class SegmentWriter:
             self.record_count, self.first_ts, self.last_ts, self.payload_bytes
         )
         self._file.write(
-            struct.pack("!II", _FOOTER_SENTINEL, zlib.crc32(fbody)) + fbody + FOOTER_MAGIC
+            _FOOTER_HEAD.pack(_FOOTER_SENTINEL, zlib.crc32(fbody)) + fbody + FOOTER_MAGIC
         )
-        self._offset += 8 + len(fbody) + len(FOOTER_MAGIC)
+        self._offset += _FOOTER_SIZE
         self._file.flush()
         os.fsync(self._file.fileno())
         self._file.close()
@@ -231,6 +281,7 @@ class SegmentWriter:
             disk_bytes=self._offset,
             first_ts=self.first_ts,
             last_ts=self.last_ts,
+            records=self._records,
         )
 
     def close(self) -> None:
@@ -249,68 +300,127 @@ def scan_records(path: str) -> Iterator[Tuple[int, StreamRecord]]:
     body is short, or whose CRC mismatches ends the scan — everything
     before it is returned.  A sealed footer also ends the scan cleanly.
     """
-    for offset, record in _scan(path)[0]:
-        yield offset, record
+    records, info = _scan(path)
+    for meta, record in zip(info.records, records):
+        yield meta.file_offset, record
 
 
-def _scan(path: str) -> Tuple[List[Tuple[int, StreamRecord]], SegmentInfo]:
+def _read_header(handle: BinaryIO, path: str) -> Optional[int]:
+    """The core id from the segment header; None if the header is torn.
+
+    Raises ``ValueError`` for a file that is not a segment at all.
+    """
+    header = handle.read(_HEADER.size)
+    if len(header) < _HEADER.size:
+        return None
+    magic, core, _reserved = _HEADER.unpack(header)
+    if magic != SEGMENT_MAGIC:
+        raise ValueError(f"{path}: not a scap segment (bad magic)")
+    return core
+
+
+def _read_frame(
+    handle: BinaryIO, position: int, size: int
+) -> Optional[Tuple[StreamRecord, int]]:
+    """The record framed at ``position`` and its frame length, or None.
+
+    None means there is no intact record there: the frame header or the
+    body runs past the end of the ``size``-byte file (truncation), the
+    length field is the footer sentinel, or the body fails its CRC
+    (corruption).  Every reader of segment files parses frames here, so
+    no body is decompressed or decoded without its CRC having been
+    checked on that read.
+    """
+    handle.seek(position)
+    frame_header = handle.read(_FRAME.size)
+    if len(frame_header) < _FRAME.size:
+        return None
+    body_len, crc, flags = _FRAME.unpack(frame_header)
+    if body_len == _FOOTER_SENTINEL or position + _FRAME.size + body_len > size:
+        return None
+    body = handle.read(body_len)
+    if len(body) < body_len or zlib.crc32(body) != crc:
+        return None
+    if flags & _FLAG_ZLIB:
+        body = zlib.decompress(body)
+    return StreamRecord.decode(body), _FRAME.size + body_len
+
+
+def _read_footer(
+    handle: BinaryIO, position: int
+) -> Optional[Tuple[int, float, float, int]]:
+    """The intact footer at ``position``, or None.
+
+    Returned as ``(record_count, first_ts, last_ts, payload_bytes)``.
+    """
+    handle.seek(position)
+    footer = handle.read(_FOOTER_SIZE)
+    if len(footer) < _FOOTER_SIZE or not footer.endswith(FOOTER_MAGIC):
+        return None
+    fbody = footer[_FOOTER_HEAD.size : -len(FOOTER_MAGIC)]
+    if _FOOTER_HEAD.unpack_from(footer) != (_FOOTER_SENTINEL, zlib.crc32(fbody)):
+        return None
+    return _FOOTER_BODY.unpack(fbody)
+
+
+def _scan(path: str) -> Tuple[List[StreamRecord], SegmentInfo]:
     """Scan one segment; return its records and a SegmentInfo."""
     info = SegmentInfo(path=path)
-    records: List[Tuple[int, StreamRecord]] = []
-    size = os.path.getsize(path)
+    records: List[StreamRecord] = []
     with open(path, "rb") as handle:
-        header = handle.read(_HEADER.size)
-        if len(header) < _HEADER.size:
-            info.torn_bytes = len(header)
+        size = os.fstat(handle.fileno()).st_size
+        core = _read_header(handle, path)
+        if core is None:
+            info.torn_bytes = size
             return records, info
-        magic, core, _reserved = _HEADER.unpack(header)
-        if magic != SEGMENT_MAGIC:
-            raise ValueError(f"{path}: not a scap segment (bad magic)")
         info.core = core
         position = _HEADER.size
         while True:
-            frame_header = handle.read(_FRAME.size)
-            if len(frame_header) < _FRAME.size:
-                info.torn_bytes = size - position
+            frame = _read_frame(handle, position, size)
+            if frame is None:
                 break
-            body_len, crc, flags = _FRAME.unpack(frame_header)
-            if body_len == _FOOTER_SENTINEL:
-                # _FRAME reads one byte past the footer's length+crc pair;
-                # that byte is the first byte of the footer body.
-                rest = handle.read(_FOOTER_BODY.size - 1 + len(FOOTER_MAGIC))
-                fbody = bytes([flags]) + rest[: _FOOTER_BODY.size - 1]
-                tail = rest[_FOOTER_BODY.size - 1 :]
-                if (
-                    len(rest) == _FOOTER_BODY.size - 1 + len(FOOTER_MAGIC)
-                    and tail == FOOTER_MAGIC
-                    and zlib.crc32(fbody) == crc
-                ):
-                    count, first_ts, last_ts, payload = _FOOTER_BODY.unpack(fbody)
-                    if count == len(records):
-                        info.sealed = True
-                        info.first_ts = first_ts
-                        info.last_ts = last_ts
-                        position = size
-                        break
-                info.torn_bytes = size - position
-                break
-            body = handle.read(body_len)
-            if len(body) < body_len or zlib.crc32(body) != crc:
-                info.torn_bytes = size - position
-                break
-            if flags & _FLAG_ZLIB:
-                body = zlib.decompress(body)
-            record = StreamRecord.decode(body)
-            records.append((position, record))
-            info.frames.append((position, _FRAME.size + body_len))
+            record, frame_bytes = frame
+            records.append(record)
+            info.records.append(RecordMeta.of(record, position))
             info.payload_bytes += len(record.data)
             if info.record_count == 0:
                 info.first_ts = record.timestamp
             info.last_ts = max(info.last_ts, record.timestamp)
             info.record_count += 1
-            position += _FRAME.size + body_len
+            position += frame_bytes
+        footer = _read_footer(handle, position)
+        if footer is not None and footer[0] == info.record_count:
+            # A footer whose count disagrees with the frames before it
+            # is not trusted: the segment counts as torn.
+            info.sealed = True
+            _count, info.first_ts, info.last_ts, _payload = footer
+        else:
+            info.torn_bytes = size - position
     info.disk_bytes = size
     return records, info
+
+
+def read_frames(path: str, offsets: Iterable[int]) -> List[StreamRecord]:
+    """Read the records framed at ``offsets`` (ascending) and nothing else.
+
+    One open, the header magic checked, one seek per offset; every frame
+    passes the checks a scan applies (length inside the file, not the
+    footer, CRC) before it is decoded.  Like a scan, the read stops at
+    the first frame that fails them, so the result is the intact prefix
+    of what was asked for.  Every offset of a segment, in order, is a
+    sequential read of it.
+    """
+    records: List[StreamRecord] = []
+    with open(path, "rb") as handle:
+        size = os.fstat(handle.fileno()).st_size
+        if _read_header(handle, path) is None:
+            return records
+        for offset in offsets:
+            frame = _read_frame(handle, offset, size)
+            if frame is None:
+                break
+            records.append(frame[0])
+    return records
 
 
 def read_segment(path: str) -> Tuple[List[StreamRecord], SegmentInfo]:
@@ -319,5 +429,4 @@ def read_segment(path: str) -> Tuple[List[StreamRecord], SegmentInfo]:
     Works on sealed and torn segments alike; ``info.sealed`` says which
     it was and ``info.torn_bytes`` how much tail (if any) was discarded.
     """
-    pairs, info = _scan(path)
-    return [record for _, record in pairs], info
+    return _scan(path)

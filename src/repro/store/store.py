@@ -129,7 +129,7 @@ class StreamStore:
     # ------------------------------------------------------------------
     def _on_seal(self, info: SegmentInfo) -> None:
         with self._lock:
-            self.index.add_segment_file(info.path)
+            self.index.add_sealed(info)
             if self._obs.enabled:
                 self._m_stored.set(self.index.payload_bytes)
 

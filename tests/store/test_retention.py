@@ -1,7 +1,7 @@
 """Retention: age, per-class quotas, global bytes, tail-first eviction."""
 
 from repro.netstack import FiveTuple, IPProtocol
-from repro.store import ClassQuota, RetentionPolicy, StreamRecord, StreamStore
+from repro.store import ClassQuota, RetentionPolicy, StoreIndex, StreamRecord, StreamStore
 
 
 def _record(port=80, offset=0, ts=0.0, size=100, priority=0, src_port=1000):
@@ -15,9 +15,51 @@ def _record(port=80, offset=0, ts=0.0, size=100, priority=0, src_port=1000):
     )
 
 
+def assert_index_coherent(index):
+    """``_by_tuple`` holds exactly the records of the live segments.
+
+    ``StoreIndex.lookup`` answers five-tuple queries from that map
+    alone, so it must never drift from ``segments[*].records``: the same
+    objects, each under its own connection's key and pointing back at
+    the live segment that lists it, one segment's entries in file order
+    inside a bucket, and no empty buckets left behind.
+    """
+    listed = {
+        id(meta): meta for segment in index.segments.values() for meta in segment.records
+    }
+    mapped = [meta for bucket in index._by_tuple.values() for meta in bucket]
+    assert len(mapped) == len(listed)
+    assert {id(meta) for meta in mapped} == set(listed)
+    for key, bucket in index._by_tuple.items():
+        assert bucket, key
+        for meta in bucket:
+            assert index._key(meta.client_tuple) == key
+            assert index.segments.get(meta.segment.path) is meta.segment
+            assert any(meta is listed_meta for listed_meta in meta.segment.records)
+        for segment in {id(meta.segment): meta.segment for meta in bucket}.values():
+            offsets = [meta.file_offset for meta in bucket if meta.segment is segment]
+            assert offsets == sorted(offsets)
+
+
+def _checked(index):
+    """Re-check coherence after every mutation of ``index``."""
+    for name in ("_install", "remove_segment", "replace_segment"):
+
+        def checked(*args, _mutate=getattr(index, name), **kwargs):
+            result = _mutate(*args, **kwargs)
+            assert_index_coherent(index)
+            return result
+
+        setattr(index, name, checked)
+    assert_index_coherent(index)
+    return index
+
+
 def _store(tmp_path, **kwargs):
     kwargs.setdefault("segment_bytes", 2000)
-    return StreamStore(str(tmp_path), **kwargs)
+    store = StreamStore(str(tmp_path), **kwargs)
+    _checked(store.index)
+    return store
 
 
 class TestMaxAge:
@@ -131,3 +173,21 @@ class TestCompaction:
         after = reopened.query()
         assert [s.data for s in after.streams] == [s.data for s in before.streams]
         reopened.close()
+
+    def test_replace_segment_keeps_the_tuple_map_coherent(self, tmp_path):
+        store = _store(tmp_path)
+        for n in range(30):
+            store.append(_record(offset=(n // 3) * 100, ts=float(n), src_port=1000 + n % 3))
+        store.flush()
+        assert len(store.index.segments) > 1
+        path = sorted(store.index.segments)[0]
+        before = store.query().streams
+        rescanned = StoreIndex()
+        store.index.replace_segment(path, rescanned.add_segment_file(path))
+        assert store.index.segments[path].records is rescanned.segments[path].records
+        assert store.query().streams == before
+        for connection in store.connections():
+            assert store.query(connection).streams == [
+                s for s in before if s.client_tuple == connection
+            ]
+        store.close(enforce_retention=False)

@@ -1,5 +1,7 @@
 """Writer pipeline: bounded queues, PPL-style overflow, balanced ledger."""
 
+import os
+
 import pytest
 
 from repro.netstack import FiveTuple, IPProtocol
@@ -106,6 +108,36 @@ class TestStoreWriter:
         assert stats.written_bytes == 200 * 100
         assert stats.queue_depth_bytes == 0
         assert stats.stored_bytes == 200 * 100
+
+    @pytest.mark.parametrize("compress", [False, True])
+    def test_sealed_segments_indexed_as_a_reopen_would(self, tmp_path, compress, monkeypatch):
+        # Sealing indexes a segment from what the writer kept, without
+        # reading the file back; a fresh store scans the same files.
+        # Both must arrive at the same index.
+        store = StreamStore(str(tmp_path), cores=2, segment_bytes=400, compress=compress)
+
+        def no_reread(path):
+            raise AssertionError(f"sealing re-read {path}")
+
+        monkeypatch.setattr("repro.store.index.read_segment", no_reread)
+        for n in range(40):
+            store.append(_record(n, size=20 + 37 * (n % 7)), core=n % 2)
+            if n == 25:
+                store.flush()  # seal mid-run, besides the rolls at segment_bytes
+        store.flush()
+        monkeypatch.undo()
+        assert len(store.index.segments) > 4
+        reopened = StreamStore(str(tmp_path))
+        assert sorted(reopened.index.segments) == sorted(store.index.segments)
+        for path, live in store.index.segments.items():
+            scanned = reopened.index.segments[path]
+            assert live.records == scanned.records  # every RecordMeta row
+            assert live.info == scanned.info  # sealed, counts, bytes, time range
+            assert live.info.disk_bytes == os.path.getsize(path)
+        assert store.index.record_count == 40
+        assert store.query().streams == reopened.query().streams
+        store.close(enforce_retention=False)
+        reopened.close(enforce_retention=False)
 
     def test_attach_sanitizers_rejected_once_in_use(self, tmp_path):
         writer = StoreWriter(str(tmp_path), cores=1)
