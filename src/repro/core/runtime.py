@@ -171,8 +171,8 @@ class ScapRuntime:
         self.batch_size = batch_size
         #: Optional cadenced registry snapshots, clocked on *simulated*
         #: packet time (never the wall clock — SC001 discipline).  Only
-        #: library runs use this; the daemon runs its own wall-clock
-        #: ticker thread.
+        #: library runs use this; the daemon samples from a wall-clock
+        #: timer on its loop thread.
         self.telemetry = telemetry
 
     # ------------------------------------------------------------------

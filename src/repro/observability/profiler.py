@@ -214,8 +214,6 @@ class StageProfiler:
         self.per_core_seconds: Dict[str, Dict[int, float]] = {
             stage: {} for stage in ALL_STAGES
         }
-        # Open stage_enter() frames, keyed (stage, core).
-        self._open: Dict[Tuple[str, int], float] = {}
 
     # ------------------------------------------------------------------
     # Hot-path recording (call sites hold the obs.enabled guard)
@@ -279,26 +277,6 @@ class StageProfiler:
         self.wait_seconds[stage] = acc
         self.wait_samples[stage] += len(values)
         self._wait[stage].observe_many(values)
-
-    def stage_enter(self, stage: str, core: int, now: float) -> None:
-        """Open a guarded stage frame at simulated time ``now``.
-
-        For components that bracket work with enter/exit instead of
-        knowing its duration up front; the matching :meth:`stage_exit`
-        attributes the elapsed simulated time.  Frames are keyed
-        (stage, core), so one core can hold at most one open frame per
-        stage — re-entering overwrites the start time.
-        """
-        self._open[(stage, core)] = now
-
-    def stage_exit(self, stage: str, core: int, now: float) -> float:
-        """Close a stage frame; attribute and return the elapsed time."""
-        start = self._open.pop((stage, core), None)
-        if start is None:
-            return 0.0
-        elapsed = now - start
-        self.record(stage, core, elapsed)
-        return elapsed
 
     # ------------------------------------------------------------------
     # Reduction

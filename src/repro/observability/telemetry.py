@@ -9,7 +9,7 @@ between the newest two samples.
 
 Clock discipline matches the rest of the observability layer: sample
 times are injected by the caller.  Library runs pass the simulated
-clock (packet timestamps), the daemon's ticker passes
+clock (packet timestamps), the daemon's loop-thread timer passes
 ``time.monotonic()``; the ring itself never reads wall time.
 """
 
@@ -72,8 +72,9 @@ class TelemetryRing:
 
     ``sample`` is unconditional; ``maybe_sample`` applies the cadence
     so hot loops can call it every batch and still pay one snapshot
-    per interval.  All access is lock-protected: the daemon's ticker
-    thread samples while request handlers read history.
+    per interval.  All access is lock-protected: a timer on the
+    daemon's loop thread samples while the HTTP sidecar thread reads
+    history.
     """
 
     def __init__(

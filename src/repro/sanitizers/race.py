@@ -2,17 +2,13 @@
 
 The whole-program pass in :mod:`repro.staticcheck.concurrency` proves
 what it can about the concurrency discipline; this module watches the
-same shared-state touchpoints while the pipeline actually runs:
-
-* **owner mode** — a resource (flow table, stream-memory ledger,
-  metrics registry structure, store-writer observability) is claimed by
-  the first thread that touches it; any touch from a second thread is a
-  violation.  This is the runtime form of ``# scapcheck: single-owner``.
-* **lockset mode** — Eraser-style: while a resource is touched by one
-  thread, nothing is required; once a second thread arrives, the
-  candidate lockset is the locks held at that moment and every later
-  touch intersects it.  An empty intersection means no common lock
-  protects the resource.
+same shared-state touchpoints while the pipeline actually runs.  A
+resource (flow table, stream-memory ledger, metrics registry structure,
+store writer) is claimed by the first thread that touches it; any touch
+from a second thread is a violation.  This is the runtime form of
+``# scapcheck: single-owner``: claiming happens at the first check, not
+at registration, so an object may be built on one thread and handed to
+the thread that then drives it.
 
 A violation raises :class:`InvariantViolation` carrying **both
 conflicting stack tails** plus a digest over their frames — the digest
@@ -32,7 +28,7 @@ import itertools
 import os
 import threading
 import traceback
-from typing import Dict, FrozenSet, Iterable, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from .invariants import InvariantViolation
 
@@ -94,32 +90,17 @@ def stack_digest(first: StackTail, second: StackTail) -> str:
 class _Resource:
     """Per-resource tracking state (guarded by the detector's lock)."""
 
-    __slots__ = (
-        "label",
-        "mode",
-        "owner_ident",
-        "owner_name",
-        "owner_tail",
-        "shared",
-        "lockset",
-        "tails_by_thread",
-        "names_by_thread",
-    )
+    __slots__ = ("label", "owner_ident", "owner_name", "owner_tail")
 
-    def __init__(self, label: str, mode: str):
+    def __init__(self, label: str):
         self.label = label
-        self.mode = mode
         self.owner_ident: Optional[int] = None
         self.owner_name = ""
         self.owner_tail: StackTail = ()
-        self.shared = False
-        self.lockset: FrozenSet[str] = frozenset()
-        self.tails_by_thread: Dict[int, StackTail] = {}
-        self.names_by_thread: Dict[int, str] = {}
 
 
 class RaceDetector:
-    """Owner-thread / lockset checker over registered shared resources.
+    """Owner-thread checker over registered single-owner resources.
 
     Resources get unique integer tokens from a monotonic counter (never
     ``id()`` — object ids are reused after collection, which would let
@@ -132,122 +113,42 @@ class RaceDetector:
         self._tokens = itertools.count(1)
         self.violations = 0
 
-    def register(self, label: str, mode: str = "owner") -> int:
+    def register(self, label: str) -> int:
         """Track a new resource; returns its token for :meth:`check`."""
-        if mode not in ("owner", "lockset"):
-            raise ValueError(f"unknown race-detector mode {mode!r}")
         token = next(self._tokens)
         with self._guard:
-            self._resources[token] = _Resource(label, mode)
+            self._resources[token] = _Resource(label)
         return token
 
-    def check(
-        self, token: int, op: str = "write", locks: Iterable[str] = ()
-    ) -> None:
-        """Record one access to the resource; raise on a detected race.
-
-        ``locks`` names the locks the caller currently holds (lockset
-        mode only; ignored in owner mode).
-        """
+    def check(self, token: int, op: str = "write") -> None:
+        """Record one access to the resource; raise on a detected race."""
         ident = threading.get_ident()
         name = threading.current_thread().name
         tail = _stack_tail()
         with self._guard:
             resource = self._resources[token]
-            try:
-                if resource.mode == "owner":
-                    self._check_owner(resource, ident, name, tail, op)
-                else:
-                    self._check_lockset(
-                        resource, ident, name, tail, frozenset(locks), op
-                    )
-            except InvariantViolation:
-                self.violations += 1
-                raise
-
-    # ------------------------------------------------------------------
-    def _check_owner(
-        self, resource: _Resource, ident: int, name: str, tail: StackTail, op: str
-    ) -> None:
-        if resource.owner_ident is None:
-            resource.owner_ident = ident
-            resource.owner_name = name
-            resource.owner_tail = tail
-            return
-        if ident == resource.owner_ident:
-            resource.owner_tail = tail
-            return
-        self._fail(
-            resource,
-            op,
-            first_thread=resource.owner_name,
-            first_tail=resource.owner_tail,
-            second_thread=name,
-            second_tail=tail,
-            reason="owned by another thread",
-        )
-
-    def _check_lockset(
-        self,
-        resource: _Resource,
-        ident: int,
-        name: str,
-        tail: StackTail,
-        held: FrozenSet[str],
-        op: str,
-    ) -> None:
-        first_access = not resource.tails_by_thread
-        new_thread = ident not in resource.tails_by_thread
-        previous_other: Tuple[str, StackTail] = ("", ())
-        for other_ident, other_tail in resource.tails_by_thread.items():
-            if other_ident != ident:
-                previous_other = (
-                    resource.names_by_thread[other_ident],
-                    other_tail,
-                )
-        resource.tails_by_thread[ident] = tail
-        resource.names_by_thread[ident] = name
-        if first_access:
-            resource.lockset = held
-            return
-        if new_thread and not resource.shared:
-            # Eraser transition to shared: the candidate lockset starts
-            # as the locks held *now*, not the exclusive-phase history.
-            resource.shared = True
-            resource.lockset = held
-        else:
-            resource.lockset = resource.lockset & held if resource.shared else held
-        if resource.shared and not resource.lockset:
-            self._fail(
-                resource,
-                op,
-                first_thread=previous_other[0],
-                first_tail=previous_other[1],
-                second_thread=name,
-                second_tail=tail,
-                reason="no common lock protects the resource",
-            )
+            if resource.owner_ident is None:
+                resource.owner_ident = ident
+                resource.owner_name = name
+            if ident == resource.owner_ident:
+                resource.owner_tail = tail
+                return
+            self.violations += 1
+            self._fail(resource, op, second_thread=name, second_tail=tail)
 
     def _fail(
-        self,
-        resource: _Resource,
-        op: str,
-        first_thread: str,
-        first_tail: StackTail,
-        second_thread: str,
-        second_tail: StackTail,
-        reason: str,
+        self, resource: _Resource, op: str, second_thread: str, second_tail: StackTail
     ) -> None:
-        digest = stack_digest(first_tail, second_tail)
+        digest = stack_digest(resource.owner_tail, second_tail)
         raise InvariantViolation(
             "race",
-            f"{resource.mode}-mode race on {resource.label} ({op}): {reason}",
+            f"owner-mode race on {resource.label} ({op}): owned by another thread",
             details={
                 "resource": resource.label,
-                "mode": resource.mode,
+                "mode": "owner",
                 "digest": digest,
-                "first_thread": first_thread,
-                "first_stack": _render_tail(first_tail),
+                "first_thread": resource.owner_name,
+                "first_stack": _render_tail(resource.owner_tail),
                 "second_thread": second_thread,
                 "second_stack": _render_tail(second_tail),
             },

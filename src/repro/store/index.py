@@ -46,9 +46,10 @@ class SegmentMeta:
 class StoreIndex:
     """Lookup structure over all indexed segments of one store.
 
-    Mutated only by the store under its lock (`` # scapcheck: single-owner ``
-    applies to callers); supports add/remove of whole segments (sealing,
-    retention) and in-place replacement after compaction rewrites.
+    Mutated only by the one thread that drives the owning store
+    (`` # scapcheck: single-owner `` applies to callers); supports
+    add/remove of whole segments (sealing, retention) and in-place
+    replacement after compaction rewrites.
     """
 
     def __init__(self):

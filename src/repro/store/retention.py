@@ -90,8 +90,8 @@ class RetentionReport:
 class RetentionEngine:
     """Applies a :class:`RetentionPolicy` to an indexed store directory.
 
-    The engine mutates both the filesystem and the index; the owning
-    store serializes calls.  # scapcheck: single-owner
+    The engine mutates both the filesystem and the index, on the one
+    thread that drives the owning store.  # scapcheck: single-owner
     """
 
     def __init__(self, index: StoreIndex, policy: RetentionPolicy):

@@ -12,7 +12,6 @@ open are the same operation.
 from __future__ import annotations
 
 import os
-import threading
 from dataclasses import dataclass
 from typing import List, Optional
 
@@ -63,8 +62,11 @@ class StoreStats:
 class StreamStore:
     """A persistent, indexed, retained store of captured streams.
 
-    All public methods are safe to call from the capture path and from
-    writer threads; index mutations happen under ``_lock``.
+    Single-owner: construct a store anywhere, then drive it from one
+    thread — the capture thread in library mode, ``scapd-owner`` in
+    service mode.  Nothing here takes a lock; every byte's fate, every
+    segment name and every segment byte is a pure function of the input
+    sequence, always.
     """
 
     def __init__(
@@ -78,11 +80,9 @@ class StreamStore:
         retention: Optional[RetentionPolicy] = None,
         observability: Optional[Observability] = None,
         sanitizers: Optional[object] = None,
-        use_threads: bool = False,
     ):
         self.directory = directory
         os.makedirs(directory, exist_ok=True)
-        self._lock = threading.Lock()
         self.index = StoreIndex()
         recovered = self.index.scan_directory(directory)
         start_sequence = _next_sequence(directory)
@@ -113,8 +113,6 @@ class StreamStore:
             on_seal=self._on_seal,
             start_sequence=start_sequence,
         )
-        if use_threads:
-            self.writer.start_threads()
         self._closed = False
 
     # ------------------------------------------------------------------
@@ -128,13 +126,12 @@ class StreamStore:
 
     # ------------------------------------------------------------------
     def _on_seal(self, info: SegmentInfo) -> None:
-        with self._lock:
-            self.index.add_sealed(info)
-            if self._obs.enabled:
-                self._m_stored.set(self.index.payload_bytes)
+        self.index.add_sealed(info)
+        if self._obs.enabled:
+            self._m_stored.set(self.index.payload_bytes)
 
     # ------------------------------------------------------------------
-    def append(self, record: StreamRecord, core: int = 0) -> bool:  # scapcheck: single-owner
+    def append(self, record: StreamRecord, core: int = 0) -> bool:
         """Offer one record to the writer pipeline (False if dropped)."""
         if record.timestamp > self.last_ts:
             self.last_ts = record.timestamp
@@ -152,8 +149,7 @@ class StreamStore:
         end_ts: Optional[float] = None,
     ) -> QueryResult:
         """Reassembled streams matching a five-tuple / time-range."""
-        with self._lock:
-            return run_query(self.index, five_tuple, start_ts, end_ts)
+        return run_query(self.index, five_tuple, start_ts, end_ts)
 
     def replay_source(
         self,
@@ -167,43 +163,40 @@ class StreamStore:
 
     def connections(self) -> List[FiveTuple]:
         """Distinct stored connections (client-perspective tuples)."""
-        with self._lock:
-            return self.index.connections()
+        return self.index.connections()
 
     # ------------------------------------------------------------------
     def enforce_retention(self, now_ts: Optional[float] = None) -> RetentionReport:
         """Run the retention policies; ``now_ts`` defaults to newest seen."""
-        with self._lock:
-            report = self._retention.enforce(self.last_ts if now_ts is None else now_ts)
-            self.evicted_bytes += report.evicted_bytes
-            self.evicted_records += report.evicted_records
-            if self._obs.enabled and report.evicted_bytes:
-                self._m_evicted.inc(report.evicted_bytes)
-                self._m_stored.set(self.index.payload_bytes)
-            return report
+        report = self._retention.enforce(self.last_ts if now_ts is None else now_ts)
+        self.evicted_bytes += report.evicted_bytes
+        self.evicted_records += report.evicted_records
+        if self._obs.enabled and report.evicted_bytes:
+            self._m_evicted.inc(report.evicted_bytes)
+            self._m_stored.set(self.index.payload_bytes)
+        return report
 
     # ------------------------------------------------------------------
     def stats(self) -> StoreStats:
-        """A consistent snapshot of the store's counters."""
-        with self._lock:
-            return StoreStats(
-                stored_bytes=self.index.payload_bytes,
-                disk_bytes=self.index.disk_bytes,
-                record_count=self.index.record_count,
-                segment_count=len(self.index.segments),
-                enqueued_bytes=self.writer.enqueued_bytes,
-                written_bytes=self.writer.written_bytes,
-                writer_queue_drop_bytes=self.writer.dropped_bytes,
-                writer_queue_drops=self.writer.dropped_records,
-                queue_depth_bytes=self.writer.queue_depth_bytes,
-                evicted_bytes=self.evicted_bytes,
-                evicted_records=self.evicted_records,
-                segments_sealed=self.writer.segments_sealed,
-                compressed_saved_bytes=self.writer.compressed_saved,
-            )
+        """A snapshot of the store's counters."""
+        return StoreStats(
+            stored_bytes=self.index.payload_bytes,
+            disk_bytes=self.index.disk_bytes,
+            record_count=self.index.record_count,
+            segment_count=len(self.index.segments),
+            enqueued_bytes=self.writer.enqueued_bytes,
+            written_bytes=self.writer.written_bytes,
+            writer_queue_drop_bytes=self.writer.dropped_bytes,
+            writer_queue_drops=self.writer.dropped_records,
+            queue_depth_bytes=self.writer.queue_depth_bytes,
+            evicted_bytes=self.evicted_bytes,
+            evicted_records=self.evicted_records,
+            segments_sealed=self.writer.segments_sealed,
+            compressed_saved_bytes=self.writer.compressed_saved,
+        )
 
     # ------------------------------------------------------------------
-    def close(self, enforce_retention: bool = True) -> StoreStats:  # scapcheck: single-owner
+    def close(self, enforce_retention: bool = True) -> StoreStats:
         """Seal everything, run a final retention sweep, check ledgers."""
         if self._closed:
             return self.stats()

@@ -1,9 +1,14 @@
-"""The store's async writer pipeline: spill queues + writer threads.
+"""The store's writer pipeline: bounded spill queues drained by their owner.
 
 Recording must never stall the capture path, so deliveries are
 *enqueued* on bounded per-core spill queues and written to segment
-files by writer threads — the same decoupling the PF_RING/n2disk dump
-pipelines use.  Three properties are enforced here:
+files in batches — the same decoupling the PF_RING/n2disk dump
+pipelines use.  The pipeline is **single-owner**: construct a writer
+anywhere, then drive it (``enqueue``/``drain``/``seal_all``/``close``)
+from one thread — the capture thread in library mode, ``scapd-owner``
+in service mode.  Nothing here takes a lock, and ``SCAP_RACE=1``
+checks that no second thread ever arrives.  Three properties are
+enforced:
 
 * **bounded memory** — each queue holds at most ``queue_bytes`` of
   payload; an enqueue that does not fit evicts queued records
@@ -15,18 +20,16 @@ pipelines use.  Three properties are enforced here:
   written to a segment or counted as dropped; the ledger
   ``enqueued == written + dropped`` must balance to zero outstanding
   at teardown (checked by the store sanitizer);
-* **deterministic tests** — writer threads are optional.  Without
-  ``start_threads()`` the queues drain synchronously whenever they
-  cross half their bound (and on ``drain()``/``close()``), which makes
-  every byte's fate a pure function of the input sequence.
+* **determinism** — a queue drains inline whenever it crosses half its
+  bound (and on ``drain()``/``close()``), so every byte's fate, every
+  segment name and every segment byte is a pure function of the input
+  sequence, always.
 """
 
 from __future__ import annotations
 
 import os
-import threading
 from collections import deque
-from threading import Event as _StopFlag
 from typing import Deque, List, Optional, Tuple
 
 from ..observability import NULL_OBSERVABILITY, STAGE_STORE_DRAIN, Observability
@@ -42,9 +45,9 @@ DEFAULT_SEGMENT_BYTES = 16 << 20
 class SpillQueue:
     """One core's bounded spill queue of pending stream records.
 
-    All mutations happen under the queue's lock so the optional writer
-    threads and the enqueueing capture path never race; payload bytes
-    are tracked so the bound is a *byte* budget, not a record count.
+    Owned by its :class:`StoreWriter` and touched only from that
+    writer's thread; payload bytes are tracked so the bound is a *byte*
+    budget, not a record count.
     """
 
     def __init__(self, core: int, queue_bytes: int):
@@ -52,15 +55,6 @@ class SpillQueue:
             raise ValueError("queue_bytes must be positive")
         self.core = core
         self.queue_bytes = queue_bytes
-        self._lock = threading.Lock()
-        # SCAP_RACE=1: every queue mutation must hold self._lock — the
-        # lockset-mode twin of the class docstring's locking claim.
-        self._race = race_detector_from_env()
-        self._race_token = (
-            self._race.register(f"SpillQueue[{core}]", mode="lockset")
-            if self._race is not None
-            else 0
-        )
         self._records: Deque[StreamRecord] = deque()
         self.depth_bytes = 0
         self.enqueued_records = 0
@@ -81,31 +75,28 @@ class SpillQueue:
         """
         size = len(record.data)
         victims: List[StreamRecord] = []
-        with self._lock:
-            if self._race is not None:
-                self._race.check(self._race_token, op="offer", locks=("_lock",))
-            self.enqueued_records += 1
-            self.enqueued_bytes += size
-            if size > self.queue_bytes:
+        self.enqueued_records += 1
+        self.enqueued_bytes += size
+        if size > self.queue_bytes:
+            self.dropped_records += 1
+            self.dropped_bytes += size
+            return False, victims
+        while self.depth_bytes + size > self.queue_bytes:
+            victim_index = self._lowest_priority_index()
+            victim = self._records[victim_index]
+            if victim.priority > record.priority:
+                # Everything queued outranks the newcomer: drop it.
                 self.dropped_records += 1
                 self.dropped_bytes += size
                 return False, victims
-            while self.depth_bytes + size > self.queue_bytes:
-                victim_index = self._lowest_priority_index()
-                victim = self._records[victim_index]
-                if victim.priority > record.priority:
-                    # Everything queued outranks the newcomer: drop it.
-                    self.dropped_records += 1
-                    self.dropped_bytes += size
-                    return False, victims
-                del self._records[victim_index]
-                self.depth_bytes -= len(victim.data)
-                self.dropped_records += 1
-                self.dropped_bytes += len(victim.data)
-                victims.append(victim)
-            self._records.append(record)
-            self.depth_bytes += size
-            return True, victims
+            del self._records[victim_index]
+            self.depth_bytes -= len(victim.data)
+            self.dropped_records += 1
+            self.dropped_bytes += len(victim.data)
+            victims.append(victim)
+        self._records.append(record)
+        self.depth_bytes += size
+        return True, victims
 
     def _lowest_priority_index(self) -> int:
         """Index of the oldest record among the lowest priority queued."""
@@ -119,22 +110,19 @@ class SpillQueue:
 
     def pop_all(self) -> List[StreamRecord]:
         """Remove and return everything queued (drain step)."""
-        with self._lock:
-            if self._race is not None:
-                self._race.check(self._race_token, op="pop_all", locks=("_lock",))
-            drained = list(self._records)
-            self._records.clear()
-            self.depth_bytes = 0
-            return drained
+        drained = list(self._records)
+        self._records.clear()
+        self.depth_bytes = 0
+        return drained
 
 
 class StoreWriter:
     """Per-core spill queues feeding per-core segment series on disk.
 
-    Each core owns its own segment series (``seg-<core>-<nnnnnn>``), so
-    concurrent writer threads never contend on a file.  Segments roll
-    at ``segment_bytes`` and sealed segments are reported through
-    ``on_seal`` (the store wires this to its index).
+    Each core owns its own segment series (``seg-<core>-<nnnnnn>``).
+    Segments roll at ``segment_bytes`` and sealed segments are reported
+    through ``on_seal`` (the store wires this to its index).  One thread
+    drives a writer for its whole life (see the module docstring).
     """
 
     def __init__(
@@ -173,7 +161,6 @@ class StoreWriter:
         self._last_record_ts = 0.0
         self._active: List[Optional[SegmentWriter]] = [None] * cores
         self._sequence = start_sequence
-        self._io_lock = threading.Lock()
         self._on_seal = on_seal
         self._san = sanitizers
         self._obs = observability or NULL_OBSERVABILITY
@@ -197,29 +184,15 @@ class StoreWriter:
             labels=("core",),
         )
         self._m_depth = [self._m_depth_family.labels(core) for core in range(cores)]
-        # Counters are plain `value += n` with no lock of their own, so
-        # writer threads must never touch them: drains *buffer* their
-        # observability under _obs_lock and the owner thread emits it
-        # on its next enqueue/drain/seal (see _flush_obs).
-        self._obs_lock = threading.Lock()
-        self._pending_written = 0
-        self._pending_dropped = 0
-        self._pending_sealed = 0
-        self._pending_depth: dict = {}
-        self._pending_waits: List[Tuple[int, float]] = []
-        # SCAP_RACE=1: the emission sites stay owner-thread state.
+        # SCAP_RACE=1: the first thread to enqueue/drain/seal owns the
+        # writer (queues, segments, ledger and metrics alike).
         self._race = race_detector_from_env()
         self._race_token = (
-            self._race.register("StoreWriter.obs")
-            if self._race is not None
-            else 0
+            self._race.register("StoreWriter") if self._race is not None else 0
         )
-        self._threads: List[threading.Thread] = []
-        self._stop = _StopFlag()
-        self._wakeup = threading.Condition()
 
     # ------------------------------------------------------------------
-    def attach_sanitizers(self, sanitizers: Optional[object]) -> None:  # scapcheck: single-owner
+    def attach_sanitizers(self, sanitizers: Optional[object]) -> None:
         """Late-bind a sanitizer context (e.g. the capture runtime's).
 
         Only valid before any bytes were enqueued — the ledger must see
@@ -231,7 +204,7 @@ class StoreWriter:
             raise ValueError("cannot attach sanitizers to a writer already in use")
         self._san = sanitizers
 
-    def attach_fault_injector(self, fault_injector: Optional[object]) -> None:  # scapcheck: single-owner
+    def attach_fault_injector(self, fault_injector: Optional[object]) -> None:
         """Late-bind the run's fault injector (store plane).
 
         Like :meth:`attach_sanitizers`, only valid before any bytes
@@ -282,10 +255,11 @@ class StoreWriter:
     def enqueue(self, core: int, record: StreamRecord) -> bool:
         """Offer a record to ``core``'s queue; False if it was dropped.
 
-        In synchronous mode (no threads running) the queue is drained
-        inline once it crosses half its byte bound, so memory stays
-        bounded without any background machinery.
+        The queue is drained inline once it crosses half its byte
+        bound, so memory stays bounded without any background machinery.
         """
+        if self._race is not None:
+            self._race.check(self._race_token, op="enqueue")
         queue = self.queues[core % len(self.queues)]
         accepted, _victims = queue.offer(record)
         if self._san is not None:
@@ -295,9 +269,6 @@ class StoreWriter:
             for victim in _victims:
                 self._san.store.on_drop(len(victim.data))
         if self._obs.enabled:
-            self._flush_obs()
-            if self._race is not None:
-                self._race.check(self._race_token, op="enqueue-metrics")
             self._m_enqueued.inc(len(record.data))
             dropped = (0 if accepted else len(record.data)) + sum(
                 len(victim.data) for victim in _victims
@@ -305,21 +276,18 @@ class StoreWriter:
             if dropped:
                 self._m_dropped.inc(dropped)
             self._m_depth[queue.core].set(queue.depth_bytes)
-        if self._threads:
-            with self._wakeup:
-                self._wakeup.notify_all()
-        elif queue.depth_bytes * 2 >= queue.queue_bytes:
+        if queue.depth_bytes * 2 >= queue.queue_bytes:
             self.drain(queue.core)
         return accepted
 
     def drain(self, core: Optional[int] = None) -> int:
         """Write queued records to segments; return records written."""
+        if self._race is not None:
+            self._race.check(self._race_token, op="drain")
         cores = range(len(self.queues)) if core is None else [core]
         written = 0
         for index in cores:
             written += self._drain_one(index)
-        if self._obs.enabled:
-            self._flush_obs()
         return written
 
     def _drain_one(self, core: int) -> int:
@@ -329,77 +297,49 @@ class StoreWriter:
             return 0
         written_payload = 0
         errored_payload = 0
-        with self._io_lock:
-            writer = self._writer_for(core)
-            for record in records:
-                self._last_record_ts = max(self._last_record_ts, record.timestamp)
-                if self._fault is not None and self._fault.store_write_error(
-                    record.timestamp, len(record.data)
-                ):
-                    # Simulated EIO: the record is lost; its bytes move
-                    # to the dropped side of the ledger so accounting
-                    # still balances at teardown.
-                    self.write_errors += 1
-                    self.write_error_bytes += len(record.data)
-                    errored_payload += len(record.data)
-                    if self._san is not None:
-                        self._san.store.on_drop(len(record.data))
-                    continue
-                writer.append(record)
-                self.written_records += 1
-                self.written_bytes += len(record.data)
-                written_payload += len(record.data)
+        writer = self._writer_for(core)
+        for record in records:
+            self._last_record_ts = max(self._last_record_ts, record.timestamp)
+            if self._fault is not None and self._fault.store_write_error(
+                record.timestamp, len(record.data)
+            ):
+                # Simulated EIO: the record is lost; its bytes move
+                # to the dropped side of the ledger so accounting
+                # still balances at teardown.
+                self.write_errors += 1
+                self.write_error_bytes += len(record.data)
+                errored_payload += len(record.data)
                 if self._san is not None:
-                    self._san.store.on_write(len(record.data))
-                if writer.disk_bytes >= self.segment_bytes:
-                    self._seal_active(core)
-                    writer = self._writer_for(core)
+                    self._san.store.on_drop(len(record.data))
+                continue
+            writer.append(record)
+            self.written_records += 1
+            self.written_bytes += len(record.data)
+            written_payload += len(record.data)
+            if self._san is not None:
+                self._san.store.on_write(len(record.data))
+            if writer.disk_bytes >= self.segment_bytes:
+                self._seal_active(core)
+                writer = self._writer_for(core)
         if self._obs.enabled:
+            if written_payload:
+                self._m_written.inc(written_payload)
+            if errored_payload:
+                self._m_dropped.inc(errored_payload)
+            self._m_depth[core].set(queue.depth_bytes)
             # Spill-queue wait, in *simulated* time: the drain happens no
             # earlier than the newest record in the batch, so each
             # record waited at least (newest - its own timestamp).  The
-            # drain itself costs no simulated service time (writer
-            # threads are off the capture path), so store_drain is a
-            # wait-only stage.  All of it is *buffered* here — this
-            # method runs on writer threads, which must not touch the
-            # lock-free metric objects the capture thread mutates.
+            # drain itself costs no simulated service time, so
+            # store_drain is a wait-only stage.
             drained_at = max(record.timestamp for record in records)
-            waits = [
-                (core, drained_at - record.timestamp) for record in records
-            ]
-            with self._obs_lock:
-                self._pending_written += written_payload
-                self._pending_dropped += errored_payload
-                self._pending_depth[core] = queue.depth_bytes
-                self._pending_waits.extend(waits)
+            self._obs.profiler.record_wait_seq(
+                STAGE_STORE_DRAIN,
+                [drained_at - record.timestamp for record in records],
+            )
         return len(records)
 
-    def _flush_obs(self) -> None:
-        """Emit buffered drain/seal observability (owner thread only)."""
-        with self._obs_lock:
-            written, self._pending_written = self._pending_written, 0
-            dropped, self._pending_dropped = self._pending_dropped, 0
-            sealed, self._pending_sealed = self._pending_sealed, 0
-            depths, self._pending_depth = self._pending_depth, {}
-            waits, self._pending_waits = self._pending_waits, []
-        if not (written or dropped or sealed or depths or waits):
-            return
-        if self._obs.enabled:
-            if self._race is not None:
-                self._race.check(self._race_token, op="flush-metrics")
-            if written:
-                self._m_written.inc(written)
-            if dropped:
-                self._m_dropped.inc(dropped)
-            if sealed:
-                self._m_sealed.inc(sealed)
-            for core, depth in depths.items():
-                self._m_depth[core].set(depth)
-            profiler = self._obs.profiler
-            for core, wait in waits:
-                profiler.record_wait(STAGE_STORE_DRAIN, core, wait)
-
-    def _writer_for(self, core: int) -> SegmentWriter:  # scapcheck: single-owner
+    def _writer_for(self, core: int) -> SegmentWriter:
         writer = self._active[core]
         if writer is None:
             name = f"seg-{core}-{self._sequence:06d}.scap"
@@ -413,7 +353,7 @@ class StoreWriter:
             self._active[core] = writer
         return writer
 
-    def _seal_active(self, core: int) -> Optional[SegmentInfo]:  # scapcheck: single-owner
+    def _seal_active(self, core: int) -> Optional[SegmentInfo]:
         writer = self._active[core]
         if writer is None or writer.record_count == 0:
             if writer is not None:
@@ -444,66 +384,26 @@ class StoreWriter:
         self.segments_sealed += 1
         self.disk_bytes_sealed += info.disk_bytes
         if self._obs.enabled:
-            # Sealing can happen on a writer thread mid-drain; buffer
-            # the tick and let the owner thread emit it.
-            with self._obs_lock:
-                self._pending_sealed += 1
+            self._m_sealed.inc()
         if self._on_seal is not None:
             self._on_seal(info)
         return info
 
     def seal_all(self) -> List[SegmentInfo]:
         """Drain every queue and seal every active segment."""
+        if self._race is not None:
+            self._race.check(self._race_token, op="seal_all")
         self.drain()
         infos = []
-        with self._io_lock:
-            for core in range(len(self.queues)):
-                info = self._seal_active(core)
-                if info is not None:
-                    infos.append(info)
-        if self._obs.enabled:
-            self._flush_obs()
+        for core in range(len(self.queues)):
+            info = self._seal_active(core)
+            if info is not None:
+                infos.append(info)
         return infos
 
     # ------------------------------------------------------------------
-    # Optional background writer threads
-    # ------------------------------------------------------------------
-    def start_threads(self) -> None:  # scapcheck: single-owner
-        """Start one writer thread per core queue."""
-        if self._threads:
-            return
-        self._stop.clear()
-        for core in range(len(self.queues)):
-            thread = threading.Thread(
-                target=self._thread_main, args=(core,), name=f"store-writer-{core}",
-                daemon=True,
-            )
-            self._threads.append(thread)
-            thread.start()
-
-    def stop_threads(self) -> None:  # scapcheck: single-owner
-        """Stop the writer threads after draining their queues."""
-        if not self._threads:
-            return
-        self._stop.set()
-        with self._wakeup:
-            self._wakeup.notify_all()
-        for thread in self._threads:
-            thread.join()
-        self._threads = []
-        self.drain()
-
-    def _thread_main(self, core: int) -> None:
-        while not self._stop.is_set():
-            if self._drain_one(core) == 0:
-                with self._wakeup:
-                    self._wakeup.wait(timeout=0.05)
-        self._drain_one(core)
-
-    # ------------------------------------------------------------------
     def close(self) -> List[SegmentInfo]:
-        """Stop threads, drain, seal; verify the byte ledger balances."""
-        self.stop_threads()
+        """Drain, seal; verify the byte ledger balances."""
         infos = self.seal_all()
         if self._san is not None:
             self._san.store.check_teardown(self)

@@ -75,17 +75,6 @@ def test_wait_is_tracked_separately_from_service():
     assert entry.service_seconds == 0.0
 
 
-def test_enter_exit_frames_attribute_elapsed_time():
-    profiler = _profiler()
-    profiler.stage_enter(STAGE_WORKER_CALLBACK, core=3, now=1.0)
-    elapsed = profiler.stage_exit(STAGE_WORKER_CALLBACK, core=3, now=1.5)
-    assert elapsed == 0.5
-    assert profiler.service_seconds[STAGE_WORKER_CALLBACK] == 0.5
-    # An exit without a matching enter attributes nothing.
-    assert profiler.stage_exit(STAGE_WORKER_CALLBACK, core=3, now=2.0) == 0.0
-    assert profiler.service_seconds[STAGE_WORKER_CALLBACK] == 0.5
-
-
 def test_report_fractions_and_coverage():
     profiler = _profiler()
     profiler.record(STAGE_REASSEMBLY, core=0, seconds=3.0)

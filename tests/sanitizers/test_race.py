@@ -89,77 +89,6 @@ class TestOwnerMode:
         assert violation.details["mode"] == "owner"
 
 
-class TestLocksetMode:
-    def test_consistent_lock_across_threads_is_clean(self):
-        detector = RaceDetector()
-        token = detector.register("queue", mode="lockset")
-        first_done = threading.Event()
-
-        def toucher(start_gate) -> None:
-            if start_gate is not None:
-                start_gate.wait(timeout=5.0)
-            detector.check(token, locks=("_lock",))
-            first_done.set()
-
-        threads = [
-            threading.Thread(target=toucher, args=(None,)),
-            threading.Thread(target=toucher, args=(first_done,)),
-        ]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        assert detector.violations == 0
-
-    def test_bare_access_after_sharing_trips(self):
-        detector = RaceDetector()
-        token = detector.register("queue", mode="lockset")
-        shared = threading.Event()
-        checked = threading.Event()
-        caught: list = []
-
-        def locked_toucher() -> None:
-            detector.check(token, locks=("_lock",))
-            shared.set()
-            # Stay alive until the bare access ran (ident recycling,
-            # as in ``provoke_owner_race``).
-            checked.wait(timeout=5.0)
-
-        def bare_toucher() -> None:
-            shared.wait(timeout=5.0)
-            try:
-                detector.check(token, locks=())
-            except InvariantViolation as violation:
-                caught.append(violation)
-            finally:
-                checked.set()
-
-        threads = [
-            threading.Thread(target=locked_toucher),
-            threading.Thread(target=bare_toucher),
-        ]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        assert len(caught) == 1
-        assert caught[0].details["mode"] == "lockset"
-
-    def test_exclusive_phase_never_requires_locks(self):
-        # One thread may touch the resource bare as long as it stays
-        # exclusive — Eraser's initialization exemption.
-        detector = RaceDetector()
-        token = detector.register("warmup", mode="lockset")
-        detector.check(token, locks=())
-        detector.check(token, locks=("_lock",))
-        detector.check(token, locks=())
-        assert detector.violations == 0
-
-    def test_unknown_mode_rejected(self):
-        with pytest.raises(ValueError):
-            RaceDetector().register("x", mode="optimistic")
-
-
 class TestEnvironmentWiring:
     def test_disabled_by_default(self, monkeypatch):
         monkeypatch.delenv("SCAP_RACE", raising=False)
@@ -202,40 +131,53 @@ class TestEnvironmentWiring:
         finally:
             reset_race_detector()
 
-    def test_threaded_store_writer_obs_is_clean(self, monkeypatch, tmp_path):
-        # Regression: drain metrics used to be emitted *on* the writer
-        # threads, racing the capture thread's enqueue metrics.  They
-        # are now buffered and flushed owner-side, so a threaded run
-        # with observability on must not trip the owner-mode check and
-        # the flushed counters must still balance.
+    @pytest.mark.parametrize("entry", ["enqueue", "flush"])
+    def test_store_writer_catches_a_second_thread(self, monkeypatch, tmp_path, entry):
+        # The writer is one owner-mode resource, checked at its mutation
+        # entry points with observability *off*: construct anywhere, the
+        # first thread to write owns it, any other thread is a race.
         monkeypatch.setenv("SCAP_RACE", "1")
         reset_race_detector()
         try:
-            from repro.observability import Observability
-            from repro.store import StoreWriter, StreamRecord
+            from repro.store import StreamRecord, StreamStore
 
-            obs = Observability(enabled=True)
-            writer = StoreWriter(
-                str(tmp_path), cores=2, queue_bytes=1 << 20, observability=obs
-            )
-            writer.start_threads()
-            payload = bytes(200)
-            for n in range(200):
-                record = StreamRecord(
+            def record(n: int) -> StreamRecord:
+                return StreamRecord(
                     five_tuple=TUPLE,
                     direction=0,
-                    stream_offset=n * len(payload),
+                    stream_offset=n * 200,
                     timestamp=float(n),
-                    data=payload,
+                    data=bytes(200),
                     priority=0,
                 )
-                writer.enqueue(n % 2, record)
-            writer.close()
-            assert writer.outstanding_bytes == 0
-            registry = obs.registry
-            assert registry.value("scap_store_written_bytes_total") + registry.value(
-                "scap_store_dropped_bytes_total"
-            ) == registry.value("scap_store_enqueued_bytes_total")
+
+            store = StreamStore(str(tmp_path), cores=2)
+            store.stats()  # reads take no check and claim nothing
+            store.append(record(0))  # main thread owns the writer now
+            caught: list = []
+
+            def intruder() -> None:
+                try:
+                    if entry == "enqueue":
+                        store.writer.enqueue(1, record(1))
+                    else:
+                        store.flush()
+                except InvariantViolation as violation:
+                    caught.append(violation)
+
+            thread = threading.Thread(target=intruder, name="store-intruder")
+            thread.start()
+            thread.join()
+            assert len(caught) == 1
+            assert caught[0].invariant == "race"
+            details = caught[0].details
+            assert details["resource"] == "StoreWriter"
+            assert details["first_thread"] == threading.current_thread().name
+            assert details["second_thread"] == "store-intruder"
+            assert "append" in details["first_stack"]
+            assert "intruder" in details["second_stack"]
+            store.close()  # the owner is unaffected and still balances
+            assert store.writer.outstanding_bytes == 0
         finally:
             reset_race_detector()
 

@@ -84,7 +84,20 @@ class TestSeededProjectFixtures:
         project = build_project(sources)
         descriptions = [root.description for root in project.roots]
         assert any("shards.py" in d for d in descriptions)
-        assert any("writer.py" in d for d in descriptions)
+        # The store starts no thread (single-owner by construction); the
+        # daemon's two threads are the roots that remain.
+        assert not any("store" + os.sep in d for d in descriptions)
+        assert any("owner.py" in d for d in descriptions)
+        loop_root = next(
+            root for root in project.roots if "daemon.py" in root.description
+        )
+        assert loop_root.kinds == frozenset({"thread"})
+        loop_closure = {fn.qualname for fn in project.reachable(loop_root).functions}
+        assert "ScapDaemon._dispatch" in loop_closure
+        # Static twin of SCAP_RACE's writer token: nothing the loop
+        # thread runs touches the store; it hands jobs to scapd-owner.
+        store_classes = ("StoreWriter.", "SpillQueue.", "StreamStore.", "StoreIndex.")
+        assert not [name for name in loop_closure if name.startswith(store_classes)]
         shard_root = next(
             root for root in project.roots if "shards.py" in root.description
         )

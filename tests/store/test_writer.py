@@ -1,10 +1,12 @@
 """Writer pipeline: bounded queues, PPL-style overflow, balanced ledger."""
 
+import hashlib
 import os
 
 import pytest
 
 from repro.netstack import FiveTuple, IPProtocol
+from repro.observability import Observability
 from repro.sanitizers import InvariantViolation, SanitizerContext
 from repro.store import SpillQueue, StoreWriter, StreamRecord, StreamStore
 
@@ -100,14 +102,35 @@ class TestStoreWriter:
         names = sorted(path.name for path in tmp_path.iterdir())
         assert [name.split("-")[1] for name in names] == ["0", "1", "2"]
 
-    def test_threaded_writers_drain_everything(self, tmp_path):
-        store = StreamStore(str(tmp_path), cores=2, use_threads=True)
+    def test_registry_ledger_balances_after_every_enqueue(self, tmp_path):
+        # Drains and seals emit their metrics directly, so the exported
+        # ledger holds mid-run, not only once close() has flushed.
+        obs = Observability(enabled=True)
+        writer = StoreWriter(
+            str(tmp_path), cores=2, queue_bytes=1000, segment_bytes=600,
+            observability=obs,
+        )
+        value = obs.registry.value
         for n in range(200):
-            store.append(_record(n), core=n % 2)
-        stats = store.close()
-        assert stats.written_bytes == 200 * 100
-        assert stats.queue_depth_bytes == 0
-        assert stats.stored_bytes == 200 * 100
+            # Mixed priorities and sizes: inline drains, rolls, evictions
+            # and (size 1100 > queue_bytes) outright drops all occur.
+            size = 1100 if n % 41 == 40 else 60 + 45 * (n % 9)
+            writer.enqueue(n % 2, _record(n, size=size, priority=n % 3))
+            enqueued = value("scap_store_enqueued_bytes_total")
+            written = value("scap_store_written_bytes_total")
+            dropped = value("scap_store_dropped_bytes_total")
+            depth = sum(
+                value("scap_store_queue_depth_bytes", core) for core in range(2)
+            )
+            assert enqueued == written + dropped + depth
+            assert enqueued == writer.enqueued_bytes
+            assert written == writer.written_bytes
+            assert dropped == writer.dropped_bytes
+            assert depth == writer.queue_depth_bytes
+        assert writer.dropped_bytes and writer.segments_sealed > 2
+        writer.close()
+        assert value("scap_store_segments_sealed_total") == writer.segments_sealed
+        assert writer.outstanding_bytes == 0
 
     @pytest.mark.parametrize("compress", [False, True])
     def test_sealed_segments_indexed_as_a_reopen_would(self, tmp_path, compress, monkeypatch):
@@ -174,3 +197,24 @@ class TestStoreSanitizer:
         with pytest.raises(InvariantViolation) as excinfo:
             san.store.on_write(80)  # wrote more than was ever enqueued
         assert excinfo.value.invariant == "store-accounting"
+
+    @pytest.mark.parametrize("compress", [False, True])
+    def test_same_records_give_identical_segment_files(self, tmp_path, compress):
+        # Single-owner writing: segment names and bytes are a pure
+        # function of the record sequence, on every run.
+        def record_into(directory):
+            store = StreamStore(
+                str(directory), cores=2, segment_bytes=400, compress=compress
+            )
+            for n in range(60):
+                store.append(_record(n, size=20 + 37 * (n % 7)), core=n % 2)
+            store.close(enforce_retention=False)
+            return {
+                path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+                for path in sorted(directory.iterdir())
+            }
+
+        first = record_into(tmp_path / "a")
+        second = record_into(tmp_path / "b")
+        assert len(first) > 4
+        assert first == second
