@@ -3,7 +3,8 @@
 There is one pipeline; ``batch_size`` only says how many packets move
 through it together.  Every observable output — delivered events
 (content, order, offsets), ``scap_get_stats`` fields, trace-hook
-emission counts, profiler stage seconds, and on-disk store contents —
+emission counts, profiler stage and queue-wait seconds, the full metrics
+registry export, and on-disk store contents —
 must be identical between ``batch_size=1`` (classify, handle and flush
 one packet at a time: the reference) and sizes 2, 7 and 64, on clean
 traces, under wire-plane fault injection, and on overlap-heavy traces.
@@ -11,8 +12,10 @@ traces, under wire-plane fault injection, and on overlap-heavy traces.
 All of them must also equal ``golden_fingerprints.json``.  The goldens
 were recorded from the separate per-packet implementation
 (``batch_size=0``) on the last commit that had one, so they pin the
-behaviour that implementation had; ``--record`` rewrites them from
-``batch_size=1`` and is for intentional behaviour changes only.
+behaviour that implementation had (the ``registry`` and ``waits`` keys
+were added later, recorded from ``batch_size=1`` on the last commit
+that still buffered metrics per batch); ``--record`` rewrites them
+from ``batch_size=1`` and is for intentional behaviour changes only.
 """
 
 from __future__ import annotations
@@ -105,6 +108,9 @@ def _fingerprint(
     The delivered-event digest hashes each event in dispatch order
     (identity, direction, offset, payload, hole flag), so any
     difference in content, ordering, or segmentation changes it.
+    ``registry`` is the SHA-256 of the whole JSON metrics export —
+    every counter, gauge, histogram bucket and float sum — and ``waits``
+    the profiler's per-stage queue-wait seconds.
     With ``store_dir`` the capture is also recorded and the hash of
     every file the store wrote joins the fingerprint.
     """
@@ -148,9 +154,10 @@ def _fingerprint(
         socket.set_store(StreamRecorder(store))
     result = socket.start_capture(name="differential")
     stats = scap_get_stats(socket)
-    profile = {
-        stage.stage: stage.service_seconds for stage in socket.profile().stages
-    }
+    stages = socket.profile().stages
+    profile = {stage.stage: stage.service_seconds for stage in stages}
+    waits = {stage.stage: stage.wait_seconds for stage in stages}
+    registry = hashlib.sha256(socket.export_metrics("json").encode()).hexdigest()
     busy = socket.runtime.busy_seconds()
     socket.close()
     if store is not None:
@@ -161,6 +168,8 @@ def _fingerprint(
         "stats": asdict(stats),
         "result": asdict(result),
         "profile": profile,
+        "waits": waits,
+        "registry": registry,
         "busy": busy,
         "trace_emitted": obs.trace.emitted,
     }
