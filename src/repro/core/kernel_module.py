@@ -136,9 +136,10 @@ class _BatchContext:
     """Mutable state carried across the packets of one (or more) batches.
 
     The flow cache persists across batches; the per-core packet/byte
-    accumulators are flushed into the metrics registry by
-    :meth:`ScapKernelModule.end_batch`, so the registry totals are
-    exact at every batch boundary.
+    counts are the one thing accumulated here and added to the metrics
+    registry by :meth:`ScapKernelModule.end_batch` (integers, so one
+    ``inc(n)`` equals ``n`` incs) — every other metric is recorded
+    where it happens.
     """
 
     __slots__ = (
@@ -305,14 +306,10 @@ class ScapKernelModule:
         if ctx.epoch != self._flow_epoch:
             ctx.flows.clear()
             ctx.epoch = self._flow_epoch
-        self.ppl.begin_batch()
-        self.memory.begin_batch()
         return ctx
 
     def end_batch(self, ctx: _BatchContext) -> None:
         """Flush the batch's accumulated per-core metric increments."""
-        self.ppl.end_batch()
-        self.memory.end_batch()
         if self.obs.enabled:
             for core, count in ctx.core_packets.items():
                 self._core(core)[0].inc(count)

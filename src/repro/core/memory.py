@@ -126,38 +126,8 @@ class StreamMemory:
         self._m_stored = registry.counter(
             "scap_memory_stored_bytes_total", "bytes accepted into the pool"
         )
-        # When batching, per-store metric updates are deferred: the
-        # occupancy samples queue up here (success and failure samples
-        # in store order) and flush in one pass at end_batch.
-        self._batch_fractions: Optional[List[float]] = None
-        self._batch_stored = 0
 
     # ------------------------------------------------------------------
-    def begin_batch(self) -> None:
-        """Defer per-store metrics until :meth:`end_batch`."""
-        if self._obs.enabled:
-            self._batch_fractions = []
-            self._batch_stored = 0
-
-    def end_batch(self) -> None:
-        """Flush deferred store metrics; bit-identical to per-store.
-
-        The occupancy histogram replays the exact per-store samples in
-        order; the stored-bytes counter advances by the batch's integer
-        byte total, which sums exactly in a double, so one ``inc`` is
-        bit-identical to per-store incs.
-        """
-        fractions = self._batch_fractions
-        self._batch_fractions = None
-        if fractions is None:
-            return
-        if self._obs.enabled:
-            if self._batch_stored:
-                self._m_stored.inc(self._batch_stored)
-            if fractions:
-                self._m_occupancy.observe_many(fractions)
-        self._batch_stored = 0
-
     def allocate_block(self, size: int) -> int:
         """Reserve an address range for a chunk block; return its base."""
         base = self._next_address
@@ -189,11 +159,7 @@ class StreamMemory:
                 )
             return False
         if self.pool.try_allocate(now, nbytes):
-            fractions = self._batch_fractions
-            if fractions is not None:
-                self._batch_stored += nbytes
-                fractions.append(self.pool.used / self.pool.capacity)
-            elif self._obs.enabled:
+            if self._obs.enabled:
                 self._m_stored.inc(nbytes)
                 self._m_occupancy.observe(self.pool.used / self.pool.capacity)
             if self._san is not None:
@@ -202,14 +168,7 @@ class StreamMemory:
         self.allocation_failures += 1
         if self._obs.enabled:
             self._m_failures.inc()
-            fractions = self._batch_fractions
-            if fractions is not None:
-                # Keep the failure sample in store order with the
-                # deferred success samples: histogram sums accumulate
-                # per sample, so order is part of bit-identity.
-                fractions.append(self.pool.used / self.pool.capacity)
-            else:
-                self._m_occupancy.observe(self.pool.used / self.pool.capacity)
+            self._m_occupancy.observe(self.pool.used / self.pool.capacity)
             self._obs.trace.emit(
                 now, HOOK_MEMORY_EXHAUSTED, five_tuple=stream_label, bytes=nbytes
             )

@@ -18,7 +18,7 @@ Below ``base_threshold`` nothing is ever dropped.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from ..observability import (
     DEFAULT_FRACTION_BUCKETS,
@@ -86,31 +86,8 @@ class PrioritizedPacketLoss:
         # first use, then the enabled path is a bare Counter.inc.
         self._drop_counters: Dict[Tuple[int, str], object] = {}
         self._band_width = (1.0 - self.base_threshold) / self.priority_levels
-        # When batching, per-check metric updates are deferred: the
-        # fraction samples queue up here and flush in one pass.
-        self._batch_fractions: Optional[List[float]] = None
 
     # ------------------------------------------------------------------
-    def begin_batch(self) -> None:
-        """Defer per-check metrics until :meth:`end_batch`."""
-        if self._obs.enabled:
-            self._batch_fractions = []
-
-    def end_batch(self) -> None:
-        """Flush deferred check metrics; state-identical to per-check.
-
-        The checks counter advances by the number of deferred checks,
-        the fraction histogram sees the exact per-check samples, and
-        the band gauge lands on the band of the last check — the same
-        final value the per-check path leaves behind.
-        """
-        fractions = self._batch_fractions
-        self._batch_fractions = None
-        if fractions and self._obs.enabled:
-            self._m_checks.inc(len(fractions))
-            self._m_fraction.observe_many(fractions)
-            self._m_band.set(self.band_index(fractions[-1]))
-
     def ensure_level(self, priority: int) -> None:
         """Grow the number of levels to cover ``priority``."""
         if priority + 1 > self.priority_levels:
@@ -140,10 +117,7 @@ class PrioritizedPacketLoss:
         """Decide whether to drop a packet of ``priority`` whose payload
         would land at byte ``stream_offset`` of its stream."""
         self.checked += 1
-        fractions = self._batch_fractions
-        if fractions is not None:
-            fractions.append(fraction_used)
-        elif self._obs.enabled:
+        if self._obs.enabled:
             self._m_checks.inc()
             self._m_fraction.observe(fraction_used)
             self._m_band.set(self.band_index(fraction_used))

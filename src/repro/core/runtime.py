@@ -215,8 +215,9 @@ class ScapRuntime:
         so every packet is handled under the verdict it would get if
         classified immediately before its softirq — which makes every
         simulated effect (admission, cycles, events, hooks) independent
-        of the batch size.  NIC counters and profiler attributions are
-        accumulated locally and flushed once per batch.
+        of the batch size.  Metrics and profiler attributions are
+        recorded where they happen; only the NIC/runtime integer tallies
+        are accumulated locally and flushed once per batch.
         """
         packets = batch.packets
         count = len(packets)
@@ -227,8 +228,6 @@ class ScapRuntime:
         version = nic.classify_batch(batch)
         kernel = self.kernel
         ctx = kernel.begin_batch()
-        workers = self.workers
-        workers.begin_batch()
         handle = kernel.handle_batch_packet
         stage_cycles = kernel.stage_cycles
         servers = self.host.softirq
@@ -243,6 +242,9 @@ class ScapRuntime:
         pending = self._pending_events
         pending.clear()
         dispatch = self.workers.dispatch
+        observe_service = self._m_softirq_service.observe
+        depth_gauges = self._m_softirq_depth
+        profiler = self.obs.profiler
         # Local NIC/runtime accounting, flushed once per batch.
         fcs_errors = 0
         fdir_drops = 0
@@ -250,19 +252,6 @@ class ScapRuntime:
         ring_drops = 0
         bytes_offered = batch.total_wire_bytes()
         per_queue = [0] * queue_count
-        # Profiler samples, one (queue, cycles) sequence per kernel
-        # stage in packet order.  The flush replays them through
-        # ``record_seq`` so every accumulator sees the same per-sample
-        # adds in the same order whatever the batch size; cycles divide
-        # to seconds per sample, never as a batch sum.
-        stage_q = ([], [], [], [])
-        stage_v = ([], [], [], [])
-        sq0, sq1, sq2, sq3 = stage_q
-        sv0, sv1, sv2, sv3 = stage_v
-        wait_samples: List[float] = []
-        depth_last: List[Optional[float]] = [None] * queue_count
-        service_samples: List[float] = []
-        observe_service = service_samples.append
         # zip iterates the live verdict/queue lists, so a mid-batch
         # reclassification of the tail is seen by later iterations.
         for index, (packet, verdict, queue, five_tuple) in enumerate(
@@ -288,29 +277,16 @@ class ScapRuntime:
             kernel_finish = server.push(now, 1, service)
             if enabled:
                 observe_service(service)
-                depth_last[queue] = now
-                # Unrolled per-stage sample capture (hot loop); stages
-                # that charged nothing record no sample.
-                cyc = stage_cycles[0]
-                if cyc:
-                    sq0.append(queue)
-                    sv0.append(cyc)
-                cyc = stage_cycles[1]
-                if cyc:
-                    sq1.append(queue)
-                    sv1.append(cyc)
-                cyc = stage_cycles[2]
-                if cyc:
-                    sq2.append(queue)
-                    sv2.append(cyc)
-                cyc = stage_cycles[3]
-                if cyc:
-                    sq3.append(queue)
-                    sv3.append(cyc)
-                wait = kernel_finish - service - now
-                # record_wait would discard negatives; pre-filter here.
-                if wait >= 0.0:
-                    wait_samples.append(wait)
+                depth_gauges[queue].set(server.occupancy(now))
+                # Stages that charged nothing record no sample; cycles
+                # divide to seconds per sample, never as a batch sum.
+                for stage, cyc in zip(KERNEL_STAGES, stage_cycles):
+                    if cyc:
+                        profiler.record(stage, queue, cyc / core_hz)
+                # The packet's wait in the RX ring before its softirq ran.
+                profiler.record_wait(
+                    STAGE_PACKET_RECEIVE, queue, kernel_finish - service - now
+                )
             if pending:
                 for core, event in pending:
                     dispatch(core, event, kernel_finish)
@@ -321,7 +297,6 @@ class ScapRuntime:
                 # may have changed.
                 version = nic.classify_batch(batch, index + 1)
         kernel.end_batch(ctx)
-        workers.end_batch()
         self.packets_offered += count
         self.bytes_offered += bytes_offered
         self.ring_drops += ring_drops
@@ -336,21 +311,6 @@ class ScapRuntime:
         if enabled:
             if ring_drops:
                 self._m_ring_drops.inc(ring_drops)
-            self._m_softirq_service.observe_many(service_samples)
-            profiler = self.obs.profiler
-            for stage_index in range(4):
-                cycles_seq = stage_v[stage_index]
-                if cycles_seq:
-                    profiler.record_seq(
-                        KERNEL_STAGES[stage_index],
-                        stage_q[stage_index],
-                        [cycles / core_hz for cycles in cycles_seq],
-                    )
-            profiler.record_wait_seq(STAGE_PACKET_RECEIVE, wait_samples)
-            depth_gauges = self._m_softirq_depth
-            for queue, last_now in enumerate(depth_last):
-                if last_now is not None:
-                    depth_gauges[queue].set(servers[queue].occupancy(last_now))
 
     def finalize(self, end_time: float) -> None:
         """Drain remaining flows at end of capture."""

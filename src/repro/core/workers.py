@@ -50,45 +50,6 @@ class Callbacks:
     termination_cost: Optional[Callable[[Event], float]] = None
 
 
-class _WorkerBatch:
-    """Per-batch observability samples for :class:`WorkerPool`.
-
-    Samples are kept in dispatch order and replayed through the
-    profiler's ``record_seq``/``record_wait_seq`` at flush, so every
-    accumulator (stage totals, per-worker totals, histogram sums, the
-    busy counters) sees the same per-sample adds in the same order as
-    the per-event path — bit-identical, not merely equal in total.
-    Only the depth gauge is final-value-granular: it lands on the
-    occupancy at each worker's last dispatch, the same value the
-    per-event path leaves behind.
-    """
-
-    __slots__ = (
-        "service_samples",
-        "workers",
-        "dispatch_vals",
-        "callback_vals",
-        "wait_vals",
-        "depth_last",
-    )
-
-    def __init__(self, worker_count: int):
-        self.service_samples: List[float] = []
-        self.workers: List[int] = []
-        self.dispatch_vals: List[float] = []
-        self.callback_vals: List[float] = []
-        self.wait_vals: List[float] = []
-        self.depth_last: List[Optional[float]] = [None] * worker_count
-
-    def reset(self) -> None:
-        self.service_samples.clear()
-        self.workers.clear()
-        self.dispatch_vals.clear()
-        self.callback_vals.clear()
-        self.wait_vals.clear()
-        self.depth_last = [None] * len(self.depth_last)
-
-
 class WorkerPool:  # scapcheck: single-owner
     """The user-level worker threads of one Scap socket.
 
@@ -144,43 +105,17 @@ class WorkerPool:  # scapcheck: single-owner
         #: Set while a data callback runs, so API calls made from inside
         #: the callback (keep_stream_chunk, discard_stream) can find it.
         self.current_event: Optional[Event] = None
-        self._batch: Optional[_WorkerBatch] = None
-        self._batch_ctx: Optional[_WorkerBatch] = None
 
     # ------------------------------------------------------------------
     def begin_batch(self) -> None:
-        """Start accumulating dispatch observability for one batch."""
-        if not self.obs.enabled:
-            return
-        ctx = self._batch_ctx
-        if ctx is None:
-            ctx = _WorkerBatch(len(self.servers))
-            self._batch_ctx = ctx
-        else:
-            ctx.reset()
-        self._batch = ctx
+        """No-op, never called: ``dispatch`` records its metrics itself.
+
+        Kept (like :meth:`end_batch`) only because
+        ``benchmarks/perf/spec.py`` resolves both names on this class.
+        """
 
     def end_batch(self) -> None:
-        """Flush accumulated dispatch observability for the batch."""
-        batch = self._batch
-        if batch is None:
-            return
-        self._batch = None
-        if self.obs.enabled:
-            self._m_service.observe_many(batch.service_samples)
-            profiler = self.obs.profiler
-            profiler.record_seq(
-                STAGE_EVENT_DEQUEUE, batch.workers, batch.dispatch_vals
-            )
-            profiler.record_seq(
-                STAGE_WORKER_CALLBACK, batch.workers, batch.callback_vals
-            )
-            profiler.record_wait_seq(STAGE_EVENT_DEQUEUE, batch.wait_vals)
-            for worker, last_now in enumerate(batch.depth_last):
-                if last_now is not None:
-                    self._m_depth[worker].set(
-                        self.servers[worker].occupancy(last_now)
-                    )
+        """No-op, never called; see :meth:`begin_batch`."""
 
     @property
     def worker_count(self) -> int:
@@ -240,31 +175,19 @@ class WorkerPool:  # scapcheck: single-owner
             service += self._fault.sched_stall(ready_time, worker)
         finish = server.push(ready_time, 1, service)
         if self.obs.enabled:
-            batch = self._batch
-            if batch is not None:
-                batch.service_samples.append(service)
-                batch.workers.append(worker)
-                batch.dispatch_vals.append(self.cost.seconds(dispatch_cycles))
-                batch.callback_vals.append(self.cost.seconds(app_cycles))
-                batch.depth_last[worker] = ready_time
-                wait = finish - service - ready_time
-                # record_wait would discard negatives; pre-filter here.
-                if wait >= 0.0:
-                    batch.wait_vals.append(wait)
-            else:
-                self._m_service.observe(service)
-                self._m_depth[worker].set(server.occupancy(ready_time))
-                profiler = self.obs.profiler
-                profiler.record(
-                    STAGE_EVENT_DEQUEUE, worker, self.cost.seconds(dispatch_cycles)
-                )
-                profiler.record(
-                    STAGE_WORKER_CALLBACK, worker, self.cost.seconds(app_cycles)
-                )
-                # Time the event sat in the queue before its service began.
-                profiler.record_wait(
-                    STAGE_EVENT_DEQUEUE, worker, finish - service - ready_time
-                )
+            self._m_service.observe(service)
+            self._m_depth[worker].set(server.occupancy(ready_time))
+            profiler = self.obs.profiler
+            profiler.record(
+                STAGE_EVENT_DEQUEUE, worker, self.cost.seconds(dispatch_cycles)
+            )
+            profiler.record(
+                STAGE_WORKER_CALLBACK, worker, self.cost.seconds(app_cycles)
+            )
+            # Time the event sat in the queue before its service began.
+            profiler.record_wait(
+                STAGE_EVENT_DEQUEUE, worker, finish - service - ready_time
+            )
         self._run_callback(event, service)
         if event.chunk is not None and not event.chunk.keep:
             self.memory.schedule_release(finish, event.chunk.accounted_bytes)

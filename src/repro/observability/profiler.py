@@ -37,7 +37,7 @@ pre-resolved at construction time.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .registry import Histogram, MetricsRegistry
 
@@ -229,31 +229,6 @@ class StageProfiler:
         self._service[stage].observe(seconds)
         self._busy[stage].inc(seconds)
 
-    def record_seq(
-        self, stage: str, cores: Sequence[int], values: Sequence[float]
-    ) -> None:
-        """Replay a batch of :meth:`record` calls in sample order.
-
-        Bit-identical to ``len(values)`` individual ``record`` calls
-        with the same (core, seconds) pairs in the same order: the
-        stage total, per-core totals, histogram sum, and busy counter
-        all accumulate sample-by-sample, so even the float rounding
-        is independent of the batch size.  Values must be non-negative
-        (cycle-derived); only the per-call overhead is amortized.
-        """
-        if not values:
-            return
-        acc = self.service_seconds[stage]
-        per_core = self.per_core_seconds[stage]
-        get = per_core.get
-        for core, seconds in zip(cores, values):
-            acc += seconds
-            per_core[core] = get(core, 0.0) + seconds
-        self.service_seconds[stage] = acc
-        self.samples[stage] += len(values)
-        self._service[stage].observe_many(values)
-        self._busy[stage].inc_many(values)
-
     def record_wait(self, stage: str, core: int, seconds: float) -> None:
         """Attribute ``seconds`` of simulated queue-wait before a stage."""
         if seconds < 0.0:
@@ -261,22 +236,6 @@ class StageProfiler:
         self.wait_seconds[stage] += seconds
         self.wait_samples[stage] += 1
         self._wait[stage].observe(seconds)
-
-    def record_wait_seq(self, stage: str, values: Sequence[float]) -> None:
-        """Batched twin of :meth:`record_wait` (see :meth:`record_seq`).
-
-        ``record_wait`` never reads the core, so only the sample order
-        matters; callers must pre-filter negative waits (the same
-        samples ``record_wait`` would have discarded).
-        """
-        if not values:
-            return
-        acc = self.wait_seconds[stage]
-        for seconds in values:
-            acc += seconds
-        self.wait_seconds[stage] = acc
-        self.wait_samples[stage] += len(values)
-        self._wait[stage].observe_many(values)
 
     # ------------------------------------------------------------------
     # Reduction

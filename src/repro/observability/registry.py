@@ -64,24 +64,6 @@ class Counter:
             raise ValueError("counters are monotone; cannot inc by a negative")
         self.value += amount
 
-    def inc_many(self, amounts: Sequence[float]) -> None:
-        """Add several amounts in one call.
-
-        State-identical to calling :meth:`inc` per amount — the value
-        accumulates amount-by-amount so even the float rounding
-        matches; only the per-call overhead is amortized.
-        """
-        if not self._registry.enabled or not amounts:
-            return
-        value = self.value
-        for amount in amounts:
-            if amount < 0:
-                raise ValueError(
-                    "counters are monotone; cannot inc by a negative"
-                )
-            value += amount
-        self.value = value
-
 
 class Gauge:
     """A value that can go up and down (queue depths, table sizes)."""
@@ -135,22 +117,6 @@ class Histogram:
         self.counts[bisect_left(self.bounds, value)] += 1
         self.total += 1
         self.sum += value
-
-    def observe_many(self, values: Sequence[float]) -> None:
-        """Record several samples in one call.
-
-        State-identical to calling :meth:`observe` per sample — the sum
-        is accumulated sample-by-sample so even the float rounding
-        matches; only the per-call overhead is amortized.
-        """
-        if not self._registry.enabled or not values:
-            return
-        counts = self.counts
-        bounds = self.bounds
-        for value in values:
-            counts[bisect_left(bounds, value)] += 1
-            self.sum += value
-        self.total += len(values)
 
     def cumulative(self) -> List[Tuple[float, int]]:
         """(upper_bound, cumulative_count) pairs, ending with +Inf."""

@@ -333,10 +333,11 @@ class StoreWriter:
             # drain itself costs no simulated service time, so
             # store_drain is a wait-only stage.
             drained_at = max(record.timestamp for record in records)
-            self._obs.profiler.record_wait_seq(
-                STAGE_STORE_DRAIN,
-                [drained_at - record.timestamp for record in records],
-            )
+            record_wait = self._obs.profiler.record_wait
+            for record in records:
+                record_wait(
+                    STAGE_STORE_DRAIN, core, drained_at - record.timestamp
+                )
         return len(records)
 
     def _writer_for(self, core: int) -> SegmentWriter:

@@ -1,135 +1,17 @@
 """Unit tests for the hot path's batching building blocks.
 
-The pipeline defers observability to per-batch flushes; these tests
-pin the bit-identity contract of each primitive (``inc_many``,
-``observe_many``, ``record_seq``/``record_wait_seq``, the stream-memory
-batch window), the faulted workload's batched replay, timeline reset,
-and the one remaining knob: ``batch_size``, packets per batch.
+The faulted workload's batched replay, timeline reset, and the one
+remaining knob: ``batch_size``, packets per batch.
 """
 
 from __future__ import annotations
 
-import random
-
 import pytest
 
-from repro.core.memory import StreamMemory
 from repro.core import ScapRuntime
 from repro.core.runtime import DEFAULT_BATCH_SIZE
 from repro.faultinject import FaultInjector, FaultPlan, WireFaults
-from repro.observability import STAGE_EVENT_DEQUEUE, Observability
 from repro.traffic import campus_mix
-
-
-def _values(count=200, seed=3):
-    rng = random.Random(seed)
-    # Spread magnitudes so naive re-association would actually round
-    # differently — the equality below is therefore a real bit check.
-    return [rng.random() * 10.0 ** rng.randint(-9, 3) for _ in range(count)]
-
-
-class TestCounterIncMany:
-    def test_bit_identical_to_repeated_inc(self):
-        registry = Observability(enabled=True).registry
-        one_by_one = registry.counter("a_total", "")
-        batched = registry.counter("b_total", "")
-        values = _values()
-        for value in values:
-            one_by_one.inc(value)
-        batched.inc_many(values)
-        assert batched.value == one_by_one.value  # exact, not approx
-
-    def test_empty_is_noop_and_negative_raises(self):
-        registry = Observability(enabled=True).registry
-        counter = registry.counter("c_total", "")
-        counter.inc_many([])
-        assert counter.value == 0.0
-        with pytest.raises(ValueError):
-            counter.inc_many([1.0, -0.5])
-
-    def test_disabled_registry_ignores(self):
-        registry = Observability(enabled=False).registry
-        counter = registry.counter("d_total", "")
-        counter.inc_many([1.0, 2.0])
-        assert counter.value == 0.0
-
-
-class TestHistogramObserveMany:
-    def test_matches_repeated_observe_exactly(self):
-        registry = Observability(enabled=True).registry
-        one_by_one = registry.histogram("a_seconds", "")
-        batched = registry.histogram("b_seconds", "")
-        values = _values()
-        for value in values:
-            one_by_one.observe(value)
-        batched.observe_many(values)
-        assert batched.sum == one_by_one.sum
-        assert batched.counts == one_by_one.counts
-        assert batched.total == one_by_one.total
-
-
-class TestProfilerSeq:
-    def test_record_seq_replays_per_sample_adds(self):
-        reference = Observability(enabled=True).profiler
-        batched = Observability(enabled=True).profiler
-        cores = [index % 3 for index in range(len(_values()))]
-        values = _values()
-        for core, value in zip(cores, values):
-            reference.record(STAGE_EVENT_DEQUEUE, core, value)
-        batched.record_seq(STAGE_EVENT_DEQUEUE, cores, values)
-        assert batched.service_seconds[STAGE_EVENT_DEQUEUE] == (
-            reference.service_seconds[STAGE_EVENT_DEQUEUE]
-        )
-        assert batched.per_core_seconds[STAGE_EVENT_DEQUEUE] == (
-            reference.per_core_seconds[STAGE_EVENT_DEQUEUE]
-        )
-        assert batched.samples[STAGE_EVENT_DEQUEUE] == reference.samples[STAGE_EVENT_DEQUEUE]
-
-    def test_record_wait_seq_replays_per_sample_adds(self):
-        reference = Observability(enabled=True).profiler
-        batched = Observability(enabled=True).profiler
-        values = _values(seed=5)
-        for value in values:
-            reference.record_wait(STAGE_EVENT_DEQUEUE, 0, value)
-        batched.record_wait_seq(STAGE_EVENT_DEQUEUE, values)
-        assert batched.wait_seconds[STAGE_EVENT_DEQUEUE] == reference.wait_seconds[STAGE_EVENT_DEQUEUE]
-        assert batched.wait_samples[STAGE_EVENT_DEQUEUE] == reference.wait_samples[STAGE_EVENT_DEQUEUE]
-
-    def test_empty_seq_is_noop(self):
-        profiler = Observability(enabled=True).profiler
-        profiler.record_seq(STAGE_EVENT_DEQUEUE, [], [])
-        profiler.record_wait_seq(STAGE_EVENT_DEQUEUE, [])
-        assert profiler.samples[STAGE_EVENT_DEQUEUE] == 0
-        assert profiler.wait_samples[STAGE_EVENT_DEQUEUE] == 0
-
-
-class TestMemoryBatchWindow:
-    def _memories(self):
-        return (
-            StreamMemory(1 << 16, observability=Observability(enabled=True)),
-            StreamMemory(1 << 16, observability=Observability(enabled=True)),
-        )
-
-    def test_batched_stores_match_unbatched(self):
-        unbatched, batched = self._memories()
-        sizes = [100, 5000, 60000, 1200, 60000]  # the 60000s exhaust it
-        for size in sizes:
-            unbatched.try_store(0.0, size)
-        batched.begin_batch()
-        for size in sizes:
-            batched.try_store(0.0, size)
-        batched.end_batch()
-        assert batched.pool.used == unbatched.pool.used
-        assert batched.allocation_failures == unbatched.allocation_failures
-        assert batched._m_stored.value == unbatched._m_stored.value
-        assert batched._m_occupancy.counts == unbatched._m_occupancy.counts
-        assert batched._m_occupancy.sum == unbatched._m_occupancy.sum
-        assert batched._m_failures.value == unbatched._m_failures.value
-
-    def test_end_batch_without_begin_is_noop(self):
-        memory = StreamMemory(1 << 16, observability=Observability(enabled=True))
-        memory.end_batch()
-        assert memory._m_stored.value == 0.0
 
 
 class TestFaultedBatchedReplay:
