@@ -278,8 +278,7 @@ class ScapRuntime:
             if enabled:
                 observe_service(service)
                 depth_gauges[queue].set(server.occupancy(now))
-                # Stages that charged nothing record no sample; cycles
-                # divide to seconds per sample, never as a batch sum.
+                # Stages that charged nothing record no sample.
                 for stage, cyc in zip(KERNEL_STAGES, stage_cycles):
                     if cyc:
                         profiler.record(stage, queue, cyc / core_hz)
