@@ -20,6 +20,7 @@ IPV4_MIN_HEADER_LEN = 20
 
 _FLAG_DF = 0x2
 _FLAG_MF = 0x1
+_HEADER = struct.Struct("!BBHHHBBHII")
 
 
 class IPProtocol:
@@ -91,9 +92,10 @@ class IPv4Header:
         return header[:10] + struct.pack("!H", checksum) + header[12:]
 
     @classmethod
-    def parse(cls, data: bytes) -> "IPv4Header":
-        """Parse the first 20 bytes of ``data`` as an IPv4 header."""
-        if len(data) < IPV4_MIN_HEADER_LEN:
+    def parse(cls, data, offset: int = 0, end: "int | None" = None) -> "IPv4Header":
+        """Parse the 20 bytes at ``offset`` of ``data`` (any bytes-like;
+        the packet stops at ``end``, default its length) as an IPv4 header."""
+        if (len(data) if end is None else end) - offset < IPV4_MIN_HEADER_LEN:
             raise ValueError("truncated IPv4 header")
         (
             version_ihl,
@@ -106,7 +108,7 @@ class IPv4Header:
             checksum,
             src_ip,
             dst_ip,
-        ) = struct.unpack_from("!BBHHHBBHII", data, 0)
+        ) = _HEADER.unpack_from(data, offset)
         version = version_ihl >> 4
         ihl = version_ihl & 0xF
         if version != 4:

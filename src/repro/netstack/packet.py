@@ -9,6 +9,7 @@ wire form for pcap I/O and for tests that must exercise real parsing.
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass
 
 from .ethernet import ETHERNET_HEADER_LEN, EtherType, EthernetHeader
@@ -18,6 +19,9 @@ from .tcp import TCPFlags, TCPHeader
 from .udp import UDP_HEADER_LEN, UDPHeader
 
 __all__ = ["Packet", "make_tcp_packet", "make_udp_packet"]
+
+#: The four bytes after an 802.1Q ethertype: TCI, encapsulated ethertype.
+_VLAN_TAG = struct.Struct("!HH")
 
 
 @dataclass
@@ -110,8 +114,6 @@ class Packet:
     # ------------------------------------------------------------------
     def to_bytes(self) -> bytes:
         """Serialize to the full wire frame (headers recompute checksums)."""
-        import struct as _struct
-
         if self.vlan_id is not None:
             # 802.1Q: the Ethernet type becomes 0x8100 followed by the
             # TCI and the encapsulated ethertype.
@@ -119,7 +121,7 @@ class Packet:
             eth = EthernetHeader(self.eth.dst_mac, self.eth.src_mac, EtherType.VLAN)
             parts = [
                 eth.to_bytes(),
-                _struct.pack("!HH", self.vlan_id & 0x0FFF, inner_type),
+                _VLAN_TAG.pack(self.vlan_id & 0x0FFF, inner_type),
             ]
         else:
             parts = [self.eth.to_bytes()]
@@ -133,44 +135,46 @@ class Packet:
         return b"".join(parts)
 
     @classmethod
-    def parse(cls, data: bytes, timestamp: float = 0.0, wire_len: int = 0) -> "Packet":
+    def parse(
+        cls, data, timestamp: float = 0.0, wire_len: int = 0, offset: int = 0,
+        end: "int | None" = None,
+    ) -> "Packet":
         """Parse a wire frame into a Packet.
+
+        ``data`` is any bytes-like object and the frame is
+        ``data[offset:end]`` (default: all of it).  Every header is
+        parsed where it lies in that one buffer; the only bytes copied
+        out are the ones the packet keeps (payload, TCP options).
 
         Non-IPv4 frames keep only the Ethernet header and opaque payload.
         IP fragments with nonzero offset carry no parsed transport header.
         """
-        eth = EthernetHeader.parse(data)
-        offset = ETHERNET_HEADER_LEN
+        if end is None:
+            end = len(data)
+        frame_len = end - offset
+        eth = EthernetHeader.parse(data, offset, end)
+        offset += ETHERNET_HEADER_LEN
         vlan_id = None
         ethertype = eth.ethertype
         if ethertype == EtherType.VLAN:
-            import struct as _struct
-
-            if len(data) < offset + 4:
+            if end < offset + 4:
                 raise ValueError("truncated 802.1Q tag")
-            tci, ethertype = _struct.unpack_from("!HH", data, offset)
+            tci, ethertype = _VLAN_TAG.unpack_from(data, offset)
             vlan_id = tci & 0x0FFF
             offset += 4
             eth = EthernetHeader(eth.dst_mac, eth.src_mac, ethertype)
-        if ethertype != EtherType.IPV4:
-            return cls(
-                eth=eth,
-                payload=bytes(data[offset:]),
-                timestamp=timestamp,
-                wire_len=wire_len or len(data),
-                vlan_id=vlan_id,
-            )
-        ip = IPv4Header.parse(data[offset:])
-        offset += ip.header_len
-        ip_start = offset - ip.header_len
-        end = min(len(data), ip_start + ip.total_length)
-        tcp = udp = None
-        if ip.fragment_offset == 0 and ip.protocol == IPProtocol.TCP:
-            tcp, data_offset = TCPHeader.parse(data[offset:end])
-            offset += data_offset
-        elif ip.fragment_offset == 0 and ip.protocol == IPProtocol.UDP:
-            udp = UDPHeader.parse(data[offset:end])
-            offset += UDP_HEADER_LEN
+        ip = tcp = udp = None
+        if ethertype == EtherType.IPV4:
+            ip = IPv4Header.parse(data, offset, end)
+            # Ethernet padding past the datagram is not payload.
+            end = min(end, offset + ip.total_length)
+            offset += ip.header_len
+            if ip.fragment_offset == 0 and ip.protocol == IPProtocol.TCP:
+                tcp, data_offset = TCPHeader.parse(data, offset, end)
+                offset += data_offset
+            elif ip.fragment_offset == 0 and ip.protocol == IPProtocol.UDP:
+                udp = UDPHeader.parse(data, offset, end)
+                offset += UDP_HEADER_LEN
         return cls(
             eth=eth,
             ip=ip,
@@ -178,7 +182,7 @@ class Packet:
             udp=udp,
             payload=bytes(data[offset:end]),
             timestamp=timestamp,
-            wire_len=wire_len or len(data),
+            wire_len=wire_len or frame_len,
             vlan_id=vlan_id,
         )
 

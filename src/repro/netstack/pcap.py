@@ -24,6 +24,9 @@ _MAGIC_USEC = 0xA1B2C3D4
 _MAGIC_NSEC = 0xA1B23C4D
 _GLOBAL_HEADER = struct.Struct("<IHHiIII")
 _RECORD_HEADER = struct.Struct("<IIII")
+#: Bytes the reader asks of its file at a time (a record larger than
+#: this is read whole): what a reader holds, whatever the file's size.
+READ_BLOCK = 1 << 18
 
 
 @dataclass
@@ -84,7 +87,8 @@ class PcapWriter:
 
 
 class PcapReader:
-    """Iterates packets out of a pcap file (a path, or an open binary file)."""
+    """Iterates packets out of a pcap file (a path, or an open binary
+    file), holding one :data:`READ_BLOCK` of it at a time."""
 
     def __init__(self, path: Union[str, BinaryIO]):
         self._file, self._ours = _open(path, "rb")
@@ -116,17 +120,31 @@ class PcapReader:
         raise ValueError(f"not a pcap file (magic 0x{magic_le:08x})")
 
     def __iter__(self) -> Iterator[Packet]:
+        """Yield the file's packets; a record cut short ends the walk.
+        Each record is unpacked and parsed where it lies in the block
+        read (``Packet.parse`` at an offset): no per-frame copy."""
         divisor = 1e9 if self._format.nanosecond else 1e6
+        unpack = self._record.unpack_from
+        header_size = self._record.size
+        read = self._file.read
+        parse = Packet.parse
+        block = b""
+        offset = 0
         while True:
-            record = self._file.read(self._record.size)
-            if len(record) < self._record.size:
+            start = end = offset + header_size  # of the frame, once its length is known
+            if start <= len(block):
+                seconds, fraction, caplen, wire_len = unpack(block, offset)
+                end = start + caplen
+                if end <= len(block):
+                    yield parse(block, seconds + fraction / divisor, wire_len, start, end)
+                    offset = end
+                    continue
+            # The record at ``offset`` runs past the block: carry its head over.
+            more = read(max(READ_BLOCK, end - len(block)))
+            if not more:
                 return
-            seconds, fraction, caplen, wire_len = self._record.unpack(record)
-            frame = self._file.read(caplen)
-            if len(frame) < caplen:
-                return
-            timestamp = seconds + fraction / divisor
-            yield Packet.parse(frame, timestamp=timestamp, wire_len=wire_len)
+            block = block[offset:] + more
+            offset = 0
 
     def close(self) -> None:
         """Close the underlying file (a caller's file is left open)."""

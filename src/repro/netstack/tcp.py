@@ -28,6 +28,7 @@ __all__ = [
 
 TCP_MIN_HEADER_LEN = 20
 SEQ_MOD = 2**32
+_FIXED = struct.Struct("!HHIIBBHHH")
 
 
 class TCPFlags:
@@ -184,14 +185,17 @@ class TCPHeader:
         return header[:16] + struct.pack("!H", checksum) + header[18:]
 
     @classmethod
-    def parse(cls, data: bytes) -> "tuple[TCPHeader, int]":
-        """Parse a TCP header; return ``(header, data_offset_bytes)``.
+    def parse(cls, data, offset: int = 0, end: "int | None" = None) -> "tuple[TCPHeader, int]":
+        """Parse the TCP header at ``offset`` of ``data`` (any
+        bytes-like; the segment stops at ``end``, default its length);
+        return ``(header, data_offset_bytes)``.
 
         Options are decoded into ``(kind, payload)`` pairs (padding
         NOP/END bytes dropped); malformed option lengths raise
         ValueError.
         """
-        if len(data) < TCP_MIN_HEADER_LEN:
+        segment_len = (len(data) if end is None else end) - offset
+        if segment_len < TCP_MIN_HEADER_LEN:
             raise ValueError("truncated TCP header")
         (
             src_port,
@@ -203,23 +207,24 @@ class TCPHeader:
             window,
             checksum,
             urgent,
-        ) = struct.unpack_from("!HHIIBBHHH", data, 0)
+        ) = _FIXED.unpack_from(data, offset)
         data_offset = (offset_reserved >> 4) * 4
-        if data_offset < TCP_MIN_HEADER_LEN or data_offset > len(data):
+        if data_offset < TCP_MIN_HEADER_LEN or data_offset > segment_len:
             raise ValueError(f"invalid TCP data offset: {data_offset}")
         options: "list[tuple[int, bytes]]" = []
-        cursor = TCP_MIN_HEADER_LEN
-        while cursor < data_offset:
+        cursor = offset + TCP_MIN_HEADER_LEN
+        options_end = offset + data_offset
+        while cursor < options_end:
             kind = data[cursor]
             if kind == TCPOption.END:
                 break
             if kind == TCPOption.NOP:
                 cursor += 1
                 continue
-            if cursor + 1 >= data_offset:
+            if cursor + 1 >= options_end:
                 raise ValueError("truncated TCP option")
             length = data[cursor + 1]
-            if length < 2 or cursor + length > data_offset:
+            if length < 2 or cursor + length > options_end:
                 raise ValueError(f"invalid TCP option length: {length}")
             options.append((kind, bytes(data[cursor + 2 : cursor + length])))
             cursor += length

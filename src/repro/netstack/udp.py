@@ -44,11 +44,12 @@ class UDPHeader:
         return header[:6] + struct.pack("!H", checksum)
 
     @classmethod
-    def parse(cls, data: bytes) -> "UDPHeader":
-        """Parse the first 8 bytes of ``data`` as a UDP header."""
-        if len(data) < UDP_HEADER_LEN:
+    def parse(cls, data, offset: int = 0, end: "int | None" = None) -> "UDPHeader":
+        """Parse the 8 bytes at ``offset`` of ``data`` (any bytes-like;
+        the datagram stops at ``end``, default its length) as a UDP header."""
+        if (len(data) if end is None else end) - offset < UDP_HEADER_LEN:
             raise ValueError("truncated UDP header")
-        src_port, dst_port, length, checksum = struct.unpack_from("!HHHH", data, 0)
+        src_port, dst_port, length, checksum = struct.unpack_from("!HHHH", data, offset)
         if length < UDP_HEADER_LEN:
             raise ValueError(f"invalid UDP length: {length}")
         return cls(src_port=src_port, dst_port=dst_port, length=length, checksum=checksum)
