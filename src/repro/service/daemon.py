@@ -57,7 +57,7 @@ from ..observability import (
 )
 from ..observability.spans import KIND_INTERNAL, KIND_SERVER, Span
 from .health import DEFAULT_HEALTH_RULES, HealthReport, HealthServer, evaluate_health
-from .owner import POST_DONE, POST_EVENT, CaptureOwner, guarded, store_stats
+from .owner import EVENT_BURST, POST_DONE, POST_EVENTS, CaptureOwner, guarded, store_stats
 from .protocol import (
     COMMAND_CODE_MAP,
     ERR_BAD_FRAME,
@@ -96,8 +96,9 @@ MAX_CONSECUTIVE_REJECTIONS = 8
 
 #: Bytes asked of a readable socket per loop pass.
 RECV_BYTES = 1 << 16
-#: Items (events, completions, foreign calls) the inbox holds before a
-#: producer blocks, and how many the loop takes between socket passes.
+#: Events (a burst is one inbox item; a completion or a foreign call
+#: counts as one) the inbox holds before a producer blocks, and how many
+#: the loop takes between socket passes.
 INBOX_DEPTH = 1024
 INBOX_BATCH = 256
 #: Inbox tag of a call marshalled from a foreign thread.
@@ -373,7 +374,7 @@ class ScapDaemon:
         # The inbox is the one way in from any other thread; a byte on
         # the wake pipe tells a sleeping ``select`` it is not empty.
         self._selector = selectors.DefaultSelector()
-        self._inbox: "queue.Queue[tuple]" = queue.Queue(maxsize=INBOX_DEPTH)
+        self._inbox: "queue.Queue[tuple]" = queue.Queue(maxsize=INBOX_DEPTH // EVENT_BURST)
         self._wake_r, self._wake_w = socket_module.socketpair()
         self._wake_r.setblocking(False)
         self._wake_w.setblocking(False)
@@ -558,15 +559,23 @@ class ScapDaemon:
 
     def _drain_inbox(self) -> None:
         get = self._inbox.get_nowait
-        for _ in range(INBOX_BATCH):
+        touched: Dict[int, ClientSession] = {}
+        taken = 0
+        while taken < INBOX_BATCH:
             try:
                 item = get()
             except queue.Empty:
-                return
+                break
             tag = item[0]
-            if tag == POST_EVENT:
-                self._fanout(*item[1:])
-            elif tag == POST_DONE:
+            if tag == POST_EVENTS:
+                taken += len(item[1])
+                self._fanout(item[1], touched)
+                continue
+            taken += 1
+            # Whatever comes next is answered after the events posted
+            # before it are ledgered and, if the socket takes them, written.
+            self._flush_events(touched)
+            if tag == POST_DONE:
                 self._on_done(*item[1:])
             elif tag == POST_CALL:
                 _, fn, args, reply = item
@@ -576,7 +585,9 @@ class ScapDaemon:
                     reply.put((False, exc))
             else:
                 self._on_owner_stopped()
-        self._wake()  # more may be waiting: come back after a pass over the sockets
+        else:
+            self._wake()  # more may be waiting: come back after a pass over the sockets
+        self._flush_events(touched)
 
     def _add_listener(self, sock: socket_module.socket, label: str) -> None:
         sock.setblocking(False)
@@ -911,54 +922,60 @@ class ScapDaemon:
     # ------------------------------------------------------------------
     # Stream events from the owner thread
     # ------------------------------------------------------------------
-    def _fanout(
-        self,
-        kind: str,
-        capture_number: int,
-        five_tuple,
-        direction: int,
-        stream_id: int,
-        offset: int,
-        payload: bytes,
-    ) -> None:
-        """Push one stream event to every matching subscription."""
-        header = {
-            "event": kind,
-            "capture": capture_number,
-            "flow": list(five_tuple),
-            "direction": direction,
-            "stream_id": stream_id,
-            "offset": offset,
-            "len": len(payload),
-        }
+    def _fanout(self, events: List[tuple], touched: Dict[int, ClientSession]) -> None:
+        """Queue a burst of stream events on every matching subscription;
+        the receivers join ``touched`` for :meth:`_flush_events`."""
+        # A copy: retiring a receiver mutates the dict.
+        receivers = [s for s in self._sessions.values() if s.subscriptions]
+        if not receivers:
+            return
         injector = self.fault_injector
-        for receiver in list(self._sessions.values()):  # a copy: retiring one mutates the dict
-            queued = False
-            for subscription in receiver.subscriptions.values():
-                if not subscription.wants(kind):
-                    continue
-                bpf = subscription.bpf
-                if bpf is not None and not bpf.matches_five_tuple(five_tuple):
-                    continue
-                enqueued, dropped = receiver.enqueue_event(subscription, header, payload)
-                if self._obs.enabled:
+        for kind, capture_number, five_tuple, direction, stream_id, offset, payload in events:
+            header = {
+                "event": kind,
+                "capture": capture_number,
+                "flow": list(five_tuple),
+                "direction": direction,
+                "stream_id": stream_id,
+                "offset": offset,
+                "len": len(payload),
+            }
+            for receiver in receivers:
+                for subscription in receiver.subscriptions.values():
+                    if not subscription.wants(kind):
+                        continue
+                    bpf = subscription.bpf
+                    if bpf is not None and not bpf.matches_five_tuple(five_tuple):
+                        continue
+                    if receiver.queue_depth() >= receiver.quotas.max_queued_events:
+                        self._pump(receiver)  # a client that keeps up loses nothing
+                    enqueued, dropped = receiver.enqueue_event(subscription, header, payload)
+                    if self._obs.enabled:
+                        if enqueued:
+                            self._m_enqueued.inc(enqueued)
+                        if dropped:
+                            self._obs.trace.emit(
+                                self._sim_now,
+                                HOOK_SERVICE_EVENT_DROPPED,
+                                client=receiver.client_id,
+                                sub=subscription.subscription_id,
+                            )
                     if enqueued:
-                        self._m_enqueued.inc(enqueued)
-                    if dropped:
-                        self._obs.trace.emit(
-                            self._sim_now,
-                            HOOK_SERVICE_EVENT_DROPPED,
-                            client=receiver.client_id,
-                            sub=subscription.subscription_id,
-                        )
-                if enqueued:
-                    queued = True
-                    if injector is not None and injector.client_disconnect(self._sim_now):
-                        # Fault plane: sever this receiver mid-subscription.
-                        self._retire(receiver, 0.0)
-                        break
-            if queued:
-                self._pump(receiver)
+                        touched[receiver.client_id] = receiver
+                        if injector is not None and injector.client_disconnect(self._sim_now):
+                            # Fault plane: sever this receiver mid-subscription.
+                            self._retire(receiver, 0.0)
+                            break
+
+    def _flush_events(self, touched: Dict[int, ClientSession]) -> None:
+        """One gathered write per receiver of what a drain queued, then
+        the budgets.  Runs at the end of a drain and before a completion
+        is answered (before drop-oldest, :meth:`_fanout` pumps itself)."""
+        if not touched:
+            return
+        for receiver in touched.values():
+            self._pump(receiver)
+        touched.clear()
         self._enforce_global_budget()
         self._enforce_evictions()
 

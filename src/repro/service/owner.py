@@ -7,8 +7,9 @@ constructs a ``ScapSocket`` or calls ``flush``/``query``/``close`` on
 the store.  The loop thread (:mod:`repro.service.daemon`) feeds it
 commands — each carrying the config snapshot and span context it
 needs, so the owner never reads loop state — and gets stream events
-and completions back through its one bounded inbox, in order: every
-event of a capture is posted before that capture's completion.
+(a burst per inbox item) and completions back through its one bounded
+inbox, in order: every event of a capture is posted before that
+capture's completion.
 """
 
 from __future__ import annotations
@@ -31,13 +32,16 @@ __all__ = ["CaptureOwner", "guarded", "store_stats", "trace_to_pcap_bytes"]
 
 GBIT = 1e9
 
-#: Inbox tags of what the owner posts to the loop: a stream event
-#: ``(tag, kind, capture, five_tuple, direction, stream_id, offset,
-#: payload)``; a finished command ``(tag, token, status, header |
-#: error message, payload, store counters)``; and its last word.
-POST_EVENT = "event"
+#: Inbox tags of what the owner posts to the loop: a burst of stream
+#: events ``(tag, [(kind, capture, five_tuple, direction, stream_id,
+#: offset, payload), ...])``; a finished command ``(tag, token, status,
+#: header | error message, payload, store counters)``; and its last word.
+POST_EVENTS = "events"
 POST_DONE = "done"
 POST_STOPPED = "stopped"
+#: Events the owner collects before it posts them as one inbox item
+#: (fewer when a command ends: nothing is held across a completion).
+EVENT_BURST = 64
 
 
 def guarded(body: Callable[..., Tuple[Dict[str, Any], bytes]], *args: Any):
@@ -89,6 +93,8 @@ class CaptureOwner:
         self._post = post
         self._commands: "queue.SimpleQueue[Optional[tuple]]" = queue.SimpleQueue()
         self._captures = 0
+        #: Stream events of the running capture not posted yet.
+        self._burst: List[tuple] = []
         self.thread = threading.Thread(target=self.run, name="scapd-owner", daemon=True)
 
     # ------------------------------------------------------------------
@@ -121,8 +127,15 @@ class CaptureOwner:
         if item is None:
             return False
         token, body, args = item
-        self._post((POST_DONE, token, *guarded(body, *args), store_stats(self.store)))
+        outcome = guarded(body, *args)
+        self._post_events()  # also when the body raised: events come before the completion
+        self._post((POST_DONE, token, *outcome, store_stats(self.store)))
         return True
+
+    def _post_events(self) -> None:
+        if self._burst:
+            self._post((POST_EVENTS, self._burst))
+            self._burst = []
 
     # -- capture ---------------------------------------------------------
     def capture(
@@ -161,13 +174,14 @@ class CaptureOwner:
 
             scap.set_store(StreamRecorder(self.store))
         rules = [(BPFFilter(expression), priority) for expression, priority in priorities]
-        post = self._post
 
         def event(kind: str, stream, payload: bytes = b"") -> None:
-            post((
-                POST_EVENT, kind, capture_number, stream.five_tuple, stream.direction,
+            self._burst.append((
+                kind, capture_number, stream.five_tuple, stream.direction,
                 stream.stream_id, stream.data_offset if kind == "data" else 0, payload,
             ))
+            if len(self._burst) >= EVENT_BURST:
+                self._post_events()
 
         def on_creation(stream) -> None:
             for bpf, priority in rules:

@@ -4,11 +4,12 @@ Each accepted connection gets one :class:`ClientSession`, and only the
 daemon's loop thread ever touches it, so nothing here takes a lock.
 Inbound bytes go into the session's
 :class:`~repro.service.protocol.FrameReader`; outbound frames leave
-through :meth:`ClientSession.send_bytes`, a non-blocking write that
-keeps what the socket did not take in an ordered tail the loop
-finishes on write-readiness.  Responses join that tail; subscribed
-events wait behind it in a **bounded** queue, so a slow client
-backpressures only itself.
+through non-blocking writes that keep what the socket did not take in
+an ordered tail the loop finishes on write-readiness.  Responses
+(:meth:`ClientSession.send_bytes`) join that tail; subscribed events
+wait behind it in a **bounded** queue that :meth:`ClientSession.pump`
+empties a gathered write at a time, so a slow client backpressures
+only itself.
 
 Quota semantics (:class:`ClientQuotas`):
 
@@ -42,6 +43,10 @@ __all__ = ["ClientQuotas", "Subscription", "SessionLedger", "ClientSession"]
 
 #: Stream lifecycle events a subscription can select.
 EVENT_KINDS = ("created", "data", "closed")
+#: Most queued event frames, and about how many bytes, one write hands
+#: the socket (a short write has joined at most this much for nothing).
+GATHER_FRAMES = 64
+GATHER_BYTES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -113,8 +118,8 @@ class ClientSession:  # scapcheck: single-owner
     """One connected client: identity, quotas, queue, and ledger.
 
     Loop-thread state.  ``sock`` must be non-blocking; every write goes
-    through :meth:`send_bytes`, so frames reach the wire whole and in
-    the order they were handed over.
+    through :meth:`send_bytes` or :meth:`pump`, so frames reach the wire
+    whole and in the order they were handed over.
     """
 
     def __init__(
@@ -194,7 +199,7 @@ class ClientSession:  # scapcheck: single-owner
             return False
         if sent < len(data):
             self._unsent.append(memoryview(data)[sent:])
-            self.response_unsent = not self._event_unsent
+            self.response_unsent = True
         return True
 
     def _write(self, data) -> int:
@@ -227,11 +232,11 @@ class ClientSession:  # scapcheck: single-owner
             if self.on_dropped is not None:
                 self.on_dropped(count)
 
-    def _event_written(self) -> None:
-        self._event_unsent = False
-        self.ledger.delivered += 1
-        if self.on_delivered is not None:
-            self.on_delivered(1)
+    def _count_delivered(self, count: int) -> None:
+        if count:
+            self.ledger.delivered += count
+            if self.on_delivered is not None:
+                self.on_delivered(count)
 
     @property
     def has_unsent(self) -> bool:
@@ -241,9 +246,11 @@ class ClientSession:  # scapcheck: single-owner
     def pump(self) -> None:
         """Write what the socket takes now: the unsent tail, then events.
 
-        Events leave the queue oldest first and only while no tail is
-        pending: a queued event can still be dropped, a half-written
-        one cannot.
+        Events leave the queue oldest first, a bounded batch per write,
+        and only while no tail is pending.  An event counts as delivered
+        when its last byte is taken; the one frame a short write stops
+        in becomes the tail, and what is still queued behind it can
+        still be dropped.
         """
         unsent = self._unsent
         if unsent:
@@ -257,9 +264,11 @@ class ClientSession:  # scapcheck: single-owner
                 unsent.popleft()
             self.response_unsent = False
             if self._event_unsent:
-                self._event_written()
+                self._event_unsent = False
+                self._count_delivered(1)
         queue = self._queue
-        while queue and not self._unsent:
+        while queue and not unsent:
+            gather = GATHER_FRAMES
             if self.delivery_stall is not None:
                 now = time.monotonic()
                 if self.resume_at is None:
@@ -270,9 +279,27 @@ class ClientSession:  # scapcheck: single-owner
                 elif now < self.resume_at:
                     return
                 self.resume_at = None
-            self._event_unsent = True
-            if self.send_bytes(queue.popleft()) and not self._unsent:
-                self._event_written()
+                gather = 1  # the fault plane draws once per event
+            batch = []
+            size = 0
+            for frame in queue:
+                batch.append(frame)
+                size += len(frame)
+                if len(batch) >= gather or size >= GATHER_BYTES:
+                    break
+            sent = self._write(b"".join(batch))
+            if sent < 0:
+                return
+            written = 0
+            for frame in batch:
+                queue.popleft()
+                if sent < len(frame):
+                    self._event_unsent = True
+                    unsent.append(memoryview(frame)[sent:])
+                    break
+                sent -= len(frame)
+                written += 1
+            self._count_delivered(written)
 
     # ------------------------------------------------------------------
     # Event queue (bounded, drop-oldest)
@@ -298,13 +325,13 @@ class ClientSession:  # scapcheck: single-owner
         — the PPL lowest-priority-oldest discipline applied to the
         client plane.
         """
+        if self._closing:
+            return (0, 0)
         header = dict(header)
         header["sub"] = subscription.subscription_id
         header["seq"] = subscription.next_seq
         subscription.next_seq += 1
         frame = encode_frame(MSG_EVENT, 0, header, payload)
-        if self._closing:
-            return (0, 0)
         dropped = 0
         if len(self._queue) >= self.quotas.max_queued_events:
             self._queue.popleft()

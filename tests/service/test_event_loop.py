@@ -148,6 +148,63 @@ def test_every_event_is_ledgered_before_the_submit_response(tmp_path):
     assert daemon.ledgers_balanced()
 
 
+def test_a_subscriber_that_keeps_up_loses_nothing_at_a_tiny_queue(tmp_path):
+    """Events are queued a drain at a time; a queue of four must still
+    be enough for a client whose socket takes everything it is offered
+    (the loop writes before it would drop)."""
+    daemon, path = _start_daemon(
+        tmp_path, DaemonConfig(quotas=ClientQuotas(max_queued_events=4))
+    )
+    reading = ScapClient(unix_path=path, name="reading")
+    sub = reading.subscribe(events=["created", "data", "closed"])
+    driver = ScapClient(unix_path=path, name="driver")
+    # A cutoff keeps the capture's ~300 events inside one socket buffer,
+    # so "keeps up" does not depend on how the threads are scheduled.
+    driver.set_cutoff(512)
+    driver.submit_campus(flows=60, seed=7, rate_bps=RATE)
+    held = 0
+    while sub.next_event(timeout=1.0) is not None:
+        held += 1
+    ledger = next(
+        entry["ledger"] for entry in driver.stats()["clients"] if entry["name"] == "reading"
+    )
+    assert ledger["enqueued"] > 2 * 64  # several bursts, each far over the queue bound
+    assert ledger["dropped"] == 0
+    assert held == ledger["delivered"] == ledger["enqueued"]
+    reading.close()
+    driver.close()
+    daemon.shutdown()
+    assert daemon.ledgers_balanced()
+
+
+def test_events_reach_a_shared_connection_before_the_submit_response(tmp_path):
+    """One connection subscribes and submits: every event frame of the
+    capture is written before the capture's response."""
+    daemon, path = _start_daemon(tmp_path)
+    raw, reader = _raw_connect(path), FrameReader()
+    _raw_call(raw, reader, 1, "hello", name="both")
+    _raw_call(raw, reader, 2, "subscribe", events=["created", "data", "closed"])
+    _raw_call(raw, reader, 3, "set_cutoff", cutoff=512)
+    raw.sendall(encode_frame(
+        MSG_REQUEST, 4,
+        {"command": "submit_trace", "kind": "campus", "flows": 60, "seed": 7, "rate_bps": RATE},
+    ))
+    frames = []
+    while not any(frame.request_id == 4 for frame in frames):
+        frames.extend(reader.feed(raw.recv(1 << 20)))
+    assert frames[-1].msg_type == MSG_RESPONSE and frames[-1].request_id == 4
+    events = frames[:-1]
+    assert all(frame.msg_type == MSG_EVENT for frame in events)
+    assert [frame.header["seq"] for frame in events] == list(range(len(events)))
+    stats = _raw_call(raw, reader, 5, "stats")
+    ledger = stats.header["clients"][0]["ledger"]
+    assert ledger["enqueued"] == ledger["delivered"] == len(events) > 2 * 64
+    assert _read_until_quiet(raw, reader, quiet=0.3) == []  # nothing was still on its way
+    raw.close()
+    daemon.shutdown()
+    assert daemon.ledgers_balanced()
+
+
 def _stalled_subscriber(path):
     """A subscribed raw connection that reads nothing until told to."""
     raw, reader = _raw_connect(path), FrameReader()

@@ -142,3 +142,177 @@ def test_drop_callbacks_fire():
     assert dropped_counts == [1]
     assert session.drop_oldest(5) == 1
     assert dropped_counts == [1, 1]
+
+
+# ----------------------------------------------------------------------
+# The gathered write: one ledger, whatever the socket takes per call
+# ----------------------------------------------------------------------
+class CountingSocket(FakeSocket):
+    """Also remembers what every send() was offered and took."""
+
+    def __init__(self, chunk):
+        super().__init__(chunk)
+        self.offered = []
+        self.block = False
+
+    def send(self, data):
+        if self.block:
+            raise BlockingIOError
+        self.offered.append(len(data))
+        return super().send(data)
+
+
+def _queued_session(frames=5, sock=None, quotas=None):
+    """A session with ``frames`` events queued (payloads of growing size,
+    so every frame has its own length) and the frames as encoded."""
+    session = ClientSession(1, sock or CountingSocket(1 << 20), quotas or ClientQuotas())
+    sub = session.add_subscription(("data",))
+    for i in range(frames):
+        session.enqueue_event(sub, {"event": "data", "i": i}, b"x" * (3 * i))
+    return session, list(session._queue)
+
+
+def _queued(session):
+    return session.describe()["queued"]
+
+
+def test_gathered_write_ledger_for_every_socket_appetite():
+    total = sum(len(frame) for frame in _queued_session()[1])
+    for k in range(1, total + 1):
+        session, frames = _queued_session(sock=CountingSocket(k))
+        wire = b"".join(frames)
+        ends = [sum(len(f) for f in frames[: n + 1]) for n in range(len(frames))]
+        delivered_calls = []
+        session.on_delivered = delivered_calls.append
+        calls = 0
+        while session.queue_depth() or session.has_unsent:
+            session.pump()
+            calls += 1
+            assert calls <= total + 1, k
+            sent = len(session.sock.sent)
+            # delivered moves exactly when a frame's last byte has left ...
+            assert session.ledger.delivered == sum(1 for end in ends if end <= sent), (k, sent)
+            # ... and the ledger balances after every call.
+            assert session.ledger.enqueued == 5
+            assert session.ledger.balanced(pending=_queued(session)), (k, sent)
+            assert session.ledger.bytes_sent == sent
+        assert bytes(session.sock.sent) == wire, k  # the frames, whole and in order
+        assert session.ledger.delivered == 5 and session.ledger.dropped == 0
+        assert sum(delivered_calls) == 5
+    # A socket that takes everything is offered the five frames in one write.
+    assert session.sock.offered == [total]
+
+
+def test_drop_oldest_never_takes_a_frame_that_has_begun_to_leave():
+    for k in (1, 7, 52, 60, 61, 107, 130):  # 52 and 107 end on a frame boundary
+        session, frames = _queued_session(sock=CountingSocket(k))
+        session.pump()  # one short write: some frames gone, one cut, the rest queued
+        sent = len(session.sock.sent)
+        begun = 0  # frames of which at least one byte has left
+        position = 0
+        for frame in frames:
+            if position < sent:
+                begun += 1
+            position += len(frame)
+        dropped = session.drop_oldest(10)
+        # Everything behind the frame the write stopped in (or, on a
+        # boundary, was about to start) goes; nothing that has begun does.
+        assert 5 - begun - 1 <= dropped <= 5 - begun, k
+        session.sock.chunk = 1 << 20
+        session.pump()
+        assert bytes(session.sock.sent) == b"".join(frames[: 5 - dropped]), k
+        assert session.ledger.delivered == 5 - dropped
+        assert session.ledger.dropped == dropped
+        assert session.ledger.balanced()
+
+
+def test_a_refused_write_pins_only_the_frame_it_was_about_to_send():
+    """EAGAIN with nothing taken: the head frame becomes the tail the
+    loop waits on write-readiness for; everything behind it can go."""
+    sock = CountingSocket(1 << 20)
+    sock.block = True
+    session, frames = _queued_session(sock=sock)
+    session.pump()
+    assert session.has_unsent and session.queue_depth() == 4
+    assert _queued(session) == 5 and session.ledger.balanced(pending=5)
+    assert session.drop_oldest(10) == 4
+    sock.block = False
+    session.pump()
+    assert bytes(sock.sent) == frames[0]
+    assert (session.ledger.delivered, session.ledger.dropped) == (1, 4)
+    assert session.ledger.balanced()
+
+
+def test_abandon_mid_gather_counts_the_half_written_frame_once():
+    session, frames = _queued_session(sock=CountingSocket(len(_queued_session()[1][0]) + 4))
+    dropped_calls = []
+    session.on_dropped = dropped_calls.append
+    session.pump()  # frame 0 gone, frame 1 cut after 4 bytes
+    assert session.ledger.delivered == 1 and session.has_unsent
+    assert _queued(session) == 4
+    session.sock.fail = True
+    session.pump()
+    assert session.ledger.delivered == 1
+    assert session.ledger.dropped == 4  # the cut frame once, and the three behind it
+    assert dropped_calls == [4]
+    assert session.ledger.balanced() and _queued(session) == 0
+    assert session.drain(0.0)
+
+
+def test_peer_lost_on_a_gathered_write_drops_the_whole_batch_once():
+    session, _ = _queued_session()
+    session.sock.fail = True
+    session.pump()
+    assert (session.ledger.delivered, session.ledger.dropped) == (0, 5)
+    assert session.ledger.balanced()
+
+
+def test_delivery_stall_draws_once_per_event_and_writes_one_frame_a_time():
+    sock = CountingSocket(1 << 20)
+    session, frames = _queued_session(sock=sock)
+    draws = []
+    session.delivery_stall = lambda: draws.append(1) or 0.0
+    session.pump()
+    assert len(draws) == 5
+    assert sock.offered == [len(frame) for frame in frames]
+    assert session.ledger.delivered == 5 and session.ledger.balanced()
+    # A stall holds the queue back after the draw that asked for it.
+    session, frames = _queued_session(sock=CountingSocket(1 << 20))
+    answers = iter([0.0, 0.0, 30.0])
+    session.delivery_stall = lambda: next(answers)
+    session.pump()
+    assert session.ledger.delivered == 2 and session.queue_depth() == 3
+    assert session.resume_at is not None
+    session.pump()  # still stalled: no draw, no write
+    assert session.ledger.delivered == 2
+
+
+def test_gathered_writes_are_bounded(monkeypatch):
+    monkeypatch.setattr("repro.service.session.GATHER_FRAMES", 2)
+    sock = CountingSocket(1 << 20)
+    session, frames = _queued_session(sock=sock)
+    session.pump()
+    assert sock.offered == [
+        len(frames[0]) + len(frames[1]), len(frames[2]) + len(frames[3]), len(frames[4])
+    ]
+    monkeypatch.setattr("repro.service.session.GATHER_FRAMES", 64)
+    monkeypatch.setattr("repro.service.session.GATHER_BYTES", len(frames[0]) + 1)
+    sock = CountingSocket(1 << 20)
+    session, frames = _queued_session(sock=sock)
+    session.pump()
+    # A write stops growing once it has reached the byte bound.
+    assert sock.offered == [len(frames[0]) + len(frames[1])] + [len(f) for f in frames[2:]]
+    assert bytes(sock.sent) == b"".join(frames)
+
+
+def test_an_event_for_a_closing_session_is_not_encoded(monkeypatch):
+    session = _session()
+    sub = session.add_subscription(("data",))
+    session.begin_close()
+
+    def no_encoding(*_args, **_kwargs):
+        raise AssertionError("encoded an event nobody will get")
+
+    monkeypatch.setattr("repro.service.session.encode_frame", no_encoding)
+    assert session.enqueue_event(sub, {"event": "data"}, b"payload") == (0, 0)
+    assert sub.next_seq == 0
