@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .addresses import BROADCAST_MAC, bytes_to_mac
 
@@ -48,20 +47,15 @@ class EthernetHeader:
     @classmethod
     def parse(cls, data, offset: int = 0, end: "int | None" = None) -> "EthernetHeader":
         """Parse the 14 bytes at ``offset`` of ``data`` (any bytes-like;
-        the frame stops at ``end``, default its length).  The immutable
-        result is interned by its raw bytes in a bounded table."""
+        the frame stops at ``end``, default its length)."""
         if (len(data) if end is None else end) - offset < ETHERNET_HEADER_LEN:
             raise ValueError("truncated Ethernet header")
-        return _interned(bytes(data[offset : offset + ETHERNET_HEADER_LEN]))
+        (ethertype,) = struct.unpack_from("!H", data, offset + 12)
+        macs = bytes(data[offset : offset + 12])
+        return cls(dst_mac=macs[:6], src_mac=macs[6:], ethertype=ethertype)
 
     def __str__(self) -> str:
         return (
             f"eth {bytes_to_mac(self.src_mac)} > {bytes_to_mac(self.dst_mac)} "
             f"type=0x{self.ethertype:04x}"
         )
-
-
-@lru_cache(maxsize=1024)  # a trace holds a handful of MAC pairs
-def _interned(raw: bytes) -> EthernetHeader:
-    (ethertype,) = struct.unpack_from("!H", raw, 12)
-    return EthernetHeader(dst_mac=raw[0:6], src_mac=raw[6:12], ethertype=ethertype)

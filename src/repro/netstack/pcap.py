@@ -88,7 +88,12 @@ class PcapWriter:
 
 class PcapReader:
     """Iterates packets out of a pcap file (a path, or an open binary
-    file), holding one :data:`READ_BLOCK` of it at a time."""
+    file), holding one :data:`READ_BLOCK` of it at a time.
+
+    The block read ahead and the place in it belong to the reader, so
+    an iteration left early resumes at the next record; a caller's
+    open file, though, has been read up to a block past the last packet
+    delivered."""
 
     def __init__(self, path: Union[str, BinaryIO]):
         self._file, self._ours = _open(path, "rb")
@@ -104,6 +109,8 @@ class PcapReader:
             self.close()
             raise ValueError(f"unsupported linktype: {self.linktype}")
         self._record = struct.Struct(self._format.endian + "IIII")
+        self._block = b""
+        self._offset = 0  # of the next record in ``_block``
 
     @staticmethod
     def _detect_format(header: bytes) -> _Format:
@@ -128,23 +135,23 @@ class PcapReader:
         header_size = self._record.size
         read = self._file.read
         parse = Packet.parse
-        block = b""
-        offset = 0
+        block = self._block
+        offset = self._offset
         while True:
             start = end = offset + header_size  # of the frame, once its length is known
             if start <= len(block):
                 seconds, fraction, caplen, wire_len = unpack(block, offset)
                 end = start + caplen
                 if end <= len(block):
+                    self._offset = offset = end  # before parse: a bad frame is consumed
                     yield parse(block, seconds + fraction / divisor, wire_len, start, end)
-                    offset = end
                     continue
             # The record at ``offset`` runs past the block: carry its head over.
             more = read(max(READ_BLOCK, end - len(block)))
             if not more:
                 return
-            block = block[offset:] + more
-            offset = 0
+            self._block = block = block[offset:] + more
+            self._offset = offset = 0
 
     def close(self) -> None:
         """Close the underlying file (a caller's file is left open)."""

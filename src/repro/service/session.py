@@ -43,9 +43,8 @@ __all__ = ["ClientQuotas", "Subscription", "SessionLedger", "ClientSession"]
 
 #: Stream lifecycle events a subscription can select.
 EVENT_KINDS = ("created", "data", "closed")
-#: Most queued event frames, and about how many bytes, one write hands
-#: the socket (a short write has joined at most this much for nothing).
-GATHER_FRAMES = 64
+#: About how many bytes of queued event frames one write hands the
+#: socket (a short write has joined at most this much for nothing).
 GATHER_BYTES = 1 << 16
 
 
@@ -268,7 +267,7 @@ class ClientSession:  # scapcheck: single-owner
                 self._count_delivered(1)
         queue = self._queue
         while queue and not unsent:
-            gather = GATHER_FRAMES
+            limit = GATHER_BYTES
             if self.delivery_stall is not None:
                 now = time.monotonic()
                 if self.resume_at is None:
@@ -279,13 +278,13 @@ class ClientSession:  # scapcheck: single-owner
                 elif now < self.resume_at:
                     return
                 self.resume_at = None
-                gather = 1  # the fault plane draws once per event
+                limit = 0  # one frame: the fault plane draws once per event
             batch = []
             size = 0
             for frame in queue:
                 batch.append(frame)
                 size += len(frame)
-                if len(batch) >= gather or size >= GATHER_BYTES:
+                if size >= limit:
                     break
             sent = self._write(b"".join(batch))
             if sent < 0:

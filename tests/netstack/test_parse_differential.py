@@ -11,6 +11,7 @@ the same checks.
 from __future__ import annotations
 
 import io
+import itertools
 import struct
 
 import pytest
@@ -331,6 +332,25 @@ def test_a_bad_frame_raises_from_the_reader_as_before():
     assert next(reader) == oracle_read(data[: 24 + 16 + len(_some_frames()[0])])[0]
     with pytest.raises(ValueError, match="not an IPv4 packet"):
         next(reader)
+
+
+@pytest.mark.parametrize("block", [7, 61, 1 << 18])
+def test_an_iteration_left_early_resumes_at_the_next_record(block, monkeypatch):
+    """The read-ahead is the reader's, not one ``iter()`` call's."""
+    monkeypatch.setattr(pcap_module, "READ_BLOCK", block)
+    bad = _ETH + _ip(version_ihl=0x65)
+    data = _file(_some_frames())
+    whole = oracle_read(data)
+    reader = PcapReader(io.BytesIO(data))
+    first = next(iter(reader))
+    some = list(itertools.islice(reader, 5))
+    assert [first] + some + list(reader) == whole
+    assert list(reader) == []
+    # A frame that does not parse is consumed: the walk goes on behind it.
+    reader = PcapReader(io.BytesIO(_file([bad] + _some_frames())))
+    with pytest.raises(ValueError, match="not an IPv4 packet"):
+        next(iter(reader))
+    assert [(p.ip, p.payload) for p in reader] == [(p.ip, p.payload) for p in whole]
 
 
 def test_generated_campus_trace_round_trips_to_the_oracle(tmp_path):

@@ -288,14 +288,10 @@ def test_delivery_stall_draws_once_per_event_and_writes_one_frame_a_time():
 
 
 def test_gathered_writes_are_bounded(monkeypatch):
-    monkeypatch.setattr("repro.service.session.GATHER_FRAMES", 2)
     sock = CountingSocket(1 << 20)
     session, frames = _queued_session(sock=sock)
     session.pump()
-    assert sock.offered == [
-        len(frames[0]) + len(frames[1]), len(frames[2]) + len(frames[3]), len(frames[4])
-    ]
-    monkeypatch.setattr("repro.service.session.GATHER_FRAMES", 64)
+    assert sock.offered == [sum(len(frame) for frame in frames)]  # under the bound: one write
     monkeypatch.setattr("repro.service.session.GATHER_BYTES", len(frames[0]) + 1)
     sock = CountingSocket(1 << 20)
     session, frames = _queued_session(sock=sock)
