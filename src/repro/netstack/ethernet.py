@@ -4,12 +4,14 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .addresses import BROADCAST_MAC, bytes_to_mac
 
 __all__ = ["EtherType", "EthernetHeader", "ETHERNET_HEADER_LEN"]
 
 ETHERNET_HEADER_LEN = 14
+_HEADER = struct.Struct("!6s6sH")  # dst_mac, src_mac, ethertype: owned bytes out
 
 
 class EtherType:
@@ -47,15 +49,21 @@ class EthernetHeader:
     @classmethod
     def parse(cls, data, offset: int = 0, end: "int | None" = None) -> "EthernetHeader":
         """Parse the 14 bytes at ``offset`` of ``data`` (any bytes-like;
-        the frame stops at ``end``, default its length)."""
+        the frame stops at ``end``, default its length).  The immutable
+        result is interned by its raw bytes in a bounded table."""
         if (len(data) if end is None else end) - offset < ETHERNET_HEADER_LEN:
             raise ValueError("truncated Ethernet header")
-        (ethertype,) = struct.unpack_from("!H", data, offset + 12)
-        macs = bytes(data[offset : offset + 12])
-        return cls(dst_mac=macs[:6], src_mac=macs[6:], ethertype=ethertype)
+        return _interned(bytes(data[offset : offset + ETHERNET_HEADER_LEN]))
 
     def __str__(self) -> str:
         return (
             f"eth {bytes_to_mac(self.src_mac)} > {bytes_to_mac(self.dst_mac)} "
             f"type=0x{self.ethertype:04x}"
         )
+
+
+# Measured (BENCH_17.json ``ethernet_intern``): a trace of 1 to 1,024 MAC pairs
+# reads 9-15 % faster through the table, one that always misses up to 5 % slower.
+@lru_cache(maxsize=1024)
+def _interned(raw: bytes) -> EthernetHeader:
+    return EthernetHeader(*_HEADER.unpack(raw))

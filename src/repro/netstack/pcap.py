@@ -24,8 +24,7 @@ _MAGIC_USEC = 0xA1B2C3D4
 _MAGIC_NSEC = 0xA1B23C4D
 _GLOBAL_HEADER = struct.Struct("<IHHiIII")
 _RECORD_HEADER = struct.Struct("<IIII")
-#: Bytes the reader asks of its file at a time (a record larger than
-#: this is read whole): what a reader holds, whatever the file's size.
+#: Bytes the reader asks of its file at a time (a larger record is read whole).
 READ_BLOCK = 1 << 18
 
 
@@ -88,12 +87,9 @@ class PcapWriter:
 
 class PcapReader:
     """Iterates packets out of a pcap file (a path, or an open binary
-    file), holding one :data:`READ_BLOCK` of it at a time.
-
-    The block read ahead and the place in it belong to the reader, so
-    an iteration left early resumes at the next record; a caller's
-    open file, though, has been read up to a block past the last packet
-    delivered."""
+    file), holding one :data:`READ_BLOCK` of it at a time.  The read-ahead
+    is the reader's: an iteration left early resumes at the next record,
+    and a caller's open file has been read up to a block past it."""
 
     def __init__(self, path: Union[str, BinaryIO]):
         self._file, self._ours = _open(path, "rb")
@@ -128,8 +124,7 @@ class PcapReader:
 
     def __iter__(self) -> Iterator[Packet]:
         """Yield the file's packets; a record cut short ends the walk.
-        Each record is unpacked and parsed where it lies in the block
-        read (``Packet.parse`` at an offset): no per-frame copy."""
+        Each record is unpacked and parsed where it lies in the block read."""
         divisor = 1e9 if self._format.nanosecond else 1e6
         unpack = self._record.unpack_from
         header_size = self._record.size

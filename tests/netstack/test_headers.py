@@ -30,6 +30,16 @@ class TestEthernet:
     def test_str_contains_type(self):
         assert "0x0800" in str(EthernetHeader())
 
+    def test_parsed_headers_are_interned_in_a_bounded_table(self):
+        from repro.netstack import ethernet
+
+        frames = [i.to_bytes(6, "big") + bytes(6) + b"\x08\x00" for i in range(3000)]
+        for frame in frames:  # more distinct headers than the table holds
+            parsed = EthernetHeader.parse(bytearray(b"pad" + frame), 3)
+            assert (parsed.dst_mac, parsed.src_mac, parsed.ethertype) == (frame[:6], bytes(6), 0x0800)
+        assert ethernet._interned.cache_info().currsize <= 1024
+        assert EthernetHeader.parse(frames[-1]) is EthernetHeader.parse(memoryview(frames[-1]))
+
 
 class TestIPv4:
     def test_round_trip(self):
