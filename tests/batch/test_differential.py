@@ -7,14 +7,16 @@ emission counts, profiler stage and queue-wait seconds, the full metrics
 registry export, and on-disk store contents —
 must be identical between ``batch_size=1`` (classify, handle and flush
 one packet at a time: the reference) and sizes 2, 7 and 64, on clean
-traces, under wire-plane fault injection, and on overlap-heavy traces.
+traces, under wire-plane fault injection, on overlap-heavy traces and on
+a reordered trace whose late segments release several pieces at once.
 
 All of them must also equal ``golden_fingerprints.json``.  The goldens
 were recorded from the separate per-packet implementation
 (``batch_size=0``) on the last commit that had one, so they pin the
 behaviour that implementation had (the ``registry`` and ``waits`` keys
 were added later, recorded from ``batch_size=1`` on the last commit
-that still buffered metrics per batch); ``--record`` rewrites them
+that still buffered metrics per batch; the ``reorder`` scenario on the
+last commit that stored multi-piece deliveries through their own path); ``--record`` rewrites them
 from ``batch_size=1`` and is for intentional behaviour changes only.
 """
 
@@ -25,17 +27,20 @@ import json
 import os
 import sys
 import tempfile
+from collections import defaultdict
 from dataclasses import asdict
 
 import pytest
 
 from repro.apps import StreamRecorder
 from repro.core import ScapSocket, scap_get_stats
+from repro.core.reassembly import TCPDirectionReassembler
 from repro.faultinject import FaultPlan, MemoryFaults, WireFaults
 from repro.observability import Observability
 from repro.store import StreamStore
 from repro.traffic import campus_mix
 from repro.traffic.tcpsession import Impairments
+from repro.traffic.trace import Trace
 
 GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "golden_fingerprints.json")
 
@@ -62,6 +67,29 @@ def _overlap_trace():
             seed=17,
         ),
     )
+
+
+def _reorder_trace():
+    """A trace whose data segments really arrive out of order.
+
+    ``Impairments.reorder_rate`` only shuffles the copies of *one*
+    segment, which never opens a hole.  Here, in every run of five data
+    segments of one direction, the first is delayed past the next two
+    (a, b, c -> b, c, a): b and c wait as an out-of-order interval and
+    the late a releases two pieces from a single ``on_segment`` call.
+    """
+    base = campus_mix(flow_count=40, max_flow_bytes=120_000, seed=23)
+    data_segments = defaultdict(list)
+    for packet in base.packets:
+        if packet.tcp is not None and packet.payload:
+            data_segments[packet.five_tuple].append(packet)
+    for segments in data_segments.values():
+        for start in range(0, len(segments) - 2, 5):
+            a, b, c = segments[start : start + 3]
+            a.timestamp, b.timestamp, c.timestamp = (
+                c.timestamp, a.timestamp, b.timestamp,
+            )
+    return Trace(base.packets, base.flows, name="reorder")
 
 
 def _fault_plan():
@@ -91,6 +119,9 @@ SCENARIOS = {
     ),
     "wire_faulted": dict(trace_factory=_delivery_trace, fault_plan=_fault_plan),
     "store": dict(trace_factory=_delivery_trace, cutoff=16_384),
+    # Multi-piece reassembly deliveries, a third of them with the pool
+    # running out between the pieces of one delivery.
+    "reorder": dict(trace_factory=_reorder_trace, rate_bps=8e9, memory_size=1 << 16),
 }
 
 
@@ -257,6 +288,28 @@ def test_wire_faulted_trace_identical(batch_size):
     reference = _check_scenario("wire_faulted", batch_size)
     assert reference["stats"]["faults_injected_total"] > 0, (
         "sanity: the plan must actually inject faults"
+    )
+
+
+@pytest.mark.parametrize("batch_size", BATCH_SIZES)
+def test_reordered_trace_identical(batch_size, monkeypatch):
+    multi_piece = []
+    on_segment = TCPDirectionReassembler.on_segment
+
+    def counting_on_segment(self, seq, payload, now=0.0):
+        delivered = on_segment(self, seq, payload, now=now)
+        if len(delivered) > 1:
+            multi_piece.append(len(delivered))
+        return delivered
+
+    monkeypatch.setattr(TCPDirectionReassembler, "on_segment", counting_on_segment)
+    reference = _check_scenario("reorder", batch_size)
+    # Two runs (reference + candidate) share the counter.
+    assert len(multi_piece) >= 2 * 20, (
+        "sanity: the trace must keep producing multi-piece deliveries"
+    )
+    assert reference["result"]["dropped_packets"] > 0, (
+        "sanity: the pool must run out while pieces are being stored"
     )
 
 

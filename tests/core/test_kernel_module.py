@@ -266,3 +266,87 @@ class TestUdpPacketDelivery:
         records = pair.descriptor(0).packet_records
         assert [r.payload for r in records] == [b"query", b"more"]
         assert [r.stream_offset for r in records] == [0, 5]
+
+
+class TestMultiPieceDelivery:
+    """One late segment releases several pieces; each is admitted alone."""
+
+    FT = FiveTuple(41, 4100, 42, 80, IPProtocol.TCP)
+
+    def _late_first_segment(self, h, monkeypatch, pieces):
+        """Handshake, then server data b, c, a (a is the stream's head).
+
+        b and c coalesce into one out-of-order interval, so the real
+        reassembler releases at most two pieces per call; with
+        ``pieces=3`` the released interval is handed over as two pieces
+        (b, c) — the shape a non-coalescing interval list would give.
+        """
+        from repro.core.reassembly import DeliveredData, TCPDirectionReassembler
+
+        on_segment = TCPDirectionReassembler.on_segment
+
+        def splitting_on_segment(self, seq, payload, now=0.0):
+            delivered = on_segment(self, seq, payload, now=now)
+            if pieces == 3 and len(delivered) == 2:
+                head, rest = delivered
+                delivered = [
+                    head,
+                    DeliveredData(rest.data[:1000]),
+                    DeliveredData(rest.data[1000:]),
+                ]
+            return delivered
+
+        monkeypatch.setattr(TCPDirectionReassembler, "on_segment", splitting_on_segment)
+        client, server = self.FT[:4], (42, 80, 41, 4100)
+        a, b, c = b"a" * 100, b"b" * 1000, b"c" * 100
+        h.feed([
+            make_tcp_packet(*client, seq=10, flags=TCPFlags.SYN, timestamp=0.0),
+            make_tcp_packet(*server, seq=500, ack=11,
+                            flags=TCPFlags.SYN | TCPFlags.ACK, timestamp=1e-4),
+            make_tcp_packet(*client, seq=11, ack=501, flags=TCPFlags.ACK, timestamp=2e-4),
+            make_tcp_packet(*server, seq=601, ack=11, payload=b, timestamp=3e-4),
+            make_tcp_packet(*server, seq=1601, ack=11, payload=c, timestamp=4e-4),
+            make_tcp_packet(*server, seq=501, ack=11, payload=a, timestamp=5e-4),
+        ])
+        return h.kernel.flows.get(self.FT).descriptor(1)
+
+    def test_three_pieces_pool_runs_out_between_them(self, monkeypatch):
+        # Room for a (100) and c (100) but never for b (1000).
+        h = Harness(need_pkts=True, memory_size=300)
+        stream = self._late_first_segment(h, monkeypatch, pieces=3)
+        counters = h.kernel.counters
+        assert counters.stored_bytes == 200
+        assert counters.dropped_memory == 1
+        assert counters.ppl_drops_by_priority == {0: 1}
+        assert h.kernel.memory.allocation_failures == 1
+        assert (stream.stats.dropped_pkts, stream.stats.dropped_bytes) == (1, 1000)
+        assert stream.stats.captured_bytes == 200
+        assert stream.stats.captured_pkts == 1
+        # Only the packet whose bytes went to stream memory right away
+        # has a record; b and c arrived out of order and have none.
+        assert [(r.payload, r.stream_offset, r.seq) for r in stream.packet_records] == [
+            (b"a" * 100, 0, 501)
+        ]
+        h.kernel.expire_and_drain(1.0)
+        assert h.data_bytes() == b"a" * 100 + b"c" * 100
+
+    def test_all_pieces_refused_leaves_no_record(self, monkeypatch):
+        h = Harness(need_pkts=True, memory_size=50)
+        stream = self._late_first_segment(h, monkeypatch, pieces=3)
+        assert h.kernel.counters.dropped_memory == 3
+        assert h.kernel.counters.stored_bytes == 0
+        assert (stream.stats.dropped_pkts, stream.stats.dropped_bytes) == (3, 1200)
+        assert stream.packet_records == []
+        assert stream.stats.captured_pkts == 1  # the reassembler did deliver
+
+    def test_two_pieces_cross_a_chunk_boundary(self, monkeypatch):
+        """The unpatched two-piece drain: chunk events keep stream order."""
+        h = Harness(need_pkts=True, chunk_size=512)
+        stream = self._late_first_segment(h, monkeypatch, pieces=2)
+        data_events = h.by_type(EventType.STREAM_DATA)
+        assert [e.chunk.stream_offset for e in data_events] == [0, 512]
+        assert [e.reason for e in data_events] == [DataReason.CHUNK_FULL] * 2
+        assert h.kernel.counters.stored_bytes == 1200
+        assert len(stream.packet_records) == 1
+        h.kernel.expire_and_drain(1.0)
+        assert h.data_bytes() == b"a" * 100 + b"b" * 1000 + b"c" * 100
