@@ -372,12 +372,11 @@ class ScapSocket:
         event = runtime.workers.current_event
         if event is None or event.chunk is None:
             raise RuntimeError("keep_stream_chunk is only valid in a data callback")
-        pair = runtime.kernel.flows.get(stream.five_tuple)
-        if pair is None:
+        record = runtime.kernel.flows.lookup(stream.five_tuple)
+        if record is None:
             return  # stream already terminated; nothing to merge into
-        assembler = pair.assemblers.get(stream.direction)
-        if assembler is not None:
-            assembler.keep(event.chunk)
+        if record.assembler is not None:
+            record.assembler.keep(event.chunk)
 
     # ------------------------------------------------------------------
     def get_stats(self) -> ScapStats:

@@ -1,11 +1,19 @@
 """The kernel module's stream table (§5.2).
 
-A hash table maps the canonical bidirectional five-tuple to a
-:class:`StreamPair` — the two ``stream_t`` directions plus the
-per-direction reassembly and chunking state.  An *access list* (here an
-``OrderedDict``, which is exactly a hash table threaded onto an LRU
-list) keeps streams sorted by last access so inactivity expiration pops
-from the cold end in O(expired), as described in the paper.
+One hash lookup takes a packet to its ``stream_t``: the table indexes
+the *directional* five-tuple every packet already carries to a
+:class:`FlowRecord` — the stream descriptor of that direction, its
+reassembler and chunk assembler, and the :class:`StreamPair` joining it
+to the opposite direction.  Both directions are installed when the pair
+is created and deleted wherever the pair leaves (:meth:`FlowTable.remove`,
+record-budget eviction, :meth:`FlowTable.expire_idle`,
+:meth:`FlowTable.drain`), so a record can never outlive its connection
+and nothing in front of the table caches it.
+
+An *access list* (here an ``OrderedDict`` of pairs, which is exactly a
+hash table threaded onto an LRU list) keeps connections sorted by last
+access so inactivity expiration pops from the cold end in O(expired),
+as described in the paper.
 
 There is no hard stream limit: records are allocated on demand.  When
 an optional record budget is exhausted (modeling "no more free
@@ -26,37 +34,54 @@ from .memory import ChunkAssembler
 from .reassembly import TCPDirectionReassembler
 from .stream import StreamDescriptor
 
-__all__ = ["StreamPair", "FlowTable"]
+__all__ = ["FlowRecord", "StreamPair", "FlowTable"]
+
+
+class FlowRecord:
+    """Everything the hot path needs for one direction of a connection.
+
+    What the table's directional index resolves a packet's five-tuple
+    to: the pair, this direction's stream descriptor and index, the
+    stream's string label (``str(five_tuple)`` is the single most
+    expensive per-store operation, so it is computed once here), and —
+    created on first use — the direction's reassembler and chunk
+    assembler.
+    """
+
+    __slots__ = ("pair", "stream", "direction", "label", "reassembler", "assembler")
+
+    def __init__(self, pair: "StreamPair", stream: StreamDescriptor):
+        self.pair = pair
+        self.stream = stream
+        self.direction = stream.direction
+        self.label = str(stream.five_tuple)
+        self.reassembler: Optional[TCPDirectionReassembler] = None
+        self.assembler: Optional[ChunkAssembler] = None
 
 
 @dataclass
 class StreamPair:
-    """Both directions of one connection plus their processing state."""
+    """Both directions of one connection plus their shared state."""
 
     key: FiveTuple  # canonical
     client: StreamDescriptor  # direction 0: as seen from the first packet
     server: StreamDescriptor  # direction 1
     last_access: float = 0.0
     core: int = 0
+    #: The two per-direction records, indexed by direction.
+    records: Tuple[FlowRecord, FlowRecord] = field(init=False, repr=False)
 
     # TCP connection-state tracking.
     syn_seen: bool = False
-    synack_seen: bool = False
     established: bool = False
     fin_seen: Tuple[bool, bool] = (False, False)
-    #: Both FINs observed; the connection terminates on the final ACK.
-    closing: bool = False
-    closed: bool = False
-
-    reassemblers: Dict[int, TCPDirectionReassembler] = field(default_factory=dict)
-    assemblers: Dict[int, ChunkAssembler] = field(default_factory=dict)
 
     # FDIR integration (§5.5).
     nic_filters_installed: bool = False
     filter_timeout_interval: float = 0.0
-    #: Highest sequence number seen per direction, for estimating flow
-    #: size from FIN/RST when data packets were dropped at the NIC.
-    last_seq: Dict[int, int] = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        self.records = (FlowRecord(self, self.client), FlowRecord(self, self.server))
 
     def descriptor(self, direction: int) -> StreamDescriptor:
         """The stream_t for one direction of the connection."""
@@ -72,14 +97,21 @@ class StreamPair:
 
 
 class FlowTable:  # scapcheck: single-owner
-    """Hash table + LRU access list over :class:`StreamPair` records.
+    """Directional index + LRU access list over :class:`StreamPair` records.
 
     Single-owner: only the kernel module mutates the table, from the
     (serialized) softirq path of the simulated host — no lock needed.
     """
 
-    def __init__(self, max_streams: Optional[int] = None):
+    def __init__(
+        self, max_streams: Optional[int] = None, sanitizers: Optional[object] = None
+    ):
+        # Access list: canonical key -> pair, coldest first.
         self._table: "OrderedDict[FiveTuple, StreamPair]" = OrderedDict()
+        # Directional five-tuple -> record; both directions of every
+        # pair in ``_table`` and nothing else.
+        self._index: Dict[FiveTuple, FlowRecord] = {}
+        self._san = sanitizers
         self.max_streams = max_streams
         self.created_total = 0
         self.evicted_total = 0
@@ -101,9 +133,29 @@ class FlowTable:  # scapcheck: single-owner
         return iter(self._table.values())
 
     # ------------------------------------------------------------------
+    def lookup(self, five_tuple: FiveTuple) -> Optional[FlowRecord]:
+        """The record of the direction ``five_tuple`` names, or None.
+
+        The one hash lookup of the per-packet path; LRU order is left
+        alone (the caller follows a hit with :meth:`touch`).
+        """
+        record = self._index.get(five_tuple)
+        if (
+            self._san is not None
+            and record is not None
+            and self._table.get(record.pair.key) is not record.pair
+        ):
+            self._san.fail(
+                "flow-cache-coherence",
+                "indexed flow record outlived its flow-table pair",
+                five_tuple=record.label,
+            )
+        return record
+
     def get(self, five_tuple: FiveTuple) -> Optional[StreamPair]:
         """Find a pair by either direction's tuple, without touching LRU order."""
-        return self._table.get(five_tuple.canonical())
+        record = self.lookup(five_tuple)
+        return record.pair if record is not None else None
 
     def touch(self, pair: StreamPair, now: float) -> None:
         """Refresh the pair's position in the access list."""
@@ -121,15 +173,15 @@ class FlowTable:  # scapcheck: single-owner
         """
         if self._race is not None:
             self._race.check(self._race_token, op="lookup_or_create")
-        key = five_tuple.canonical()
-        pair = self._table.get(key)
-        if pair is not None:
-            self.touch(pair, now)
-            return pair, False, []
+        record = self.lookup(five_tuple)
+        if record is not None:
+            self.touch(record.pair, now)
+            return record.pair, False, []
         evicted: List[StreamPair] = []
         if self.max_streams is not None:
             while len(self._table) >= self.max_streams:
                 _, victim = self._table.popitem(last=False)
+                self._unindex(victim)
                 self.evicted_total += 1
                 evicted.append(victim)
         client = StreamDescriptor(
@@ -147,16 +199,29 @@ class FlowTable:  # scapcheck: single-owner
         client.opposite = server
         server.opposite = client
         client.stats.start = server.stats.start = now
-        pair = StreamPair(key=key, client=client, server=server, last_access=now)
-        self._table[key] = pair
+        pair = StreamPair(
+            key=five_tuple.canonical(), client=client, server=server, last_access=now
+        )
+        self._table[pair.key] = pair
+        # Server first: should both directions carry the same tuple
+        # (source == destination), it names the client direction.
+        for record in reversed(pair.records):
+            self._index[record.stream.five_tuple] = record
         self.created_total += 1
         return pair, True, evicted
+
+    def _unindex(self, pair: StreamPair) -> None:
+        """Delete both directions of a pair that just left the access list."""
+        for stream in pair.both:
+            self._index.pop(stream.five_tuple, None)
 
     def remove(self, pair: StreamPair) -> None:
         """Drop a pair from the table (stream terminated)."""
         if self._race is not None:
             self._race.check(self._race_token, op="remove")
-        self._table.pop(pair.key, None)
+        if self._table.get(pair.key) is pair:
+            del self._table[pair.key]
+            self._unindex(pair)
 
     # ------------------------------------------------------------------
     def expire_idle(self, now: float, default_timeout: float) -> List[StreamPair]:
@@ -186,6 +251,7 @@ class FlowTable:  # scapcheck: single-owner
                 timeout = max(overrides)
             if idle > timeout:
                 del self._table[key]
+                self._unindex(pair)
                 expired.append(pair)
             else:
                 # Default-expired but stream-timeout still running: move
@@ -202,4 +268,5 @@ class FlowTable:  # scapcheck: single-owner
             self._race.check(self._race_token, op="drain")
         pairs = list(self._table.values())
         self._table.clear()
+        self._index.clear()
         return pairs

@@ -48,7 +48,7 @@ from .constants import (
     StreamStatus,
 )
 from .events import DataReason, Event, EventType
-from .flowtable import FlowTable, StreamPair
+from .flowtable import FlowRecord, FlowTable, StreamPair
 from .memory import Chunk, ChunkAssembler, StreamMemory
 from .packet_delivery import PacketRecord
 from .ppl import PrioritizedPacketLoss
@@ -79,7 +79,6 @@ class KernelCounters:
     discarded_non_established: int = 0
     stored_bytes: int = 0
     events_emitted: int = 0
-    events_dropped: int = 0
     stray_acks: int = 0
     fdir_installs: int = 0
     fdir_removals: int = 0
@@ -107,44 +106,17 @@ class KernelCounters:
         )
 
 
-class _FlowEntry:
-    """One directional five-tuple's cache line on the hot path.
-
-    Caches what would otherwise be re-derived on every packet of an
-    established flow: the pair, the directional stream descriptor,
-    the direction index, the stream's string label (``str(five_tuple)``
-    is the single most expensive per-store operation), and — once
-    created — the direction's reassembler and chunk assembler.  Entries
-    are invalidated wholesale whenever any stream terminates (the
-    kernel's ``_flow_epoch`` moves), so a cached pair can never outlive
-    its flow-table record.
-    """
-
-    __slots__ = ("pair", "stream", "direction", "label", "reassembler", "assembler")
-
-    def __init__(self, pair: StreamPair, stream: StreamDescriptor, direction: int,
-                 label: str):
-        self.pair = pair
-        self.stream = stream
-        self.direction = direction
-        self.label = label
-        self.reassembler: Optional[TCPDirectionReassembler] = None
-        self.assembler: Optional[ChunkAssembler] = None
-
-
 class _BatchContext:
     """Mutable state carried across the packets of one (or more) batches.
 
-    The flow cache persists across batches; the per-core packet/byte
-    counts are the one thing accumulated here and added to the metrics
-    registry by :meth:`ScapKernelModule.end_batch` (integers, so one
-    ``inc(n)`` equals ``n`` incs) — every other metric is recorded
-    where it happens.
+    Per-batch constants plus the per-core packet/byte counts, the one
+    thing accumulated here and added to the metrics registry by
+    :meth:`ScapKernelModule.end_batch` (integers, so one ``inc(n)``
+    equals ``n`` incs) — every other metric is recorded where it
+    happens.
     """
 
     __slots__ = (
-        "epoch",
-        "flows",
         "bpf_match_all",
         "core_packets",
         "core_bytes",
@@ -153,9 +125,7 @@ class _BatchContext:
         "lookup_hit_cycles",
     )
 
-    def __init__(self, epoch: int):
-        self.epoch = epoch
-        self.flows: Dict = {}
+    def __init__(self):
         self.bpf_match_all = False
         self.core_packets: Dict[int, int] = {}
         self.core_bytes: Dict[int, int] = {}
@@ -193,7 +163,7 @@ class ScapKernelModule:
         self.emit_event = emit_event or (lambda core, event: None)
         self.obs = observability or NULL_OBSERVABILITY
         self._san = sanitizers
-        self.flows = FlowTable(max_streams=max_streams)
+        self.flows = FlowTable(max_streams=max_streams, sanitizers=sanitizers)
         self.memory = StreamMemory(
             config.memory_size,
             observability=self.obs,
@@ -239,10 +209,7 @@ class ScapKernelModule:
         # observability is on, keeping the two paths identical.
         self._cycles = 0.0
         self.stage_cycles: List[float] = [0.0, 0.0, 0.0, 0.0]
-        # The flow-entry cache is invalidated whenever the epoch moves
-        # (any stream termination); the context persists across the
-        # batches of one run.
-        self._flow_epoch = 0
+        # The context persists across the batches of one run.
         self._batch_ctx: Optional[_BatchContext] = None
         self._cutoff_trivial = False
 
@@ -287,13 +254,11 @@ class ScapKernelModule:
         """Prepare (and return) the batch context for a batch of packets.
 
         Refreshes the per-batch constants (match-all BPF, trivial cutoff
-        policy) and drops the flow cache if any stream terminated since
-        the cache was filled.
+        policy, folded lookup charge).
         """
         ctx = self._batch_ctx
         if ctx is None:
-            ctx = _BatchContext(self._flow_epoch)
-            self._batch_ctx = ctx
+            ctx = self._batch_ctx = _BatchContext()
         ctx.bpf_match_all = self.config.bpf.is_match_all
         self._cutoff_trivial = self.config.cutoffs.is_trivial
         ctx.enabled = self.obs.enabled
@@ -303,9 +268,6 @@ class ScapKernelModule:
         # cost constants are small exactly-representable floats, so the
         # grouping cannot change the accumulated total.
         ctx.lookup_hit_cycles = cost.hash_lookup + cost.stream_update
-        if ctx.epoch != self._flow_epoch:
-            ctx.flows.clear()
-            ctx.epoch = self._flow_epoch
         return ctx
 
     def end_batch(self, ctx: _BatchContext) -> None:
@@ -324,13 +286,12 @@ class ScapKernelModule:
         """Process one packet of a batch on ``core``; return cycles charged.
 
         ``five_tuple`` is the packet's directional tuple, computed once
-        at batch construction.  The flow-entry cache replaces
-        canonicalization + flow-table lookup for packets of known
-        flows, a match-all BPF is skipped per batch, and the stream
-        label string is computed once per flow instead of once per
-        stored piece.  None of this may be observable: counters, trace
-        hooks, sanitizer calls and charged cycles must not depend on
-        where the batch boundaries fall.
+        at batch construction; one flow-table lookup on it yields the
+        direction's whole record (stream, reassembler, assembler,
+        label).  A match-all BPF is skipped per batch.  None of this
+        may be observable: counters, trace hooks, sanitizer calls and
+        charged cycles must not depend on where the batch boundaries
+        fall.
         """
         now = packet.timestamp
         cost = self.cost
@@ -350,9 +311,6 @@ class ScapKernelModule:
             core_bytes[core] = core_bytes.get(core, 0) + packet.wire_len
         if now - self._last_sweep >= 0.01:  # housekeeping cadence
             self._sweep(now, core)
-        if ctx.epoch != self._flow_epoch:
-            ctx.flows.clear()
-            ctx.epoch = self._flow_epoch
 
         if not ctx.bpf_match_all and not self.config.bpf.matches(packet):
             # Early in-kernel discard: headers touched, nothing copied.
@@ -372,8 +330,9 @@ class ScapKernelModule:
         if five_tuple is None:
             return self._cycles  # non-IP frames are ignored by Scap
 
-        entry = ctx.flows.get(five_tuple)
-        if entry is None:
+        flows = self.flows
+        record = flows.lookup(five_tuple)
+        if record is None:
             self._charge(_ST_LOOKUP, cost.hash_lookup)
             tcp = packet.tcp
             if (
@@ -382,52 +341,35 @@ class ScapKernelModule:
                 and not tcp.syn
                 and not tcp.fin
                 and not tcp.rst
-                and self.flows.get(five_tuple) is None
             ):
                 # A bare ACK for a flow we are not tracking (e.g. the
                 # final ACK of a connection just torn down): no stream
                 # state.
                 counters.stray_acks += 1
                 return self._cycles
-            pair, created, evicted = self.flows.lookup_or_create(five_tuple, now)
+            pair, _, evicted = flows.lookup_or_create(five_tuple, now)
             for victim in evicted:
                 self._terminate(victim, now, victim.core, StreamStatus.TIMED_OUT)
-            if ctx.epoch != self._flow_epoch:
-                # Record-budget eviction terminated streams: any cached
-                # entry may now be stale.  (``pair`` itself is live — it
-                # was just created.)
-                ctx.flows.clear()
-                ctx.epoch = self._flow_epoch
-            if created:
-                pair.core = core
-                self._charge(_ST_LOOKUP, cost.stream_update)
-                self._emit(core, Event(EventType.STREAM_CREATED, pair.client, now))
-                if self.obs.enabled:
-                    self.obs.trace.emit(
-                        now, HOOK_STREAM_CREATED, core=core,
-                        five_tuple=str(pair.client.five_tuple),
-                    )
-            direction = pair.direction_of(five_tuple)
-            stream = pair.descriptor(direction)
-            entry = _FlowEntry(pair, stream, direction, str(stream.five_tuple))
-            ctx.flows[five_tuple] = entry
+            pair.core = core
+            self._charge(_ST_LOOKUP, cost.stream_update)
+            self._emit(core, Event(EventType.STREAM_CREATED, pair.client, now))
+            if self.obs.enabled:
+                self.obs.trace.emit(
+                    now, HOOK_STREAM_CREATED, core=core,
+                    five_tuple=str(pair.client.five_tuple),
+                )
+            # The packet that creates a pair defines its client direction.
+            record = pair.records[0]
             self._charge(_ST_LOOKUP, cost.stream_update)
         else:
-            pair = entry.pair
-            if self._san is not None and self.flows.get(five_tuple) is not pair:
-                self._san.fail(
-                    "flow-cache-coherence",
-                    "cached flow entry outlived its flow-table record",
-                    five_tuple=entry.label,
-                )
-            stream = entry.stream
-            direction = entry.direction
-            # Same LRU effect as the hit path of ``lookup_or_create``;
-            # hash_lookup + stream_update folded into one charge.
-            self.flows.touch(pair, now)
+            pair = record.pair
+            # LRU refresh; hash_lookup + stream_update folded into one
+            # charge.
+            flows.touch(pair, now)
             lookup_cycles = ctx.lookup_hit_cycles
             self._cycles += lookup_cycles
             stages[1] += lookup_cycles
+        stream = record.stream
         stats = stream.stats
         stats.pkts += 1
         stats.bytes += len(packet.payload)
@@ -443,29 +385,22 @@ class ScapKernelModule:
             if packet.payload and not (tcp.syn or tcp.fin or tcp.rst):
                 # Established-data fast path: _handle_tcp minus the
                 # handshake/termination branches it would fall through.
-                pair.last_seq[direction] = tcp.seq
-                self._handle_tcp_payload(
-                    pair, stream, direction, packet, now, core, entry
-                )
+                self._handle_tcp_payload(record, packet, now, core)
                 if (
                     stream.flush_timeout is not None
                     or self.config.flush_timeout is not None
                 ):
-                    self._maybe_flush_timeout(pair, stream, direction, now, core)
+                    self._maybe_flush_timeout(record, now, core)
             else:
-                self._handle_tcp(pair, stream, direction, packet, now, core, entry)
+                self._handle_tcp(record, packet, now, core)
         elif packet.udp is not None:
-            self._handle_payload(
-                pair, stream, direction, packet.payload, now, core, entry
-            )
-            self._maybe_flush_timeout(pair, stream, direction, now, core)
+            self._handle_payload(record, packet, now, core)
+            self._maybe_flush_timeout(record, now, core)
         else:
             # Other IP protocols: no reassembly, each packet delivered
             # for processing on its own (§2.3).
-            self._handle_payload(
-                pair, stream, direction, packet.payload, now, core, entry
-            )
-            assembler = pair.assemblers.get(direction)
+            self._handle_payload(record, packet, now, core)
+            assembler = record.assembler
             if assembler is not None and assembler.pending_bytes:
                 chunk = assembler.flush(now)
                 if chunk is not None:
@@ -475,66 +410,55 @@ class ScapKernelModule:
     # ------------------------------------------------------------------
     # TCP handling
     # ------------------------------------------------------------------
-    def _reassembler_for(
-        self, pair: StreamPair, stream: StreamDescriptor, direction: int
-    ) -> TCPDirectionReassembler:
-        reassembler = pair.reassemblers.get(direction)
+    def _reassembler_for(self, record: FlowRecord) -> TCPDirectionReassembler:
+        reassembler = record.reassembler
         if reassembler is None:
+            stream = record.stream
             mode = stream.reassembly_mode or self.config.reassembly_mode
             policy = stream.reassembly_policy or self.config.reassembly_policy
-            reassembler = TCPDirectionReassembler(
+            reassembler = record.reassembler = TCPDirectionReassembler(
                 mode=mode, policy=policy, observability=self.obs,
-                sanitizers=self._san,
-                stream_label=str(stream.five_tuple),
+                sanitizers=self._san, stream_label=record.label,
             )
-            pair.reassemblers[direction] = reassembler
         return reassembler
 
     def _handle_tcp(
-        self,
-        pair: StreamPair,
-        stream: StreamDescriptor,
-        direction: int,
-        packet: Packet,
-        now: float,
-        core: int,
-        entry: _FlowEntry,
+        self, record: FlowRecord, packet: Packet, now: float, core: int
     ) -> None:
         tcp = packet.tcp
         assert tcp is not None
-        pair.last_seq[direction] = tcp.seq
+        pair = record.pair
 
         if tcp.syn and not tcp.ack_flag:
             pair.syn_seen = True
-            self._reassembler_for(pair, stream, direction).set_isn(tcp.seq)
+            self._reassembler_for(record).set_isn(tcp.seq)
             return
         if tcp.syn and tcp.ack_flag:
-            pair.synack_seen = True
-            self._reassembler_for(pair, stream, direction).set_isn(tcp.seq)
+            self._reassembler_for(record).set_isn(tcp.seq)
             if pair.syn_seen:
                 pair.established = True
                 # A zero cutoff is known at establishment: trigger the
                 # cutoff (and the FDIR filters) right away, so no data
                 # packet of this flow is ever brought to memory (§6.2).
-                for peer_direction, peer in enumerate(pair.both):
+                for peer in pair.records:
                     if (
-                        not peer.cutoff_exceeded
-                        and self.config.cutoffs.effective_cutoff(peer) == 0
+                        not peer.stream.cutoff_exceeded
+                        and self.config.cutoffs.effective_cutoff(peer.stream) == 0
                     ):
-                        self._cutoff_reached(pair, peer, peer_direction, now, core)
+                        self._cutoff_reached(peer, now, core)
             return
         if tcp.rst:
-            self._estimate_from_seq(pair, stream, direction, tcp.seq)
+            self._estimate_from_seq(record, tcp.seq)
             self._terminate(pair, now, core, StreamStatus.RESET)
             return
 
         if packet.payload:
-            self._handle_tcp_payload(pair, stream, direction, packet, now, core, entry)
+            self._handle_tcp_payload(record, packet, now, core)
 
         if tcp.fin:
-            self._estimate_from_seq(pair, stream, direction, tcp.seq)
+            self._estimate_from_seq(record, tcp.seq)
             fin = list(pair.fin_seen)
-            fin[direction] = True
+            fin[record.direction] = True
             pair.fin_seen = (fin[0], fin[1])
             if pair.fin_seen[0] and pair.fin_seen[1]:
                 # Both sides have FINed: the connection is over.  (The
@@ -542,18 +466,13 @@ class ScapKernelModule:
                 # stray ACKs never create flow state.)
                 self._terminate(pair, now, core, StreamStatus.CLOSED)
                 return
-        self._maybe_flush_timeout(pair, stream, direction, now, core)
+        self._maybe_flush_timeout(record, now, core)
 
     def _handle_tcp_payload(
-        self,
-        pair: StreamPair,
-        stream: StreamDescriptor,
-        direction: int,
-        packet: Packet,
-        now: float,
-        core: int,
-        entry: _FlowEntry,
+        self, record: FlowRecord, packet: Packet, now: float, core: int
     ) -> None:
+        pair = record.pair
+        stream = record.stream
         mode = stream.reassembly_mode or self.config.reassembly_mode
         if mode == SCAP_TCP_STRICT and not pair.established:
             # Strict normalization: data from non-established connections
@@ -563,20 +482,14 @@ class ScapKernelModule:
             stream.stats.discarded_bytes += len(packet.payload)
             return
 
-        reassembler = entry.reassembler
-        if reassembler is None:
-            reassembler = self._reassembler_for(pair, stream, direction)
-            entry.reassembler = reassembler
+        reassembler = record.reassembler or self._reassembler_for(record)
         if not pair.established and not reassembler.anchored:
             stream.set_error(StreamError.INCOMPLETE_HANDSHAKE)
 
         if stream.cutoff_exceeded or stream.discarded_by_app:
             # Data past the cutoff that still reached the kernel (no
             # FDIR, or filter evicted): discard at once, nearly free.
-            self.counters.discarded_cutoff_packets += 1
-            self.counters.discarded_cutoff_bytes += len(packet.payload)
-            stream.stats.discarded_pkts += 1
-            stream.stats.discarded_bytes += len(packet.payload)
+            self._discard_past_cutoff(stream, len(packet.payload))
             if self.config.use_fdir and not pair.nic_filters_installed:
                 self._install_filters(pair, stream, now)
             return
@@ -586,19 +499,7 @@ class ScapKernelModule:
             self.memory.fraction_used(now), stream.priority, reassembler.next_offset
         )
         if decision.drop:
-            self.counters.dropped_ppl += 1
-            self.counters.ppl_drops_by_priority[stream.priority] = (
-                self.counters.ppl_drops_by_priority.get(stream.priority, 0) + 1
-            )
-            stream.stats.dropped_pkts += 1
-            stream.stats.dropped_bytes += len(packet.payload)
-            if self.obs.enabled:
-                self._core(core)[2].inc()
-                self.obs.trace.emit(
-                    now, HOOK_PPL_DROP, core=core, priority=stream.priority,
-                    reason=decision.reason, bytes=len(packet.payload),
-                    five_tuple=entry.label,
-                )
+            self._drop_ppl(record, len(packet.payload), decision.reason, now, core)
             return
 
         # Inlined _charge(_ST_REASM, reassembly_per_segment).
@@ -619,24 +520,11 @@ class ScapKernelModule:
             )
         delivered = reassembler.on_segment(packet.tcp.seq, packet.payload, now=now)
         stored_any = False
-        if (
-            len(delivered) > 1
-            and self._cutoff_trivial
-            and stream.cutoff == SCAP_UNLIMITED_CUTOFF
-        ):
-            # Multi-piece delivery (a hole just drained) with no cutoff
-            # in play: admit every piece, then hand the assembler all
-            # surviving segments in one multi-segment append.
-            stored_any = self._store_pieces_fast(
-                pair, stream, direction, delivered, now, core, entry
+        for piece in delivered:  # more than one when a hole just drained
+            stored = self._store_piece(
+                record, piece.data, now, core, follows_hole=piece.follows_hole
             )
-        else:
-            for piece in delivered:
-                stored = self._store_piece(
-                    pair, stream, direction, piece.data, now, core, entry,
-                    follows_hole=piece.follows_hole,
-                )
-                stored_any = stored_any or stored
+            stored_any = stored_any or stored
         # A record exists only for packets whose bytes were stored in
         # stream memory right away — the record's payload pointer must
         # point at real stream data.  (Out-of-order segments awaiting a
@@ -660,71 +548,46 @@ class ScapKernelModule:
     # ------------------------------------------------------------------
     # Payload storage (shared by TCP/UDP/other)
     # ------------------------------------------------------------------
-    def _assembler_for(
-        self, pair: StreamPair, stream: StreamDescriptor, direction: int
-    ) -> ChunkAssembler:
-        assembler = pair.assemblers.get(direction)
+    def _assembler_for(self, record: FlowRecord) -> ChunkAssembler:
+        assembler = record.assembler
         if assembler is None:
-            assembler = ChunkAssembler(
+            stream = record.stream
+            assembler = record.assembler = ChunkAssembler(
                 self.memory,
                 chunk_size=stream.chunk_size or self.config.chunk_size,
                 overlap=stream.overlap_size
                 if stream.overlap_size is not None
                 else self.config.overlap_size,
             )
-            pair.assemblers[direction] = assembler
         return assembler
 
     def _handle_payload(
-        self,
-        pair: StreamPair,
-        stream: StreamDescriptor,
-        direction: int,
-        payload: bytes,
-        now: float,
-        core: int,
-        entry: _FlowEntry,
+        self, record: FlowRecord, packet: Packet, now: float, core: int
     ) -> None:
         """UDP / other protocols: concatenate payloads, no reassembly."""
+        payload = packet.payload
         if not payload:
             return
+        stream = record.stream
         if stream.cutoff_exceeded or stream.discarded_by_app:
-            stream.stats.discarded_pkts += 1
-            stream.stats.discarded_bytes += len(payload)
-            self.counters.discarded_cutoff_packets += 1
-            self.counters.discarded_cutoff_bytes += len(payload)
+            self._discard_past_cutoff(stream, len(payload))
             return
-        assembler = entry.assembler
-        if assembler is None:
-            assembler = self._assembler_for(pair, stream, direction)
-            entry.assembler = assembler
+        assembler = record.assembler or self._assembler_for(record)
         decision = self.ppl.check(
             self.memory.fraction_used(now), stream.priority, assembler.stream_offset
         )
         if decision.drop:
-            self.counters.dropped_ppl += 1
-            self.counters.ppl_drops_by_priority[stream.priority] = (
-                self.counters.ppl_drops_by_priority.get(stream.priority, 0) + 1
-            )
-            stream.stats.dropped_pkts += 1
-            stream.stats.dropped_bytes += len(payload)
-            if self.obs.enabled:
-                self._core(core)[2].inc()
-                self.obs.trace.emit(
-                    now, HOOK_PPL_DROP, core=core, priority=stream.priority,
-                    reason=decision.reason, bytes=len(payload),
-                    five_tuple=entry.label,
-                )
+            self._drop_ppl(record, len(payload), decision.reason, now, core)
             return
         record_offset = assembler.stream_offset
-        stored = self._store_piece(pair, stream, direction, payload, now, core, entry)
+        stored = self._store_piece(record, payload, now, core)
         stream.stats.captured_pkts += 1
         if stored and self.config.need_pkts:
             stream.packet_records.append(
                 PacketRecord(
                     timestamp=now,
                     caplen=len(payload),
-                    wire_len=len(payload) + 42,
+                    wire_len=packet.wire_len,
                     seq=0,
                     tcp_flags=0,
                     payload=payload,
@@ -734,22 +597,17 @@ class ScapKernelModule:
 
     def _store_piece(
         self,
-        pair: StreamPair,
-        stream: StreamDescriptor,
-        direction: int,
+        record: FlowRecord,
         data: bytes,
         now: float,
         core: int,
-        entry: _FlowEntry,
         follows_hole: bool = False,
     ) -> bool:
         """Write reassembled bytes into the stream's chunk block."""
         if not data:
             return False
-        assembler = entry.assembler
-        if assembler is None:
-            assembler = self._assembler_for(pair, stream, direction)
-            entry.assembler = assembler
+        stream = record.stream
+        assembler = record.assembler or self._assembler_for(record)
         if self._cutoff_trivial and stream.cutoff == SCAP_UNLIMITED_CUTOFF:
             # No scope can impose a cutoff on this stream: identical to
             # ``cutoffs.remaining`` returning None, without the
@@ -766,25 +624,15 @@ class ScapKernelModule:
             data = data[:remaining]
             truncated = True
         if data:
-            if not self.memory.try_store(now, len(data), entry.label):
-                self.counters.dropped_memory += 1
-                # Memory exhaustion is the overload drop of last resort;
-                # account it per priority like a PPL drop so the PPL
-                # experiments see the complete per-class loss.
-                self.counters.ppl_drops_by_priority[stream.priority] = (
-                    self.counters.ppl_drops_by_priority.get(stream.priority, 0) + 1
-                )
-                stream.stats.dropped_pkts += 1
-                stream.stats.dropped_bytes += len(data)
-                if self.obs.enabled:
-                    self._core(core)[3].inc()
+            if not self.memory.try_store(now, len(data), record.label):
+                self._drop_memory(stream, len(data), core)
                 if truncated:
                     # The cutoff decision is independent of whether the
                     # final piece could be stored: the stream must still
                     # transition to CUTOFF (and install FDIR drop
                     # filters), or an exhausted pool would keep cutoff
                     # traffic flowing to the kernel forever.
-                    self._cutoff_reached(pair, stream, direction, now, core)
+                    self._cutoff_reached(record, now, core)
                 return False
             if follows_hole:
                 stream.set_error(StreamError.REASSEMBLY_HOLE)
@@ -802,109 +650,75 @@ class ScapKernelModule:
             for chunk in assembler.append(data, now, had_hole=follows_hole):
                 self._emit_data(core, stream, chunk, DataReason.CHUNK_FULL, now)
         if truncated:
-            self._cutoff_reached(pair, stream, direction, now, core)
+            self._cutoff_reached(record, now, core)
         return bool(data)
 
-    def _store_pieces_fast(
-        self,
-        pair: StreamPair,
-        stream: StreamDescriptor,
-        direction: int,
-        pieces: List,
-        now: float,
-        core: int,
-        entry: _FlowEntry,
-    ) -> bool:
-        """Store several reassembled pieces via one multi-segment append.
+    # ------------------------------------------------------------------
+    # Loss accounting: one definition per way payload leaves the path
+    # ------------------------------------------------------------------
+    def _count_priority_drop(self, priority: int) -> None:
+        by_priority = self.counters.ppl_drops_by_priority
+        by_priority[priority] = by_priority.get(priority, 0) + 1
 
-        Only called when no cutoff can apply to the stream (caller
-        checked ``is_trivial`` + the per-stream cutoff), so truncation
-        and ``_cutoff_reached`` can never trigger.  Observable effects
-        are identical to calling :meth:`_store_piece` per piece: pool
-        admissions, sanitizer hooks, and counters happen per piece in
-        piece order, and chunk events are emitted in the same sequence —
-        appends never move the memory pool, so deferring them past later
-        admissions changes no admission outcome.
-        """
-        assembler = entry.assembler
-        if assembler is None:
-            assembler = self._assembler_for(pair, stream, direction)
-            entry.assembler = assembler
-        label = entry.label
-        cost = self.cost
-        counters = self.counters
-        stats = stream.stats
-        segments: List[bytes] = []
-        flags: List[bool] = []
-        stored_any = False
-        for piece in pieces:
-            data = piece.data
-            if not data:
-                continue
-            if not self.memory.try_store(now, len(data), label):
-                counters.dropped_memory += 1
-                counters.ppl_drops_by_priority[stream.priority] = (
-                    counters.ppl_drops_by_priority.get(stream.priority, 0) + 1
-                )
-                stats.dropped_pkts += 1
-                stats.dropped_bytes += len(data)
-                if self.obs.enabled:
-                    self._core(core)[3].inc()
-                continue
-            if piece.follows_hole:
-                stream.set_error(StreamError.REASSEMBLY_HOLE)
-            stages = self.stage_cycles
-            cyc = cost.copy_cost(len(data))
-            self._cycles += cyc
-            stages[_ST_REASM] += cyc
-            cyc = cost.miss_cost(self.locality.scap_kernel_misses(len(data)))
-            self._cycles += cyc
-            stages[_ST_REASM] += cyc
-            counters.stored_bytes += len(data)
-            stats.captured_bytes += len(data)
-            segments.append(data)
-            flags.append(piece.follows_hole)
-            stored_any = True
-        if segments:
-            for chunk in assembler.append_many(segments, now, had_holes=flags):
-                self._emit_data(core, stream, chunk, DataReason.CHUNK_FULL, now)
-        return stored_any
-
-    def _cutoff_reached(
-        self,
-        pair: StreamPair,
-        stream: StreamDescriptor,
-        direction: int,
-        now: float,
-        core: int,
+    def _drop_ppl(
+        self, record: FlowRecord, nbytes: int, reason: str, now: float, core: int
     ) -> None:
+        """Prioritized packet loss refused a packet's payload."""
+        stream = record.stream
+        self.counters.dropped_ppl += 1
+        self._count_priority_drop(stream.priority)
+        stream.stats.dropped_pkts += 1
+        stream.stats.dropped_bytes += nbytes
+        if self.obs.enabled:
+            self._core(core)[2].inc()
+            self.obs.trace.emit(
+                now, HOOK_PPL_DROP, core=core, priority=stream.priority,
+                reason=reason, bytes=nbytes, five_tuple=record.label,
+            )
+
+    def _drop_memory(self, stream: StreamDescriptor, nbytes: int, core: int) -> None:
+        """The pool refused a piece: the overload drop of last resort.
+
+        Accounted per priority like a PPL drop so the PPL experiments
+        see the complete per-class loss.
+        """
+        self.counters.dropped_memory += 1
+        self._count_priority_drop(stream.priority)
+        stream.stats.dropped_pkts += 1
+        stream.stats.dropped_bytes += nbytes
+        if self.obs.enabled:
+            self._core(core)[3].inc()
+
+    def _discard_past_cutoff(self, stream: StreamDescriptor, nbytes: int) -> None:
+        """A packet of a stream already past its cutoff (or discarded)."""
+        self.counters.discarded_cutoff_packets += 1
+        self.counters.discarded_cutoff_bytes += nbytes
+        stream.stats.discarded_pkts += 1
+        stream.stats.discarded_bytes += nbytes
+
+    def _cutoff_reached(self, record: FlowRecord, now: float, core: int) -> None:
         """The stream hit its cutoff: final chunk, FDIR filters (§5.4/5.5)."""
+        stream = record.stream
         stream.cutoff_exceeded = True
         stream.status = StreamStatus.CUTOFF
         if self.obs.enabled:
             self.obs.trace.emit(
                 now, HOOK_CUTOFF_REACHED, core=core,
-                five_tuple=str(stream.five_tuple),
+                five_tuple=record.label,
                 captured_bytes=stream.stats.captured_bytes,
             )
-        assembler = pair.assemblers.get(direction)
+        assembler = record.assembler
         final = assembler.flush(now) if assembler is not None else None
         if final is not None:
             self._emit_data(core, stream, final, DataReason.CUTOFF, now)
         if self.config.use_fdir:
-            self._install_filters(pair, stream, now)
+            self._install_filters(record.pair, stream, now)
 
     # ------------------------------------------------------------------
     # Flush timeouts
     # ------------------------------------------------------------------
-    def _maybe_flush_timeout(
-        self,
-        pair: StreamPair,
-        stream: StreamDescriptor,
-        direction: int,
-        now: float,
-        core: int,
-    ) -> None:
+    def _maybe_flush_timeout(self, record: FlowRecord, now: float, core: int) -> None:
+        stream = record.stream
         flush_timeout = (
             stream.flush_timeout
             if stream.flush_timeout is not None
@@ -912,7 +726,7 @@ class ScapKernelModule:
         )
         if flush_timeout is None:
             return
-        assembler = pair.assemblers.get(direction)
+        assembler = record.assembler
         if (
             assembler is not None
             and assembler.pending_bytes
@@ -930,21 +744,14 @@ class ScapKernelModule:
     ) -> None:
         """Flush, emit final data + termination events, drop state."""
         self.flows.remove(pair)
-        # Any cached flow entry may now point at dead state; the batch
-        # context drops its cache when it sees the epoch move.
-        self._flow_epoch += 1
-        for direction, stream in enumerate(pair.both):
-            reassembler = pair.reassemblers.get(direction)
-            pieces = reassembler.flush(now=now) if reassembler is not None else ()
-            if pieces:
-                # The cache was just invalidated; a throwaway entry.
-                entry = _FlowEntry(pair, stream, direction, str(stream.five_tuple))
-                for piece in pieces:
+        for record in pair.records:
+            stream = record.stream
+            if record.reassembler is not None:
+                for piece in record.reassembler.flush(now=now):
                     self._store_piece(
-                        pair, stream, direction, piece.data, now, core, entry,
-                        follows_hole=piece.follows_hole,
+                        record, piece.data, now, core, follows_hole=piece.follows_hole
                     )
-            assembler = pair.assemblers.get(direction)
+            assembler = record.assembler
             if assembler is not None:
                 final = assembler.flush(now, final=True)
                 if final is not None:
@@ -1056,21 +863,19 @@ class ScapKernelModule:
             self._charge(_ST_RECV, self.cost.fdir_filter_update * removed)
         pair.nic_filters_installed = False
 
-    def _estimate_from_seq(
-        self, pair: StreamPair, stream: StreamDescriptor, direction: int, seq: int
-    ) -> None:
+    def _estimate_from_seq(self, record: FlowRecord, seq: int) -> None:
         """Recover flow size from FIN/RST sequence numbers (§5.5).
 
         When data packets were dropped at the NIC the kernel never saw
         them; the FIN's sequence number still tells us how many bytes
         the stream carried.
         """
-        reassembler = pair.reassemblers.get(direction)
+        reassembler = record.reassembler
         if reassembler is None or not reassembler.anchored:
             return
         estimated = reassembler.next_offset + seq_diff(seq, reassembler.expected_seq)
-        if estimated > stream.stats.bytes:
-            stream.stats.bytes = estimated
+        if estimated > record.stream.stats.bytes:
+            record.stream.stats.bytes = estimated
 
     # ------------------------------------------------------------------
     # Event emission

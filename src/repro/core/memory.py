@@ -314,9 +314,9 @@ class ChunkAssembler:
         ``had_holes``, when given, is a parallel sequence flagging the
         segments that follow a reassembly hole.  Completed chunks are
         returned in delivery order; the result is exactly the
-        concatenation of per-segment :meth:`append` results — the
-        kernel module relies on this equivalence when it stores a
-        multi-piece reassembly delivery with one call.
+        concatenation of per-segment :meth:`append` results.  Nothing
+        in ``src/`` calls it any more; it stays only while
+        ``benchmarks/perf/spec.py`` names it.
         """
         completed: List[Chunk] = []
         if had_holes is None:

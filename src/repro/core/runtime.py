@@ -435,9 +435,7 @@ class ScapRuntime:
             memory_peak_fraction=self.kernel.memory.pool.peak_used
             / self.kernel.memory.pool.capacity,
         )
-        result.extra["events_dropped"] = float(
-            self.workers.events_dropped + counters.events_dropped
-        )
+        result.extra["events_dropped"] = float(self.workers.events_dropped)
         result.extra["fdir_installs"] = float(counters.fdir_installs)
         result.extra["stored_bytes"] = float(counters.stored_bytes)
         result.extra["packets_to_memory"] = float(counters.packets_seen)

@@ -1,7 +1,11 @@
 """Tests for the stream table and access-list expiration."""
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from repro.core.flowtable import FlowTable
 from repro.netstack import FiveTuple, IPProtocol
+from repro.sanitizers import SanitizerContext
 
 
 def _ft(index, port=80):
@@ -136,3 +140,109 @@ class TestStreamIdAllocation:
             pair, _, _ = table.lookup_or_create(_ft(i), now=0.0)
             ids.extend([pair.client.stream_id, pair.server.stream_id])
         assert sorted(ids) == list(range(12))
+
+
+# ----------------------------------------------------------------------
+# The directional index: both directions of every live pair resolve to
+# that pair's records, and no tuple of a departed pair resolves.
+# ----------------------------------------------------------------------
+_SLOTS = 6  # connections the operations draw from; few, so keys get reused
+
+_SLOT = st.integers(0, _SLOTS - 1)
+# Per-stream inactivity timeouts below and above the defaults ``expire``
+# uses: the larger ones put default-expired pairs on the requeue branch.
+_OVERRIDE = st.sampled_from([None, 2.0, 30.0, 500.0])
+_OPEN = st.tuples(st.just("open"), _SLOT, st.booleans(), _OVERRIDE)
+_OPERATIONS = st.one_of(
+    _OPEN,
+    _OPEN,  # twice: most other operations need something live
+    st.tuples(st.just("touch"), _SLOT),
+    st.tuples(st.just("remove"), _SLOT),
+    st.tuples(st.just("override"), _SLOT, _OVERRIDE),
+    st.tuples(st.just("expire"), st.sampled_from([0.5, 5.0, 15.0])),
+    st.tuples(st.just("drain")),
+)
+
+
+def _assert_index_matches(table, live):
+    assert {id(pair) for pair in table} == {id(pair) for pair in live.values()}
+    for slot in range(_SLOTS):
+        pair = live.get(slot)
+        for five_tuple in (_ft(slot), _ft(slot).reversed()):
+            record = table.lookup(five_tuple)
+            if pair is None:
+                assert record is None, "a departed pair's tuple still resolves"
+                assert table.get(five_tuple) is None
+                continue
+            # ``open`` may have come from the reverse side: the creating
+            # tuple is the client, whichever way the slot's tuple points.
+            expected = pair.records[pair.direction_of(five_tuple)]
+            assert record is expected
+            assert record.pair is pair and table.get(five_tuple) is pair
+            assert record.stream is pair.descriptor(record.direction)
+            assert record.stream.five_tuple == five_tuple
+            assert record.label == str(five_tuple)
+        if pair is not None:
+            assert pair.records[0].stream is pair.client
+            assert pair.records[1].stream is pair.server
+
+
+class TestDirectionalIndex:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        operations=st.lists(_OPERATIONS, min_size=4, max_size=40),
+        max_streams=st.sampled_from([None, 1, 3]),
+        gaps=st.lists(st.sampled_from([0.0, 1.0, 7.0, 20.0]), min_size=40, max_size=40),
+    )
+    def test_index_tracks_every_arrival_and_departure(
+        self, operations, max_streams, gaps
+    ):
+        # Sanitized: a hit on an unindexed-but-listed (or the reverse)
+        # record raises ``flow-cache-coherence`` by itself.
+        table = FlowTable(max_streams=max_streams, sanitizers=SanitizerContext())
+        live = {}  # slot -> pair, as told by the table's return values
+        now = 0.0
+
+        def depart(pairs):
+            for slot in [s for s, pair in live.items() if any(pair is p for p in pairs)]:
+                del live[slot]
+
+        for operation, gap in zip(operations, gaps):
+            now += gap
+            kind = operation[0]
+            if kind == "open":
+                _, slot, from_server, override = operation
+                five_tuple = _ft(slot).reversed() if from_server else _ft(slot)
+                pair, created, evicted = table.lookup_or_create(five_tuple, now)
+                assert created == (slot not in live)
+                if created:
+                    pair.server.inactivity_timeout = override
+                depart(evicted)
+                live[slot] = pair
+            elif kind == "touch" and operation[1] in live:
+                table.touch(live[operation[1]], now)
+            elif kind == "remove" and operation[1] in live:
+                table.remove(live.pop(operation[1]))
+            elif kind == "override" and operation[1] in live:
+                live[operation[1]].server.inactivity_timeout = operation[2]
+            elif kind == "expire":
+                expired = table.expire_idle(now, default_timeout=operation[1])
+                for pair in expired:
+                    override = pair.server.inactivity_timeout
+                    assert now - pair.last_access > max(operation[1], override or 0.0)
+                depart(expired)
+            elif kind == "drain":
+                drained = table.drain()
+                assert len(drained) == len(live)
+                live.clear()
+            _assert_index_matches(table, live)
+
+    def test_removing_a_stale_pair_leaves_its_successor_alone(self):
+        table = FlowTable()
+        old, _, _ = table.lookup_or_create(_ft(1), now=0.0)
+        table.remove(old)
+        new, created, _ = table.lookup_or_create(_ft(1), now=1.0)
+        assert created and new is not old
+        table.remove(old)  # e.g. a second termination of the dead pair
+        assert table.get(_ft(1)) is new
+        assert table.lookup(_ft(1).reversed()) is new.records[1]

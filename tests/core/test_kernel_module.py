@@ -267,6 +267,32 @@ class TestUdpPacketDelivery:
         assert [r.payload for r in records] == [b"query", b"more"]
         assert [r.stream_offset for r in records] == [0, 5]
 
+    def test_records_carry_the_frames_wire_length(self):
+        """Not ``len(payload) + 42``: that is only an untagged UDP frame."""
+        import dataclasses
+
+        from repro.netstack import EthernetHeader, IPv4Header, Packet
+
+        h = Harness(need_pkts=True)
+        ft = FiveTuple(33, 3300, 34, 53, IPProtocol.UDP)
+        plain = make_udp_packet(*ft[:4], payload=b"query", timestamp=0.0)
+        tagged = dataclasses.replace(
+            make_udp_packet(*ft[:4], payload=b"tagged", timestamp=0.1),
+            vlan_id=7, wire_len=0,
+        )
+        icmp = Packet(
+            eth=EthernetHeader(),
+            ip=IPv4Header(src_ip=35, dst_ip=36, protocol=IPProtocol.ICMP,
+                          total_length=20 + 32),
+            payload=b"e" * 32, timestamp=0.2,
+        )
+        h.feed([plain, tagged, icmp])
+        udp_records = h.kernel.flows.get(ft).descriptor(0).packet_records
+        assert [r.wire_len for r in udp_records] == [5 + 42, 6 + 46]
+        assert [r.wire_len for r in udp_records] == [plain.wire_len, tagged.wire_len]
+        icmp_records = h.kernel.flows.get(icmp.five_tuple).descriptor(0).packet_records
+        assert [r.wire_len for r in icmp_records] == [icmp.wire_len] == [14 + 20 + 32]
+
 
 class TestMultiPieceDelivery:
     """One late segment releases several pieces; each is admitted alone."""

@@ -85,9 +85,8 @@ class TestKernelAdversarialInput:
                 ),
                 0,
             )
-        pair = kernel.flows.get(ft)
-        for reassembler in pair.reassemblers.values():
-            assert reassembler.buffered_bytes <= 65536 + 100
+        reassembler = kernel.flows.lookup(ft).reassembler
+        assert reassembler.buffered_bytes <= 65536 + 100
 
     def test_duplicate_syn_storm(self):
         kernel, nic = self._kernel()

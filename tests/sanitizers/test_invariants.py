@@ -3,7 +3,7 @@ silent on a correct pipeline."""
 
 import pytest
 
-from repro.core import ScapConfig, ScapKernelModule, ScapRuntime, ScapSocket, StreamStatus
+from repro.core import ScapConfig, ScapKernelModule, ScapRuntime, ScapSocket
 from repro.core.memory import StreamMemory
 from repro.core.ppl import PPLDecision, PrioritizedPacketLoss
 from repro.core.reassembly import TCPDirectionReassembler
@@ -175,13 +175,12 @@ class TestFlowCacheCoherence:
             ScapConfig(), SimulatedNIC(queue_count=1), DEFAULT_COST_MODEL,
             sanitizers=san,
         )
-        kernel.handle_packet(self._data(1), 0)  # fills the flow-entry cache
+        kernel.handle_packet(self._data(1), 0)  # installs both directions
         kernel.handle_packet(self._data(101), 0)  # a coherent hit is silent
-        # Break the harness: terminate the stream but hide the epoch
-        # move that tells the cache its entries may be dead.
-        epoch = kernel._flow_epoch
-        kernel._terminate(kernel.flows.get(_tuple()), 1.0, 0, StreamStatus.TIMED_OUT)
-        kernel._flow_epoch = epoch
+        # Break the table: take the pair off the access list behind the
+        # index's back, as a removal path that forgot to unindex would.
+        pair = kernel.flows.get(_tuple())
+        del kernel.flows._table[pair.key]
         with pytest.raises(InvariantViolation) as excinfo:
             kernel.handle_packet(self._data(201), 0)
         assert excinfo.value.invariant == "flow-cache-coherence"
