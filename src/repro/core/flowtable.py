@@ -68,8 +68,9 @@ class StreamPair:
     server: StreamDescriptor  # direction 1
     last_access: float = 0.0
     core: int = 0
-    #: The two per-direction records, indexed by direction.
-    records: Tuple[FlowRecord, FlowRecord] = field(init=False, repr=False)
+    #: The two per-direction records, indexed by direction (emptied when
+    #: the kernel module has terminated the pair).
+    records: Tuple[FlowRecord, ...] = field(init=False, repr=False)
 
     # TCP connection-state tracking.
     syn_seen: bool = False

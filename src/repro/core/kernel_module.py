@@ -775,6 +775,10 @@ class ScapKernelModule:
                     pair.client.stats.captured_bytes + pair.server.stats.captured_bytes
                 ),
             )
+        # Pair and records point at each other; unlinking them here frees
+        # the reassembly and chunk state by reference count, now, instead
+        # of leaving ~14 objects per connection to the cycle collector.
+        pair.records = ()
 
     def expire_and_drain(self, now: float) -> None:
         """End of capture: time out everything still in the table."""

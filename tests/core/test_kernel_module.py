@@ -113,6 +113,29 @@ class TestLifecycle:
         assert server_side.stats.end >= server_side.stats.start
 
 
+    def test_termination_frees_direction_state_by_reference_count(self):
+        """Pair and records reference each other; ``_terminate`` unlinks
+        them so reassembly buffers do not wait for the cycle collector."""
+        import gc
+        import weakref
+
+        h = Harness()
+        ft = FiveTuple(9, 901, 8, 80, IPProtocol.TCP)
+        gc.disable()
+        try:
+            h.feed([
+                make_tcp_packet(*ft[:4], seq=0, flags=TCPFlags.SYN),
+                make_tcp_packet(*ft[:4], seq=1, payload=b"data", timestamp=1e-3),
+            ])
+            reassembler = weakref.ref(h.kernel.flows.lookup(ft).reassembler)
+            assert reassembler() is not None
+            h.feed([make_tcp_packet(*ft[:4], seq=5, flags=TCPFlags.RST, timestamp=2e-3)])
+            assert h.kernel.flows.lookup(ft) is None
+            assert reassembler() is None
+        finally:
+            gc.enable()
+
+
 class TestReassemblyIntegration:
     def test_fragmented_session_reassembles(self):
         h = Harness()
