@@ -52,7 +52,7 @@ from .flowtable import FlowRecord, FlowTable, StreamPair
 from .memory import Chunk, ChunkAssembler, StreamMemory
 from .packet_delivery import PacketRecord
 from .ppl import PrioritizedPacketLoss
-from .reassembly import TCPDirectionReassembler
+from .reassembly import ReassemblyInstruments, TCPDirectionReassembler
 from .stream import StreamDescriptor
 
 __all__ = ["ScapKernelModule", "KernelCounters"]
@@ -198,6 +198,7 @@ class ScapKernelModule:
         # Pre-resolved per-core children: one dict hit on first use,
         # then the enabled path is a bare Counter.inc.
         self._core_metrics: Dict[int, Tuple] = {}
+        self._reassembly: Optional[ReassemblyInstruments] = None  # at the first TCP direction
         self._fragments = IPFragmentReassembler()
         self._filter_timeouts: List[Tuple[float, int, FdirFilter, StreamPair]] = []
         self._filter_seq = 0
@@ -414,11 +415,12 @@ class ScapKernelModule:
         reassembler = record.reassembler
         if reassembler is None:
             stream = record.stream
-            mode = stream.reassembly_mode or self.config.reassembly_mode
-            policy = stream.reassembly_policy or self.config.reassembly_policy
+            if self._reassembly is None:
+                self._reassembly = ReassemblyInstruments(self.obs)
             reassembler = record.reassembler = TCPDirectionReassembler(
-                mode=mode, policy=policy, observability=self.obs,
-                sanitizers=self._san, stream_label=record.label,
+                mode=stream.reassembly_mode or self.config.reassembly_mode,
+                policy=stream.reassembly_policy or self.config.reassembly_policy,
+                instruments=self._reassembly, sanitizers=self._san, stream_label=record.label,
             )
         return reassembler
 
@@ -429,13 +431,11 @@ class ScapKernelModule:
         assert tcp is not None
         pair = record.pair
 
-        if tcp.syn and not tcp.ack_flag:
-            pair.syn_seen = True
+        if tcp.syn:
             self._reassembler_for(record).set_isn(tcp.seq)
-            return
-        if tcp.syn and tcp.ack_flag:
-            self._reassembler_for(record).set_isn(tcp.seq)
-            if pair.syn_seen:
+            if not tcp.ack_flag:
+                pair.syn_seen = True
+            elif pair.syn_seen:
                 pair.established = True
                 # A zero cutoff is known at establishment: trigger the
                 # cutoff (and the FDIR filters) right away, so no data

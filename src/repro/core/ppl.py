@@ -29,12 +29,16 @@ from ..observability import (
 __all__ = ["PrioritizedPacketLoss", "PPLDecision"]
 
 
-@dataclass
+@dataclass(frozen=True)
 class PPLDecision:
     """Outcome of one PPL check."""
 
     drop: bool
     reason: Optional[str] = None  # "watermark" | "overload_cutoff"
+
+
+#: The one value every admitted packet gets (decisions are immutable).
+_PASS = PPLDecision(drop=False)
 
 
 class PrioritizedPacketLoss:
@@ -130,7 +134,7 @@ class PrioritizedPacketLoss:
         self, fraction_used: float, priority: int, stream_offset: int
     ) -> PPLDecision:
         if fraction_used <= self.base_threshold:
-            return PPLDecision(drop=False)
+            return _PASS
         mark = self.watermark(priority)
         band = self._band_width
         if fraction_used > mark:
@@ -143,7 +147,7 @@ class PrioritizedPacketLoss:
         ):
             self._count(priority, "overload_cutoff")
             return PPLDecision(drop=True, reason="overload_cutoff")
-        return PPLDecision(drop=False)
+        return _PASS
 
     def _count(self, priority: int, reason: str) -> None:
         self.dropped_by_priority[priority] = self.dropped_by_priority.get(priority, 0) + 1

@@ -35,7 +35,12 @@ from ..observability import (
 )
 from .constants import SCAP_TCP_FAST, SCAP_TCP_STRICT, ReassemblyPolicy
 
-__all__ = ["DeliveredData", "TCPDirectionReassembler", "ReassemblyCounters"]
+__all__ = [
+    "DeliveredData",
+    "ReassemblyCounters",
+    "ReassemblyInstruments",
+    "TCPDirectionReassembler",
+]
 
 
 @dataclass
@@ -73,6 +78,45 @@ class _Interval:
         return self.start + len(self.data)
 
 
+class ReassemblyInstruments:
+    """One registry's reassembly metrics, resolved once and shared.
+
+    Building it registers the three ``scap_reassembly_*`` families, so
+    whoever owns the reassemblers builds it with the first of them (a
+    capture without TCP then exports none of the families) and hands the
+    same object to every later one: constructing a reassembler costs no
+    registry call.
+    """
+
+    __slots__ = ("obs", "overlap_new", "overlap_existing", "holes", "ooo_depth")
+
+    def __init__(self, observability: Observability):
+        self.obs = observability
+        registry = observability.registry
+        overlaps = registry.counter(
+            "scap_reassembly_overlap_decisions_total",
+            "overlapping-retransmission resolutions, by which copy won",
+            labels=("winner",),
+        )
+        # Pre-resolved winner children (registry contract: no .labels()
+        # lookups on the hot path).
+        self.overlap_new = overlaps.labels("new")
+        self.overlap_existing = overlaps.labels("existing")
+        self.holes = registry.counter(
+            "scap_reassembly_holes_skipped_total",
+            "holes skipped by FAST-mode delivery",
+        )
+        self.ooo_depth = registry.histogram(
+            "scap_reassembly_ooo_depth",
+            "out-of-order buffer depth (intervals) after each insert",
+            bounds=(1, 2, 4, 8, 16, 32, 64, 128),
+        )
+
+
+#: What a reassembler built outside a capture records into: nothing.
+_NULL_INSTRUMENTS = ReassemblyInstruments(NULL_OBSERVABILITY)
+
+
 class TCPDirectionReassembler:
     """Reassembles one direction of a TCP stream."""
 
@@ -82,7 +126,7 @@ class TCPDirectionReassembler:
         policy: str = ReassemblyPolicy.LINUX,
         fast_hole_bytes: int = 65536,
         fast_hole_segments: int = 64,
-        observability: Optional[Observability] = None,
+        instruments: Optional[ReassemblyInstruments] = None,
         sanitizers: Optional[object] = None,
         stream_label: Optional[str] = None,
     ):
@@ -99,30 +143,12 @@ class TCPDirectionReassembler:
         self._buffered_bytes = 0
         self.counters = ReassemblyCounters()
         self.mid_stream = False
-        self._obs = observability or NULL_OBSERVABILITY
-        registry = self._obs.registry
+        self._instruments = instruments = instruments or _NULL_INSTRUMENTS
+        self._obs = instruments.obs
         #: The stream's directional five-tuple string, attached to trace
         #: events so the flight recorder can attribute them (None for a
         #: reassembler constructed outside a stream context).
         self._stream_label = stream_label
-        self._m_overlaps = registry.counter(
-            "scap_reassembly_overlap_decisions_total",
-            "overlapping-retransmission resolutions, by which copy won",
-            labels=("winner",),
-        )
-        # Pre-resolved winner children (registry contract: no .labels()
-        # lookups on the hot path).
-        self._m_overlap_new = self._m_overlaps.labels("new")
-        self._m_overlap_existing = self._m_overlaps.labels("existing")
-        self._m_holes = registry.counter(
-            "scap_reassembly_holes_skipped_total",
-            "holes skipped by FAST-mode delivery",
-        )
-        self._m_ooo_depth = registry.histogram(
-            "scap_reassembly_ooo_depth",
-            "out-of-order buffer depth (intervals) after each insert",
-            bounds=(1, 2, 4, 8, 16, 32, 64, 128),
-        )
         self._now = 0.0  # simulated time injected per on_segment/flush call
 
     # ------------------------------------------------------------------
@@ -252,7 +278,7 @@ class TCPDirectionReassembler:
         assert first.start > self._expected_offset
         self.counters.holes_skipped += 1
         if self._obs.enabled:
-            self._m_holes.inc()
+            self._instruments.holes.inc()
             self._obs.trace.emit(
                 self._now,
                 HOOK_HOLE_SKIPPED,
@@ -292,8 +318,9 @@ class TCPDirectionReassembler:
             )
             if self._obs.enabled:
                 winner = "new" if new_wins else "existing"
+                instruments = self._instruments
                 winner_counter = (
-                    self._m_overlap_new if new_wins else self._m_overlap_existing
+                    instruments.overlap_new if new_wins else instruments.overlap_existing
                 )
                 winner_counter.inc()
                 self._obs.trace.emit(
@@ -332,7 +359,7 @@ class TCPDirectionReassembler:
         self._intervals = coalesced
         self._buffered_bytes = sum(len(interval.data) for interval in self._intervals)
         if self._obs.enabled:
-            self._m_ooo_depth.observe(len(self._intervals))
+            self._instruments.ooo_depth.observe(len(self._intervals))
         if self._san is not None:
             self._san.reassembly.on_intervals(
                 self, self._intervals, self._expected_offset

@@ -60,11 +60,9 @@ class OffloadEngine:  # scapcheck: single-owner
         verdicts = batch.verdicts
         queue_count = self.queue_count
         fdir_empty = len(fdir) == 0
-        # Per-batch queue memo for the RSS fallback: valid because RSS
-        # is a pure function of the five-tuple and the key/queue count
-        # never change mid-run.
-        rss_queue = self.rss.queue_for
-        queue_cache: dict = {}
+        # The hasher's own memo: a dict lookup per packet, a Python call
+        # only for a directional tuple this NIC has not seen.
+        rss_queues = self.rss.queues
         for index in range(start, len(packets)):
             packet = packets[index]
             if packet.fcs_corrupt:
@@ -84,9 +82,5 @@ class OffloadEngine:  # scapcheck: single-owner
             if five_tuple is None:
                 queues[index] = 0  # non-IP frames land on queue 0
             else:
-                queue = queue_cache.get(five_tuple)
-                if queue is None:
-                    queue = rss_queue(five_tuple)
-                    queue_cache[five_tuple] = queue
-                queues[index] = queue
+                queues[index] = rss_queues[five_tuple]
         return fdir.version

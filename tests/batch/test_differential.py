@@ -36,9 +36,10 @@ from repro.apps import StreamRecorder
 from repro.core import ScapSocket, scap_get_stats
 from repro.core.reassembly import TCPDirectionReassembler
 from repro.faultinject import FaultPlan, MemoryFaults, WireFaults
-from repro.observability import Observability
+from repro.netstack import FiveTuple
+from repro.observability import MetricsRegistry, Observability
 from repro.store import StreamStore
-from repro.traffic import campus_mix
+from repro.traffic import build_udp_flow, campus_mix
 from repro.traffic.tcpsession import Impairments
 from repro.traffic.trace import Trace
 
@@ -311,6 +312,63 @@ def test_reordered_trace_identical(batch_size, monkeypatch):
     assert reference["result"]["dropped_packets"] > 0, (
         "sanity: the pool must run out while pieces are being stored"
     )
+
+
+def _observed_capture(trace, **socket_kwargs):
+    """Capture ``trace`` with observability on; count registry resolutions.
+
+    Returns ``(socket, names)``: every family name ``MetricsRegistry``
+    was asked to resolve while ``start_capture`` ran, in call order.
+    """
+    resolved = []
+    family = MetricsRegistry._family
+
+    def counting_family(self, name, *args, **kwargs):
+        resolved.append(name)
+        return family(self, name, *args, **kwargs)
+
+    socket = ScapSocket(trace, observability=Observability(enabled=True), **socket_kwargs)
+    socket.dispatch_data(lambda sd: None)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(MetricsRegistry, "_family", counting_family)
+        socket.start_capture(name="quiet")
+    return socket, resolved
+
+
+def test_reassembler_construction_is_quiet():
+    """The reassembly families are resolved once per capture, not per direction.
+
+    Every reassembler used to register its three families again (3
+    ``_family`` calls per TCP direction on top of the runtime's own).
+    What the shared instruments record is pinned elsewhere: the
+    overlap / hole / out-of-order-depth values of an enabled run are
+    inside the ``registry`` golden of every scenario above, unedited.
+    """
+    kwargs = {k: v for k, v in SCENARIOS["reorder"].items() if k != "trace_factory"}
+    trace = _reorder_trace()
+    socket, resolved = _observed_capture(trace, **kwargs)
+    directions = 2 * sum(1 for flow in trace.flows if flow.protocol == 6)
+    socket.close()
+    assert directions > 50, "sanity: many reassemblers were built"
+    reassembly = [name for name in resolved if name.startswith("scap_reassembly_")]
+    assert sorted(reassembly) == [
+        "scap_reassembly_holes_skipped_total",
+        "scap_reassembly_ooo_depth",
+        "scap_reassembly_overlap_decisions_total",
+    ]
+    assert len(resolved) <= 24  # independent of the number of connections
+
+
+def test_capture_without_tcp_exports_no_reassembly_family():
+    """The instruments are resolved lazily, at the first TCP direction."""
+    five_tuple = FiveTuple(0x0A000001, 5353, 0x0A000002, 53, 17)
+    packets = build_udp_flow(five_tuple, [(0, b"query"), (1, b"answer" * 20)] * 8)
+    socket, resolved = _observed_capture(Trace(packets, [], name="udp-only"))
+    exported = socket.export_metrics("json")
+    socket.close()
+    assert "scap_core_packets_total" in exported, "sanity: the run was observed"
+    assert "scap_reassembly_" not in exported
+    assert not [name for name in resolved if name.startswith("scap_reassembly_")]
 
 
 def test_store_contents_identical(tmp_path):

@@ -1,12 +1,14 @@
 """Tests for cutoff resolution and prioritized packet loss."""
 
+import dataclasses
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.core.constants import SCAP_UNLIMITED_CUTOFF
 from repro.core.cutoff import CutoffPolicy
-from repro.core.ppl import PrioritizedPacketLoss
+from repro.core.ppl import PPLDecision, PrioritizedPacketLoss
 from repro.core.stream import StreamDescriptor
 from repro.filters import BPFFilter
 from repro.netstack import FiveTuple, IPProtocol
@@ -113,6 +115,16 @@ class TestPPL:
         ppl.check(0.99, 0, 0)
         assert ppl.dropped_by_priority[0] == 2
         assert ppl.checked == 2
+
+    def test_pass_is_one_shared_immutable_value(self):
+        """Admitting a packet allocates nothing; both pass exits share it."""
+        ppl = PrioritizedPacketLoss(base_threshold=0.5, overload_cutoff=1000)
+        below_base = ppl.check(0.1, 0, 0)
+        in_band = ppl.check(0.9, 0, 10)
+        assert below_base is in_band and not below_base.drop
+        assert below_base == PPLDecision(drop=False)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            below_base.drop = True
 
     def test_ensure_level_grows(self):
         ppl = PrioritizedPacketLoss()

@@ -7,6 +7,10 @@ Two families of properties:
   overlapping segments mixed in, reassembles to exactly the original
   byte string in ``SCAP_TCP_STRICT`` mode (and in ``SCAP_TCP_FAST``
   while its out-of-order bounds are not exceeded).
+* **Byte-map oracle across a sequence wrap** — the same schedules with
+  an initial sequence number just below 2**32: STRICT + ``flush()``
+  returns the string; FAST under hole pressure may skip bytes but puts
+  every byte it does deliver at that byte's own offset, once.
 * **Overlap policy matrix** — when two buffered copies of a range
   *conflict*, the surviving copy per target OS matches the
   Novak–Sturges target-based model the paper (and Snort's Stream5)
@@ -96,6 +100,107 @@ def test_reconstruction_is_policy_independent(case, policy):
     for offset, data in segments:
         delivered += _collect(reassembler.on_segment(1 + offset, data))
     assert delivered == payload
+
+
+# ----------------------------------------------------------------------
+# Byte-map oracle, sequence numbers wrapping
+# ----------------------------------------------------------------------
+#: Initial sequence numbers that put the wrap inside a 300-byte stream.
+wrapping_isn = st.integers(2**32 - 301, 2**32 - 1)
+
+
+def _wire_seq(isn, offset):
+    return (isn + 1 + offset) % 2**32
+
+
+@settings(max_examples=60, deadline=None)
+@given(segmented_stream(), wrapping_isn)
+def test_strict_with_flush_returns_the_string_across_a_wrap(case, isn):
+    payload, segments = case
+    reassembler = TCPDirectionReassembler(SCAP_TCP_STRICT)
+    reassembler.set_isn(isn)
+    delivered = b""
+    for offset, data in segments:
+        delivered += _collect(reassembler.on_segment(_wire_seq(isn, offset), data))
+    delivered += _collect(reassembler.flush())
+    assert delivered == payload
+    assert reassembler.counters.delivered_bytes == len(payload)
+    assert reassembler.counters.stalled_bytes_dropped == 0
+
+
+# One row per stream offset; the only states a byte can be in.
+_MISSING, _WAITING, _DELIVERED, _SKIPPED = "missing", "waiting", "delivered", "skipped"
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    segmented_stream(),
+    wrapping_isn,
+    st.integers(1, 64),  # fast_hole_bytes
+    st.integers(1, 3),  # fast_hole_segments
+)
+def test_fast_mode_delivers_every_byte_at_its_own_offset(case, isn, hole_bytes, hole_segments):
+    """The oracle is a table of per-offset states, not interval code.
+
+    A byte is *waiting* once a segment carried it at or beyond the
+    delivery point; whatever one call releases is one contiguous run
+    ending at the new delivery point; a byte passed over while missing
+    is *skipped* for good (its late copies are duplicates).
+    """
+    payload, segments = case
+    reassembler = TCPDirectionReassembler(
+        SCAP_TCP_FAST, fast_hole_bytes=hole_bytes, fast_hole_segments=hole_segments
+    )
+    reassembler.set_isn(isn)
+    state = [_MISSING] * len(payload)
+
+    def account(run, end):
+        """``run`` (pieces of one contiguous release) ended at ``end``."""
+        data = _collect(run)
+        start = end - len(data)
+        assert data == payload[start:end]
+        for position in range(start, end):
+            assert state[position] == _WAITING, (position, state[position])
+            state[position] = _DELIVERED
+        for position in range(start):
+            if state[position] == _MISSING:
+                state[position] = _SKIPPED
+            assert state[position] != _WAITING, position  # nothing left behind
+
+    for offset, data in segments:
+        before = reassembler.next_offset
+        for position in range(max(offset, before), offset + len(data)):
+            if state[position] == _MISSING:
+                state[position] = _WAITING
+        released = reassembler.on_segment(_wire_seq(isn, offset), data)
+        assert all(not piece.follows_hole for piece in released[1:])
+        if released:
+            account(released, reassembler.next_offset)
+        else:
+            assert reassembler.next_offset == before
+
+    # flush(): every maximal run of waiting rows, ascending, each flagged.
+    waiting_runs = []
+    for position, row in enumerate(state):
+        if row == _WAITING:
+            if waiting_runs and waiting_runs[-1][1] == position:
+                waiting_runs[-1][1] = position + 1
+            else:
+                waiting_runs.append([position, position + 1])
+    flushed_runs = []
+    for piece in reassembler.flush():
+        if piece.follows_hole:
+            flushed_runs.append([])
+        flushed_runs[-1].append(piece)
+    assert len(flushed_runs) == len(waiting_runs)
+    for run, (start, end) in zip(flushed_runs, waiting_runs):
+        assert len(_collect(run)) == end - start
+        account(run, end)
+    assert set(state) <= {_DELIVERED, _SKIPPED}
+    assert reassembler.next_offset == len(payload)
+    assert reassembler.buffered_bytes == 0
+    assert reassembler.counters.delivered_bytes == state.count(_DELIVERED)
+    assert reassembler.counters.holes_skipped >= (1 if _SKIPPED in state else 0)
 
 
 # ----------------------------------------------------------------------

@@ -5,7 +5,14 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.netstack import FiveTuple, IPProtocol, ip_to_int
-from repro.nic import MICROSOFT_RSS_KEY, SYMMETRIC_RSS_KEY, RSSHasher, toeplitz_hash
+from repro.core import ScapRuntime
+from repro.nic import (
+    MICROSOFT_RSS_KEY,
+    SYMMETRIC_RSS_KEY,
+    RSSHasher,
+    SimulatedNIC,
+    toeplitz_hash,
+)
 
 
 # Official verification vectors from the Microsoft RSS specification
@@ -34,6 +41,69 @@ def test_microsoft_verification_vectors(dst_ip, src_ip, dst_port, src_port, expe
 def test_key_too_short():
     with pytest.raises(ValueError):
         toeplitz_hash(b"\x01" * 8, b"\x00" * 12)
+
+
+def _bit_serial_toeplitz(key: bytes, data: bytes) -> int:
+    """The definition, bit by bit: the reference the tables must equal."""
+    key_int = int.from_bytes(key, "big")
+    key_bits = len(key) * 8
+    result = 0
+    bit_index = 0
+    for byte in data:
+        for bit in range(7, -1, -1):
+            if byte & (1 << bit):
+                shift = key_bits - 32 - bit_index
+                result ^= (key_int >> shift) & 0xFFFFFFFF
+            bit_index += 1
+    return result
+
+
+@given(
+    st.binary(min_size=16, max_size=52),
+    st.sampled_from([8, 12]).flatmap(lambda n: st.binary(min_size=n, max_size=n)),
+)
+def test_table_driven_hash_equals_bit_serial_definition(key, data):
+    assert toeplitz_hash(key, data) == _bit_serial_toeplitz(key, data)
+
+
+@pytest.mark.parametrize("key", [SYMMETRIC_RSS_KEY, MICROSOFT_RSS_KEY], ids=["symmetric", "msdn"])
+@pytest.mark.parametrize("protocol", [IPProtocol.TCP, IPProtocol.UDP, IPProtocol.ICMP])
+@given(st.data())
+def test_queue_for_is_the_reference_hash_modulo_queues(key, protocol, data):
+    """TCP/UDP hash the 4-tuple, every other protocol the address pair."""
+    src_ip, dst_ip = data.draw(st.integers(0, 2**32 - 1)), data.draw(st.integers(0, 2**32 - 1))
+    src_port, dst_port = data.draw(st.integers(0, 65535)), data.draw(st.integers(0, 65535))
+    packed = src_ip.to_bytes(4, "big") + dst_ip.to_bytes(4, "big")
+    if protocol != IPProtocol.ICMP:
+        packed += src_port.to_bytes(2, "big") + dst_port.to_bytes(2, "big")
+    ft = FiveTuple(src_ip, src_port, dst_ip, dst_port, protocol)
+    hasher = RSSHasher(8, key)
+    expected = _bit_serial_toeplitz(key, packed)
+    assert hasher.hash_value(ft) == expected
+    assert hasher.queue_for(ft) == hasher.queues[ft] == expected % 8
+
+
+def test_tables_are_per_key_not_per_hasher():
+    """Built once per key per process: the daemon makes a NIC per capture."""
+    a, b = RSSHasher(4, SYMMETRIC_RSS_KEY), RSSHasher(8, SYMMETRIC_RSS_KEY)
+    other = RSSHasher(4, MICROSOFT_RSS_KEY)
+    assert a._tables is b._tables
+    assert a._tables is not other._tables
+    assert a.queues is not b.queues  # the queue memo is per hasher
+
+
+def test_short_key_fails_at_construction():
+    """A key that cannot cover the 12-byte 4-tuple never hashed TCP/UDP;
+    it used to construct, hash ICMP, and raise inside ``classify``."""
+    short = b"\x6d\x5a" * 6
+    with pytest.raises(ValueError, match="RSS key too short"):
+        RSSHasher(4, key=short)
+    with pytest.raises(ValueError, match="RSS key too short"):
+        SimulatedNIC(queue_count=4, rss_key=short)
+    with pytest.raises(ValueError, match="RSS key too short"):
+        ScapRuntime(rss_key=short)
+    # A key of 12 bytes still hashes the 8-byte address pair directly.
+    assert toeplitz_hash(short, b"\x01" * 8) == _bit_serial_toeplitz(short, b"\x01" * 8)
 
 
 def _tuples():
@@ -74,11 +144,14 @@ def test_queue_spread():
 
 
 def test_hash_is_memoised():
+    """One memo per hasher, and it holds the queue."""
     hasher = RSSHasher(4)
     ft = FiveTuple(1, 2, 3, 4, IPProtocol.TCP)
     first = hasher.hash_value(ft)
     assert hasher.hash_value(ft) == first
-    assert ft in hasher._cache
+    assert ft not in hasher.queues  # hash_value is the pure function
+    assert hasher.queue_for(ft) == first % 4
+    assert hasher.queues == {ft: first % 4}
 
 
 def test_non_tcp_udp_hashes_addresses_only():
