@@ -143,8 +143,8 @@ class TCPDirectionReassembler:
         self._buffered_bytes = 0
         self.counters = ReassemblyCounters()
         self.mid_stream = False
-        self._instruments = instruments = instruments or _NULL_INSTRUMENTS
-        self._obs = instruments.obs
+        self._instruments = instruments or _NULL_INSTRUMENTS
+        self._obs = self._instruments.obs
         #: The stream's directional five-tuple string, attached to trace
         #: events so the flight recorder can attribute them (None for a
         #: reassembler constructed outside a stream context).

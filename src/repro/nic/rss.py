@@ -103,7 +103,8 @@ def toeplitz_hash(key: bytes, data: bytes) -> int:
 
     For each set bit of ``data`` (MSB first), XOR in the 32-bit window
     of ``key`` starting at that bit position.  ``data`` may be up to 12
-    bytes (the IPv4 4-tuple) and ``key`` must be 4 bytes longer.
+    bytes (the IPv4 4-tuple); ``key`` must be at least 4 bytes longer
+    than ``data``.
     """
     tables = _byte_tables(key)
     if len(data) > len(tables):

@@ -43,6 +43,17 @@ def test_key_too_short():
         toeplitz_hash(b"\x01" * 8, b"\x00" * 12)
 
 
+def _tuples(protocols=st.just(IPProtocol.TCP)):
+    return st.builds(
+        FiveTuple,
+        st.integers(0, 2**32 - 1),
+        st.integers(0, 65535),
+        st.integers(0, 2**32 - 1),
+        st.integers(0, 65535),
+        protocols,
+    )
+
+
 def _bit_serial_toeplitz(key: bytes, data: bytes) -> int:
     """The definition, bit by bit: the reference the tables must equal."""
     key_int = int.from_bytes(key, "big")
@@ -67,16 +78,12 @@ def test_table_driven_hash_equals_bit_serial_definition(key, data):
 
 
 @pytest.mark.parametrize("key", [SYMMETRIC_RSS_KEY, MICROSOFT_RSS_KEY], ids=["symmetric", "msdn"])
-@pytest.mark.parametrize("protocol", [IPProtocol.TCP, IPProtocol.UDP, IPProtocol.ICMP])
-@given(st.data())
-def test_queue_for_is_the_reference_hash_modulo_queues(key, protocol, data):
+@given(_tuples(st.sampled_from([IPProtocol.TCP, IPProtocol.UDP, IPProtocol.ICMP])))
+def test_queue_for_is_the_reference_hash_modulo_queues(key, ft):
     """TCP/UDP hash the 4-tuple, every other protocol the address pair."""
-    src_ip, dst_ip = data.draw(st.integers(0, 2**32 - 1)), data.draw(st.integers(0, 2**32 - 1))
-    src_port, dst_port = data.draw(st.integers(0, 65535)), data.draw(st.integers(0, 65535))
-    packed = src_ip.to_bytes(4, "big") + dst_ip.to_bytes(4, "big")
-    if protocol != IPProtocol.ICMP:
-        packed += src_port.to_bytes(2, "big") + dst_port.to_bytes(2, "big")
-    ft = FiveTuple(src_ip, src_port, dst_ip, dst_port, protocol)
+    packed = ft.src_ip.to_bytes(4, "big") + ft.dst_ip.to_bytes(4, "big")
+    if ft.protocol != IPProtocol.ICMP:
+        packed += ft.src_port.to_bytes(2, "big") + ft.dst_port.to_bytes(2, "big")
     hasher = RSSHasher(8, key)
     expected = _bit_serial_toeplitz(key, packed)
     assert hasher.hash_value(ft) == expected
@@ -104,17 +111,6 @@ def test_short_key_fails_at_construction():
         ScapRuntime(rss_key=short)
     # A key of 12 bytes still hashes the 8-byte address pair directly.
     assert toeplitz_hash(short, b"\x01" * 8) == _bit_serial_toeplitz(short, b"\x01" * 8)
-
-
-def _tuples():
-    return st.builds(
-        FiveTuple,
-        st.integers(0, 2**32 - 1),
-        st.integers(0, 65535),
-        st.integers(0, 2**32 - 1),
-        st.integers(0, 65535),
-        st.just(IPProtocol.TCP),
-    )
 
 
 @given(_tuples())
