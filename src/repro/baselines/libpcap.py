@@ -83,7 +83,6 @@ class PcapCapture:
         now = packet.timestamp
         server = self.host.softirq[queue]
         if not server.would_accept(now, 1):
-            server.reject()
             self.rx_overflow_drops += 1
             return None
         caplen = self.caplen(packet)
@@ -96,7 +95,6 @@ class PcapCapture:
         cycles += self.cost.copy_cost(caplen)
         kernel_finish = server.push(now, 1, self.cost.seconds(cycles))
         if not self.ring.would_accept(kernel_finish, caplen):
-            self.ring.reject()
             self.kernel_drops += 1
             return None
         self.packets_captured += 1

@@ -239,17 +239,8 @@ class ScapKernelModule:
         self.stage_cycles[stage] += cycles
 
     # ------------------------------------------------------------------
-    # Entry point
-    # ------------------------------------------------------------------
-    def handle_packet(self, packet: Packet, core: int) -> float:
-        """Process one packet on ``core`` as a one-packet batch."""
-        ctx = self.begin_batch()
-        cycles = self.handle_batch_packet(packet, core, packet.five_tuple, ctx)
-        self.end_batch(ctx)
-        return cycles
-
-    # ------------------------------------------------------------------
-    # Batch protocol: begin_batch -> handle_batch_packet* -> end_batch
+    # Entry point — the batch protocol:
+    # begin_batch -> handle_batch_packet* -> end_batch
     # ------------------------------------------------------------------
     def begin_batch(self) -> _BatchContext:
         """Prepare (and return) the batch context for a batch of packets.
@@ -281,18 +272,15 @@ class ScapKernelModule:
         ctx.core_packets.clear()
         ctx.core_bytes.clear()
 
-    def handle_batch_packet(
-        self, packet: Packet, core: int, five_tuple, ctx: _BatchContext
-    ) -> float:
+    def handle_batch_packet(self, packet: Packet, core: int, ctx: _BatchContext) -> float:
         """Process one packet of a batch on ``core``; return cycles charged.
 
-        ``five_tuple`` is the packet's directional tuple, computed once
-        at batch construction; one flow-table lookup on it yields the
-        direction's whole record (stream, reassembler, assembler,
-        label).  A match-all BPF is skipped per batch.  None of this
-        may be observable: counters, trace hooks, sanitizer calls and
-        charged cycles must not depend on where the batch boundaries
-        fall.
+        One flow-table lookup on the packet's five-tuple (for a
+        fragment, the reassembled datagram's) yields the direction's
+        whole record (stream, reassembler, assembler, label).  A
+        match-all BPF is skipped per batch.  None of this may be
+        observable: counters, trace hooks, sanitizer calls and charged
+        cycles must not depend on where the batch boundaries fall.
         """
         now = packet.timestamp
         cost = self.cost
@@ -326,8 +314,8 @@ class ScapKernelModule:
             if whole is None:
                 return self._cycles
             packet = whole
-            five_tuple = packet.five_tuple
 
+        five_tuple = packet.five_tuple
         if five_tuple is None:
             return self._cycles  # non-IP frames are ignored by Scap
 

@@ -238,7 +238,6 @@ class ScapRuntime:
         enabled = self.obs.enabled
         queues = batch.queues
         verdicts = batch.verdicts
-        tuples = batch.five_tuples
         pending = self._pending_events
         pending.clear()
         dispatch = self.workers.dispatch
@@ -254,9 +253,7 @@ class ScapRuntime:
         per_queue = [0] * queue_count
         # zip iterates the live verdict/queue lists, so a mid-batch
         # reclassification of the tail is seen by later iterations.
-        for index, (packet, verdict, queue, five_tuple) in enumerate(
-            zip(packets, verdicts, queues, tuples)
-        ):
+        for index, (packet, verdict, queue) in enumerate(zip(packets, verdicts, queues)):
             if verdict == VERDICT_DROP_FCS:
                 fcs_errors += 1
                 continue
@@ -269,10 +266,9 @@ class ScapRuntime:
             server = servers[queue]
             now = packet.timestamp
             if not server.would_accept(now, 1):
-                server.reject()
                 ring_drops += 1
                 continue
-            cycles = handle(packet, queue, five_tuple, ctx)
+            cycles = handle(packet, queue, ctx)
             service = cycles / core_hz
             kernel_finish = server.push(now, 1, service)
             if enabled:

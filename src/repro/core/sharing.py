@@ -176,7 +176,6 @@ class SharedCaptureRuntime:
             assert workers is not None
             server = workers.servers[workers.worker_for_event(core, event)]
             if not server.would_accept(ready_time, 1):
-                server.reject()
                 workers.events_dropped += 1
                 continue
             dispatch_cycles, app_cycles = workers._service_cycles(event)

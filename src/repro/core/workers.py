@@ -154,7 +154,6 @@ class WorkerPool:  # scapcheck: single-owner
         if injected or not server.would_accept(ready_time, 1):
             # An injected backpressure fault takes the exact organic
             # reject path, so chunk memory is reclaimed identically.
-            server.reject()
             self.events_dropped += 1
             if injected:
                 self.events_dropped_injected += 1

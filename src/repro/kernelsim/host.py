@@ -46,13 +46,3 @@ class Host:
             return 0.0
         busy = sum(server.busy_seconds for server in self.softirq)
         return min(1.0, busy / (duration * self.core_count))
-
-    def softirq_drops(self) -> int:
-        """Packets dropped because an RX descriptor ring overflowed."""
-        return sum(server.rejected for server in self.softirq)
-
-    def reset(self) -> None:
-        """Fresh servers for a new run (same configuration)."""
-        self.softirq = [
-            QueueServer(server.capacity, name=server.name) for server in self.softirq
-        ]

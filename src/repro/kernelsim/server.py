@@ -30,7 +30,8 @@ class QueueServer:  # scapcheck: single-owner
     nondecreasing arrival-time order; each job occupies its units from
     arrival until its service completes.
 
-    Typical use::
+    Typical use (a refused job is counted by the caller, in the one
+    counter its component reports)::
 
         if server.would_accept(now, units):
             finish = server.push(now, units, service_seconds)
@@ -47,9 +48,6 @@ class QueueServer:  # scapcheck: single-owner
         self._occupied = 0.0
         self._last_finish = 0.0
         self.busy_seconds = 0.0
-        self.pushed = 0
-        self.rejected = 0
-        self.units_served = 0.0
 
     # ------------------------------------------------------------------
     def _drain(self, now: float) -> None:
@@ -73,7 +71,7 @@ class QueueServer:  # scapcheck: single-owner
         """Enqueue a job; return its service completion time.
 
         The caller is responsible for checking :meth:`would_accept`
-        first (and counting a rejection via :meth:`reject` otherwise).
+        first (and counting a rejection itself otherwise).
         """
         in_flight = self._in_flight
         while in_flight and in_flight[0][0] <= now:
@@ -84,13 +82,7 @@ class QueueServer:  # scapcheck: single-owner
         self._occupied += units
         self._in_flight.append((finish, units))
         self.busy_seconds += service_seconds
-        self.pushed += 1
-        self.units_served += units
         return finish
-
-    def reject(self) -> None:
-        """Record one rejected (dropped) job."""
-        self.rejected += 1
 
     # ------------------------------------------------------------------
     @property

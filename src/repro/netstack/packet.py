@@ -10,7 +10,7 @@ wire form for pcap I/O and for tests that must exercise real parsing.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .ethernet import ETHERNET_HEADER_LEN, EtherType, EthernetHeader
 from .flows import FiveTuple
@@ -32,6 +32,12 @@ class Packet:
     frame length used for traffic-rate arithmetic; it defaults to the
     serialized length but replayers may override it (e.g. for snaplen
     experiments where only part of the frame was captured).
+
+    ``five_tuple`` — the directional flow key, or None for a non-IP
+    frame — is derived from the headers once, at construction, and
+    travels with the packet.  Headers are never assigned afterwards: a
+    packet with other headers is a new one (:func:`dataclasses.replace`),
+    which derives its own key.
     """
 
     eth: EthernetHeader
@@ -46,10 +52,18 @@ class Packet:
     #: Set when the frame's checksum is bad on the wire; the NIC drops
     #: such frames before RSS (counted in ``NICStats.fcs_errors``).
     fcs_corrupt: bool = False
+    five_tuple: "FiveTuple | None" = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.wire_len == 0:
             self.wire_len = self.header_len + len(self.payload)
+        ip = self.ip
+        if ip is None:
+            self.five_tuple = None
+            return
+        ports = self.tcp if self.tcp is not None else self.udp
+        sport, dport = (0, 0) if ports is None else (ports.src_port, ports.dst_port)
+        self.five_tuple = FiveTuple(ip.src_ip, sport, ip.dst_ip, dport, ip.protocol)
 
     # ------------------------------------------------------------------
     # Derived properties
@@ -95,15 +109,6 @@ class Packet:
         if self.udp is not None:
             return self.udp.dst_port
         return 0
-
-    @property
-    def five_tuple(self) -> "FiveTuple | None":
-        """The packet's directional five-tuple, or None for non-IP frames."""
-        if self.ip is None:
-            return None
-        return FiveTuple(
-            self.ip.src_ip, self.src_port, self.ip.dst_ip, self.dst_port, self.ip.protocol
-        )
 
     @property
     def tcp_flags(self) -> int:

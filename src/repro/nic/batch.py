@@ -6,10 +6,9 @@ pipeline moves a :class:`PacketBatch` instead.  A batch is a read-only
 view over a bounded run of consecutively arriving packets (a run of
 one is the degenerate case, not a different path):
 
-* ``packets``      — the packets, in arrival order;
-* ``five_tuples``  — each packet's directional five-tuple, computed
-  exactly once per packet for every classification and lookup site;
-* ``arena``        — one contiguous ``bytes`` buffer holding every
+* ``packets`` — the packets, in arrival order (each carries its own
+  flow key, ``Packet.five_tuple``);
+* ``arena`` — one contiguous ``bytes`` buffer holding every
   payload back to back, built lazily on first use;
 * ``queues`` / ``verdicts`` — the per-batch RSS/FDIR verdict vectors
   filled in by the NIC's offload stage before any packet is charged to
@@ -25,7 +24,6 @@ from __future__ import annotations
 
 from typing import List, Optional, Sequence
 
-from ..netstack.flows import FiveTuple
 from ..netstack.packet import Packet
 
 __all__ = [
@@ -53,14 +51,10 @@ VERDICT_DROP_FCS = 3
 class PacketBatch:
     """A bounded run of packets moving through the pipeline together."""
 
-    __slots__ = ("packets", "five_tuples", "queues", "verdicts", "_arena")
+    __slots__ = ("packets", "queues", "verdicts", "_arena")
 
     def __init__(self, packets: Sequence[Packet]):
         self.packets: List[Packet] = list(packets)
-        # One property evaluation per packet for the whole pipeline.
-        self.five_tuples: List[Optional[FiveTuple]] = [
-            packet.five_tuple for packet in self.packets
-        ]
         count = len(self.packets)
         self.queues: List[int] = [0] * count
         self.verdicts: List[int] = [VERDICT_PENDING] * count

@@ -200,22 +200,16 @@ class FlowDirectorTable:  # scapcheck: single-owner
         )
 
     # ------------------------------------------------------------------
-    def peek(
-        self, packet: Packet, five_tuple: Optional[FiveTuple] = None
-    ) -> Optional[FdirFilter]:
+    def peek(self, packet: Packet) -> Optional[FdirFilter]:
         """The first filter matching ``packet``, without accounting.
 
         Pure lookup for the offload stage, which may classify a
         packet more than once (the batch tail is re-classified after a
         mid-batch table mutation); match statistics are recorded via
         :meth:`count_match` when the verdict is actually consumed.
-        ``five_tuple`` may be passed to reuse an already-computed tuple.
+        A non-IP frame (no five-tuple) matches nothing.
         """
-        if five_tuple is None:
-            five_tuple = packet.five_tuple
-        if five_tuple is None:
-            return None
-        bucket = self._by_tuple.get(five_tuple)
+        bucket = self._by_tuple.get(packet.five_tuple)
         if not bucket:
             return None
         flags_word = tcp_flags_word(packet)

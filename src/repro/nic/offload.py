@@ -55,7 +55,6 @@ class OffloadEngine:  # scapcheck: single-owner
         """
         fdir = self.fdir
         packets = batch.packets
-        five_tuples = batch.five_tuples
         queues = batch.queues
         verdicts = batch.verdicts
         queue_count = self.queue_count
@@ -68,9 +67,8 @@ class OffloadEngine:  # scapcheck: single-owner
             if packet.fcs_corrupt:
                 verdicts[index] = VERDICT_DROP_FCS
                 continue
-            five_tuple = five_tuples[index]
             if not fdir_empty:
-                matched = fdir.peek(packet, five_tuple)
+                matched = fdir.peek(packet)
                 if matched is not None:
                     if matched.action_queue == FDIR_DROP:
                         verdicts[index] = VERDICT_DROP_FDIR
@@ -79,6 +77,7 @@ class OffloadEngine:  # scapcheck: single-owner
                         queues[index] = matched.action_queue % queue_count
                     continue
             verdicts[index] = VERDICT_HOST
+            five_tuple = packet.five_tuple
             if five_tuple is None:
                 queues[index] = 0  # non-IP frames land on queue 0
             else:

@@ -563,8 +563,7 @@ def _cmd_inspect(args: argparse.Namespace) -> int:
 def _cmd_anonymize(args: argparse.Namespace) -> int:
     from ..traffic.anonymize import anonymize_trace
 
-    packets = read_pcap(args.pcap)
-    anonymize_trace(packets, key=args.key.encode())
+    packets = anonymize_trace(read_pcap(args.pcap), key=args.key.encode())
     count = write_pcap(args.out, packets)
     print(f"anonymized {count} packets -> {args.out} (prefix-preserving)")
     return 0

@@ -16,6 +16,7 @@ it.
 from __future__ import annotations
 
 import hashlib
+from dataclasses import replace
 from typing import Dict, Iterable, List
 
 from ..netstack.packet import Packet
@@ -57,17 +58,26 @@ class PrefixPreservingAnonymizer:
         return result
 
     def anonymize_packet(self, packet: Packet) -> Packet:
-        """Anonymize a packet's addresses in place; returns the packet."""
-        if packet.ip is not None:
-            packet.ip.src_ip = self.anonymize(packet.ip.src_ip)
-            packet.ip.dst_ip = self.anonymize(packet.ip.dst_ip)
-            packet.ip.checksum = None  # recomputed on serialization
-        return packet
+        """A copy of ``packet`` with its addresses anonymized.
+
+        The input is left untouched; the copy derives its five-tuple
+        from the anonymized header.  A non-IP frame is returned as is.
+        """
+        ip = packet.ip
+        if ip is None:
+            return packet
+        anonymized = replace(
+            ip,
+            src_ip=self.anonymize(ip.src_ip),
+            dst_ip=self.anonymize(ip.dst_ip),
+            checksum=None,  # recomputed on serialization
+        )
+        return replace(packet, ip=anonymized)
 
 
 def anonymize_trace(
     packets: Iterable[Packet], key: bytes = b"scap-repro-default-key"
 ) -> List[Packet]:
-    """Anonymize every packet (mutating); returns the list."""
+    """Anonymized copies of every packet, in order; the input is untouched."""
     anonymizer = PrefixPreservingAnonymizer(key)
     return [anonymizer.anonymize_packet(packet) for packet in packets]

@@ -26,7 +26,6 @@ def _simulate_mm1n(rho: float, slots: int, arrivals: int, seed: int) -> float:
         if server.would_accept(now, 1):
             server.push(now, 1, rng.expovariate(service_rate))
         else:
-            server.reject()
             dropped += 1
     return dropped / arrivals
 

@@ -5,6 +5,8 @@ queueing model) and verify flow tracking, reassembly integration,
 events, cutoffs, FDIR management, and statistics estimation.
 """
 
+import pytest
+
 from repro.core import (
     SCAP_TCP_FAST,
     SCAP_TCP_STRICT,
@@ -12,6 +14,7 @@ from repro.core import (
     EventType,
     ScapConfig,
     ScapKernelModule,
+    ScapRuntime,
     StreamError,
     StreamStatus,
 )
@@ -25,7 +28,8 @@ from repro.netstack import (
     make_udp_packet,
 )
 from repro.nic import SimulatedNIC
-from repro.traffic import SessionMessage, TCPSessionBuilder
+from repro.traffic import SessionMessage, TCPSessionBuilder, Trace
+from tests.kernel_driver import feed_kernel
 
 
 class Harness:
@@ -46,7 +50,7 @@ class Harness:
             queue = self.nic.classify(packet)
             if queue is None:
                 continue
-            self.kernel.handle_packet(packet, queue)
+            feed_kernel(self.kernel, packet, queue)
 
     def feed_session(self, payload=b"", five_tuple=None, **builder_kwargs):
         five_tuple = five_tuple or FiveTuple(1, 1000, 2, 80, IPProtocol.TCP)
@@ -151,6 +155,42 @@ class TestReassemblyIntegration:
         h.feed(wire)
         assert h.data_bytes() == b"F" * 900
         assert h.kernel.counters.fragment_packets > 0
+
+    @pytest.mark.parametrize("batch_size", [1, 64])
+    def test_fragmented_session_through_the_runtime(self, batch_size):
+        """Fragments through NIC + runtime: the reassembled datagram, not
+        its first fragment (ports 0), names the flow, so the session
+        delivers exactly what the unfragmented one does."""
+        ft = FiveTuple(3, 300, 4, 80, IPProtocol.TCP)
+        whole = TCPSessionBuilder(ft).build([
+            SessionMessage(0, b"Q" * 700), SessionMessage(1, b"F" * 900),
+        ])
+        fragmented = [
+            piece
+            for packet in whole
+            for piece in (fragment_packet(packet, 256) if packet.payload else [packet])
+        ]
+        assert len(fragmented) > len(whole)
+        # Both traces take their native timeline before either replays.
+        traces = Trace(whole), Trace(fragmented)
+
+        def run(trace):
+            runtime = ScapRuntime(
+                ScapConfig(memory_size=1 << 22), core_count=2, batch_size=batch_size
+            )
+            delivered = []
+            runtime.callbacks.on_data = lambda sd: delivered.append(
+                (sd.five_tuple, bytes(sd.data))
+            )
+            runtime.run(trace, 1e9)
+            return delivered, runtime.kernel.flows.created_total, runtime.kernel.counters
+
+        expected, streams, _ = run(traces[0])
+        delivered, fragmented_streams, counters = run(traces[1])
+        assert delivered == expected
+        assert fragmented_streams == streams == 1
+        assert b"".join(data for key, data in delivered if key == ft) == b"Q" * 700
+        assert counters.fragment_packets == sum(1 for p in fragmented if p.ip.is_fragment)
 
     def test_strict_discards_non_established_data(self):
         h = Harness(reassembly_mode=SCAP_TCP_STRICT)

@@ -17,6 +17,7 @@ from repro.netstack import (
 )
 from repro.nic import SimulatedNIC
 from repro.traffic import campus_mix
+from tests.kernel_driver import feed_kernel
 
 
 class TestWireParsingRobustness:
@@ -66,7 +67,7 @@ class TestKernelAdversarialInput:
             TCPFlags.SYN | TCPFlags.ACK | TCPFlags.FIN | TCPFlags.RST,
         ):
             packet = make_tcp_packet(*ft[:4], flags=flags, payload=b"x")
-            kernel.handle_packet(packet, 0)
+            feed_kernel(kernel, packet, 0)
 
     def test_seq_jump_attack(self):
         """A stream whose sequence numbers jump wildly cannot make the
@@ -74,11 +75,10 @@ class TestKernelAdversarialInput:
         kernel, nic = self._kernel()
         rng = random.Random(1)
         ft = FiveTuple(3, 3, 4, 80, IPProtocol.TCP)
-        kernel.handle_packet(
-            make_tcp_packet(*ft[:4], seq=0, flags=TCPFlags.SYN), 0
-        )
+        feed_kernel(kernel, make_tcp_packet(*ft[:4], seq=0, flags=TCPFlags.SYN), 0)
         for i in range(200):
-            kernel.handle_packet(
+            feed_kernel(
+                kernel,
                 make_tcp_packet(
                     *ft[:4], seq=rng.randrange(1 << 31), payload=b"j" * 100,
                     timestamp=i * 1e-5,
@@ -92,7 +92,8 @@ class TestKernelAdversarialInput:
         kernel, nic = self._kernel()
         ft = FiveTuple(5, 5, 6, 80, IPProtocol.TCP)
         for i in range(50):
-            kernel.handle_packet(
+            feed_kernel(
+                kernel,
                 make_tcp_packet(*ft[:4], seq=i, flags=TCPFlags.SYN, timestamp=i * 1e-6),
                 0,
             )
@@ -101,17 +102,17 @@ class TestKernelAdversarialInput:
     def test_data_after_rst_recreates_cleanly(self):
         kernel, nic = self._kernel()
         ft = FiveTuple(7, 7, 8, 80, IPProtocol.TCP)
-        kernel.handle_packet(make_tcp_packet(*ft[:4], seq=0, flags=TCPFlags.SYN), 0)
-        kernel.handle_packet(make_tcp_packet(*ft[:4], seq=1, flags=TCPFlags.RST), 0)
-        kernel.handle_packet(
-            make_tcp_packet(*ft[:4], seq=100, payload=b"ghost", timestamp=1e-3), 0
+        feed_kernel(kernel, make_tcp_packet(*ft[:4], seq=0, flags=TCPFlags.SYN), 0)
+        feed_kernel(kernel, make_tcp_packet(*ft[:4], seq=1, flags=TCPFlags.RST), 0)
+        feed_kernel(
+            kernel, make_tcp_packet(*ft[:4], seq=100, payload=b"ghost", timestamp=1e-3), 0
         )
         assert kernel.flows.created_total == 2
 
     def test_non_ip_frames_ignored(self):
         kernel, nic = self._kernel()
         frame = Packet(eth=EthernetHeader(ethertype=0x0806), payload=b"arp")
-        kernel.handle_packet(frame, 0)
+        feed_kernel(kernel, frame, 0)
         assert len(kernel.flows) == 0
 
 

@@ -34,19 +34,6 @@ class TestHost:
         # 2 busy seconds over 4 cores x 1 second.
         assert host.softirq_load(1.0) == pytest.approx(0.5)
 
-    def test_softirq_drops(self):
-        host = Host(core_count=2, rx_ring_packets=1)
-        host.softirq[0].push(0.0, 1, 100.0)
-        host.softirq[0].reject()
-        assert host.softirq_drops() == 1
-
-    def test_reset_clears_state(self):
-        host = Host(core_count=2)
-        host.softirq[0].push(0.0, 1, 1.0)
-        host.reset()
-        assert host.softirq_load(1.0) == 0.0
-        assert host.softirq[0].capacity == 4096
-
     def test_rejects_zero_cores(self):
         with pytest.raises(ValueError):
             Host(core_count=0)

@@ -39,13 +39,6 @@ class TestQueueServer:
         assert server.utilization(10.0) == pytest.approx(0.3)
         assert server.utilization(1.0) == 1.0  # capped
 
-    def test_reject_counting(self):
-        server = QueueServer(1)
-        server.push(0.0, 1, 100.0)
-        assert not server.would_accept(0.0, 1)
-        server.reject()
-        assert server.rejected == 1 and server.pushed == 1
-
     def test_backlog(self):
         server = QueueServer(100)
         server.push(0.0, 1, 5.0)

@@ -20,6 +20,7 @@ from repro.sanitizers import (
     sanitizers_from_env,
 )
 from repro.traffic import campus_mix
+from tests.kernel_driver import feed_kernel
 
 
 @pytest.fixture
@@ -175,14 +176,14 @@ class TestFlowCacheCoherence:
             ScapConfig(), SimulatedNIC(queue_count=1), DEFAULT_COST_MODEL,
             sanitizers=san,
         )
-        kernel.handle_packet(self._data(1), 0)  # installs both directions
-        kernel.handle_packet(self._data(101), 0)  # a coherent hit is silent
+        feed_kernel(kernel, self._data(1), 0)  # installs both directions
+        feed_kernel(kernel, self._data(101), 0)  # a coherent hit is silent
         # Break the table: take the pair off the access list behind the
         # index's back, as a removal path that forgot to unindex would.
         pair = kernel.flows.get(_tuple())
         del kernel.flows._table[pair.key]
         with pytest.raises(InvariantViolation) as excinfo:
-            kernel.handle_packet(self._data(201), 0)
+            feed_kernel(kernel, self._data(201), 0)
         assert excinfo.value.invariant == "flow-cache-coherence"
 
 

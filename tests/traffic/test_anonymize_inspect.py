@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.netstack import make_tcp_packet
+from repro.netstack import IPProtocol, make_tcp_packet
 from repro.traffic import Trace, campus_mix
 from repro.traffic.anonymize import PrefixPreservingAnonymizer, anonymize_trace
 from repro.traffic.inspect import filter_trace, slice_time, summarize
@@ -60,13 +60,30 @@ class TestAnonymizer:
     def test_packet_anonymization_reversible_structure(self):
         packet = make_tcp_packet(0x0A000001, 1234, 0xC0A80001, 80, payload=b"x")
         original_ports = (packet.src_port, packet.dst_port)
-        anonymize_trace([packet], key=b"zz")
+        (packet,) = anonymize_trace([packet], key=b"zz")
         assert packet.ip.src_ip != 0x0A000001
         assert (packet.src_port, packet.dst_port) == original_ports
         # The packet still serializes with a valid checksum.
         from repro.netstack import Packet
 
         assert Packet.parse(packet.to_bytes()).ip.verify_checksum()
+
+    def test_trace_returns_copies_and_leaves_its_input_untouched(self):
+        client, server = 0x0A000001, 0xC0A80001
+        packets = [
+            make_tcp_packet(client, 1234, server, 80, payload=b"x"),
+            make_tcp_packet(server, 80, client, 1234, payload=b"y"),
+        ]
+        before = [(p.to_bytes(), p.five_tuple) for p in packets]
+        anonymized = anonymize_trace(packets, key=b"zz")
+        assert [(p.to_bytes(), p.five_tuple) for p in packets] == before
+        # The copies' flow keys name the anonymized addresses.
+        anonymizer = PrefixPreservingAnonymizer(b"zz")
+        client, server = anonymizer.anonymize(client), anonymizer.anonymize(server)
+        assert [p.five_tuple for p in anonymized] == [
+            (client, 1234, server, 80, IPProtocol.TCP),
+            (server, 80, client, 1234, IPProtocol.TCP),
+        ]
 
     def test_empty_key_rejected(self):
         with pytest.raises(ValueError):
