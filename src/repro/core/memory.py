@@ -1,28 +1,27 @@
 """Stream memory management (§5.3).
 
-Reassembled stream data lives in a large buffer shared between the
-kernel module and the user-level stub.  Per stream, data is written
-into contiguous *chunk blocks*; when a block fills up (or a flush
-fires) the chunk is delivered as a data event and a fresh block is
-allocated.  This module provides:
+Reassembled stream data lives in one region shared between the kernel
+module and the user-level stub.  Per stream, data is written into
+contiguous *chunks*; when a chunk fills up (or a flush fires) it is
+delivered as a data event and the next one is started.  This module
+provides:
 
 * :class:`Chunk` — one delivered unit of contiguous stream data, with a
-  simulated base address (for the cache-locality experiments) and a
   lazy ``data`` view (segments are joined only when the application
   actually reads them).
 * :class:`ChunkAssembler` — per-direction chunking with overlap,
   flush-timeout, and ``scap_keep_stream_chunk`` support.
-* :class:`StreamMemory` — the shared region: a
-  :class:`~repro.kernelsim.server.MemoryPool` for occupancy/time plus a
-  bump allocator handing out simulated addresses for chunk blocks.
+* :class:`StreamMemory` — the region's byte ledger: the kernel module
+  charges it as payload is stored, a worker returns each chunk's bytes
+  at the virtual time it finishes with them, and PPL reads its
+  occupancy.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Optional, Sequence
+import heapq
+from typing import List, Optional, Sequence, Tuple
 
-from ..kernelsim.server import MemoryPool
 from ..sanitizers.race import race_detector_from_env
 from ..observability import (
     DEFAULT_FRACTION_BUCKETS,
@@ -41,18 +40,16 @@ class Chunk:
         "segments",
         "length",
         "stream_offset",
-        "base_address",
         "had_hole",
         "accounted_bytes",
         "keep",
         "_joined",
     )
 
-    def __init__(self, stream_offset: int, base_address: int):
+    def __init__(self, stream_offset: int):
         self.segments: List[bytes] = []
         self.length = 0
         self.stream_offset = stream_offset
-        self.base_address = base_address
         self.had_hole = False
         self.accounted_bytes = 0
         self.keep = False
@@ -79,16 +76,16 @@ class Chunk:
         return self.length
 
 
-class StreamMemory:
-    """The shared stream-data region.
+class StreamMemory:  # scapcheck: single-owner
+    """The shared stream-data region, as a byte ledger in virtual time.
 
-    ``pool`` answers "how full are we" (PPL consults it); the bump
-    allocator provides *simulated addresses* so the cache model can
-    distinguish Scap's contiguous per-stream blocks from a PF_PACKET
-    ring's interleaved slots.  Addresses are never reused — physical
-    reuse patterns matter to the cache only through set indices, which
-    a bump allocator distributes uniformly, like a real allocator under
-    churn.
+    Single-owner: charged and released only by the kernel module and
+    workers of one runtime, in virtual-time order — no lock needed.
+
+    A store charges its bytes at once; each release is scheduled at the
+    virtual time the worker finishes the chunk holding them, so the
+    ledger only needs that *future release time* and occupancy at any
+    instant is exact.
     """
 
     def __init__(
@@ -98,8 +95,12 @@ class StreamMemory:
         sanitizers: Optional[object] = None,
         fault_injector: Optional[object] = None,
     ):
-        self.pool = MemoryPool(capacity_bytes, name="scap-stream-memory")
-        self._next_address = 0
+        if capacity_bytes <= 0:
+            raise ValueError("capacity must be positive")
+        self.capacity = capacity_bytes
+        self.used = 0.0
+        self.peak_used = 0.0
+        self._releases: List[Tuple[float, float]] = []  # heap of (time, bytes)
         self.allocation_failures = 0
         self.injected_failures = 0
         self._obs = observability or NULL_OBSERVABILITY
@@ -128,11 +129,12 @@ class StreamMemory:
         )
 
     # ------------------------------------------------------------------
-    def allocate_block(self, size: int) -> int:
-        """Reserve an address range for a chunk block; return its base."""
-        base = self._next_address
-        self._next_address += size
-        return base
+    def advance(self, now: float) -> None:
+        """Reclaim everything scheduled for release at or before ``now``."""
+        releases = self._releases
+        while releases and releases[0][0] <= now:
+            _, nbytes = heapq.heappop(releases)
+            self.used -= nbytes
 
     def try_store(
         self, now: float, nbytes: int, stream_label: Optional[str] = None
@@ -144,54 +146,55 @@ class StreamMemory:
         """
         if self._race is not None:
             self._race.check(self._race_token, op="try_store")
-        if self._fault is not None and self._fault.memory_alloc_fails(
+        # An injected failure never reaches the ledger, so its
+        # accounting stays balanced; callers observe the exact same
+        # refusal an exhausted region produces.
+        injected = self._fault is not None and self._fault.memory_alloc_fails(
             now, nbytes, stream_label or ""
-        ):
-            # Injected failure: the ledger never sees the store, so the
-            # pool's accounting stays balanced; callers observe the
-            # exact same refusal an exhausted pool produces.
-            self.allocation_failures += 1
-            self.injected_failures += 1
-            if self._obs.enabled:
-                self._m_failures.inc()
-                self._obs.trace.emit(
-                    now, HOOK_MEMORY_EXHAUSTED, five_tuple=stream_label, bytes=nbytes
-                )
-            return False
-        if self.pool.try_allocate(now, nbytes):
-            if self._obs.enabled:
-                self._m_stored.inc(nbytes)
-                self._m_occupancy.observe(self.pool.used / self.pool.capacity)
-            if self._san is not None:
-                self._san.memory.on_store(nbytes)
-            return True
+        )
+        if not injected:
+            self.advance(now)
+            if self.used + nbytes <= self.capacity:
+                self.used += nbytes
+                self.peak_used = max(self.peak_used, self.used)
+                if self._obs.enabled:
+                    self._m_stored.inc(nbytes)
+                    self._m_occupancy.observe(self.used / self.capacity)
+                if self._san is not None:
+                    self._san.memory.on_store(nbytes)
+                return True
         self.allocation_failures += 1
+        if injected:
+            self.injected_failures += 1
         if self._obs.enabled:
             self._m_failures.inc()
-            self._m_occupancy.observe(self.pool.used / self.pool.capacity)
+            if not injected:
+                self._m_occupancy.observe(self.used / self.capacity)
             self._obs.trace.emit(
                 now, HOOK_MEMORY_EXHAUSTED, five_tuple=stream_label, bytes=nbytes
             )
         return False
 
     def fraction_used(self, now: float) -> float:
-        """Occupied fraction of the pool at time ``now``.
+        """Occupied fraction of the region at time ``now``.
 
         When a fault plan applies memory pressure, the fraction PPL
-        sees is boosted here — the pool's real accounting is untouched.
+        sees is boosted here — the real accounting is untouched.
         """
-        fraction = self.pool.fraction_used(now)
+        self.advance(now)
+        fraction = self.used / self.capacity
         if self._fault is not None:
             fraction = self._fault.memory_pressure(now, fraction)
         return fraction
 
     def schedule_release(self, release_time: float, nbytes: int) -> None:
-        """Return ``nbytes`` to the pool at ``release_time``."""
+        """Return ``nbytes`` to the region at ``release_time``."""
         if self._race is not None:
             self._race.check(self._race_token, op="schedule_release")
         if self._san is not None:
             self._san.memory.on_release(nbytes, origin="schedule_release")
-        self.pool.schedule_release(release_time, nbytes)
+        if nbytes > 0:
+            heapq.heappush(self._releases, (release_time, nbytes))
 
     def release_now(self, now: float, nbytes: int) -> None:
         """Immediately return ``nbytes`` (data discarded unprocessed)."""
@@ -199,15 +202,8 @@ class StreamMemory:
             self._race.check(self._race_token, op="release_now")
         if self._san is not None:
             self._san.memory.on_release(nbytes, origin="release_now")
-        self.pool.release_now(now, nbytes)
-
-
-@dataclass
-class _AssemblerState:
-    chunk: Optional[Chunk] = None
-    stream_offset: int = 0  # next byte offset in the reassembled stream
-    last_delivery: float = 0.0
-    kept: Optional[Chunk] = None  # chunk retained via scap_keep_stream_chunk
+        self.advance(now)
+        self.used = max(0.0, self.used - nbytes)
 
 
 class ChunkAssembler:
@@ -227,7 +223,10 @@ class ChunkAssembler:
         self._memory = memory
         self.chunk_size = chunk_size
         self.overlap = overlap
-        self._state = _AssemblerState()
+        self._chunk: Optional[Chunk] = None  # the chunk being filled
+        self._kept: Optional[Chunk] = None  # retained via scap_keep_stream_chunk
+        self.stream_offset = 0  # next byte offset in the reassembled stream
+        self.last_delivery = 0.0
         self._pending_overlap: bytes = b""
         # The chunk the pending overlap tail was cut from: if that very
         # chunk is then kept (scap_keep_stream_chunk), its whole body is
@@ -240,22 +239,20 @@ class ChunkAssembler:
 
     # ------------------------------------------------------------------
     def _new_chunk(self) -> Chunk:
-        state = self._state
-        base = self._memory.allocate_block(self.chunk_size)
-        chunk = Chunk(stream_offset=state.stream_offset, base_address=base)
+        chunk = Chunk(self.stream_offset)
         kept_length = 0
-        if state.kept is not None and state.kept is self._overlap_source:
+        kept = self._kept
+        if kept is not None and kept is self._overlap_source:
             self._pending_overlap = b""
         self._overlap_source = None
         if self._pending_overlap:
-            # The overlap tail is copied into the new block, so it
-            # consumes part of the block's chunk_size capacity.
+            # The overlap tail is copied into the new chunk, so it
+            # consumes part of the chunk's chunk_size capacity.
             chunk.append(self._pending_overlap)
             chunk.stream_offset -= len(self._pending_overlap)
             self._pending_overlap = b""
-        if state.kept is not None:
-            kept = state.kept
-            state.kept = None
+        if kept is not None:
+            self._kept = None
             # Prepend the kept chunk's data.  Its pool charge moves to
             # the merged chunk: the worker skips the release for kept
             # chunks, so without this transfer the bytes leak forever.
@@ -271,11 +268,10 @@ class ChunkAssembler:
         return chunk
 
     def _finish_chunk(self, now: float) -> Chunk:
-        state = self._state
-        chunk = state.chunk
+        chunk = self._chunk
         assert chunk is not None
-        state.chunk = None
-        state.last_delivery = now
+        self._chunk = None
+        self.last_delivery = now
         if self.overlap:
             tail = chunk.data[-self.overlap :]
             self._pending_overlap = tail
@@ -285,19 +281,18 @@ class ChunkAssembler:
     def append(self, data: bytes, now: float, had_hole: bool = False) -> List[Chunk]:
         """Add reassembled bytes; return chunks that became full."""
         completed: List[Chunk] = []
-        state = self._state
         offset = 0
         while offset < len(data):
-            if state.chunk is None:
-                state.chunk = self._new_chunk()
-            chunk = state.chunk
+            chunk = self._chunk
+            if chunk is None:
+                chunk = self._chunk = self._new_chunk()
             room = self._current_capacity - chunk.length
             piece = data[offset : offset + room]
             chunk.append(piece)
             chunk.accounted_bytes += len(piece)
             if had_hole:
                 chunk.had_hole = True
-            state.stream_offset += len(piece)
+            self.stream_offset += len(piece)
             offset += len(piece)
             if chunk.length >= self._current_capacity:
                 completed.append(self._finish_chunk(now))
@@ -334,29 +329,20 @@ class ChunkAssembler:
         chunk can never merge into a future delivery, so its pool
         charge is returned here instead of leaking.
         """
-        state = self._state
-        if final and state.kept is not None:
-            kept = state.kept
-            state.kept = None
+        kept = self._kept
+        if final and kept is not None:
+            self._kept = None
             if kept.accounted_bytes:
                 self._memory.release_now(now, kept.accounted_bytes)
-        if state.chunk is None or state.chunk.length == 0:
+        if self._chunk is None or self._chunk.length == 0:
             return None
         return self._finish_chunk(now)
 
     def keep(self, chunk: Chunk) -> None:
         """Retain ``chunk`` so the next delivery includes its data."""
         chunk.keep = True
-        self._state.kept = chunk
+        self._kept = chunk
 
     @property
     def pending_bytes(self) -> int:
-        return self._state.chunk.length if self._state.chunk is not None else 0
-
-    @property
-    def stream_offset(self) -> int:
-        return self._state.stream_offset
-
-    @property
-    def last_delivery(self) -> float:
-        return self._state.last_delivery
+        return self._chunk.length if self._chunk is not None else 0

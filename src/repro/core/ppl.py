@@ -65,7 +65,6 @@ class PrioritizedPacketLoss:
         self.base_threshold = base_threshold
         self.overload_cutoff = overload_cutoff
         self.priority_levels = priority_levels
-        self.dropped_by_priority: Dict[int, int] = {}
         self.checked = 0
         self._obs = observability or NULL_OBSERVABILITY
         registry = self._obs.registry
@@ -150,7 +149,8 @@ class PrioritizedPacketLoss:
         return _PASS
 
     def _count(self, priority: int, reason: str) -> None:
-        self.dropped_by_priority[priority] = self.dropped_by_priority.get(priority, 0) + 1
+        # The per-priority drop ledger is KernelCounters.ppl_drops_by_priority;
+        # this only feeds the labelled metric.
         if self._obs.enabled:
             drop_counter = self._drop_counters.get((priority, reason))
             if drop_counter is None:

@@ -317,7 +317,7 @@ class ScapRuntime:
         if self.sanitizers is not None:
             # Teardown invariant: every byte charged to stream memory
             # must have been returned by now (§5.3 accounting).
-            self.sanitizers.memory.check_teardown(self.kernel.memory.pool)
+            self.sanitizers.memory.check_teardown(self.kernel.memory)
 
     # ------------------------------------------------------------------
     def run(self, workload, rate_bps: float, name: str = "scap") -> RunResult:
@@ -428,8 +428,8 @@ class ScapRuntime:
             streams_created=self.kernel.flows.created_total,
             packets_by_priority=dict(counters.packets_by_priority),
             drops_by_priority=dict(counters.ppl_drops_by_priority),
-            memory_peak_fraction=self.kernel.memory.pool.peak_used
-            / self.kernel.memory.pool.capacity,
+            memory_peak_fraction=self.kernel.memory.peak_used
+            / self.kernel.memory.capacity,
         )
         result.extra["events_dropped"] = float(self.workers.events_dropped)
         result.extra["fdir_installs"] = float(counters.fdir_installs)

@@ -3,7 +3,7 @@
 from .cache import CacheSimulator, LocalityProfile
 from .costmodel import DEFAULT_COST_MODEL, CostModel
 from .host import Host
-from .server import MemoryPool, QueueServer
+from .server import QueueServer
 
 __all__ = [
     "CacheSimulator",
@@ -11,6 +11,5 @@ __all__ = [
     "CostModel",
     "DEFAULT_COST_MODEL",
     "Host",
-    "MemoryPool",
     "QueueServer",
 ]

@@ -176,8 +176,8 @@ class MemoryAccountingChecker:
                 origin=origin,
             )
 
-    def check_teardown(self, pool: Any = None) -> None:
-        """At end of capture the ledger (and the pool) must balance."""
+    def check_teardown(self, memory: Any = None) -> None:
+        """At end of capture the ledger (and stream memory) must balance."""
         if self.outstanding != 0:
             self._context.fail(
                 self.invariant,
@@ -186,13 +186,13 @@ class MemoryAccountingChecker:
                 released=self.released_total,
                 outstanding=self.outstanding,
             )
-        if pool is not None:
-            pool.advance(float("inf"))
-            if pool.used > 1e-9:
+        if memory is not None:
+            memory.advance(float("inf"))
+            if memory.used > 1e-9:
                 self._context.fail(
                     self.invariant,
                     "memory pool still holds bytes after all releases drained",
-                    pool_used=pool.used,
+                    pool_used=memory.used,
                 )
 
 

@@ -314,7 +314,7 @@ class GuardedHooksRule(Rule):
 #: system); they must either lock their mutations or declare that a
 #: single owner drives them.
 _SHARED_CLASS_NAMES = frozenset(
-    {"WorkerPool", "QueueServer", "MemoryPool", "FlowDirectorTable", "FlowTable"}
+    {"WorkerPool", "QueueServer", "StreamMemory", "FlowDirectorTable", "FlowTable"}
 )
 _MUTATOR_METHODS = frozenset(
     {

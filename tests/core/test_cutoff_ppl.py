@@ -111,9 +111,8 @@ class TestPPL:
 
     def test_drop_accounting(self):
         ppl = PrioritizedPacketLoss(base_threshold=0.1, priority_levels=2)
-        ppl.check(0.99, 0, 0)
-        ppl.check(0.99, 0, 0)
-        assert ppl.dropped_by_priority[0] == 2
+        decisions = [ppl.check(0.99, 0, 0), ppl.check(0.99, 0, 0)]
+        assert all(d.drop and d.reason == "watermark" for d in decisions)
         assert ppl.checked == 2
 
     def test_pass_is_one_shared_immutable_value(self):

@@ -14,7 +14,7 @@ def memory():
 
 class TestChunk:
     def test_lazy_join(self):
-        chunk = Chunk(stream_offset=10, base_address=0)
+        chunk = Chunk(stream_offset=10)
         chunk.append(b"ab")
         chunk.append(b"cd")
         assert chunk.length == 4 and len(chunk) == 4
@@ -22,7 +22,7 @@ class TestChunk:
         assert chunk.end_offset == 14
 
     def test_join_cache_invalidation(self):
-        chunk = Chunk(0, 0)
+        chunk = Chunk(0)
         chunk.append(b"x")
         assert chunk.data == b"x"
         chunk.append(b"y")
@@ -92,9 +92,9 @@ class TestChunkAssembler:
         first = assembler.append(b"abcd", now=0.0)[0]
         first.accounted_bytes = 4
         assembler.keep(first)
-        used_before = memory.pool.used
+        used_before = memory.used
         assert assembler.flush(1.0, final=True) is None
-        assert memory.pool.used == used_before - 4
+        assert memory.used == used_before - 4
 
     def test_keep_with_overlap_does_not_duplicate_tail(self, memory):
         """Keeping a chunk that also seeded the overlap tail must not
@@ -114,12 +114,6 @@ class TestChunkAssembler:
         assembler = ChunkAssembler(memory, chunk_size=8, overlap=4)
         chunks = assembler.append(b"ABCDEFGHIJKL", now=0.0)
         assert [c.data for c in chunks] == [b"ABCDEFGH", b"EFGHIJKL"]
-
-    def test_distinct_block_addresses(self, memory):
-        assembler = ChunkAssembler(memory, chunk_size=4)
-        chunks = assembler.append(b"z" * 12, now=0.0)
-        addresses = [c.base_address for c in chunks]
-        assert len(set(addresses)) == len(addresses)
 
     def test_invalid_parameters(self, memory):
         with pytest.raises(ValueError):
@@ -157,8 +151,3 @@ class TestStreamMemory:
         assert memory.try_store(0.0, 100)
         assert not memory.try_store(0.0, 1)
         assert memory.allocation_failures == 1
-
-    def test_bump_allocator_monotone(self, memory):
-        first = memory.allocate_block(64)
-        second = memory.allocate_block(64)
-        assert second == first + 64

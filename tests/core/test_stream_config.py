@@ -72,7 +72,7 @@ class TestStreamDescriptor:
 
 class TestEvent:
     def test_data_len(self):
-        chunk = Chunk(0, 0)
+        chunk = Chunk(0)
         chunk.append(b"12345")
         event = Event(EventType.STREAM_DATA, _stream(), 1.0, chunk=chunk,
                       reason=DataReason.CHUNK_FULL)

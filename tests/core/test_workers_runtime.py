@@ -40,7 +40,7 @@ def _stream(stream_id_hint=0):
 
 
 def _data_event(stream, payload=b"0123456789", at=0.0):
-    chunk = Chunk(stream_offset=0, base_address=0)
+    chunk = Chunk(stream_offset=0)
     chunk.append(payload)
     chunk.accounted_bytes = len(payload)
     return Event(EventType.STREAM_DATA, stream, at, chunk=chunk)

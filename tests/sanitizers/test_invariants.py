@@ -38,7 +38,7 @@ class TestMemoryAccounting:
         assert memory.try_store(0.0, 100)
         memory.release_now(0.0, 40)
         with pytest.raises(InvariantViolation) as excinfo:
-            san.memory.check_teardown(memory.pool)
+            san.memory.check_teardown(memory)
         assert excinfo.value.invariant == "memory-accounting"
         assert excinfo.value.details["outstanding"] == 60
 
@@ -52,7 +52,7 @@ class TestMemoryAccounting:
         memory = StreamMemory(1 << 20, sanitizers=san)
         assert memory.try_store(0.0, 100)
         memory.schedule_release(5.0, 100)
-        san.memory.check_teardown(memory.pool)
+        san.memory.check_teardown(memory)
         assert san.memory.outstanding == 0
 
 
@@ -196,7 +196,7 @@ class TestTraceTail:
         memory = StreamMemory(1 << 20, observability=obs, sanitizers=san)
         assert memory.try_store(0.0, 7)
         with pytest.raises(InvariantViolation) as excinfo:
-            san.memory.check_teardown(memory.pool)
+            san.memory.check_teardown(memory)
         tail = excinfo.value.trace_tail
         assert len(tail) == 16  # default SCAP_SANITIZE_TRACE_TAIL
         assert tail[-1].fields["bytes"] == 19
@@ -206,7 +206,7 @@ class TestTraceTail:
         memory = StreamMemory(1 << 20, sanitizers=san)
         assert memory.try_store(0.0, 7)
         with pytest.raises(InvariantViolation) as excinfo:
-            san.memory.check_teardown(memory.pool)
+            san.memory.check_teardown(memory)
         assert excinfo.value.trace_tail == ()
 
 

@@ -245,7 +245,7 @@ class TestSC003SharedState:
             """
             import threading
 
-            class MemoryPool:
+            class StreamMemory:
                 def __init__(self):
                     self._lock = threading.Lock()
                     self.used = 0
@@ -263,7 +263,7 @@ class TestSC003SharedState:
             """
             import threading
 
-            class MemoryPool:
+            class StreamMemory:
                 def __init__(self):
                     self._lock = threading.Lock()
                     self.used = 0
