@@ -14,6 +14,10 @@ if:
 * the daemon never runs more than its loop thread and its owner thread
   (at most 3 live `scapd-*` threads, sampled while the clients are
   mid-flight, whatever `--clients` is),
+* every subscriber held its events with contiguous `seq` from 0 (no
+  event lost between `subscribe` and the first frame, none inside a
+  multi-event frame), and exactly as many as the daemon's final
+  `delivered` for that client,
 * the daemon shuts down gracefully with **balanced ledgers**
   (`enqueued == delivered + dropped` for every client).
 
@@ -46,11 +50,30 @@ GBIT = 1e9
 MAX_DAEMON_THREADS = 3
 
 
-def _soak_client(index: int, path: str, rounds: int, report: dict, errors: list):
+class _Held:
+    """The events one subscriber holds, and the gaps in their ``seq``."""
+
+    def __init__(self, stream):
+        self.stream = stream
+        self.count = 0
+        self.gaps = 0
+        self._next_seq = 0
+
+    def drain(self, timeout: float) -> None:
+        while (frame := self.stream.next_event(timeout=timeout)) is not None:
+            self.count += 1
+            if frame.header["seq"] != self._next_seq:
+                self.gaps += 1
+            self._next_seq = frame.header["seq"] + 1
+
+
+def _soak_client(
+    index: int, path: str, rounds: int, report: dict, errors: list,
+    captures_done: threading.Barrier,
+):
     try:
         client = ScapClient(unix_path=path, name=f"soak-{index}")
-        sub = client.subscribe(events=["closed"])
-        events = 0
+        held = _Held(client.subscribe(events=["closed"]))
         for round_index in range(rounds):
             if index % 2 == 0:
                 client.set_cutoff(50_000 + 1_000 * index)
@@ -67,8 +90,17 @@ def _soak_client(index: int, path: str, rounds: int, report: dict, errors: list)
                     f"delivered {summary['delivered_bytes']}"
                 )
             assert client.stats()["server"]["captures"] >= 1
-            while sub.next_event(timeout=0.5) is not None:
-                events += 1
+            held.drain(timeout=0.5)
+        # Once every client's captures are done nothing more is enqueued:
+        # hold what the daemon has not yet dropped before hanging up.
+        captures_done.wait(timeout=600)
+        ledger = next(
+            entry["ledger"] for entry in client.stats()["clients"]
+            if entry["client_id"] == client.client_id
+        )
+        deadline = time.monotonic() + 60
+        while held.count < ledger["enqueued"] - ledger["dropped"] and time.monotonic() < deadline:
+            held.drain(timeout=0.5)
         # A malformed zero-length frame must cost a typed error, nothing more.
         raw = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
         raw.connect(path)
@@ -78,8 +110,12 @@ def _soak_client(index: int, path: str, rounds: int, report: dict, errors: list)
         assert raw.recv(65536), "no reply after malformed frame"
         raw.close()
         client.close()
-        report[index] = {"events": events, "rounds": rounds}
+        report[index] = {
+            "client_id": client.client_id, "events": held.count,
+            "seq_gaps": held.gaps, "rounds": rounds,
+        }
     except Exception as exc:  # noqa: BLE001 — surfaced in the summary
+        captures_done.abort()
         errors.append(f"client {index}: {type(exc).__name__}: {exc}")
 
 
@@ -142,9 +178,11 @@ def main(argv=None) -> int:
     report: dict = {}
     errors: list = []
     start = time.perf_counter()
+    captures_done = threading.Barrier(args.clients)
     threads = [
         threading.Thread(
-            target=_soak_client, args=(i, path, args.rounds, report, errors)
+            target=_soak_client,
+            args=(i, path, args.rounds, report, errors, captures_done),
         )
         for i in range(args.clients)
     ]
@@ -175,6 +213,15 @@ def main(argv=None) -> int:
     ledgers = {
         entry["name"]: entry["ledger"] for entry in daemon.final_ledgers.values()
     }
+    for index, entry in sorted(report.items()):
+        delivered = daemon.final_ledgers[entry["client_id"]]["ledger"]["delivered"]
+        if entry["seq_gaps"]:
+            errors.append(f"client {index}: {entry['seq_gaps']} gaps in event seq")
+        if entry["events"] != delivered:
+            errors.append(
+                f"client {index}: held {entry['events']} events, "
+                f"daemon delivered {delivered}"
+            )
     payload = {
         "clients": args.clients,
         "rounds": args.rounds,

@@ -116,18 +116,11 @@ class IPv4Header:
         if ihl != 5:
             raise ValueError("IPv4 options are not supported")
         flags = flags_frag >> 13
+        # Positional, in field order: the pcap reader builds one per packet.
         return cls(
-            src_ip=src_ip,
-            dst_ip=dst_ip,
-            protocol=protocol,
-            total_length=total_length,
-            identification=identification,
-            dont_fragment=bool(flags & _FLAG_DF),
-            more_fragments=bool(flags & _FLAG_MF),
-            fragment_offset=flags_frag & 0x1FFF,
-            ttl=ttl,
-            tos=tos,
-            checksum=checksum,
+            src_ip, dst_ip, protocol, total_length, identification,
+            bool(flags & _FLAG_DF), bool(flags & _FLAG_MF), flags_frag & 0x1FFF,
+            ttl, tos, checksum,
         )
 
     def verify_checksum(self) -> bool:

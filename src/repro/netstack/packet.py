@@ -180,15 +180,10 @@ class Packet:
             elif ip.fragment_offset == 0 and ip.protocol == IPProtocol.UDP:
                 udp = UDPHeader.parse(data, offset, end)
                 offset += UDP_HEADER_LEN
+        # Positional, in field order: the pcap reader builds one per packet.
         return cls(
-            eth=eth,
-            ip=ip,
-            tcp=tcp,
-            udp=udp,
-            payload=bytes(data[offset:end]),
-            timestamp=timestamp,
-            wire_len=wire_len or frame_len,
-            vlan_id=vlan_id,
+            eth, ip, tcp, udp, bytes(data[offset:end]), timestamp,
+            wire_len or frame_len, vlan_id,
         )
 
     def __str__(self) -> str:

@@ -228,17 +228,8 @@ class TCPHeader:
                 raise ValueError(f"invalid TCP option length: {length}")
             options.append((kind, bytes(data[cursor + 2 : cursor + length])))
             cursor += length
-        header = cls(
-            src_port=src_port,
-            dst_port=dst_port,
-            seq=seq,
-            ack=ack,
-            flags=flags,
-            window=window,
-            urgent=urgent,
-            checksum=checksum,
-            options=options,
-        )
+        # Positional, in field order: the pcap reader builds one per packet.
+        header = cls(src_port, dst_port, seq, ack, flags, window, urgent, checksum, options)
         return header, data_offset
 
     def __str__(self) -> str:

@@ -11,6 +11,7 @@ from .ip import IPProtocol
 __all__ = ["UDPHeader", "UDP_HEADER_LEN"]
 
 UDP_HEADER_LEN = 8
+_HEADER = struct.Struct("!HHHH")
 
 
 @dataclass
@@ -49,10 +50,10 @@ class UDPHeader:
         the datagram stops at ``end``, default its length) as a UDP header."""
         if (len(data) if end is None else end) - offset < UDP_HEADER_LEN:
             raise ValueError("truncated UDP header")
-        src_port, dst_port, length, checksum = struct.unpack_from("!HHHH", data, offset)
+        src_port, dst_port, length, checksum = _HEADER.unpack_from(data, offset)
         if length < UDP_HEADER_LEN:
             raise ValueError(f"invalid UDP length: {length}")
-        return cls(src_port=src_port, dst_port=dst_port, length=length, checksum=checksum)
+        return cls(src_port, dst_port, length, checksum)
 
     def __str__(self) -> str:
         return f"udp {self.src_port} > {self.dst_port} len={self.length}"

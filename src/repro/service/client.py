@@ -15,7 +15,10 @@ styles (the DarwinApi socket-API idiom):
 A dedicated reader thread owns the inbound half of the socket: it
 routes responses to their waiting callers by request id and fans
 subscription events into per-subscription queues, so calls and event
-delivery never block each other.
+delivery never block each other.  The daemon sends a run of one
+subscription's events as one frame; the reader splits it back into
+one :class:`Frame` per event, so an :class:`EventStream` yields the
+same per-event frames whatever the wire batching.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ import socket as socket_module
 import threading
 import time
 import uuid
+from collections import deque
 from dataclasses import dataclass
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
@@ -41,10 +45,13 @@ from .protocol import (
     MSG_ERROR,
     MSG_EVENT,
     MSG_REQUEST,
+    MSG_RESPONSE,
+    PROTOCOL_MINOR,
     Frame,
     FrameReader,
     ServiceError,
     encode_frame,
+    split_events,
 )
 
 __all__ = ["RemoteCallError", "CallTimeout", "EventStream", "ScapClient"]
@@ -72,19 +79,28 @@ class CallResult:
 
 
 class EventStream:
-    """Client-side handle for one subscription's delivered events."""
+    """Client-side handle for one subscription's delivered events: one
+    per-event frame at a time, split from the daemon's multi-event frames."""
 
     def __init__(self, client: "ScapClient", subscription_id: int):
         self.client = client
         self.subscription_id = subscription_id
-        self._queue: "queue.Queue[Optional[Frame]]" = queue.Queue()
+        #: The events of one wire frame per item; None once the
+        #: connection is gone.
+        self._queue: "queue.Queue[Optional[List[Frame]]]" = queue.Queue()
+        self._held: "deque[Frame]" = deque()
 
     def next_event(self, timeout: Optional[float] = 5.0) -> Optional[Frame]:
         """The next delivered event frame (None on timeout/close)."""
-        try:
-            return self._queue.get(timeout=timeout)
-        except queue.Empty:
-            return None
+        if not self._held:
+            try:
+                frames = self._queue.get(timeout=timeout)
+            except queue.Empty:
+                return None
+            if frames is None:
+                return None
+            self._held.extend(frames)
+        return self._held.popleft()
 
     def events(self, timeout: Optional[float] = 5.0) -> Iterator[Frame]:
         """Iterate events until a timeout or the connection closes."""
@@ -131,7 +147,8 @@ class ScapClient:
         self._lock = threading.Lock()
         self._write_lock = threading.Lock()
         self._next_request_id = 1
-        self._pending: Dict[int, "queue.Queue[Frame]"] = {}
+        #: Waiting callers by request id, with the command they sent.
+        self._pending: Dict[int, Tuple["queue.Queue[Frame]", str]] = {}
         self._streams: Dict[int, EventStream] = {}
         #: Unsolicited MSG_ERROR frames (request_id 0), newest last.
         self.unsolicited_errors: List[Frame] = []
@@ -153,7 +170,9 @@ class ScapClient:
             target=self._read_loop, name="scap-client-read", daemon=True
         )
         self._reader.start()
-        self.hello = self.call("hello", token=token, name=name).header
+        self.hello = self.call(
+            "hello", token=token, name=name, protocol_minor=PROTOCOL_MINOR
+        ).header
         self.client_id = self.hello.get("client_id")
 
     # ------------------------------------------------------------------
@@ -179,20 +198,26 @@ class ScapClient:
 
     def _route(self, frame: Frame) -> None:
         if frame.msg_type == MSG_EVENT:
-            sub_id = frame.header.get("sub")
             with self._lock:
-                stream = self._streams.get(sub_id) if sub_id is not None else None
+                stream = self._streams.get(frame.header.get("sub"))
             if stream is not None:
-                stream._queue.put(frame)
+                stream._queue.put(split_events(frame))
             return
         if frame.request_id == 0 and frame.msg_type == MSG_ERROR:
             with self._lock:
                 self.unsolicited_errors.append(frame)
             return
         with self._lock:
-            waiter = self._pending.get(frame.request_id)
-        if waiter is not None:
-            waiter.put(frame)
+            pending = self._pending.get(frame.request_id)
+            if pending is None:
+                return
+            waiter, command = pending
+            if command == "subscribe" and frame.msg_type == MSG_RESPONSE:
+                # Registered before the next frame is read: the events
+                # right behind the response already have their stream.
+                subscription_id = frame.header["subscription_id"]
+                self._streams[subscription_id] = EventStream(self, subscription_id)
+        waiter.put(frame)
 
     def _abandon(self) -> None:
         """Connection died: wake every waiter and event iterator."""
@@ -206,14 +231,14 @@ class ScapClient:
     # ------------------------------------------------------------------
     # Outbound calls
     # ------------------------------------------------------------------
-    def _allocate_request(self) -> Tuple[int, "queue.Queue[Frame]"]:
+    def _allocate_request(self, command: str) -> Tuple[int, "queue.Queue[Frame]"]:
         with self._lock:
             if self._closed:
                 raise ConnectionError("client is closed")
             request_id = self._next_request_id
             self._next_request_id += 1
             waiter: "queue.Queue[Frame]" = queue.Queue()
-            self._pending[request_id] = waiter
+            self._pending[request_id] = (waiter, command)
             return request_id, waiter
 
     def _release_request(self, request_id: int) -> None:
@@ -255,7 +280,7 @@ class ScapClient:
         timeout: Optional[float] = None,
     ) -> CallResult:
         """One request/response exchange without retry logic."""
-        request_id, waiter = self._allocate_request()
+        request_id, waiter = self._allocate_request(command)
         span = self._start_call_span(command)
         status = "ok"
         try:
@@ -313,7 +338,7 @@ class ScapClient:
         """
         issued: List[Tuple[int, "queue.Queue[Frame]", str, Optional[Span]]] = []
         for command, header, payload in calls:
-            request_id, waiter = self._allocate_request()
+            request_id, waiter = self._allocate_request(command)
             span = self._start_call_span(command)
             self._send_request(request_id, command, header, payload, span)
             issued.append((request_id, waiter, command, span))
@@ -427,15 +452,21 @@ class ScapClient:
         events: Optional[Sequence[str]] = None,
         flow_filter: str = "",
     ) -> EventStream:
-        """Install a stream-event subscription; returns its event queue."""
-        header = self.call(
+        """Install a stream-event subscription; returns its event queue.
+
+        The reader thread registers the stream as it routes the
+        response, so no event the daemon sends after it is lost.
+        """
+        subscription_id = self.call(
             "subscribe",
             events=list(events) if events is not None else None,
             filter=flow_filter,
-        ).header
-        stream = EventStream(self, header["subscription_id"])
+        ).header["subscription_id"]
         with self._lock:
-            self._streams[stream.subscription_id] = stream
+            stream = self._streams.get(subscription_id)
+        if stream is None:  # the connection closed behind the response
+            stream = EventStream(self, subscription_id)
+            stream._queue.put(None)
         return stream
 
     def unsubscribe(self, subscription_id: int) -> None:

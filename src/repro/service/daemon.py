@@ -930,16 +930,9 @@ class ScapDaemon:
         if not receivers:
             return
         injector = self.fault_injector
-        for kind, capture_number, five_tuple, direction, stream_id, offset, payload in events:
-            header = {
-                "event": kind,
-                "capture": capture_number,
-                "flow": list(five_tuple),
-                "direction": direction,
-                "stream_id": stream_id,
-                "offset": offset,
-                "len": len(payload),
-            }
+        for event in events:
+            kind = event[0]
+            five_tuple = event[2]
             for receiver in receivers:
                 for subscription in receiver.subscriptions.values():
                     if not subscription.wants(kind):
@@ -949,7 +942,7 @@ class ScapDaemon:
                         continue
                     if receiver.queue_depth() >= receiver.quotas.max_queued_events:
                         self._pump(receiver)  # a client that keeps up loses nothing
-                    enqueued, dropped = receiver.enqueue_event(subscription, header, payload)
+                    enqueued, dropped = receiver.enqueue_event(subscription, event)
                     if self._obs.enabled:
                         if enqueued:
                             self._m_enqueued.inc(enqueued)
@@ -1021,6 +1014,9 @@ class ScapDaemon:
         name = frame.header.get("name")
         if isinstance(name, str) and name:
             session.name = name[:64]
+        minor = frame.header.get("protocol_minor")
+        if isinstance(minor, int):
+            session.protocol_minor = minor
         from .. import __version__
 
         return (
@@ -1120,6 +1116,12 @@ class ScapDaemon:
     # -- subscriptions ---------------------------------------------------
     def _cmd_subscribe(self, request: _Request, frame: Frame):
         session = request.session
+        if session.protocol_minor < 2:
+            raise ServiceError(
+                ERR_BAD_REQUEST,
+                "subscribe needs protocol_minor >= 2 declared in hello "
+                "(events arrive as multi-event frames)",
+            )
         kinds = frame.header.get("events") or list(EVENT_KINDS)
         if not isinstance(kinds, list) or not kinds:
             raise ServiceError(ERR_BAD_REQUEST, "events must be a non-empty list")

@@ -68,18 +68,21 @@ __all__ = [
     "FrameRejection",
     "FrameReader",
     "encode_frame",
+    "encode_events",
+    "split_events",
     "decode_frame_body",
 ]
 
 #: Protocol revision carried in every frame; peers reject mismatches.
 PROTOCOL_VERSION = 1
 
-#: Minor revision, advertised in ``hello`` but *not* on the wire byte:
-#: minor bumps only add optional header keys (which old peers ignore —
-#: every header read goes through ``.get``).  Minor 1 added the
-#: ``trace`` header key carrying span context (see
-#: ``repro.observability.spans``).
-PROTOCOL_MINOR = 1
+#: Minor revision, advertised in ``hello`` but *not* on the wire byte.
+#: Minor 1 added the optional ``trace`` header key carrying span context
+#: (see ``repro.observability.spans``), which old peers ignore.  Minor 2
+#: changed the event frame: one ``MSG_EVENT`` frame carries a run of one
+#: subscription's events (:func:`encode_events`), so a client declares
+#: ``protocol_minor`` >= 2 in its ``hello`` before it may ``subscribe``.
+PROTOCOL_MINOR = 2
 
 #: Hard upper bound on ``length``; larger declarations are rejected
 #: (and skipped) without ever buffering the oversized body.
@@ -166,6 +169,9 @@ REJECT_CATEGORIES = (
 
 _FIXED = struct.Struct("!BBII")  # version, msg_type, request_id, header_len
 _LENGTH = struct.Struct("!I")
+#: One encoder for every header (``json.dumps`` with these arguments
+#: builds a new one per call); its output is what ``json.dumps`` gives.
+_encode_header = json.JSONEncoder(separators=(",", ":"), sort_keys=True).encode
 
 #: Smallest legal ``length`` value: the fixed fields with an empty header.
 MIN_FRAME_BYTES = _FIXED.size
@@ -231,9 +237,7 @@ def encode_frame(
     """Serialize one frame to wire bytes (length prefix included)."""
     if msg_type not in MSG_NAMES:
         raise ValueError(f"unknown msg_type {msg_type!r}")
-    header_bytes = json.dumps(
-        header or {}, separators=(",", ":"), sort_keys=True
-    ).encode("utf-8")
+    header_bytes = _encode_header(header or {}).encode("utf-8")
     body_len = _FIXED.size + len(header_bytes) + len(payload)
     if body_len > MAX_FRAME_BYTES:
         raise FrameTooLarge(
@@ -250,8 +254,48 @@ def encode_frame(
     )
 
 
-def decode_frame_body(body: bytes) -> Frame:
-    """Decode one frame body (the bytes after the length prefix).
+def encode_events(subscription_id: int, first_seq: int, events: List[tuple]) -> bytes:
+    """One ``MSG_EVENT`` frame carrying a run of one subscription's events.
+
+    ``events`` are ``(kind, capture, flow, direction, stream_id, offset,
+    payload)`` tuples whose ``seq`` runs on from ``first_seq``.  The
+    header lists each event's fields with its payload length in place
+    of the payload; the payload is the events' payloads concatenated.
+    """
+    entries = []
+    payloads = []
+    for kind, capture, flow, direction, stream_id, offset, payload in events:
+        entries.append((kind, capture, flow, direction, stream_id, offset, len(payload)))
+        payloads.append(payload)
+    header = {"sub": subscription_id, "seq": first_seq, "events": entries}
+    return encode_frame(MSG_EVENT, 0, header, b"".join(payloads))
+
+
+def split_events(frame: Frame) -> List[Frame]:
+    """The per-event frames an :func:`encode_events` frame carries, each
+    with the header ``event, capture, flow, direction, stream_id,
+    offset, len, sub, seq`` and its own payload."""
+    header = frame.header
+    sub = header["sub"]
+    seq = header["seq"]
+    payload = frame.payload
+    out = []
+    start = 0
+    for kind, capture, flow, direction, stream_id, offset, length in header["events"]:
+        end = start + length
+        out.append(Frame(MSG_EVENT, 0, {
+            "event": kind, "capture": capture, "flow": flow, "direction": direction,
+            "stream_id": stream_id, "offset": offset, "len": length,
+            "sub": sub, "seq": seq,
+        }, payload[start:end]))
+        start = end
+        seq += 1
+    return out
+
+
+def decode_frame_body(body) -> Frame:
+    """Decode one frame body (the bytes after the length prefix, as any
+    bytes-like object; only the payload is copied out of it).
 
     Raises :class:`ProtocolError` on any structural defect; callers
     that must survive garbage input go through :class:`FrameReader`,
@@ -275,20 +319,13 @@ def decode_frame_body(body: bytes) -> Frame:
         raise ProtocolError(
             f"header length {header_len} overruns the {len(body)}-byte body"
         )
-    raw_header = body[_FIXED.size:header_end]
     try:
-        header = json.loads(raw_header.decode("utf-8")) if header_len else {}
+        header = json.loads(str(body[_FIXED.size:header_end], "utf-8")) if header_len else {}
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ProtocolError(f"undecodable JSON header: {exc}") from None
     if not isinstance(header, dict):
         raise ProtocolError("frame header must be a JSON object")
-    return Frame(
-        msg_type=msg_type,
-        request_id=request_id,
-        header=header,
-        payload=body[header_end:],
-        version=version,
-    )
+    return Frame(msg_type, request_id, header, bytes(body[header_end:]), version)
 
 
 class FrameReader:
@@ -357,17 +394,20 @@ class FrameReader:
                 continue
             if len(self._buffer) < _LENGTH.size + length:
                 return out
-            body = bytes(self._buffer[_LENGTH.size:_LENGTH.size + length])
-            del self._buffer[:_LENGTH.size + length]
-            try:
-                out.append(decode_frame_body(body))
-            except ProtocolError as exc:
-                out.append(
-                    FrameRejection(
-                        exc.code, exc.message, skipped_bytes=len(body),
-                        category=REJECT_UNDECODABLE,
+            # Decoded in place; the views are released before the buffer
+            # is trimmed (a bytearray with a live view cannot resize).
+            with memoryview(self._buffer) as view, \
+                    view[_LENGTH.size:_LENGTH.size + length] as body:
+                try:
+                    out.append(decode_frame_body(body))
+                except ProtocolError as exc:
+                    out.append(
+                        FrameRejection(
+                            exc.code, exc.message, skipped_bytes=length,
+                            category=REJECT_UNDECODABLE,
+                        )
                     )
-                )
+            del self._buffer[:_LENGTH.size + length]
 
     @property
     def pending_bytes(self) -> int:

@@ -8,7 +8,7 @@ through non-blocking writes that keep what the socket did not take in
 an ordered tail the loop finishes on write-readiness.  Responses
 (:meth:`ClientSession.send_bytes`) join that tail; subscribed events
 wait behind it in a **bounded** queue that :meth:`ClientSession.pump`
-empties a gathered write at a time, so a slow client backpressures
+empties one multi-event frame at a time, so a slow client backpressures
 only itself.
 
 Quota semantics (:class:`ClientQuotas`):
@@ -37,15 +37,16 @@ from collections import deque
 from dataclasses import asdict, dataclass
 from typing import Callable, Deque, Dict, Optional, Tuple, Union
 
-from .protocol import MSG_EVENT, Frame, FrameReader, FrameRejection, encode_frame
+from .protocol import Frame, FrameReader, FrameRejection, encode_events
 
 __all__ = ["ClientQuotas", "Subscription", "SessionLedger", "ClientSession"]
 
 #: Stream lifecycle events a subscription can select.
 EVENT_KINDS = ("created", "data", "closed")
-#: About how many bytes of queued event frames one write hands the
-#: socket (a short write has joined at most this much for nothing).
+#: About how many bytes of queued events one frame (and so one write)
+#: carries: payloads, and ``_ENTRY_BYTES`` for each event's header entry.
 GATHER_BYTES = 1 << 16
+_ENTRY_BYTES = 64
 
 
 @dataclass(frozen=True)
@@ -135,6 +136,8 @@ class ClientSession:  # scapcheck: single-owner
         self.peer = peer
         self.name = f"client-{client_id}"
         self.authenticated = False
+        #: The protocol minor the client declared in ``hello`` (0: none).
+        self.protocol_minor = 0
         self.ledger = SessionLedger()
         #: Inbound: the scanner, and what it completed that the loop has
         #: not dispatched yet (requests behind a deferred one).
@@ -145,14 +148,16 @@ class ClientSession:  # scapcheck: single-owner
         #: The request whose response is still to come (from the owner
         #: thread, or a reload); nothing more is read until it is answered.
         self.inflight: Optional[object] = None
-        #: Event frames waiting for the socket (bounded, drop-oldest).
-        self._queue: Deque[bytes] = deque()
+        #: Events waiting for the socket (bounded, drop-oldest), each
+        #: ``(subscription_id, seq, event)`` with ``event`` the daemon's
+        #: ``(kind, capture, flow, direction, stream_id, offset, payload)``.
+        self._queue: Deque[Tuple[int, int, tuple]] = deque()
         #: What was handed to :meth:`send_bytes` and the socket has not
-        #: taken yet (views, no copies), and whether that holds the tail
-        #: of an event frame / any response bytes (a client not taking
-        #: answers is not read from).
+        #: taken yet (views, no copies), the events of the event frame
+        #: whose tail that holds, and whether it holds any response bytes
+        #: (a client not taking answers is not read from).
         self._unsent: Deque[memoryview] = deque()
-        self._event_unsent = False
+        self._event_unsent = 0
         self.response_unsent = False
         self._closing = False
         self._closed = False
@@ -222,7 +227,8 @@ class ClientSession:  # scapcheck: single-owner
         abandoned = len(self._queue) + self._event_unsent
         self._queue.clear()
         self._unsent.clear()
-        self._event_unsent = self.response_unsent = False
+        self._event_unsent = 0
+        self.response_unsent = False
         self._count_dropped(abandoned)
 
     def _count_dropped(self, count: int) -> None:
@@ -245,10 +251,12 @@ class ClientSession:  # scapcheck: single-owner
     def pump(self) -> None:
         """Write what the socket takes now: the unsent tail, then events.
 
-        Events leave the queue oldest first, a bounded batch per write,
-        and only while no tail is pending.  An event counts as delivered
-        when its last byte is taken; the one frame a short write stops
-        in becomes the tail, and what is still queued behind it can
+        Events leave the queue oldest first, and only while no tail is
+        pending: each write is one frame carrying the run of one
+        subscription's events at the head of the queue, up to about
+        ``GATHER_BYTES``.  A frame's events count as delivered when its
+        last byte is taken; a frame a short write stops in becomes the
+        tail (its events still queued), and what is queued behind it can
         still be dropped.
         """
         unsent = self._unsent
@@ -263,8 +271,8 @@ class ClientSession:  # scapcheck: single-owner
                 unsent.popleft()
             self.response_unsent = False
             if self._event_unsent:
-                self._event_unsent = False
-                self._count_delivered(1)
+                self._count_delivered(self._event_unsent)
+                self._event_unsent = 0
         queue = self._queue
         while queue and not unsent:
             limit = GATHER_BYTES
@@ -278,27 +286,28 @@ class ClientSession:  # scapcheck: single-owner
                 elif now < self.resume_at:
                     return
                 self.resume_at = None
-                limit = 0  # one frame: the fault plane draws once per event
-            batch = []
+                limit = 0  # one event: the fault plane draws once per event
+            subscription_id, first_seq, _ = queue[0]
+            run = []
             size = 0
-            for frame in queue:
-                batch.append(frame)
-                size += len(frame)
+            for entry_subscription, _, event in queue:
+                if entry_subscription != subscription_id:
+                    break
+                run.append(event)
+                size += len(event[6]) + _ENTRY_BYTES
                 if size >= limit:
                     break
-            sent = self._write(b"".join(batch))
+            frame = encode_events(subscription_id, first_seq, run)
+            sent = self._write(frame)
             if sent < 0:
                 return
-            written = 0
-            for frame in batch:
+            for _ in run:
                 queue.popleft()
-                if sent < len(frame):
-                    self._event_unsent = True
-                    unsent.append(memoryview(frame)[sent:])
-                    break
-                sent -= len(frame)
-                written += 1
-            self._count_delivered(written)
+            if sent < len(frame):
+                self._event_unsent = len(run)
+                unsent.append(memoryview(frame)[sent:])
+                return
+            self._count_delivered(len(run))
 
     # ------------------------------------------------------------------
     # Event queue (bounded, drop-oldest)
@@ -314,10 +323,9 @@ class ClientSession:  # scapcheck: single-owner
         self.evicted = True
         return True
 
-    def enqueue_event(
-        self, subscription: Subscription, header: Dict[str, object], payload: bytes
-    ) -> Tuple[int, int]:
-        """Queue one event frame; returns (enqueued, dropped) deltas.
+    def enqueue_event(self, subscription: Subscription, event: tuple) -> Tuple[int, int]:
+        """Queue one event, ``(kind, capture, flow, direction, stream_id,
+        offset, payload)``; returns (enqueued, dropped) deltas.
 
         A full queue drops the *oldest* queued event (never the new
         one), so the client observes the freshest window of the stream
@@ -326,16 +334,13 @@ class ClientSession:  # scapcheck: single-owner
         """
         if self._closing:
             return (0, 0)
-        header = dict(header)
-        header["sub"] = subscription.subscription_id
-        header["seq"] = subscription.next_seq
-        subscription.next_seq += 1
-        frame = encode_frame(MSG_EVENT, 0, header, payload)
+        seq = subscription.next_seq
+        subscription.next_seq = seq + 1
         dropped = 0
         if len(self._queue) >= self.quotas.max_queued_events:
             self._queue.popleft()
             dropped = 1
-        self._queue.append(frame)
+        self._queue.append((subscription.subscription_id, seq, event))
         self.ledger.enqueued += 1
         self._count_dropped(dropped)
         return (1, dropped)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import random
 
 import pytest
@@ -21,7 +22,9 @@ from repro.service.protocol import (
     FrameTooLarge,
     ProtocolError,
     decode_frame_body,
+    encode_events,
     encode_frame,
+    split_events,
 )
 
 
@@ -56,6 +59,42 @@ def test_reader_reassembles_across_arbitrary_splits():
         assert [f.request_id for f in out] == list(range(1, 20))
         assert all(isinstance(f, Frame) for f in out)
         assert reader.pending_bytes == 0
+    # Every fixed split size yields the same frames, payloads included.
+    frames.append(encode_events(3, 5, [
+        ("data", 1, [1, 2, 3, 4, 6], 0, 9, 0, b"abc"),
+        ("closed", 1, [1, 2, 3, 4, 6], 1, 9, 0, b""),
+    ]))
+    wire = b"".join(frames)
+    expected = [decode_frame_body(frame[4:]) for frame in frames]
+    for step in range(1, len(wire) + 1):
+        reader = FrameReader()
+        out = []
+        for pos in range(0, len(wire), step):
+            out.extend(reader.feed(wire[pos:pos + step]))
+        assert out == expected, step
+        assert all(type(f.payload) is bytes for f in out)
+        assert reader.pending_bytes == 0
+
+
+def test_header_encoding_matches_json_dumps():
+    header = {"z": [1, "é"], "a": {"b": None, "a": 1.5}, "command": "ping"}
+    wire = encode_frame(MSG_REQUEST, 1, header)
+    assert wire[14:] == json.dumps(header, separators=(",", ":"), sort_keys=True).encode()
+
+
+def test_event_frame_splits_into_per_event_frames():
+    flow = (167772161, 1234, 167772162, 80, 6)
+    events = [("created", 2, flow, 0, 7, 0, b""), ("data", 2, flow, 0, 7, 40, b"payload")]
+    (frame,) = FrameReader().feed(encode_events(4, 10, events))
+    assert frame.msg_type == MSG_EVENT and frame.payload == b"payload"
+    split = split_events(frame)
+    assert [f.header for f in split] == [
+        {"event": "created", "capture": 2, "flow": list(flow), "direction": 0,
+         "stream_id": 7, "offset": 0, "len": 0, "sub": 4, "seq": 10},
+        {"event": "data", "capture": 2, "flow": list(flow), "direction": 0,
+         "stream_id": 7, "offset": 40, "len": 7, "sub": 4, "seq": 11},
+    ]
+    assert [f.payload for f in split] == [b"", b"payload"]
 
 
 def test_zero_length_frame_rejected_not_fatal():
@@ -103,13 +142,15 @@ def test_encode_rejects_oversized_payload():
 def test_malformed_bodies_become_rejections(mutate):
     body = encode_frame(MSG_REQUEST, 5, {"command": "ping"})[4:]
     bad = mutate(body)
-    with pytest.raises(ProtocolError):
+    with pytest.raises(ProtocolError) as raised:
         decode_frame_body(bad)
     # Through the reader the same bytes are a rejection, not a raise.
     reader = FrameReader()
     wire = len(bad).to_bytes(4, "big") + bad
     out = reader.feed(wire)
     assert len(out) == 1 and isinstance(out[0], FrameRejection)
+    assert out[0].detail == raised.value.message
+    assert out[0].skipped_bytes == len(bad)
 
 
 def test_garbage_resynchronizes_on_later_valid_frames():

@@ -4,8 +4,15 @@ from __future__ import annotations
 
 import pytest
 
-from repro.service.protocol import MSG_EVENT, FrameReader
+from repro.service.protocol import MSG_EVENT, FrameReader, encode_events, split_events
 from repro.service.session import ClientQuotas, ClientSession, SessionLedger
+
+FLOW = (0x0A000001, 1234, 0x0A000002, 80, 6)
+
+
+def _event(offset=0, size=0):
+    """One ``data`` event; ``offset`` tells events apart."""
+    return ("data", 1, FLOW, 0, 1, offset, b"x" * size)
 
 
 class FakeSocket:
@@ -52,7 +59,7 @@ def test_drop_oldest_when_queue_full():
     sub = session.add_subscription(("data",))
     dropped_total = 0
     for i in range(10):
-        enq, dropped = session.enqueue_event(sub, {"event": "data", "i": i}, b"")
+        enq, dropped = session.enqueue_event(sub, _event(i))
         assert enq == 1
         dropped_total += dropped
     assert session.queue_depth() == 3
@@ -68,12 +75,13 @@ def test_drop_oldest_when_queue_full():
     while not session.drain(timeout=5.0):
         pass
     assert session.ledger.balanced()
-    reader = FrameReader()
-    frames = reader.feed(bytes(session.sock.sent))
-    assert [f.header["i"] for f in frames] == [7, 8, 9]
-    assert all(f.msg_type == MSG_EVENT for f in frames)
+    frames = FrameReader().feed(bytes(session.sock.sent))
+    assert len(frames) == 1 and frames[0].msg_type == MSG_EVENT
+    events = split_events(frames[0])
+    assert [e.header["offset"] for e in events] == [7, 8, 9]
+    assert all(e.msg_type == MSG_EVENT for e in events)
     # Sequence numbers were assigned at enqueue time, in order.
-    assert [f.header["seq"] for f in frames] == [7, 8, 9]
+    assert [e.header["seq"] for e in events] == [7, 8, 9]
 
 
 def test_dead_peer_counts_drops_and_balances():
@@ -81,7 +89,7 @@ def test_dead_peer_counts_drops_and_balances():
     sub = session.add_subscription(("data",))
     session.sock.fail = True
     for i in range(5):
-        session.enqueue_event(sub, {"event": "data", "i": i}, b"")
+        session.enqueue_event(sub, _event(i))
     session.pump()  # the first write fails: everything queued is dropped
     assert session.ledger.enqueued == 5
     assert session.ledger.delivered == 0
@@ -94,7 +102,7 @@ def test_enqueue_refused_after_close():
     sub = session.add_subscription(("data",))
     session.begin_close()
     session.drain(timeout=1.0)
-    enq, dropped = session.enqueue_event(sub, {"event": "data"}, b"")
+    enq, dropped = session.enqueue_event(sub, _event())
     assert (enq, dropped) == (0, 0)
     assert session.ledger.enqueued == 0
 
@@ -137,15 +145,15 @@ def test_drop_callbacks_fire():
     session = _session(ClientQuotas(max_queued_events=1))
     session.on_dropped = dropped_counts.append
     sub = session.add_subscription(("data",))
-    session.enqueue_event(sub, {"event": "data"}, b"")
-    session.enqueue_event(sub, {"event": "data"}, b"")
+    session.enqueue_event(sub, _event())
+    session.enqueue_event(sub, _event())
     assert dropped_counts == [1]
     assert session.drop_oldest(5) == 1
     assert dropped_counts == [1, 1]
 
 
 # ----------------------------------------------------------------------
-# The gathered write: one ledger, whatever the socket takes per call
+# The multi-event frame: one ledger, whatever the socket takes per call
 # ----------------------------------------------------------------------
 class CountingSocket(FakeSocket):
     """Also remembers what every send() was offered and took."""
@@ -162,14 +170,26 @@ class CountingSocket(FakeSocket):
         return super().send(data)
 
 
-def _queued_session(frames=5, sock=None, quotas=None):
-    """A session with ``frames`` events queued (payloads of growing size,
-    so every frame has its own length) and the frames as encoded."""
+#: Events of growing payload size, so every frame has its own length.
+EVENTS = [_event(i, 3 * i) for i in range(5)]
+#: A frame bound under which the five events make frames of 2, 2 and 1
+#: (each event counts its payload and 64 bytes).
+SMALL_GATHER = 131
+RUNS = [(0, 2), (2, 4), (4, 5)]
+
+
+def _queued_session(sock=None, quotas=None):
+    """A session with :data:`EVENTS` queued on one subscription."""
     session = ClientSession(1, sock or CountingSocket(1 << 20), quotas or ClientQuotas())
     sub = session.add_subscription(("data",))
-    for i in range(frames):
-        session.enqueue_event(sub, {"event": "data", "i": i}, b"x" * (3 * i))
-    return session, list(session._queue)
+    for event in EVENTS:
+        session.enqueue_event(sub, event)
+    return session
+
+
+def _frames(runs):
+    """The frames ``pump`` writes for :data:`EVENTS` cut into ``runs``."""
+    return [encode_events(1, start, EVENTS[start:end]) for start, end in runs]
 
 
 def _queued(session):
@@ -177,90 +197,92 @@ def _queued(session):
 
 
 def test_gathered_write_ledger_for_every_socket_appetite():
-    total = sum(len(frame) for frame in _queued_session()[1])
-    for k in range(1, total + 1):
-        session, frames = _queued_session(sock=CountingSocket(k))
-        wire = b"".join(frames)
-        ends = [sum(len(f) for f in frames[: n + 1]) for n in range(len(frames))]
+    (wire,) = _frames([(0, 5)])
+    for k in range(1, len(wire) + 1):
+        session = _queued_session(sock=CountingSocket(k))
         delivered_calls = []
         session.on_delivered = delivered_calls.append
         calls = 0
         while session.queue_depth() or session.has_unsent:
             session.pump()
             calls += 1
-            assert calls <= total + 1, k
+            assert calls <= len(wire) + 1, k
             sent = len(session.sock.sent)
-            # delivered moves exactly when a frame's last byte has left ...
-            assert session.ledger.delivered == sum(1 for end in ends if end <= sent), (k, sent)
+            # delivered moves exactly when the frame's last byte has left;
+            # until then the tail's events count as queued ...
+            assert session.ledger.delivered == (5 if sent == len(wire) else 0), (k, sent)
+            assert _queued(session) == (0 if sent == len(wire) else 5), (k, sent)
             # ... and the ledger balances after every call.
             assert session.ledger.enqueued == 5
             assert session.ledger.balanced(pending=_queued(session)), (k, sent)
             assert session.ledger.bytes_sent == sent
-        assert bytes(session.sock.sent) == wire, k  # the frames, whole and in order
+        assert bytes(session.sock.sent) == wire, k  # one frame, whole
         assert session.ledger.delivered == 5 and session.ledger.dropped == 0
-        assert sum(delivered_calls) == 5
-    # A socket that takes everything is offered the five frames in one write.
-    assert session.sock.offered == [total]
+        assert delivered_calls == [5]
+    # A socket that takes everything is offered the one frame in one write.
+    assert session.sock.offered == [len(wire)]
 
 
-def test_drop_oldest_never_takes_a_frame_that_has_begun_to_leave():
-    for k in (1, 7, 52, 60, 61, 107, 130):  # 52 and 107 end on a frame boundary
-        session, frames = _queued_session(sock=CountingSocket(k))
-        session.pump()  # one short write: some frames gone, one cut, the rest queued
-        sent = len(session.sock.sent)
-        begun = 0  # frames of which at least one byte has left
-        position = 0
-        for frame in frames:
-            if position < sent:
-                begun += 1
-            position += len(frame)
+def test_drop_oldest_never_takes_a_frame_that_has_begun_to_leave(monkeypatch):
+    monkeypatch.setattr("repro.service.session.GATHER_BYTES", SMALL_GATHER)
+    frames = _frames(RUNS)
+    assert len(frames[0]) < len(frames[1])
+    for k in (1, 7, len(frames[0]) - 1, len(frames[0]), len(frames[1]) - 1):
+        session = _queued_session(sock=CountingSocket(k))
+        session.pump()  # whole frames gone, then one cut, the rest queued
+        whole = 1 if k >= len(frames[0]) else 0
         dropped = session.drop_oldest(10)
-        # Everything behind the frame the write stopped in (or, on a
-        # boundary, was about to start) goes; nothing that has begun does.
-        assert 5 - begun - 1 <= dropped <= 5 - begun, k
+        # Everything behind the frame the write stopped in goes; none of
+        # that frame's events do.
+        kept = RUNS[whole][1]
+        assert dropped == 5 - kept, k
         session.sock.chunk = 1 << 20
         session.pump()
-        assert bytes(session.sock.sent) == b"".join(frames[: 5 - dropped]), k
-        assert session.ledger.delivered == 5 - dropped
+        assert bytes(session.sock.sent) == b"".join(frames[: whole + 1]), k
+        assert session.ledger.delivered == kept
         assert session.ledger.dropped == dropped
         assert session.ledger.balanced()
 
 
-def test_a_refused_write_pins_only_the_frame_it_was_about_to_send():
+def test_a_refused_write_pins_only_the_frame_it_was_about_to_send(monkeypatch):
     """EAGAIN with nothing taken: the head frame becomes the tail the
     loop waits on write-readiness for; everything behind it can go."""
+    monkeypatch.setattr("repro.service.session.GATHER_BYTES", SMALL_GATHER)
     sock = CountingSocket(1 << 20)
     sock.block = True
-    session, frames = _queued_session(sock=sock)
+    session = _queued_session(sock=sock)
     session.pump()
-    assert session.has_unsent and session.queue_depth() == 4
+    assert session.has_unsent and session.queue_depth() == 3
     assert _queued(session) == 5 and session.ledger.balanced(pending=5)
-    assert session.drop_oldest(10) == 4
+    assert session.drop_oldest(10) == 3
     sock.block = False
     session.pump()
-    assert bytes(sock.sent) == frames[0]
-    assert (session.ledger.delivered, session.ledger.dropped) == (1, 4)
+    assert bytes(sock.sent) == _frames(RUNS)[0]
+    assert (session.ledger.delivered, session.ledger.dropped) == (2, 3)
     assert session.ledger.balanced()
 
 
-def test_abandon_mid_gather_counts_the_half_written_frame_once():
-    session, frames = _queued_session(sock=CountingSocket(len(_queued_session()[1][0]) + 4))
+def test_abandon_mid_gather_counts_the_half_written_frame_once(monkeypatch):
+    monkeypatch.setattr("repro.service.session.GATHER_BYTES", SMALL_GATHER)
+    frames = _frames(RUNS)
+    assert len(frames[1]) > len(frames[0]) + 4
+    session = _queued_session(sock=CountingSocket(len(frames[0]) + 4))
     dropped_calls = []
     session.on_dropped = dropped_calls.append
-    session.pump()  # frame 0 gone, frame 1 cut after 4 bytes
-    assert session.ledger.delivered == 1 and session.has_unsent
-    assert _queued(session) == 4
+    session.pump()  # frame 0 gone, frame 1 cut
+    assert session.ledger.delivered == 2 and session.has_unsent
+    assert _queued(session) == 3
     session.sock.fail = True
     session.pump()
-    assert session.ledger.delivered == 1
-    assert session.ledger.dropped == 4  # the cut frame once, and the three behind it
-    assert dropped_calls == [4]
+    assert session.ledger.delivered == 2
+    assert session.ledger.dropped == 3  # the cut frame's two, and the one behind
+    assert dropped_calls == [3]
     assert session.ledger.balanced() and _queued(session) == 0
     assert session.drain(0.0)
 
 
 def test_peer_lost_on_a_gathered_write_drops_the_whole_batch_once():
-    session, _ = _queued_session()
+    session = _queued_session()
     session.sock.fail = True
     session.pump()
     assert (session.ledger.delivered, session.ledger.dropped) == (0, 5)
@@ -269,15 +291,15 @@ def test_peer_lost_on_a_gathered_write_drops_the_whole_batch_once():
 
 def test_delivery_stall_draws_once_per_event_and_writes_one_frame_a_time():
     sock = CountingSocket(1 << 20)
-    session, frames = _queued_session(sock=sock)
+    session = _queued_session(sock=sock)
     draws = []
     session.delivery_stall = lambda: draws.append(1) or 0.0
     session.pump()
     assert len(draws) == 5
-    assert sock.offered == [len(frame) for frame in frames]
+    assert sock.offered == [len(frame) for frame in _frames([(i, i + 1) for i in range(5)])]
     assert session.ledger.delivered == 5 and session.ledger.balanced()
     # A stall holds the queue back after the draw that asked for it.
-    session, frames = _queued_session(sock=CountingSocket(1 << 20))
+    session = _queued_session(sock=CountingSocket(1 << 20))
     answers = iter([0.0, 0.0, 30.0])
     session.delivery_stall = lambda: next(answers)
     session.pump()
@@ -289,16 +311,29 @@ def test_delivery_stall_draws_once_per_event_and_writes_one_frame_a_time():
 
 def test_gathered_writes_are_bounded(monkeypatch):
     sock = CountingSocket(1 << 20)
-    session, frames = _queued_session(sock=sock)
-    session.pump()
-    assert sock.offered == [sum(len(frame) for frame in frames)]  # under the bound: one write
-    monkeypatch.setattr("repro.service.session.GATHER_BYTES", len(frames[0]) + 1)
+    _queued_session(sock=sock).pump()
+    assert sock.offered == [len(_frames([(0, 5)])[0])]  # under the bound: one frame
+    monkeypatch.setattr("repro.service.session.GATHER_BYTES", SMALL_GATHER)
     sock = CountingSocket(1 << 20)
-    session, frames = _queued_session(sock=sock)
-    session.pump()
-    # A write stops growing once it has reached the byte bound.
-    assert sock.offered == [len(frames[0]) + len(frames[1])] + [len(f) for f in frames[2:]]
+    _queued_session(sock=sock).pump()
+    # A frame stops growing once it has reached the byte bound.
+    frames = _frames(RUNS)
+    assert sock.offered == [len(frame) for frame in frames]
     assert bytes(sock.sent) == b"".join(frames)
+
+
+def test_a_frame_carries_one_subscription_and_seq_runs_on():
+    session = ClientSession(1, CountingSocket(1 << 20), ClientQuotas())
+    a = session.add_subscription(("data",))
+    b = session.add_subscription(("data",))
+    for sub in (a, a, b, a):
+        session.enqueue_event(sub, _event())
+    session.pump()
+    frames = FrameReader().feed(bytes(session.sock.sent))
+    assert [(f.header["sub"], f.header["seq"], len(f.header["events"])) for f in frames] == [
+        (a.subscription_id, 0, 2), (b.subscription_id, 0, 1), (a.subscription_id, 2, 1),
+    ]
+    assert session.ledger.delivered == 4 and session.ledger.balanced()
 
 
 def test_an_event_for_a_closing_session_is_not_encoded(monkeypatch):
@@ -309,6 +344,6 @@ def test_an_event_for_a_closing_session_is_not_encoded(monkeypatch):
     def no_encoding(*_args, **_kwargs):
         raise AssertionError("encoded an event nobody will get")
 
-    monkeypatch.setattr("repro.service.session.encode_frame", no_encoding)
-    assert session.enqueue_event(sub, {"event": "data"}, b"payload") == (0, 0)
+    monkeypatch.setattr("repro.service.session.encode_events", no_encoding)
+    assert session.enqueue_event(sub, _event(size=7)) == (0, 0)
     assert sub.next_seq == 0
