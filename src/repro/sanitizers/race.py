@@ -1,6 +1,6 @@
 """Runtime race detector (``SCAP_RACE=1``) — the dynamic half of SC006–SC008.
 
-The whole-program pass in :mod:`repro.staticcheck.concurrency` proves
+The whole-program rules in :mod:`repro.staticcheck.rules` prove
 what it can about the concurrency discipline; this module watches the
 same shared-state touchpoints while the pipeline actually runs.  A
 resource (flow table, stream-memory ledger, metrics registry structure,

@@ -4,7 +4,11 @@ Ordinary linters check Python; this package checks *Scap*.  The rules
 encode invariants the reproduction's correctness rests on — simulated
 time only (SC001), zero-cost disabled observability (SC002), declared
 concurrency discipline for shared state (SC003), well-formed stream
-events (SC004), and a fully documented/typed public API (SC005).
+events (SC004), a fully documented/typed public API (SC005), no
+single-owner object mutated from a thread or pool root that did not
+build it (SC006), one lockset per attribute (SC007), and no live
+single-owner object shipped to a process pool (SC008).  All eight run
+over one :class:`~repro.staticcheck.project.Project` per run.
 
 Run it as ``python -m repro.staticcheck src/repro`` or
 ``repro-scap scapcheck src/repro``; suppress a finding inline with
@@ -19,9 +23,10 @@ from .framework import (
     Rule,
     SourceFile,
     Violation,
-    check_source,
+    check,
     register_rule,
 )
+from .project import Project
 from .rules import (
     HOT_PATH_PACKAGES,
     EventTransitionRule,
@@ -37,7 +42,8 @@ __all__ = [
     "Rule",
     "SourceFile",
     "Violation",
-    "check_source",
+    "check",
+    "Project",
     "register_rule",
     "HOT_PATH_PACKAGES",
     "NoWallClockRule",

@@ -1,10 +1,11 @@
 """The ``scapcheck`` rule framework.
 
-A :class:`Rule` inspects one parsed source file and reports
-:class:`Violation` records.  The framework supplies what every rule
-needs — the AST, the raw source lines (for comment-based directives),
-path scoping, and inline suppressions — so each rule in
-:mod:`~repro.staticcheck.rules` is just the check itself.
+A :class:`Rule` inspects one :class:`~repro.staticcheck.project.Project`
+(every parsed file of a run) and reports :class:`Violation` records.
+The framework supplies what every rule needs — the AST, the raw source
+lines (for comment-based directives), path scoping, and inline
+suppressions — so each rule in :mod:`~repro.staticcheck.rules` is just
+the check itself.
 
 Directives (written as comments, checked against the raw line text):
 
@@ -28,7 +29,10 @@ from __future__ import annotations
 import ast
 import re
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Sequence, Type
+from typing import TYPE_CHECKING, Dict, FrozenSet, List, Optional, Sequence, Type
+
+if TYPE_CHECKING:
+    from .project import Project
 
 __all__ = [
     "Violation",
@@ -36,7 +40,7 @@ __all__ = [
     "Rule",
     "RULE_REGISTRY",
     "register_rule",
-    "check_source",
+    "check",
     "FILE_DIRECTIVE_LINES",
 ]
 
@@ -119,9 +123,11 @@ class SourceFile:
 class Rule:
     """Base class for scapcheck rules.
 
-    Subclasses set ``rule_id``/``description``, optionally narrow
+    Subclasses set ``rule_id``/``description`` and optionally narrow
     ``packages`` (path substrings such as ``repro/core``; empty means
-    the whole tree), and implement :meth:`check`.
+    the whole tree).  A rule that looks at one file at a time
+    implements :meth:`check_file`; a rule that reasons across files
+    overrides :meth:`check`.
     """
 
     rule_id: str = ""
@@ -136,7 +142,19 @@ class Rule:
         normalized = path.replace("\\", "/")
         return any(fragment in normalized for fragment in self.packages)
 
-    def check(self, source: SourceFile) -> List[Violation]:
+    def files(self, project: Project) -> List[SourceFile]:
+        """The project's files inside this rule's ``packages`` scope."""
+        return [source for source in project.sources if self.applies_to(source.path)]
+
+    def check(self, project: Project) -> List[Violation]:
+        """Inspect the project; return all findings (before suppression)."""
+        return [
+            finding
+            for source in self.files(project)
+            for finding in self.check_file(source)
+        ]
+
+    def check_file(self, source: SourceFile) -> List[Violation]:
         """Inspect one file; return all findings (before suppression)."""
         raise NotImplementedError
 
@@ -163,22 +181,21 @@ def register_rule(cls: Type[Rule]) -> Type[Rule]:
     return cls
 
 
-def check_source(
-    source: SourceFile, rules: Optional[Sequence[Rule]] = None
-) -> List[Violation]:
-    """Run ``rules`` (default: all registered) over one file.
+def check(project: Project, rules: Optional[Sequence[Rule]] = None) -> List[Violation]:
+    """Run ``rules`` (default: all registered) over ``project``.
 
-    Inline ``# scapcheck: disable=...`` suppressions are applied here,
-    so rules themselves never need to know about them.
+    Inline and file-level ``# scapcheck: disable`` suppressions are
+    applied here, against the file each finding is anchored in, so
+    rules themselves never need to know about them.
     """
     if rules is None:
         rules = [cls() for cls in RULE_REGISTRY.values()]
-    findings: List[Violation] = []
-    for rule in rules:
-        if not rule.applies_to(source.path):
-            continue
-        for finding in rule.check(source):
-            if not source.suppressed(finding.line, finding.rule_id):
-                findings.append(finding)
+    by_path = {source.path: source for source in project.sources}
+    findings = [
+        finding
+        for rule in rules
+        for finding in rule.check(project)
+        if not by_path[finding.path].suppressed(finding.line, finding.rule_id)
+    ]
     findings.sort(key=lambda v: (v.path, v.line, v.col, v.rule_id))
     return findings

@@ -1,4 +1,4 @@
-"""The repo-specific scapcheck rules (SC001–SC005).
+"""The repo-specific scapcheck rules (SC001–SC008).
 
 Each rule encodes one invariant of this codebase that ordinary linters
 cannot express (see ``docs/STATIC_ANALYSIS.md`` for the catalogue and
@@ -14,6 +14,15 @@ the rationale behind each):
   name a valid stream-state transition with the fields it requires.
 * SC005 — public ``scap_*`` API functions need docstrings and full
   type hints.
+* SC006 — a single-owner class must not be mutated from code a thread
+  or pool root reaches, unless that root builds its own instance.
+* SC007 — an attribute locked in one method must be locked in all.
+* SC008 — a process-pool job must not capture a live single-owner
+  object.
+
+SC006 and SC008 follow the :class:`~repro.staticcheck.project.Project`
+call graph across files; the others look at one file (or one class) at
+a time.
 """
 
 from __future__ import annotations
@@ -22,6 +31,7 @@ import ast
 from typing import Dict, List, Optional, Set, Tuple
 
 from .framework import Rule, SourceFile, Violation, register_rule
+from .project import ClassModel, Project, _dotted_chain
 
 __all__ = [
     "NoWallClockRule",
@@ -29,6 +39,9 @@ __all__ = [
     "SharedStateRule",
     "EventTransitionRule",
     "ScapApiContractRule",
+    "SingleOwnerEscapeRule",
+    "LocksetConsistencyRule",
+    "ForkCaptureRule",
     "HOT_PATH_PACKAGES",
 ]
 
@@ -62,19 +75,6 @@ _WALL_CLOCK_ATTRS: Dict[str, Set[str]] = {
 }
 
 
-def _dotted_chain(node: ast.AST) -> List[str]:
-    """``a.b.c`` -> ["a", "b", "c"]; [] when not a pure name chain."""
-    parts: List[str] = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if isinstance(node, ast.Name):
-        parts.append(node.id)
-        parts.reverse()
-        return parts
-    return []
-
-
 @register_rule
 class NoWallClockRule(Rule):
     """SC001: hot-path code must use the injected simulated clock."""
@@ -86,7 +86,7 @@ class NoWallClockRule(Rule):
     )
     packages = HOT_PATH_PACKAGES
 
-    def check(self, source: SourceFile) -> List[Violation]:
+    def check_file(self, source: SourceFile) -> List[Violation]:
         module_aliases: Dict[str, str] = {}  # local name -> "time" | "datetime" module
         class_aliases: Dict[str, str] = {}  # local name -> "datetime" | "date" class
         direct_calls: Dict[str, Tuple[str, str]] = {}  # local name -> (base, attr)
@@ -240,7 +240,7 @@ class GuardedHooksRule(Rule):
          "repro/observability/telemetry"}
     )
 
-    def check(self, source: SourceFile) -> List[Violation]:
+    def check_file(self, source: SourceFile) -> List[Violation]:
         self._findings: List[Violation] = []
         self._source = source
         self._suite(source.tree.body, guarded=False)
@@ -316,75 +316,6 @@ class GuardedHooksRule(Rule):
 _SHARED_CLASS_NAMES = frozenset(
     {"WorkerPool", "QueueServer", "StreamMemory", "FlowDirectorTable", "FlowTable"}
 )
-_MUTATOR_METHODS = frozenset(
-    {
-        "append",
-        "appendleft",
-        "add",
-        "extend",
-        "insert",
-        "pop",
-        "popleft",
-        "remove",
-        "discard",
-        "clear",
-        "update",
-        "setdefault",
-    }
-)
-
-
-def _lock_attributes(cls: ast.ClassDef) -> Set[str]:
-    """Names of ``self.<x>`` attributes assigned a threading Lock/RLock."""
-    locks: Set[str] = set()
-    for node in ast.walk(cls):
-        if not isinstance(node, ast.Assign):
-            continue
-        value = node.value
-        if not isinstance(value, ast.Call):
-            continue
-        chain = _dotted_chain(value.func)
-        if not chain or chain[-1] not in ("Lock", "RLock"):
-            continue
-        for target in node.targets:
-            if (
-                isinstance(target, ast.Attribute)
-                and isinstance(target.value, ast.Name)
-                and target.value.id == "self"
-            ):
-                locks.add(target.attr)
-    return locks
-
-
-def _touches_self(expr: ast.AST) -> bool:
-    return any(
-        isinstance(sub, ast.Name) and sub.id == "self" for sub in ast.walk(expr)
-    )
-
-
-def _mutation_nodes(stmt: ast.stmt) -> List[ast.AST]:
-    """Sub-nodes of ``stmt`` that mutate ``self`` state, if any."""
-    hits: List[ast.AST] = []
-    for sub in ast.walk(stmt):
-        if isinstance(sub, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
-            targets = sub.targets if isinstance(sub, ast.Assign) else [sub.target]
-            if isinstance(sub, ast.AnnAssign) and sub.value is None:
-                continue
-            for target in targets:
-                if isinstance(target, (ast.Attribute, ast.Subscript)) and _touches_self(
-                    target
-                ):
-                    hits.append(sub)
-                    break
-        elif isinstance(sub, ast.Call):
-            func = sub.func
-            if (
-                isinstance(func, ast.Attribute)
-                and func.attr in _MUTATOR_METHODS
-                and _touches_self(func.value)
-            ):
-                hits.append(sub)
-    return hits
 
 
 @register_rule
@@ -398,91 +329,45 @@ class SharedStateRule(Rule):
     )
     packages = HOT_PATH_PACKAGES
 
-    def check(self, source: SourceFile) -> List[Violation]:
+    def check(self, project: Project) -> List[Violation]:
         findings: List[Violation] = []
-        for node in ast.walk(source.tree):
-            if isinstance(node, ast.ClassDef):
-                findings.extend(self._check_class(source, node))
+        for source in self.files(project):
+            for cls in project.classes_in(source):
+                findings.extend(self._check_class(cls))
         return findings
 
-    def _check_class(self, source: SourceFile, cls: ast.ClassDef) -> List[Violation]:
-        locks = _lock_attributes(cls)
-        shared = cls.name in _SHARED_CLASS_NAMES or bool(locks)
-        if not shared:
-            return []
-        if source.single_owner(cls.lineno):
-            return []  # discipline declared: one owner, no locking needed
-        if not locks:
+    def _check_class(self, cls: ClassModel) -> List[Violation]:
+        shared = cls.name in _SHARED_CLASS_NAMES or bool(cls.lock_attrs)
+        if not shared or cls.single_owner:
+            return []  # single-owner: discipline declared, no locking needed
+        if not cls.lock_attrs:
             return [
                 self.violation(
-                    source,
-                    cls,
+                    cls.source,
+                    cls.node,
                     f"shared class {cls.name} declares no concurrency discipline: "
                     "add a lock around mutations or annotate the class "
                     "`# scapcheck: single-owner`",
                 )
             ]
         findings: List[Violation] = []
-        for item in cls.body:
+        for item in cls.node.body:
             if not isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 continue
-            if item.name == "__init__" or source.single_owner(item.lineno):
+            if item.name == "__init__" or cls.source.single_owner(item.lineno):
                 continue
-            findings.extend(self._check_method(source, cls, item, locks))
-        return findings
-
-    def _check_method(
-        self,
-        source: SourceFile,
-        cls: ast.ClassDef,
-        method: ast.FunctionDef,
-        locks: Set[str],
-    ) -> List[Violation]:
-        findings: List[Violation] = []
-
-        def walk(stmts: List[ast.stmt], locked: bool) -> None:
-            for stmt in stmts:
-                if isinstance(stmt, (ast.With, ast.AsyncWith)):
-                    holds = locked or any(
-                        self._is_lock_expr(item.context_expr, locks)
-                        for item in stmt.items
-                    )
-                    walk(stmt.body, holds)
-                elif isinstance(stmt, (ast.If, ast.For, ast.AsyncFor, ast.While)):
-                    for suite in (
-                        stmt.body,
-                        getattr(stmt, "orelse", []),
-                    ):
-                        walk(suite, locked)
-                elif isinstance(stmt, ast.Try):
-                    walk(stmt.body, locked)
-                    for handler in stmt.handlers:
-                        walk(handler.body, locked)
-                    walk(stmt.orelse, locked)
-                    walk(stmt.finalbody, locked)
-                elif isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                    walk(stmt.body, locked)
-                elif not locked:
-                    for hit in _mutation_nodes(stmt):
-                        findings.append(
-                            self.violation(
-                                source,
-                                hit,
-                                f"{cls.name}.{method.name} mutates shared state "
-                                "outside `with self.<lock>:`; lock it or annotate "
-                                "the method `# scapcheck: single-owner`",
-                            )
+            for node, _, locked in cls.locked_mutations(item.body):
+                if not locked:
+                    findings.append(
+                        self.violation(
+                            cls.source,
+                            node,
+                            f"{cls.name}.{item.name} mutates shared state "
+                            "outside `with self.<lock>:`; lock it or annotate "
+                            "the method `# scapcheck: single-owner`",
                         )
-
-        walk(method.body, False)
+                    )
         return findings
-
-    @staticmethod
-    def _is_lock_expr(expr: ast.AST, locks: Set[str]) -> bool:
-        for sub in ast.walk(expr):
-            if isinstance(sub, ast.Attribute) and sub.attr in locks:
-                return True
-        return False
 
 
 # ----------------------------------------------------------------------
@@ -502,7 +387,7 @@ class EventTransitionRule(Rule):
     )
     packages = HOT_PATH_PACKAGES
 
-    def check(self, source: SourceFile) -> List[Violation]:
+    def check_file(self, source: SourceFile) -> List[Violation]:
         findings: List[Violation] = []
         for node in ast.walk(source.tree):
             if not isinstance(node, ast.Call):
@@ -583,7 +468,7 @@ class ScapApiContractRule(Rule):
     description = "scap_* functions must have a docstring and complete type hints"
     # Applies to the whole tree: the API surface is not hot-path-only.
 
-    def check(self, source: SourceFile) -> List[Violation]:
+    def check_file(self, source: SourceFile) -> List[Violation]:
         findings: List[Violation] = []
         for node in ast.walk(source.tree):
             if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
@@ -626,3 +511,182 @@ class ScapApiContractRule(Rule):
                         )
                     )
         return findings
+
+
+def _first_per_line(findings: List[Violation]) -> List[Violation]:
+    """The first finding, in column order, on each source line.
+
+    A whole-program rule can implicate one site several times (through
+    several roots, attributes or arguments); it reports the site once.
+    """
+    kept: Dict[Tuple[str, int], Violation] = {}
+    for finding in sorted(findings, key=lambda v: (v.path, v.line, v.col)):
+        kept.setdefault((finding.path, finding.line), finding)
+    return list(kept.values())
+
+
+# ----------------------------------------------------------------------
+# SC006 — single-owner objects must not escape into concurrent code
+# ----------------------------------------------------------------------
+@register_rule
+class SingleOwnerEscapeRule(Rule):
+    """SC006: mutation of a single-owner class from a concurrent root.
+
+    A class annotated ``# scapcheck: single-owner`` promises that one
+    thread owns every instance.  If a method of such a class that
+    mutates ``self`` state is reachable from a thread target or a pool
+    submit, *and* the class is not constructed anywhere inside that
+    root's own call tree (which would make the instance thread-local),
+    the promise is broken cross-module.
+    """
+
+    rule_id = "SC006"
+    description = (
+        "single-owner class state mutated from code reachable from a "
+        "thread/pool concurrent root without a root-local construction"
+    )
+
+    def check(self, project: Project) -> List[Violation]:
+        """Flag single-owner mutations reachable from concurrent roots."""
+        findings: List[Violation] = []
+        for root in project.roots:
+            closure = project.reachable(root)
+            for fn in sorted(
+                closure.functions, key=lambda f: (f.source.path, f.lineno)
+            ):
+                cls = fn.cls
+                if cls is None or not cls.single_owner:
+                    continue
+                if cls.name in closure.constructed:
+                    continue  # built inside the root: thread-local instance
+                mutations = project.mutations(fn)
+                if not mutations:
+                    continue
+                findings.append(
+                    self.violation(
+                        fn.source,
+                        mutations[0],
+                        f"single-owner class {cls.name} is mutated in "
+                        f"{fn.qualname}, reachable from {root.description}, "
+                        "but no instance is constructed inside that root's "
+                        "call tree; pass a root-local instance, add locking, "
+                        "or drop the single-owner annotation",
+                    )
+                )
+        return _first_per_line(findings)
+
+
+# ----------------------------------------------------------------------
+# SC007 — lockset consistency inside a class
+# ----------------------------------------------------------------------
+@register_rule
+class LocksetConsistencyRule(Rule):
+    """SC007: an attribute locked in one method must be locked in all.
+
+    Classic Eraser-style lockset discipline at class granularity: if
+    ``self.x`` is only ever mutated under ``with self._lock:`` in some
+    method, a bare mutation of ``self.x`` in a *different* method of the
+    same class is a candidate race.  ``__init__`` (runs before the
+    object is shared) and methods annotated ``# scapcheck:
+    single-owner`` are exempt.
+    """
+
+    rule_id = "SC007"
+    description = (
+        "attribute mutated under `with self.<lock>:` in one method but "
+        "bare in another method of the same class"
+    )
+
+    def check(self, project: Project) -> List[Violation]:
+        """Check every class's lockset discipline method by method."""
+        findings: List[Violation] = []
+        for models in project.classes.values():
+            for cls in models:
+                findings.extend(self._check_class(cls))
+        return _first_per_line(findings)
+
+    def _check_class(self, cls: ClassModel) -> List[Violation]:
+        if not cls.lock_attrs or cls.single_owner:
+            return []
+        locked_by_method: Dict[str, Set[str]] = {}
+        bare_sites: List[Tuple[str, str, ast.AST]] = []  # (method, attr, node)
+        for name, method in cls.methods.items():
+            if name == "__init__" or method.source.single_owner(method.lineno):
+                continue
+            for node, attrs, locked in cls.locked_mutations(method.body()):
+                for attr in attrs:
+                    if attr in cls.lock_attrs:
+                        continue  # assigning the lock itself
+                    if locked:
+                        locked_by_method.setdefault(attr, set()).add(name)
+                    else:
+                        bare_sites.append((name, attr, node))
+        findings: List[Violation] = []
+        for method_name, attr, node in bare_sites:
+            locked_in = locked_by_method.get(attr, set()) - {method_name}
+            if not locked_in:
+                continue
+            others = ", ".join(sorted(locked_in))
+            findings.append(
+                self.violation(
+                    cls.source,
+                    node,
+                    f"{cls.name}.{method_name} mutates self.{attr} without a "
+                    f"lock, but {cls.name}.{others} mutates it under "
+                    "`with self.<lock>:`; lock this site too or annotate the "
+                    "method `# scapcheck: single-owner`",
+                )
+            )
+        return findings
+
+
+# ----------------------------------------------------------------------
+# SC008 — process-pool jobs must not capture live single-owner objects
+# ----------------------------------------------------------------------
+@register_rule
+class ForkCaptureRule(Rule):
+    """SC008: a ProcessPoolExecutor job aliasing a live single-owner object.
+
+    Submitting an argument whose inferred type is a single-owner class
+    to a process pool pickles a *snapshot* of the object: mutations the
+    job makes are silently lost, and mutations the parent makes race the
+    pickling.  Jobs must receive plain data and build their own
+    single-owner objects on the far side (as ``_run_shard`` does).
+    """
+
+    rule_id = "SC008"
+    description = (
+        "ProcessPoolExecutor submit captures an argument aliasing a live "
+        "single-owner object; pass plain data and construct in the child"
+    )
+
+    def check(self, project: Project) -> List[Violation]:
+        """Flag single-owner objects captured by process-pool submits."""
+        findings: List[Violation] = []
+        for root in project.roots:
+            if "process" not in root.kinds or root.spawner is None:
+                continue
+            env = project._local_env(root.spawner)
+            for arg in root.captured_args:
+                expr: ast.AST = arg
+                if isinstance(expr, ast.Starred):
+                    expr = expr.value
+                for type_name in sorted(
+                    project._receiver_types(root.spawner, expr, env)
+                ):
+                    for cls in project.classes.get(type_name, []):
+                        if not cls.single_owner:
+                            continue
+                        findings.append(
+                            self.violation(
+                                root.site_source,
+                                arg,
+                                f"argument of {root.description} aliases a "
+                                f"live single-owner {cls.name} instance; "
+                                "process jobs get a pickled copy — pass "
+                                "plain data and construct the object in "
+                                "the child",
+                            )
+                        )
+                        break  # one finding per (arg, type name)
+        return _first_per_line(findings)

@@ -6,12 +6,12 @@ Entry points:
 * ``repro-scap scapcheck [paths...]`` — the CLI subcommand (same code);
 * :func:`run_paths` — the programmatic API the tests use.
 
-``--project`` additionally parses every file into one
-:class:`~repro.staticcheck.concurrency.project.Project` and runs the
-whole-program concurrency rules (SC006–SC008) on top of the per-file
-rules.  ``--format`` selects ``text`` (default), ``json`` (one document
-with violations, errors, and per-rule counts), or ``github`` (workflow
-``::error`` annotations, so CI failures mark PR lines).
+Every run parses the files into one
+:class:`~repro.staticcheck.project.Project` and runs all eight rules
+(SC001–SC008) over it.  ``--format`` selects ``text`` (default),
+``json`` (one document with violations, errors, and per-rule counts),
+or ``github`` (workflow ``::error`` annotations, so CI failures mark PR
+lines).
 
 Exit status is 0 when clean, 1 when any violation is reported, 2 on
 usage errors (unreadable path, unknown rule id).
@@ -25,14 +25,9 @@ import os
 import sys
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .framework import RULE_REGISTRY, Rule, SourceFile, Violation, check_source
+from .framework import RULE_REGISTRY, Rule, SourceFile, Violation, check
 from . import rules as _rules  # noqa: F401  (importing registers the rules)
-from .concurrency import (
-    PROJECT_RULE_REGISTRY,
-    ProjectRule,
-    build_project,
-    check_project,
-)
+from .project import Project
 
 __all__ = [
     "iter_python_files",
@@ -78,62 +73,40 @@ def iter_python_files(paths: Sequence[str]) -> Iterable[str]:
             raise FileNotFoundError(path)
 
 
-def _select_rules(
-    select: Optional[Sequence[str]], project: bool
-) -> Tuple[List[Rule], Optional[List[ProjectRule]]]:
-    """(per-file rules, project rules or None when project mode is off)."""
+def _select_rules(select: Optional[Sequence[str]]) -> List[Rule]:
+    """Instances of the selected rules (all registered when ``select`` is empty)."""
     if not select:
-        file_rules = [cls() for cls in RULE_REGISTRY.values()]
-        project_rules = (
-            [cls() for cls in PROJECT_RULE_REGISTRY.values()] if project else None
-        )
-        return file_rules, project_rules
-    file_rules = []
-    project_rules = [] if project else None
+        return [cls() for cls in RULE_REGISTRY.values()]
+    rules = []
     for rule_id in select:
         normalized = rule_id.strip().upper()
-        if normalized in RULE_REGISTRY:
-            file_rules.append(RULE_REGISTRY[normalized]())
-        elif normalized in PROJECT_RULE_REGISTRY and project:
-            assert project_rules is not None
-            project_rules.append(PROJECT_RULE_REGISTRY[normalized]())
-        else:
+        if normalized not in RULE_REGISTRY:
             raise KeyError(normalized)
-    return file_rules, project_rules
+        rules.append(RULE_REGISTRY[normalized]())
+    return rules
 
 
 def run_paths(
-    paths: Sequence[str],
-    select: Optional[Sequence[str]] = None,
-    project: bool = False,
+    paths: Sequence[str], select: Optional[Sequence[str]] = None
 ) -> Tuple[List[Violation], List[str]]:
     """Check every Python file under ``paths``.
 
     Returns ``(violations, errors)`` where ``errors`` are files that
     could not be parsed (syntax errors are reported, not fatal — a
-    linter must survive broken input).  With ``project=True`` the
-    whole-program rules (SC006–SC008) run over all parseable files as
-    one :class:`Project`; selecting a project rule id without
-    ``project=True`` raises ``KeyError`` like any unknown rule.
+    linter must survive broken input).  The parseable files form one
+    :class:`Project`, so the whole-program rules see across them.
     """
-    file_rules, project_rules = _select_rules(select, project)
-    violations: List[Violation] = []
+    rules = _select_rules(select)
     errors: List[str] = []
     sources: List[SourceFile] = []
     for filename in iter_python_files(paths):
         try:
             with open(filename, "r", encoding="utf-8") as handle:
                 text = handle.read()
-            source = SourceFile(filename, text)
+            sources.append(SourceFile(filename, text))
         except (OSError, SyntaxError, ValueError) as exc:
             errors.append(f"{filename}: {exc}")
-            continue
-        sources.append(source)
-        violations.extend(check_source(source, file_rules))
-    if project_rules is not None and sources:
-        violations.extend(check_project(build_project(sources), project_rules))
-        violations.sort(key=lambda v: (v.path, v.line, v.col, v.rule_id))
-    return violations, errors
+    return check(Project(sources), rules), errors
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -156,11 +129,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="run only these rule ids (repeatable)",
     )
     parser.add_argument(
-        "--project",
-        action="store_true",
-        help="also run the whole-program concurrency rules (SC006-SC008)",
-    )
-    parser.add_argument(
         "--format",
         choices=FORMATS,
         default="text",
@@ -175,15 +143,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def list_rules() -> str:
     """The rule catalogue, one ``SC00x  description`` line per rule."""
-    lines = []
-    for rule_id in sorted(RULE_REGISTRY):
-        lines.append(f"{rule_id}  {RULE_REGISTRY[rule_id].description}")
-    for rule_id in sorted(PROJECT_RULE_REGISTRY):
-        lines.append(
-            f"{rule_id}  {PROJECT_RULE_REGISTRY[rule_id].description}"
-            "  [--project]"
-        )
-    return "\n".join(lines)
+    return "\n".join(
+        f"{rule_id}  {RULE_REGISTRY[rule_id].description}"
+        for rule_id in sorted(RULE_REGISTRY)
+    )
 
 
 def rule_counts(violations: Sequence[Violation]) -> Dict[str, int]:
@@ -263,9 +226,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(list_rules())
         return 0
     try:
-        violations, errors = run_paths(
-            args.paths, select=args.select, project=args.project
-        )
+        violations, errors = run_paths(args.paths, select=args.select)
     except FileNotFoundError as exc:
         print(f"scapcheck: no such path: {exc}", file=sys.stderr)
         return 2

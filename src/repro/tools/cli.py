@@ -3,11 +3,16 @@
 Subcommands:
 
 * ``generate`` — synthesize a campus-like trace and write it as pcap.
+* ``inspect``  — summarize a pcap or synthetic trace (optionally
+  through a BPF filter).
+* ``anonymize`` — prefix-preserving anonymization of a pcap.
 * ``capture``  — run a monitoring application (flow statistics, stream
   delivery, or pattern matching) over a pcap file or a synthetic trace
   through the full Scap pipeline at a chosen replay rate.
 * ``bench``    — regenerate one of the paper's figures and print its
   table.
+* ``compare``  — Scap against the Libnids and Snort baselines on one
+  trace across a few replay rates.
 * ``analyze``  — evaluate the §7 PPL loss-probability models.
 * ``stats``    — run a capture with observability enabled and dump the
   metrics registry (Prometheus text or JSON; see docs/OBSERVABILITY.md).
@@ -19,8 +24,9 @@ Subcommands:
 * ``timeline`` — reconstruct per-stream lifecycles from the trace ring
   (the stream flight recorder); one five-tuple's full story, or a
   summary line per connection.
-* ``scapcheck`` — run the repo-specific static analysis (SC001–SC005)
-  over source paths (see docs/STATIC_ANALYSIS.md).
+* ``scapcheck`` — run the repo-specific static analysis (SC001–SC008)
+  over source paths; its arguments go unchanged to
+  ``python -m repro.staticcheck`` (see docs/STATIC_ANALYSIS.md).
 * ``record``   — capture a trace under a cutoff and persist the
   delivered streams into an on-disk stream store (docs/STORE.md).
 * ``query``    — look up stored streams by five-tuple / time range and
@@ -59,7 +65,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Tuple
 
 from ..analysis import mm1n_loss_probability, two_class_loss_probabilities
 from ..apps import FlowStatsApp, PatternMatchApp, StreamDeliveryApp, attach_app
@@ -174,7 +180,7 @@ def build_parser() -> argparse.ArgumentParser:
                            choices=ALL_HOOKS, metavar="HOOK",
                            help="only these hook points (repeatable): "
                                 + ", ".join(ALL_HOOKS))
-    trace_cmd.add_argument("--stream", default=None,
+    trace_cmd.add_argument("--stream", default=None, type=_parse_flow,
                            metavar="IP:PORT-IP:PORT/PROTO",
                            help="only events of this connection "
                                 "(either direction)")
@@ -201,7 +207,7 @@ def build_parser() -> argparse.ArgumentParser:
     timeline_cmd = sub.add_parser(
         "timeline", help="reconstruct per-stream lifecycles from the trace ring"
     )
-    timeline_cmd.add_argument("flow", nargs="?", default=None,
+    timeline_cmd.add_argument("flow", nargs="?", default=None, type=_parse_flow,
                               metavar="IP:PORT-IP:PORT/PROTO",
                               help="one connection's full lifecycle "
                                    "(omit to list every reconstructed stream)")
@@ -219,28 +225,10 @@ def build_parser() -> argparse.ArgumentParser:
     timeline_cmd.add_argument("--capacity", type=int, default=65536,
                               help="ring-buffer capacity during the run")
 
-    scapcheck = sub.add_parser(
-        "scapcheck", help="repo-specific static analysis (SC001-SC008)"
-    )
-    scapcheck.add_argument(
-        "paths", nargs="*", default=["src/repro"],
-        help="files or directories to check (default: src/repro)",
-    )
-    scapcheck.add_argument(
-        "--select", action="append", default=None, metavar="SC00x",
-        help="run only these rule ids (repeatable)",
-    )
-    scapcheck.add_argument(
-        "--project", action="store_true",
-        help="also run the whole-program concurrency rules (SC006-SC008)",
-    )
-    scapcheck.add_argument(
-        "--format", choices=("text", "json", "github"), default="text",
-        dest="fmt", help="output format (default: text)",
-    )
-    scapcheck.add_argument(
-        "--list-rules", action="store_true",
-        help="print the rule catalogue and exit",
+    # Parsed by repro.staticcheck.runner: main() hands it the arguments.
+    sub.add_parser(
+        "scapcheck", help="repo-specific static analysis (SC001-SC008)",
+        add_help=False,
     )
 
     record = sub.add_parser(
@@ -269,13 +257,14 @@ def build_parser() -> argparse.ArgumentParser:
     record.add_argument("--max-age", type=float, default=None,
                         help="retention: drop records older than this (sim s)")
     record.add_argument("--class-quota", action="append", default=None,
-                        metavar="BPF=BYTES",
+                        type=_class_quota, metavar="BPF=BYTES",
                         help="retention: per-BPF-class payload budget "
                              "(repeatable), e.g. 'port 80=1000000'")
 
     query = sub.add_parser("query", help="look up streams in a stream store")
     query.add_argument("--store", required=True, help="store directory")
-    query.add_argument("--flow", default=None, metavar="IP:PORT-IP:PORT/PROTO",
+    query.add_argument("--flow", default=None, type=_parse_flow,
+                       metavar="IP:PORT-IP:PORT/PROTO",
                        help="five-tuple filter, e.g. 10.0.0.1:1234-10.1.0.1:80/tcp")
     query.add_argument("--start", type=float, default=None,
                        help="earliest record timestamp (sim s)")
@@ -290,7 +279,8 @@ def build_parser() -> argparse.ArgumentParser:
         "replay", help="re-inject stored streams through a fresh Scap socket"
     )
     replay.add_argument("--store", required=True, help="store directory")
-    replay.add_argument("--flow", default=None, metavar="IP:PORT-IP:PORT/PROTO",
+    replay.add_argument("--flow", default=None, type=_parse_flow,
+                        metavar="IP:PORT-IP:PORT/PROTO",
                         help="five-tuple filter (default: everything stored)")
     replay.add_argument("--start", type=float, default=None)
     replay.add_argument("--end", type=float, default=None)
@@ -323,7 +313,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument("--unix", default=None, metavar="PATH",
                        help="listen on a Unix stream socket at PATH")
-    serve.add_argument("--tcp", default=None, metavar="HOST:PORT",
+    serve.add_argument("--tcp", default=None, type=_host_port, metavar="HOST:PORT",
                        help="listen on a TCP socket (port 0 = ephemeral)")
     serve.add_argument("--store", default=None, metavar="DIR",
                        help="record captured streams into a store at DIR")
@@ -350,7 +340,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--garbage-frame-rate", type=float, default=0.0)
     serve.add_argument("--observability", action="store_true",
                        help="enable scap_service_* metrics and trace hooks")
-    serve.add_argument("--http", default=None, metavar="HOST:PORT",
+    serve.add_argument("--http", default=None, type=_host_port, metavar="HOST:PORT",
                        help="serve /metrics, /healthz, /readyz on this "
                             "address (implies --observability; port 0 = "
                             "ephemeral)")
@@ -363,7 +353,7 @@ def build_parser() -> argparse.ArgumentParser:
     spans_endpoint = spans_cmd.add_mutually_exclusive_group(required=True)
     spans_endpoint.add_argument("--unix", metavar="PATH",
                                 help="daemon Unix socket path")
-    spans_endpoint.add_argument("--tcp", metavar="HOST:PORT",
+    spans_endpoint.add_argument("--tcp", type=_host_port, metavar="HOST:PORT",
                                 help="daemon TCP address")
     spans_cmd.add_argument("--token", default=None, help="auth token")
     spans_cmd.add_argument("--trace-id", default=None,
@@ -379,7 +369,7 @@ def build_parser() -> argparse.ArgumentParser:
     top_endpoint = top.add_mutually_exclusive_group(required=True)
     top_endpoint.add_argument("--unix", metavar="PATH",
                               help="daemon Unix socket path")
-    top_endpoint.add_argument("--tcp", metavar="HOST:PORT",
+    top_endpoint.add_argument("--tcp", type=_host_port, metavar="HOST:PORT",
                               help="daemon TCP address")
     top.add_argument("--token", default=None, help="auth token")
     top.add_argument("--interval", type=float, default=2.0,
@@ -625,7 +615,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     socket = _observed_run(args, trace_capacity=args.capacity)
     buffer = socket.observability.trace
     if args.stream:
-        events = buffer.by_stream(_parse_flow(args.stream))
+        events = buffer.by_stream(args.stream)
     else:
         events = buffer.events()
     if args.hook:
@@ -658,9 +648,9 @@ def _cmd_timeline(args: argparse.Namespace) -> int:
     socket = _observed_run(args, trace_capacity=args.capacity)
     reconstructor = TimelineReconstructor(socket.observability.trace)
     if args.flow:
-        timeline = reconstructor.for_stream(_parse_flow(args.flow))
+        timeline = reconstructor.for_stream(args.flow)
         if timeline is None:
-            print(f"no retained trace events for {args.flow}")
+            print(f"no retained trace events for {_flow_label(args.flow)}")
             return 1
         print(timeline.format())
         return 0
@@ -677,40 +667,26 @@ def _cmd_timeline(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_scapcheck(args: argparse.Namespace) -> int:
-    from ..staticcheck.runner import list_rules, report, run_paths
+def _cmd_scapcheck(argv: Sequence[str]) -> int:
+    # Imported here, not at module level: `serve` must not load the analyzer.
+    from ..staticcheck.runner import main as scapcheck_main
 
-    if args.list_rules:
-        print(list_rules())
-        return 0
-    try:
-        violations, errors = run_paths(
-            args.paths, select=args.select, project=args.project
-        )
-    except FileNotFoundError as exc:
-        print(f"scapcheck: no such path: {exc}", file=sys.stderr)
-        return 2
-    except KeyError as exc:
-        print(f"scapcheck: unknown rule {exc.args[0]}", file=sys.stderr)
-        return 2
-    return report(violations, errors, fmt=args.fmt)
+    return scapcheck_main(argv)
 
 
 def _parse_flow(text: str):
-    """Parse ``IP:PORT-IP:PORT/proto`` into a FiveTuple."""
+    """argparse type: ``IP:PORT-IP:PORT/proto`` -> FiveTuple."""
     from ..netstack.addresses import ip_to_int
     from ..netstack.flows import FiveTuple
     from ..netstack.ip import IPProtocol
 
     body, _, proto_name = text.partition("/")
-    proto = {
-        "": IPProtocol.TCP,
-        "tcp": IPProtocol.TCP,
-        "udp": IPProtocol.UDP,
-    }.get(proto_name.lower())
-    if proto is None:
-        raise ValueError(f"unknown protocol {proto_name!r} (use tcp or udp)")
     try:
+        proto = {
+            "": IPProtocol.TCP,
+            "tcp": IPProtocol.TCP,
+            "udp": IPProtocol.UDP,
+        }[proto_name.lower()]
         src_part, dst_part = body.split("-")
         src_ip, src_port = src_part.rsplit(":", 1)
         dst_ip, dst_port = dst_part.rsplit(":", 1)
@@ -721,10 +697,32 @@ def _parse_flow(text: str):
             dst_port=int(dst_port),
             protocol=int(proto),
         )
-    except ValueError as exc:
-        raise ValueError(
+    except (KeyError, ValueError):
+        raise argparse.ArgumentTypeError(
             f"bad flow spec {text!r}; expected IP:PORT-IP:PORT/tcp|udp"
-        ) from exc
+        ) from None
+
+
+def _host_port(text: str) -> Tuple[str, int]:
+    """argparse type: ``HOST:PORT`` (host defaults to 127.0.0.1, port to 0)."""
+    host, _, port = text.rpartition(":")
+    try:
+        return host or "127.0.0.1", int(port or 0)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"bad address {text!r}; expected HOST:PORT"
+        ) from None
+
+
+def _class_quota(spec: str) -> Tuple[str, int]:
+    """argparse type: ``BPF=BYTES`` -> (expression, byte budget)."""
+    expression, _, budget = spec.rpartition("=")
+    try:
+        if expression:
+            return expression, int(budget)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"bad quota {spec!r}; expected BPF=BYTES")
 
 
 def _flow_label(five_tuple, protocol: Optional[int] = None) -> str:
@@ -748,18 +746,13 @@ def _cmd_record(args: argparse.Namespace) -> int:
     from ..apps import StreamRecorder
     from ..store import ClassQuota, RetentionPolicy
 
-    quotas = []
-    for spec in args.class_quota or ():
-        expression, _, budget = spec.rpartition("=")
-        if not expression:
-            print(f"record: bad --class-quota {spec!r}; expected BPF=BYTES",
-                  file=sys.stderr)
-            return 2
-        quotas.append(ClassQuota(expression=expression, max_bytes=int(budget)))
     retention = RetentionPolicy(
         max_bytes=args.max_bytes,
         max_age=args.max_age,
-        class_quotas=tuple(quotas),
+        class_quotas=tuple(
+            ClassQuota(expression=expression, max_bytes=budget)
+            for expression, budget in args.class_quota or ()
+        ),
     )
     trace = _load_source(args)
     print(trace.summary())
@@ -807,8 +800,7 @@ def _cmd_query(args: argparse.Namespace) -> int:
     import os
 
     store = _open_store(args)
-    flow = _parse_flow(args.flow) if args.flow else None
-    result = store.query(flow, start_ts=args.start, end_ts=args.end)
+    result = store.query(args.flow, start_ts=args.start, end_ts=args.end)
     store.close(enforce_retention=False)
     print(
         f"{len(result.streams)} streams / {len(result.connections())} connections, "
@@ -837,8 +829,7 @@ def _cmd_query(args: argparse.Namespace) -> int:
 
 def _cmd_replay(args: argparse.Namespace) -> int:
     store = _open_store(args)
-    flow = _parse_flow(args.flow) if args.flow else None
-    source = store.replay_source(flow, start_ts=args.start, end_ts=args.end)
+    source = store.replay_source(args.flow, start_ts=args.start, end_ts=args.end)
     store.close(enforce_retention=False)
     trace = source.as_trace()
     if not trace.packets:
@@ -927,10 +918,8 @@ def _connect_client(args: argparse.Namespace, **kwargs):
 
     if args.unix is not None:
         return ScapClient(unix_path=args.unix, token=args.token, **kwargs)
-    host, _, port = args.tcp.rpartition(":")
-    return ScapClient(
-        host=host or "127.0.0.1", port=int(port), token=args.token, **kwargs
-    )
+    host, port = args.tcp
+    return ScapClient(host=host, port=port, token=args.token, **kwargs)
 
 
 def _cmd_spans(args: argparse.Namespace) -> int:
@@ -1081,11 +1070,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                 garbage_frame_rate=args.garbage_frame_rate,
             ),
         )
-    http_host, http_port = None, 0
-    if args.http is not None:
-        host_part, _, port_part = args.http.rpartition(":")
-        http_host = host_part or "127.0.0.1"
-        http_port = int(port_part or 0)
+    http_host, http_port = args.http or (None, 0)
     config = DaemonConfig(
         store_dir=args.store,
         auth_tokens=tuple(args.token) if args.token else None,
@@ -1110,9 +1095,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         daemon.add_unix_listener(args.unix)
         print(f"listening on unix:{args.unix}")
     if args.tcp is not None:
-        host, _, port = args.tcp.rpartition(":")
-        bound_host, bound_port = daemon.add_tcp_listener(host or "127.0.0.1",
-                                                         int(port or 0))
+        bound_host, bound_port = daemon.add_tcp_listener(*args.tcp)
         print(f"listening on tcp:{bound_host}:{bound_port}", flush=True)
     try:
         daemon.start()
@@ -1132,7 +1115,12 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """CLI entry point; returns the process exit code."""
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args, rest = parser.parse_known_args(argv)
+    if args.command == "scapcheck":
+        return _cmd_scapcheck(rest)
+    if rest:
+        parser.error(f"unrecognized arguments: {' '.join(rest)}")
     handlers = {
         "generate": _cmd_generate,
         "capture": _cmd_capture,
@@ -1145,7 +1133,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "trace": _cmd_trace,
         "profile": _cmd_profile,
         "timeline": _cmd_timeline,
-        "scapcheck": _cmd_scapcheck,
         "chaos": _cmd_chaos,
         "record": _cmd_record,
         "query": _cmd_query,

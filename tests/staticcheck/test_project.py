@@ -1,4 +1,4 @@
-"""Whole-program mode: SC006-SC008, formats, dedupe, file suppression."""
+"""Whole-program rules SC006-SC008, formats, dedupe, file suppression."""
 
 from __future__ import annotations
 
@@ -8,8 +8,8 @@ import textwrap
 
 import pytest
 
-from repro.staticcheck.concurrency import PROJECT_RULE_REGISTRY, build_project
 from repro.staticcheck.framework import SourceFile
+from repro.staticcheck.project import Project
 from repro.staticcheck.runner import (
     iter_python_files,
     main,
@@ -45,8 +45,7 @@ class TestSeededProjectFixtures:
     )
     def test_each_fixture_trips_its_rule(self, rule_id, name):
         violations, errors = run_paths(
-            [fixture(name)], select=[rule_id], project=True
-        )
+            [fixture(name)], select=[rule_id])
         assert errors == []
         assert {v.rule_id for v in violations} == {rule_id}
         assert all(v.line > 0 and v.col > 0 for v in violations)
@@ -61,17 +60,15 @@ class TestSeededProjectFixtures:
     )
     def test_each_fixture_exits_1_from_the_cli(self, rule_id, name, capsys):
         assert (
-            cli_main(
-                ["scapcheck", "--project", "--select", rule_id, fixture(name)]
-            )
+            cli_main(["scapcheck", "--select", rule_id, fixture(name)])
             == 1
         )
         assert rule_id in capsys.readouterr().out
 
     def test_repo_is_clean_under_project_mode(self):
-        violations, errors = run_paths([REPO_SRC], project=True)
+        violations, errors = run_paths([REPO_SRC])
         assert errors == []
-        project_rules = set(PROJECT_RULE_REGISTRY)
+        project_rules = {"SC006", "SC007", "SC008"}
         assert [v for v in violations if v.rule_id in project_rules] == []
 
     def test_project_analysis_is_not_vacuous_on_the_repo(self):
@@ -81,7 +78,7 @@ class TestSeededProjectFixtures:
             SourceFile(path, open(path, encoding="utf-8").read())
             for path in iter_python_files([REPO_SRC])
         ]
-        project = build_project(sources)
+        project = Project(sources)
         descriptions = [root.description for root in project.roots]
         assert any("shards.py" in d for d in descriptions)
         # The store starts no thread (single-owner by construction); the
@@ -134,7 +131,7 @@ class TestProjectRuleBehavior:
             THREAD = threading.Thread(target=worker)
             """,
         )
-        violations, _ = run_paths([path], select=["SC006"], project=True)
+        violations, _ = run_paths([path], select=["SC006"])
         assert violations == []
 
     def test_sc007_ignores_init_and_single_owner_methods(self, tmp_path):
@@ -158,7 +155,7 @@ class TestProjectRuleBehavior:
                     self.count = 0
             """,
         )
-        violations, _ = run_paths([path], select=["SC007"], project=True)
+        violations, _ = run_paths([path], select=["SC007"])
         assert violations == []
 
     def test_sc008_ignores_thread_pools_and_plain_data(self, tmp_path):
@@ -186,13 +183,15 @@ class TestProjectRuleBehavior:
                     pool.submit(job, len(table.rows))
             """,
         )
-        violations, _ = run_paths([path], select=["SC008"], project=True)
+        violations, _ = run_paths([path], select=["SC008"])
         assert violations == []
 
-    def test_selecting_project_rule_without_project_flag_is_an_error(self):
-        with pytest.raises(KeyError):
-            run_paths([fixture("sc006_escape.py")], select=["SC006"])
-        assert main(["--select", "SC006", fixture("sc006_escape.py")]) == 2
+    def test_selecting_project_rule_needs_no_flag(self, capsys):
+        violations, _ = run_paths([fixture("sc006_escape.py")], select=["SC006"])
+        assert {v.rule_id for v in violations} == {"SC006"}
+        assert main(["--select", "SC007", PROJECT_FIXTURES]) == 1
+        out = capsys.readouterr().out
+        assert "SC007" in out and "SC006" not in out
 
     def test_cross_file_escape_is_detected(self, tmp_path):
         write(
@@ -224,8 +223,7 @@ class TestProjectRuleBehavior:
             """,
         )
         violations, _ = run_paths(
-            [str(tmp_path)], select=["SC006"], project=True
-        )
+            [str(tmp_path)], select=["SC006"])
         assert len(violations) == 1
         assert "owner_mod.py" in violations[0].path
 
@@ -268,18 +266,16 @@ class TestIterPythonFilesDedupe:
                     self.count = 0
             """,
         )
-        once, _ = run_paths([path], select=["SC007"], project=True)
+        once, _ = run_paths([path], select=["SC007"])
         twice, _ = run_paths(
-            [str(tmp_path), path], select=["SC007"], project=True
-        )
+            [str(tmp_path), path], select=["SC007"])
         assert len(once) == len(twice) == 1
 
 
 class TestFormats:
     def _violations(self):
         violations, errors = run_paths(
-            [fixture("sc007_lockset.py")], select=["SC007"], project=True
-        )
+            [fixture("sc007_lockset.py")], select=["SC007"])
         assert errors == []
         return violations
 
@@ -306,7 +302,7 @@ class TestFormats:
 
     def test_clean_json_run_exits_zero(self, tmp_path, capsys):
         path = write(tmp_path, "clean.py", "x = 1\n")
-        assert main(["--format", "json", "--project", path]) == 0
+        assert main(["--format", "json", path]) == 0
         document = json.loads(capsys.readouterr().out)
         assert document["violations"] == [] and document["counts"] == {}
 
@@ -339,7 +335,7 @@ class TestFileLevelSuppression:
                     self.count = 0
             """,
         )
-        violations, _ = run_paths([path], select=["SC007"], project=True)
+        violations, _ = run_paths([path], select=["SC007"])
         assert violations == []
 
     def test_disable_file_outside_first_five_lines_is_inert(self, tmp_path):
@@ -368,7 +364,7 @@ class TestFileLevelSuppression:
                     self.count = 0
             """,
         )
-        violations, _ = run_paths([path], select=["SC007"], project=True)
+        violations, _ = run_paths([path], select=["SC007"])
         assert len(violations) == 1
 
     def test_bare_disable_file_suppresses_everything(self, tmp_path):

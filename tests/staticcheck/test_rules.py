@@ -6,10 +6,11 @@ from repro.staticcheck import (
     EventTransitionRule,
     GuardedHooksRule,
     NoWallClockRule,
+    Project,
     ScapApiContractRule,
     SharedStateRule,
     SourceFile,
-    check_source,
+    check,
 )
 
 HOT_PATH = "src/repro/core/example.py"
@@ -18,7 +19,7 @@ COLD_PATH = "src/repro/tools/example.py"
 
 def run_rule(rule_cls, code, path=HOT_PATH):
     source = SourceFile(path, textwrap.dedent(code))
-    return check_source(source, rules=[rule_cls()])
+    return check(Project([source]), rules=[rule_cls()])
 
 
 class TestSC001WallClock:

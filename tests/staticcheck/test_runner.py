@@ -6,7 +6,6 @@ import textwrap
 import pytest
 
 from repro.staticcheck import RULE_REGISTRY
-from repro.staticcheck.concurrency import PROJECT_RULE_REGISTRY
 from repro.staticcheck.runner import (
     iter_python_files,
     list_rules,
@@ -15,7 +14,10 @@ from repro.staticcheck.runner import (
 )
 from repro.tools.cli import main as cli_main
 
-FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
+HERE = os.path.dirname(__file__)
+FIXTURES = os.path.join(HERE, "fixtures")
+PROJECT_FIXTURES = os.path.join(HERE, "project_fixtures")
+REPO_SRC = os.path.normpath(os.path.join(HERE, "..", "..", "src", "repro"))
 ALL_RULES = ("SC001", "SC002", "SC003", "SC004", "SC005")
 
 
@@ -67,6 +69,11 @@ class TestRunPaths:
         with pytest.raises(KeyError):
             run_paths([FIXTURES], select=["SC999"])
 
+    def test_default_run_includes_whole_program_rules(self):
+        violations, errors = run_paths([PROJECT_FIXTURES])
+        assert errors == []
+        assert {v.rule_id for v in violations} == {"SC006", "SC007", "SC008"}
+
 
 class TestIterPythonFiles:
     def test_skips_pycache_and_sorts(self, tmp_path):
@@ -98,17 +105,25 @@ class TestStandaloneMain:
     def test_exit_two_on_unknown_rule(self, capsys):
         assert main([FIXTURES, "--select", "SC999"]) == 2
 
+    def test_exit_one_on_whole_program_findings(self, capsys):
+        assert main([PROJECT_FIXTURES]) == 1
+        out = capsys.readouterr().out
+        for rule_id in ("SC006", "SC007", "SC008"):
+            assert rule_id in out
+
+    def test_select_whole_program_rule(self, capsys):
+        assert main(["--select", "SC007", PROJECT_FIXTURES]) == 1
+        out = capsys.readouterr().out
+        assert "SC007" in out and "SC006" not in out
+
     def test_list_rules_covers_registry(self, capsys):
         assert main(["--list-rules"]) == 0
         out = capsys.readouterr().out
         for rule_id in RULE_REGISTRY:
             assert rule_id in out
-        for rule_id in PROJECT_RULE_REGISTRY:
-            assert rule_id in out
-        expected = len(RULE_REGISTRY) + len(PROJECT_RULE_REGISTRY)
-        assert len(
-            [line for line in list_rules().splitlines() if line.startswith("SC")]
-        ) == expected
+        lines = [line for line in list_rules().splitlines() if line.startswith("SC")]
+        assert len(lines) == len(RULE_REGISTRY) == 8
+        assert not any(line.endswith("]") for line in lines)
 
 
 class TestCliSubcommand:
@@ -130,3 +145,18 @@ class TestCliSubcommand:
     def test_scapcheck_subcommand_list_rules(self, capsys):
         assert cli_main(["scapcheck", "--list-rules"]) == 0
         assert "SC003" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("fmt", ["text", "json", "github"])
+    def test_subcommand_matches_standalone_runner(self, fmt, capsys):
+        for path in (FIXTURES, PROJECT_FIXTURES, REPO_SRC):
+            code = main(["--format", fmt, path])
+            standalone = capsys.readouterr().out
+            assert cli_main(["scapcheck", "--format", fmt, path]) == code
+            assert capsys.readouterr().out == standalone
+
+    def test_subcommand_usage_errors_exit_two(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            cli_main(["scapcheck", "--format", "xml"])
+        assert excinfo.value.code == 2
+        assert cli_main(["scapcheck", "--select", "SC999", FIXTURES]) == 2
+        assert "unknown rule SC999" in capsys.readouterr().err

@@ -170,8 +170,25 @@ class TestCli:
         ]) == 1
         assert "nothing stored" in capsys.readouterr().out
 
-    def test_bad_flow_spec_rejected(self, tmp_path):
+    def test_bad_flow_spec_rejected(self, tmp_path, capsys):
         directory = str(tmp_path / "store")
         main(["record", "--flows", "5", "--store", directory])
-        with pytest.raises(ValueError):
-            main(["query", "--store", directory, "--flow", "nonsense"])
+        capsys.readouterr()
+        # Malformed values are usage errors: exit 2 with a usage line,
+        # before any capture, store or daemon starts.
+        for argv in (
+            ["query", "--store", directory, "--flow", "nonsense"],
+            ["replay", "--store", directory, "--flow", "10.0.0.1:1-10.0.0.2:2/sctp"],
+            ["trace", "--stream", "nonsense"],
+            ["timeline", "nonsense"],
+            ["record", "--store", directory, "--class-quota", "port 80=abc"],
+            ["record", "--store", directory, "--class-quota", "=100"],
+            ["serve", "--tcp", "127.0.0.1:abc"],
+            ["serve", "--unix", str(tmp_path / "s.sock"), "--http", "127.0.0.1:abc"],
+            ["top", "--tcp", "localhost:http"],
+        ):
+            with pytest.raises(SystemExit) as excinfo:
+                main(argv)
+            assert excinfo.value.code == 2, argv
+            err = capsys.readouterr().err
+            assert "usage:" in err and "expected" in err, argv
