@@ -17,7 +17,6 @@ pass the name.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, Dict, Optional, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -28,13 +27,13 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 from ..observability import (
     ProfileReport,
     SpanRecord,
+    SpanTreeReconstructor,
     StreamTimeline,
     TelemetryRing,
     TimelineReconstructor,
-    span_records,
 )
 
-from ..results import RunResult
+from ..results import RunResult, ScapStats
 from ..filters.bpf import BPFFilter
 from .config import DEFAULT_MEMORY_SIZE, ScapConfig
 from .constants import SCAP_DEFAULT, SCAP_TCP_FAST, Parameter
@@ -79,44 +78,6 @@ _DEVICE_REGISTRY: Dict[str, Tuple[Any, float]] = {}
 def register_device(name: str, workload: Any, rate_bps: float) -> None:
     """Bind a workload + replay rate to a device name for scap_create."""
     _DEVICE_REGISTRY[name] = (workload, rate_bps)
-
-
-@dataclass
-class ScapStats:
-    """Overall statistics, as returned by scap_get_stats (Table 1).
-
-    The original seven fields mirror the paper; the extension fields
-    below them surface the observability layer (per-core breakdowns,
-    PPL per-priority drops, FDIR filter state — see
-    ``docs/OBSERVABILITY.md``).  Per-core dicts are filled only when
-    the run had an enabled :class:`~repro.observability.Observability`
-    attached; the aggregate fields are always populated.
-    """
-
-    pkts_received: int = 0
-    pkts_dropped: int = 0
-    pkts_discarded: int = 0
-    bytes_received: int = 0
-    bytes_delivered: int = 0
-    streams_seen: int = 0
-    events_processed: int = 0
-    # --- observability extensions -------------------------------------
-    per_core_packets: Dict[int, int] = field(default_factory=dict)
-    per_core_bytes: Dict[int, int] = field(default_factory=dict)
-    per_core_drops: Dict[int, int] = field(default_factory=dict)
-    ppl_drops_by_priority: Dict[int, int] = field(default_factory=dict)
-    fdir_filters_installed: int = 0
-    fdir_filters_evicted: int = 0
-    fdir_filters_active: int = 0
-    # --- stream-store extensions (zero unless a store is attached) ----
-    stored_bytes: int = 0
-    evicted_bytes: int = 0
-    writer_queue_drops: int = 0
-    # --- fault-injection extensions (zero unless a fault plan ran) ----
-    faults_injected_total: int = 0
-    faults_injected: Dict[str, int] = field(default_factory=dict)
-    #: Frames the NIC dropped for a bad checksum (part of pkts_dropped).
-    nic_fcs_errors: int = 0
 
 
 class ScapSocket:
@@ -390,40 +351,20 @@ class ScapSocket:
         """
         if self._runtime is None:
             return ScapStats()
-        agg = self._runtime.aggregate()
-        counters = self._runtime.kernel.counters
+        stats = self._runtime.aggregate()
         fdir = self._runtime.nic.fdir
-        store = self._recorder.store.stats() if self._recorder is not None else None
-        return ScapStats(
-            pkts_received=agg.pkts_received,
-            pkts_dropped=agg.pkts_dropped,
-            pkts_discarded=agg.pkts_discarded,
-            bytes_received=agg.bytes_received,
-            bytes_delivered=agg.bytes_delivered,
-            streams_seen=agg.streams_seen,
-            events_processed=agg.events_processed,
-            per_core_packets=dict(agg.per_core_packets),
-            per_core_bytes=dict(agg.per_core_bytes),
-            per_core_drops=dict(agg.per_core_drops),
-            ppl_drops_by_priority=dict(counters.ppl_drops_by_priority),
-            fdir_filters_installed=fdir.installed_total,
-            fdir_filters_evicted=fdir.evicted_total,
-            fdir_filters_active=len(fdir),
-            stored_bytes=store.stored_bytes if store is not None else 0,
-            evicted_bytes=store.evicted_bytes if store is not None else 0,
-            writer_queue_drops=store.writer_queue_drops if store is not None else 0,
-            faults_injected_total=(
-                self.fault_injector.total_injected
-                if self.fault_injector is not None
-                else 0
-            ),
-            faults_injected=(
-                self.fault_injector.counts_by_key()
-                if self.fault_injector is not None
-                else {}
-            ),
-            nic_fcs_errors=agg.nic_fcs_errors,
-        )
+        stats.fdir_filters_installed = fdir.installed_total
+        stats.fdir_filters_evicted = fdir.evicted_total
+        stats.fdir_filters_active = len(fdir)
+        if self._recorder is not None:
+            store = self._recorder.store.stats()
+            stats.stored_bytes = store.stored_bytes
+            stats.evicted_bytes = store.evicted_bytes
+            stats.writer_queue_drops = store.writer_queue_drops
+        if self.fault_injector is not None:
+            stats.faults_injected_total = self.fault_injector.total_injected
+            stats.faults_injected = self.fault_injector.counts_by_key()
+        return stats
 
     # ------------------------------------------------------------------
     # Observability
@@ -460,10 +401,8 @@ class ScapSocket:
         here.  ``trace_id`` filters to one causal trace; with
         observability off the list is empty.
         """
-        records = span_records(self.runtime.obs.trace.events())
-        if trace_id is not None:
-            records = [r for r in records if r.trace_id == trace_id]
-        return records
+        reconstructor = SpanTreeReconstructor(self.runtime.obs.trace.events())
+        return reconstructor.select(trace_id)[1]
 
     def telemetry(self) -> Optional[TelemetryRing]:
         """The run's :class:`~repro.observability.TelemetryRing`, if any.

@@ -17,11 +17,10 @@ reduces everything to a :class:`~repro.bench.results.RunResult`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import islice
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
-from ..results import RunResult
+from ..results import RunResult, ScapStats
 from ..kernelsim.cache import LocalityProfile
 from ..kernelsim.costmodel import DEFAULT_COST_MODEL, CostModel
 from ..kernelsim.host import Host
@@ -49,39 +48,10 @@ from .kernel_module import ScapKernelModule
 from .loadbalance import LoadBalancer
 from .workers import Callbacks, WorkerPool
 
-__all__ = ["ScapRuntime", "AggregateStats", "DEFAULT_BATCH_SIZE"]
+__all__ = ["ScapRuntime", "DEFAULT_BATCH_SIZE"]
 
 #: Packets per batch when the caller does not pass ``batch_size``.
 DEFAULT_BATCH_SIZE = 64
-
-
-@dataclass
-class AggregateStats:
-    """One run's totals, reduced along the single aggregation path.
-
-    Both :meth:`ScapRuntime.result` and ``scap_get_stats`` read these
-    numbers from :meth:`ScapRuntime.aggregate` — callers never re-sum
-    :class:`~repro.core.kernel_module.KernelCounters` fields themselves,
-    so the drop/discard breakdown is identical everywhere it appears.
-    """
-
-    pkts_received: int = 0
-    pkts_dropped: int = 0
-    pkts_discarded: int = 0
-    bytes_received: int = 0
-    bytes_delivered: int = 0
-    streams_seen: int = 0
-    events_processed: int = 0
-    ring_drops: int = 0
-    nic_filter_drops: int = 0
-    #: Frames dropped by the NIC MAC for a bad checksum (wire-plane
-    #: fault injection is currently the only source).
-    nic_fcs_errors: int = 0
-    #: Per-core breakdowns from the metrics registry (empty unless
-    #: observability was enabled for the run).
-    per_core_packets: Dict[int, int] = field(default_factory=dict)
-    per_core_bytes: Dict[int, int] = field(default_factory=dict)
-    per_core_drops: Dict[int, int] = field(default_factory=dict)
 
 
 class ScapRuntime:
@@ -365,17 +335,19 @@ class ScapRuntime:
         """
         return self.obs.profiler.report(busy_seconds=self.busy_seconds())
 
-    def aggregate(self) -> AggregateStats:
+    def aggregate(self) -> ScapStats:
         """Reduce all counters to totals — the single aggregation path.
 
         ``pkts_dropped``/``pkts_discarded`` are derived from
         :meth:`KernelCounters.unintentional_drops` /
         :meth:`KernelCounters.early_discards` plus the runtime-level
         contributions (RX-ring rejections, NIC hardware drops); every
-        consumer of totals goes through here.
+        consumer of totals goes through here.  The socket-level
+        extension fields (FDIR, store, faults) are left at zero for
+        ``scap_get_stats`` to fill.
         """
         counters = self.kernel.counters
-        agg = AggregateStats(
+        agg = ScapStats(
             pkts_received=counters.packets_seen,
             pkts_dropped=(
                 self.ring_drops
@@ -387,8 +359,7 @@ class ScapRuntime:
             bytes_delivered=self.workers.bytes_delivered,
             streams_seen=self.kernel.flows.created_total,
             events_processed=self.workers.events_processed,
-            ring_drops=self.ring_drops,
-            nic_filter_drops=self.nic.stats.dropped_at_nic,
+            ppl_drops_by_priority=dict(counters.ppl_drops_by_priority),
             nic_fcs_errors=self.nic.stats.fcs_errors,
         )
         packets_family = self.obs.registry.get("scap_core_packets_total")
@@ -420,7 +391,7 @@ class ScapRuntime:
             offered_bytes=self.bytes_offered,
             dropped_packets=agg.pkts_dropped,
             discarded_packets=agg.pkts_discarded,
-            nic_filter_drops=agg.nic_filter_drops,
+            nic_filter_drops=self.nic.stats.dropped_at_nic,
             delivered_bytes=agg.bytes_delivered,
             delivered_events=agg.events_processed,
             user_utilization=self.workers.utilization(duration),

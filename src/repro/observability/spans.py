@@ -332,6 +332,30 @@ class SpanTreeReconstructor:
         ranked = sorted(totals.items(), key=lambda item: -item[1])
         return ranked[: max(0, count)]
 
+    def select(
+        self,
+        trace_id: Optional[str] = None,
+        slowest: Optional[int] = None,
+        limit: Optional[int] = None,
+    ) -> Tuple[List[str], List[SpanRecord]]:
+        """Answer a span query: one trace, the ``slowest`` N, or all.
+
+        Returns the chosen trace ids in rendering order (slowest first
+        for ``slowest``) and their records in retention order, cut to
+        the last ``limit``.
+        """
+        if trace_id is not None:
+            wanted = [str(trace_id)]
+        elif slowest is not None:
+            wanted = [pair[0] for pair in self.slowest(int(slowest))]
+        else:
+            wanted = self.trace_ids()
+        chosen = set(wanted)
+        records = [r for r in self._records if r.trace_id in chosen]
+        if limit is not None:
+            records = records[-int(limit):]
+        return wanted, records
+
     def format_trace(self, trace_id: str) -> str:
         """The whole tree for one trace as indented text."""
         lines = [f"trace {trace_id}"]

@@ -19,7 +19,7 @@ read-only — it never touches the capture hot path.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional
 
 from .tracing import (
     HOOK_CUTOFF_REACHED,
@@ -34,37 +34,10 @@ from .tracing import (
     HOOK_STREAM_CREATED,
     HOOK_STREAM_TERMINATED,
     TraceEvent,
+    canonical_tuple_str,
 )
 
 __all__ = ["StreamTimeline", "TimelineReconstructor", "canonical_tuple_str"]
-
-
-def _split_tuple_str(text: str) -> Optional[Tuple[str, str, str]]:
-    """``"a:p > b:q/proto"`` -> (src_endpoint, dst_endpoint, proto)."""
-    if " > " not in text:
-        return None
-    src, _, rest = text.partition(" > ")
-    dst, _, proto = rest.rpartition("/")
-    if not dst or not proto:
-        return None
-    return src, dst, proto
-
-
-def canonical_tuple_str(five_tuple) -> str:
-    """One direction-independent key for a five-tuple (or its string).
-
-    Both directions of a connection map to the same key: the
-    lexicographically smaller endpoint is printed first, mirroring
-    :meth:`~repro.netstack.flows.FiveTuple.canonical`.
-    """
-    text = str(five_tuple)
-    parts = _split_tuple_str(text)
-    if parts is None:
-        return text
-    src, dst, proto = parts
-    if dst < src:
-        src, dst = dst, src
-    return f"{src} > {dst}/{proto}"
 
 
 @dataclass

@@ -18,6 +18,7 @@ from typing import Deque, Dict, Iterator, List, Optional
 __all__ = [
     "TraceEvent",
     "TraceBuffer",
+    "canonical_tuple_str",
     "HOOK_PPL_DROP",
     "HOOK_MEMORY_EXHAUSTED",
     "HOOK_CUTOFF_REACHED",
@@ -91,6 +92,23 @@ class TraceEvent:
         return f"{self.time:12.6f}  {self.hook:<18} {details}"
 
 
+def canonical_tuple_str(five_tuple) -> str:
+    """One direction-independent key for a five-tuple (or its string).
+
+    Both directions of a connection map to the same key: the
+    lexicographically smaller endpoint is printed first, mirroring
+    :meth:`~repro.netstack.flows.FiveTuple.canonical`.
+    """
+    text = str(five_tuple)
+    src, arrow, rest = text.partition(" > ")
+    dst, _, proto = rest.rpartition("/")
+    if not arrow or not dst or not proto:
+        return text
+    if dst < src:
+        src, dst = dst, src
+    return f"{src} > {dst}/{proto}"
+
+
 class TraceBuffer:
     """Fixed-capacity ring of :class:`TraceEvent` records."""
 
@@ -137,22 +155,16 @@ class TraceBuffer:
 
         ``five_tuple`` is a :class:`~repro.netstack.flows.FiveTuple`
         (either direction) or its string form; events whose
-        ``five_tuple`` field matches the tuple or its reverse are
-        returned, so both directions of a connection fold together.
+        ``five_tuple`` field has the same :func:`canonical_tuple_str`
+        key are returned, so both directions of a connection fold
+        together.
         """
-        wanted = {str(five_tuple)}
-        reverse = getattr(five_tuple, "reversed", None)
-        if callable(reverse):
-            wanted.add(str(reverse()))
-        elif isinstance(five_tuple, str) and " > " in five_tuple:
-            # "src:sp > dst:dp/proto" — reverse the textual endpoints.
-            src, _, rest = five_tuple.partition(" > ")
-            dst, _, proto = rest.rpartition("/")
-            wanted.add(f"{dst} > {src}/{proto}")
+        key = canonical_tuple_str(five_tuple)
         return [
             event
             for event in self._events
-            if event.fields.get("five_tuple") in wanted
+            if isinstance(label := event.fields.get("five_tuple"), str)
+            and canonical_tuple_str(label) == key
         ]
 
     def clear(self) -> None:

@@ -2,7 +2,8 @@
 
 Every capture system (Scap and the baselines) reduces one replay run to
 a :class:`RunResult`, so the experiment harness can print the same
-columns for each figure regardless of the system measured.
+columns for each figure regardless of the system measured.  An Scap
+run's running totals are a :class:`ScapStats` (``scap_get_stats``).
 """
 
 from __future__ import annotations
@@ -10,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Optional
 
-__all__ = ["RunResult"]
+__all__ = ["RunResult", "ScapStats"]
 
 
 @dataclass
@@ -91,3 +92,41 @@ class RunResult:
             f"streams_lost={self.stream_loss_rate * 100:6.2f}% "
             f"matches={self.match_rate * 100:6.2f}%"
         )
+
+
+@dataclass
+class ScapStats:
+    """Overall statistics, as returned by scap_get_stats (Table 1).
+
+    The original seven fields mirror the paper; the extension fields
+    below them surface the observability layer (per-core breakdowns,
+    PPL per-priority drops, FDIR filter state — see
+    ``docs/OBSERVABILITY.md``).  Per-core dicts are filled only when
+    the run had an enabled :class:`~repro.observability.Observability`
+    attached; the aggregate fields are always populated.
+    """
+
+    pkts_received: int = 0
+    pkts_dropped: int = 0
+    pkts_discarded: int = 0
+    bytes_received: int = 0
+    bytes_delivered: int = 0
+    streams_seen: int = 0
+    events_processed: int = 0
+    # --- observability extensions -------------------------------------
+    per_core_packets: Dict[int, int] = field(default_factory=dict)
+    per_core_bytes: Dict[int, int] = field(default_factory=dict)
+    per_core_drops: Dict[int, int] = field(default_factory=dict)
+    ppl_drops_by_priority: Dict[int, int] = field(default_factory=dict)
+    fdir_filters_installed: int = 0
+    fdir_filters_evicted: int = 0
+    fdir_filters_active: int = 0
+    # --- stream-store extensions (zero unless a store is attached) ----
+    stored_bytes: int = 0
+    evicted_bytes: int = 0
+    writer_queue_drops: int = 0
+    # --- fault-injection extensions (zero unless a fault plan ran) ----
+    faults_injected_total: int = 0
+    faults_injected: Dict[str, int] = field(default_factory=dict)
+    #: Frames the NIC dropped for a bad checksum (part of pkts_dropped).
+    nic_fcs_errors: int = 0

@@ -53,7 +53,6 @@ from ..observability import (
     SpanRecorder,
     SpanTreeReconstructor,
     TelemetryRing,
-    span_records,
 )
 from ..observability.spans import KIND_INTERNAL, KIND_SERVER, Span
 from .health import DEFAULT_HEALTH_RULES, HealthReport, HealthServer, evaluate_health
@@ -133,14 +132,8 @@ class DaemonConfig:
     allow_control: bool = True
     #: Largest accepted frame (submitted traces must fit in one frame).
     max_frame_bytes: int = MAX_FRAME_BYTES
-    #: Store writer fan-out (segment series).
-    store_cores: int = 1
-    #: Compress store record bodies.
-    store_compress: bool = False
     #: Wall-clock seconds between telemetry-ring samples.
     telemetry_cadence: float = 1.0
-    #: Retained telemetry samples (the forensics window).
-    telemetry_capacity: int = 512
     #: Bind the HTTP health sidecar here (None = no sidecar).
     #: Port 0 picks a free port; read it back from ``http_address``.
     http_host: Optional[str] = None
@@ -155,8 +148,6 @@ class DaemonConfig:
             raise ValueError("global_event_budget must be positive")
         if self.telemetry_cadence <= 0:
             raise ValueError("telemetry_cadence must be positive")
-        if self.telemetry_capacity < 2:
-            raise ValueError("telemetry_capacity must be at least 2")
 
 
 def register_service_metrics(registry) -> Dict[str, Any]:
@@ -305,12 +296,7 @@ class ScapDaemon:
         if self.config.store_dir is not None:
             from ..store import StreamStore
 
-            self.store = StreamStore(
-                self.config.store_dir,
-                cores=self.config.store_cores,
-                compress=self.config.store_compress,
-                observability=observability,
-            )
+            self.store = StreamStore(self.config.store_dir, observability=observability)
         #: The store's counters as of the owner's last command.
         self._store_stats = store_stats(self.store)
         # Config the clients program at runtime.
@@ -363,9 +349,7 @@ class ScapDaemon:
                 self._obs.trace, clock=time.monotonic, prefix="d"
             )
             self.telemetry = TelemetryRing(
-                registry,
-                cadence=self.config.telemetry_cadence,
-                capacity=self.config.telemetry_capacity,
+                registry, cadence=self.config.telemetry_cadence
             )
         #: The HTTP sidecar (started by :meth:`start` when configured).
         self.health_server: Optional[HealthServer] = None
@@ -1203,20 +1187,10 @@ class ScapDaemon:
 
     def _cmd_spans(self, request: _Request, frame: Frame):
         """Retained span records — all, one trace, or the slowest N traces."""
-        records = span_records(self._obs.trace.events())
-        reconstructor = SpanTreeReconstructor(records)
-        trace_id = frame.header.get("trace_id")
-        slowest = frame.header.get("slowest")
-        if trace_id is not None:
-            records = reconstructor.records(str(trace_id))
-        elif slowest is not None:
-            wanted = {pair[0] for pair in reconstructor.slowest(int(slowest))}
-            records = [r for r in reconstructor.records() if r.trace_id in wanted]
-        else:
-            records = reconstructor.records()
-        limit = frame.header.get("limit")
-        if limit is not None:
-            records = records[-int(limit):]
+        header = frame.header
+        _, records = SpanTreeReconstructor(self._obs.trace.events()).select(
+            header.get("trace_id"), header.get("slowest"), header.get("limit")
+        )
         return (
             {
                 "spans": [record.as_fields() for record in records],

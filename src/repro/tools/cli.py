@@ -44,6 +44,14 @@ Subcommands:
   health verdict (throughput, drop rates, queue depths, per-client
   feeds).
 
+Options that several subcommands share are declared once, as parent
+parsers in :func:`build_parser`: the packet source (``--pcap`` |
+``--flows``, ``--seed``), the replay (``--rate``, ``--cutoff``,
+``--memory-mb``) and the daemon endpoint (``--unix`` | ``--tcp``,
+``--token``).  Replays build their socket in one place
+(``_socket``), and ``main`` runs ``<command>`` by calling
+``_cmd_<command>``.
+
 Examples::
 
     repro-scap generate --flows 500 --out campus.pcap
@@ -79,9 +87,40 @@ __all__ = ["main", "build_parser"]
 
 GBIT = 1e9
 
+#: ``bench`` figures -> their runner in :mod:`repro.bench` (imported on use).
+_FIGURES = {
+    "fig03": "fig03_flow_statistics",
+    "fig04": "fig04_stream_delivery",
+    "fig05": "fig05_concurrent_streams",
+    "fig06": "fig06_pattern_matching",
+    "fig08": "fig08_cutoff_sweep",
+    "fig09": "fig09_ppl_priorities",
+    "fig10": "fig10_worker_scaling",
+}
+
 
 def build_parser() -> argparse.ArgumentParser:
     """Construct the repro-scap argument parser."""
+    # Option groups shared by several subcommands (attached via parents=).
+    source_opts = argparse.ArgumentParser(add_help=False)
+    pcap_or_flows = source_opts.add_mutually_exclusive_group()
+    pcap_or_flows.add_argument("--pcap", help="read packets from a pcap file")
+    pcap_or_flows.add_argument("--flows", type=int, default=300,
+                               help="or synthesize this many flows")
+    source_opts.add_argument("--seed", type=int, default=7)
+    replay_opts = argparse.ArgumentParser(add_help=False)
+    replay_opts.add_argument("--rate", type=float, default=1.0, help="replay Gbit/s")
+    replay_opts.add_argument("--cutoff", type=int, default=None,
+                             help="per-stream byte cutoff")
+    replay_opts.add_argument("--memory-mb", type=int, default=64)
+    capture_opts = [source_opts, replay_opts]
+    endpoint_opts = argparse.ArgumentParser(add_help=False)
+    unix_or_tcp = endpoint_opts.add_mutually_exclusive_group(required=True)
+    unix_or_tcp.add_argument("--unix", metavar="PATH", help="daemon Unix socket path")
+    unix_or_tcp.add_argument("--tcp", type=_host_port, metavar="HOST:PORT",
+                             help="daemon TCP address")
+    endpoint_opts.add_argument("--token", default=None, help="auth token")
+
     parser = argparse.ArgumentParser(
         prog="repro-scap",
         description="Scap (IMC 2013) reproduction toolkit",
@@ -96,21 +135,14 @@ def build_parser() -> argparse.ArgumentParser:
                           help="plant N synthetic attack patterns")
     generate.add_argument("--out", required=True, help="output pcap path")
 
-    capture = sub.add_parser("capture", help="run a monitoring app over a trace")
-    source = capture.add_mutually_exclusive_group(required=False)
-    source.add_argument("--pcap", help="read packets from a pcap file")
-    source.add_argument("--flows", type=int, default=300,
-                        help="or synthesize this many flows")
-    capture.add_argument("--seed", type=int, default=7)
-    capture.add_argument("--rate", type=float, default=1.0, help="replay Gbit/s")
+    capture = sub.add_parser("capture", parents=capture_opts,
+                             help="run a monitoring app over a trace")
     capture.add_argument(
         "--app",
         choices=("flowstats", "delivery", "match", "http"),
         default="delivery",
     )
-    capture.add_argument("--cutoff", type=int, default=None)
     capture.add_argument("--workers", type=int, default=1)
-    capture.add_argument("--memory-mb", type=int, default=64)
     capture.add_argument("--filter", dest="bpf", default="")
     capture.add_argument("--patterns", type=int, default=200,
                          help="pattern count for --app match")
@@ -119,16 +151,10 @@ def build_parser() -> argparse.ArgumentParser:
     capture.add_argument("--export-flows", help="CSV path for flow records")
 
     bench = sub.add_parser("bench", help="regenerate a paper figure")
-    bench.add_argument(
-        "figure",
-        choices=("fig03", "fig04", "fig05", "fig06", "fig08", "fig09", "fig10"),
-    )
+    bench.add_argument("figure", choices=_FIGURES)
 
-    inspect = sub.add_parser("inspect", help="summarize a pcap or synthetic trace")
-    inspect_source = inspect.add_mutually_exclusive_group(required=False)
-    inspect_source.add_argument("--pcap", help="read packets from a pcap file")
-    inspect_source.add_argument("--flows", type=int, default=300)
-    inspect.add_argument("--seed", type=int, default=7)
+    inspect = sub.add_parser("inspect", parents=[source_opts],
+                             help="summarize a pcap or synthetic trace")
     inspect.add_argument("--filter", dest="bpf", default="",
                          help="restrict to packets matching a BPF expression")
 
@@ -148,16 +174,9 @@ def build_parser() -> argparse.ArgumentParser:
                          default=[1.0, 2.5, 4.0, 6.0], help="Gbit/s points")
 
     stats = sub.add_parser(
-        "stats", help="run a capture with observability on; dump metrics"
+        "stats", parents=capture_opts,
+        help="run a capture with observability on; dump metrics"
     )
-    stats_source = stats.add_mutually_exclusive_group(required=False)
-    stats_source.add_argument("--pcap", help="read packets from a pcap file")
-    stats_source.add_argument("--flows", type=int, default=300,
-                              help="or synthesize this many flows")
-    stats.add_argument("--seed", type=int, default=7)
-    stats.add_argument("--rate", type=float, default=1.0, help="replay Gbit/s")
-    stats.add_argument("--cutoff", type=int, default=None)
-    stats.add_argument("--memory-mb", type=int, default=64)
     stats.add_argument("--format", choices=("prometheus", "json"),
                        default="prometheus", help="exporter format")
     stats.add_argument("--out", help="write the export here instead of stdout")
@@ -166,16 +185,9 @@ def build_parser() -> argparse.ArgumentParser:
                             "with the Prometheus export (exit 1 on mismatch)")
 
     trace_cmd = sub.add_parser(
-        "trace", help="run a capture with observability on; dump trace events"
+        "trace", parents=capture_opts,
+        help="run a capture with observability on; dump trace events"
     )
-    trace_source = trace_cmd.add_mutually_exclusive_group(required=False)
-    trace_source.add_argument("--pcap", help="read packets from a pcap file")
-    trace_source.add_argument("--flows", type=int, default=300,
-                              help="or synthesize this many flows")
-    trace_cmd.add_argument("--seed", type=int, default=7)
-    trace_cmd.add_argument("--rate", type=float, default=1.0, help="replay Gbit/s")
-    trace_cmd.add_argument("--cutoff", type=int, default=None)
-    trace_cmd.add_argument("--memory-mb", type=int, default=64)
     trace_cmd.add_argument("--hook", action="append", default=None,
                            choices=ALL_HOOKS, metavar="HOOK",
                            help="only these hook points (repeatable): "
@@ -190,36 +202,21 @@ def build_parser() -> argparse.ArgumentParser:
                            help="ring-buffer capacity during the run")
 
     profile = sub.add_parser(
-        "profile", help="run a capture with observability on; print the "
-                        "per-stage time breakdown"
+        "profile", parents=capture_opts,
+        help="run a capture with observability on; print the per-stage "
+             "time breakdown"
     )
-    profile_source = profile.add_mutually_exclusive_group(required=False)
-    profile_source.add_argument("--pcap", help="read packets from a pcap file")
-    profile_source.add_argument("--flows", type=int, default=300,
-                                help="or synthesize this many flows")
-    profile.add_argument("--seed", type=int, default=7)
-    profile.add_argument("--rate", type=float, default=1.0, help="replay Gbit/s")
-    profile.add_argument("--cutoff", type=int, default=None)
-    profile.add_argument("--memory-mb", type=int, default=64)
     profile.add_argument("--json", action="store_true",
                          help="emit the report as JSON instead of a table")
 
     timeline_cmd = sub.add_parser(
-        "timeline", help="reconstruct per-stream lifecycles from the trace ring"
+        "timeline", parents=capture_opts,
+        help="reconstruct per-stream lifecycles from the trace ring"
     )
     timeline_cmd.add_argument("flow", nargs="?", default=None, type=_parse_flow,
                               metavar="IP:PORT-IP:PORT/PROTO",
                               help="one connection's full lifecycle "
                                    "(omit to list every reconstructed stream)")
-    timeline_source = timeline_cmd.add_mutually_exclusive_group(required=False)
-    timeline_source.add_argument("--pcap", help="read packets from a pcap file")
-    timeline_source.add_argument("--flows", type=int, default=300,
-                                 help="or synthesize this many flows")
-    timeline_cmd.add_argument("--seed", type=int, default=7)
-    timeline_cmd.add_argument("--rate", type=float, default=1.0,
-                              help="replay Gbit/s")
-    timeline_cmd.add_argument("--cutoff", type=int, default=None)
-    timeline_cmd.add_argument("--memory-mb", type=int, default=64)
     timeline_cmd.add_argument("--limit", type=int, default=30,
                               help="summary mode: print at most N streams")
     timeline_cmd.add_argument("--capacity", type=int, default=65536,
@@ -232,17 +229,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     record = sub.add_parser(
-        "record", help="capture a trace into a persistent stream store"
+        "record", parents=capture_opts,
+        help="capture a trace into a persistent stream store"
     )
-    record_source = record.add_mutually_exclusive_group(required=False)
-    record_source.add_argument("--pcap", help="read packets from a pcap file")
-    record_source.add_argument("--flows", type=int, default=300,
-                               help="or synthesize this many flows")
-    record.add_argument("--seed", type=int, default=7)
-    record.add_argument("--rate", type=float, default=1.0, help="replay Gbit/s")
-    record.add_argument("--cutoff", type=int, default=None,
-                        help="per-stream byte cutoff (time-machine head)")
-    record.add_argument("--memory-mb", type=int, default=64)
     record.add_argument("--store", required=True, help="store directory")
     record.add_argument("--cores", type=int, default=2,
                         help="writer spill queues / segment series")
@@ -276,7 +265,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="print at most N streams (0 = all)")
 
     replay = sub.add_parser(
-        "replay", help="re-inject stored streams through a fresh Scap socket"
+        "replay", parents=[replay_opts],
+        help="re-inject stored streams through a fresh Scap socket"
     )
     replay.add_argument("--store", required=True, help="store directory")
     replay.add_argument("--flow", default=None, type=_parse_flow,
@@ -284,9 +274,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="five-tuple filter (default: everything stored)")
     replay.add_argument("--start", type=float, default=None)
     replay.add_argument("--end", type=float, default=None)
-    replay.add_argument("--rate", type=float, default=1.0, help="replay Gbit/s")
-    replay.add_argument("--cutoff", type=int, default=None)
-    replay.add_argument("--memory-mb", type=int, default=64)
 
     chaos = sub.add_parser(
         "chaos", help="deterministic chaos soak under a seeded fault plan"
@@ -348,14 +335,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="seconds between telemetry-ring samples")
 
     spans_cmd = sub.add_parser(
-        "spans", help="fetch and render request span trees from a daemon"
+        "spans", parents=[endpoint_opts],
+        help="fetch and render request span trees from a daemon"
     )
-    spans_endpoint = spans_cmd.add_mutually_exclusive_group(required=True)
-    spans_endpoint.add_argument("--unix", metavar="PATH",
-                                help="daemon Unix socket path")
-    spans_endpoint.add_argument("--tcp", type=_host_port, metavar="HOST:PORT",
-                                help="daemon TCP address")
-    spans_cmd.add_argument("--token", default=None, help="auth token")
     spans_cmd.add_argument("--trace-id", default=None,
                            help="render one causal trace by id")
     spans_cmd.add_argument("--slowest", type=int, default=None, metavar="N",
@@ -364,14 +346,8 @@ def build_parser() -> argparse.ArgumentParser:
                            help="fetch at most the last N span records")
 
     top = sub.add_parser(
-        "top", help="live daemon telemetry and health view"
+        "top", parents=[endpoint_opts], help="live daemon telemetry and health view"
     )
-    top_endpoint = top.add_mutually_exclusive_group(required=True)
-    top_endpoint.add_argument("--unix", metavar="PATH",
-                              help="daemon Unix socket path")
-    top_endpoint.add_argument("--tcp", type=_host_port, metavar="HOST:PORT",
-                              help="daemon TCP address")
-    top.add_argument("--token", default=None, help="auth token")
     top.add_argument("--interval", type=float, default=2.0,
                      help="seconds between refreshes")
     top.add_argument("--count", type=int, default=0,
@@ -419,6 +395,18 @@ def _load_source(args: argparse.Namespace) -> Trace:
     return campus_mix(flow_count=args.flows, seed=args.seed)
 
 
+def _socket(args: argparse.Namespace, trace, app, **kwargs) -> ScapSocket:
+    """A socket replaying ``trace`` at ``--rate`` through ``--memory-mb``
+    of stream memory, ``--cutoff`` applied and ``app`` attached."""
+    socket = ScapSocket(
+        trace, rate_bps=args.rate * GBIT, memory_size=args.memory_mb << 20, **kwargs
+    )
+    if args.cutoff is not None:
+        socket.set_cutoff(args.cutoff)
+    attach_app(socket, app)
+    return socket
+
+
 def _cmd_capture(args: argparse.Namespace) -> int:
     trace = _load_source(args)
     print(trace.summary())
@@ -440,16 +428,11 @@ def _cmd_capture(args: argparse.Namespace) -> int:
         app = HttpMetadataApp()
     else:
         app = StreamDeliveryApp()
-    socket = ScapSocket(
-        trace, rate_bps=args.rate * GBIT, memory_size=args.memory_mb << 20
-    )
+    socket = _socket(args, trace, app)
     if args.bpf:
         socket.set_filter(args.bpf)
-    if args.cutoff is not None:
-        socket.set_cutoff(args.cutoff)
     if args.workers != 1:
         socket.set_worker_threads(args.workers)
-    attach_app(socket, app)
     result = socket.start_capture(name=f"scap-{args.app}")
     print(result.row())
     print(
@@ -480,56 +463,30 @@ def _cmd_capture(args: argparse.Namespace) -> int:
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
-    from ..bench import (
-        fig03_flow_statistics,
-        fig04_stream_delivery,
-        fig05_concurrent_streams,
-        fig06_pattern_matching,
-        fig08_cutoff_sweep,
-        fig09_ppl_priorities,
-        fig10_worker_scaling,
-        format_series,
-        get_scale,
-    )
+    from .. import bench
 
-    runners = {
-        "fig03": fig03_flow_statistics,
-        "fig04": fig04_stream_delivery,
-        "fig05": fig05_concurrent_streams,
-        "fig06": fig06_pattern_matching,
-        "fig08": fig08_cutoff_sweep,
-        "fig09": fig09_ppl_priorities,
-        "fig10": fig10_worker_scaling,
-    }
-    series = runners[args.figure](get_scale())
-    print(format_series(series))
+    series = getattr(bench, _FIGURES[args.figure])(bench.get_scale())
+    print(bench.format_series(series))
     return 0
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
     """The paper's headline, one command: stream delivery on Scap vs
     the user-level baselines across a few rates."""
-    from ..baselines import LibnidsEngine, PcapBasedSystem, Stream5Engine
-    from ..traffic import campus_mix as _mix
+    from ..baselines import LibnidsEngine, Stream5Engine
+    from ..bench.scenarios import BenchScale, _buffers, run_baseline, run_scap
 
-    trace = _mix(flow_count=args.flows, seed=args.seed)
-    wire = trace.total_wire_bytes
-    ring = max(1 << 18, int(wire * 0.05))
-    memory = max(1 << 19, int(wire * 0.10))
+    trace = campus_mix(flow_count=args.flows, seed=args.seed)
+    ring, memory = _buffers(BenchScale(), trace)
     print(trace.summary())
     print(f"{'rate':>6} {'system':>9} {'drop%':>7} {'cpu%':>7} {'softirq%':>9}")
     for rate in args.rates:
         rate_bps = rate * GBIT
-        rows = []
-        app = StreamDeliveryApp()
-        socket = ScapSocket(trace, rate_bps=rate_bps, memory_size=memory)
-        attach_app(socket, app)
-        rows.append(("scap", socket.start_capture()))
-        for label, engine_cls in (("libnids", LibnidsEngine), ("snort", Stream5Engine)):
-            system = PcapBasedSystem(
-                engine_cls(StreamDeliveryApp()), ring_bytes=ring
-            )
-            rows.append((label, system.run(trace, rate_bps)))
+        rows = [("scap", run_scap(trace, rate_bps, StreamDeliveryApp(), memory))]
+        for label, engine in (("libnids", LibnidsEngine), ("snort", Stream5Engine)):
+            rows.append((label, run_baseline(
+                engine, trace, rate_bps, StreamDeliveryApp(), ring, label
+            )))
         for label, result in rows:
             print(
                 f"{rate:>5.1f}G {label:>9} {result.drop_rate * 100:7.2f} "
@@ -564,17 +521,10 @@ def _observed_run(args: argparse.Namespace, trace_capacity: int = 4096):
     the finished socket (its run result is on ``socket.last_result``)."""
     from ..observability import Observability
 
-    trace = _load_source(args)
     obs = Observability(enabled=True, trace_capacity=trace_capacity)
-    socket = ScapSocket(
-        trace,
-        rate_bps=args.rate * GBIT,
-        memory_size=args.memory_mb << 20,
-        observability=obs,
+    socket = _socket(
+        args, _load_source(args), StreamDeliveryApp(), observability=obs
     )
-    if args.cutoff is not None:
-        socket.set_cutoff(args.cutoff)
-    attach_app(socket, StreamDeliveryApp())
     socket.start_capture(name="scap-observed")
     return socket
 
@@ -735,16 +685,9 @@ def _flow_label(five_tuple, protocol: Optional[int] = None) -> str:
     )
 
 
-def _open_store(args: argparse.Namespace, **kwargs):
-    """Open the store directory named by ``args.store``."""
-    from ..store import StreamStore
-
-    return StreamStore(args.store, **kwargs)
-
-
 def _cmd_record(args: argparse.Namespace) -> int:
     from ..apps import StreamRecorder
-    from ..store import ClassQuota, RetentionPolicy
+    from ..store import ClassQuota, RetentionPolicy, StreamStore
 
     retention = RetentionPolicy(
         max_bytes=args.max_bytes,
@@ -756,22 +699,16 @@ def _cmd_record(args: argparse.Namespace) -> int:
     )
     trace = _load_source(args)
     print(trace.summary())
-    store = _open_store(
-        args,
+    store = StreamStore(
+        args.store,
         cores=args.cores,
         queue_bytes=args.queue_kb << 10,
         segment_bytes=args.segment_mb << 20,
         compress=args.compress,
         retention=retention,
     )
-    recorder = StreamRecorder(store)
-    socket = ScapSocket(
-        trace, rate_bps=args.rate * GBIT, memory_size=args.memory_mb << 20
-    )
-    if args.cutoff is not None:
-        socket.set_cutoff(args.cutoff)
-    attach_app(socket, StreamDeliveryApp())
-    socket.set_store(recorder)
+    socket = _socket(args, trace, StreamDeliveryApp())
+    socket.set_store(StreamRecorder(store))
     result = socket.start_capture(name="scap-record")
     stats = store.close()
     print(result.row())
@@ -799,7 +736,9 @@ def _cmd_record(args: argparse.Namespace) -> int:
 def _cmd_query(args: argparse.Namespace) -> int:
     import os
 
-    store = _open_store(args)
+    from ..store import StreamStore
+
+    store = StreamStore(args.store)
     result = store.query(args.flow, start_ts=args.start, end_ts=args.end)
     store.close(enforce_retention=False)
     print(
@@ -828,7 +767,9 @@ def _cmd_query(args: argparse.Namespace) -> int:
 
 
 def _cmd_replay(args: argparse.Namespace) -> int:
-    store = _open_store(args)
+    from ..store import StreamStore
+
+    store = StreamStore(args.store)
     source = store.replay_source(args.flow, start_ts=args.start, end_ts=args.end)
     store.close(enforce_retention=False)
     trace = source.as_trace()
@@ -836,14 +777,7 @@ def _cmd_replay(args: argparse.Namespace) -> int:
         print("nothing stored matches the selection; nothing to replay")
         return 1
     print(trace.summary())
-    socket = ScapSocket(
-        trace, rate_bps=args.rate * GBIT, memory_size=args.memory_mb << 20
-    )
-    if args.cutoff is not None:
-        socket.set_cutoff(args.cutoff)
-    app = StreamDeliveryApp()
-    attach_app(socket, app)
-    result = socket.start_capture(name="scap-replay")
+    result = _socket(args, trace, StreamDeliveryApp()).start_capture(name="scap-replay")
     print(result.row())
     print(
         f"replayed {result.delivered_bytes / 1e6:.2f} MB in "
@@ -929,21 +863,18 @@ def _cmd_spans(args: argparse.Namespace) -> int:
     client = _connect_client(
         args, observability=obs, trace_prefix="cli", name="repro-scap-spans"
     )
+    # No selector: exercise one traced round trip and render it, merging
+    # our local client spans with the daemon's server side of the trace.
+    round_trip = args.trace_id is None and args.slowest is None
     try:
-        if args.trace_id is not None or args.slowest is not None:
-            remote = client.spans(
-                trace_id=args.trace_id, slowest=args.slowest, limit=args.limit
-            )
-            sources = list(remote)
-        else:
-            # No selector: exercise one traced round trip and render it,
-            # merging our local client spans with the daemon's server
-            # side of the same trace.
+        if round_trip:
             client.ping()
-            trace_id = client.last_trace_id
-            remote = client.spans(trace_id=trace_id, limit=args.limit)
-            sources = list(client.local_spans()) + list(remote)
-            args.trace_id = trace_id
+            args.trace_id = client.last_trace_id
+        sources = client.spans(
+            trace_id=args.trace_id, slowest=args.slowest, limit=args.limit
+        )
+        if round_trip:
+            sources = client.local_spans() + sources
     finally:
         client.close()
     reconstructor = SpanTreeReconstructor(sources)
@@ -951,12 +882,7 @@ def _cmd_spans(args: argparse.Namespace) -> int:
         print("no span records retained (daemon running without "
               "--observability?)")
         return 1
-    if args.trace_id is not None:
-        wanted = [args.trace_id]
-    elif args.slowest is not None:
-        wanted = [pair[0] for pair in reconstructor.slowest(args.slowest)]
-    else:
-        wanted = reconstructor.trace_ids()
+    wanted, _ = reconstructor.select(args.trace_id, args.slowest)
     for trace_id in wanted:
         print(reconstructor.format_trace(trace_id))
     print(f"# {len(wanted)} trace(s), {len(reconstructor.records())} spans")
@@ -1121,27 +1047,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return _cmd_scapcheck(rest)
     if rest:
         parser.error(f"unrecognized arguments: {' '.join(rest)}")
-    handlers = {
-        "generate": _cmd_generate,
-        "capture": _cmd_capture,
-        "bench": _cmd_bench,
-        "compare": _cmd_compare,
-        "inspect": _cmd_inspect,
-        "anonymize": _cmd_anonymize,
-        "analyze": _cmd_analyze,
-        "stats": _cmd_stats,
-        "trace": _cmd_trace,
-        "profile": _cmd_profile,
-        "timeline": _cmd_timeline,
-        "chaos": _cmd_chaos,
-        "record": _cmd_record,
-        "query": _cmd_query,
-        "replay": _cmd_replay,
-        "serve": _cmd_serve,
-        "spans": _cmd_spans,
-        "top": _cmd_top,
-    }
-    return handlers[args.command](args)
+    return globals()[f"_cmd_{args.command}"](args)
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -15,6 +15,7 @@ from __future__ import annotations
 import importlib
 import inspect
 import pkgutil
+import re
 import sys
 from typing import List
 
@@ -23,9 +24,13 @@ import repro
 __all__ = ["generate", "main"]
 
 
+#: `` at 0x7f...`` in a default's repr: differs per process, so dropped.
+_ADDRESS = re.compile(r" at 0x[0-9a-fA-F]+")
+
+
 def _signature(obj) -> str:
     try:
-        return str(inspect.signature(obj))
+        return _ADDRESS.sub("", str(inspect.signature(obj)))
     except (TypeError, ValueError):
         return "(...)"
 

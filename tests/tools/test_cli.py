@@ -280,3 +280,111 @@ def test_chaos_schedule_listing(capsys):
     out = capsys.readouterr().out
     assert code == 0, out
     assert " wire " in out or " memory " in out or " sched " in out
+
+
+# ---------------------------------------------------------------------------
+# Option surface: every subcommand's flags, defaults and mutual exclusions,
+# as the parser declared them before the shared option groups existed.
+# ---------------------------------------------------------------------------
+_SOURCE = {"--pcap": None, "--flows": 300, "--seed": 7}
+_REPLAY = {"--rate": 1.0, "--cutoff": None, "--memory-mb": 64}
+_ENDPOINT = {"--unix": None, "--tcp": None, "--token": None}
+SOURCE_COMMANDS = ("capture", "inspect", "stats", "trace", "profile", "timeline", "record")
+
+OPTION_DEFAULTS = {
+    "generate": {"--flows": 500, "--seed": 7, "--max-flow-bytes": 2_000_000,
+                 "--plant-patterns": 0, "--out": None},
+    "capture": {**_SOURCE, **_REPLAY, "--app": "delivery", "--workers": 1,
+                "--filter": "", "--patterns": 200, "--rules": None,
+                "--export-flows": None},
+    "bench": {"figure": None},
+    "inspect": {**_SOURCE, "--filter": ""},
+    "anonymize": {"--pcap": None, "--out": None, "--key": "scap-repro-default-key"},
+    "compare": {"--flows": 400, "--seed": 7, "--rates": [1.0, 2.5, 4.0, 6.0]},
+    "stats": {**_SOURCE, **_REPLAY, "--format": "prometheus", "--out": None,
+              "--check-parity": False},
+    "trace": {**_SOURCE, **_REPLAY, "--hook": None, "--stream": None,
+              "--limit": 50, "--capacity": 65536},
+    "profile": {**_SOURCE, **_REPLAY, "--json": False},
+    "timeline": {**_SOURCE, **_REPLAY, "flow": None, "--limit": 30,
+                 "--capacity": 65536},
+    "scapcheck": {},
+    "record": {**_SOURCE, **_REPLAY, "--store": None, "--cores": 2,
+               "--compress": False, "--segment-mb": 16, "--queue-kb": 4096,
+               "--max-bytes": None, "--max-age": None, "--class-quota": None},
+    "query": {"--store": None, "--flow": None, "--start": None, "--end": None,
+              "--dump": None, "--limit": 20},
+    "replay": {**_REPLAY, "--store": None, "--flow": None, "--start": None,
+               "--end": None},
+    "chaos": {"--seed": 0, "--intensity": 0.05, "--flows": 24, "--records": 48,
+              "--memory-mb": 64, "--store": None, "--runs": 1, "--schedule": False},
+    "serve": {"--unix": None, "--tcp": None, "--store": None, "--token": None,
+              "--max-subscriptions": 8, "--max-queued-events": 1024,
+              "--eviction-drop-limit": None, "--global-event-budget": None,
+              "--memory-mb": 64, "--cores": 8, "--no-control": False,
+              "--fault-seed": None, "--slow-client-rate": 0.0,
+              "--disconnect-rate": 0.0, "--garbage-frame-rate": 0.0,
+              "--observability": False, "--http": None,
+              "--telemetry-cadence": 1.0},
+    "spans": {**_ENDPOINT, "--trace-id": None, "--slowest": None, "--limit": None},
+    "top": {**_ENDPOINT, "--interval": 2.0, "--count": 0, "--once": False,
+            "--json": False},
+    "analyze": {"--rho": 0.5, "--rho-high": None, "--slots": [5, 10, 20, 50, 100]},
+}
+REQUIRED = {
+    "generate": {"--out"}, "bench": {"figure"}, "anonymize": {"--pcap", "--out"},
+    "record": {"--store"}, "query": {"--store"}, "replay": {"--store"},
+}
+EXCLUSIONS = {
+    **{name: [({"--pcap", "--flows"}, False)] for name in SOURCE_COMMANDS},
+    "spans": [({"--unix", "--tcp"}, True)],
+    "top": [({"--unix", "--tcp"}, True)],
+}
+CHOICES = {
+    ("bench", "figure"): ("fig03", "fig04", "fig05", "fig06", "fig08", "fig09", "fig10"),
+    ("capture", "--app"): ("flowstats", "delivery", "match", "http"),
+    ("stats", "--format"): ("prometheus", "json"),
+}
+
+
+def _subcommands():
+    import argparse
+
+    from repro.tools.cli import build_parser
+
+    parser = build_parser()
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return sub.choices
+
+
+def _option_name(action):
+    return "|".join(action.option_strings) or action.dest
+
+
+def test_option_surface_is_unchanged():
+    import argparse
+
+    commands = _subcommands()
+    assert list(commands) == list(OPTION_DEFAULTS)
+    for name, parser in commands.items():
+        actions = [a for a in parser._actions if not isinstance(a, argparse._HelpAction)]
+        defaults = {_option_name(a): a.default for a in actions}
+        assert defaults == OPTION_DEFAULTS[name], name
+        required = {_option_name(a) for a in actions if a.required}
+        assert required == REQUIRED.get(name, set()), name
+        exclusions = [
+            ({_option_name(a) for a in group._group_actions}, group.required)
+            for group in parser._mutually_exclusive_groups
+        ]
+        assert exclusions == EXCLUSIONS.get(name, []), name
+        for action in actions:
+            if (name, _option_name(action)) in CHOICES:
+                assert tuple(action.choices) == CHOICES[(name, _option_name(action))]
+
+
+@pytest.mark.parametrize("command", SOURCE_COMMANDS)
+def test_pcap_and_flows_are_exclusive(command, capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main([command, "--pcap", "x", "--flows", "3"])
+    assert excinfo.value.code == 2
+    assert "not allowed with argument" in capsys.readouterr().err
