@@ -28,32 +28,27 @@ __all__ = ["StreamRecorder"]
 class StreamRecorder:
     """Records every delivered stream chunk into a :class:`StreamStore`.
 
-    ``retention_every_bytes`` triggers a retention sweep each time that
-    many new bytes have been recorded (None = only on ``finish``), so
-    long captures stay inside their budget while running.
+    Retention runs when the capture finishes (:meth:`finish`).
     """
 
-    def __init__(
-        self,
-        store: StreamStore,
-        retention_every_bytes: Optional[int] = None,
-    ):
+    def __init__(self, store: StreamStore):
         self.store = store
-        self.retention_every_bytes = retention_every_bytes
         self.recorded_records = 0
         self.recorded_bytes = 0
         #: Next expected stream offset per descriptor, to dedup overlap
         #: bytes re-delivered at chunk boundaries.
         self._next_offset: Dict[int, int] = {}
-        self._since_sweep = 0
         self._runtime: Optional[ScapRuntime] = None
 
     # ------------------------------------------------------------------
     def bind(self, runtime: ScapRuntime) -> None:
-        """Interpose on ``runtime``'s callbacks (called by the socket)."""
+        """Interpose on ``runtime``'s callbacks (called by the socket).
+
+        The run's sanitizers and fault injector reach the store's
+        writer here, before it has seen a byte.
+        """
         self._runtime = runtime
-        if runtime.sanitizers is not None:
-            self.store.attach_sanitizers(runtime.sanitizers)
+        self.store.writer.attach(runtime.sanitizers, runtime.fault_injector)
         inner_data = runtime.callbacks.on_data
         inner_termination = runtime.callbacks.on_termination
 
@@ -98,23 +93,10 @@ class StreamRecorder:
             data=bytes(data),
             priority=stream.priority,
         )
-        self.store.append(record, core=self._core_for(stream))
+        # Both directions of a connection share one segment series.
+        self.store.append(record, core=stream.connection_id % self.store.writer.cores)
         self.recorded_records += 1
         self.recorded_bytes += len(data)
-        if self.retention_every_bytes is not None:
-            self._since_sweep += len(data)
-            if self._since_sweep >= self.retention_every_bytes:
-                self._since_sweep = 0
-                self.store.enforce_retention(timestamp)
-
-    def _core_for(self, stream: StreamDescriptor) -> int:
-        """Map a stream to a writer queue, same-connection affinity."""
-        connection_id = (
-            stream.opposite.stream_id
-            if stream.direction and stream.opposite is not None
-            else stream.stream_id
-        )
-        return (connection_id >> 1) % self.store.writer.cores
 
     # ------------------------------------------------------------------
     def finish(self) -> None:

@@ -259,8 +259,6 @@ class ScapSocket:
         runtime.callbacks.termination_cost = self._cost_hooks["termination"]
         if self._recorder is not None:
             self._recorder.bind(runtime)
-            if self.fault_injector is not None:
-                self._recorder.store.attach_fault_injector(self.fault_injector)
         return runtime
 
     def start_capture(self, name: str = "scap") -> RunResult:

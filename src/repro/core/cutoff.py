@@ -42,23 +42,24 @@ class CutoffPolicy:
 
     def set_default(self, cutoff: int) -> None:
         """Set the socket-wide default cutoff."""
-        self._validate(cutoff)
+        self.validate(cutoff)
         self.default = cutoff
 
     def add_direction_cutoff(self, cutoff: int, direction: int) -> None:
         """Set a cutoff for one stream direction."""
-        self._validate(cutoff)
+        self.validate(cutoff)
         if direction not in (0, 1):
             raise ValueError(f"invalid direction: {direction}")
         self._per_direction[direction] = cutoff
 
     def add_class_cutoff(self, cutoff: int, bpf: BPFFilter) -> None:
         """Set a cutoff for a BPF-defined traffic class."""
-        self._validate(cutoff)
+        self.validate(cutoff)
         self._classes.append(_ClassCutoff(bpf, cutoff))
 
     @staticmethod
-    def _validate(cutoff: int) -> None:
+    def validate(cutoff: int) -> None:
+        """Raise ValueError unless ``cutoff`` is a byte count or unlimited (−1)."""
         if cutoff < SCAP_UNLIMITED_CUTOFF:
             raise ValueError(f"invalid cutoff: {cutoff}")
 

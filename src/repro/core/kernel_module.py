@@ -78,8 +78,6 @@ class KernelCounters:
     discarded_cutoff_bytes: int = 0
     discarded_non_established: int = 0
     stored_bytes: int = 0
-    events_emitted: int = 0
-    stray_acks: int = 0
     fdir_installs: int = 0
     fdir_removals: int = 0
     fragment_packets: int = 0
@@ -334,7 +332,6 @@ class ScapKernelModule:
                 # A bare ACK for a flow we are not tracking (e.g. the
                 # final ACK of a connection just torn down): no stream
                 # state.
-                counters.stray_acks += 1
                 return self._cycles
             pair, _, evicted = flows.lookup_or_create(five_tuple, now)
             for victim in evicted:
@@ -880,5 +877,4 @@ class ScapKernelModule:
 
     def _emit(self, core: int, event: Event) -> None:
         self._charge(_ST_ENQ, self.cost.event_create)
-        self.counters.events_emitted += 1
         self.emit_event(core, event)

@@ -128,6 +128,18 @@ class StreamDescriptor:
         return self.five_tuple.dst_port
 
     @property
+    def connection_id(self) -> int:
+        """One id per connection, shared by both of its directions.
+
+        Descriptors are created in pairs, so client ids share parity;
+        the halving makes consecutive connections consecutive ids, which
+        spreads them round-robin under a modulo.
+        """
+        if self.direction and self.opposite is not None:
+            return self.opposite.stream_id >> 1
+        return self.stream_id >> 1
+
+    @property
     def is_active(self) -> bool:
         return self.status in (StreamStatus.ACTIVE, StreamStatus.CUTOFF)
 

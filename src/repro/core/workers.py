@@ -133,15 +133,7 @@ class WorkerPool:  # scapcheck: single-owner
         worker_count = len(self.servers)
         if worker_count == 1:
             return 0
-        stream = event.stream
-        connection_id = (
-            stream.opposite.stream_id
-            if stream.direction and stream.opposite is not None
-            else stream.stream_id
-        )
-        # Descriptors are created in pairs, so client ids share parity;
-        # halve before the modulo to get a true round-robin.
-        return (connection_id >> 1) % worker_count
+        return event.stream.connection_id % worker_count
 
     # ------------------------------------------------------------------
     def dispatch(self, core: int, event: Event, ready_time: float) -> None:

@@ -98,7 +98,6 @@ class FlowDirectorTable:  # scapcheck: single-owner
         self.installed_total = 0
         self.evicted_total = 0
         self.matched_total = 0
-        self.dropped_at_nic = 0
         self._obs = observability or NULL_OBSERVABILITY
         self._san = sanitizers
         registry = self._obs.registry

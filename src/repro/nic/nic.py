@@ -110,7 +110,6 @@ class SimulatedNIC:
         stats.received += received
         stats.fcs_errors += fcs_errors
         stats.dropped_at_nic += fdir_drops
-        self.fdir.dropped_at_nic += fdir_drops
         stats.steered_by_fdir += steered
         if matched:
             self.fdir.count_match(matched)

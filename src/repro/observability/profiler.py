@@ -18,15 +18,16 @@ Stages, in pipeline order:
 * ``event_enqueue`` — event construction on the kernel side;
 * ``event_dequeue`` — worker-side pop + stub dispatch cost;
 * ``worker_callback`` — the application's own per-event work;
-* ``store_drain``   — stream-store spill-queue drain (queue-wait only:
-  persisting records costs no simulated service time).
+* ``store_drain``   — a record's wait in its core's write batch until
+  the stream store drains it (wait only: persisting records costs no
+  simulated service time).
 
 Attribution is *exact* for the service stages: the kernel module and
 the worker pool charge every cycle through a stage-tagged path, so the
 per-stage sums reconstruct the softirq + worker busy time (the
 ``repro-scap profile`` report asserts >= 95% coverage).  Queue-wait
 time (packets waiting in the RX ring, events waiting in a worker
-queue, records sitting in a spill queue) is recorded separately per
+queue, records sitting in a write batch) is recorded separately per
 stage — wait is latency, not load.
 
 Everything follows the registry's cost contract: hook call sites are

@@ -335,14 +335,14 @@ class FdirStateChecker:
 # Stream-store writer accounting
 # ----------------------------------------------------------------------
 class StoreAccountingChecker:
-    """Ledger over the store's writer queues: enqueues vs writes+drops.
+    """Ledger over the store's writer: enqueues vs writes+drops.
 
-    Every payload byte offered to a spill queue must end up either
-    written into a segment file or counted as an overflow drop — the
-    store's backpressure contract.  ``on_enqueue``/``on_write``/
-    ``on_drop`` mirror the writer pipeline; the outstanding balance can
-    never go negative mid-run and must be exactly zero at teardown
-    (``StoreWriter.close``), or queued bytes silently vanished.
+    Every payload byte handed to the writer must end up either written
+    into a segment file or counted as lost to a write error.
+    ``on_enqueue``/``on_write``/``on_drop`` mirror the writer pipeline;
+    the outstanding balance can never go negative mid-run and must be
+    exactly zero at teardown (``StoreWriter.close``), or pending bytes
+    silently vanished.
     """
 
     invariant = "store-accounting"
@@ -358,7 +358,7 @@ class StoreAccountingChecker:
         return self.enqueued_total - self.written_total - self.dropped_total
 
     def on_enqueue(self, nbytes: int) -> None:
-        """``nbytes`` of payload offered to a spill queue."""
+        """``nbytes`` of payload handed to the writer."""
         if nbytes < 0:
             self._context.fail(self.invariant, "negative enqueue", nbytes=nbytes)
         self.enqueued_total += nbytes
@@ -371,7 +371,7 @@ class StoreAccountingChecker:
         self._check_balance("write")
 
     def on_drop(self, nbytes: int) -> None:
-        """``nbytes`` of payload dropped by queue overflow."""
+        """``nbytes`` of payload lost to a write error."""
         if nbytes < 0:
             self._context.fail(self.invariant, "negative drop", nbytes=nbytes)
         self.dropped_total += nbytes
@@ -389,11 +389,11 @@ class StoreAccountingChecker:
             )
 
     def check_teardown(self, writer: Any = None) -> None:
-        """At writer close the ledger (and the queues) must balance."""
+        """At writer close the ledger (and the write batches) must balance."""
         if self.outstanding != 0:
             self._context.fail(
                 self.invariant,
-                "store writer-queue accounting did not balance to zero at teardown",
+                "store writer accounting did not balance to zero at teardown",
                 enqueued=self.enqueued_total,
                 written=self.written_total,
                 dropped=self.dropped_total,
@@ -403,7 +403,7 @@ class StoreAccountingChecker:
             if writer.queue_depth_bytes != 0:
                 self._context.fail(
                     self.invariant,
-                    "spill queues still hold bytes after final drain",
+                    "write batches still hold bytes after final drain",
                     queue_depth_bytes=writer.queue_depth_bytes,
                 )
             if writer.outstanding_bytes != 0:

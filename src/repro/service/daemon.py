@@ -43,6 +43,7 @@ import traceback
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
+from ..core.cutoff import CutoffPolicy
 from ..filters.bpf import BPFFilter
 from ..observability import (
     HOOK_SERVICE_CLIENT_EVICTED,
@@ -1077,7 +1078,10 @@ class ScapDaemon:
 
     def _cmd_set_cutoff(self, request: _Request, frame: Frame):
         cutoff = frame.header.get("cutoff")
-        self._cutoff = None if cutoff is None else int(cutoff)
+        if cutoff is not None:
+            cutoff = int(cutoff)
+            CutoffPolicy.validate(cutoff)  # every later capture would reject it
+        self._cutoff = cutoff
         return ({"cutoff": self._cutoff}, b"")
 
     def _cmd_set_priority(self, request: _Request, frame: Frame):

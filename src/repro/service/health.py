@@ -96,7 +96,7 @@ DEFAULT_HEALTH_RULES: Tuple[HealthRule, ...] = (
         mode=MODE_RATE,
         degraded_above=1.0,
         unhealthy_above=64 << 20,
-        reason="store writer queue is shedding bytes",
+        reason="store segment writes are failing",
     ),
     HealthRule(
         name="event_drop_rate",

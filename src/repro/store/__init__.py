@@ -18,7 +18,7 @@ from .segment import (
     scan_records,
 )
 from .store import StoreStats, StreamStore
-from .writer import SpillQueue, StoreWriter
+from .writer import StoreWriter
 
 __all__ = [
     "StreamRecord",
@@ -26,7 +26,6 @@ __all__ = [
     "SegmentWriter",
     "read_segment",
     "scan_records",
-    "SpillQueue",
     "StoreWriter",
     "StoreIndex",
     "SegmentMeta",

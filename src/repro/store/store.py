@@ -22,7 +22,7 @@ from .query import QueryResult, run_query
 from .replay import StoredStreamSource
 from .retention import RetentionEngine, RetentionPolicy, RetentionReport
 from .segment import SegmentInfo, StreamRecord
-from .writer import DEFAULT_QUEUE_BYTES, DEFAULT_SEGMENT_BYTES, StoreWriter
+from .writer import DEFAULT_SEGMENT_BYTES, StoreWriter
 
 __all__ = ["StoreStats", "StreamStore"]
 
@@ -39,15 +39,15 @@ class StoreStats:
     record_count: int = 0
     #: Segment files currently live.
     segment_count: int = 0
-    #: Payload bytes ever offered to the writer queues.
+    #: Payload bytes ever handed to the writer.
     enqueued_bytes: int = 0
     #: Payload bytes written into segment files.
     written_bytes: int = 0
-    #: Payload bytes dropped by writer-queue overflow.
+    #: Payload bytes lost to segment write errors.
     writer_queue_drop_bytes: int = 0
-    #: Records dropped by writer-queue overflow.
+    #: Records lost to segment write errors.
     writer_queue_drops: int = 0
-    #: Payload bytes sitting in the writer queues right now.
+    #: Payload bytes waiting in the writer's batches right now.
     queue_depth_bytes: int = 0
     #: Payload bytes evicted by retention so far.
     evicted_bytes: int = 0
@@ -73,7 +73,6 @@ class StreamStore:
         self,
         directory: str,
         cores: int = 1,
-        queue_bytes: int = DEFAULT_QUEUE_BYTES,
         segment_bytes: int = DEFAULT_SEGMENT_BYTES,
         compress: bool = False,
         fsync: bool = False,
@@ -104,7 +103,6 @@ class StreamStore:
         self.writer = StoreWriter(
             directory,
             cores=cores,
-            queue_bytes=queue_bytes,
             segment_bytes=segment_bytes,
             compress=compress,
             fsync=fsync,
@@ -116,29 +114,20 @@ class StreamStore:
         self._closed = False
 
     # ------------------------------------------------------------------
-    def attach_sanitizers(self, sanitizers: Optional[object]) -> None:
-        """Late-bind a sanitizer context to the writer pipeline."""
-        self.writer.attach_sanitizers(sanitizers)
-
-    def attach_fault_injector(self, fault_injector: Optional[object]) -> None:
-        """Late-bind a fault injector (store plane) to the writer."""
-        self.writer.attach_fault_injector(fault_injector)
-
-    # ------------------------------------------------------------------
     def _on_seal(self, info: SegmentInfo) -> None:
         self.index.add_sealed(info)
         if self._obs.enabled:
             self._m_stored.set(self.index.payload_bytes)
 
     # ------------------------------------------------------------------
-    def append(self, record: StreamRecord, core: int = 0) -> bool:
-        """Offer one record to the writer pipeline (False if dropped)."""
+    def append(self, record: StreamRecord, core: int = 0) -> None:
+        """Hand one record to the writer pipeline, which never refuses it."""
         if record.timestamp > self.last_ts:
             self.last_ts = record.timestamp
-        return self.writer.enqueue(core, record)
+        self.writer.enqueue(core, record)
 
     def flush(self) -> None:
-        """Drain the queues and seal every active segment."""
+        """Drain the write batches and seal every active segment."""
         self.writer.seal_all()
 
     # ------------------------------------------------------------------
@@ -187,7 +176,7 @@ class StreamStore:
             enqueued_bytes=self.writer.enqueued_bytes,
             written_bytes=self.writer.written_bytes,
             writer_queue_drop_bytes=self.writer.dropped_bytes,
-            writer_queue_drops=self.writer.dropped_records,
+            writer_queue_drops=self.writer.write_errors,
             queue_depth_bytes=self.writer.queue_depth_bytes,
             evicted_bytes=self.evicted_bytes,
             evicted_records=self.evicted_records,

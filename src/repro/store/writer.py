@@ -1,27 +1,24 @@
-"""The store's writer pipeline: bounded spill queues drained by their owner.
+"""The store's writer pipeline: per-core write batches drained by their owner.
 
 Recording must never stall the capture path, so deliveries are
-*enqueued* on bounded per-core spill queues and written to segment
-files in batches — the same decoupling the PF_RING/n2disk dump
-pipelines use.  The pipeline is **single-owner**: construct a writer
-anywhere, then drive it (``enqueue``/``drain``/``seal_all``/``close``)
-from one thread — the capture thread in library mode, ``scapd-owner``
-in service mode.  Nothing here takes a lock, and ``SCAP_RACE=1``
-checks that no second thread ever arrives.  Three properties are
-enforced:
+*enqueued* on per-core write batches and written to segment files in
+batches — the same decoupling the PF_RING/n2disk dump pipelines use.
+The pipeline is **single-owner**: construct a writer anywhere, then
+drive it (``enqueue``/``drain``/``seal_all``/``close``) from one
+thread — the capture thread in library mode, ``scapd-owner`` in
+service mode.  Nothing here takes a lock, and ``SCAP_RACE=1`` checks
+that no second thread ever arrives.  Three properties are enforced:
 
-* **bounded memory** — each queue holds at most ``queue_bytes`` of
-  payload; an enqueue that does not fit evicts queued records
-  *oldest-lowest-priority first* (mirroring PPL semantics: under
-  pressure, high-priority streams and stream heads survive), and if
-  the incoming record's priority is below everything queued, the
-  incoming record itself is dropped;
-* **balanced accounting** — every enqueued byte is eventually either
-  written to a segment or counted as dropped; the ledger
-  ``enqueued == written + dropped`` must balance to zero outstanding
-  at teardown (checked by the store sanitizer);
-* **determinism** — a queue drains inline whenever it crosses half its
-  bound (and on ``drain()``/``close()``), so every byte's fate, every
+* **bounded memory** — a core's batch is written inline as soon as it
+  holds ``DRAIN_BYTES`` of payload, so it never holds more than that
+  plus one record;
+* **balanced accounting** — the writer refuses no record, so every
+  enqueued byte is eventually either written to a segment or lost to
+  a write error; the ledger ``enqueued == written + dropped`` must
+  balance to zero outstanding at teardown (checked by the store
+  sanitizer);
+* **determinism** — batches drain at ``DRAIN_BYTES`` and on
+  ``drain()``/``seal_all()``/``close()``, so every byte's fate, every
   segment name and every segment byte is a pure function of the input
   sequence, always.
 """
@@ -29,95 +26,21 @@ enforced:
 from __future__ import annotations
 
 import os
-from collections import deque
-from typing import Deque, List, Optional, Tuple
+from typing import List, Optional
 
 from ..observability import NULL_OBSERVABILITY, STAGE_STORE_DRAIN, Observability
 from ..sanitizers.race import race_detector_from_env
 from .segment import SegmentInfo, SegmentWriter, StreamRecord
 
-__all__ = ["SpillQueue", "StoreWriter", "DEFAULT_QUEUE_BYTES", "DEFAULT_SEGMENT_BYTES"]
+__all__ = ["StoreWriter", "DRAIN_BYTES", "DEFAULT_SEGMENT_BYTES"]
 
-DEFAULT_QUEUE_BYTES = 4 << 20
+#: A core's write batch is written once it holds this much payload.
+DRAIN_BYTES = 2 << 20
 DEFAULT_SEGMENT_BYTES = 16 << 20
 
 
-class SpillQueue:
-    """One core's bounded spill queue of pending stream records.
-
-    Owned by its :class:`StoreWriter` and touched only from that
-    writer's thread; payload bytes are tracked so the bound is a *byte*
-    budget, not a record count.
-    """
-
-    def __init__(self, core: int, queue_bytes: int):
-        if queue_bytes <= 0:
-            raise ValueError("queue_bytes must be positive")
-        self.core = core
-        self.queue_bytes = queue_bytes
-        self._records: Deque[StreamRecord] = deque()
-        self.depth_bytes = 0
-        self.enqueued_records = 0
-        self.enqueued_bytes = 0
-        self.dropped_records = 0
-        self.dropped_bytes = 0
-
-    def __len__(self) -> int:
-        return len(self._records)
-
-    def offer(self, record: StreamRecord) -> Tuple[bool, List[StreamRecord]]:
-        """Enqueue ``record``; return (accepted, victims_evicted).
-
-        Overflow policy mirrors PPL: evict the queued record with the
-        lowest priority (oldest among equals) until the newcomer fits;
-        if the newcomer's priority is strictly below every queued
-        record's, drop the newcomer instead.
-        """
-        size = len(record.data)
-        victims: List[StreamRecord] = []
-        self.enqueued_records += 1
-        self.enqueued_bytes += size
-        if size > self.queue_bytes:
-            self.dropped_records += 1
-            self.dropped_bytes += size
-            return False, victims
-        while self.depth_bytes + size > self.queue_bytes:
-            victim_index = self._lowest_priority_index()
-            victim = self._records[victim_index]
-            if victim.priority > record.priority:
-                # Everything queued outranks the newcomer: drop it.
-                self.dropped_records += 1
-                self.dropped_bytes += size
-                return False, victims
-            del self._records[victim_index]
-            self.depth_bytes -= len(victim.data)
-            self.dropped_records += 1
-            self.dropped_bytes += len(victim.data)
-            victims.append(victim)
-        self._records.append(record)
-        self.depth_bytes += size
-        return True, victims
-
-    def _lowest_priority_index(self) -> int:
-        """Index of the oldest record among the lowest priority queued."""
-        best_index = 0
-        best_priority = self._records[0].priority
-        for index in range(1, len(self._records)):
-            if self._records[index].priority < best_priority:
-                best_priority = self._records[index].priority
-                best_index = index
-        return best_index
-
-    def pop_all(self) -> List[StreamRecord]:
-        """Remove and return everything queued (drain step)."""
-        drained = list(self._records)
-        self._records.clear()
-        self.depth_bytes = 0
-        return drained
-
-
 class StoreWriter:
-    """Per-core spill queues feeding per-core segment series on disk.
+    """Per-core write batches feeding per-core segment series on disk.
 
     Each core owns its own segment series (``seg-<core>-<nnnnnn>``).
     Segments roll at ``segment_bytes`` and sealed segments are reported
@@ -129,7 +52,6 @@ class StoreWriter:
         self,
         directory: str,
         cores: int = 1,
-        queue_bytes: int = DEFAULT_QUEUE_BYTES,
         segment_bytes: int = DEFAULT_SEGMENT_BYTES,
         compress: bool = False,
         fsync: bool = False,
@@ -140,20 +62,23 @@ class StoreWriter:
         fault_injector: Optional[object] = None,
     ):
         if cores < 1:
-            raise ValueError("need at least one core queue")
+            raise ValueError("need at least one core")
         self.directory = directory
         self.segment_bytes = segment_bytes
         self.compress = compress
         self.fsync = fsync
-        self.queues = [SpillQueue(core, queue_bytes) for core in range(cores)]
+        #: Records waiting to be written, per core, and their payload.
+        self._pending: List[List[StreamRecord]] = [[] for _ in range(cores)]
+        self._pending_bytes = [0] * cores
+        self.enqueued_bytes = 0
         self.written_records = 0
         self.written_bytes = 0
-        self.disk_bytes_sealed = 0
         self.compressed_saved = 0
         self.segments_sealed = 0
         self._fault = fault_injector
-        # Store-plane fault accounting.  Errored records count as
-        # dropped in the byte ledger (enqueued == written + dropped).
+        # Store-plane fault accounting.  A write error is the writer's
+        # only loss: errored records count as dropped in the byte
+        # ledger (enqueued == written + dropped).
         self.write_errors = 0
         self.write_error_bytes = 0
         self.fsync_stall_seconds_total = 0.0
@@ -166,85 +91,70 @@ class StoreWriter:
         self._obs = observability or NULL_OBSERVABILITY
         registry = self._obs.registry
         self._m_enqueued = registry.counter(
-            "scap_store_enqueued_bytes_total", "payload bytes offered to the spill queues"
+            "scap_store_enqueued_bytes_total", "payload bytes handed to the writer"
         )
         self._m_written = registry.counter(
             "scap_store_written_bytes_total", "payload bytes appended to segment files"
         )
         self._m_dropped = registry.counter(
             "scap_store_dropped_bytes_total",
-            "payload bytes dropped by spill-queue overflow",
+            "payload bytes lost to segment write errors",
         )
         self._m_sealed = registry.counter(
             "scap_store_segments_sealed_total", "segments sealed (footer + fsync)"
         )
         self._m_depth_family = registry.gauge(
             "scap_store_queue_depth_bytes",
-            "spill-queue occupancy in payload bytes, per core",
+            "payload bytes waiting in the write batch, per core",
             labels=("core",),
         )
         self._m_depth = [self._m_depth_family.labels(core) for core in range(cores)]
         # SCAP_RACE=1: the first thread to enqueue/drain/seal owns the
-        # writer (queues, segments, ledger and metrics alike).
+        # writer (batches, segments, ledger and metrics alike).
         self._race = race_detector_from_env()
         self._race_token = (
             self._race.register("StoreWriter") if self._race is not None else 0
         )
 
     # ------------------------------------------------------------------
-    def attach_sanitizers(self, sanitizers: Optional[object]) -> None:
-        """Late-bind a sanitizer context (e.g. the capture runtime's).
+    def attach(
+        self,
+        sanitizers: Optional[object] = None,
+        fault_injector: Optional[object] = None,
+    ) -> None:
+        """Late-bind the run's checkers (e.g. the capture runtime's).
 
-        Only valid before any bytes were enqueued — the ledger must see
-        the writer's whole lifetime or teardown balance is meaningless.
+        A checker the writer already has is kept.  Binding a new one is
+        only valid before any bytes were enqueued: the ledger must see
+        the writer's whole lifetime and one fault plan must cover it.
         """
-        if sanitizers is None or self._san is not None:
+        if self._san is not None:
+            sanitizers = None
+        if self._fault is not None:
+            fault_injector = None
+        if sanitizers is None and fault_injector is None:
             return
-        if self.enqueued_bytes or self.written_bytes:
-            raise ValueError("cannot attach sanitizers to a writer already in use")
-        self._san = sanitizers
-
-    def attach_fault_injector(self, fault_injector: Optional[object]) -> None:
-        """Late-bind the run's fault injector (store plane).
-
-        Like :meth:`attach_sanitizers`, only valid before any bytes
-        were enqueued, so the whole lifetime runs under one plan.
-        """
-        if fault_injector is None or self._fault is not None:
-            return
-        if self.enqueued_bytes or self.written_bytes:
-            raise ValueError("cannot attach a fault injector to a writer already in use")
-        self._fault = fault_injector
+        if self.enqueued_bytes:
+            raise ValueError("cannot attach checkers to a writer already in use")
+        if sanitizers is not None:
+            self._san = sanitizers
+        if fault_injector is not None:
+            self._fault = fault_injector
 
     @property
     def cores(self) -> int:
-        """Number of per-core spill queues."""
-        return len(self.queues)
-
-    @property
-    def enqueued_bytes(self) -> int:
-        """Total payload bytes ever offered to the queues."""
-        return sum(queue.enqueued_bytes for queue in self.queues)
+        """Number of per-core write batches and segment series."""
+        return len(self._pending)
 
     @property
     def dropped_bytes(self) -> int:
-        """Total payload bytes dropped (queue overflow + write errors)."""
-        return (
-            sum(queue.dropped_bytes for queue in self.queues)
-            + self.write_error_bytes
-        )
-
-    @property
-    def dropped_records(self) -> int:
-        """Records dropped (queue overflow + write errors)."""
-        return (
-            sum(queue.dropped_records for queue in self.queues) + self.write_errors
-        )
+        """The ledger's dropped side: payload bytes lost to write errors."""
+        return self.write_error_bytes
 
     @property
     def queue_depth_bytes(self) -> int:
-        """Payload bytes currently sitting in the spill queues."""
-        return sum(queue.depth_bytes for queue in self.queues)
+        """Payload bytes currently waiting in the write batches."""
+        return sum(self._pending_bytes)
 
     @property
     def outstanding_bytes(self) -> int:
@@ -252,49 +162,43 @@ class StoreWriter:
         return self.enqueued_bytes - self.written_bytes - self.dropped_bytes
 
     # ------------------------------------------------------------------
-    def enqueue(self, core: int, record: StreamRecord) -> bool:
-        """Offer a record to ``core``'s queue; False if it was dropped.
+    def enqueue(self, core: int, record: StreamRecord) -> None:
+        """Add a record to ``core``'s write batch.
 
-        The queue is drained inline once it crosses half its byte
-        bound, so memory stays bounded without any background machinery.
+        The batch is written inline once it holds ``DRAIN_BYTES`` of
+        payload, so memory stays bounded without background machinery.
         """
         if self._race is not None:
             self._race.check(self._race_token, op="enqueue")
-        queue = self.queues[core % len(self.queues)]
-        accepted, _victims = queue.offer(record)
+        core %= len(self._pending)
+        size = len(record.data)
+        self._pending[core].append(record)
+        self._pending_bytes[core] += size
+        self.enqueued_bytes += size
         if self._san is not None:
-            self._san.store.on_enqueue(len(record.data))
-            if not accepted:
-                self._san.store.on_drop(len(record.data))
-            for victim in _victims:
-                self._san.store.on_drop(len(victim.data))
+            self._san.store.on_enqueue(size)
         if self._obs.enabled:
-            self._m_enqueued.inc(len(record.data))
-            dropped = (0 if accepted else len(record.data)) + sum(
-                len(victim.data) for victim in _victims
-            )
-            if dropped:
-                self._m_dropped.inc(dropped)
-            self._m_depth[queue.core].set(queue.depth_bytes)
-        if queue.depth_bytes * 2 >= queue.queue_bytes:
-            self.drain(queue.core)
-        return accepted
+            self._m_enqueued.inc(size)
+            self._m_depth[core].set(self._pending_bytes[core])
+        if self._pending_bytes[core] >= DRAIN_BYTES:
+            self.drain(core)
 
     def drain(self, core: Optional[int] = None) -> int:
-        """Write queued records to segments; return records written."""
+        """Write pending records to segments; return records written."""
         if self._race is not None:
             self._race.check(self._race_token, op="drain")
-        cores = range(len(self.queues)) if core is None else [core]
+        cores = range(len(self._pending)) if core is None else [core]
         written = 0
         for index in cores:
             written += self._drain_one(index)
         return written
 
     def _drain_one(self, core: int) -> int:
-        queue = self.queues[core]
-        records = queue.pop_all()
+        records = self._pending[core]
         if not records:
             return 0
+        self._pending[core] = []
+        self._pending_bytes[core] = 0
         written_payload = 0
         errored_payload = 0
         writer = self._writer_for(core)
@@ -326,8 +230,8 @@ class StoreWriter:
                 self._m_written.inc(written_payload)
             if errored_payload:
                 self._m_dropped.inc(errored_payload)
-            self._m_depth[core].set(queue.depth_bytes)
-            # Spill-queue wait, in *simulated* time: the drain happens no
+            self._m_depth[core].set(0)
+            # Write-batch wait, in *simulated* time: the drain happens no
             # earlier than the newest record in the batch, so each
             # record waited at least (newest - its own timestamp).  The
             # drain itself costs no simulated service time, so
@@ -383,7 +287,6 @@ class StoreWriter:
         info = writer.seal()
         self._active[core] = None
         self.segments_sealed += 1
-        self.disk_bytes_sealed += info.disk_bytes
         if self._obs.enabled:
             self._m_sealed.inc()
         if self._on_seal is not None:
@@ -391,12 +294,12 @@ class StoreWriter:
         return info
 
     def seal_all(self) -> List[SegmentInfo]:
-        """Drain every queue and seal every active segment."""
+        """Drain every write batch and seal every active segment."""
         if self._race is not None:
             self._race.check(self._race_token, op="seal_all")
         self.drain()
         infos = []
-        for core in range(len(self.queues)):
+        for core in range(len(self._pending)):
             info = self._seal_active(core)
             if info is not None:
                 infos.append(info)

@@ -234,13 +234,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     record.add_argument("--store", required=True, help="store directory")
     record.add_argument("--cores", type=int, default=2,
-                        help="writer spill queues / segment series")
+                        help="writer batches / segment series")
     record.add_argument("--compress", action="store_true",
                         help="zlib-compress record bodies")
     record.add_argument("--segment-mb", type=int, default=16,
                         help="roll segments at this size")
-    record.add_argument("--queue-kb", type=int, default=4096,
-                        help="per-core spill-queue byte bound")
     record.add_argument("--max-bytes", type=int, default=None,
                         help="retention: cap the store's disk footprint")
     record.add_argument("--max-age", type=float, default=None,
@@ -702,7 +700,6 @@ def _cmd_record(args: argparse.Namespace) -> int:
     store = StreamStore(
         args.store,
         cores=args.cores,
-        queue_bytes=args.queue_kb << 10,
         segment_bytes=args.segment_mb << 20,
         compress=args.compress,
         retention=retention,
@@ -720,7 +717,7 @@ def _cmd_record(args: argparse.Namespace) -> int:
     )
     if stats.writer_queue_drops or stats.evicted_records:
         print(
-            f"writer queue dropped {stats.writer_queue_drops} records "
+            f"write errors lost {stats.writer_queue_drops} records "
             f"({stats.writer_queue_drop_bytes} B); retention evicted "
             f"{stats.evicted_records} records ({stats.evicted_bytes} B)"
         )

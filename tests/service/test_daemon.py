@@ -260,6 +260,20 @@ def test_unknown_command_and_bad_request(tmp_path):
     daemon.shutdown()
 
 
+def test_invalid_cutoff_rejected_and_config_kept(tmp_path, pcap_bytes):
+    daemon, path = _start_daemon(tmp_path)
+    client = ScapClient(unix_path=path)
+    client.set_cutoff(CUTOFF)
+    with pytest.raises(RemoteCallError) as err:
+        client.set_cutoff(-5)
+    assert err.value.code == "bad_request"
+    # The rejected value never reached the config, so captures still run.
+    summary = client.submit_trace(pcap_bytes, rate_bps=RATE, name="after")
+    assert summary["streams_created"] > 0
+    client.close()
+    daemon.shutdown()
+
+
 def test_malformed_frames_get_typed_errors_not_disconnects(tmp_path):
     daemon, path = _start_daemon(tmp_path)
     raw = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)

@@ -93,7 +93,7 @@ class TestSeededProjectFixtures:
         assert "ScapDaemon._dispatch" in loop_closure
         # Static twin of SCAP_RACE's writer token: nothing the loop
         # thread runs touches the store; it hands jobs to scapd-owner.
-        store_classes = ("StoreWriter.", "SpillQueue.", "StreamStore.", "StoreIndex.")
+        store_classes = ("StoreWriter.", "StreamStore.", "StoreIndex.")
         assert not [name for name in loop_closure if name.startswith(store_classes)]
         shard_root = next(
             root for root in project.roots if "shards.py" in root.description

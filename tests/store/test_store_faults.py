@@ -34,7 +34,7 @@ def _record(n=0, size=100):
 
 def _store(tmp_path, plan, sanitizers=None, **kwargs):
     store = StreamStore(str(tmp_path), sanitizers=sanitizers, **kwargs)
-    store.attach_fault_injector(FaultInjector(plan))
+    store.writer.attach(fault_injector=FaultInjector(plan))
     return store
 
 
@@ -43,7 +43,7 @@ def test_injected_write_errors_reconcile_and_balance(tmp_path):
     plan = FaultPlan(seed=1, store=StoreFaults(write_error_rate=0.2))
     store = _store(tmp_path, plan, sanitizers=sanitizers)
     for n in range(200):
-        assert store.append(_record(n))
+        store.append(_record(n))
     stats = store.close()
     writer = store.writer
     assert writer.write_errors > 0
@@ -113,7 +113,7 @@ def test_attach_after_first_enqueue_rejected(tmp_path):
     store = StreamStore(str(tmp_path))
     store.append(_record(0))
     with pytest.raises(ValueError):
-        store.attach_fault_injector(FaultInjector(FaultPlan(seed=0)))
+        store.writer.attach(fault_injector=FaultInjector(FaultPlan(seed=0)))
     store.close()
 
 

@@ -1,14 +1,16 @@
-"""Writer pipeline: bounded queues, PPL-style overflow, balanced ledger."""
+"""Writer pipeline: per-core write batches, balanced ledger."""
 
 import hashlib
 import os
 
 import pytest
 
+from repro.faultinject import FaultInjector, FaultPlan, StoreFaults
 from repro.netstack import FiveTuple, IPProtocol
 from repro.observability import Observability
 from repro.sanitizers import InvariantViolation, SanitizerContext
-from repro.store import SpillQueue, StoreWriter, StreamRecord, StreamStore
+from repro.store import StoreWriter, StreamRecord, StreamStore
+from repro.store.writer import DRAIN_BYTES
 
 
 def _record(n=0, size=100, priority=0):
@@ -22,47 +24,21 @@ def _record(n=0, size=100, priority=0):
     )
 
 
-class TestSpillQueue:
-    def test_accepts_until_full(self):
-        queue = SpillQueue(0, queue_bytes=250)
-        assert queue.offer(_record(0))[0]
-        assert queue.offer(_record(1))[0]
-        assert queue.depth_bytes == 200
-
-    def test_overflow_evicts_lowest_priority_oldest_first(self):
-        queue = SpillQueue(0, queue_bytes=300)
-        low_old = _record(0, priority=1)
-        low_new = _record(1, priority=1)
-        high = _record(2, priority=5)
-        for record in (low_old, low_new, high):
-            assert queue.offer(record)[0]
-        accepted, victims = queue.offer(_record(3, priority=5))
-        assert accepted
-        assert victims == [low_old]  # oldest among the lowest priority
-        assert queue.dropped_bytes == 100
-
-    def test_newcomer_dropped_when_outranked(self):
-        queue = SpillQueue(0, queue_bytes=200)
-        for n in range(2):
-            assert queue.offer(_record(n, priority=9))[0]
-        accepted, victims = queue.offer(_record(2, priority=0))
-        assert not accepted and victims == []
-        assert queue.depth_bytes == 200  # high-priority work untouched
-        assert queue.dropped_records == 1
-
-    def test_oversized_record_dropped_outright(self):
-        queue = SpillQueue(0, queue_bytes=100)
-        accepted, victims = queue.offer(_record(0, size=101))
-        assert not accepted and victims == []
-        assert queue.depth_bytes == 0
+def _assert_written_whole(store, records):
+    """Close ``store``: every byte of ``records`` must reach a segment."""
+    stats = store.close()
+    assert stats.writer_queue_drops == 0
+    assert stats.enqueued_bytes == stats.written_bytes
+    assert stats.written_bytes == sum(len(record.data) for record in records)
+    assert stats.record_count == len(records)
 
 
 class TestStoreWriter:
     def test_ledger_balances_at_close(self, tmp_path):
-        writer = StoreWriter(str(tmp_path), cores=2, queue_bytes=1 << 20)
+        writer = StoreWriter(str(tmp_path), cores=2)
         total = 0
         for n in range(50):
-            assert writer.enqueue(n % 2, _record(n))
+            writer.enqueue(n % 2, _record(n))
             total += 100
         writer.close()
         assert writer.written_bytes == total
@@ -70,17 +46,22 @@ class TestStoreWriter:
         assert writer.outstanding_bytes == 0
         assert writer.queue_depth_bytes == 0
 
-    def test_overflow_counts_into_ledger(self, tmp_path):
-        # Queue bound of 250 B and 100 B records: inline drain triggers
-        # at >=125 B depth, so no overflow happens synchronously; force
-        # it by offering an oversized record.
-        writer = StoreWriter(str(tmp_path), cores=1, queue_bytes=250)
-        assert writer.enqueue(0, _record(0))
-        assert not writer.enqueue(0, _record(1, size=300))
-        writer.close()
-        assert writer.written_bytes == 100
-        assert writer.dropped_bytes == 300
-        assert writer.outstanding_bytes == 0
+    def test_record_above_the_drain_point_written_whole(self, tmp_path):
+        store = StreamStore(str(tmp_path))
+        record = _record(0, size=5 << 20)
+        store.append(record)
+        _assert_written_whole(store, [record])
+
+    def test_large_record_behind_pending_ones_evicts_nothing(self, tmp_path):
+        records = [_record(n, size=512 << 10) for n in range(3)]
+        records.append(_record(3, size=3 << 20))
+        store = StreamStore(str(tmp_path))
+        for record in records[:3]:
+            store.append(record)
+        assert store.writer.queue_depth_bytes == 3 * (512 << 10)  # below the drain point
+        store.append(records[3])
+        assert store.writer.queue_depth_bytes == 0  # drained with all four in it
+        _assert_written_whole(store, records)
 
     def test_segments_roll_at_size(self, tmp_path):
         sealed = []
@@ -107,15 +88,14 @@ class TestStoreWriter:
         # ledger holds mid-run, not only once close() has flushed.
         obs = Observability(enabled=True)
         writer = StoreWriter(
-            str(tmp_path), cores=2, queue_bytes=1000, segment_bytes=600,
-            observability=obs,
+            str(tmp_path), cores=2, segment_bytes=600, observability=obs,
+            fault_injector=FaultInjector(
+                FaultPlan(seed=1, store=StoreFaults(write_error_rate=0.2))
+            ),
         )
         value = obs.registry.value
-        for n in range(200):
-            # Mixed priorities and sizes: inline drains, rolls, evictions
-            # and (size 1100 > queue_bytes) outright drops all occur.
-            size = 1100 if n % 41 == 40 else 60 + 45 * (n % 9)
-            writer.enqueue(n % 2, _record(n, size=size, priority=n % 3))
+
+        def assert_ledger():
             enqueued = value("scap_store_enqueued_bytes_total")
             written = value("scap_store_written_bytes_total")
             dropped = value("scap_store_dropped_bytes_total")
@@ -127,8 +107,16 @@ class TestStoreWriter:
             assert written == writer.written_bytes
             assert dropped == writer.dropped_bytes
             assert depth == writer.queue_depth_bytes
+
+        for n in range(200):
+            # Mixed sizes: inline drains (a record of DRAIN_BYTES drains
+            # its core at once), rolls and injected write errors all occur.
+            size = DRAIN_BYTES if n % 41 == 40 else 60 + 45 * (n % 9)
+            writer.enqueue(n % 2, _record(n, size=size, priority=n % 3))
+            assert_ledger()
         assert writer.dropped_bytes and writer.segments_sealed > 2
         writer.close()
+        assert_ledger()
         assert value("scap_store_segments_sealed_total") == writer.segments_sealed
         assert writer.outstanding_bytes == 0
 
@@ -166,7 +154,9 @@ class TestStoreWriter:
         writer = StoreWriter(str(tmp_path), cores=1)
         writer.enqueue(0, _record(0))
         with pytest.raises(ValueError):
-            writer.attach_sanitizers(SanitizerContext())
+            writer.attach(sanitizers=SanitizerContext())
+        with pytest.raises(ValueError):
+            writer.attach(fault_injector=FaultInjector(FaultPlan(seed=0)))
         writer.close()
 
 
@@ -180,12 +170,13 @@ class TestStoreSanitizer:
         assert san.store.outstanding == 0
 
     def test_seeded_vanishing_bytes_fire_at_teardown(self, tmp_path):
-        """Seeded violation: bytes popped from a queue but never written
-        or counted as dropped must trip the store-accounting sanitizer."""
+        """Seeded violation: bytes cleared from a write batch but never
+        written or counted as dropped must trip the store-accounting
+        sanitizer."""
         san = SanitizerContext()
-        writer = StoreWriter(str(tmp_path), cores=1, queue_bytes=1 << 20, sanitizers=san)
+        writer = StoreWriter(str(tmp_path), cores=1, sanitizers=san)
         writer.enqueue(0, _record(0))
-        writer.queues[0].pop_all()  # simulate a buggy drain losing records
+        writer._pending[0].clear()  # simulate a buggy drain losing records
         with pytest.raises(InvariantViolation) as excinfo:
             writer.close()
         assert excinfo.value.invariant == "store-accounting"

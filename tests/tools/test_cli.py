@@ -310,7 +310,7 @@ OPTION_DEFAULTS = {
                  "--capacity": 65536},
     "scapcheck": {},
     "record": {**_SOURCE, **_REPLAY, "--store": None, "--cores": 2,
-               "--compress": False, "--segment-mb": 16, "--queue-kb": 4096,
+               "--compress": False, "--segment-mb": 16,
                "--max-bytes": None, "--max-age": None, "--class-quota": None},
     "query": {"--store": None, "--flow": None, "--start": None, "--end": None,
               "--dump": None, "--limit": 20},
