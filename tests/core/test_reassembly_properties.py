@@ -264,6 +264,157 @@ def test_matrix_oracle_agrees_with_implementation():
                 ) == oracle(old_start, new_start), (policy, old_start, new_start)
 
 
+# ----------------------------------------------------------------------
+# Whole schedules against a brute-force per-offset byte map
+# ----------------------------------------------------------------------
+class _ByteMap:
+    """The reassembler restated as one table entry per stream offset.
+
+    ``buffered`` maps each waiting offset to its byte; a buffered
+    *interval* is a maximal run of consecutive waiting offsets, found by
+    scanning the table, never stored.  An in-order segment is released
+    at once and swallows whatever it covers; an out-of-order one keeps,
+    per overlapped run, the copy the Novak–Sturges matrix picks (by the
+    run's and the segment's start); FAST mode under hole pressure jumps
+    to the first run and releases it.
+    """
+
+    def __init__(self, mode, policy, hole_bytes, hole_segments):
+        self.mode = mode
+        self.policy = policy
+        self.hole_bytes = hole_bytes
+        self.hole_segments = hole_segments
+        self.next = 0
+        self.buffered = {}
+        self.delivered_bytes = 0
+        self.duplicate_bytes = 0
+
+    def runs(self):
+        runs = []
+        for position in sorted(self.buffered):
+            if runs and runs[-1][1] == position:
+                runs[-1][1] += 1
+            else:
+                runs.append([position, position + 1])
+        return runs
+
+    def _take(self, start, end):
+        return bytes(self.buffered.pop(position) for position in range(start, end))
+
+    def segment(self, offset, data):
+        """Feed one segment; return the released ``(offset, bytes)`` or None."""
+        end = offset + len(data)
+        if end <= self.next:
+            self.duplicate_bytes += len(data)
+            return None
+        if offset < self.next:
+            self.duplicate_bytes += self.next - offset
+            data = data[self.next - offset:]
+            offset = self.next
+        if offset == self.next:
+            released = bytearray(data)
+            self.next = end
+            for start, stop in self.runs():
+                if start > self.next:
+                    break
+                covered = min(stop, self.next) - start
+                self.duplicate_bytes += covered
+                self._take(start, start + covered)
+                released += self._take(self.next, stop)
+                self.next = max(self.next, stop)
+            self.delivered_bytes += len(released)
+            return offset, bytes(released)
+        data = bytearray(data)
+        for start, stop in self.runs():
+            low, high = max(start, offset), min(stop, end)
+            if low >= high:
+                continue
+            self.duplicate_bytes += high - low
+            if not NOVAK_STURGES[self.policy](start, offset):
+                data[low - offset:high - offset] = bytes(
+                    self.buffered[position] for position in range(low, high)
+                )
+        for position in range(offset, end):
+            self.buffered[position] = data[position - offset]
+        runs = self.runs()
+        if self.mode == SCAP_TCP_FAST and (
+            len(self.buffered) > self.hole_bytes or len(runs) > self.hole_segments
+        ):
+            return self._skip(runs[0])
+        return None
+
+    def _skip(self, run):
+        start, stop = run
+        self.next = stop
+        released = self._take(start, stop)
+        self.delivered_bytes += len(released)
+        return start, released
+
+    def flush(self):
+        """Release (FAST) or drop (STRICT) everything still waiting."""
+        if self.mode == SCAP_TCP_STRICT:
+            self.buffered.clear()
+            return []
+        return [self._skip(run) for run in self.runs()]
+
+
+@st.composite
+def whole_schedule(draw):
+    """Segments of a short stream: any offset, 1-byte ones likely, and
+    every copy carrying its own random bytes (so a retransmit that is
+    partly old, or overlaps buffered data, conflicts)."""
+    length = draw(st.integers(1, 40))
+    segments = []
+    for _ in range(draw(st.integers(1, 14))):
+        offset = draw(st.integers(0, length - 1))
+        size = draw(st.one_of(st.just(1), st.integers(1, min(10, length - offset))))
+        segments.append((offset, draw(st.binary(min_size=size, max_size=size))))
+    return segments
+
+
+@pytest.mark.parametrize("mode", [SCAP_TCP_STRICT, SCAP_TCP_FAST])
+@pytest.mark.parametrize("policy", ALL_POLICIES)
+@settings(max_examples=40, deadline=None)
+@given(
+    segments=whole_schedule(),
+    isn=st.one_of(wrapping_isn, st.integers(0, 2**32 - 1)),
+    hole_bytes=st.integers(1, 24),
+    hole_segments=st.integers(1, 3),
+)
+def test_whole_schedule_matches_the_byte_map(mode, policy, segments, isn, hole_bytes, hole_segments):
+    reassembler = TCPDirectionReassembler(
+        mode, policy=policy, fast_hole_bytes=hole_bytes, fast_hole_segments=hole_segments
+    )
+    reassembler.set_isn(isn)
+    oracle = _ByteMap(mode, policy, hole_bytes, hole_segments)
+    for offset, data in segments:
+        pieces = reassembler.on_segment(_wire_seq(isn, offset), data)
+        expected = oracle.segment(offset, data)
+        released = _collect(pieces)
+        assert reassembler.next_offset == oracle.next
+        if expected is None:
+            assert pieces == []
+        else:
+            assert (reassembler.next_offset - len(released), released) == expected
+            assert [piece.follows_hole for piece in pieces[1:]] == [False] * (len(pieces) - 1)
+        assert reassembler.buffered_bytes == len(oracle.buffered)
+        assert reassembler.counters.delivered_bytes == oracle.delivered_bytes
+        assert reassembler.counters.duplicate_bytes == oracle.duplicate_bytes
+    # flush(): one run per skipped hole, each starting with a flagged piece.
+    flushed = []
+    for piece in reassembler.flush():
+        if piece.follows_hole or not flushed:
+            flushed.append(b"")
+        flushed[-1] += piece.data
+    expected_runs = oracle.flush()
+    assert flushed == [data for _, data in expected_runs]
+    if expected_runs:
+        assert reassembler.next_offset == expected_runs[-1][0] + len(expected_runs[-1][1])
+    assert reassembler.buffered_bytes == 0
+    assert reassembler.counters.delivered_bytes == oracle.delivered_bytes
+    assert reassembler.counters.duplicate_bytes == oracle.duplicate_bytes
+
+
 @pytest.mark.parametrize("policy,expected", [
     (ReassemblyPolicy.FIRST, b"ABBBA"),
     (ReassemblyPolicy.WINDOWS, b"ABBBA"),
