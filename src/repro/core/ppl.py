@@ -124,29 +124,22 @@ class PrioritizedPacketLoss:
             self._m_checks.inc()
             self._m_fraction.observe(fraction_used)
             self._m_band.set(self.band_index(fraction_used))
-        decision = self._decide(fraction_used, priority, stream_offset)
+        decision = _PASS
+        if fraction_used > self.base_threshold:
+            mark = self.watermark(priority)
+            if fraction_used > mark:
+                self._count(priority, "watermark")
+                decision = PPLDecision(drop=True, reason="watermark")
+            elif (
+                self.overload_cutoff is not None
+                and fraction_used > mark - self._band_width
+                and stream_offset >= self.overload_cutoff
+            ):
+                self._count(priority, "overload_cutoff")
+                decision = PPLDecision(drop=True, reason="overload_cutoff")
         if self._san is not None:
             self._san.ppl.on_check(self, fraction_used, priority, decision)
         return decision
-
-    def _decide(
-        self, fraction_used: float, priority: int, stream_offset: int
-    ) -> PPLDecision:
-        if fraction_used <= self.base_threshold:
-            return _PASS
-        mark = self.watermark(priority)
-        band = self._band_width
-        if fraction_used > mark:
-            self._count(priority, "watermark")
-            return PPLDecision(drop=True, reason="watermark")
-        if (
-            self.overload_cutoff is not None
-            and fraction_used > mark - band
-            and stream_offset >= self.overload_cutoff
-        ):
-            self._count(priority, "overload_cutoff")
-            return PPLDecision(drop=True, reason="overload_cutoff")
-        return _PASS
 
     def _count(self, priority: int, reason: str) -> None:
         # The per-priority drop ledger is KernelCounters.ppl_drops_by_priority;

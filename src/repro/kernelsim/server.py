@@ -73,7 +73,8 @@ class QueueServer:  # scapcheck: single-owner
         finish-sorted, and every read (:meth:`would_accept`,
         :meth:`occupancy`) drains up to its own ``now`` first.
         """
-        start = max(now, self._busy_until)
+        busy = self._busy_until
+        start = busy if busy > now else now  # max(now, busy), ``now`` on a tie
         finish = start + service_seconds
         self._busy_until = finish
         self._occupied += units

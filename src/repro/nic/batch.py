@@ -78,4 +78,6 @@ class PacketBatch:
     # ------------------------------------------------------------------
     def total_wire_bytes(self) -> int:
         """Sum of wire lengths across the batch."""
-        return sum(packet.wire_len for packet in self.packets)
+        # A list, not a generator: one frame per batch, not one resume
+        # per packet.
+        return sum([packet.wire_len for packet in self.packets])
