@@ -22,14 +22,8 @@ import shutil
 import sys
 import tempfile
 
-from dataclasses import asdict
-
-from repro.apps import StreamDeliveryApp
-from repro.core import ShardedCapture
-from repro.core.shards import BarrierJitter
 from repro.faultinject import FaultPlan
 from repro.faultinject.soak import run_chaos_soak
-from repro.traffic import campus_mix
 
 
 def soak_one(seed: int, intensity: float, with_store: bool) -> dict:
@@ -70,50 +64,6 @@ def soak_one(seed: int, intensity: float, with_store: bool) -> dict:
     }
 
 
-def _jitter_capture(seed: int, jitter_seed=None) -> dict:
-    """One sharded thread-executor run, optionally jitter-perturbed."""
-    capture = ShardedCapture(
-        campus_mix(flow_count=24, max_flow_bytes=60_000, seed=seed),
-        3,
-        rate_bps=2e9,
-        memory_size=1 << 21,
-        executor="thread",
-        app_factory=StreamDeliveryApp,
-        jitter=None if jitter_seed is None else BarrierJitter(jitter_seed),
-    )
-    sharded = capture.run(name="jitter-soak")
-    return {"result": asdict(sharded.result), "stats": asdict(sharded.stats)}
-
-
-def soak_jitter(trace_seed: int, jitter_seeds: int) -> dict:
-    """Perturb the shard merge barrier; every seed must merge identically.
-
-    Runs the sharded thread executor once without jitter (the
-    reference), then once per jitter seed with
-    :class:`~repro.core.shards.BarrierJitter` skewing which shards
-    complete while the collector waits.  Any divergence in the merged
-    result means the merge depends on completion order — the exact bug
-    class the determinism contract forbids.  Run with ``SCAP_RACE=1``
-    (as CI does) this also drives the runtime race detector across the
-    perturbed interleavings.
-    """
-    reference = _jitter_capture(trace_seed)
-    failures = []
-    for jitter_seed in range(jitter_seeds):
-        perturbed = _jitter_capture(trace_seed, jitter_seed=jitter_seed)
-        if perturbed != reference:
-            failures.append(
-                f"jitter seed {jitter_seed}: merged output diverged from "
-                "the unjittered reference"
-            )
-    return {
-        "trace_seed": trace_seed,
-        "jitter_seeds": jitter_seeds,
-        "ok": not failures,
-        "failures": failures,
-    }
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--seeds", type=int, default=6,
@@ -122,8 +72,6 @@ def main(argv=None) -> int:
     parser.add_argument("--intensity", type=float, default=0.05)
     parser.add_argument("--no-store", action="store_true",
                         help="skip the store fault plane")
-    parser.add_argument("--jitter-seeds", type=int, default=4,
-                        help="barrier-jitter seeds to sweep (0 disables)")
     parser.add_argument("--out", default=None, help="write the JSON report here")
     args = parser.parse_args(argv)
 
@@ -138,28 +86,17 @@ def main(argv=None) -> int:
         )
         for failure in row["failures"]:
             print(f"  FAIL: {failure}")
-    jitter_row = None
-    if args.jitter_seeds > 0:
-        jitter_row = soak_jitter(args.first_seed, args.jitter_seeds)
-        print(
-            f"barrier jitter: {'PASS' if jitter_row['ok'] else 'FAIL'} "
-            f"({jitter_row['jitter_seeds']} seeds)"
-        )
-        for failure in jitter_row["failures"]:
-            print(f"  FAIL: {failure}")
     report = {
         "plans": len(rows),
         "passed": sum(row["ok"] for row in rows),
         "results": rows,
-        "barrier_jitter": jitter_row,
     }
     if args.out:
         with open(args.out, "w") as handle:
             json.dump(report, handle, indent=2)
         print(f"wrote {args.out}")
     print(f"{report['passed']}/{report['plans']} plans passed")
-    jitter_ok = jitter_row is None or jitter_row["ok"]
-    return 0 if report["passed"] == report["plans"] and jitter_ok else 1
+    return 0 if report["passed"] == report["plans"] else 1
 
 
 if __name__ == "__main__":

@@ -1,24 +1,24 @@
 """Per-queue sharding: one capture pipeline per RX queue (§4.2).
 
-The batched runtime amortizes per-packet overheads, but a single
-Python interpreter still walks every queue's packets in one loop.  This
-module shards the capture the way multi-queue hardware does: flows are
-partitioned across ``shard_count`` RX queues with the NIC's *symmetric*
-RSS hash (both directions of a connection land on the same queue), and
-each shard runs a full, independent single-queue pipeline over its own
-slice of the trace — its own kernel module, stream memory, and worker —
-so shards can execute on separate host cores.
+This module shards the capture the way multi-queue hardware does:
+flows are partitioned across ``shard_count`` RX queues with the NIC's
+*symmetric* RSS hash (both directions of a connection land on the same
+queue), and each shard runs a full, independent single-queue pipeline
+over its own slice of the trace — its own kernel module, stream
+memory, and worker.
+The shards model the paper's per-core queues; on the host they run
+serially, since a thread pool and a process pool both measured slower
+than the serial loop (``BENCH_32.json``).
 
 Determinism contract
 --------------------
-The merged result is a pure fold over the per-shard results **in
-ascending shard order**, and each shard is a self-contained simulation
-whose outcome depends only on its input slice.  Therefore the merged
-output is bit-identical across executors (``serial``, ``thread``,
-``process``) and across runs: parallel scheduling can reorder shard
-*completion*, never the merge.  With ``shard_count=1`` the shard's
-input is the whole trace and its replay rate is the requested rate, so
-the run is exactly an unsharded single-queue capture.
+The shards run one after another, in ascending shard order, and the
+merged result is a pure fold over their results in that order.  Each
+shard is a self-contained simulation whose outcome depends only on its
+input slice, so the merged output is the same on every run.  With
+``shard_count=1`` the shard's input is the whole trace and its replay
+rate is the requested rate, so the run is exactly an unsharded
+single-queue capture.
 
 Timeline fidelity
 -----------------
@@ -33,60 +33,26 @@ a shard match what that queue would have seen unsharded.
 Stream memory is split evenly: the paper's single shared pool becomes
 one pool per queue, as in a per-NUMA-node deployment; totals (and PPL
 pressure) therefore differ from the unsharded run when shards fill
-unevenly — sharding trades global memory sharing for parallelism.
+unevenly — sharding trades global memory sharing for per-queue
+independence.
 """
 
 from __future__ import annotations
 
-import random
-import time
 from dataclasses import dataclass, field, fields
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional
 
 from ..nic.rss import RSSHasher
 from ..results import RunResult
 from ..traffic.trace import FlowSpec, PlantedMatch, Trace
+from .api import ScapSocket, ScapStats, scap_get_stats
 
 __all__ = [
-    "BarrierJitter",
     "ShardOutcome",
     "ShardedResult",
     "ShardedCapture",
     "partition_trace",
 ]
-
-EXECUTORS = ("serial", "thread", "process")
-
-
-class BarrierJitter:
-    """Seeded schedule perturbation around the shard merge barrier.
-
-    Parallel executors may complete shards in any order; the merge must
-    not care.  This harness *provokes* unlucky interleavings on demand:
-    before waiting on shard ``i``'s future, the collecting thread sleeps
-    a small delay derived deterministically from ``(seed, i)``, which
-    skews which shards finish while others are still mid-flight.  The
-    chaos soak drives it with varying seeds; any seed must produce a
-    bit-identical merged result (and, under ``SCAP_RACE=1``, no race
-    report).  Holds only plain ints/floats so it pickles cleanly
-    alongside the process executor.
-    """
-
-    def __init__(self, seed: int, max_delay: float = 0.005):
-        if max_delay < 0:
-            raise ValueError("max_delay must be non-negative")
-        self.seed = seed
-        self.max_delay = max_delay
-
-    def delay_for(self, index: int) -> float:
-        """The exact delay applied before collecting shard ``index``."""
-        return random.Random(self.seed * 1_000_003 + index).random() * self.max_delay
-
-    def perturb(self, index: int) -> None:
-        """Sleep the seeded delay for shard ``index``."""
-        delay = self.delay_for(index)
-        if delay > 0:
-            time.sleep(delay)
 
 
 def partition_trace(trace: Trace, shard_count: int) -> List[Trace]:
@@ -146,7 +112,7 @@ class ShardOutcome:
     trace_name: str
     packets: int
     result: RunResult
-    stats: Any  # ScapStats (typed loosely to keep the module picklable)
+    stats: ScapStats
 
 
 @dataclass
@@ -154,53 +120,22 @@ class ShardedResult:
     """A sharded capture's merged measurements plus per-shard detail."""
 
     result: RunResult
-    stats: Any  # merged ScapStats
+    stats: ScapStats
     shards: List[ShardOutcome] = field(default_factory=list)
-    executor: str = "serial"
 
     @property
     def shard_count(self) -> int:
         return len(self.shards)
 
 
-def _run_shard(
-    index: int,
-    shard_trace: Trace,
-    rate_bps: float,
-    memory_size: int,
-    app_factory: Optional[Callable[[], Any]],
-    socket_kwargs: Dict[str, Any],
-    name: str,
-) -> Tuple[int, RunResult, Any]:
-    """Run one shard's pipeline; module-level so ``process`` can pickle it."""
-    from ..apps import attach_app
-    from .api import ScapSocket, scap_get_stats
-
-    socket = ScapSocket(
-        shard_trace,
-        memory_size=memory_size,
-        rate_bps=rate_bps,
-        core_count=1,
-        **socket_kwargs,
-    )
-    if app_factory is not None:
-        attach_app(socket, app_factory())
-    result = socket.start_capture(name=f"{name}-shard{index}")
-    stats = scap_get_stats(socket)
-    socket.close()
-    return index, result, stats
-
-
 class ShardedCapture:
     """Run one capture as ``shard_count`` independent per-queue pipelines.
 
     ``app_factory`` (optional) builds a fresh application per shard —
-    each shard attaches its own instance, so apps need no locking.  For
-    the ``process`` executor the factory, the trace, and all socket
-    kwargs must be picklable.  ``socket_kwargs`` pass through to each
-    shard's :class:`~repro.core.api.ScapSocket` (e.g. ``batch_size``,
-    ``reassembly_mode``); ``core_count`` is fixed at 1 per shard — the
-    shard *is* the queue.
+    each shard attaches its own instance.  ``socket_kwargs`` pass
+    through to each shard's :class:`~repro.core.api.ScapSocket` (e.g.
+    ``batch_size``, ``reassembly_mode``); ``core_count`` is fixed at 1
+    per shard — the shard *is* the queue.
     """
 
     def __init__(
@@ -209,18 +144,11 @@ class ShardedCapture:
         shard_count: int,
         rate_bps: float,
         memory_size: int,
-        executor: str = "serial",
         app_factory: Optional[Callable[[], Any]] = None,
-        max_workers: Optional[int] = None,
-        jitter: Optional[BarrierJitter] = None,
         **socket_kwargs: Any,
     ):
         if shard_count < 1:
             raise ValueError("need at least one shard")
-        if executor not in EXECUTORS:
-            raise ValueError(
-                f"unknown executor {executor!r}; pick one of {EXECUTORS}"
-            )
         if rate_bps <= 0:
             raise ValueError("rate must be positive")
         if memory_size < shard_count:
@@ -231,10 +159,7 @@ class ShardedCapture:
         self.shard_count = shard_count
         self.rate_bps = rate_bps
         self.memory_size = memory_size
-        self.executor = executor
         self.app_factory = app_factory
-        self.max_workers = max_workers or shard_count
-        self.jitter = jitter
         self.socket_kwargs = socket_kwargs
 
     # ------------------------------------------------------------------
@@ -254,67 +179,43 @@ class ShardedCapture:
             return self.rate_bps
         return self.rate_bps * shard_native / full_native
 
-    def _jobs(self) -> List[Tuple]:
-        shards = partition_trace(self.trace, self.shard_count)
-        per_shard_memory = self.memory_size // self.shard_count
-        return [
-            (
-                index,
-                shard_trace,
-                self._shard_rate(shard_trace),
-                per_shard_memory,
-                self.app_factory,
-                self.socket_kwargs,
-            )
-            for index, shard_trace in enumerate(shards)
-        ]
+    def _run_shard(self, index: int, shard_trace: Trace, name: str) -> ShardOutcome:
+        """Run one shard's single-queue pipeline over its sub-trace."""
+        from ..apps import attach_app  # repro.apps imports repro.core
+
+        socket = ScapSocket(
+            shard_trace,
+            memory_size=self.memory_size // self.shard_count,
+            rate_bps=self._shard_rate(shard_trace),
+            core_count=1,
+            **self.socket_kwargs,
+        )
+        if self.app_factory is not None:
+            attach_app(socket, self.app_factory())
+        result = socket.start_capture(name=f"{name}-shard{index}")
+        stats = scap_get_stats(socket)
+        socket.close()
+        return ShardOutcome(
+            index=index,
+            trace_name=shard_trace.name,
+            packets=len(shard_trace),
+            result=result,
+            stats=stats,
+        )
 
     def run(self, name: str = "sharded") -> ShardedResult:
-        """Run every shard under the configured executor and merge.
-
-        Results are folded in ascending shard order regardless of
-        completion order, so the merged output is identical across
-        executors.
-        """
-        jobs = self._jobs()
-        outputs: List[Optional[Tuple[int, RunResult, Any]]] = [None] * len(jobs)
-        if self.executor == "serial":
-            for job in jobs:
-                out = _run_shard(*job[:6], name)
-                outputs[out[0]] = out
-        else:
-            if self.executor == "thread":
-                from concurrent.futures import ThreadPoolExecutor as Pool
-            else:
-                from concurrent.futures import ProcessPoolExecutor as Pool
-            with Pool(max_workers=min(self.max_workers, len(jobs))) as pool:
-                futures = [pool.submit(_run_shard, *job[:6], name) for job in jobs]
-                for index, future in enumerate(futures):
-                    if self.jitter is not None:
-                        # Perturb which shards complete while the
-                        # collector is busy elsewhere; the ascending
-                        # merge below must be indifferent to it.
-                        self.jitter.perturb(index)
-                    out = future.result()
-                    outputs[out[0]] = out
+        """Run every shard in ascending shard order and merge."""
         shards = [
-            ShardOutcome(
-                index=index,
-                trace_name=jobs[index][1].name,
-                packets=len(jobs[index][1]),
-                result=result,
-                stats=stats,
+            self._run_shard(index, shard_trace, name)
+            for index, shard_trace in enumerate(
+                partition_trace(self.trace, self.shard_count)
             )
-            for index, result, stats in outputs  # type: ignore[misc]
         ]
-        shards.sort(key=lambda outcome: outcome.index)
         merged = _merge_results(
             [outcome.result for outcome in shards], self.rate_bps, name
         )
         stats = _merge_stats([outcome.stats for outcome in shards])
-        return ShardedResult(
-            result=merged, stats=stats, shards=shards, executor=self.executor
-        )
+        return ShardedResult(result=merged, stats=stats, shards=shards)
 
 
 # ----------------------------------------------------------------------
@@ -390,10 +291,8 @@ def _merge_results(
     return merged
 
 
-def _merge_stats(parts: List[Any]) -> Any:
+def _merge_stats(parts: List[ScapStats]) -> ScapStats:
     """Sum a list of ScapStats field-wise (dicts key-wise, keys sorted)."""
-    from .api import ScapStats
-
     merged = ScapStats()
     for stats_field in fields(ScapStats):
         first = getattr(merged, stats_field.name)

@@ -147,6 +147,7 @@ class SpanRecorder:
         self.trace = trace
         self.clock = clock
         self.prefix = prefix
+        # In the daemon: scapd-loop and scapd-owner both start spans here.
         self._lock = threading.Lock()
         self._next_id = 0
         self.recorded = 0

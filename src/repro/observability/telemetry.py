@@ -93,6 +93,7 @@ class TelemetryRing:
         self._samples: Deque[TelemetrySample] = deque(maxlen=capacity)
         self._kinds: Dict[str, str] = {}
         self._families: Dict[str, List[str]] = {}
+        # In the daemon: scapd-loop samples, the HTTP sidecar's request threads read.
         self._lock = threading.Lock()
         self.sampled = 0
         self.skipped = 0

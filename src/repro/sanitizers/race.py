@@ -1,4 +1,4 @@
-"""Runtime race detector (``SCAP_RACE=1``) — the dynamic half of SC006–SC008.
+"""Runtime race detector (``SCAP_RACE=1``) — the dynamic half of SC006–SC007.
 
 The whole-program rules in :mod:`repro.staticcheck.rules` prove
 what it can about the concurrency discipline; this module watches the
@@ -13,8 +13,8 @@ the thread that then drives it.
 A violation raises :class:`InvariantViolation` carrying **both
 conflicting stack tails** plus a digest over their frames — the digest
 is deterministic across runs (it hashes ``basename:function:line``
-only, never thread ids or addresses), which is what lets the seeded
-perturbation harness assert the *same* race three runs in a row.
+only, never thread ids or addresses), which is what lets a test provoke
+one race three times and assert the *same* digest each time.
 
 Everything is off unless ``SCAP_RACE`` is truthy; instrumented classes
 hold ``Optional`` detector references behind ``is not None`` guards, so

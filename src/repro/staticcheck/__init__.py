@@ -5,10 +5,9 @@ encode invariants the reproduction's correctness rests on — simulated
 time only (SC001), zero-cost disabled observability (SC002), declared
 concurrency discipline for shared state (SC003), well-formed stream
 events (SC004), a fully documented/typed public API (SC005), no
-single-owner object mutated from a thread or pool root that did not
-build it (SC006), one lockset per attribute (SC007), and no live
-single-owner object shipped to a process pool (SC008).  All eight run
-over one :class:`~repro.staticcheck.project.Project` per run.
+single-owner object mutated from a thread root that did not build it
+(SC006), and one lockset per attribute (SC007).  All seven run over
+one :class:`~repro.staticcheck.project.Project` per run.
 
 Run it as ``python -m repro.staticcheck src/repro`` or
 ``repro-scap scapcheck src/repro``; suppress a finding inline with

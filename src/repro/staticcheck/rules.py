@@ -1,4 +1,4 @@
-"""The repo-specific scapcheck rules (SC001–SC008).
+"""The repo-specific scapcheck rules (SC001–SC007).
 
 Each rule encodes one invariant of this codebase that ordinary linters
 cannot express (see ``docs/STATIC_ANALYSIS.md`` for the catalogue and
@@ -15,12 +15,10 @@ the rationale behind each):
 * SC005 — public ``scap_*`` API functions need docstrings and full
   type hints.
 * SC006 — a single-owner class must not be mutated from code a thread
-  or pool root reaches, unless that root builds its own instance.
+  root reaches, unless that root builds its own instance.
 * SC007 — an attribute locked in one method must be locked in all.
-* SC008 — a process-pool job must not capture a live single-owner
-  object.
 
-SC006 and SC008 follow the :class:`~repro.staticcheck.project.Project`
+SC006 follows the :class:`~repro.staticcheck.project.Project`
 call graph across files; the others look at one file (or one class) at
 a time.
 """
@@ -41,7 +39,6 @@ __all__ = [
     "ScapApiContractRule",
     "SingleOwnerEscapeRule",
     "LocksetConsistencyRule",
-    "ForkCaptureRule",
     "HOT_PATH_PACKAGES",
 ]
 
@@ -534,8 +531,7 @@ class SingleOwnerEscapeRule(Rule):
 
     A class annotated ``# scapcheck: single-owner`` promises that one
     thread owns every instance.  If a method of such a class that
-    mutates ``self`` state is reachable from a thread target or a pool
-    submit, *and* the class is not constructed anywhere inside that
+    mutates ``self`` state is reachable from a thread target, *and* the class is not constructed anywhere inside that
     root's own call tree (which would make the instance thread-local),
     the promise is broken cross-module.
     """
@@ -543,7 +539,7 @@ class SingleOwnerEscapeRule(Rule):
     rule_id = "SC006"
     description = (
         "single-owner class state mutated from code reachable from a "
-        "thread/pool concurrent root without a root-local construction"
+        "thread root without a root-local construction"
     )
 
     def check(self, project: Project) -> List[Violation]:
@@ -638,55 +634,3 @@ class LocksetConsistencyRule(Rule):
                 )
             )
         return findings
-
-
-# ----------------------------------------------------------------------
-# SC008 — process-pool jobs must not capture live single-owner objects
-# ----------------------------------------------------------------------
-@register_rule
-class ForkCaptureRule(Rule):
-    """SC008: a ProcessPoolExecutor job aliasing a live single-owner object.
-
-    Submitting an argument whose inferred type is a single-owner class
-    to a process pool pickles a *snapshot* of the object: mutations the
-    job makes are silently lost, and mutations the parent makes race the
-    pickling.  Jobs must receive plain data and build their own
-    single-owner objects on the far side (as ``_run_shard`` does).
-    """
-
-    rule_id = "SC008"
-    description = (
-        "ProcessPoolExecutor submit captures an argument aliasing a live "
-        "single-owner object; pass plain data and construct in the child"
-    )
-
-    def check(self, project: Project) -> List[Violation]:
-        """Flag single-owner objects captured by process-pool submits."""
-        findings: List[Violation] = []
-        for root in project.roots:
-            if "process" not in root.kinds or root.spawner is None:
-                continue
-            env = project._local_env(root.spawner)
-            for arg in root.captured_args:
-                expr: ast.AST = arg
-                if isinstance(expr, ast.Starred):
-                    expr = expr.value
-                for type_name in sorted(
-                    project._receiver_types(root.spawner, expr, env)
-                ):
-                    for cls in project.classes.get(type_name, []):
-                        if not cls.single_owner:
-                            continue
-                        findings.append(
-                            self.violation(
-                                root.site_source,
-                                arg,
-                                f"argument of {root.description} aliases a "
-                                f"live single-owner {cls.name} instance; "
-                                "process jobs get a pickled copy — pass "
-                                "plain data and construct the object in "
-                                "the child",
-                            )
-                        )
-                        break  # one finding per (arg, type name)
-        return _first_per_line(findings)

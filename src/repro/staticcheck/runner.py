@@ -7,8 +7,8 @@ Entry points:
 * :func:`run_paths` — the programmatic API the tests use.
 
 Every run parses the files into one
-:class:`~repro.staticcheck.project.Project` and runs all eight rules
-(SC001–SC008) over it.  ``--format`` selects ``text`` (default),
+:class:`~repro.staticcheck.project.Project` and runs all seven rules
+(SC001–SC007) over it.  ``--format`` selects ``text`` (default),
 ``json`` (one document with violations, errors, and per-rule counts),
 or ``github`` (workflow ``::error`` annotations, so CI failures mark PR
 lines).
