@@ -95,6 +95,11 @@ class IPv4Header:
     def parse(cls, data, offset: int = 0, end: "int | None" = None) -> "IPv4Header":
         """Parse the 20 bytes at ``offset`` of ``data`` (any bytes-like;
         the packet stops at ``end``, default its length) as an IPv4 header."""
+        return cls(*cls.unpack(data, offset, end))
+
+    @staticmethod
+    def unpack(data, offset: int = 0, end: "int | None" = None) -> tuple:
+        """Check the header; return its constructor arguments, in order."""
         if (len(data) if end is None else end) - offset < IPV4_MIN_HEADER_LEN:
             raise ValueError("truncated IPv4 header")
         (
@@ -116,10 +121,9 @@ class IPv4Header:
         if ihl != 5:
             raise ValueError("IPv4 options are not supported")
         flags = flags_frag >> 13
-        # Positional, in field order: the pcap reader builds one per packet.
-        return cls(
+        return (
             src_ip, dst_ip, protocol, total_length, identification,
-            bool(flags & _FLAG_DF), bool(flags & _FLAG_MF), flags_frag & 0x1FFF,
+            (flags & _FLAG_DF) != 0, (flags & _FLAG_MF) != 0, flags_frag & 0x1FFF,
             ttl, tos, checksum,
         )
 

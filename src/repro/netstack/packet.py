@@ -18,10 +18,12 @@ from .ip import IPV4_MIN_HEADER_LEN, IPProtocol, IPv4Header
 from .tcp import TCPFlags, TCPHeader
 from .udp import UDP_HEADER_LEN, UDPHeader
 
-__all__ = ["Packet", "make_tcp_packet", "make_udp_packet"]
+__all__ = ["Packet", "frame_fields", "make_tcp_packet", "make_udp_packet"]
 
 #: The four bytes after an 802.1Q ethertype: TCI, encapsulated ethertype.
 _VLAN_TAG = struct.Struct("!HH")
+_ETHERTYPE_VLAN, _ETHERTYPE_IPV4 = EtherType.VLAN, EtherType.IPV4
+_PROTOCOL_TCP, _PROTOCOL_UDP = IPProtocol.TCP, IPProtocol.UDP
 
 
 @dataclass
@@ -63,7 +65,10 @@ class Packet:
             return
         ports = self.tcp if self.tcp is not None else self.udp
         sport, dport = (0, 0) if ports is None else (ports.src_port, ports.dst_port)
-        self.five_tuple = FiveTuple(ip.src_ip, sport, ip.dst_ip, dport, ip.protocol)
+        # tuple.__new__: the same FiveTuple, without namedtuple's __new__.
+        self.five_tuple = tuple.__new__(
+            FiveTuple, (ip.src_ip, sport, ip.dst_ip, dport, ip.protocol)
+        )
 
     # ------------------------------------------------------------------
     # Derived properties
@@ -144,46 +149,22 @@ class Packet:
         cls, data, timestamp: float = 0.0, wire_len: int = 0, offset: int = 0,
         end: "int | None" = None,
     ) -> "Packet":
-        """Parse a wire frame into a Packet.
-
-        ``data`` is any bytes-like object and the frame is
-        ``data[offset:end]`` (default: all of it).  Every header is
-        parsed where it lies in that one buffer; the only bytes copied
-        out are the ones the packet keeps (payload, TCP options).
-
-        Non-IPv4 frames keep only the Ethernet header and opaque payload.
-        IP fragments with nonzero offset carry no parsed transport header.
-        """
+        """Parse the wire frame ``data[offset:end]`` (any bytes-like;
+        default all of it), checked by :func:`frame_fields`; the only
+        bytes copied out are the ones the packet keeps."""
         if end is None:
             end = len(data)
-        frame_len = end - offset
-        eth = EthernetHeader.parse(data, offset, end)
-        offset += ETHERNET_HEADER_LEN
-        vlan_id = None
-        ethertype = eth.ethertype
-        if ethertype == EtherType.VLAN:
-            if end < offset + 4:
-                raise ValueError("truncated 802.1Q tag")
-            tci, ethertype = _VLAN_TAG.unpack_from(data, offset)
-            vlan_id = tci & 0x0FFF
-            offset += 4
-            eth = EthernetHeader(eth.dst_mac, eth.src_mac, ethertype)
-        ip = tcp = udp = None
-        if ethertype == EtherType.IPV4:
-            ip = IPv4Header.parse(data, offset, end)
-            # Ethernet padding past the datagram is not payload.
-            end = min(end, offset + ip.total_length)
-            offset += ip.header_len
-            if ip.fragment_offset == 0 and ip.protocol == IPProtocol.TCP:
-                tcp, data_offset = TCPHeader.parse(data, offset, end)
-                offset += data_offset
-            elif ip.fragment_offset == 0 and ip.protocol == IPProtocol.UDP:
-                udp = UDPHeader.parse(data, offset, end)
-                offset += UDP_HEADER_LEN
-        # Positional, in field order: the pcap reader builds one per packet.
+        return cls.from_fields(
+            data, frame_fields(data, offset, end), timestamp, wire_len or end - offset
+        )
+
+    @classmethod
+    def from_fields(cls, data, fields: tuple, timestamp: float, wire_len: int) -> "Packet":
+        """Build the packet :func:`frame_fields` checked in ``data``."""
+        eth, vlan_id, ip, tcp, udp, start, end = fields
         return cls(
-            eth, ip, tcp, udp, bytes(data[offset:end]), timestamp,
-            wire_len or frame_len, vlan_id,
+            eth, ip and IPv4Header(*ip), tcp and TCPHeader(*tcp), udp and UDPHeader(*udp),
+            bytes(data[start:end]), timestamp, wire_len, vlan_id,
         )
 
     def __str__(self) -> str:
@@ -194,6 +175,43 @@ class Packet:
         if self.ip is not None:
             return f"[{self.timestamp:.6f}] {self.ip} len={len(self.payload)}"
         return f"[{self.timestamp:.6f}] {self.eth} len={len(self.payload)}"
+
+
+def frame_fields(data, offset: int = 0, end: "int | None" = None) -> tuple:
+    """Run every check on the frame ``data[offset:end]`` (ValueError if
+    refused); return ``(eth, vlan_id, ip, tcp, udp, start, end)``: the
+    Ethernet header, the 802.1Q id, the IPv4/TCP/UDP headers' constructor
+    arguments (None when absent; none is built) and the payload bounds.
+    A fragment with nonzero offset carries no transport header."""
+    if end is None:
+        end = len(data)
+    eth = EthernetHeader.parse(data, offset, end)
+    offset += ETHERNET_HEADER_LEN
+    vlan_id = None
+    ethertype = eth.ethertype
+    if ethertype == _ETHERTYPE_VLAN:
+        if end < offset + 4:
+            raise ValueError("truncated 802.1Q tag")
+        tci, ethertype = _VLAN_TAG.unpack_from(data, offset)
+        vlan_id = tci & 0x0FFF
+        offset += 4
+        eth = EthernetHeader(eth.dst_mac, eth.src_mac, ethertype)
+    if ethertype != _ETHERTYPE_IPV4:
+        return eth, vlan_id, None, None, None, offset, end
+    ip = IPv4Header.unpack(data, offset, end)
+    # ip[2], ip[3], ip[7]: protocol, total_length, fragment_offset.
+    # Ethernet padding past the datagram is not payload.
+    if offset + ip[3] < end:
+        end = offset + ip[3]
+    offset += IPV4_MIN_HEADER_LEN
+    if ip[7] == 0:
+        if ip[2] == _PROTOCOL_TCP:
+            tcp, data_offset = TCPHeader.unpack(data, offset, end)
+            return eth, vlan_id, ip, tcp, None, offset + data_offset, end
+        if ip[2] == _PROTOCOL_UDP:
+            udp = UDPHeader.unpack(data, offset, end)
+            return eth, vlan_id, ip, None, udp, offset + UDP_HEADER_LEN, end
+    return eth, vlan_id, ip, None, None, offset, end
 
 
 def make_tcp_packet(

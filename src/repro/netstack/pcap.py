@@ -11,12 +11,11 @@ from __future__ import annotations
 
 import os
 import struct
-from dataclasses import dataclass
 from typing import BinaryIO, Iterable, Iterator, Union
 
-from .packet import Packet
+from .packet import Packet, frame_fields
 
-__all__ = ["PcapWriter", "PcapReader", "write_pcap", "read_pcap", "LINKTYPE_ETHERNET"]
+__all__ = ["PcapWriter", "PcapReader", "write_pcap", "read_pcap", "check_pcap", "LINKTYPE_ETHERNET"]
 
 LINKTYPE_ETHERNET = 1
 
@@ -28,10 +27,24 @@ _RECORD_HEADER = struct.Struct("<IIII")
 READ_BLOCK = 1 << 18
 
 
-@dataclass
-class _Format:
-    endian: str
-    nanosecond: bool
+def _pcap_format(header: bytes) -> "tuple[struct.Struct, float, int, int]":
+    """``(record header, timestamp divisor, snaplen, linktype)`` named by
+    a global header; ValueError for a file this module cannot read."""
+    if len(header) < _GLOBAL_HEADER.size:
+        raise ValueError("truncated pcap global header")
+    (magic_le,) = struct.unpack_from("<I", header, 0)
+    (magic_be,) = struct.unpack_from(">I", header, 0)
+    for endian, magic in (("<", magic_le), (">", magic_be)):
+        if magic in (_MAGIC_USEC, _MAGIC_NSEC):
+            break
+    else:
+        raise ValueError(f"not a pcap file (magic 0x{magic_le:08x})")
+    fields = struct.unpack_from(endian + "IHHiIII", header)
+    snaplen, linktype = fields[5], fields[6]
+    if linktype != LINKTYPE_ETHERNET:
+        raise ValueError(f"unsupported linktype: {linktype}")
+    divisor = 1e9 if magic == _MAGIC_NSEC else 1e6
+    return struct.Struct(endian + "IIII"), divisor, snaplen, linktype
 
 
 def _open(target: Union[str, BinaryIO], mode: str) -> "tuple[BinaryIO, bool]":
@@ -93,39 +106,20 @@ class PcapReader:
 
     def __init__(self, path: Union[str, BinaryIO]):
         self._file, self._ours = _open(path, "rb")
-        header = self._file.read(_GLOBAL_HEADER.size)
-        if len(header) < _GLOBAL_HEADER.size:
+        try:
+            self._record, self._divisor, self.snaplen, self.linktype = _pcap_format(
+                self._file.read(_GLOBAL_HEADER.size)
+            )
+        except ValueError:
             self.close()
-            raise ValueError("truncated pcap global header")
-        self._format = self._detect_format(header)
-        fields = struct.unpack(self._format.endian + "IHHiIII", header)
-        self.snaplen = fields[5]
-        self.linktype = fields[6]
-        if self.linktype != LINKTYPE_ETHERNET:
-            self.close()
-            raise ValueError(f"unsupported linktype: {self.linktype}")
-        self._record = struct.Struct(self._format.endian + "IIII")
+            raise
         self._block = b""
         self._offset = 0  # of the next record in ``_block``
-
-    @staticmethod
-    def _detect_format(header: bytes) -> _Format:
-        (magic_le,) = struct.unpack_from("<I", header, 0)
-        (magic_be,) = struct.unpack_from(">I", header, 0)
-        if magic_le == _MAGIC_USEC:
-            return _Format("<", False)
-        if magic_le == _MAGIC_NSEC:
-            return _Format("<", True)
-        if magic_be == _MAGIC_USEC:
-            return _Format(">", False)
-        if magic_be == _MAGIC_NSEC:
-            return _Format(">", True)
-        raise ValueError(f"not a pcap file (magic 0x{magic_le:08x})")
 
     def __iter__(self) -> Iterator[Packet]:
         """Yield the file's packets; a record cut short ends the walk.
         Each record is unpacked and parsed where it lies in the block read."""
-        divisor = 1e9 if self._format.nanosecond else 1e6
+        divisor = self._divisor
         unpack = self._record.unpack_from
         header_size = self._record.size
         read = self._file.read
@@ -176,3 +170,25 @@ def read_pcap(path: Union[str, BinaryIO]) -> "list[Packet]":
     """Read all packets from ``path`` (or an open file) into a list."""
     with PcapReader(path) as reader:
         return list(reader)
+
+
+def check_pcap(data) -> "list[tuple[float, int, tuple]]":
+    """Check every frame of the in-memory pcap ``data`` (any bytes-like);
+    return its records in file order, ``(timestamp, wire_len, fields)``
+    with :func:`~repro.netstack.packet.frame_fields`' fields.  As in
+    :class:`PcapReader`, a record cut short ends the walk."""
+    record, divisor, _, _ = _pcap_format(data[: _GLOBAL_HEADER.size])
+    unpack = record.unpack_from
+    header_size = record.size
+    size = len(data)
+    records = []
+    append = records.append
+    start = _GLOBAL_HEADER.size + header_size  # of the next frame
+    while start <= size:
+        seconds, fraction, caplen, wire_len = unpack(data, start - header_size)
+        end = start + caplen
+        if end > size:
+            break
+        append((seconds + fraction / divisor, wire_len or caplen, frame_fields(data, start, end)))
+        start = end + header_size
+    return records

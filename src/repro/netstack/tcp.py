@@ -108,14 +108,14 @@ class TCPHeader:
     def __post_init__(self) -> None:
         if self.options is None:
             self.options = []
-        # Hot-path flag tests, precomputed once: headers are never
-        # mutated after construction (the fault planes build fresh
-        # headers), and the kernel checks these on every packet.
+        # Hot-path flag tests (TCPFlags' masks as literals), precomputed
+        # once: headers are never mutated after construction (the fault
+        # planes build fresh headers); the kernel checks them per packet.
         flags = self.flags
-        self.syn = bool(flags & TCPFlags.SYN)
-        self.fin = bool(flags & TCPFlags.FIN)
-        self.rst = bool(flags & TCPFlags.RST)
-        self.ack_flag = bool(flags & TCPFlags.ACK)
+        self.syn = (flags & 0x02) != 0
+        self.fin = (flags & 0x01) != 0
+        self.rst = (flags & 0x04) != 0
+        self.ack_flag = (flags & 0x10) != 0
 
     @property
     def header_len(self) -> int:
@@ -194,6 +194,13 @@ class TCPHeader:
         NOP/END bytes dropped); malformed option lengths raise
         ValueError.
         """
+        fields, data_offset = cls.unpack(data, offset, end)
+        return cls(*fields), data_offset
+
+    @staticmethod
+    def unpack(data, offset: int = 0, end: "int | None" = None) -> "tuple[tuple, int]":
+        """Check the header; return ``(its constructor arguments in order,
+        data_offset_bytes)``, with ``None`` for an empty option area."""
         segment_len = (len(data) if end is None else end) - offset
         if segment_len < TCP_MIN_HEADER_LEN:
             raise ValueError("truncated TCP header")
@@ -211,9 +218,9 @@ class TCPHeader:
         data_offset = (offset_reserved >> 4) * 4
         if data_offset < TCP_MIN_HEADER_LEN or data_offset > segment_len:
             raise ValueError(f"invalid TCP data offset: {data_offset}")
-        options: "list[tuple[int, bytes]]" = []
         cursor = offset + TCP_MIN_HEADER_LEN
         options_end = offset + data_offset
+        options: "list[tuple[int, bytes]] | None" = [] if cursor < options_end else None
         while cursor < options_end:
             kind = data[cursor]
             if kind == TCPOption.END:
@@ -228,9 +235,7 @@ class TCPHeader:
                 raise ValueError(f"invalid TCP option length: {length}")
             options.append((kind, bytes(data[cursor + 2 : cursor + length])))
             cursor += length
-        # Positional, in field order: the pcap reader builds one per packet.
-        header = cls(src_port, dst_port, seq, ack, flags, window, urgent, checksum, options)
-        return header, data_offset
+        return (src_port, dst_port, seq, ack, flags, window, urgent, checksum, options), data_offset
 
     def __str__(self) -> str:
         return (

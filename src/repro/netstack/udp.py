@@ -48,12 +48,17 @@ class UDPHeader:
     def parse(cls, data, offset: int = 0, end: "int | None" = None) -> "UDPHeader":
         """Parse the 8 bytes at ``offset`` of ``data`` (any bytes-like;
         the datagram stops at ``end``, default its length) as a UDP header."""
+        return cls(*cls.unpack(data, offset, end))
+
+    @staticmethod
+    def unpack(data, offset: int = 0, end: "int | None" = None) -> tuple:
+        """Check the header; return its constructor arguments, in order."""
         if (len(data) if end is None else end) - offset < UDP_HEADER_LEN:
             raise ValueError("truncated UDP header")
         src_port, dst_port, length, checksum = _HEADER.unpack_from(data, offset)
         if length < UDP_HEADER_LEN:
             raise ValueError(f"invalid UDP length: {length}")
-        return cls(src_port, dst_port, length, checksum)
+        return src_port, dst_port, length, checksum
 
     def __str__(self) -> str:
         return f"udp {self.src_port} > {self.dst_port} len={self.length}"

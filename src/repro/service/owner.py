@@ -22,10 +22,10 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 from ..core.api import ScapSocket
 from ..filters.bpf import BPFFilter
 from ..netstack.flows import FiveTuple
-from ..netstack.pcap import read_pcap, write_pcap
+from ..netstack.pcap import write_pcap
 from ..observability import SpanRecorder
 from ..observability.spans import KIND_INTERNAL, KIND_STORE, Span
-from ..traffic import Trace, campus_mix
+from ..traffic import PcapSource, Trace, campus_mix
 from .protocol import ERR_BAD_REQUEST, ERR_INTERNAL, ServiceError
 
 __all__ = ["CaptureOwner", "guarded", "store_stats", "trace_to_pcap_bytes"]
@@ -203,10 +203,7 @@ class CaptureOwner:
             capture_span.end()
         if self.store is not None:
             self.store.flush()
-        # The socket sits in a reference cycle that only a full GC pass
-        # frees; emptied now, the packets parsed for this request go at
-        # once instead of piling up capture after capture until then.
-        del trace.packets[:]
+        trace.close()
         self._captures += 1
         summary = {
             "name": name,
@@ -295,7 +292,7 @@ class CaptureOwner:
         return ({"sealed_segments": sealed}, b"")
 
 
-def _trace_from_request(header: Dict[str, Any], payload: bytes, name: str) -> Trace:
+def _trace_from_request(header: Dict[str, Any], payload: bytes, name: str) -> "Trace | PcapSource":
     kind = header.get("kind", "pcap")
     if kind == "campus":
         return campus_mix(
@@ -306,7 +303,7 @@ def _trace_from_request(header: Dict[str, Any], payload: bytes, name: str) -> Tr
     if kind == "pcap":
         if not payload:
             raise ServiceError(ERR_BAD_REQUEST, "pcap submission has no payload")
-        return Trace(read_pcap(io.BytesIO(payload)), name=name)
+        return PcapSource(payload, name=name)
     raise ServiceError(ERR_BAD_REQUEST, f"unknown trace kind {kind!r}")
 
 

@@ -397,9 +397,9 @@ class ClientSession:  # scapcheck: single-owner
         buffer.extend(data)
         return True
 
-    def close_feed(self, feed_id: int) -> bytes:
-        """Remove and return a pending feed's accumulated bytes."""
-        return bytes(self.feeds.pop(feed_id))
+    def close_feed(self, feed_id: int) -> bytearray:
+        """Remove and return a pending feed's buffer, handed over uncopied."""
+        return self.feeds.pop(feed_id)
 
     # ------------------------------------------------------------------
     # Shutdown

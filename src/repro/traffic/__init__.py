@@ -4,7 +4,7 @@ from .anonymize import PrefixPreservingAnonymizer, anonymize_trace
 from .generator import CampusTrafficGenerator, TrafficConfig
 from .inspect import TraceSummary, filter_trace, slice_time, summarize
 from .tcpsession import DEFAULT_MSS, Impairments, SessionMessage, TCPSessionBuilder, build_udp_flow
-from .trace import FlowSpec, PlantedMatch, Trace
+from .trace import FlowSpec, PcapSource, PlantedMatch, Trace
 from .workloads import ConcurrentStreamWorkload, campus_mix, syn_flood
 
 __all__ = [
@@ -22,6 +22,7 @@ __all__ = [
     "TCPSessionBuilder",
     "build_udp_flow",
     "FlowSpec",
+    "PcapSource",
     "PlantedMatch",
     "Trace",
     "ConcurrentStreamWorkload",

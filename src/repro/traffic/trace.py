@@ -10,12 +10,14 @@ what replaying a captured trace faster does in the paper's testbed.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, List, Optional, Sequence
+from operator import itemgetter
+from typing import Iterable, Iterator, List, Optional, Sequence
 
 from ..netstack.flows import FiveTuple
 from ..netstack.packet import Packet
+from ..netstack.pcap import check_pcap
 
-__all__ = ["FlowSpec", "PlantedMatch", "Trace"]
+__all__ = ["FlowSpec", "PlantedMatch", "PcapSource", "Timeline", "Trace"]
 
 
 @dataclass
@@ -46,7 +48,34 @@ class FlowSpec:
         return self.client_bytes + self.server_bytes
 
 
-class Trace:
+class Timeline:
+    """Native timestamps (in replay order) and wire bytes of a workload,
+    its ``duration`` (first to last packet) and ``native_rate_bps``.
+    Replay at a bit-rate rescales the timestamps uniformly from the first,
+    as tcpreplay's ``--multiplier`` does: the one retiming of
+    :class:`Trace` and :class:`PcapSource`."""
+
+    def __init__(self, base_times: List[float], wire_lens: Iterable[int]):
+        self._base_times = base_times
+        self.total_wire_bytes = sum(wire_lens)
+        duration = self.duration = base_times[-1] - base_times[0] if base_times else 0.0
+        self.native_rate_bps = self.total_wire_bytes * 8 / duration if duration > 0 else float("inf")
+
+    def replayed_duration(self, rate_bps: float) -> float:
+        """Duration of the workload when replayed at ``rate_bps``."""
+        return self.total_wire_bytes * 8 / rate_bps
+
+    def _replay_times(self, rate_bps: float) -> List[float]:
+        """Every packet's timestamp when the workload plays at ``rate_bps``."""
+        if rate_bps <= 0:
+            raise ValueError("replay rate must be positive")
+        native = self.native_rate_bps
+        scale = 1.0 if native in (0.0, float("inf")) else native / rate_bps
+        origin = self._base_times[0] if self._base_times else 0.0
+        return [(base_time - origin) * scale for base_time in self._base_times]
+
+
+class Trace(Timeline):
     """An immutable-ish packet workload with ground truth and replay.
 
     ``packets`` must already be sorted by timestamp.  ``replay(rate)``
@@ -65,8 +94,7 @@ class Trace:
         self.packets.sort(key=lambda packet: packet.timestamp)
         self.flows: List[FlowSpec] = list(flows or [])
         self.name = name
-        self._base_times = [packet.timestamp for packet in self.packets]
-        self.total_wire_bytes = sum(packet.wire_len for packet in self.packets)
+        super().__init__([p.timestamp for p in self.packets], (p.wire_len for p in self.packets))
 
     # ------------------------------------------------------------------
     def __len__(self) -> int:
@@ -76,39 +104,14 @@ class Trace:
         return iter(self.packets)
 
     @property
-    def duration(self) -> float:
-        """Native duration in virtual seconds (first to last packet)."""
-        if not self.packets:
-            return 0.0
-        return self._base_times[-1] - self._base_times[0]
-
-    @property
-    def native_rate_bps(self) -> float:
-        """The bit-rate implied by the native timestamps."""
-        duration = self.duration
-        if duration <= 0:
-            return float("inf")
-        return self.total_wire_bytes * 8 / duration
-
-    @property
     def planted_matches(self) -> List[PlantedMatch]:
         return [match for flow in self.flows for match in flow.planted]
 
     # ------------------------------------------------------------------
     def replay(self, rate_bps: float) -> Iterator[Packet]:
-        """Yield packets retimed so the trace plays at ``rate_bps``.
-
-        Timestamps are rescaled uniformly from the native timeline (so
-        relative ordering and interleaving are preserved, as with
-        tcpreplay's ``--multiplier``) and written back into each packet.
-        """
-        if rate_bps <= 0:
-            raise ValueError("replay rate must be positive")
-        native = self.native_rate_bps
-        scale = 1.0 if native in (0.0, float("inf")) else native / rate_bps
-        origin = self._base_times[0] if self._base_times else 0.0
-        for packet, base_time in zip(self.packets, self._base_times):
-            packet.timestamp = (base_time - origin) * scale
+        """Yield packets retimed (in place) so the trace plays at ``rate_bps``."""
+        for packet, timestamp in zip(self.packets, self._replay_times(rate_bps)):
+            packet.timestamp = timestamp
             yield packet
 
     def replay_batches(self, rate_bps: float, size: int) -> Iterator[List[Packet]]:
@@ -117,19 +120,14 @@ class Trace:
         Identical retiming and ordering to :meth:`replay`; the runtime
         uses this to skip one generator resume per packet.
         """
-        if rate_bps <= 0:
-            raise ValueError("replay rate must be positive")
+        times = self._replay_times(rate_bps)
         if size <= 0:
             raise ValueError("batch size must be positive")
-        native = self.native_rate_bps
-        scale = 1.0 if native in (0.0, float("inf")) else native / rate_bps
-        origin = self._base_times[0] if self._base_times else 0.0
         packets = self.packets
-        base_times = self._base_times
         for start in range(0, len(packets), size):
             chunk = packets[start : start + size]
-            for packet, base_time in zip(chunk, base_times[start : start + size]):
-                packet.timestamp = (base_time - origin) * scale
+            for packet, timestamp in zip(chunk, times[start : start + size]):
+                packet.timestamp = timestamp
             yield chunk
 
     def reset_timeline(self) -> None:
@@ -143,9 +141,9 @@ class Trace:
         for packet, base_time in zip(self.packets, self._base_times):
             packet.timestamp = base_time
 
-    def replayed_duration(self, rate_bps: float) -> float:
-        """Duration of the trace when replayed at ``rate_bps``."""
-        return self.total_wire_bytes * 8 / rate_bps
+    def close(self) -> None:
+        """Drop the packets: a capture's socket outlives it in a GC cycle."""
+        del self.packets[:]
 
     # ------------------------------------------------------------------
     def merged_with(self, other: "Trace", name: Optional[str] = None) -> "Trace":
@@ -180,3 +178,39 @@ class Trace:
             f"{self.name}: {len(self.packets)} packets, {len(self.flows)} flows, "
             f"{self.total_wire_bytes / 1e6:.2f} MB, native {self.native_rate_bps / 1e9:.3f} Gbit/s"
         )
+
+
+class PcapSource(Timeline):
+    """A pcap file replayed without a packet list (the packets equal
+    ``Trace(read_pcap(...))``'s).  Construction checks every frame and
+    stable-sorts the records, so a malformed frame anywhere refuses the
+    file; replay builds each batch's packets, retimed, when asked for."""
+
+    def __init__(self, data, name: str = "pcap"):
+        records = sorted(check_pcap(data), key=itemgetter(0))  # stable
+        super().__init__([record[0] for record in records], [record[1] for record in records])
+        self.name = name
+        self._data = data
+        self._records = records
+
+    def __len__(self) -> int:
+        return len(self._records)
+
+    def replay(self, rate_bps: float) -> Iterator[Packet]:
+        """Yield the packets retimed for ``rate_bps``, one at a time."""
+        for packets in self.replay_batches(rate_bps, 1):
+            yield packets[0]
+
+    def replay_batches(self, rate_bps: float, size: int) -> Iterator[List[Packet]]:
+        """Yield the packets retimed for ``rate_bps`` in lists of up to ``size``."""
+        times = self._replay_times(rate_bps)
+        if size <= 0:
+            raise ValueError("batch size must be positive")
+        data, records, build = self._data, self._records, Packet.from_fields
+        for start in range(0, len(records), size):
+            batch = zip(records[start : start + size], times[start : start + size])
+            yield [build(data, fields, time, wire_len) for (_, wire_len, fields), time in batch]
+
+    def close(self) -> None:
+        """Drop the file and its records; a later replay is empty."""
+        self._data, self._records, self._base_times = b"", [], []
