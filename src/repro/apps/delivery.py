@@ -37,7 +37,8 @@ class StreamDeliveryApp(MonitorApp):
         data: bytes,
         had_hole: bool = False,
     ) -> None:
-        super().on_stream_data(five_tuple, direction, offset, data, had_hole)
-        self.bytes_per_stream[five_tuple] = (
-            self.bytes_per_stream.get(five_tuple, 0) + len(data)
-        )
+        # MonitorApp.on_stream_data, inlined: this runs once per chunk.
+        size = len(data)
+        self.delivered_bytes += size
+        self.streams_with_data.add(five_tuple)
+        self.bytes_per_stream[five_tuple] = self.bytes_per_stream.get(five_tuple, 0) + size

@@ -90,12 +90,14 @@ class ScapRuntime:
             observability=self.obs, sanitizers=self.sanitizers,
         )
         self.callbacks = Callbacks()
+        self.balancer = LoadBalancer(core_count) if enable_load_balancing else None
+        self._pending_events: List[Tuple[int, Event]] = []
         self.kernel = ScapKernelModule(
             self.config,
             self.nic,
             self.cost,
             locality=self.locality,
-            emit_event=self._collect_event,
+            emit_event=self._pending_events.append if self.balancer is None else self._collect_event,
             max_streams=max_streams,
             observability=self.obs,
             sanitizers=self.sanitizers,
@@ -127,10 +129,6 @@ class ScapRuntime:
         self._m_ring_drops = registry.counter(
             "scap_ring_drops_total", "packets rejected by a full RX ring"
         )
-        self.balancer = (
-            LoadBalancer(core_count) if enable_load_balancing else None
-        )
-        self._pending_events: List[Tuple[int, Event]] = []
         self.ring_drops = 0
         self.packets_offered = 0
         self.bytes_offered = 0
@@ -146,17 +144,19 @@ class ScapRuntime:
         self.telemetry = telemetry
 
     # ------------------------------------------------------------------
-    def _collect_event(self, core: int, event: Event) -> None:
-        self._pending_events.append((core, event))
-        if self.balancer is not None:
-            if event.event_type == EventType.STREAM_CREATED:
-                target = self.balancer.on_stream_created(core)
-                if target is not None:
-                    self._redirect_stream(event, core, target)
-            elif event.event_type == EventType.STREAM_TERMINATED:
-                # Termination fires once per direction; balance on client.
-                if event.stream.direction == 0:
-                    self.balancer.on_stream_terminated(core)
+    def _collect_event(self, item: Tuple[int, Event]) -> None:
+        """The kernel's event sink when there is a load balancer: it runs
+        inside the softirq of the packet that emitted the event."""
+        self._pending_events.append(item)
+        core, event = item
+        if event.event_type == EventType.STREAM_CREATED:
+            target = self.balancer.on_stream_created(core)
+            if target is not None:
+                self._redirect_stream(event, core, target)
+        elif event.event_type == EventType.STREAM_TERMINATED:
+            # Termination fires once per direction; balance on client.
+            if event.stream.direction == 0:
+                self.balancer.on_stream_terminated(core)
 
     def _redirect_stream(self, event: Event, source: int, target: int) -> None:
         """Install FDIR steering filters moving a new stream to ``target``."""

@@ -159,7 +159,6 @@ class SharedCaptureRuntime:
             )
         # Replace the single-app dispatch with the fan-out.
         self.runtime.workers.dispatch = self._fan_out  # type: ignore[assignment]
-        self._shared_release_guard = set()
 
     # ------------------------------------------------------------------
     def _fan_out(self, core: int, event: Event, ready_time: float) -> None:
@@ -168,22 +167,13 @@ class SharedCaptureRuntime:
         The chunk's memory is released when the *slowest* interested
         application finishes with it (shared read-only mapping).
         """
-        interested = [app for app in self.applications if app.wants(event)]
-        chunk = event.chunk
+        # Every application's interest is decided before any callback runs.
+        interested = [app.workers for app in self.applications if app.wants(event)]
         latest_finish = ready_time
-        for app in interested:
-            workers = app.workers
-            assert workers is not None
-            server = workers.servers[workers.worker_for_event(core, event)]
-            if not server.would_accept(ready_time, 1):
-                workers.events_dropped += 1
-                continue
-            dispatch_cycles, app_cycles = workers._service_cycles(event)
-            service = self.cost.seconds(dispatch_cycles + app_cycles)
-            finish = server.push(ready_time, 1, service)
+        for workers in interested:
+            finish = workers.dispatch(core, event, ready_time, release=False)
             latest_finish = max(latest_finish, finish)
-            workers._run_callback(event, service)  # also counts bytes
-            workers.events_processed += 1
+        chunk = event.chunk
         if chunk is not None and not chunk.keep:
             self.runtime.kernel.memory.schedule_release(
                 latest_finish, chunk.accounted_bytes

@@ -12,7 +12,7 @@ virtual completion time.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, List, Optional
 
 from ..kernelsim.cache import LocalityProfile
 from ..kernelsim.costmodel import CostModel
@@ -121,25 +121,35 @@ class WorkerPool:  # scapcheck: single-owner
     def worker_for_event(self, core: int, event: Event) -> int:
         """Pick the worker that owns this event's connection.
 
-        With one worker per core (the normal configuration) this is the
-        kernel thread's own core, preserving the paper's same-core
-        affinity.  With fewer workers than cores, connections are
-        spread round-robin so no worker inherits two cores' load while
-        another sits idle.
+        Connections are spread by ``connection_id % worker_count``, so
+        every event of a connection, in both directions, goes to one
+        worker.  ``core`` (the kernel thread that emitted the event)
+        does not enter the rule: with one worker per core a stream is
+        not kept on its kernel thread's core.  :meth:`dispatch` calls
+        this only when there is more than one worker.
         """
-        worker_count = self.worker_count
-        if worker_count == 1:
-            return 0
-        return event.stream.connection_id % worker_count
+        return event.stream.connection_id % self.worker_count
 
     # ------------------------------------------------------------------
-    def dispatch(self, core: int, event: Event, ready_time: float) -> None:
-        """Queue ``event`` (made ready by the kernel at ``ready_time``)."""
-        worker = self.worker_for_event(core, event)
+    def dispatch(
+        self, core: int, event: Event, ready_time: float, release: bool = True
+    ) -> float:
+        """Queue ``event`` (ready at ``ready_time``) on its worker, charge
+        its service time and run its callback; return the finish time.
+
+        A refused event returns ``ready_time``.  With ``release`` the
+        chunk is released at the finish time (a refused one at once); a
+        caller sharing the chunk among pools passes False and releases
+        it.  The service time is the stub's dispatch cycles (stage
+        ``event_dequeue``) plus the payload's and the app's cost hook's
+        (``worker_callback``); the cost-model calls are inlined, pinned
+        by ``tests/core/test_inlined_model.py``.
+        """
+        worker = 0 if self.worker_count == 1 else self.worker_for_event(core, event)
         server = self.servers[worker]
-        injected = self._fault is not None and self._fault.sched_backpressure(
-            ready_time, worker
-        )
+        fault = self._fault
+        chunk = event.chunk
+        injected = fault is not None and fault.sched_backpressure(ready_time, worker)
         if injected or not server.would_accept(ready_time, 1):
             # An injected backpressure fault takes the exact organic
             # reject path, so chunk memory is reclaimed identically.
@@ -153,15 +163,38 @@ class WorkerPool:  # scapcheck: single-owner
                     event_type=event.event_type,
                     five_tuple=str(event.stream.five_tuple),
                 )
-            if event.chunk is not None:
+            if release and chunk is not None:
                 # The data will never be consumed; reclaim immediately.
-                self.memory.release_now(ready_time, event.chunk.accounted_bytes)
-            return
-        dispatch_cycles, app_cycles = self._service_cycles(event)
-        core_hz = self.cost.core_hz  # CostModel.seconds is ``cycles / core_hz``
+                self.memory.release_now(ready_time, chunk.accounted_bytes)
+            return ready_time
+        cost = self.cost
+        batch = cost.user_batch_packets  # user_wakeup_cost, inlined: max(1.0, batch)
+        dispatch_cycles = cost.scap_event_dispatch + cost.syscall_poll / (batch if batch > 1.0 else 1.0)
+        app_cycles = 0.0
+        callbacks = self.callbacks
+        event_type = event.event_type
+        if event_type == EventType.STREAM_DATA:
+            length = chunk.length if chunk is not None else 0  # Event.data_len
+            locality = self.locality
+            app_cycles += cost.scap_per_byte_touch * length
+            # miss_cost(scap_user_misses(length)), inlined in the same order.
+            scale = 0.5 + 0.5 * (length / locality.reference_payload)
+            app_cycles += cost.cache_miss_penalty * (locality.scap_user_base * scale)
+            if callbacks.data_cost is not None:
+                app_cycles += callbacks.data_cost(event)
+            handler = callbacks.on_data
+        elif event_type == EventType.STREAM_CREATED:
+            if callbacks.creation_cost is not None:
+                app_cycles += callbacks.creation_cost(event)
+            handler = callbacks.on_creation
+        else:
+            if callbacks.termination_cost is not None:
+                app_cycles += callbacks.termination_cost(event)
+            handler = callbacks.on_termination
+        core_hz = cost.core_hz  # CostModel.seconds is ``cycles / core_hz``
         service = (dispatch_cycles + app_cycles) / core_hz
-        if self._fault is not None:
-            service += self._fault.sched_stall(ready_time, worker)
+        if fault is not None:
+            service += fault.sched_stall(ready_time, worker)
         finish = server.push(ready_time, 1, service)
         if self.obs.enabled:
             self._m_service.observe(service)
@@ -173,70 +206,30 @@ class WorkerPool:  # scapcheck: single-owner
             profiler.record_wait(
                 STAGE_EVENT_DEQUEUE, worker, finish - service - ready_time
             )
-        self._run_callback(event, service)
-        if event.chunk is not None and not event.chunk.keep:
-            self.memory.schedule_release(finish, event.chunk.accounted_bytes)
-        self.events_processed += 1
-
-    def _service_cycles(self, event: Event) -> Tuple[float, float]:
-        """(stub dispatch cycles, application/callback cycles) for one event.
-
-        The split feeds the stage profiler: queue pop + wakeup is the
-        ``event_dequeue`` stage, everything the event's payload costs
-        (byte touches, cache misses, the app's own cost hooks) is the
-        ``worker_callback`` stage.  The cost-model calls are inlined;
-        ``tests/core/test_inlined_model.py`` pins them to the model.
-        """
-        cost = self.cost
-        batch = cost.user_batch_packets  # user_wakeup_cost, inlined: max(1.0, batch)
-        dispatch = cost.scap_event_dispatch + cost.syscall_poll / (batch if batch > 1.0 else 1.0)
-        app = 0.0
-        callbacks = self.callbacks
-        if event.event_type == EventType.STREAM_DATA:
-            chunk = event.chunk
-            length = chunk.length if chunk is not None else 0  # Event.data_len
-            locality = self.locality
-            app += cost.scap_per_byte_touch * length
-            # miss_cost(scap_user_misses(length)), inlined in the same order.
-            scale = 0.5 + 0.5 * (length / locality.reference_payload)
-            app += cost.cache_miss_penalty * (locality.scap_user_base * scale)
-            if callbacks.data_cost is not None:
-                app += callbacks.data_cost(event)
-        elif event.event_type == EventType.STREAM_CREATED:
-            if callbacks.creation_cost is not None:
-                app += callbacks.creation_cost(event)
-        else:
-            if callbacks.termination_cost is not None:
-                app += callbacks.termination_cost(event)
-        return dispatch, app
-
-    def _run_callback(self, event: Event, service: float) -> None:
         stream = event.stream
         stream.processing_time += service
-        callbacks = self.callbacks
         self.current_event = event
         try:
-            if event.event_type == EventType.STREAM_DATA:
-                chunk = event.chunk
+            if event_type == EventType.STREAM_DATA:
                 assert chunk is not None
                 stream.data = chunk.data
                 stream.data_len = chunk.length
                 stream.data_offset = chunk.stream_offset
                 stream.data_had_hole = chunk.had_hole
                 self.bytes_delivered += chunk.length
-                if callbacks.on_data is not None:
-                    callbacks.on_data(stream)
+                if handler is not None:
+                    handler(stream)
                 stream.data = b""
                 stream.data_len = 0
                 stream.data_had_hole = False
-            elif event.event_type == EventType.STREAM_CREATED:
-                if callbacks.on_creation is not None:
-                    callbacks.on_creation(stream)
-            else:
-                if callbacks.on_termination is not None:
-                    callbacks.on_termination(stream)
+            elif handler is not None:
+                handler(stream)
         finally:
             self.current_event = None
+        if release and chunk is not None and not chunk.keep:
+            self.memory.schedule_release(finish, chunk.accounted_bytes)
+        self.events_processed += 1
+        return finish
 
     # ------------------------------------------------------------------
     def busy_seconds(self) -> float:

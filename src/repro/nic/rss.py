@@ -90,14 +90,6 @@ def _byte_tables(key: bytes) -> Tuple[Tuple[int, ...], ...]:
     return tuple(tables)
 
 
-def _fold(tables: Tuple[Tuple[int, ...], ...], data: bytes) -> int:
-    """XOR of ``data``'s per-position table entries."""
-    result = 0
-    for table, byte in zip(tables, data):
-        result ^= table[byte]
-    return result
-
-
 def toeplitz_hash(key: bytes, data: bytes) -> int:
     """The Toeplitz hash as specified for RSS.
 
@@ -109,7 +101,10 @@ def toeplitz_hash(key: bytes, data: bytes) -> int:
     tables = _byte_tables(key)
     if len(data) > len(tables):
         raise ValueError("RSS key too short for input")
-    return _fold(tables, data)
+    result = 0  # the XOR of data's per-position table entries
+    for table, byte in zip(tables, data):
+        result ^= table[byte]
+    return result
 
 
 class _QueueMemo(dict):
@@ -157,7 +152,11 @@ class RSSHasher:
             )
         else:
             data = _PACK_PAIR(five_tuple.src_ip, five_tuple.dst_ip)
-        return _fold(self._tables, data)
+        # toeplitz_hash's fold, inlined; pinned by test_inlined_model.py.
+        result = 0
+        for table, byte in zip(self._tables, data):
+            result ^= table[byte]
+        return result
 
     def queue_for(self, five_tuple: FiveTuple) -> int:
         """The RX queue index for ``five_tuple`` (memoised)."""

@@ -42,7 +42,7 @@ class Harness:
         self.events = []
         self.kernel = ScapKernelModule(
             self.config, self.nic, DEFAULT_COST_MODEL,
-            emit_event=lambda core, event: self.events.append(event),
+            emit_event=lambda item: self.events.append(item[1]),
         )
 
     def feed(self, packets):

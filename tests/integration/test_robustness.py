@@ -51,7 +51,7 @@ class TestKernelAdversarialInput:
         nic = SimulatedNIC(queue_count=2)
         kernel = ScapKernelModule(
             ScapConfig(**kwargs), nic, DEFAULT_COST_MODEL,
-            emit_event=lambda core, event: None,
+            emit_event=lambda item: None,
         )
         return kernel, nic
 
