@@ -26,7 +26,6 @@ from __future__ import annotations
 import json
 import threading
 from dataclasses import dataclass
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Dict, List, Optional, Tuple
 
 from ..observability.exporters import to_prometheus
@@ -202,7 +201,8 @@ class HealthServer:
     A ``ThreadingHTTPServer`` on its own daemon thread; every handler
     is read-only over the registry/ring, so it needs no daemon locks.
     Construct with callables so the sidecar stays decoupled from the
-    daemon's internals (and testable against fakes).
+    daemon's internals (and testable against fakes).  ``http.server``
+    is imported here, so only a daemon started with ``--http`` loads it.
     """
 
     def __init__(
@@ -214,6 +214,8 @@ class HealthServer:
         port: int = 0,
         rules: Tuple[HealthRule, ...] = DEFAULT_HEALTH_RULES,
     ):
+        from http.server import ThreadingHTTPServer
+
         self.registry = registry
         self.ring = ring
         self._structural = structural  # () -> Dict[str, object]
@@ -252,6 +254,8 @@ class HealthServer:
             self._thread = None
 
     def _make_handler(self):
+        from http.server import BaseHTTPRequestHandler
+
         sidecar = self
 
         class Handler(BaseHTTPRequestHandler):

@@ -49,23 +49,27 @@ class StoreIndex:
     Mutated only by the one thread that drives the owning store
     (`` # scapcheck: single-owner `` applies to callers); supports
     add/remove of whole segments (sealing, retention) and in-place
-    replacement after compaction rewrites.
+    replacement after compaction rewrites.  Those are the only ways
+    records enter or leave the index, so they keep the record and
+    payload totals as running sums: reading them costs O(1).
     """
 
     def __init__(self):
         self.segments: Dict[str, SegmentMeta] = {}
         self._by_tuple: Dict[Tuple[int, int, int, int, int], List[RecordMeta]] = {}
+        self._record_count = 0
+        self._payload_bytes = 0
 
     # ------------------------------------------------------------------
     @property
     def record_count(self) -> int:
         """Total records indexed across all segments."""
-        return sum(len(segment.records) for segment in self.segments.values())
+        return self._record_count
 
     @property
     def payload_bytes(self) -> int:
         """Total live payload bytes indexed across all segments."""
-        return sum(segment.payload_bytes for segment in self.segments.values())
+        return self._payload_bytes
 
     @property
     def disk_bytes(self) -> int:
@@ -77,6 +81,7 @@ class StoreIndex:
         """(Re)build the index from every segment file in ``directory``."""
         self.segments.clear()
         self._by_tuple.clear()
+        self._record_count = self._payload_bytes = 0
         added = []
         for name in sorted(os.listdir(directory)):
             if not (name.startswith("seg-") and name.endswith(".scap")):
@@ -100,6 +105,8 @@ class StoreIndex:
         for meta in segment.records:
             meta.segment = segment
             self._by_tuple.setdefault(self._key(meta.client_tuple), []).append(meta)
+        self._record_count += len(segment.records)
+        self._payload_bytes += segment.payload_bytes
         return segment
 
     def remove_segment(self, path: str) -> Optional[SegmentMeta]:
@@ -107,6 +114,8 @@ class StoreIndex:
         segment = self.segments.pop(path, None)
         if segment is None:
             return None
+        self._record_count -= len(segment.records)
+        self._payload_bytes -= segment.payload_bytes
         for key in {self._key(meta.client_tuple) for meta in segment.records}:
             bucket = [meta for meta in self._by_tuple[key] if meta.segment is not segment]
             if bucket:

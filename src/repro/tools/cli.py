@@ -75,10 +75,7 @@ import argparse
 import sys
 from typing import Optional, Sequence, Tuple
 
-from ..analysis import mm1n_loss_probability, two_class_loss_probabilities
-from ..apps import FlowStatsApp, PatternMatchApp, StreamDeliveryApp, attach_app
 from ..core import ScapSocket
-from ..matching import synthetic_web_attack_patterns
 from ..netstack import int_to_ip, read_pcap, write_pcap
 from ..observability import ALL_HOOKS
 from ..traffic import Trace, campus_mix
@@ -366,6 +363,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 # ----------------------------------------------------------------------
 def _cmd_generate(args: argparse.Namespace) -> int:
+    from ..matching import synthetic_web_attack_patterns
+
     patterns = (
         synthetic_web_attack_patterns(args.plant_patterns)
         if args.plant_patterns
@@ -393,19 +392,25 @@ def _load_source(args: argparse.Namespace) -> Trace:
     return campus_mix(flow_count=args.flows, seed=args.seed)
 
 
-def _socket(args: argparse.Namespace, trace, app, **kwargs) -> ScapSocket:
+def _socket(args: argparse.Namespace, trace, app=None, **kwargs) -> ScapSocket:
     """A socket replaying ``trace`` at ``--rate`` through ``--memory-mb``
-    of stream memory, ``--cutoff`` applied and ``app`` attached."""
+    of stream memory, ``--cutoff`` applied and ``app`` attached (a
+    :class:`StreamDeliveryApp` when none is given)."""
+    from ..apps import StreamDeliveryApp, attach_app
+
     socket = ScapSocket(
         trace, rate_bps=args.rate * GBIT, memory_size=args.memory_mb << 20, **kwargs
     )
     if args.cutoff is not None:
         socket.set_cutoff(args.cutoff)
-    attach_app(socket, app)
+    attach_app(socket, StreamDeliveryApp() if app is None else app)
     return socket
 
 
 def _cmd_capture(args: argparse.Namespace) -> int:
+    from ..apps import FlowStatsApp, PatternMatchApp, StreamDeliveryApp
+    from ..matching import synthetic_web_attack_patterns
+
     trace = _load_source(args)
     print(trace.summary())
     if args.app == "flowstats":
@@ -471,6 +476,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 def _cmd_compare(args: argparse.Namespace) -> int:
     """The paper's headline, one command: stream delivery on Scap vs
     the user-level baselines across a few rates."""
+    from ..apps import StreamDeliveryApp
     from ..baselines import LibnidsEngine, Stream5Engine
     from ..bench.scenarios import BenchScale, _buffers, run_baseline, run_scap
 
@@ -520,9 +526,7 @@ def _observed_run(args: argparse.Namespace, trace_capacity: int = 4096):
     from ..observability import Observability
 
     obs = Observability(enabled=True, trace_capacity=trace_capacity)
-    socket = _socket(
-        args, _load_source(args), StreamDeliveryApp(), observability=obs
-    )
+    socket = _socket(args, _load_source(args), observability=obs)
     socket.start_capture(name="scap-observed")
     return socket
 
@@ -704,7 +708,7 @@ def _cmd_record(args: argparse.Namespace) -> int:
         compress=args.compress,
         retention=retention,
     )
-    socket = _socket(args, trace, StreamDeliveryApp())
+    socket = _socket(args, trace)
     socket.set_store(StreamRecorder(store))
     result = socket.start_capture(name="scap-record")
     stats = store.close()
@@ -774,7 +778,7 @@ def _cmd_replay(args: argparse.Namespace) -> int:
         print("nothing stored matches the selection; nothing to replay")
         return 1
     print(trace.summary())
-    result = _socket(args, trace, StreamDeliveryApp()).start_capture(name="scap-replay")
+    result = _socket(args, trace).start_capture(name="scap-replay")
     print(result.row())
     print(
         f"replayed {result.delivered_bytes / 1e6:.2f} MB in "
@@ -824,6 +828,8 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
+    from ..analysis import mm1n_loss_probability, two_class_loss_probabilities
+
     if args.rho_high is None:
         print(f"M/M/1/N loss probability at rho={args.rho}")
         print(f"{'N':>6} {'P(loss)':>14}")

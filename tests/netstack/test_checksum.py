@@ -2,7 +2,8 @@
 
 import struct
 
-from hypothesis import given
+import pytest
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.netstack.checksum import internet_checksum, ones_complement_sum, pseudo_header
@@ -58,3 +59,48 @@ def test_sum_word_order_independent(data):
     words = [data[i : i + 2] for i in range(0, len(data), 2)]
     reordered = b"".join(reversed(words))
     assert ones_complement_sum(data) == ones_complement_sum(reordered)
+
+
+def _rfc1071_sum(data: bytes, initial: int = 0) -> int:
+    """The RFC 1071 word loop: add 16-bit words, fold the carries back."""
+    if len(data) % 2:
+        data += b"\x00"
+    total = initial
+    for (word,) in struct.iter_unpack("!H", data):
+        total += word
+    while total >> 16:
+        total = (total & 0xFFFF) + (total >> 16)
+    return total
+
+
+_INITIALS = st.one_of(
+    st.sampled_from([0, 1, 0xFFFF]), st.integers(min_value=0, max_value=0xFFFF)
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    data=st.one_of(
+        st.binary(max_size=2048),
+        st.integers(min_value=0, max_value=64 * 1024).map(lambda n: b"\x00" * n),
+        st.integers(min_value=0, max_value=64 * 1024).map(lambda n: b"\xff" * n),
+        st.integers(min_value=0, max_value=64 * 1024).flatmap(
+            lambda n: st.randoms(use_true_random=False).map(lambda rng: rng.randbytes(n))
+        ),
+    ),
+    initial=_INITIALS,
+)
+def test_sum_matches_rfc1071_word_loop(data, initial):
+    """The one-integer fold equals the word loop on every input: odd
+    and even lengths up to 64 KiB, all-zero and all-0xFF buffers, and
+    chained ``initial`` values."""
+    assert ones_complement_sum(data, initial) == _rfc1071_sum(data, initial)
+    assert internet_checksum(data, initial) == (~_rfc1071_sum(data, initial)) & 0xFFFF
+
+
+@pytest.mark.parametrize("initial", [0, 1, 0xFFFF])
+@pytest.mark.parametrize("length", [0, 1, 2, 3, 64 * 1024 - 1, 64 * 1024])
+@pytest.mark.parametrize("fill", [b"\x00", b"\xff"])
+def test_sum_matches_rfc1071_at_the_edges(fill, length, initial):
+    data = fill * length
+    assert ones_complement_sum(data, initial) == _rfc1071_sum(data, initial)
