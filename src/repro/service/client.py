@@ -12,25 +12,28 @@ styles (the DarwinApi socket-API idiom):
 * :meth:`subscribe` — install a standing stream-event subscription and
   iterate delivered events from a local queue.
 
-A dedicated reader thread owns the inbound half of the socket: it
-routes responses to their waiting callers by request id and fans
-subscription events into per-subscription queues, so calls and event
-delivery never block each other.  The daemon sends a run of one
-subscription's events as one frame; the reader splits it back into
-one :class:`Frame` per event, so an :class:`EventStream` yields the
-same per-event frames whatever the wire batching.
+A thread that waits for a response or an event reads the socket
+itself unless another thread is reading, and routes every frame it
+completes — responses by request id, events to their subscription's
+stream; otherwise it sleeps until the reading thread has routed
+something.  So a call on a connection without subscriptions never
+leaves its own thread.  Events arrive unasked, so the first
+subscription starts one drainer thread that reads until
+:meth:`ScapClient.close`.  The daemon sends a run of one subscription's
+events as one frame; routing splits it back into one :class:`Frame`
+per event, whatever the wire batching.
 """
 
 from __future__ import annotations
 
-import queue
+import select
 import socket as socket_module
 import threading
 import time
 import uuid
 from collections import deque
 from dataclasses import dataclass
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..observability.spans import (
     KIND_CLIENT,
@@ -85,22 +88,15 @@ class EventStream:
     def __init__(self, client: "ScapClient", subscription_id: int):
         self.client = client
         self.subscription_id = subscription_id
-        #: The events of one wire frame per item; None once the
-        #: connection is gone.
-        self._queue: "queue.Queue[Optional[List[Frame]]]" = queue.Queue()
+        #: Routed events not yet returned, filled under the client's lock.
         self._held: "deque[Frame]" = deque()
 
     def next_event(self, timeout: Optional[float] = 5.0) -> Optional[Frame]:
         """The next delivered event frame (None on timeout/close)."""
-        if not self._held:
-            try:
-                frames = self._queue.get(timeout=timeout)
-            except queue.Empty:
-                return None
-            if frames is None:
-                return None
-            self._held.extend(frames)
-        return self._held.popleft()
+        client = self.client
+        client._wait(lambda: self._held, timeout)
+        with client._lock:
+            return self._held.popleft() if self._held else None
 
     def events(self, timeout: Optional[float] = 5.0) -> Iterator[Frame]:
         """Iterate events until a timeout or the connection closes."""
@@ -145,11 +141,21 @@ class ScapClient:
         self.retry_idempotent = retry_idempotent
         self.retry_backoff = retry_backoff
         self._lock = threading.Lock()
+        #: Notified whenever the reading thread has routed what it read.
+        self._routed = threading.Condition(self._lock)
         self._write_lock = threading.Lock()
         self._next_request_id = 1
-        #: Waiting callers by request id, with the command they sent.
-        self._pending: Dict[int, Tuple["queue.Queue[Frame]", str]] = {}
+        #: Waiting callers by request id: the command they sent and,
+        #: once routed, its response.
+        self._pending: Dict[int, Tuple[str, Optional[Frame]]] = {}
         self._streams: Dict[int, EventStream] = {}
+        #: Whether some thread is reading the socket; only it feeds
+        #: ``_frames`` and polls ``_poll``.
+        self._reading = False
+        self._frames = FrameReader()
+        self._poll = select.poll()
+        self._poll.register(sock, select.POLLIN)
+        self._drainer: Optional[threading.Thread] = None
         #: Unsolicited MSG_ERROR frames (request_id 0), newest last.
         self.unsolicited_errors: List[Frame] = []
         self._closed = False
@@ -166,10 +172,6 @@ class ScapClient:
             self.tracer = SpanRecorder(
                 observability.trace, clock=time.monotonic, prefix=prefix
             )
-        self._reader = threading.Thread(
-            target=self._read_loop, name="scap-client-read", daemon=True
-        )
-        self._reader.start()
         self.hello = self.call(
             "hello", token=token, name=name, protocol_minor=PROTOCOL_MINOR
         ).header
@@ -178,68 +180,96 @@ class ScapClient:
     # ------------------------------------------------------------------
     # Inbound routing
     # ------------------------------------------------------------------
-    def _read_loop(self) -> None:
-        reader = FrameReader()
+    def _wait(self, ready: Callable[[], Any], timeout: Optional[float]) -> None:
+        """Block until ``ready()`` holds, ``timeout`` passes or the connection
+        closes, reading and routing inbound frames meanwhile; while another
+        thread reads, sleep on ``_routed`` until it has routed what it read."""
+        deadline = None if timeout is None else time.monotonic() + timeout
+        while True:
+            with self._lock:
+                while True:
+                    remaining = None if deadline is None else deadline - time.monotonic()
+                    if ready() or self._closed or (remaining is not None and remaining <= 0):
+                        return
+                    if not self._reading:
+                        break
+                    self._routed.wait(remaining)
+                self._reading = True
+            frames: Optional[List[Frame]] = []
+            try:
+                frames = self._receive(remaining)
+            finally:
+                self._route(frames)
+
+    def _route(self, frames: Optional[List[Frame]]) -> None:
+        """Give up the reading role and file what it read: responses to
+        their callers, events to their streams (None: connection gone)."""
+        with self._lock:
+            self._reading = False
+            if frames is None:
+                self._closed = True
+            for frame in frames or ():
+                request = self._pending.get(frame.request_id)
+                if frame.msg_type == MSG_EVENT:
+                    stream = self._streams.get(frame.header.get("sub"))
+                    if stream is not None:
+                        stream._held.extend(split_events(frame))
+                elif frame.request_id == 0 and frame.msg_type == MSG_ERROR:
+                    self.unsolicited_errors.append(frame)
+                elif request is not None:
+                    self._pending[frame.request_id] = (request[0], frame)
+                    if request[0] == "subscribe" and frame.msg_type == MSG_RESPONSE:
+                        # Registered before the next frame is read; the drainer
+                        # reads the events behind it even when nobody waits.
+                        subscription_id = frame.header["subscription_id"]
+                        self._streams[subscription_id] = EventStream(self, subscription_id)
+                        if self._drainer is None:
+                            self._drainer = threading.Thread(
+                                target=self._drain, name="scap-client-drain", daemon=True
+                            )
+                            self._drainer.start()
+            self._routed.notify_all()
+
+    def _receive(self, timeout: Optional[float]) -> Optional[List[Frame]]:
+        """The frames one ``recv`` completes: empty if nothing arrived
+        within ``timeout``, None once the connection is gone."""
         try:
-            while True:
-                data = self.sock.recv(65536)
-                if not data:
-                    break
-                for item in reader.feed(data):
-                    if isinstance(item, Frame):
-                        self._route(item)
-                    # Rejections of server frames are ignored: the
-                    # daemon never sends malformed frames; garbage here
-                    # means the transport is gone.
+            if not self._poll.poll(None if timeout is None else timeout * 1000):
+                return []
+            data = self.sock.recv(65536)
         except OSError:
-            pass
-        finally:
-            self._abandon()
+            return None
+        if not data:
+            return None
+        # Rejections of server frames are dropped: the daemon never
+        # sends malformed frames; garbage here means the transport is gone.
+        return [item for item in self._frames.feed(data) if isinstance(item, Frame)]
 
-    def _route(self, frame: Frame) -> None:
-        if frame.msg_type == MSG_EVENT:
-            with self._lock:
-                stream = self._streams.get(frame.header.get("sub"))
-            if stream is not None:
-                stream._queue.put(split_events(frame))
-            return
-        if frame.request_id == 0 and frame.msg_type == MSG_ERROR:
-            with self._lock:
-                self.unsolicited_errors.append(frame)
-            return
-        with self._lock:
-            pending = self._pending.get(frame.request_id)
-            if pending is None:
-                return
-            waiter, command = pending
-            if command == "subscribe" and frame.msg_type == MSG_RESPONSE:
-                # Registered before the next frame is read: the events
-                # right behind the response already have their stream.
-                subscription_id = frame.header["subscription_id"]
-                self._streams[subscription_id] = EventStream(self, subscription_id)
-        waiter.put(frame)
-
-    def _abandon(self) -> None:
-        """Connection died: wake every waiter and event iterator."""
-        with self._lock:
-            self._closed = True
-            streams = list(self._streams.values())
-            self._streams.clear()
-        for stream in streams:
-            stream._queue.put(None)
+    def _drain(self) -> None:
+        """Read events nobody is waiting for, until the connection closes."""
+        self._wait(lambda: False, None)
 
     # ------------------------------------------------------------------
     # Outbound calls
     # ------------------------------------------------------------------
-    def _allocate_request(self, command: str) -> Tuple[int, "queue.Queue[Frame]"]:
+    def _allocate_request(self, command: str) -> int:
         with self._lock:
             if self._closed:
                 raise ConnectionError("client is closed")
             request_id = self._next_request_id
             self._next_request_id += 1
-            waiter: "queue.Queue[Frame]" = queue.Queue()
-            self._pending[request_id] = (waiter, command)
-            return request_id, waiter
+            self._pending[request_id] = (command, None)
+            return request_id
+
+    def _response(self, request_id: int, timeout: float) -> Optional[Frame]:
+        """Wait for one request's response (None on timeout); a
+        connection that closes first raises ConnectionError."""
+        self._wait(lambda: self._pending[request_id][1] is not None, timeout)
+        with self._lock:
+            frame = self._pending[request_id][1]
+            if frame is None and self._closed:
+                raise ConnectionError("client is closed")
+            return frame
 
     def _release_request(self, request_id: int) -> None:
         with self._lock:
@@ -280,18 +310,19 @@ class ScapClient:
         timeout: Optional[float] = None,
     ) -> CallResult:
         """One request/response exchange without retry logic."""
-        request_id, waiter = self._allocate_request(command)
+        request_id = self._allocate_request(command)
         span = self._start_call_span(command)
         status = "ok"
         try:
             self._send_request(request_id, command, header or {}, payload, span)
-            try:
-                frame = waiter.get(timeout=self.timeout if timeout is None else timeout)
-            except queue.Empty:
+            frame = self._response(
+                request_id, self.timeout if timeout is None else timeout
+            )
+            if frame is None:
                 status = "timeout"
                 raise CallTimeout(
                     f"no response to {command!r} (request {request_id})"
-                ) from None
+                )
             if frame.msg_type == MSG_ERROR:
                 status = str(frame.header.get("code", "internal"))
                 raise RemoteCallError(
@@ -336,24 +367,24 @@ class ScapClient:
         failed call raises after the whole batch was sent, so earlier
         results are not lost to a later error.
         """
-        issued: List[Tuple[int, "queue.Queue[Frame]", str, Optional[Span]]] = []
+        issued: List[Tuple[int, str, Optional[Span]]] = []
         for command, header, payload in calls:
-            request_id, waiter = self._allocate_request(command)
+            request_id = self._allocate_request(command)
             span = self._start_call_span(command)
             self._send_request(request_id, command, header, payload, span)
-            issued.append((request_id, waiter, command, span))
+            issued.append((request_id, command, span))
         results: List[CallResult] = []
         failure: Optional[Exception] = None
-        for request_id, waiter, command, span in issued:
+        for request_id, command, span in issued:
             status = "ok"
             try:
-                frame = waiter.get(timeout=self.timeout)
-            except queue.Empty:
-                status = "timeout"
-                failure = failure or CallTimeout(
-                    f"no response to {command!r} (request {request_id})"
-                )
-                continue
+                frame = self._response(request_id, self.timeout)
+                if frame is None:
+                    status = "timeout"
+                    failure = failure or CallTimeout(
+                        f"no response to {command!r} (request {request_id})"
+                    )
+                    continue
             finally:
                 self._release_request(request_id)
                 if span is not None and status != "ok":
@@ -454,8 +485,9 @@ class ScapClient:
     ) -> EventStream:
         """Install a stream-event subscription; returns its event queue.
 
-        The reader thread registers the stream as it routes the
-        response, so no event the daemon sends after it is lost.
+        Whichever thread routes the response registers the stream
+        before it reads the next frame, so no event the daemon sends
+        after it is lost.
         """
         subscription_id = self.call(
             "subscribe",
@@ -463,11 +495,7 @@ class ScapClient:
             filter=flow_filter,
         ).header["subscription_id"]
         with self._lock:
-            stream = self._streams.get(subscription_id)
-        if stream is None:  # the connection closed behind the response
-            stream = EventStream(self, subscription_id)
-            stream._queue.put(None)
-        return stream
+            return self._streams[subscription_id]
 
     def unsubscribe(self, subscription_id: int) -> None:
         """Tear down a subscription on both sides."""
@@ -544,11 +572,10 @@ class ScapClient:
         return self.call("shutdown").header
 
     def close(self) -> None:
-        """Close the connection (the reader thread exits on EOF)."""
+        """Close the connection and wake every thread waiting on it."""
         with self._lock:
-            if self._closed:
-                return
             self._closed = True
+            self._routed.notify_all()
         try:
             self.sock.shutdown(socket_module.SHUT_RDWR)
         except OSError:
@@ -557,7 +584,8 @@ class ScapClient:
             self.sock.close()
         except OSError:
             pass
-        self._reader.join(timeout=2.0)
+        if self._drainer is not None:
+            self._drainer.join(timeout=2.0)
 
     def __enter__(self) -> "ScapClient":
         return self
