@@ -29,10 +29,11 @@ _stream_ids = itertools.count()
 class StreamStats:
     """Per-stream counters (all/captured/dropped/discarded, timestamps).
 
-    ``bytes``/``pkts`` count everything that belonged to the stream on
-    the wire (including packets never brought to memory — when the NIC
-    dropped them via FDIR these are *estimated* from FIN/RST sequence
-    numbers, see §5.5).  ``captured`` is what reached stream memory,
+    ``bytes`` counts every byte that belonged to the stream on the
+    wire; when the NIC dropped packets via FDIR, FIN/RST sequence
+    numbers recover them (§5.5).  ``pkts`` counts only the packets
+    that reached the host: a dropped packet's count cannot be recovered
+    that way.  ``captured`` is what reached stream memory,
     ``discarded`` what the cutoff intentionally skipped, ``dropped``
     what was lost to overload.
     """

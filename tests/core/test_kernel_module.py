@@ -266,7 +266,7 @@ class TestCutoffAndFdir:
             e.stream for e in h.by_type(EventType.STREAM_TERMINATED)
             if e.stream.direction == 1
         )
-        assert stream.stats.bytes >= payload_len
+        assert stream.stats.bytes == payload_len
 
     def test_filter_timeout_reinstall_doubles(self):
         h = Harness(use_fdir=True, fdir_initial_timeout=0.001)
