@@ -526,11 +526,11 @@ class ScapClient:
         result = self.call("bulk_query", queries=list(specs))
         out: List[List[Dict[str, Any]]] = []
         offset = 0
+        payload = memoryview(result.payload)
         for entry in result.header["results"]:
             size = sum(stream["len"] for stream in entry["streams"])
-            chunk = result.payload[offset:offset + size]
+            out.append(_split_streams(entry["streams"], payload[offset:offset + size]))
             offset += size
-            out.append(_split_streams(entry["streams"], chunk))
         return out
 
     def stats(self) -> Dict[str, Any]:
@@ -595,15 +595,15 @@ class ScapClient:
 
 
 def _split_streams(
-    streams: List[Dict[str, Any]], payload: bytes
+    streams: List[Dict[str, Any]], payload: bytes | memoryview
 ) -> List[Dict[str, Any]]:
-    """Attach each stream's slice of the concatenated payload."""
+    """Attach each stream's slice of the concatenated payload, as bytes."""
     out: List[Dict[str, Any]] = []
     offset = 0
     for meta in streams:
         size = int(meta["len"])
         entry = dict(meta)
-        entry["data"] = payload[offset:offset + size]
+        entry["data"] = bytes(payload[offset:offset + size])
         offset += size
         out.append(entry)
     return out

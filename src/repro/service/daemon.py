@@ -75,6 +75,7 @@ from .protocol import (
     REJECT_CATEGORIES,
     Frame,
     FrameRejection,
+    Payload,
     ProtocolError,
     ServiceError,
     encode_frame,
@@ -780,7 +781,7 @@ class ScapDaemon:
         return None
 
     def _finish(
-        self, request: _Request, status: str, header: Any, payload: bytes = b""
+        self, request: _Request, status: str, header: Any, payload: Payload = b""
     ) -> None:
         """Write the response (``header`` is the error message when
         ``status`` is not ok) and close the request's spans."""
@@ -802,14 +803,14 @@ class ScapDaemon:
                 self._m_command_seconds.labels(label).observe(record.duration)
 
     def _resume(
-        self, request: _Request, status: str, header: Any, payload: bytes = b""
+        self, request: _Request, status: str, header: Any, payload: Payload = b""
     ) -> None:
         """Answer a deferred request and take up its session's backlog."""
         self._finish(request, status, header, payload)
         request.session.inflight = None
         self._serve(request.session)
 
-    def _on_done(self, token, status: str, header: Any, payload: bytes, stats) -> None:
+    def _on_done(self, token, status: str, header: Any, payload: Payload, stats) -> None:
         """The owner finished ``token``'s command: answer it."""
         self._store_stats = stats
         if isinstance(token, _Reload):

@@ -232,22 +232,25 @@ class CaptureOwner:
     # -- store -----------------------------------------------------------
     def query(
         self, parent: Optional[Span], specs: List[Dict[str, Any]], bulk: bool
-    ) -> Tuple[Dict[str, Any], bytes]:
-        """Answer one ``query`` (``bulk`` False) or ``bulk_query``."""
+    ) -> Tuple[Dict[str, Any], List[bytes]]:
+        """Answer one ``query`` (``bulk`` False) or ``bulk_query``.
+
+        The payload is the streams' data in header order, for one join.
+        """
         self.store.flush()  # make everything recorded so far queryable
         results = []
-        chunks = []
+        chunks: List[bytes] = []
         for spec in specs:
             header, payload = self._one_query(spec, parent)
             results.append(header)
-            chunks.append(payload)
+            chunks.extend(payload)
         if bulk:
-            return ({"results": results}, b"".join(chunks))
-        return (results[0], chunks[0])
+            return ({"results": results}, chunks)
+        return (results[0], chunks)
 
     def _one_query(
         self, spec: Dict[str, Any], parent: Optional[Span]
-    ) -> Tuple[Dict[str, Any], bytes]:
+    ) -> Tuple[Dict[str, Any], List[bytes]]:
         query_span = self._child_span(parent, "store:query", KIND_STORE)
         try:
             flow = spec.get("flow")
@@ -274,10 +277,7 @@ class CaptureOwner:
                 chunks.append(stream.data)
             if query_span is not None:
                 query_span.annotate(streams=len(streams), bytes=result.total_bytes)
-            return (
-                {"streams": streams, "total_bytes": result.total_bytes},
-                b"".join(chunks),
-            )
+            return ({"streams": streams, "total_bytes": result.total_bytes}, chunks)
         finally:
             if query_span is not None:
                 query_span.end()

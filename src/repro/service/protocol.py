@@ -88,6 +88,9 @@ PROTOCOL_MINOR = 2
 #: (and skipped) without ever buffering the oversized body.
 MAX_FRAME_BYTES = 16 << 20
 
+#: A frame payload: its bytes, or the buffers it is the concatenation of.
+Payload = Union[bytes, List[bytes]]
+
 # Message types.
 MSG_REQUEST = 1
 MSG_RESPONSE = 2
@@ -231,27 +234,35 @@ def encode_frame(
     msg_type: int,
     request_id: int,
     header: Optional[Dict[str, object]] = None,
-    payload: bytes = b"",
+    payload: Payload = b"",
     version: int = PROTOCOL_VERSION,
 ) -> bytes:
-    """Serialize one frame to wire bytes (length prefix included)."""
+    """Serialize one frame to wire bytes (length prefix included).
+
+    ``payload`` is the payload's bytes, or a list of buffers it is the
+    concatenation of; either way the frame is joined once.
+    """
     if msg_type not in MSG_NAMES:
         raise ValueError(f"unknown msg_type {msg_type!r}")
+    parts = isinstance(payload, list)
     header_bytes = _encode_header(header or {}).encode("utf-8")
-    body_len = _FIXED.size + len(header_bytes) + len(payload)
+    body_len = _FIXED.size + len(header_bytes) + (
+        sum(map(len, payload)) if parts else len(payload)
+    )
     if body_len > MAX_FRAME_BYTES:
         raise FrameTooLarge(
             f"frame of {body_len} bytes exceeds MAX_FRAME_BYTES={MAX_FRAME_BYTES}"
         )
-    return b"".join(
-        (
-            _LENGTH.pack(body_len),
-            _FIXED.pack(version & 0xFF, msg_type, request_id & 0xFFFFFFFF,
-                        len(header_bytes)),
-            header_bytes,
-            payload,
-        )
-    )
+    frame = [
+        _LENGTH.pack(body_len),
+        _FIXED.pack(version & 0xFF, msg_type, request_id & 0xFFFFFFFF, len(header_bytes)),
+        header_bytes,
+    ]
+    if parts:
+        frame += payload
+    else:
+        frame.append(payload)
+    return b"".join(frame)
 
 
 def encode_events(subscription_id: int, first_seq: int, events: List[tuple]) -> bytes:

@@ -50,8 +50,8 @@ class StoreIndex:
     (`` # scapcheck: single-owner `` applies to callers); supports
     add/remove of whole segments (sealing, retention) and in-place
     replacement after compaction rewrites.  Those are the only ways
-    records enter or leave the index, so they keep the record and
-    payload totals as running sums: reading them costs O(1).
+    records enter or leave the index, so they keep the record, payload
+    and disk totals as running sums: reading them costs O(1).
     """
 
     def __init__(self):
@@ -59,6 +59,7 @@ class StoreIndex:
         self._by_tuple: Dict[Tuple[int, int, int, int, int], List[RecordMeta]] = {}
         self._record_count = 0
         self._payload_bytes = 0
+        self._disk_bytes = 0
 
     # ------------------------------------------------------------------
     @property
@@ -74,14 +75,14 @@ class StoreIndex:
     @property
     def disk_bytes(self) -> int:
         """Total on-disk bytes of all indexed segment files."""
-        return sum(segment.info.disk_bytes for segment in self.segments.values())
+        return self._disk_bytes
 
     # ------------------------------------------------------------------
     def scan_directory(self, directory: str) -> List[SegmentMeta]:
         """(Re)build the index from every segment file in ``directory``."""
         self.segments.clear()
         self._by_tuple.clear()
-        self._record_count = self._payload_bytes = 0
+        self._record_count = self._payload_bytes = self._disk_bytes = 0
         added = []
         for name in sorted(os.listdir(directory)):
             if not (name.startswith("seg-") and name.endswith(".scap")):
@@ -107,6 +108,7 @@ class StoreIndex:
             self._by_tuple.setdefault(self._key(meta.client_tuple), []).append(meta)
         self._record_count += len(segment.records)
         self._payload_bytes += segment.payload_bytes
+        self._disk_bytes += segment.info.disk_bytes
         return segment
 
     def remove_segment(self, path: str) -> Optional[SegmentMeta]:
@@ -116,6 +118,7 @@ class StoreIndex:
             return None
         self._record_count -= len(segment.records)
         self._payload_bytes -= segment.payload_bytes
+        self._disk_bytes -= segment.info.disk_bytes
         for key in {self._key(meta.client_tuple) for meta in segment.records}:
             bucket = [meta for meta in self._by_tuple[key] if meta.segment is not segment]
             if bucket:

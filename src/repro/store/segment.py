@@ -45,7 +45,7 @@ __all__ = [
     "SegmentWriter",
     "read_segment",
     "scan_records",
-    "read_frames",
+    "read_payloads",
 ]
 
 SEGMENT_MAGIC = b"SCAPSEG\x01"
@@ -106,8 +106,8 @@ class StreamRecord:
         )
 
     @classmethod
-    def decode(cls, body: bytes) -> "StreamRecord":
-        """Parse a frame body back into a record."""
+    def decode(cls, body: bytes | memoryview) -> "StreamRecord":
+        """Parse a frame body back into a record (its payload copied out)."""
         (
             src_ip,
             src_port,
@@ -124,7 +124,7 @@ class StreamRecord:
             direction=direction,
             stream_offset=stream_offset,
             timestamp=timestamp,
-            data=body[_BODY.size :],
+            data=bytes(body[_BODY.size :]),
             priority=priority,
         )
 
@@ -305,12 +305,12 @@ def scan_records(path: str) -> Iterator[Tuple[int, StreamRecord]]:
         yield meta.file_offset, record
 
 
-def _read_header(handle: BinaryIO, path: str) -> Optional[int]:
+def _read_header(fd: int, path: str) -> Optional[int]:
     """The core id from the segment header; None if the header is torn.
 
     Raises ``ValueError`` for a file that is not a segment at all.
     """
-    header = handle.read(_HEADER.size)
+    header = os.pread(fd, _HEADER.size, 0)
     if len(header) < _HEADER.size:
         return None
     magic, core, _reserved = _HEADER.unpack(header)
@@ -320,41 +320,46 @@ def _read_header(handle: BinaryIO, path: str) -> Optional[int]:
 
 
 def _read_frame(
-    handle: BinaryIO, position: int, size: int
-) -> Optional[Tuple[StreamRecord, int]]:
-    """The record framed at ``position`` and its frame length, or None.
+    fd: int, position: int, size: int, length: int = 0
+) -> Optional[Tuple[memoryview, int]]:
+    """The checked body framed at ``position`` and the frame length, or None.
 
-    None means there is no intact record there: the frame header or the
-    body runs past the end of the ``size``-byte file (truncation), the
-    length field is the footer sentinel, or the body fails its CRC
-    (corruption).  Every reader of segment files parses frames here, so
-    no body is decompressed or decoded without its CRC having been
-    checked on that read.
+    ``length`` is the payload length the caller expects there, so one
+    ``pread`` of the uncompressed frame size covers the frame (a
+    compressed body is only ever kept when it is shorter); a longer
+    frame is read again at its own length.  None means there is no
+    intact record there: the frame header or the body runs past the end
+    of the ``size``-byte file (truncation), the length field is the
+    footer sentinel, or the body fails its CRC (corruption).  Every
+    reader of segment files parses frames here, so no body is
+    decompressed or decoded without its CRC having been checked on that
+    read.  The body is a view of the read (or of its inflated copy).
     """
-    handle.seek(position)
-    frame_header = handle.read(_FRAME.size)
-    if len(frame_header) < _FRAME.size:
+    frame = os.pread(fd, _FRAME.size + _BODY.size + length, position)
+    if len(frame) < _FRAME.size:
         return None
-    body_len, crc, flags = _FRAME.unpack(frame_header)
-    if body_len == _FOOTER_SENTINEL or position + _FRAME.size + body_len > size:
+    body_len, crc, flags = _FRAME.unpack_from(frame)
+    end = _FRAME.size + body_len
+    if body_len == _FOOTER_SENTINEL or position + end > size:
         return None
-    body = handle.read(body_len)
-    if len(body) < body_len or zlib.crc32(body) != crc:
+    if end > len(frame):
+        frame = os.pread(fd, end, position)
+        if len(frame) < end:
+            return None
+    body = memoryview(frame)[_FRAME.size : end]
+    if zlib.crc32(body) != crc:
         return None
     if flags & _FLAG_ZLIB:
-        body = zlib.decompress(body)
-    return StreamRecord.decode(body), _FRAME.size + body_len
+        body = memoryview(zlib.decompress(body))
+    return body, end
 
 
-def _read_footer(
-    handle: BinaryIO, position: int
-) -> Optional[Tuple[int, float, float, int]]:
+def _read_footer(fd: int, position: int) -> Optional[Tuple[int, float, float, int]]:
     """The intact footer at ``position``, or None.
 
     Returned as ``(record_count, first_ts, last_ts, payload_bytes)``.
     """
-    handle.seek(position)
-    footer = handle.read(_FOOTER_SIZE)
+    footer = os.pread(fd, _FOOTER_SIZE, position)
     if len(footer) < _FOOTER_SIZE or not footer.endswith(FOOTER_MAGIC):
         return None
     fbody = footer[_FOOTER_HEAD.size : -len(FOOTER_MAGIC)]
@@ -367,19 +372,21 @@ def _scan(path: str) -> Tuple[List[StreamRecord], SegmentInfo]:
     """Scan one segment; return its records and a SegmentInfo."""
     info = SegmentInfo(path=path)
     records: List[StreamRecord] = []
-    with open(path, "rb") as handle:
-        size = os.fstat(handle.fileno()).st_size
-        core = _read_header(handle, path)
+    with open(path, "rb", buffering=0) as handle:
+        fd = handle.fileno()
+        size = os.fstat(fd).st_size
+        core = _read_header(fd, path)
         if core is None:
             info.torn_bytes = size
             return records, info
         info.core = core
         position = _HEADER.size
         while True:
-            frame = _read_frame(handle, position, size)
+            frame = _read_frame(fd, position, size)
             if frame is None:
                 break
-            record, frame_bytes = frame
+            body, frame_bytes = frame
+            record = StreamRecord.decode(body)
             records.append(record)
             info.records.append(RecordMeta.of(record, position))
             info.payload_bytes += len(record.data)
@@ -388,7 +395,7 @@ def _scan(path: str) -> Tuple[List[StreamRecord], SegmentInfo]:
             info.last_ts = max(info.last_ts, record.timestamp)
             info.record_count += 1
             position += frame_bytes
-        footer = _read_footer(handle, position)
+        footer = _read_footer(fd, position)
         if footer is not None and footer[0] == info.record_count:
             # A footer whose count disagrees with the frames before it
             # is not trusted: the segment counts as torn.
@@ -400,27 +407,33 @@ def _scan(path: str) -> Tuple[List[StreamRecord], SegmentInfo]:
     return records, info
 
 
-def read_frames(path: str, offsets: Iterable[int]) -> List[StreamRecord]:
-    """Read the records framed at ``offsets`` (ascending) and nothing else.
+def read_payloads(
+    path: str, entries: Iterable[RecordMeta]
+) -> List[Tuple[tuple, memoryview]]:
+    """Read the frames the index ``entries`` name (ascending) and nothing else.
 
-    One open, the header magic checked, one seek per offset; every frame
-    passes the checks a scan applies (length inside the file, not the
-    footer, CRC) before it is decoded.  Like a scan, the read stops at
-    the first frame that fails them, so the result is the intact prefix
-    of what was asked for.  Every offset of a segment, in order, is a
-    sequential read of it.
+    One open, the header magic checked, one ``pread`` per entry sized
+    from its payload length; every frame passes the checks a scan
+    applies (:func:`_read_frame`: length inside the file, not the
+    footer, CRC) before it is used.  Like a scan, the read stops at the
+    first frame that fails them, so the result is the intact prefix of
+    what was asked for.  Per frame it returns the body's fixed fields
+    as plain values (five-tuple, direction, timestamp, stream offset,
+    priority) and a view of its payload: no record object, no copy.
     """
-    records: List[StreamRecord] = []
-    with open(path, "rb") as handle:
-        size = os.fstat(handle.fileno()).st_size
-        if _read_header(handle, path) is None:
-            return records
-        for offset in offsets:
-            frame = _read_frame(handle, offset, size)
+    frames: List[Tuple[tuple, memoryview]] = []
+    with open(path, "rb", buffering=0) as handle:
+        fd = handle.fileno()
+        size = os.fstat(fd).st_size
+        if _read_header(fd, path) is None:
+            return frames
+        for meta in entries:
+            frame = _read_frame(fd, meta.file_offset, size, meta.length)
             if frame is None:
                 break
-            records.append(frame[0])
-    return records
+            body = frame[0]
+            frames.append((_BODY.unpack_from(body), body[_BODY.size :]))
+    return frames
 
 
 def read_segment(path: str) -> Tuple[List[StreamRecord], SegmentInfo]:

@@ -130,6 +130,29 @@ def test_encode_rejects_oversized_payload():
         encode_frame(MSG_REQUEST, 1, {}, b"x" * (MAX_FRAME_BYTES + 1))
 
 
+def test_payload_parts_encode_like_their_join():
+    parts = [b"ab", memoryview(b"\x00cde")[1:], b"", bytearray(b"\xff" * 300), b"z"]
+    header = {"command": "query", "streams": [1, 2]}
+    for chosen in (parts, parts[:1], [], [b"only"]):
+        assert encode_frame(MSG_RESPONSE, 7, header, chosen) == encode_frame(
+            MSG_RESPONSE, 7, header, b"".join(chosen)
+        )
+
+
+def test_payload_parts_refused_at_the_limit_on_their_total():
+    # The largest payload a frame with an empty header holds (the
+    # length prefix does not count against the limit).
+    fits = MAX_FRAME_BYTES - len(encode_frame(MSG_RESPONSE, 1, {})) + 4
+    data = memoryview(b"x" * (fits + 1))
+    half = fits // 2
+    assert encode_frame(MSG_RESPONSE, 1, {}, [data[:half], data[half:fits]]) == encode_frame(
+        MSG_RESPONSE, 1, {}, bytes(data[:fits])
+    )
+    for payload in ([data[:half], data[half:]], bytes(data)):
+        with pytest.raises(FrameTooLarge):
+            encode_frame(MSG_RESPONSE, 1, {}, payload)
+
+
 @pytest.mark.parametrize(
     "mutate",
     [

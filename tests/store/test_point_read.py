@@ -23,7 +23,7 @@ from repro.store import (
     scan_records,
 )
 from repro.store import segment as segment_module
-from repro.store.query import _assemble
+from repro.store.query import StreamPayload
 
 from .test_retention import assert_index_coherent
 
@@ -101,6 +101,37 @@ def _old_lookup(index, five_tuple=None, start_ts=None, end_ts=None):
             if end_ts is not None and meta.timestamp > end_ts:
                 continue
             yield segment, meta
+
+
+def _assemble(client_tuple, direction, records):
+    """Offset-sort, dedup overlap, and concatenate one direction's
+    ``StreamRecord``s: the store's assembly as it was before queries
+    read frames as views, kept here so the oracle does not share code
+    with what it checks."""
+    records = sorted(records, key=lambda record: (record.stream_offset, -len(record.data)))
+    parts = []
+    base_offset = records[0].stream_offset
+    next_offset = base_offset
+    gap_bytes = 0
+    for record in records:
+        end = record.stream_offset + len(record.data)
+        if end <= next_offset:
+            continue  # fully duplicated bytes
+        if record.stream_offset > next_offset:
+            gap_bytes += record.stream_offset - next_offset
+            parts.append(record.data)
+        else:
+            parts.append(record.data[next_offset - record.stream_offset :])
+        next_offset = end
+    return StreamPayload(
+        client_tuple=client_tuple,
+        direction=direction,
+        data=b"".join(parts),
+        first_ts=min(record.timestamp for record in records),
+        last_ts=max(record.timestamp for record in records),
+        base_offset=base_offset,
+        gap_bytes=gap_bytes,
+    )
 
 
 def _old_query(index, five_tuple=None, start_ts=None, end_ts=None):
@@ -191,6 +222,39 @@ class TestDifferential:
         reopened = StreamStore(str(tmp_path))
         _assert_point_reads_match(reopened)
         reopened.close(enforce_retention=False)
+
+    @pytest.mark.parametrize("compress", [False, True])
+    @pytest.mark.parametrize("cores", [1, 2])
+    def test_one_workload_recorded_twice(self, tmp_path, cores, compress):
+        """What the daemon's store holds after two submissions of one
+        pcap: every record twice, in two flushes.  A third flush adds a
+        record fully inside an earlier, longer one of its stream."""
+        store = StreamStore(
+            str(tmp_path / "twice"), cores=cores, segment_bytes=1500, compress=compress
+        )
+        records = _workload(seed=10)
+        _fill(store, records)
+        _fill(store, records)
+        longer = max(records, key=lambda record: len(record.data))
+        inner = StreamRecord(
+            five_tuple=longer.five_tuple,
+            direction=longer.direction,
+            stream_offset=longer.stream_offset + 3,
+            timestamp=longer.timestamp + 200.0,
+            data=longer.data[3:-3],
+            priority=longer.priority,
+        )
+        _fill(store, [inner])
+        assert store.index.record_count == 2 * len(records) + 1
+        once = StreamStore(str(tmp_path / "once"), cores=cores, segment_bytes=1500)
+        _fill(once, records)
+        for connection in once.connections():
+            twice = store.query(five_tuple=connection).streams
+            single = once.query(five_tuple=connection).streams
+            assert [stream.data for stream in twice] == [stream.data for stream in single]
+        _assert_point_reads_match(store)
+        once.close(enforce_retention=False)
+        store.close(enforce_retention=False)
 
     def test_after_retention_compacted_one_segment_and_deleted_another(self, tmp_path):
         policy = RetentionPolicy(

@@ -1,5 +1,7 @@
 """Retention: age, per-class quotas, global bytes, tail-first eviction."""
 
+import os
+
 from repro.netstack import FiveTuple, IPProtocol
 from repro.store import ClassQuota, RetentionPolicy, StoreIndex, StreamRecord, StreamStore
 
@@ -23,7 +25,8 @@ def assert_index_coherent(index):
     objects, each under its own connection's key and pointing back at
     the live segment that lists it, one segment's entries in file order
     inside a bucket, and no empty buckets left behind.  The running
-    record and payload totals equal a fresh sum over those records.
+    record and payload totals equal a fresh sum over those records, and
+    the disk total a fresh sum over the segments.
     """
     listed = {
         id(meta): meta for segment in index.segments.values() for meta in segment.records
@@ -32,6 +35,9 @@ def assert_index_coherent(index):
     assert len(mapped) == len(listed)
     assert index.record_count == len(listed)
     assert index.payload_bytes == sum(meta.length for meta in listed.values())
+    assert index.disk_bytes == sum(
+        segment.info.disk_bytes for segment in index.segments.values()
+    )
     assert {id(meta) for meta in mapped} == set(listed)
     for key, bucket in index._by_tuple.items():
         assert bucket, key
@@ -198,10 +204,11 @@ class TestCompaction:
 
 class TestRunningTotals:
     def test_totals_equal_a_recomputed_sum(self, tmp_path):
-        """``record_count`` / ``payload_bytes`` are kept as running sums.
-        ``_store`` re-checks them against a fresh sum after every index
-        mutation: here seals, a ``max_bytes`` eviction that compacts one
-        segment and deletes another, and then a reopen."""
+        """``record_count`` / ``payload_bytes`` / ``disk_bytes`` are kept
+        as running sums.  ``_store`` re-checks them against a fresh sum
+        after every index mutation: here seals, a ``max_bytes`` eviction
+        that compacts one segment and deletes another, and then a
+        reopen.  The disk total is also the size of the files."""
         store = _store(tmp_path, retention=RetentionPolicy(max_bytes=2000))
         for n in range(24):
             store.append(
@@ -213,11 +220,14 @@ class TestRunningTotals:
         assert store.index.record_count == 24
         report = store.enforce_retention()
         assert report.segments_compacted == 1 and report.segments_deleted == 1
-        totals = (store.index.record_count, store.index.payload_bytes)
+        index = store.index
+        totals = (index.record_count, index.payload_bytes, index.disk_bytes)
         assert totals[0] == 24 - report.evicted_records
+        assert totals[2] == sum(os.path.getsize(path) for path in index.segments)
         stats = store.close(enforce_retention=False)
-        assert (stats.record_count, stats.stored_bytes) == totals
+        assert (stats.record_count, stats.stored_bytes, stats.disk_bytes) == totals
         reopened = StreamStore(str(tmp_path))
         assert_index_coherent(reopened.index)
-        assert (reopened.index.record_count, reopened.index.payload_bytes) == totals
+        index = reopened.index
+        assert (index.record_count, index.payload_bytes, index.disk_bytes) == totals
         reopened.close(enforce_retention=False)
