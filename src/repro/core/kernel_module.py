@@ -423,9 +423,10 @@ class ScapKernelModule:
 
         if tcp.syn:
             reassembler = record.reassembler or self._reassembler_for(record)
-            # set_isn (seq_add(seq, 1)), inlined; pinned by test_inlined_model.py.
-            reassembler.expected_seq = (tcp.seq + 1) % SEQ_MOD
-            reassembler.next_offset = 0
+            # set_isn (seq_add(seq, 1), only while nothing was delivered
+            # or buffered), inlined; pinned by test_inlined_model.py.
+            if not reassembler.next_offset and not reassembler._buffered_bytes:
+                reassembler.expected_seq = (tcp.seq + 1) % SEQ_MOD
             if not tcp.ack_flag:
                 pair.syn_seen = True
             elif pair.syn_seen:

@@ -155,9 +155,14 @@ class TCPDirectionReassembler:
 
     # ------------------------------------------------------------------
     def set_isn(self, isn: int) -> None:
-        """Anchor the stream at SYN: first data byte is ``isn + 1``."""
-        self.expected_seq = seq_add(isn, 1)
-        self.next_offset = 0
+        """Anchor the stream at SYN: first data byte is ``isn + 1``.
+
+        Only while the direction has delivered nothing and buffers
+        nothing: a SYN duplicated or reordered behind data must not
+        move a stream that bytes were already placed in.
+        """
+        if not self.next_offset and not self._buffered_bytes:
+            self.expected_seq = seq_add(isn, 1)
 
     @property
     def anchored(self) -> bool:

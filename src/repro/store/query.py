@@ -17,7 +17,7 @@ from typing import Dict, Iterator, List, Optional, Tuple
 
 from ..netstack.flows import FiveTuple
 from .index import StoreIndex
-from .segment import RecordMeta, read_payloads
+from .segment import read_payloads
 
 __all__ = ["StreamPayload", "QueryResult", "run_query"]
 
@@ -80,19 +80,16 @@ def run_query(
 ) -> QueryResult:
     """Select, load, and reassemble matching streams from the store.
 
-    Only the matching frames are read: each segment that contributed a
-    match is opened once and read at the matches' file offsets, which
-    the index yields in ascending order — so the cost is the matching
-    records and their bytes, and a query that matches everything reads
-    each segment front to back.  Frames are then grouped by connection
-    and direction, offset-sorted, and overlap-trimmed.
+    Only the matching frames are read: each segment group the index
+    returns is opened once and read at its entries' file offsets, which
+    come in ascending order — so the cost is the matching records and
+    their bytes, and a query that matches everything reads each segment
+    front to back.  Frames are then grouped by connection and
+    direction, offset-sorted, and overlap-trimmed.
     """
-    wanted: Dict[str, List[RecordMeta]] = {}
-    for segment, meta in index.lookup(five_tuple, start_ts, end_ts):
-        wanted.setdefault(segment.path, []).append(meta)
     groups: Dict[Tuple[int, int, int, int, int, int], List[Tuple[tuple, memoryview]]] = {}
-    for path, entries in wanted.items():
-        for frame in read_payloads(path, entries):
+    for segment, entries in index.lookup(five_tuple, start_ts, end_ts):
+        for frame in read_payloads(segment.info.path, entries):
             src_ip, src_port, dst_ip, dst_port, protocol, direction, _, _, _ = frame[0]
             if (src_ip, src_port) <= (dst_ip, dst_port):
                 key = (src_ip, src_port, dst_ip, dst_port, protocol, direction)
@@ -100,7 +97,8 @@ def run_query(
                 key = (dst_ip, dst_port, src_ip, src_port, protocol, direction)
             groups.setdefault(key, []).append(frame)
     streams = [_assemble(frames) for frames in groups.values()]
-    streams.sort(key=lambda stream: (stream.first_ts, stream.client_tuple, stream.direction))
+    if len(streams) > 1:
+        streams.sort(key=lambda stream: (stream.first_ts, stream.client_tuple, stream.direction))
     return QueryResult(streams=streams)
 
 
@@ -108,16 +106,19 @@ def _assemble(frames: List[Tuple[tuple, memoryview]]) -> StreamPayload:
     """Offset-sort, dedup overlap, and join one direction's payload views.
 
     ``frames`` are :func:`~repro.store.segment.read_payloads` items of
-    one connection direction in read order (sorted here, in place); the
-    first names the stream.  A frame's fields are ``(src_ip, src_port,
-    dst_ip, dst_port, protocol, direction, timestamp, stream_offset,
-    priority)``.
+    one connection direction in read order (sorted here, in place, when
+    there is more than one); the first names the stream.  A frame's
+    fields are ``(src_ip, src_port, dst_ip, dst_port, protocol,
+    direction, timestamp, stream_offset, priority)``.
     """
-    src_ip, src_port, dst_ip, dst_port, protocol, direction, _, _, _ = frames[0][0]
+    fields, payload = frames[0]
+    src_ip, src_port, dst_ip, dst_port, protocol, direction, timestamp, offset, _ = fields
     if direction:
         client_tuple = FiveTuple(dst_ip, dst_port, src_ip, src_port, protocol)
     else:
         client_tuple = FiveTuple(src_ip, src_port, dst_ip, dst_port, protocol)
+    if len(frames) == 1:
+        return StreamPayload(client_tuple, direction, bytes(payload), timestamp, timestamp, offset)
     frames.sort(key=lambda frame: (frame[0][7], -len(frame[1])))
     stamps = [fields[6] for fields, _ in frames]
     parts: List[memoryview] = []

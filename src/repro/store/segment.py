@@ -60,6 +60,7 @@ _FOOTER_SIZE = _FOOTER_HEAD.size + _FOOTER_BODY.size + len(FOOTER_MAGIC)
 _FOOTER_SENTINEL = 0xFFFFFFFF
 _FLAG_ZLIB = 0x01
 _MAX_BODY = (1 << 31) - 1
+_O_READ = os.O_RDONLY | os.O_CLOEXEC
 
 
 @dataclass
@@ -412,18 +413,20 @@ def read_payloads(
 ) -> List[Tuple[tuple, memoryview]]:
     """Read the frames the index ``entries`` name (ascending) and nothing else.
 
-    One open, the header magic checked, one ``pread`` per entry sized
-    from its payload length; every frame passes the checks a scan
-    applies (:func:`_read_frame`: length inside the file, not the
-    footer, CRC) before it is used.  Like a scan, the read stops at the
-    first frame that fails them, so the result is the intact prefix of
-    what was asked for.  Per frame it returns the body's fixed fields
-    as plain values (five-tuple, direction, timestamp, stream offset,
-    priority) and a view of its payload: no record object, no copy.
+    One bare ``os.open`` (no file object) closed before returning, the
+    header magic checked, the file size taken by ``fstat``, one
+    ``pread`` per entry sized from its payload length; every frame
+    passes the checks a scan applies (:func:`_read_frame`: length
+    inside the file, not the footer, CRC) before it is used.  Like a
+    scan, the read stops at the first frame that fails them, so the
+    result is the intact prefix of what was asked for.  Per frame it
+    returns the body's fixed fields as plain values (five-tuple,
+    direction, timestamp, stream offset, priority) and a view of its
+    payload: no record object, no copy.
     """
     frames: List[Tuple[tuple, memoryview]] = []
-    with open(path, "rb", buffering=0) as handle:
-        fd = handle.fileno()
+    fd = os.open(path, _O_READ)
+    try:
         size = os.fstat(fd).st_size
         if _read_header(fd, path) is None:
             return frames
@@ -433,6 +436,8 @@ def read_payloads(
                 break
             body = frame[0]
             frames.append((_BODY.unpack_from(body), body[_BODY.size :]))
+    finally:
+        os.close(fd)
     return frames
 
 

@@ -11,8 +11,9 @@ rules inline instead of calling the function that defines them:
 - ``TCPDirectionReassembler.on_segment`` places a segment with
   ``seq_diff``;
 - ``ScapKernelModule._handle_tcp`` anchors a SYN with
-  ``TCPDirectionReassembler.set_isn`` (``seq_add``) and estimates a
-  FIN/RST flow size with ``anchored`` and ``seq_diff``;
+  ``TCPDirectionReassembler.set_isn`` (``seq_add``, and only while the
+  direction has delivered and buffered nothing) and estimates a FIN/RST
+  flow size with ``anchored`` and ``seq_diff``;
 - ``RSSHasher.hash_value`` folds the Toeplitz tables as
   ``toeplitz_hash`` does;
 - ``StreamDeliveryApp.on_stream_data`` keeps the counters of
@@ -189,9 +190,28 @@ def test_syn_anchors_by_seq_add(isn):
     assert (server.expected_seq, server.next_offset) == (seq_add(isn ^ 0x5A5A, 1), 0)
 
 
+@pytest.mark.parametrize("isn", ISNS)
+@pytest.mark.parametrize("payload", [b"", b"d" * 10])
+def test_second_syn_follows_set_isn(isn, payload):
+    """A second SYN (another ISN) re-anchors a direction only while it
+    has delivered and buffered nothing, in the kernel as in set_isn."""
+    kernel, feed = _kernel()
+    model = TCPDirectionReassembler()
+    model.set_isn(isn)
+    feed(CLIENT, isn, TCPFlags.SYN)
+    if payload:
+        model.on_segment(seq_add(isn, 1), payload)
+        feed(CLIENT, seq_add(isn, 1), TCPFlags.ACK, payload)
+    model.set_isn(isn ^ 0x5A5A)
+    feed(CLIENT, isn ^ 0x5A5A, TCPFlags.SYN)
+    client = kernel.flows.lookup(FiveTuple(*CLIENT, IPProtocol.TCP)).reassembler
+    assert (client.expected_seq, client.next_offset) == (model.expected_seq, model.next_offset)
+    assert model.expected_seq == seq_add(isn if payload else isn ^ 0x5A5A, 1 + len(payload))
+
+
 @pytest.mark.parametrize("flag", [TCPFlags.FIN, TCPFlags.RST])
 @pytest.mark.parametrize("isn", ISNS)
-@pytest.mark.parametrize("gap", [-2**31, -11, -1, 0, 1, 4321, 2**31 - 12])
+@pytest.mark.parametrize("gap",[-2**31, -11, -1, 0, 1, 4321, 2**31 - 12])
 def test_fin_rst_estimate_by_seq_diff(flag, isn, gap):
     kernel, feed = _kernel()
     ft = FiveTuple(*CLIENT, IPProtocol.TCP)

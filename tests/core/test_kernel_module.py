@@ -18,6 +18,7 @@ from repro.core import (
     StreamError,
     StreamStatus,
 )
+from repro.core.reassembly import TCPDirectionReassembler
 from repro.kernelsim import DEFAULT_COST_MODEL
 from repro.netstack import (
     FiveTuple,
@@ -28,6 +29,7 @@ from repro.netstack import (
     make_udp_packet,
 )
 from repro.nic import SimulatedNIC
+from repro.sanitizers import SANITIZE_ENV
 from repro.traffic import SessionMessage, TCPSessionBuilder, Trace
 from tests.kernel_driver import feed_kernel
 
@@ -191,6 +193,48 @@ class TestReassemblyIntegration:
         assert fragmented_streams == streams == 1
         assert b"".join(data for key, data in delivered if key == ft) == b"Q" * 700
         assert counters.fragment_packets == sum(1 for p in fragmented if p.ip.is_fragment)
+
+    @pytest.mark.parametrize("resend_first", [False, True])
+    def test_late_syn_does_not_reanchor_a_delivering_direction(self, monkeypatch, resend_first):
+        """SYN, 64 B, the same SYN again (duplicated or reordered behind
+        the data), then the next 64 B: the SYN must not move the stream
+        back to offset 0, so the app gets the 128 B once, in order —
+        also when the first 64 B are retransmitted after the late SYN."""
+        monkeypatch.setenv(SANITIZE_ENV, "1")
+        client = (0x0A000001, 40000, 0x0A000002, 80)
+        first, second = bytes(range(64)), bytes(range(64, 128))
+        data = TCPFlags.ACK | TCPFlags.PSH
+        packets = [
+            make_tcp_packet(*client, seq=100, flags=TCPFlags.SYN, timestamp=0.000),
+            make_tcp_packet(*client, seq=101, flags=data, payload=first, timestamp=0.001),
+            make_tcp_packet(*client, seq=100, flags=TCPFlags.SYN, timestamp=0.002),
+        ]
+        if resend_first:
+            packets.append(
+                make_tcp_packet(*client, seq=101, flags=data, payload=first, timestamp=0.0025)
+            )
+        packets.append(
+            make_tcp_packet(*client, seq=165, flags=data, payload=second, timestamp=0.003)
+        )
+        runtime = ScapRuntime(ScapConfig(memory_size=1 << 22), core_count=1)
+        assert runtime.sanitizers is not None
+        delivered = []
+        runtime.callbacks.on_data = lambda sd: delivered.append(bytes(sd.data))
+        reassembler = []
+        on_segment = TCPDirectionReassembler.on_segment
+
+        def watch(self, seq, payload, now=0.0):
+            reassembler.append(self)
+            return on_segment(self, seq, payload, now)
+
+        monkeypatch.setattr(TCPDirectionReassembler, "on_segment", watch)
+        runtime.run(Trace(packets), 1e9)
+        assert b"".join(delivered) == first + second
+        # Delivered in order as it arrived: nothing waited in the
+        # out-of-order buffer, no hole was skipped.
+        counters = reassembler[-1].counters
+        assert (counters.out_of_order_segments, counters.holes_skipped) == (0, 0)
+        assert counters.delivered_bytes == 128
 
     def test_strict_discards_non_established_data(self):
         h = Harness(reassembly_mode=SCAP_TCP_STRICT)

@@ -53,6 +53,15 @@ def test_randomized_plans_hold_invariants(seed):
     assert report.delivered_records > 0
 
 
+@pytest.mark.parametrize("seed", [109, 121, 132, 133])
+def test_full_intensity_plans_with_late_syns(seed):
+    """The soak's full-intensity seeds that duplicate or reorder a SYN
+    behind data: the direction keeps its anchor, nothing is re-delivered."""
+    report = run_chaos_soak(FaultPlan.randomized(seed=seed, intensity=1.0))
+    assert report.ok, report.failures
+    assert report.delivered_records > 0
+
+
 def test_fault_free_plan_delivers_everything():
     report = run_chaos_soak(FaultPlan(seed=0), **SOAK_KWARGS)
     assert report.ok, report.failures

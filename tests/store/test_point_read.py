@@ -193,7 +193,11 @@ def _assert_point_reads_match(store):
             assert got == _of(store.query(**window).streams, connection), window
             # Same (segment, meta) objects in the same order, not only
             # the same bytes once assembled.
-            pairs = list(index.lookup(connection, **window))
+            pairs = [
+                (segment, meta)
+                for segment, metas in index.lookup(connection, **window)
+                for meta in metas
+            ]
             old_pairs = list(_old_lookup(index, connection, **window))
             assert len(pairs) == len(old_pairs)
             assert all(
@@ -213,7 +217,11 @@ class TestDifferential:
         straddlers = [
             connection
             for connection in store.connections()
-            if len({segment.path for segment, _ in store.index.lookup(connection)}) > 1
+            if len({
+                segment.path
+                for segment, metas in store.index.lookup(connection)
+                for _meta in metas
+            }) > 1
         ]
         assert straddlers  # records of one connection on both sides of a roll
         _assert_point_reads_match(store)
@@ -276,6 +284,69 @@ class TestDifferential:
         _assert_point_reads_match(store)
         store.close(enforce_retention=False)
 
+    def test_grouped_lookup_with_a_window_inside_a_segment(self, tmp_path):
+        """Per-segment groups: ``(first_ts, path)`` order, file order
+        inside, no empty group — also when the time window cuts a
+        segment's entries — and unbounded lookups hand over the lists
+        the index keeps."""
+        store = StreamStore(str(tmp_path), segment_bytes=1500)
+        _fill(store, _workload(seed=3))
+        _fill(store, _workload(seed=4, start_ts=40.0))
+        index = store.index
+
+        def flat(groups):
+            return [(segment, meta) for segment, metas in groups for meta in metas]
+
+        def check_shape(groups):
+            assert all(metas for _segment, metas in groups)
+            keys = [(segment.info.first_ts, segment.path) for segment, _metas in groups]
+            assert keys == sorted(set(keys))
+            for _segment, metas in groups:
+                offsets = [meta.file_offset for meta in metas]
+                assert offsets == sorted(offsets)
+
+        everything = index.lookup()
+        check_shape(everything)
+        assert all(metas is segment.records for segment, metas in everything)
+        assert flat(everything) == list(_old_lookup(index))
+        cut_inside = 0
+        for connection in store.connections():
+            whole = index.lookup(connection)
+            check_shape(whole)
+            if len(whole) == 1:
+                assert whole[0][1] is index._by_tuple[StoreIndex._key(connection)]
+                continue
+            stamps = sorted(meta.timestamp for _segment, meta in flat(whole))
+            window = {"start_ts": stamps[len(stamps) // 3], "end_ts": stamps[2 * len(stamps) // 3]}
+            groups = index.lookup(connection, **window)
+            check_shape(groups)
+            pairs = flat(groups)
+            old_pairs = list(_old_lookup(index, connection, **window))
+            assert len(pairs) == len(old_pairs)
+            assert all(new[0] is old[0] and new[1] is old[1] for new, old in zip(pairs, old_pairs))
+            sizes = {segment.path: len(metas) for segment, metas in whole}
+            cut_inside += any(0 < len(metas) < sizes[segment.path] for segment, metas in groups)
+            point = store.query(connection, **window).streams
+            scan = _of(store.query(**window).streams, connection)
+            assert point == scan == _old_query(index, connection, **window)
+            assert [stream.data for stream in point] == [stream.data for stream in scan]
+        assert cut_inside
+        store.close(enforce_retention=False)
+
+    def test_absent_tuple_opens_no_descriptor(self, tmp_path, monkeypatch):
+        store = StreamStore(str(tmp_path), segment_bytes=1500)
+        _fill(store, _workload(seed=8))
+
+        def no_open(*args, **kwargs):
+            raise AssertionError(f"a query for nothing opened {args[0]}")
+
+        monkeypatch.setattr(segment_module.os, "open", no_open)
+        assert store.query(five_tuple=ABSENT).streams == []
+        assert store.query(five_tuple=ABSENT, start_ts=0.0, end_ts=1e9).streams == []
+        assert store.query(five_tuple=store.connections()[0], start_ts=1e9).streams == []
+        monkeypatch.undo()
+        store.close(enforce_retention=False)
+
     def test_absent_tuple_is_empty_and_opens_no_file(self, tmp_path, monkeypatch):
         store = StreamStore(str(tmp_path), segment_bytes=1500)
         _fill(store, _workload(seed=8))
@@ -286,7 +357,7 @@ class TestDifferential:
         monkeypatch.setattr(segment_module, "open", no_open, raising=False)
         assert store.query(five_tuple=ABSENT).streams == []
         assert store.query(five_tuple=ABSENT, start_ts=0.0, end_ts=1e9).streams == []
-        assert list(store.index.lookup(ABSENT)) == []
+        assert [meta for _, metas in store.index.lookup(ABSENT) for meta in metas] == []
         connection = store.connections()[0]
         assert store.query(five_tuple=connection, start_ts=1e9).streams == []
         monkeypatch.undo()
@@ -329,7 +400,7 @@ class TestCorruption:
         )
         before = {c: store.query(c).streams for c in connections}
         survivors = [
-            meta for seg, meta in store.index.lookup(affected)
+            meta for seg, metas in store.index.lookup(affected) for meta in metas
             if seg is not segment or meta.file_offset < victim.file_offset
         ]
         with open(segment.path, "r+b") as handle:
@@ -369,7 +440,8 @@ class TestCorruption:
             c for c in connections
             if all(
                 seg is not segment or meta.file_offset < victim.file_offset
-                for seg, meta in store.index.lookup(c)
+                for seg, metas in store.index.lookup(c)
+                for meta in metas
             )
         ]
         os.truncate(segment.path, victim.file_offset + 9 + victim.length // 2)

@@ -1,6 +1,7 @@
 """Retention: age, per-class quotas, global bytes, tail-first eviction."""
 
 import os
+from itertools import groupby
 
 from repro.netstack import FiveTuple, IPProtocol
 from repro.store import ClassQuota, RetentionPolicy, StoreIndex, StreamRecord, StreamStore
@@ -23,8 +24,8 @@ def assert_index_coherent(index):
     ``StoreIndex.lookup`` answers five-tuple queries from that map
     alone, so it must never drift from ``segments[*].records``: the same
     objects, each under its own connection's key and pointing back at
-    the live segment that lists it, one segment's entries in file order
-    inside a bucket, and no empty buckets left behind.  The running
+    the live segment that lists it, one segment's entries adjacent and
+    in file order inside a bucket, and no empty buckets left behind.  The running
     record and payload totals equal a fresh sum over those records, and
     the disk total a fresh sum over the segments.
     """
@@ -45,6 +46,8 @@ def assert_index_coherent(index):
             assert index._key(meta.client_tuple) == key
             assert index.segments.get(meta.segment.path) is meta.segment
             assert any(meta is listed_meta for listed_meta in meta.segment.records)
+        runs = [id(segment) for segment, _run in groupby(bucket, key=lambda m: m.segment)]
+        assert len(runs) == len(set(runs)), key  # one segment's entries are adjacent
         for segment in {id(meta.segment): meta.segment for meta in bucket}.values():
             offsets = [meta.file_offset for meta in bucket if meta.segment is segment]
             assert offsets == sorted(offsets)
