@@ -50,11 +50,14 @@ from .protocol import (
     MSG_REQUEST,
     MSG_RESPONSE,
     PROTOCOL_MINOR,
+    ROWS_MINOR,
     Frame,
     FrameReader,
+    ProtocolError,
     ServiceError,
     encode_frame,
     split_events,
+    split_streams,
 )
 
 __all__ = ["RemoteCallError", "CallTimeout", "EventStream", "ScapClient"]
@@ -176,6 +179,13 @@ class ScapClient:
             "hello", token=token, name=name, protocol_minor=PROTOCOL_MINOR
         ).header
         self.client_id = self.hello.get("client_id")
+        minor = self.hello.get("protocol_minor")
+        if type(minor) is not int or minor < ROWS_MINOR:
+            self.close()
+            raise ProtocolError(
+                f"daemon speaks protocol minor {minor!r}; this client reads the "
+                f"binary rows of minor {ROWS_MINOR} and later"
+            )
 
     # ------------------------------------------------------------------
     # Inbound routing
@@ -213,7 +223,12 @@ class ScapClient:
                 if frame.msg_type == MSG_EVENT:
                     stream = self._streams.get(frame.header.get("sub"))
                     if stream is not None:
-                        stream._held.extend(split_events(frame))
+                        try:
+                            stream._held.extend(split_events(frame))
+                        except ProtocolError:
+                            # Rows that do not describe their payload: the
+                            # connection is out of step, like garbage framing.
+                            self._closed = True
                 elif frame.request_id == 0 and frame.msg_type == MSG_ERROR:
                     self.unsolicited_errors.append(frame)
                 elif request is not None:
@@ -511,27 +526,25 @@ class ScapClient:
     ) -> List[Dict[str, Any]]:
         """Five-tuple/time-range store query with reassembled payloads.
 
-        Returns one dict per matching stream direction, each with the
-        metadata the daemon sent plus its ``data`` bytes sliced out of
-        the binary payload.
+        Returns one dict per matching stream direction: its metadata
+        (``flow``, ``direction``, ``len``, ``first_ts``, ``last_ts``,
+        ``base_offset``, ``gap_bytes``) and its ``data`` bytes, unpacked
+        from the reply's rows and payload.  Raises
+        :class:`~repro.service.protocol.ProtocolError` when the rows do
+        not describe the payload exactly.
         """
         result = self.call(
             "query", flow=list(flow) if flow is not None else None,
             start=start, end=end,
         )
-        return _split_streams(result.header["streams"], result.payload)
+        return split_streams([result.header["streams"]], result.payload)[0]
 
     def bulk_query(self, specs: Sequence[Dict[str, Any]]) -> List[List[Dict[str, Any]]]:
         """Many store queries in one frame; one stream list per spec."""
         result = self.call("bulk_query", queries=list(specs))
-        out: List[List[Dict[str, Any]]] = []
-        offset = 0
-        payload = memoryview(result.payload)
-        for entry in result.header["results"]:
-            size = sum(stream["len"] for stream in entry["streams"])
-            out.append(_split_streams(entry["streams"], payload[offset:offset + size]))
-            offset += size
-        return out
+        return split_streams(
+            [entry["streams"] for entry in result.header["results"]], result.payload
+        )
 
     def stats(self) -> Dict[str, Any]:
         """The daemon's server/client/store/fault statistics snapshot."""
@@ -593,17 +606,3 @@ class ScapClient:
     def __exit__(self, *_exc: Any) -> None:
         self.close()
 
-
-def _split_streams(
-    streams: List[Dict[str, Any]], payload: bytes | memoryview
-) -> List[Dict[str, Any]]:
-    """Attach each stream's slice of the concatenated payload, as bytes."""
-    out: List[Dict[str, Any]] = []
-    offset = 0
-    for meta in streams:
-        size = int(meta["len"])
-        entry = dict(meta)
-        entry["data"] = bytes(payload[offset:offset + size])
-        offset += size
-        out.append(entry)
-    return out

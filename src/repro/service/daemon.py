@@ -67,12 +67,14 @@ from .protocol import (
     ERR_UNAUTHORIZED,
     ERR_UNKNOWN_COMMAND,
     ERROR_CODES,
+    EVENT_KINDS,
     MAX_FRAME_BYTES,
     MSG_ERROR,
     MSG_REQUEST,
     MSG_RESPONSE,
     PROTOCOL_MINOR,
     REJECT_CATEGORIES,
+    ROWS_MINOR,
     Frame,
     FrameRejection,
     Payload,
@@ -80,7 +82,7 @@ from .protocol import (
     ServiceError,
     encode_frame,
 )
-from .session import EVENT_KINDS, ClientQuotas, ClientSession
+from .session import ClientQuotas, ClientSession
 
 __all__ = ["DaemonConfig", "ScapDaemon", "register_service_metrics"]
 
@@ -1001,7 +1003,7 @@ class ScapDaemon:
         if isinstance(name, str) and name:
             session.name = name[:64]
         minor = frame.header.get("protocol_minor")
-        if isinstance(minor, int):
+        if type(minor) is int:  # not a bool: JSON ``true`` declares nothing
             session.protocol_minor = minor
         from .. import __version__
 
@@ -1103,14 +1105,19 @@ class ScapDaemon:
         return ({"priority_id": priority_id, "removed": True}, b"")
 
     # -- subscriptions ---------------------------------------------------
-    def _cmd_subscribe(self, request: _Request, frame: Frame):
-        session = request.session
-        if session.protocol_minor < 2:
+    @staticmethod
+    def _require_rows(request: _Request, command: str) -> None:
+        """Refuse a command whose reply carries rows to an older client."""
+        if request.session.protocol_minor < ROWS_MINOR:
             raise ServiceError(
                 ERR_BAD_REQUEST,
-                "subscribe needs protocol_minor >= 2 declared in hello "
-                "(events arrive as multi-event frames)",
+                f"{command} needs protocol_minor >= {ROWS_MINOR} declared in hello "
+                "(its replies carry binary rows)",
             )
+
+    def _cmd_subscribe(self, request: _Request, frame: Frame):
+        self._require_rows(request, "subscribe")
+        session = request.session
         kinds = frame.header.get("events") or list(EVENT_KINDS)
         if not isinstance(kinds, list) or not kinds:
             raise ServiceError(ERR_BAD_REQUEST, "events must be a non-empty list")
@@ -1151,6 +1158,7 @@ class ScapDaemon:
             )
 
     def _cmd_query(self, request: _Request, frame: Frame):
+        self._require_rows(request, "query")
         self._require_store()
         self._owner.submit(
             request, self._owner.query, request.handler_span, [frame.header], False
@@ -1158,6 +1166,7 @@ class ScapDaemon:
         return DEFERRED
 
     def _cmd_bulk_query(self, request: _Request, frame: Frame):
+        self._require_rows(request, "bulk_query")
         self._require_store()
         queries = frame.header.get("queries")
         if not isinstance(queries, list) or not queries:

@@ -26,7 +26,7 @@ from ..netstack.pcap import write_pcap
 from ..observability import SpanRecorder
 from ..observability.spans import KIND_INTERNAL, KIND_STORE, Span
 from ..traffic import PcapSource, Trace, campus_mix
-from .protocol import ERR_BAD_REQUEST, ERR_INTERNAL, ServiceError
+from .protocol import ERR_BAD_REQUEST, ERR_INTERNAL, STREAM_ROW, ServiceError
 
 __all__ = ["CaptureOwner", "guarded", "store_stats", "trace_to_pcap_bytes"]
 
@@ -235,22 +235,23 @@ class CaptureOwner:
     ) -> Tuple[Dict[str, Any], List[bytes]]:
         """Answer one ``query`` (``bulk`` False) or ``bulk_query``.
 
-        The payload is the streams' data in header order, for one join.
+        The header counts each result's streams; the payload is every
+        stream's :data:`~repro.service.protocol.STREAM_ROW`, then every
+        stream's data, both in header order, for one join.
         """
         self.store.flush()  # make everything recorded so far queryable
-        results = []
+        rows: List[bytes] = []
         chunks: List[bytes] = []
-        for spec in specs:
-            header, payload = self._one_query(spec, parent)
-            results.append(header)
-            chunks.extend(payload)
+        results = [self._one_query(spec, parent, rows, chunks) for spec in specs]
         if bulk:
-            return ({"results": results}, chunks)
-        return (results[0], chunks)
+            return ({"results": results}, rows + chunks)
+        return (results[0], rows + chunks)
 
     def _one_query(
-        self, spec: Dict[str, Any], parent: Optional[Span]
-    ) -> Tuple[Dict[str, Any], List[bytes]]:
+        self, spec: Dict[str, Any], parent: Optional[Span], rows: List[bytes],
+        chunks: List[bytes],
+    ) -> Dict[str, Any]:
+        """Run one query spec, appending its streams' rows and data."""
         query_span = self._child_span(parent, "store:query", KIND_STORE)
         try:
             flow = spec.get("flow")
@@ -260,24 +261,18 @@ class CaptureOwner:
                 start_ts=spec.get("start"),
                 end_ts=spec.get("end"),
             )
-            streams = []
-            chunks = []
+            pack = STREAM_ROW.pack
             for stream in result.streams:
-                streams.append(
-                    {
-                        "flow": list(stream.client_tuple),
-                        "direction": stream.direction,
-                        "len": len(stream.data),
-                        "first_ts": stream.first_ts,
-                        "last_ts": stream.last_ts,
-                        "base_offset": stream.base_offset,
-                        "gap_bytes": stream.gap_bytes,
-                    }
-                )
-                chunks.append(stream.data)
+                data = stream.data
+                rows.append(pack(
+                    *stream.client_tuple, stream.direction, len(data), stream.first_ts,
+                    stream.last_ts, stream.base_offset, stream.gap_bytes,
+                ))
+                chunks.append(data)
+            count = len(result.streams)
             if query_span is not None:
-                query_span.annotate(streams=len(streams), bytes=result.total_bytes)
-            return ({"streams": streams, "total_bytes": result.total_bytes}, chunks)
+                query_span.annotate(streams=count, bytes=result.total_bytes)
+            return {"streams": count, "total_bytes": result.total_bytes}
         finally:
             if query_span is not None:
                 query_span.end()

@@ -16,7 +16,11 @@ offset size     field
 
 The JSON header carries the command name and its arguments; bulk data
 (pcap bytes, stream payloads, subscribed chunks) rides in the binary
-payload so it is never base64-inflated.  Commands are also assigned
+payload so it is never base64-inflated.  A message that carries many
+items — a query reply's streams, an event frame's events — leaves only
+their count in the header: each item is one fixed-width row
+(:data:`STREAM_ROW`, :data:`EVENT_ROW`) at the head of the payload, and
+the items' bytes follow the rows in row order.  Commands are also assigned
 stable numeric codes (:data:`COMMAND_CODE_MAP`) so a non-Python client
 can dispatch without string comparisons, mirroring the filter-code map
 idiom of socket service APIs.
@@ -49,6 +53,11 @@ __all__ = [
     "MSG_EVENT",
     "MSG_ERROR",
     "MSG_NAMES",
+    "EVENT_KINDS",
+    "EVENT_CODES",
+    "ROWS_MINOR",
+    "STREAM_ROW",
+    "EVENT_ROW",
     "COMMAND_CODE_MAP",
     "IDEMPOTENT_COMMANDS",
     "ERR_BAD_FRAME",
@@ -70,6 +79,7 @@ __all__ = [
     "encode_frame",
     "encode_events",
     "split_events",
+    "split_streams",
     "decode_frame_body",
 ]
 
@@ -80,9 +90,16 @@ PROTOCOL_VERSION = 1
 #: Minor 1 added the optional ``trace`` header key carrying span context
 #: (see ``repro.observability.spans``), which old peers ignore.  Minor 2
 #: changed the event frame: one ``MSG_EVENT`` frame carries a run of one
-#: subscription's events (:func:`encode_events`), so a client declares
-#: ``protocol_minor`` >= 2 in its ``hello`` before it may ``subscribe``.
-PROTOCOL_MINOR = 2
+#: subscription's events (:func:`encode_events`).  Minor 3 moved the
+#: per-item metadata of query replies and event frames out of the JSON
+#: header into fixed binary rows (:data:`STREAM_ROW`, :data:`EVENT_ROW`),
+#: so a client declares ``protocol_minor`` >= :data:`ROWS_MINOR` in its
+#: ``hello`` before it may ``query``, ``bulk_query`` or ``subscribe``.
+PROTOCOL_MINOR = 3
+
+#: The first minor whose query replies and event frames carry rows; the
+#: only shape the daemon sends and the client reads.
+ROWS_MINOR = 3
 
 #: Hard upper bound on ``length``; larger declarations are rejected
 #: (and skipped) without ever buffering the oversized body.
@@ -169,6 +186,23 @@ REJECT_CATEGORIES = (
     REJECT_OVERSIZED,
     REJECT_UNDECODABLE,
 )
+
+#: Stream lifecycle events a subscription can select, in the order of
+#: their codes: an event row carries ``EVENT_CODES[kind]``.
+EVENT_KINDS = ("created", "data", "closed")
+EVENT_CODES: Dict[str, int] = {kind: code for code, kind in enumerate(EVENT_KINDS)}
+
+#: One stream of a ``query``/``bulk_query`` reply (50 bytes): the client
+#: five-tuple (src ip u32, src port u16, dst ip u32, dst port u16,
+#: protocol u8), direction u8, len u32, first_ts f64, last_ts f64,
+#: base_offset u64, gap_bytes u64.
+STREAM_ROW = struct.Struct("!IHIHBBIddQQ")
+#: One event of a ``MSG_EVENT`` frame (43 bytes): kind code u8, capture
+#: u64, the five-tuple as in :data:`STREAM_ROW`, direction u8, stream_id
+#: u64, offset u64, len u32.
+EVENT_ROW = struct.Struct("!BQIHIHBBQQI")
+_STREAM_LEN = 6  # the ``len`` field's index in a STREAM_ROW
+_EVENT_LEN = 10  # and in an EVENT_ROW
 
 _FIXED = struct.Struct("!BBII")  # version, msg_type, request_id, header_len
 _LENGTH = struct.Struct("!I")
@@ -270,37 +304,105 @@ def encode_events(subscription_id: int, first_seq: int, events: List[tuple]) -> 
 
     ``events`` are ``(kind, capture, flow, direction, stream_id, offset,
     payload)`` tuples whose ``seq`` runs on from ``first_seq``.  The
-    header lists each event's fields with its payload length in place
-    of the payload; the payload is the events' payloads concatenated.
+    header holds the run's subscription, first ``seq`` and event count;
+    the payload is one :data:`EVENT_ROW` per event, then the events'
+    payloads concatenated.
     """
-    entries = []
+    pack = EVENT_ROW.pack
+    rows = []
     payloads = []
     for kind, capture, flow, direction, stream_id, offset, payload in events:
-        entries.append((kind, capture, flow, direction, stream_id, offset, len(payload)))
+        rows.append(pack(
+            EVENT_CODES[kind], capture, *flow, direction, stream_id, offset, len(payload)
+        ))
         payloads.append(payload)
-    header = {"sub": subscription_id, "seq": first_seq, "events": entries}
-    return encode_frame(MSG_EVENT, 0, header, b"".join(payloads))
+    header = {"sub": subscription_id, "seq": first_seq, "events": len(rows)}
+    return encode_frame(MSG_EVENT, 0, header, rows + payloads)
+
+
+def _unpack_rows(row: struct.Struct, counts: List[object], length_field: int, payload) -> list:
+    """The rows at the head of ``payload``, ``sum(counts)`` of them.
+
+    Raises :class:`ProtocolError` unless the rows and the bytes their
+    ``len`` fields declare fill ``payload`` exactly, so no caller ever
+    slices a payload its header does not describe.
+    """
+    if any(type(count) is not int or count < 0 for count in counts):
+        raise ProtocolError(f"row counts {counts!r} are not non-negative integers")
+    rows_end = sum(counts) * row.size
+    rows = []
+    if rows_end <= len(payload):
+        rows = list(row.iter_unpack(memoryview(payload)[:rows_end]))
+    declared = rows_end + sum(fields[length_field] for fields in rows)
+    if declared != len(payload):
+        raise ProtocolError(
+            f"{sum(counts)} rows of {row.size} bytes and their data make {declared} "
+            f"bytes, but the payload holds {len(payload)}"
+        )
+    return rows
 
 
 def split_events(frame: Frame) -> List[Frame]:
     """The per-event frames an :func:`encode_events` frame carries, each
     with the header ``event, capture, flow, direction, stream_id,
-    offset, len, sub, seq`` and its own payload."""
+    offset, len, sub, seq`` and its own payload.
+
+    Raises :class:`ProtocolError` when the rows do not describe the
+    payload exactly.
+    """
     header = frame.header
     sub = header["sub"]
     seq = header["seq"]
     payload = frame.payload
+    rows = _unpack_rows(EVENT_ROW, [header["events"]], _EVENT_LEN, payload)
     out = []
-    start = 0
-    for kind, capture, flow, direction, stream_id, offset, length in header["events"]:
+    start = len(rows) * EVENT_ROW.size
+    for (code, capture, src_ip, src_port, dst_ip, dst_port, protocol, direction,
+         stream_id, offset, length) in rows:
+        if code >= len(EVENT_KINDS):
+            raise ProtocolError(f"unknown event code {code}")
         end = start + length
         out.append(Frame(MSG_EVENT, 0, {
-            "event": kind, "capture": capture, "flow": flow, "direction": direction,
-            "stream_id": stream_id, "offset": offset, "len": length,
-            "sub": sub, "seq": seq,
+            "event": EVENT_KINDS[code], "capture": capture,
+            "flow": [src_ip, src_port, dst_ip, dst_port, protocol],
+            "direction": direction, "stream_id": stream_id, "offset": offset,
+            "len": length, "sub": sub, "seq": seq,
         }, payload[start:end]))
         start = end
         seq += 1
+    return out
+
+
+def split_streams(counts: List[object], payload) -> List[List[Dict[str, object]]]:
+    """The stream lists of a query reply: ``counts[i]`` streams for its
+    ``i``-th result, every result's :data:`STREAM_ROW` rows at the head
+    of ``payload`` and then every stream's data, both in result order.
+
+    Each stream is ``{"flow": [5 ints], "direction", "len", "first_ts",
+    "last_ts", "base_offset", "gap_bytes", "data": bytes}``.  Raises
+    :class:`ProtocolError` when the rows do not describe the payload
+    exactly.
+    """
+    rows = _unpack_rows(STREAM_ROW, counts, _STREAM_LEN, payload)
+    view = memoryview(payload)
+    start = len(rows) * STREAM_ROW.size
+    out: List[List[Dict[str, object]]] = []
+    taken = 0
+    for count in counts:
+        streams: List[Dict[str, object]] = []
+        for (src_ip, src_port, dst_ip, dst_port, protocol, direction, length,
+             first_ts, last_ts, base_offset, gap_bytes) in rows[taken:taken + count]:
+            end = start + length
+            streams.append({
+                "flow": [src_ip, src_port, dst_ip, dst_port, protocol],
+                "direction": direction, "len": length,
+                "first_ts": first_ts, "last_ts": last_ts,
+                "base_offset": base_offset, "gap_bytes": gap_bytes,
+                "data": bytes(view[start:end]),
+            })
+            start = end
+        taken += count
+        out.append(streams)
     return out
 
 

@@ -37,16 +37,14 @@ from collections import deque
 from dataclasses import asdict, dataclass
 from typing import Callable, Deque, Dict, Optional, Tuple, Union
 
-from .protocol import Frame, FrameReader, FrameRejection, encode_events
+from .protocol import EVENT_ROW, Frame, FrameReader, FrameRejection, encode_events
 
 __all__ = ["ClientQuotas", "Subscription", "SessionLedger", "ClientSession"]
 
-#: Stream lifecycle events a subscription can select.
-EVENT_KINDS = ("created", "data", "closed")
 #: About how many bytes of queued events one frame (and so one write)
-#: carries: payloads, and ``_ENTRY_BYTES`` for each event's header entry.
+#: carries: payloads, and an ``EVENT_ROW`` for each event.
 GATHER_BYTES = 1 << 16
-_ENTRY_BYTES = 64
+_ROW_BYTES = EVENT_ROW.size
 
 
 @dataclass(frozen=True)
@@ -294,7 +292,7 @@ class ClientSession:  # scapcheck: single-owner
                 if entry_subscription != subscription_id:
                     break
                 run.append(event)
-                size += len(event[6]) + _ENTRY_BYTES
+                size += len(event[6]) + _ROW_BYTES
                 if size >= limit:
                     break
             frame = encode_events(subscription_id, first_seq, run)

@@ -1,0 +1,114 @@
+"""The client refuses what it cannot read: a daemon below minor 3, and
+a reply whose rows do not describe its payload."""
+
+from __future__ import annotations
+
+import socket
+import threading
+
+import pytest
+
+from repro.service import ScapClient, encode_frame
+from repro.service.protocol import (
+    MSG_EVENT,
+    MSG_RESPONSE,
+    PROTOCOL_MINOR,
+    STREAM_ROW,
+    FrameReader,
+    ProtocolError,
+    encode_events,
+)
+
+ROW = STREAM_ROW.pack(1, 2, 3, 4, 6, 0, 3, 0.5, 1.5, 0, 0)
+
+
+class FakeDaemon:
+    """Answers each command with a scripted ``(header, payload)``; a
+    ``subscribe`` reply is followed by the scripted event frame."""
+
+    def __init__(self, path, replies, events=b""):
+        self.replies = {"hello": ({"client_id": 1, "protocol_minor": PROTOCOL_MINOR}, b"")}
+        self.replies.update(replies)
+        self.events = events
+        self.listener = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+        self.listener.bind(path)
+        self.listener.listen(1)
+        self.thread = threading.Thread(target=self._serve, daemon=True)
+        self.thread.start()
+
+    def _serve(self):
+        conn, _ = self.listener.accept()
+        reader = FrameReader()
+        try:
+            while True:
+                data = conn.recv(65536)
+                if not data:
+                    return
+                for frame in reader.feed(data):
+                    header, payload = self.replies[frame.command]
+                    conn.sendall(encode_frame(MSG_RESPONSE, frame.request_id, header, payload))
+                    if frame.command == "subscribe":
+                        conn.sendall(self.events)
+        except OSError:
+            pass
+        finally:
+            conn.close()
+
+    def close(self):
+        self.listener.close()
+        self.thread.join(timeout=5.0)
+
+
+@pytest.mark.parametrize("minor", [None, 2, True, "3"])
+def test_a_daemon_below_minor_3_is_refused_at_hello(tmp_path, minor):
+    path = str(tmp_path / "fake.sock")
+    hello = {"client_id": 1}
+    if minor is not None:
+        hello["protocol_minor"] = minor
+    server = FakeDaemon(path, {"hello": (hello, b"")})
+    with pytest.raises(ProtocolError, match="protocol minor"):
+        ScapClient(unix_path=path, timeout=2.0)
+    server.close()
+
+
+@pytest.mark.parametrize("payload", [ROW + b"abc", ROW + b"ab", ROW + b"abcd", ROW[:-1]])
+def test_a_query_reply_is_sliced_only_when_its_rows_fill_the_payload(tmp_path, payload):
+    path = str(tmp_path / "fake.sock")
+    results = [{"streams": 1, "total_bytes": 3}, {"streams": 0, "total_bytes": 0}]
+    server = FakeDaemon(path, {
+        "query": ({"streams": 1, "total_bytes": 3}, payload),
+        "bulk_query": ({"results": results}, payload),
+    })
+    client = ScapClient(unix_path=path, timeout=2.0)
+    if payload == ROW + b"abc":
+        expected = {"flow": [1, 2, 3, 4, 6], "direction": 0, "len": 3, "first_ts": 0.5,
+                    "last_ts": 1.5, "base_offset": 0, "gap_bytes": 0, "data": b"abc"}
+        assert client.query() == [expected]
+        assert client.bulk_query([{}, {}]) == [[expected], []]
+    else:
+        with pytest.raises(ProtocolError):
+            client.query()
+        with pytest.raises(ProtocolError):
+            client.bulk_query([{}, {}])
+    client.close()
+    server.close()
+
+
+def test_a_mis_sized_event_frame_closes_the_connection(tmp_path):
+    path = str(tmp_path / "fake.sock")
+    good = encode_events(1, 0, [("data", 1, (1, 2, 3, 4, 6), 0, 1, 0, b"abcd")])
+    # The same frame, its payload one byte short of what its row declares.
+    short = (len(good) - 5).to_bytes(4, "big") + good[4:-1]
+    server = FakeDaemon(
+        path, {"subscribe": ({"subscription_id": 1, "events": ["data"]}, b"")},
+        events=good + short,
+    )
+    client = ScapClient(unix_path=path, timeout=2.0)
+    stream = client.subscribe(events=["data"])
+    first = stream.next_event(timeout=5.0)
+    assert first.msg_type == MSG_EVENT and first.payload == b"abcd"
+    assert stream.next_event(timeout=5.0) is None  # out of step: nothing more is read
+    with pytest.raises(ConnectionError):
+        client.ping()
+    client.close()
+    server.close()

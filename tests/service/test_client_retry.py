@@ -9,7 +9,7 @@ import pytest
 
 from repro.service import ScapClient, encode_frame
 from repro.service.client import CallTimeout
-from repro.service.protocol import MSG_RESPONSE, FrameReader
+from repro.service.protocol import MSG_RESPONSE, PROTOCOL_MINOR, FrameReader
 
 
 class StubServer:
@@ -44,7 +44,8 @@ class StubServer:
                         encode_frame(
                             MSG_RESPONSE,
                             frame.request_id,
-                            {"client_id": 1, "pong": True, "echo": None},
+                            {"client_id": 1, "protocol_minor": PROTOCOL_MINOR,
+                             "pong": True, "echo": None},
                         )
                     )
         except OSError:

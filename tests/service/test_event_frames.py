@@ -23,6 +23,7 @@ from repro.service.protocol import (
     MSG_EVENT,
     MSG_REQUEST,
     MSG_RESPONSE,
+    PROTOCOL_MINOR,
     split_events,
 )
 from repro.service.session import ClientQuotas, ClientSession
@@ -48,7 +49,7 @@ def _read_events(raw, reader, count):
         for frame in reader.feed(raw.recv(1 << 20)):
             assert frame.msg_type == MSG_EVENT, frame.header
             frames.append(frame)
-            held += len(frame.header["events"])
+            held += frame.header["events"]
     return frames
 
 
@@ -57,7 +58,7 @@ def test_a_capture_arrives_in_few_event_frames(tmp_path):
     arrive, before the response, in at most N/8 frames."""
     daemon, path = _start_daemon(tmp_path)
     raw, reader = _raw_connect(path), FrameReader()
-    _raw_call(raw, reader, 1, "hello", name="both", protocol_minor=2)
+    _raw_call(raw, reader, 1, "hello", name="both", protocol_minor=PROTOCOL_MINOR)
     _raw_call(raw, reader, 2, "subscribe", events=KINDS)
     # A cutoff keeps the capture's events inside one socket buffer.
     _raw_call(raw, reader, 3, "set_cutoff", cutoff=512)
@@ -119,14 +120,14 @@ def test_a_delivery_stall_sends_one_event_per_frame(tmp_path):
     )
     daemon, path = _start_daemon(tmp_path, DaemonConfig(), fault_plan=plan)
     raw, reader = _raw_connect(path), FrameReader()
-    _raw_call(raw, reader, 1, "hello", name="slow", protocol_minor=2)
+    _raw_call(raw, reader, 1, "hello", name="slow", protocol_minor=PROTOCOL_MINOR)
     _raw_call(raw, reader, 2, "subscribe", events=KINDS)
     submitter = ScapClient(unix_path=path, name="submitter")
     submitter.submit_campus(flows=4, seed=3, rate_bps=RATE)
     enqueued = _ledger(submitter, "slow")["ledger"]["enqueued"]
     assert enqueued > 0
     frames = _read_events(raw, reader, enqueued)
-    assert [len(frame.header["events"]) for frame in frames] == [1] * enqueued
+    assert [frame.header["events"] for frame in frames] == [1] * enqueued
     assert [frame.header["seq"] for frame in frames] == list(range(enqueued))
     assert daemon.fault_injector.count("client", "slow_client") > 0
     raw.close()
@@ -198,3 +199,40 @@ def test_subscribing_mid_capture_holds_every_event_from_seq_0(tmp_path):
         client.close()
     daemon.shutdown()
     assert daemon.ledgers_balanced()
+
+
+@pytest.mark.parametrize("declared", [{"protocol_minor": 2}, {"protocol_minor": True}])
+@pytest.mark.parametrize("command, header", [
+    ("query", {"flow": None}),
+    ("bulk_query", {"queries": [{"flow": None}]}),
+    ("subscribe", {"events": KINDS}),
+])
+def test_row_commands_below_minor_3_are_refused_and_the_connection_kept(
+    tmp_path, declared, command, header
+):
+    daemon, path = _start_daemon(tmp_path, DaemonConfig(store_dir=str(tmp_path / "store")))
+    raw, reader = _raw_connect(path), FrameReader()
+    _raw_call(raw, reader, 1, "hello", name="old", **declared)
+    raw.sendall(encode_frame(MSG_REQUEST, 2, dict(header, command=command)))
+    (refusal,) = reader.feed(raw.recv(65536))
+    assert refusal.msg_type == MSG_ERROR and refusal.request_id == 2
+    assert refusal.header["code"] == ERR_BAD_REQUEST
+    assert f"protocol_minor >= {PROTOCOL_MINOR}" in refusal.header["message"]
+    assert _raw_call(raw, reader, 3, "ping").header["pong"] is True
+    raw.close()
+    daemon.shutdown()
+    assert daemon.ledgers_balanced()
+
+
+def test_a_bool_protocol_minor_declares_nothing(tmp_path):
+    daemon, path = _start_daemon(tmp_path)
+    raw, reader = _raw_connect(path), FrameReader()
+    client_id = _raw_call(
+        raw, reader, 1, "hello", name="bool", protocol_minor=True
+    ).header["client_id"]
+    session = daemon._sessions[client_id]
+    assert daemon._on_loop(lambda: session.protocol_minor) == 0
+    _raw_call(raw, reader, 2, "hello", name="int", protocol_minor=PROTOCOL_MINOR)
+    assert daemon._on_loop(lambda: session.protocol_minor) == PROTOCOL_MINOR
+    raw.close()
+    daemon.shutdown()

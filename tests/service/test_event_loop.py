@@ -22,7 +22,14 @@ from repro.service import (
     ScapDaemon,
     encode_frame,
 )
-from repro.service.protocol import MSG_EVENT, MSG_REQUEST, MSG_RESPONSE, split_events
+from repro.service.protocol import (
+    MSG_EVENT,
+    MSG_REQUEST,
+    MSG_RESPONSE,
+    PROTOCOL_MINOR,
+    split_events,
+    split_streams,
+)
 from repro.store import StreamStore
 
 from .test_daemon import _start_daemon
@@ -182,7 +189,7 @@ def test_events_reach_a_shared_connection_before_the_submit_response(tmp_path):
     capture is written before the capture's response."""
     daemon, path = _start_daemon(tmp_path)
     raw, reader = _raw_connect(path), FrameReader()
-    _raw_call(raw, reader, 1, "hello", name="both", protocol_minor=2)
+    _raw_call(raw, reader, 1, "hello", name="both", protocol_minor=PROTOCOL_MINOR)
     _raw_call(raw, reader, 2, "subscribe", events=["created", "data", "closed"])
     _raw_call(raw, reader, 3, "set_cutoff", cutoff=512)
     raw.sendall(encode_frame(
@@ -208,7 +215,7 @@ def test_events_reach_a_shared_connection_before_the_submit_response(tmp_path):
 def _stalled_subscriber(path):
     """A subscribed raw connection that reads nothing until told to."""
     raw, reader = _raw_connect(path), FrameReader()
-    _raw_call(raw, reader, 1, "hello", name="stalled", protocol_minor=2)
+    _raw_call(raw, reader, 1, "hello", name="stalled", protocol_minor=PROTOCOL_MINOR)
     _raw_call(raw, reader, 2, "subscribe", events=["created", "data", "closed"])
     return raw, reader
 
@@ -291,7 +298,7 @@ def test_large_response_to_a_pausing_reader_is_intact_and_stalls_nobody(tmp_path
     assert len(expected) > 2_000_000  # several socket buffers' worth
 
     raw, reader = _raw_connect(path), FrameReader()
-    _raw_call(raw, reader, 1, "hello", name="pauser")
+    _raw_call(raw, reader, 1, "hello", name="pauser", protocol_minor=PROTOCOL_MINOR)
     raw.sendall(encode_frame(MSG_REQUEST, 2, {"command": "query", "flow": None}))
     head = raw.recv(1000)  # the response has begun; now stop reading
     assert head
@@ -301,7 +308,8 @@ def test_large_response_to_a_pausing_reader_is_intact_and_stalls_nobody(tmp_path
     while not frames:
         frames = reader.feed(raw.recv(1 << 20))
     assert frames[0].request_id == 2
-    assert frames[0].payload == expected
+    (streams,) = split_streams([frames[0].header["streams"]], frames[0].payload)
+    assert b"".join(stream["data"] for stream in streams) == expected
     raw.close()
     client.close()
     daemon.shutdown()

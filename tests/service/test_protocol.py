@@ -6,16 +6,23 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.netstack.flows import FiveTuple
+from repro.service.owner import CaptureOwner
 from repro.service.protocol import (
     COMMAND_CODE_MAP,
     ERR_BAD_FRAME,
+    EVENT_KINDS,
+    EVENT_ROW,
     MAX_FRAME_BYTES,
     MSG_ERROR,
     MSG_EVENT,
     MSG_REQUEST,
     MSG_RESPONSE,
     PROTOCOL_VERSION,
+    STREAM_ROW,
     Frame,
     FrameReader,
     FrameRejection,
@@ -25,7 +32,9 @@ from repro.service.protocol import (
     encode_events,
     encode_frame,
     split_events,
+    split_streams,
 )
+from repro.store.query import QueryResult, StreamPayload
 
 
 def test_round_trip_all_message_types():
@@ -86,7 +95,8 @@ def test_event_frame_splits_into_per_event_frames():
     flow = (167772161, 1234, 167772162, 80, 6)
     events = [("created", 2, flow, 0, 7, 0, b""), ("data", 2, flow, 0, 7, 40, b"payload")]
     (frame,) = FrameReader().feed(encode_events(4, 10, events))
-    assert frame.msg_type == MSG_EVENT and frame.payload == b"payload"
+    assert frame.msg_type == MSG_EVENT and frame.payload[2 * EVENT_ROW.size:] == b"payload"
+    assert frame.header == {"sub": 4, "seq": 10, "events": 2}
     split = split_events(frame)
     assert [f.header for f in split] == [
         {"event": "created", "capture": 2, "flow": list(flow), "direction": 0,
@@ -206,3 +216,150 @@ def test_command_codes_are_unique_and_stable():
     # Spot-check stability: these values are wire contract, not free to drift.
     assert COMMAND_CODE_MAP["ping"] == 0x70696E67
     assert COMMAND_CODE_MAP["subscribe"] == 0x73756273
+
+
+# ----------------------------------------------------------------------
+# Rows: query replies and event frames carry one fixed row per item
+# ----------------------------------------------------------------------
+_U64 = st.integers(0, (1 << 64) - 1)
+_FLOWS = st.tuples(
+    st.integers(0, 0xFFFFFFFF), st.sampled_from([0, 1, 80, 65535]),
+    st.integers(0, 0xFFFFFFFF), st.integers(0, 65535), st.sampled_from([0, 6, 17, 255]),
+)
+_EVENTS = st.lists(st.tuples(
+    st.sampled_from(EVENT_KINDS), _U64, _FLOWS, st.integers(0, 1), _U64, _U64,
+    st.binary(max_size=40),
+), max_size=12)
+_STREAMS = st.lists(st.builds(
+    StreamPayload,
+    client_tuple=_FLOWS.map(lambda flow: FiveTuple(*flow)),
+    direction=st.integers(0, 1),
+    data=st.binary(max_size=40),
+    first_ts=st.floats(allow_nan=False),
+    last_ts=st.floats(allow_nan=False),
+    base_offset=_U64,
+    gap_bytes=_U64,
+), max_size=6)
+
+
+class _Store:
+    """A store whose queries answer with the given results, in turn."""
+
+    def __init__(self, results):
+        self.results = list(results)
+
+    def flush(self):
+        pass
+
+    def query(self, five_tuple, start_ts=None, end_ts=None):
+        return QueryResult(self.results.pop(0))
+
+
+def _reply(results, bulk):
+    """The wire reply the daemon's owner gives to queries answered with
+    ``results``, read back by a frame reader."""
+    owner = CaptureOwner(_Store(results), 1 << 20, 1, None, post=lambda item: None)
+    header, payload = owner.query(None, [{"flow": None}] * len(results), bulk)
+    (frame,) = FrameReader().feed(encode_frame(MSG_RESPONSE, 1, header, payload))
+    return frame
+
+
+def _as_dicts(streams):
+    return [
+        {"flow": list(s.client_tuple), "direction": s.direction, "len": len(s.data),
+         "first_ts": s.first_ts, "last_ts": s.last_ts, "base_offset": s.base_offset,
+         "gap_bytes": s.gap_bytes, "data": s.data}
+        for s in streams
+    ]
+
+
+@settings(max_examples=150, deadline=None)
+@given(events=_EVENTS, sub=_U64, seq=st.integers(0, 1 << 40))
+def test_event_rows_round_trip(events, sub, seq):
+    (frame,) = FrameReader().feed(encode_events(sub, seq, events))
+    assert frame.header == {"sub": sub, "seq": seq, "events": len(events)}
+    split = split_events(frame)
+    assert [f.header for f in split] == [
+        {"event": kind, "capture": capture, "flow": list(flow), "direction": direction,
+         "stream_id": stream_id, "offset": offset, "len": len(payload),
+         "sub": sub, "seq": seq + index}
+        for index, (kind, capture, flow, direction, stream_id, offset, payload)
+        in enumerate(events)
+    ]
+    assert [f.payload for f in split] == [event[6] for event in events]
+    assert all(type(f.payload) is bytes and f.msg_type == MSG_EVENT for f in split)
+
+
+@settings(max_examples=150, deadline=None)
+@given(results=st.lists(_STREAMS, min_size=1, max_size=4))
+def test_stream_rows_round_trip(results):
+    frame = _reply(results, bulk=True)
+    assert frame.header == {"results": [
+        {"streams": len(streams), "total_bytes": sum(len(s.data) for s in streams)}
+        for streams in results
+    ]}
+    counts = [entry["streams"] for entry in frame.header["results"]]
+    assert split_streams(counts, frame.payload) == [_as_dicts(s) for s in results]
+    single = _reply(results[:1], bulk=False)
+    assert split_streams([single.header["streams"]], single.payload) == [_as_dicts(results[0])]
+
+
+def test_a_bulk_reply_keeps_an_empty_result_in_its_place():
+    flow = FiveTuple(0xFFFFFFFF, 65535, 0, 0, 255)
+    first = [StreamPayload(flow, 0, b"abc", 1.5, 2.5, (1 << 64) - 1, (1 << 64) - 1)]
+    last = [StreamPayload(flow, 1, b"", 0.0, 0.0, 0, 0),
+            StreamPayload(flow.reversed(), 0, b"z" * 9, 3.0, 4.0, 7, 0)]
+    frame = _reply([first, [], last, []], bulk=True)
+    assert [entry["streams"] for entry in frame.header["results"]] == [1, 0, 2, 0]
+    assert split_streams([1, 0, 2, 0], frame.payload) == [
+        _as_dicts(first), [], _as_dicts(last), []
+    ]
+    empty = _reply([[]], bulk=False)
+    assert empty.header == {"streams": 0, "total_bytes": 0} and empty.payload == b""
+    assert split_streams([0], b"") == [[]]
+    (frame,) = FrameReader().feed(encode_events(1, 0, []))
+    assert frame.payload == b"" and split_events(frame) == []
+
+
+def _header_len(wire):
+    return int.from_bytes(wire[10:14], "big")
+
+
+def test_a_reply_header_does_not_grow_with_its_item_count():
+    flow = (1, 2, 3, 4, 6)
+    few, many = ([("data", 1, flow, 0, 1, i, b"x") for i in range(n)] for n in (10, 99))
+    assert _header_len(encode_events(1, 0, few)) == _header_len(encode_events(1, 0, many))
+    streams = [StreamPayload(FiveTuple(*flow), 0, b"", 0.0, 1.0, 0) for _ in range(99)]
+    for bulk in (False, True):
+        owner = CaptureOwner(_Store([streams[:10], streams]), 1 << 20, 1, None, lambda item: None)
+        lengths = [
+            _header_len(encode_frame(MSG_RESPONSE, 1, *owner.query(None, [{}], bulk)))
+            for _ in range(2)
+        ]
+        assert lengths[0] == lengths[1], bulk
+
+
+@pytest.mark.parametrize("cut", [-1, 1, EVENT_ROW.size])
+def test_event_rows_that_do_not_fill_the_payload_are_refused(cut):
+    wire = encode_events(2, 0, [("data", 1, (1, 2, 3, 4, 6), 0, 1, 0, b"abcd")] * 3)
+    frame = decode_frame_body(wire[4:])
+    frame.payload = frame.payload[:-cut] if cut > 0 else frame.payload + b"!"
+    with pytest.raises(ProtocolError):
+        split_events(frame)
+    frame = decode_frame_body(wire[4:])
+    frame.header["events"] = 4
+    with pytest.raises(ProtocolError):
+        split_events(frame)
+
+
+def test_stream_rows_that_do_not_fill_the_payload_are_refused():
+    flow = FiveTuple(1, 2, 3, 4, 6)
+    frame = _reply([[StreamPayload(flow, 0, b"abc", 0.0, 1.0, 0)] * 2], bulk=False)
+    for counts, payload in (
+        ([2], frame.payload[:-1]), ([2], frame.payload + b"!"), ([1], frame.payload),
+        ([3], frame.payload), ([-1], frame.payload), ([True], frame.payload),
+        ([1, 1], frame.payload[STREAM_ROW.size:]),
+    ):
+        with pytest.raises(ProtocolError):
+            split_streams(counts, payload)
+    assert len(split_streams([1, 1], frame.payload)) == 2

@@ -4,7 +4,13 @@ from __future__ import annotations
 
 import pytest
 
-from repro.service.protocol import MSG_EVENT, FrameReader, encode_events, split_events
+from repro.service.protocol import (
+    EVENT_ROW,
+    MSG_EVENT,
+    FrameReader,
+    encode_events,
+    split_events,
+)
 from repro.service.session import ClientQuotas, ClientSession, SessionLedger
 
 FLOW = (0x0A000001, 1234, 0x0A000002, 80, 6)
@@ -173,8 +179,8 @@ class CountingSocket(FakeSocket):
 #: Events of growing payload size, so every frame has its own length.
 EVENTS = [_event(i, 3 * i) for i in range(5)]
 #: A frame bound under which the five events make frames of 2, 2 and 1
-#: (each event counts its payload and 64 bytes).
-SMALL_GATHER = 131
+#: (each event counts its payload and its row).
+SMALL_GATHER = 2 * EVENT_ROW.size + 3
 RUNS = [(0, 2), (2, 4), (4, 5)]
 
 
@@ -330,7 +336,7 @@ def test_a_frame_carries_one_subscription_and_seq_runs_on():
         session.enqueue_event(sub, _event())
     session.pump()
     frames = FrameReader().feed(bytes(session.sock.sent))
-    assert [(f.header["sub"], f.header["seq"], len(f.header["events"])) for f in frames] == [
+    assert [(f.header["sub"], f.header["seq"], f.header["events"]) for f in frames] == [
         (a.subscription_id, 0, 2), (b.subscription_id, 0, 1), (a.subscription_id, 2, 1),
     ]
     assert session.ledger.delivered == 4 and session.ledger.balanced()
