@@ -110,8 +110,8 @@ class StreamMemory:  # scapcheck: single-owner
         self._obs = observability or NULL_OBSERVABILITY
         self._san = sanitizers
         self._fault = fault_injector
-        # SCAP_RACE=1: the ledger is single-owner — the shard's capture
-        # loop — so every charge/release must come from one thread.
+        # SCAP_RACE=1: the ledger is single-owner — the capture loop —
+        # so every charge/release must come from one thread.
         self._race = race_detector_from_env()
         self._race_token = (
             self._race.register("StreamMemory.ledger")

@@ -207,7 +207,7 @@ class MetricsRegistry:
         # SCAP_RACE=1: family registration is a structural mutation that
         # must stay on the thread that owns this registry.  Disabled
         # registries are exempt: the module-global NULL registry is a
-        # write-only sink that per-shard runtimes share by design.
+        # write-only sink that every runtime shares by design.
         # Imported lazily — observability must not depend on sanitizers
         # at import time (sanitizer contexts point back at observability).
         from ..sanitizers.race import race_detector_from_env

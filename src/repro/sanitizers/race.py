@@ -1,8 +1,8 @@
-"""Runtime race detector (``SCAP_RACE=1``) — the dynamic half of SC006–SC007.
+"""Runtime race detector (``SCAP_RACE=1``) — the dynamic half of SC003/SC007.
 
-The whole-program rules in :mod:`repro.staticcheck.rules` prove
-what it can about the concurrency discipline; this module watches the
-same shared-state touchpoints while the pipeline actually runs.  A
+The lockset rules in :mod:`repro.staticcheck.rules` check each class's
+concurrency discipline on paper; this module watches the shared-state
+touchpoints while the pipeline actually runs.  A
 resource (flow table, stream-memory ledger, metrics registry structure,
 store writer) is claimed by the first thread that touches it; any touch
 from a second thread is a violation.  This is the runtime form of

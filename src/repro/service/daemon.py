@@ -148,6 +148,10 @@ class DaemonConfig:
         self.quotas.validate()
         if self.memory_size < 1:
             raise ValueError("memory_size must be positive")
+        if self.core_count < 1:
+            raise ValueError("core_count must be positive")
+        if self.max_frame_bytes < 1:
+            raise ValueError("max_frame_bytes must be positive")
         if self.global_event_budget is not None and self.global_event_budget < 1:
             raise ValueError("global_event_budget must be positive")
         if self.telemetry_cadence <= 0:

@@ -4,10 +4,9 @@ Ordinary linters check Python; this package checks *Scap*.  The rules
 encode invariants the reproduction's correctness rests on — simulated
 time only (SC001), zero-cost disabled observability (SC002), declared
 concurrency discipline for shared state (SC003), well-formed stream
-events (SC004), a fully documented/typed public API (SC005), no
-single-owner object mutated from a thread root that did not build it
-(SC006), and one lockset per attribute (SC007).  All seven run over
-one :class:`~repro.staticcheck.project.Project` per run.
+events (SC004), a fully documented/typed public API (SC005), and one
+lockset per attribute (SC007).  All six run over one
+:class:`~repro.staticcheck.project.Project` per run.
 
 Run it as ``python -m repro.staticcheck src/repro`` or
 ``repro-scap scapcheck src/repro``; suppress a finding inline with

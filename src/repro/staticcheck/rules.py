@@ -1,4 +1,4 @@
-"""The repo-specific scapcheck rules (SC001–SC007).
+"""The repo-specific scapcheck rules (SC001–SC005, SC007).
 
 Each rule encodes one invariant of this codebase that ordinary linters
 cannot express (see ``docs/STATIC_ANALYSIS.md`` for the catalogue and
@@ -14,13 +14,10 @@ the rationale behind each):
   name a valid stream-state transition with the fields it requires.
 * SC005 — public ``scap_*`` API functions need docstrings and full
   type hints.
-* SC006 — a single-owner class must not be mutated from code a thread
-  root reaches, unless that root builds its own instance.
 * SC007 — an attribute locked in one method must be locked in all.
 
-SC006 follows the :class:`~repro.staticcheck.project.Project`
-call graph across files; the others look at one file (or one class) at
-a time.
+Each rule looks at one file (or one class) at a time; SC003 and SC007
+share the :class:`~repro.staticcheck.project.Project` lockset walk.
 """
 
 from __future__ import annotations
@@ -37,7 +34,6 @@ __all__ = [
     "SharedStateRule",
     "EventTransitionRule",
     "ScapApiContractRule",
-    "SingleOwnerEscapeRule",
     "LocksetConsistencyRule",
     "HOT_PATH_PACKAGES",
 ]
@@ -513,63 +509,13 @@ class ScapApiContractRule(Rule):
 def _first_per_line(findings: List[Violation]) -> List[Violation]:
     """The first finding, in column order, on each source line.
 
-    A whole-program rule can implicate one site several times (through
-    several roots, attributes or arguments); it reports the site once.
+    One statement can write several locked attributes; SC007 reports
+    the site once.
     """
     kept: Dict[Tuple[str, int], Violation] = {}
     for finding in sorted(findings, key=lambda v: (v.path, v.line, v.col)):
         kept.setdefault((finding.path, finding.line), finding)
     return list(kept.values())
-
-
-# ----------------------------------------------------------------------
-# SC006 — single-owner objects must not escape into concurrent code
-# ----------------------------------------------------------------------
-@register_rule
-class SingleOwnerEscapeRule(Rule):
-    """SC006: mutation of a single-owner class from a concurrent root.
-
-    A class annotated ``# scapcheck: single-owner`` promises that one
-    thread owns every instance.  If a method of such a class that
-    mutates ``self`` state is reachable from a thread target, *and* the class is not constructed anywhere inside that
-    root's own call tree (which would make the instance thread-local),
-    the promise is broken cross-module.
-    """
-
-    rule_id = "SC006"
-    description = (
-        "single-owner class state mutated from code reachable from a "
-        "thread root without a root-local construction"
-    )
-
-    def check(self, project: Project) -> List[Violation]:
-        """Flag single-owner mutations reachable from concurrent roots."""
-        findings: List[Violation] = []
-        for root in project.roots:
-            closure = project.reachable(root)
-            for fn in sorted(
-                closure.functions, key=lambda f: (f.source.path, f.lineno)
-            ):
-                cls = fn.cls
-                if cls is None or not cls.single_owner:
-                    continue
-                if cls.name in closure.constructed:
-                    continue  # built inside the root: thread-local instance
-                mutations = project.mutations(fn)
-                if not mutations:
-                    continue
-                findings.append(
-                    self.violation(
-                        fn.source,
-                        mutations[0],
-                        f"single-owner class {cls.name} is mutated in "
-                        f"{fn.qualname}, reachable from {root.description}, "
-                        "but no instance is constructed inside that root's "
-                        "call tree; pass a root-local instance, add locking, "
-                        "or drop the single-owner annotation",
-                    )
-                )
-        return _first_per_line(findings)
 
 
 # ----------------------------------------------------------------------
@@ -607,9 +553,9 @@ class LocksetConsistencyRule(Rule):
         locked_by_method: Dict[str, Set[str]] = {}
         bare_sites: List[Tuple[str, str, ast.AST]] = []  # (method, attr, node)
         for name, method in cls.methods.items():
-            if name == "__init__" or method.source.single_owner(method.lineno):
+            if name == "__init__" or cls.source.single_owner(method.lineno):
                 continue
-            for node, attrs, locked in cls.locked_mutations(method.body()):
+            for node, attrs, locked in cls.locked_mutations(method.body):
                 for attr in attrs:
                     if attr in cls.lock_attrs:
                         continue  # assigning the lock itself

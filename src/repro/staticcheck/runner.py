@@ -7,8 +7,8 @@ Entry points:
 * :func:`run_paths` — the programmatic API the tests use.
 
 Every run parses the files into one
-:class:`~repro.staticcheck.project.Project` and runs all seven rules
-(SC001–SC007) over it.  ``--format`` selects ``text`` (default),
+:class:`~repro.staticcheck.project.Project` and runs all six rules
+(SC001–SC005, SC007) over it.  ``--format`` selects ``text`` (default),
 ``json`` (one document with violations, errors, and per-rule counts),
 or ``github`` (workflow ``::error`` annotations, so CI failures mark PR
 lines).
@@ -94,7 +94,7 @@ def run_paths(
     Returns ``(violations, errors)`` where ``errors`` are files that
     could not be parsed (syntax errors are reported, not fatal — a
     linter must survive broken input).  The parseable files form one
-    :class:`Project`, so the whole-program rules see across them.
+    :class:`Project`, which every rule reads.
     """
     rules = _select_rules(select)
     errors: List[str] = []

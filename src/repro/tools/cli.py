@@ -24,8 +24,8 @@ Subcommands:
 * ``timeline`` — reconstruct per-stream lifecycles from the trace ring
   (the stream flight recorder); one five-tuple's full story, or a
   summary line per connection.
-* ``scapcheck`` — run the repo-specific static analysis (SC001–SC007)
-  over source paths; its arguments go unchanged to
+* ``scapcheck`` — run the repo-specific static analysis (SC001–SC005,
+  SC007) over source paths; its arguments go unchanged to
   ``python -m repro.staticcheck`` (see docs/STATIC_ANALYSIS.md).
 * ``record``   — capture a trace under a cutoff and persist the
   delivered streams into an on-disk stream store (docs/STORE.md).
@@ -221,7 +221,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     # Parsed by repro.staticcheck.runner: main() hands it the arguments.
     sub.add_parser(
-        "scapcheck", help="repo-specific static analysis (SC001-SC007)",
+        "scapcheck",
+        help="repo-specific static analysis (SC001-SC005, SC007)",
         add_help=False,
     )
 

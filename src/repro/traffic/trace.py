@@ -133,10 +133,9 @@ class Trace(Timeline):
     def reset_timeline(self) -> None:
         """Restore every packet's native timestamp.
 
-        :meth:`replay` rescales timestamps in place; callers that slice
-        or re-shard the trace afterwards (e.g. the sharded capture)
-        reset first so derived traces see the native timeline, not the
-        last replay's.
+        :meth:`replay` rescales timestamps in place; callers that reuse
+        the trace afterwards reset first so they see the native
+        timeline, not the last replay's.
         """
         for packet, base_time in zip(self.packets, self._base_times):
             packet.timestamp = base_time

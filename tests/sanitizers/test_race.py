@@ -15,6 +15,8 @@ from repro.sanitizers import (
     race_enabled,
     reset_race_detector,
 )
+from repro.service import DaemonConfig, RemoteCallError, ScapClient, ScapDaemon
+from repro.service.protocol import ERR_INTERNAL
 
 TUPLE = FiveTuple(0x0A000001, 40000, 0x0A000002, 80, 6)
 
@@ -189,6 +191,55 @@ class TestEnvironmentWiring:
             assert store.writer.outstanding_bytes == 0
         finally:
             reset_race_detector()
+
+    def test_daemon_loop_thread_touching_the_store_is_caught(
+        self, monkeypatch, tmp_path
+    ):
+        # The daemon's discipline: only scapd-owner touches the store,
+        # and the loop thread hands it jobs.  The real stats handler
+        # keeps it; then seed the bug it rules out -- the loop-side
+        # handler draining the writer -- and the detector must name
+        # StoreWriter and both threads.
+        monkeypatch.setenv("SCAP_RACE", "1")
+        reset_race_detector()
+        seeded = threading.Event()
+        caught: list = []
+        plain_stats = ScapDaemon._cmd_stats
+
+        def stats(daemon, request, frame):
+            if seeded.is_set():
+                try:
+                    daemon.store.writer.drain()
+                except InvariantViolation as violation:
+                    caught.append(violation)
+                    raise
+            return plain_stats(daemon, request, frame)
+
+        monkeypatch.setattr(ScapDaemon, "_cmd_stats", stats)
+        daemon = ScapDaemon(DaemonConfig(store_dir=str(tmp_path / "store")))
+        path = daemon.add_unix_listener(str(tmp_path / "scapd.sock"))
+        daemon.start()
+        client = ScapClient(unix_path=path)
+        try:
+            # The capture's records make scapd-owner the writer's owner.
+            assert client.submit_campus(flows=4, seed=3)["streams_created"] > 0
+            assert client.stats()["store"]["record_count"] > 0
+            seeded.set()
+            with pytest.raises(RemoteCallError) as err:
+                client.stats()
+        finally:
+            client.close()
+            daemon.shutdown()
+            reset_race_detector()
+        assert err.value.code == ERR_INTERNAL
+        assert "StoreWriter" in str(err.value)
+        assert len(caught) == 1
+        details = caught[0].details
+        assert details["resource"] == "StoreWriter"
+        assert details["first_thread"] == "scapd-owner"
+        assert details["second_thread"] == "scapd-loop"
+        assert "owner.py:capture" in details["first_stack"]
+        assert "daemon.py:_dispatch" in details["second_stack"]
 
     def test_instrumented_flowtable_clean_on_one_thread(self, monkeypatch):
         monkeypatch.setenv("SCAP_RACE", "1")

@@ -406,6 +406,19 @@ def test_control_commands_can_be_disabled(tmp_path):
     daemon.shutdown()
 
 
+@pytest.mark.parametrize(
+    "settings",
+    [{"core_count": 0}, {"core_count": -1}, {"max_frame_bytes": 0}],
+)
+def test_config_without_cores_or_frame_room_is_refused(settings):
+    # Such a daemon would start and then refuse every capture.
+    config = DaemonConfig(**settings)
+    with pytest.raises(ValueError, match=next(iter(settings))):
+        config.validate()
+    with pytest.raises(ValueError):
+        ScapDaemon(config)
+
+
 def test_tcp_listener_works(tmp_path):
     daemon = ScapDaemon(DaemonConfig())
     host, port = daemon.add_tcp_listener("127.0.0.1", 0)

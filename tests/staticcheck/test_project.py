@@ -1,15 +1,14 @@
-"""Whole-program rules SC006-SC007, formats, dedupe, file suppression."""
+"""Project-mode rule SC007, formats, dedupe, file suppression; thread pin."""
 
 from __future__ import annotations
 
+import ast
 import json
 import os
 import textwrap
 
 import pytest
 
-from repro.staticcheck.framework import SourceFile
-from repro.staticcheck.project import Project
 from repro.staticcheck.runner import (
     iter_python_files,
     main,
@@ -38,7 +37,6 @@ class TestSeededProjectFixtures:
     @pytest.mark.parametrize(
         "rule_id,name",
         [
-            ("SC006", "sc006_escape.py"),
             ("SC007", "sc007_lockset.py"),
         ],
     )
@@ -52,7 +50,6 @@ class TestSeededProjectFixtures:
     @pytest.mark.parametrize(
         "rule_id,name",
         [
-            ("SC006", "sc006_escape.py"),
             ("SC007", "sc007_lockset.py"),
         ],
     )
@@ -66,66 +63,33 @@ class TestSeededProjectFixtures:
     def test_repo_is_clean_under_project_mode(self):
         violations, errors = run_paths([REPO_SRC])
         assert errors == []
-        project_rules = {"SC006", "SC007"}
-        assert [v for v in violations if v.rule_id in project_rules] == []
+        assert [v for v in violations if v.rule_id == "SC007"] == []
 
     def test_project_analysis_is_not_vacuous_on_the_repo(self):
-        # The clean verdict above must come from real exemption logic,
-        # not from the analyzer failing to see any concurrency.
-        sources = [
-            SourceFile(path, open(path, encoding="utf-8").read())
-            for path in iter_python_files([REPO_SRC])
-        ]
-        project = Project(sources)
-        # The exact set of threads src/ starts.  A new thread is a new
-        # concurrent root: it fails here so a reviewer looks at it.
-        paths = [
-            root.description.rsplit(" at ", 1)[1].rsplit(":", 1)[0]
-            for root in project.roots
-        ]
-        assert sorted(os.path.relpath(path, REPO_SRC) for path in paths) == [
+        # The exact set of threads src/ starts.  A new thread is new
+        # concurrency: it fails here so a reviewer looks at it, and
+        # SCAP_RACE's owner tokens decide whether it may touch shared
+        # state.
+        sites = []
+        for path in iter_python_files([REPO_SRC]):
+            with open(path, encoding="utf-8") as handle:
+                tree = ast.parse(handle.read(), filename=path)
+            sites.extend(
+                os.path.relpath(path, REPO_SRC)
+                for node in ast.walk(tree)
+                if isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "Thread"
+                and isinstance(node.func.value, ast.Name)
+                and node.func.value.id == "threading"
+            )
+        assert sorted(sites) == [
             os.path.join("service", name)
             for name in ("client.py", "daemon.py", "health.py", "owner.py")
         ]
-        loop_root = next(
-            root for root in project.roots if "daemon.py" in root.description
-        )
-        loop_closure = {fn.qualname for fn in project.reachable(loop_root).functions}
-        assert "ScapDaemon._dispatch" in loop_closure
-        # Static twin of SCAP_RACE's writer token: nothing the loop
-        # thread runs touches the store; it hands jobs to scapd-owner.
-        store_classes = ("StoreWriter.", "StreamStore.", "StoreIndex.")
-        assert not [name for name in loop_closure if name.startswith(store_classes)]
 
 
 class TestProjectRuleBehavior:
-    def test_sc006_exempts_root_local_construction(self, tmp_path):
-        path = write(
-            tmp_path,
-            "local_owner.py",
-            """
-            import threading
-
-
-            class Ledger:  # scapcheck: single-owner
-                def __init__(self):
-                    self.total = 0
-
-                def add(self, amount):
-                    self.total += amount
-
-
-            def worker():
-                ledger = Ledger()
-                ledger.add(1)
-
-
-            THREAD = threading.Thread(target=worker)
-            """,
-        )
-        violations, _ = run_paths([path], select=["SC006"])
-        assert violations == []
-
     def test_sc007_ignores_init_and_single_owner_methods(self, tmp_path):
         path = write(
             tmp_path,
@@ -150,46 +114,36 @@ class TestProjectRuleBehavior:
         violations, _ = run_paths([path], select=["SC007"])
         assert violations == []
 
-    def test_selecting_project_rule_needs_no_flag(self, capsys):
-        violations, _ = run_paths([fixture("sc006_escape.py")], select=["SC006"])
-        assert {v.rule_id for v in violations} == {"SC006"}
-        assert main(["--select", "SC007", PROJECT_FIXTURES]) == 1
-        out = capsys.readouterr().out
-        assert "SC007" in out and "SC006" not in out
-
-    def test_cross_file_escape_is_detected(self, tmp_path):
-        write(
+    def test_selecting_project_rule_needs_no_flag(self, tmp_path, capsys):
+        path = write(
             tmp_path,
-            "owner_mod.py",
-            """
-            class Ledger:  # scapcheck: single-owner
-                def __init__(self):
-                    self.total = 0
-
-                def add(self, amount):
-                    self.total += amount
-            """,
-        )
-        write(
-            tmp_path,
-            "spawn_mod.py",
+            "mixed.py",
             """
             import threading
 
-            from owner_mod import Ledger
+
+            def scap_undocumented(x):
+                return x
 
 
-            def worker(ledger: Ledger):
-                ledger.add(1)
+            class Counter:
+                def __init__(self):
+                    self._lock = threading.Lock()
+                    self.count = 0
 
+                def bump(self):
+                    with self._lock:
+                        self.count += 1
 
-            THREAD = threading.Thread(target=worker, args=(None,))
+                def reset(self):
+                    self.count = 0
             """,
         )
-        violations, _ = run_paths(
-            [str(tmp_path)], select=["SC006"])
-        assert len(violations) == 1
-        assert "owner_mod.py" in violations[0].path
+        violations, _ = run_paths([path])
+        assert {v.rule_id for v in violations} == {"SC005", "SC007"}
+        assert main(["--select", "SC007", path]) == 1
+        out = capsys.readouterr().out
+        assert "SC007" in out and "SC005" not in out
 
 
 class TestIterPythonFilesDedupe:

@@ -72,7 +72,7 @@ class TestRunPaths:
     def test_default_run_includes_whole_program_rules(self):
         violations, errors = run_paths([PROJECT_FIXTURES])
         assert errors == []
-        assert {v.rule_id for v in violations} == {"SC006", "SC007"}
+        assert {v.rule_id for v in violations} == {"SC007"}
 
 
 class TestIterPythonFiles:
@@ -108,13 +108,12 @@ class TestStandaloneMain:
     def test_exit_one_on_whole_program_findings(self, capsys):
         assert main([PROJECT_FIXTURES]) == 1
         out = capsys.readouterr().out
-        for rule_id in ("SC006", "SC007"):
-            assert rule_id in out
+        assert "SC007" in out
 
     def test_select_whole_program_rule(self, capsys):
-        assert main(["--select", "SC007", PROJECT_FIXTURES]) == 1
+        assert main(["--select", "SC007", FIXTURES, PROJECT_FIXTURES]) == 1
         out = capsys.readouterr().out
-        assert "SC007" in out and "SC006" not in out
+        assert "SC007" in out and "SC001" not in out
 
     def test_list_rules_covers_registry(self, capsys):
         assert main(["--list-rules"]) == 0
@@ -122,7 +121,7 @@ class TestStandaloneMain:
         for rule_id in RULE_REGISTRY:
             assert rule_id in out
         lines = [line for line in list_rules().splitlines() if line.startswith("SC")]
-        assert len(lines) == len(RULE_REGISTRY) == 7
+        assert len(lines) == len(RULE_REGISTRY) == 6
         assert not any(line.endswith("]") for line in lines)
 
 
