@@ -8,6 +8,8 @@ this sweep shows why that is a sensible middle.
 
 from __future__ import annotations
 
+from conftest import needs_small_scale
+
 from repro.apps import StreamDeliveryApp
 from repro.bench import get_scale
 from repro.bench.scenarios import GBIT, _buffers, _trace
@@ -31,8 +33,12 @@ def _sweep(rate_gbps: float = 4.0):
     return results
 
 
-def test_ablation_chunk_size(benchmark, emit):
-    results = benchmark.pedantic(_sweep, rounds=1, iterations=1)
+@needs_small_scale
+def test_ablation_chunk_size(emit):
+    """Not run at ``tiny``: most of its 120 flows are shorter than a
+    few chunks, so per-stream events set a floor.  1 KB chunks give
+    2,500 events, only 3.6x the 692 of 16 KB chunks (the claim is >4x)."""
+    results = _sweep()
     rows = [f"{'chunk':>8} {'events':>9} {'cpu%':>7} {'drop%':>7}"]
     for chunk_size, result in results.items():
         rows.append(

@@ -35,13 +35,10 @@ def _run(trace, mode):
     return app, result
 
 
-def test_ablation_reassembly_mode(benchmark, emit):
+def test_ablation_reassembly_mode(emit):
     trace = _lossy_trace()
-    (fast_app, fast), (strict_app, strict) = benchmark.pedantic(
-        lambda: (_run(trace, SCAP_TCP_FAST), _run(trace, SCAP_TCP_STRICT)),
-        rounds=1,
-        iterations=1,
-    )
+    fast_app, fast = _run(trace, SCAP_TCP_FAST)
+    strict_app, strict = _run(trace, SCAP_TCP_STRICT)
     wire_payload = sum(f.total_bytes for f in trace.flows)
     rows = [
         f"{'mode':>8} {'delivered_MB':>13} {'of wire payload':>16}",

@@ -28,15 +28,10 @@ def _direction_affinity(key: bytes, trace) -> float:
     return same / len(flows)
 
 
-def test_ablation_symmetric_rss(benchmark, emit):
+def test_ablation_symmetric_rss(emit):
     trace = _trace(get_scale(), planted=False)
-    symmetric, stock = benchmark.pedantic(
-        lambda: (
-            _direction_affinity(SYMMETRIC_RSS_KEY, trace),
-            _direction_affinity(MICROSOFT_RSS_KEY, trace),
-        ),
-        rounds=1, iterations=1,
-    )
+    symmetric = _direction_affinity(SYMMETRIC_RSS_KEY, trace)
+    stock = _direction_affinity(MICROSOFT_RSS_KEY, trace)
     emit(
         f"{'key':>12} {'same-core direction affinity':>30}\n"
         f"{'symmetric':>12} {symmetric * 100:29.1f}%\n"
@@ -47,7 +42,7 @@ def test_ablation_symmetric_rss(benchmark, emit):
     assert stock < 0.5
 
 
-def test_ablation_load_balancing(benchmark, emit):
+def test_ablation_load_balancing(emit):
     trace = _trace(get_scale(), planted=False)
 
     def run(enable):
@@ -59,9 +54,8 @@ def test_ablation_load_balancing(benchmark, emit):
         # Count streams whose packets each core received, from NIC stats.
         return runtime, runtime.nic.stats.per_queue
 
-    (plain_runtime, plain_queues), (balanced_runtime, balanced_queues) = (
-        benchmark.pedantic(lambda: (run(False), run(True)), rounds=1, iterations=1)
-    )
+    plain_runtime, plain_queues = run(False)
+    balanced_runtime, balanced_queues = run(True)
     rows = [f"{'config':>10} " + " ".join(f"q{i:<6}" for i in range(8))]
     rows.append(f"{'static':>10} " + " ".join(f"{q:<7}" for q in plain_queues))
     rows.append(f"{'dynamic':>10} " + " ".join(f"{q:<7}" for q in balanced_queues))

@@ -19,10 +19,8 @@ from repro.bench import fig03_flow_statistics, format_series, get_scale
 from repro.bench.tables import STANDARD_METRICS
 
 
-def test_fig03_flow_statistics(benchmark, emit):
-    series = benchmark.pedantic(
-        fig03_flow_statistics, args=(get_scale(),), rounds=1, iterations=1
-    )
+def test_fig03_flow_statistics(emit):
+    series = fig03_flow_statistics(get_scale())
     emit(format_series(series, STANDARD_METRICS), name="fig03_flow_stats")
 
     top = series.xs()[-1]

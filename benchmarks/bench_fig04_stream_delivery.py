@@ -16,10 +16,8 @@ from repro.bench import fig04_stream_delivery, format_series, get_scale
 from repro.bench.tables import STANDARD_METRICS
 
 
-def test_fig04_stream_delivery(benchmark, emit):
-    series = benchmark.pedantic(
-        fig04_stream_delivery, args=(get_scale(),), rounds=1, iterations=1
-    )
+def test_fig04_stream_delivery(emit):
+    series = fig04_stream_delivery(get_scale())
     emit(format_series(series, STANDARD_METRICS), name="fig04_stream_delivery")
 
     top = series.xs()[-1]

@@ -23,11 +23,9 @@ def _metrics():
     ]
 
 
-def test_fig05_concurrent_streams(benchmark, emit):
+def test_fig05_concurrent_streams(emit):
     scale = get_scale()
-    series = benchmark.pedantic(
-        fig05_concurrent_streams, args=(scale,), rounds=1, iterations=1
-    )
+    series = fig05_concurrent_streams(scale)
     emit(format_series(series, _metrics()), name="fig05_concurrent_streams")
 
     limit = scale.concurrent_table_limit

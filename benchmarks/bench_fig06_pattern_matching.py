@@ -29,10 +29,8 @@ def _metrics():
     ]
 
 
-def test_fig06_pattern_matching(benchmark, emit):
-    series = benchmark.pedantic(
-        fig06_pattern_matching, args=(get_scale(),), rounds=1, iterations=1
-    )
+def test_fig06_pattern_matching(emit):
+    series = fig06_pattern_matching(get_scale())
     emit(format_series(series, _metrics()), name="fig06_pattern_matching")
 
     top = series.xs()[-1]

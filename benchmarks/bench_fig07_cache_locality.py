@@ -26,11 +26,9 @@ def _run_study(trace):
     return libnids, snort, scap
 
 
-def test_fig07_cache_locality(benchmark, emit):
+def test_fig07_cache_locality(emit):
     trace = _trace(get_scale(), False)
-    libnids, snort, scap = benchmark.pedantic(
-        _run_study, args=(trace,), rounds=1, iterations=1
-    )
+    libnids, snort, scap = _run_study(trace)
     rows = [
         f"{'system':>10} {'misses/packet':>14}",
         f"{'snort':>10} {snort.misses_per_packet:14.2f}",

@@ -15,6 +15,8 @@ the same relative overload point):
 
 from __future__ import annotations
 
+from conftest import needs_small_scale
+
 from repro.bench import fig08_cutoff_sweep, format_series, get_scale
 
 
@@ -28,10 +30,13 @@ def _metrics():
     ]
 
 
-def test_fig08_cutoff_sweep(benchmark, emit):
-    series = benchmark.pedantic(
-        fig08_cutoff_sweep, args=(get_scale(),), rounds=1, iterations=1
-    )
+@needs_small_scale
+def test_fig08_cutoff_sweep(emit):
+    """Not run at ``tiny``: its flows are at most 400 kB, so the 10 KB
+    cutoff discards only ~39 % of packets and the matcher stays at
+    100 % CPU, as with no cutoff.  The CPU claim needs the heavy tail
+    that ``small`` flows (up to 4 MB) have."""
+    series = fig08_cutoff_sweep(get_scale())
     emit(format_series(series, _metrics()), name="fig08_cutoff_sweep")
 
     cutoffs = series.xs()

@@ -22,10 +22,8 @@ def _metrics():
     ]
 
 
-def test_fig09_ppl_priorities(benchmark, emit):
-    series = benchmark.pedantic(
-        fig09_ppl_priorities, args=(get_scale(),), rounds=1, iterations=1
-    )
+def test_fig09_ppl_priorities(emit):
+    series = fig09_ppl_priorities(get_scale())
     emit(format_series(series, _metrics()), name="fig09_ppl")
 
     rates = series.xs()

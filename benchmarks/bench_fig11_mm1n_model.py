@@ -23,8 +23,8 @@ def _curves():
     }
 
 
-def test_fig11_mm1n_model(benchmark, emit):
-    curves = benchmark.pedantic(_curves, rounds=1, iterations=1)
+def test_fig11_mm1n_model(emit):
+    curves = _curves()
 
     sample_ns = (5, 10, 20, 50, 100, 150, 200)
     rows = [f"{'N':>5} " + " ".join(f"rho={rho:<10}" for rho in _RHOS)]

@@ -31,8 +31,8 @@ def _curves():
     return medium, high
 
 
-def test_fig12_priority_markov(benchmark, emit):
-    medium, high = benchmark.pedantic(_curves, rounds=1, iterations=1)
+def test_fig12_priority_markov(emit):
+    medium, high = _curves()
 
     rows = [f"{'N':>4} {'medium':>14} {'high':>14}"]
     for n in (1, 5, 10, 20, 30, 40):

@@ -68,8 +68,8 @@ def _sweep():
     ]
 
 
-def test_sensitivity_costmodel(benchmark, emit):
-    outcomes = benchmark.pedantic(_sweep, rounds=1, iterations=1)
+def test_sensitivity_costmodel(emit):
+    outcomes = _sweep()
     rows = [
         f"{'perturbation':>34} {'scap drop%':>11} {'nids drop%':>11} "
         f"{'scap cpu%':>10} {'nids cpu%':>10}"

@@ -2,20 +2,20 @@
 """Assemble EXPERIMENTS.md from the benchmark harness outputs.
 
 Run the benchmarks first (they write their tables into
-``benchmarks/output/``), then::
+``benchmarks/output/<scale>/``), then::
 
     python benchmarks/generate_experiments.py [--scale NAME]
 
 The narrative (what the paper reports, what shape we claim) lives
-here; the measured tables are embedded verbatim, so EXPERIMENTS.md is
-always regenerable from a fresh run.
+here; the measured tables are embedded verbatim from the one scale's
+directory, so EXPERIMENTS.md is a pure function of that run: two runs
+at one scale give the same bytes.
 """
 
 from __future__ import annotations
 
 import argparse
 import os
-from datetime import date
 
 OUTPUT_DIR = os.path.join(os.path.dirname(__file__), "output")
 TARGET = os.path.join(os.path.dirname(__file__), "..", "EXPERIMENTS.md")
@@ -177,8 +177,9 @@ Every table and figure in the paper's evaluation (§6–§7), the claim the
 paper makes, and what this reproduction measures.  Regenerate with:
 
 ```sh
-pytest benchmarks/ --benchmark-only          # writes benchmarks/output/
-python benchmarks/generate_experiments.py    # rebuilds this file
+export REPRO_BENCH_SCALE={scale} PYTHONHASHSEED=0 PYTHONPATH=src
+pytest benchmarks/bench_fig*.py benchmarks/bench_ablation_*.py benchmarks/bench_sensitivity_costmodel.py
+python benchmarks/generate_experiments.py  # embeds benchmarks/output/{scale}/ here
 ```
 
 **Scale note.** The paper replays a 46 GB campus trace through 512 MB /
@@ -198,17 +199,18 @@ fails the benchmark suite.
 
 
 def build(scale: str) -> str:
+    """EXPERIMENTS.md from the tables in ``benchmarks/output/<scale>/``."""
     scale_desc = {
         "small": "the default CI-sized workload, ~20 MB trace",
         "standard": "1,500 flows, 2,120 patterns, ~60 MB trace",
     }.get(scale, "custom")
     parts = [HEADER.format(scale=scale, scale_desc=scale_desc)]
-    parts.append(f"_Generated {date.today().isoformat()}._\n")
+    output_dir = os.path.join(OUTPUT_DIR, scale)
     for title, filename, paper, measured in SECTIONS:
         parts.append(f"## {title}\n")
         parts.append(f"**Paper.** {paper}\n")
         parts.append(f"**This reproduction.** {measured}\n")
-        path = os.path.join(OUTPUT_DIR, filename)
+        path = os.path.join(output_dir, filename)
         if os.path.exists(path):
             with open(path) as handle:
                 parts.append("```\n" + handle.read().rstrip() + "\n```\n")
@@ -217,13 +219,12 @@ def build(scale: str) -> str:
     parts.append("## Ablations\n")
     parts.append(
         "Design-choice ablations (see DESIGN.md §5); each is asserted in "
-        "its `bench_ablation_*.py`.  (Ablation tables are generated at "
-        "whatever scale their last run used — they probe mechanisms, not "
-        "absolute rates.)\n"
+        "its `bench_ablation_*.py`, and generated in the same run and at "
+        "the same scale as the figures above.\n"
     )
     for title, filename in ABLATIONS:
         parts.append(f"### {title}\n")
-        path = os.path.join(OUTPUT_DIR, filename)
+        path = os.path.join(output_dir, filename)
         if os.path.exists(path):
             with open(path) as handle:
                 parts.append("```\n" + handle.read().rstrip() + "\n```\n")

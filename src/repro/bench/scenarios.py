@@ -9,7 +9,7 @@ Scaling: the paper replays a 46 GB trace through 512 MB (ring) / 1 GB
 trace of a few tens of MB, so buffers are scaled to keep the
 buffer-to-trace ratio comparable (see DESIGN.md §2); absolute rates are
 therefore indicative, shapes are the claim.  ``BenchScale.from_env``
-honours ``REPRO_BENCH_SCALE=small|standard``.
+honours ``REPRO_BENCH_SCALE=tiny|small|standard``.
 """
 
 from __future__ import annotations
@@ -79,6 +79,15 @@ class BenchScale:
             )
         if name == "small":
             return cls()
+        if name == "tiny":
+            return cls(
+                name="tiny",
+                flow_count=120,
+                max_flow_bytes=400_000,
+                pattern_count=60,
+                concurrent_stream_counts=(10, 100, 1_000, 3_000),
+                concurrent_table_limit=300,
+            )
         raise ValueError(f"unknown REPRO_BENCH_SCALE: {name!r}")
 
 

@@ -29,6 +29,9 @@ from ..filters.bpf import BPFFilter
 from .index import RecordMeta, SegmentMeta, StoreIndex
 from .segment import SegmentWriter, scan_records
 
+#: Suffix of the copy ``_compact`` writes before swapping it in.
+TMP_SUFFIX = ".tmp"
+
 __all__ = ["ClassQuota", "RetentionPolicy", "RetentionReport", "RetentionEngine"]
 
 
@@ -193,14 +196,21 @@ class RetentionEngine:
         if not survivors:
             return self._delete_segment(segment)
         path = segment.path
-        tmp_path = path + ".tmp"
+        tmp_path = path + TMP_SUFFIX
         writer = SegmentWriter(tmp_path, core=segment.info.core, compress=False)
-        for offset, record in scan_records(path):
-            if offset in doomed_offsets:
-                continue
-            writer.append(record)
-        writer.seal()
-        os.replace(tmp_path, path)
+        try:
+            for offset, record in scan_records(path):
+                if offset in doomed_offsets:
+                    continue
+                writer.append(record)
+            writer.seal()
+            os.replace(tmp_path, path)
+        except BaseException:
+            # The original segment is untouched until ``os.replace``;
+            # only the half-written copy has to go.
+            writer.close()
+            os.unlink(tmp_path)
+            raise
         self.index.remove_segment(path)
         self.index.add_segment_file(path)
         report.segments_compacted += 1

@@ -6,7 +6,9 @@ the in-memory index, the retention engine prunes by age/quota/bytes,
 and queries reassemble stored streams (optionally re-materialized as a
 replay trace).  Opening a directory that already holds segments
 rebuilds the index by scanning them, so crash recovery and a normal
-open are the same operation.
+open are the same operation.  It also deletes the half-written copy a
+compaction that crashed left behind (``seg-*.scap.tmp``); the segment
+it was copying is still intact, because the swap never ran.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from ..observability import NULL_OBSERVABILITY, Observability
 from .index import StoreIndex
 from .query import QueryResult, run_query
 from .replay import StoredStreamSource
-from .retention import RetentionEngine, RetentionPolicy, RetentionReport
+from .retention import TMP_SUFFIX, RetentionEngine, RetentionPolicy, RetentionReport
 from .segment import SegmentInfo, StreamRecord
 from .writer import DEFAULT_SEGMENT_BYTES, StoreWriter
 
@@ -82,6 +84,7 @@ class StreamStore:
     ):
         self.directory = directory
         os.makedirs(directory, exist_ok=True)
+        _remove_compaction_copies(directory)
         self.index = StoreIndex()
         recovered = self.index.scan_directory(directory)
         start_sequence = _next_sequence(directory)
@@ -194,6 +197,13 @@ class StreamStore:
             self.enforce_retention()
         self._closed = True
         return self.stats()
+
+
+def _remove_compaction_copies(directory: str) -> None:
+    """Delete the ``seg-*.scap.tmp`` copies of crashed compactions."""
+    for name in os.listdir(directory):
+        if name.startswith("seg-") and name.endswith(".scap" + TMP_SUFFIX):
+            os.unlink(os.path.join(directory, name))
 
 
 def _next_sequence(directory: str) -> int:

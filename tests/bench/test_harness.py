@@ -78,6 +78,9 @@ def test_cache_study_ordering():
 def test_scale_from_env(monkeypatch):
     monkeypatch.setenv("REPRO_BENCH_SCALE", "standard")
     assert BenchScale.from_env().name == "standard"
+    monkeypatch.setenv("REPRO_BENCH_SCALE", "tiny")
+    tiny = BenchScale.from_env()
+    assert (tiny.name, tiny.flow_count, tiny.rates) == ("tiny", 120, BenchScale().rates)
     monkeypatch.setenv("REPRO_BENCH_SCALE", "small")
     assert BenchScale.from_env().name == "small"
     monkeypatch.setenv("REPRO_BENCH_SCALE", "galactic")

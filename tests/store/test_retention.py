@@ -1,10 +1,14 @@
 """Retention: age, per-class quotas, global bytes, tail-first eviction."""
 
 import os
+import shutil
 from itertools import groupby
+
+import pytest
 
 from repro.netstack import FiveTuple, IPProtocol
 from repro.store import ClassQuota, RetentionPolicy, StoreIndex, StreamRecord, StreamStore
+from repro.store import retention
 
 
 def _record(port=80, offset=0, ts=0.0, size=100, priority=0, src_port=1000):
@@ -185,6 +189,39 @@ class TestCompaction:
         after = reopened.query()
         assert [s.data for s in after.streams] == [s.data for s in before.streams]
         reopened.close()
+
+    def test_a_failed_compaction_leaves_no_copy_behind(self, tmp_path, monkeypatch):
+        """A compaction that raises mid-copy deletes its ``.tmp`` copy and
+        leaves the segment whole; a copy a crash left is deleted when the
+        store next opens, so ``disk_bytes`` is the size of the files."""
+        store = _store(tmp_path, retention=RetentionPolicy(max_bytes=900))
+        for n in range(8):
+            store.append(_record(offset=n * 100, ts=float(n)))
+        store.flush()
+        before = [s.data for s in store.query().streams]
+        scan_records = retention.scan_records
+
+        def torn_scan(path):
+            records = scan_records(path)
+            yield next(records)
+            raise OSError("disk went away")
+
+        monkeypatch.setattr(retention, "scan_records", torn_scan)
+        with pytest.raises(OSError, match="disk went away"):
+            store.enforce_retention()
+        assert not [name for name in os.listdir(tmp_path) if name.endswith(".tmp")]
+        store.close(enforce_retention=False)
+        # A crash between the copy and the swap: the copy stays behind.
+        segment = sorted(name for name in os.listdir(tmp_path) if name.endswith(".scap"))[0]
+        shutil.copy(tmp_path / segment, tmp_path / (segment + ".tmp"))
+
+        reopened = StreamStore(str(tmp_path))
+        assert not [name for name in os.listdir(tmp_path) if name.endswith(".tmp")]
+        assert [s.data for s in reopened.query().streams] == before
+        assert reopened.stats().disk_bytes == sum(
+            os.path.getsize(tmp_path / name) for name in os.listdir(tmp_path)
+        )
+        reopened.close(enforce_retention=False)
 
     def test_replace_segment_keeps_the_tuple_map_coherent(self, tmp_path):
         store = _store(tmp_path)
