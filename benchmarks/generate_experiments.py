@@ -86,9 +86,10 @@ matches at most equal to chunk-based delivery.""",
 ~10.2 misses/packet — reassembling into contiguous per-stream memory at
 write time roughly halves the misses of ring-then-copy designs.""",
         """With the set-associative cache simulator over the real
-address traces of both paths: Snort > Libnids > Scap with Scap at
-roughly half of Libnids — same ordering, same ~2x gap, similar
-absolute ballpark.""",
+address traces of both paths: Snort 28.07 > Libnids 24.06 > Scap
+8.53 misses/packet — the same ordering in a similar absolute
+ballpark, with a wider gap (Libnids/Scap 2.8x against the paper's
+~2x).""",
     ),
     (
         "Figure 8 — stream cutoff sweep at an overload rate",
@@ -116,8 +117,8 @@ lost up to 5.5 Gbit/s while low-priority loss reaches 85.7 %; at
         """(High-priority class: the interactive/mail ports, ~10 %
 of our packet mix — web dominates the synthetic mix, so port 80 cannot
 be the minority class here): zero high-priority loss at every rate up
-to the top of the sweep while low priority absorbs ~60 %+; the
-privileged class rides through overload untouched.""",
+to the top of the sweep while low-priority loss climbs to 55.85 % at
+6 Gbit/s; the privileged class rides through overload untouched.""",
     ),
     (
         "Figure 10a — drops vs worker threads",
@@ -132,10 +133,11 @@ middle rate reaches loss-free within 8 workers.""",
         "fig10b_max_lossfree_rate.txt",
         """~1 Gbit/s with one worker scaling near-linearly to
 5.5 Gbit/s with eight (not 8x: the kernel side shares the cores).""",
-        """monotone scaling from ~1 Gbit/s (one worker) to ~5x
-that with eight workers — same near-linear shape with the same
-less-than-ideal slope, for the same reason (kernel threads share the
-cores).""",
+        """non-decreasing scaling from 0.50 Gbit/s with one worker
+to 4.50 Gbit/s with seven and eight (9x; the paper's eight reach
+~5.5x its one). After the step from one worker to two, each added
+worker brings 0–1 Gbit/s, so the slope is less than ideal, for the
+paper's reason (kernel threads share the cores).""",
     ),
     (
         "Figure 11 — M/M/1/N loss probability (analysis)",
@@ -244,7 +246,7 @@ paper's single-core measurements:
 | Libnids/Snort stream delivery saturate | 2.5-2.75 Gbit/s | drops begin ~2.5 Gbit/s |
 | Scap stream delivery user CPU at 6 Gbit/s | <60 % | ~50 % |
 | Single-worker pattern matching loss-free | 0.75 (baselines) / 1.0 (Scap) Gbit/s | same ordering, onset within ~25 % |
-| L2 misses per packet | 25 / 21 / 10.2 | ~24 / ~21 / ~9 |
+| L2 misses per packet | 25 / 21 / 10.2 | 28.07 / 24.06 / 8.53 (Fig. 7) |
 """
     )
     return "\n".join(parts)

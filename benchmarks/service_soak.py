@@ -8,6 +8,11 @@ if:
 
 * no client observed a protocol-level failure it didn't provoke,
 * every capture's queried bytes match its reported delivered bytes,
+* after the clients finish, one client resubmits a round-0 capture, so
+  its streams are stored again and a full query takes the planned read;
+  that query's digest (every stream's identity, metadata and bytes) is
+  what the store directory answers, byte for byte, when it is reopened
+  with ``StreamStore`` after the daemon shut down,
 * a mid-soak scrape of the daemon's HTTP sidecar returns a **healthy**
   `/healthz` verdict, a ready `/readyz`, and a parseable `/metrics`
   exposition (the daemon runs with observability + telemetry on),
@@ -32,6 +37,7 @@ Usage::
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import socket
@@ -44,6 +50,7 @@ from urllib.request import urlopen
 from repro.observability import Observability
 from repro.service import ClientQuotas, DaemonConfig, ScapClient, ScapDaemon
 from repro.service.protocol import MSG_REQUEST, encode_frame
+from repro.store import StreamStore
 
 GBIT = 1e9
 #: The loop thread and the owner thread, with one to spare.
@@ -119,6 +126,55 @@ def _soak_client(
         errors.append(f"client {index}: {type(exc).__name__}: {exc}")
 
 
+def _streams_digest(rows) -> str:
+    """SHA-256 over ``(flow, direction, first_ts, last_ts, base_offset,
+    gap_bytes, data)`` rows, in answer order."""
+    sha = hashlib.sha256()
+    for flow, direction, first_ts, last_ts, base_offset, gap_bytes, data in rows:
+        head = (tuple(int(part) for part in flow), int(direction), first_ts, last_ts,
+                base_offset, gap_bytes, len(data))
+        sha.update(repr(head).encode())
+        sha.update(data)
+    return sha.hexdigest()
+
+
+def _requery(path: str) -> dict:
+    """Resubmit client 0's round-0 capture, then take one full query."""
+    client = ScapClient(unix_path=path, name="soak-requery")
+    try:
+        client.submit_campus(flows=6, seed=0, rate_bps=GBIT, name="soak-requery")
+        streams = client.query()
+    finally:
+        client.close()
+    return {
+        "streams": len(streams),
+        "bytes": sum(len(stream["data"]) for stream in streams),
+        "digest": _streams_digest(
+            (stream["flow"], stream["direction"], stream["first_ts"], stream["last_ts"],
+             stream["base_offset"], stream["gap_bytes"], stream["data"])
+            for stream in streams
+        ),
+    }
+
+
+def _check_reopened(store_dir: str, requery: dict, errors: list) -> None:
+    """The shut-down daemon's store, reopened, answers what it served."""
+    store = StreamStore(store_dir)
+    try:
+        requery["overlapping_connections"] = len(store.index.overlapping)
+        if not store.index.overlapping:
+            errors.append("requery: the resubmitted capture overlaps nothing stored")
+        digest = _streams_digest(
+            (stream.client_tuple, stream.direction, stream.first_ts, stream.last_ts,
+             stream.base_offset, stream.gap_bytes, stream.data)
+            for stream in store.query()
+        )
+    finally:
+        store.close(enforce_retention=False)
+    if digest != requery["digest"]:
+        errors.append("requery: the reopened store answers differently from the daemon")
+
+
 def _scrape_sidecar(daemon, errors: list) -> dict:
     """Mid-soak HTTP checks: /metrics parses, /healthz healthy, /readyz."""
     host, port = daemon.http_address
@@ -163,9 +219,10 @@ def main(argv=None) -> int:
 
     run_dir = tempfile.mkdtemp(prefix="scap-soak-")
     path = os.path.join(run_dir, "scapd.sock")
+    store_dir = os.path.join(run_dir, "store")
     daemon = ScapDaemon(
         DaemonConfig(
-            store_dir=os.path.join(run_dir, "store"),
+            store_dir=store_dir,
             quotas=ClientQuotas(max_queued_events=2048),
             http_host="127.0.0.1",
             telemetry_cadence=0.2,
@@ -205,10 +262,12 @@ def main(argv=None) -> int:
             f"(at most {MAX_DAEMON_THREADS} whatever the client count)"
         )
     elapsed = time.perf_counter() - start
+    requery = _requery(path)
 
     telemetry_history = daemon.telemetry.as_dict() if daemon.telemetry else None
 
     daemon.shutdown()
+    _check_reopened(store_dir, requery, errors)
     balanced = daemon.ledgers_balanced()
     ledgers = {
         entry["name"]: entry["ledger"] for entry in daemon.final_ledgers.values()
@@ -233,6 +292,7 @@ def main(argv=None) -> int:
         "ledgers": ledgers,
         "scrape": scrape,
         "peak_daemon_threads": peak_threads,
+        "requery": requery,
         "telemetry_samples": (
             telemetry_history["sampled"] if telemetry_history else 0
         ),
@@ -251,7 +311,9 @@ def main(argv=None) -> int:
         f"ledgers balanced: {balanced}; mid-soak verdict: "
         f"{scrape.get('health', {}).get('verdict', 'unscraped')}; "
         f"{payload['telemetry_samples']} telemetry samples; "
-        f"peak scapd-* threads: {peak_threads}"
+        f"peak scapd-* threads: {peak_threads}; requery: {requery['streams']} streams, "
+        f"{requery['bytes']} bytes, {requery.get('overlapping_connections', 0)} "
+        "re-recorded connections"
     )
     for line in errors:
         print(f"  ERROR {line}")

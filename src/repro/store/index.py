@@ -12,7 +12,9 @@ connection's entries.  A lookup returns its matches grouped per
 segment; a five-tuple lookup costs what it matches, a lookup without
 time bounds hands over the lists it keeps instead of walking them, and
 none touches disk: the file is opened only for the payload bytes of
-the frames a lookup named.
+the frames a lookup named.  The index also keeps the set of connections
+whose stored bytes may overlap (:attr:`StoreIndex.overlapping`), so a
+query plans its read only where a frame can be redundant.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import os
 from dataclasses import dataclass, field
 from itertools import groupby
 from operator import attrgetter
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from ..netstack.flows import FiveTuple
 from .segment import RecordMeta, SegmentInfo, read_segment
@@ -56,12 +58,23 @@ class StoreIndex:
     add/remove of whole segments (sealing, retention) and in-place
     replacement after compaction rewrites.  Those are the only ways
     records enter or leave the index, so they keep the record, payload
-    and disk totals as running sums: reading them costs O(1).
+    and disk totals as running sums: reading them costs O(1).  They
+    keep :attr:`overlapping` the same way.
     """
 
     def __init__(self):
         self.segments: Dict[str, SegmentMeta] = {}
         self._by_tuple: Dict[Tuple[int, int, int, int, int], List[RecordMeta]] = {}
+        #: Keys of the connections with a direction some record of which
+        #: starts before the end of the one indexed before it in that
+        #: direction (a bucket's order): re-recorded bytes, or records
+        #: out of offset order.  A connection outside the set has every
+        #: direction in offset order without overlap, so no frame of it
+        #: is redundant to a query.  Callers must not mutate it.
+        self.overlapping: Set[Tuple[int, int, int, int, int]] = set()
+        #: Per key and direction, the end offset of the last record
+        #: indexed; what the next record is checked against.
+        self._ends: Dict[Tuple[int, int, int, int, int], Dict[int, int]] = {}
         self._record_count = 0
         self._payload_bytes = 0
         self._disk_bytes = 0
@@ -87,6 +100,8 @@ class StoreIndex:
         """(Re)build the index from every segment file in ``directory``."""
         self.segments.clear()
         self._by_tuple.clear()
+        self.overlapping.clear()
+        self._ends.clear()
         self._record_count = self._payload_bytes = self._disk_bytes = 0
         added = []
         for name in sorted(os.listdir(directory)):
@@ -110,9 +125,21 @@ class StoreIndex:
         # file order; removal keeps that (lookup relies on both).  The
         # key is the same for either direction, so no client tuple is built.
         self.segments[segment.path] = segment
+        by_tuple, ends = self._by_tuple, self._ends
         for meta in segment.records:
             meta.segment = segment
-            self._by_tuple.setdefault(self._key(meta.five_tuple), []).append(meta)
+            key = self._key(meta.five_tuple)
+            bucket = by_tuple.get(key)
+            if bucket is None:
+                by_tuple[key] = [meta]
+                ends[key] = last = {}
+            else:
+                bucket.append(meta)
+                last = ends[key]
+            direction = meta.direction
+            if meta.stream_offset < last.get(direction, 0):
+                self.overlapping.add(key)
+            last[direction] = meta.stream_offset + meta.length
         self._record_count += len(segment.records)
         self._payload_bytes += segment.payload_bytes
         self._disk_bytes += segment.info.disk_bytes
@@ -128,11 +155,23 @@ class StoreIndex:
         self._disk_bytes -= segment.info.disk_bytes
         for key in {self._key(meta.five_tuple) for meta in segment.records}:
             bucket = [meta for meta in self._by_tuple[key] if meta.segment is not segment]
+            self.overlapping.discard(key)
             if bucket:
                 self._by_tuple[key] = bucket
+                self._recheck(key, bucket)
             else:
                 del self._by_tuple[key]
+                del self._ends[key]
         return segment
+
+    def _recheck(self, key: Tuple[int, int, int, int, int], bucket: List[RecordMeta]) -> None:
+        """Recompute one connection's overlap flag and end offsets from
+        what is left of its bucket, as ``_install`` would have."""
+        last = self._ends[key] = {}
+        for meta in bucket:
+            if meta.stream_offset < last.get(meta.direction, 0):
+                self.overlapping.add(key)
+            last[meta.direction] = meta.stream_offset + meta.length
 
     def replace_segment(self, path: str, replacement: SegmentMeta) -> None:
         """Swap a segment's index entry after a compaction rewrite."""

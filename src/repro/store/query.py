@@ -1,22 +1,31 @@
 """Query API: turn indexed records back into reassembled streams.
 
 A query selects records by five-tuple and/or time range through the
-:class:`~repro.store.index.StoreIndex`, reads exactly the frames the
-index named from their segments (one open per segment, ascending
-offsets, every frame CRC-checked), and assembles them per stream
-direction.  Records carry their ``stream_offset``, so assembly sorts by
-offset and trims any overlap between adjacent records — re-recorded
-bytes (chunk overlap, retransmission re-delivery) never appear twice in
-the output.
+:class:`~repro.store.index.StoreIndex`, plans which of them its answer
+uses, reads exactly those frames from their segments (one open per
+segment, ascending offsets, every frame CRC-checked), and assembles
+them per stream direction.  Records carry their ``stream_offset``, so
+assembly sorts by offset and trims any overlap between adjacent
+records — re-recorded bytes (a capture submitted twice, chunk overlap,
+retransmission re-delivery) never appear twice in the output.
+
+The plan applies assembly's own rule to the index entries, so a record
+whose bytes an earlier one already covers is never read.  It runs only
+for connections in the index's ``overlapping`` set; a store without
+re-recorded bytes takes the unplanned read unchanged.  If a frame the
+plan asked for fails its check, the query reads everything it matched
+again, unplanned: damage to a frame the answer uses gives the
+unplanned answer, and damage to a frame the plan dropped goes unseen.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Tuple
+from itertools import compress
+from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 from ..netstack.flows import FiveTuple
-from .index import StoreIndex
+from .index import RecordMeta, SegmentMeta, StoreIndex
 from .segment import read_payloads
 
 __all__ = ["StreamPayload", "QueryResult", "run_query"]
@@ -84,22 +93,110 @@ def run_query(
     returns is opened once and read at its entries' file offsets, which
     come in ascending order — so the cost is the matching records and
     their bytes, and a query that matches everything reads each segment
-    front to back.  Frames are then grouped by connection and
-    direction, offset-sorted, and overlap-trimmed.
+    front to back.  Where a matched connection is in the index's
+    ``overlapping`` set, :func:`_plan` first drops the frames whose
+    bytes assembly would discard, so those are never read.  Frames are
+    then grouped by connection and direction, offset-sorted, and
+    overlap-trimmed.
+
+    A planned read is strict: if a frame it asked for fails its check,
+    the query reads again everything the lookup matched, as an unplanned
+    query does, so damage to a frame the answer uses gives the answer an
+    unplanned query gives.
     """
-    groups: Dict[Tuple[int, int, int, int, int, int], List[Tuple[tuple, memoryview]]] = {}
-    for segment, entries in index.lookup(five_tuple, start_ts, end_ts):
-        for frame in read_payloads(segment.info.path, entries):
-            src_ip, src_port, dst_ip, dst_port, protocol, direction, _, _, _ = frame[0]
-            if (src_ip, src_port) <= (dst_ip, dst_port):
-                key = (src_ip, src_port, dst_ip, dst_port, protocol, direction)
-            else:
-                key = (dst_ip, dst_port, src_ip, src_port, protocol, direction)
-            groups.setdefault(key, []).append(frame)
-    streams = [_assemble(frames) for frames in groups.values()]
+    groups = full = index.lookup(five_tuple, start_ts, end_ts)
+    spans = None
+    overlapping = index.overlapping
+    if overlapping and (five_tuple is None or StoreIndex._key(five_tuple) in overlapping):
+        groups, spans = _plan(groups, overlapping)
+    while True:
+        directions: Dict[Tuple[int, int, int, int, int, int], List[Tuple[tuple, memoryview]]] = {}
+        for segment, entries in groups:
+            frames = read_payloads(segment.info.path, entries)
+            if spans is not None and len(frames) < len(entries):
+                break  # a planned frame failed its check
+            for frame in frames:
+                src_ip, src_port, dst_ip, dst_port, protocol, direction, _, _, _ = frame[0]
+                if (src_ip, src_port) <= (dst_ip, dst_port):
+                    key = (src_ip, src_port, dst_ip, dst_port, protocol, direction)
+                else:
+                    key = (dst_ip, dst_port, src_ip, src_port, protocol, direction)
+                directions.setdefault(key, []).append(frame)
+        else:
+            break
+        groups, spans = full, None
+    streams = [_assemble(frames) for frames in directions.values()]
+    if spans:
+        # A planned direction's time span covers the frames left unread.
+        for key, stream in zip(directions, streams):
+            span = spans.get(key)
+            if span is not None:
+                stream.first_ts, stream.last_ts = span
     if len(streams) > 1:
         streams.sort(key=lambda stream: (stream.first_ts, stream.client_tuple, stream.direction))
     return QueryResult(streams=streams)
+
+
+def _plan(
+    groups: List[Tuple[SegmentMeta, List[RecordMeta]]],
+    overlapping: Set[Tuple[int, int, int, int, int]],
+) -> Tuple[
+    List[Tuple[SegmentMeta, List[RecordMeta]]],
+    Dict[Tuple[int, int, int, int, int, int], Tuple[float, float]],
+]:
+    """The lookup ``groups`` without the frames assembly would discard.
+
+    Works from index entries alone.  Each direction of an
+    ``overlapping`` connection is ordered as :func:`_assemble` orders
+    its frames — by ``(stream_offset, -length)``, stable over lookup
+    order — and an entry whose end is not past the bytes already
+    covered is dropped; the first entry always stays, since it sets
+    ``base_offset``.  Returns the kept entries, grouped as ``groups``
+    (empty groups left out), and each planned direction's
+    ``(first_ts, last_ts)`` over every matched entry.
+    """
+    # Per planned direction, (stream_offset, -length, position, timestamp)
+    # of each entry, where position counts entries in lookup order: the
+    # tuples sort into assembly's order with ties kept in lookup order.
+    directions: Dict[Tuple[int, int, int, int, int, int], List[tuple]] = {}
+    position = 0
+    for _segment, metas in groups:
+        for meta in metas:
+            src_ip, src_port, dst_ip, dst_port, protocol = meta.five_tuple
+            if (src_ip, src_port) <= (dst_ip, dst_port):
+                key = (src_ip, src_port, dst_ip, dst_port, protocol)
+            else:
+                key = (dst_ip, dst_port, src_ip, src_port, protocol)
+            if key in overlapping:
+                directions.setdefault(key + (meta.direction,), []).append(
+                    (meta.stream_offset, -meta.length, position, meta.timestamp)
+                )
+            position += 1
+    keep = bytearray(b"\x01") * position
+    spans = {}
+    for key, entries in directions.items():
+        stamps = [entry[3] for entry in entries]
+        spans[key] = (min(stamps), max(stamps))
+        entries.sort()
+        offset, negative_length, _, _ = entries[0]
+        covered = offset - negative_length
+        for offset, negative_length, position, _ in entries[1:]:
+            end = offset - negative_length
+            if end <= covered:
+                keep[position] = 0
+            else:
+                covered = end
+    if all(keep):
+        return groups, spans
+    kept = []
+    position = 0
+    for segment, metas in groups:
+        end = position + len(metas)
+        metas = list(compress(metas, keep[position:end]))
+        position = end
+        if metas:
+            kept.append((segment, metas))
+    return kept, spans
 
 
 def _assemble(frames: List[Tuple[tuple, memoryview]]) -> StreamPayload:

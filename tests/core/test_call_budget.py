@@ -29,6 +29,7 @@ from repro.core.runtime import DEFAULT_BATCH_SIZE
 from repro.kernelsim import DEFAULT_COST_MODEL
 from repro.netstack import TCPFlags, make_tcp_packet, write_pcap
 from repro.nic import PacketBatch, SimulatedNIC
+from repro.observability import Observability
 from repro.traffic import CampusTrafficGenerator, Impairments, PcapSource, Trace, TrafficConfig
 
 #: Calls of the pass below, measured on the tree that set it.  A change
@@ -88,6 +89,51 @@ def test_capture_call_count_under_ceiling(monkeypatch):
         f"one capture pass made {calls:,} calls over {packets:,} packets "
         f"({calls / packets:.2f}/pkt); the ceiling is {CALL_CEILING:,}. "
         "A change that means to add calls raises CALL_CEILING in its own diff."
+    )
+
+
+#: Calls of the same pass with observability on: metrics, hooks and
+#: the profiler all enabled.  Measured on the tree that set it; each
+#: change that makes observability cheaper lowers it in its own diff.
+OBSERVED_CALL_CEILING = 78_702
+
+
+@pytest.mark.skipif(
+    sys.version_info[:2] != (3, 11), reason="call counts are pinned on CPython 3.11"
+)
+def test_observed_capture_call_count_under_ceiling(monkeypatch):
+    monkeypatch.delenv("SCAP_SANITIZE", raising=False)
+    monkeypatch.delenv("SCAP_RACE", raising=False)
+    trace = _trace()
+
+    def fresh_socket():
+        socket = ScapSocket(
+            trace, memory_size=64 << 20, rate_bps=4e9,
+            observability=Observability(enabled=True),
+        )
+        attach_app(socket, StreamDeliveryApp())
+        return socket
+
+    fresh_socket().start_capture()  # fills the process-wide memos
+    socket = fresh_socket()
+    # This pass allocates enough to run the collector, and the callbacks
+    # other libraries hang on it (hypothesis registers one once any of
+    # its tests ran) would count as calls of the pass.
+    callbacks = gc.callbacks[:]
+    gc.callbacks.clear()
+    try:
+        profile = cProfile.Profile()
+        profile.enable()
+        result = socket.start_capture()
+        profile.disable()
+    finally:
+        gc.callbacks[:] = callbacks
+    calls = sum(entry.callcount for entry in profile.getstats())
+    packets = result.offered_packets
+    assert calls <= OBSERVED_CALL_CEILING, (
+        f"one observed capture pass made {calls:,} calls over {packets:,} packets "
+        f"({calls / packets:.2f}/pkt); the ceiling is {OBSERVED_CALL_CEILING:,}. "
+        "A change that means to add calls raises OBSERVED_CALL_CEILING in its own diff."
     )
 
 

@@ -31,7 +31,8 @@ def assert_index_coherent(index):
     the live segment that lists it, one segment's entries adjacent and
     in file order inside a bucket, and no empty buckets left behind.  The running
     record and payload totals equal a fresh sum over those records, and
-    the disk total a fresh sum over the segments.
+    the disk total a fresh sum over the segments.  The overlap set is
+    what a fresh walk of the buckets gives.
     """
     listed = {
         id(meta): meta for segment in index.segments.values() for meta in segment.records
@@ -55,6 +56,15 @@ def assert_index_coherent(index):
         for segment in {id(meta.segment): meta.segment for meta in bucket}.values():
             offsets = [meta.file_offset for meta in bucket if meta.segment is segment]
             assert offsets == sorted(offsets)
+    overlapping, ends = set(), {}
+    for key, bucket in index._by_tuple.items():
+        last = ends[key] = {}
+        for meta in bucket:
+            if meta.stream_offset < last.get(meta.direction, 0):
+                overlapping.add(key)
+            last[meta.direction] = meta.stream_offset + meta.length
+    assert index.overlapping == overlapping
+    assert index._ends == ends
 
 
 def _checked(index):
