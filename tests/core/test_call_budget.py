@@ -36,6 +36,11 @@ from repro.traffic import CampusTrafficGenerator, Impairments, PcapSource, Trace
 #: that means to add calls raises this in its own diff.
 CALL_CEILING = 33_737
 
+#: Calls of the same pass with an ``Observability(enabled=False)``
+#: context: the path the benchmark runs.  Every metric site on it is one
+#: boolean, so a change to how metrics are recorded leaves this alone.
+DISABLED_CALL_CEILING = 33_837
+
 
 def _trace():
     """Four TCP flows of exactly 400,000 bytes with the benchmark's
@@ -98,18 +103,15 @@ def test_capture_call_count_under_ceiling(monkeypatch):
 OBSERVED_CALL_CEILING = 78_702
 
 
-@pytest.mark.skipif(
-    sys.version_info[:2] != (3, 11), reason="call counts are pinned on CPython 3.11"
-)
-def test_observed_capture_call_count_under_ceiling(monkeypatch):
-    monkeypatch.delenv("SCAP_SANITIZE", raising=False)
-    monkeypatch.delenv("SCAP_RACE", raising=False)
+def _observed_pass(enabled):
+    """(calls, packets) of one steady-state capture pass of the trace
+    with an :class:`Observability` context switched ``enabled``."""
     trace = _trace()
 
     def fresh_socket():
         socket = ScapSocket(
             trace, memory_size=64 << 20, rate_bps=4e9,
-            observability=Observability(enabled=True),
+            observability=Observability(enabled=enabled),
         )
         attach_app(socket, StreamDeliveryApp())
         return socket
@@ -129,11 +131,34 @@ def test_observed_capture_call_count_under_ceiling(monkeypatch):
     finally:
         gc.callbacks[:] = callbacks
     calls = sum(entry.callcount for entry in profile.getstats())
-    packets = result.offered_packets
+    return calls, result.offered_packets
+
+
+@pytest.mark.skipif(
+    sys.version_info[:2] != (3, 11), reason="call counts are pinned on CPython 3.11"
+)
+def test_observed_capture_call_count_under_ceiling(monkeypatch):
+    monkeypatch.delenv("SCAP_SANITIZE", raising=False)
+    monkeypatch.delenv("SCAP_RACE", raising=False)
+    calls, packets = _observed_pass(enabled=True)
     assert calls <= OBSERVED_CALL_CEILING, (
         f"one observed capture pass made {calls:,} calls over {packets:,} packets "
         f"({calls / packets:.2f}/pkt); the ceiling is {OBSERVED_CALL_CEILING:,}. "
         "A change that means to add calls raises OBSERVED_CALL_CEILING in its own diff."
+    )
+
+
+@pytest.mark.skipif(
+    sys.version_info[:2] != (3, 11), reason="call counts are pinned on CPython 3.11"
+)
+def test_disabled_capture_call_count_under_ceiling(monkeypatch):
+    monkeypatch.delenv("SCAP_SANITIZE", raising=False)
+    monkeypatch.delenv("SCAP_RACE", raising=False)
+    calls, packets = _observed_pass(enabled=False)
+    assert calls <= DISABLED_CALL_CEILING, (
+        f"one capture pass with observability disabled made {calls:,} calls over "
+        f"{packets:,} packets ({calls / packets:.2f}/pkt); the ceiling is "
+        f"{DISABLED_CALL_CEILING:,}."
     )
 
 
