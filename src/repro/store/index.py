@@ -233,7 +233,7 @@ class StoreIndex:
         kept = []
         for segment, metas in groups:
             info = segment.info
-            if info.last_ts < low or info.first_ts > high:
+            if info.last_ts < low or info.oldest_ts > high:
                 continue
             metas = [meta for meta in metas if low <= meta.timestamp <= high]
             if metas:

@@ -180,6 +180,9 @@ class SegmentInfo:
     disk_bytes: int = 0
     first_ts: float = 0.0
     last_ts: float = 0.0
+    #: The smallest record timestamp: ``first_ts`` is the first record's,
+    #: and records need not arrive in time order.
+    oldest_ts: float = 0.0
     #: Bytes of torn tail discarded by recovery (0 for clean segments).
     torn_bytes: int = 0
     #: Index entry of every written / recovered record, in file order.
@@ -214,6 +217,7 @@ class SegmentWriter:
         self.compressed_saved = 0
         self.first_ts = 0.0
         self.last_ts = 0.0
+        self.oldest_ts = 0.0
         self._records: List[RecordMeta] = []
         self._file: Optional[BinaryIO] = open(path, "wb")
         self._file.write(_HEADER.pack(SEGMENT_MAGIC, core, 0))
@@ -251,7 +255,8 @@ class SegmentWriter:
             os.fsync(self._file.fileno())
         self._offset += len(frame)
         if self.record_count == 0:
-            self.first_ts = record.timestamp
+            self.first_ts = self.oldest_ts = record.timestamp
+        self.oldest_ts = min(self.oldest_ts, record.timestamp)
         self.last_ts = max(self.last_ts, record.timestamp)
         self.record_count += 1
         self.payload_bytes += len(record.data)
@@ -282,6 +287,7 @@ class SegmentWriter:
             disk_bytes=self._offset,
             first_ts=self.first_ts,
             last_ts=self.last_ts,
+            oldest_ts=self.oldest_ts,
             records=self._records,
         )
 
@@ -392,7 +398,8 @@ def _scan(path: str) -> Tuple[List[StreamRecord], SegmentInfo]:
             info.records.append(RecordMeta.of(record, position))
             info.payload_bytes += len(record.data)
             if info.record_count == 0:
-                info.first_ts = record.timestamp
+                info.first_ts = info.oldest_ts = record.timestamp
+            info.oldest_ts = min(info.oldest_ts, record.timestamp)
             info.last_ts = max(info.last_ts, record.timestamp)
             info.record_count += 1
             position += frame_bytes

@@ -88,11 +88,6 @@ def _old_lookup(index, five_tuple=None, start_ts=None, end_ts=None):
     wanted = StoreIndex._key(five_tuple) if five_tuple is not None else None
     segments = sorted(index.segments.values(), key=lambda s: (s.info.first_ts, s.info.path))
     for segment in segments:
-        info = segment.info
-        if start_ts is not None and info.record_count and info.last_ts < start_ts:
-            continue
-        if end_ts is not None and info.record_count and info.first_ts > end_ts:
-            continue
         for meta in segment.records:
             if wanted is not None and StoreIndex._key(meta.client_tuple) != wanted:
                 continue

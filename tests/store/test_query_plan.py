@@ -53,12 +53,6 @@ def _oracle(index, five_tuple=None, start_ts=None, end_ts=None):
     segments = sorted(index.segments.values(), key=lambda s: (s.info.first_ts, s.path))
     directions, names = {}, {}
     for segment in segments:
-        info = segment.info
-        # Segments are pruned by their time range, as the lookup does.
-        if start_ts is not None and info.last_ts < start_ts:
-            continue
-        if end_ts is not None and info.first_ts > end_ts:
-            continue
         for offset, record in scan_records(segment.path):
             key = StoreIndex._key(record.client_tuple)
             if wanted is not None and key != wanted:
@@ -352,6 +346,25 @@ def test_zero_length_first_record_keeps_the_base_offset(tmp_path):
     for query in ({}, {"five_tuple": client}, {"start_ts": 1.5}):
         assert store.query(**query).streams == _oracle(store.index, **query)[0]
         assert store.query(**query).streams == _unplanned(store, **query)
+    store.close(enforce_retention=False)
+
+
+@pytest.mark.parametrize("sealed", [False, True])
+def test_end_bound_finds_a_record_older_than_its_segments_first(tmp_path, sealed):
+    """A segment is skipped only when its *oldest* record is past the
+    end bound: its first record may be newer than a later one."""
+    store = StreamStore(str(tmp_path), cores=1)
+    client = _client(0)
+    store.append(StreamRecord(client, 0, 0, 5.0, b"late"))
+    store.append(StreamRecord(client, 0, 4, 1.0, b"early"))
+    store.flush()
+    if sealed:
+        store.close(enforce_retention=False)
+        store = StreamStore(str(tmp_path))
+    for query in ({"end_ts": 2.0}, {"five_tuple": client, "start_ts": 0.0, "end_ts": 2.0}):
+        streams = store.query(**query).streams
+        assert [stream.data for stream in streams] == [b"early"]
+        assert streams == _oracle(store.index, **query)[0]
     store.close(enforce_retention=False)
 
 
