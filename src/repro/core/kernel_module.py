@@ -20,6 +20,7 @@ runtime) turns the accumulated cycles into softirq service time.
 from __future__ import annotations
 
 import heapq
+from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -38,6 +39,7 @@ from ..observability import (
     HOOK_STREAM_CREATED,
     HOOK_STREAM_TERMINATED,
     NULL_OBSERVABILITY,
+    Histogram,
     Observability,
 )
 from .config import ScapConfig
@@ -105,31 +107,39 @@ class KernelCounters:
 
 
 class _BatchContext:
-    """Mutable state carried across the packets of one (or more) batches.
+    """One batch's constants, and the plain numbers its metrics keep.
 
-    Per-batch constants plus the per-core packet/byte counts, the one
-    thing accumulated here and added to the metrics registry by
-    :meth:`ScapKernelModule.end_batch` (integers, so one ``inc(n)``
-    equals ``n`` incs) — every other metric is recorded where it
-    happens.
+    Every hot-path metric of the softirq is kept here while the batch
+    runs (per-core counts, each RX ring's last depth; service times,
+    ring waits and stage attributions in their histograms' tallies) and
+    published once by :meth:`ScapKernelModule.end_batch`, with the PPL's
+    and the pool's: counters add the batch's total, gauges take its last
+    value, histograms add its bucket counts and its sum in arrival
+    order.  A reader sees values as of the last batch boundary.
     """
 
     __slots__ = (
         "bpf_match_all",
-        "core_packets",
-        "core_bytes",
         "enabled",
         "base_cycles",
         "lookup_hit_cycles",
+        "core_packets",
+        "core_bytes",
+        "service",
+        "stages",
+        "depth",
     )
 
-    def __init__(self):
+    def __init__(self, service: Histogram, stages: Tuple, cores: int):
         self.bpf_match_all = False
-        self.core_packets: Dict[int, int] = {}
-        self.core_bytes: Dict[int, int] = {}
         self.enabled = False
         self.base_cycles = 0.0
         self.lookup_hit_cycles = 0.0
+        self.core_packets: Dict[int, int] = defaultdict(int)
+        self.core_bytes: Dict[int, int] = defaultdict(int)
+        self.service = service  # softirq service seconds
+        self.stages = stages  # KERNEL_STAGES'; the first one's wait is the RX ring's
+        self.depth: List[Optional[float]] = [None] * cores  # None: no packet this batch
 
 
 class ScapKernelModule:
@@ -194,6 +204,20 @@ class ScapKernelModule:
             "scap_fdir_timeout_doublings_total",
             "FDIR filter re-installs with a doubled timeout interval",
         )
+        depth_family = registry.gauge(
+            "scap_softirq_queue_depth",
+            "RX-ring occupancy per core at packet arrival",
+            labels=("core",),
+        )
+        self._m_softirq_depth = [depth_family.labels(core) for core in range(nic.queue_count)]
+        self._batch_ctx = _BatchContext(
+            registry.histogram(
+                "scap_softirq_service_seconds",
+                "softirq service time per packet, in simulated seconds",
+            ),
+            self.obs.profiler.kernel_stages,
+            nic.queue_count,
+        )
         # Pre-resolved per-core children: one dict hit on first use,
         # then the enabled path is a bare Counter.inc.
         self._core_metrics: Dict[int, Tuple] = {}
@@ -209,8 +233,6 @@ class ScapKernelModule:
         # observability is on, keeping the two paths identical.
         self._cycles = 0.0
         self.stage_cycles: List[float] = [0.0, 0.0, 0.0, 0.0]
-        # The context persists across the batches of one run.
-        self._batch_ctx: Optional[_BatchContext] = None
         self._cutoff_trivial = False
 
     # ------------------------------------------------------------------
@@ -248,8 +270,6 @@ class ScapKernelModule:
         policy, folded lookup charge).
         """
         ctx = self._batch_ctx
-        if ctx is None:
-            ctx = self._batch_ctx = _BatchContext()
         ctx.bpf_match_all = self.config.bpf.is_match_all
         self._cutoff_trivial = self.config.cutoffs.is_trivial
         ctx.enabled = self.obs.enabled
@@ -262,14 +282,25 @@ class ScapKernelModule:
         return ctx
 
     def end_batch(self, ctx: _BatchContext) -> None:
-        """Flush the batch's accumulated per-core metric increments."""
-        if self.obs.enabled:
-            for core, count in ctx.core_packets.items():
-                self._core(core)[0].inc(count)
-            for core, nbytes in ctx.core_bytes.items():
-                self._core(core)[1].inc(nbytes)
+        """Publish the batch's metrics (see :class:`_BatchContext`)."""
+        if not ctx.enabled:
+            return
+        for core, count in ctx.core_packets.items():
+            self._core(core)[0].inc(count)
+        for core, nbytes in ctx.core_bytes.items():
+            self._core(core)[1].inc(nbytes)
         ctx.core_packets.clear()
         ctx.core_bytes.clear()
+        ctx.service.publish()
+        for stage in ctx.stages:
+            stage.publish()
+        depth = ctx.depth
+        for queue, value in enumerate(depth):
+            if value is not None:
+                self._m_softirq_depth[queue].set(value)
+                depth[queue] = None
+        self.ppl.end_batch()
+        self.memory.end_batch()
 
     def handle_batch_packet(self, packet: Packet, core: int, ctx: _BatchContext) -> float:
         """Process one packet of a batch on ``core``; return cycles charged.
@@ -293,10 +324,8 @@ class ScapKernelModule:
         counters.packets_seen += 1
         counters.bytes_seen += packet.wire_len
         if ctx.enabled:
-            core_packets = ctx.core_packets
-            core_packets[core] = core_packets.get(core, 0) + 1
-            core_bytes = ctx.core_bytes
-            core_bytes[core] = core_bytes.get(core, 0) + packet.wire_len
+            ctx.core_packets[core] += 1
+            ctx.core_bytes[core] += packet.wire_len
         if now - self._last_sweep >= 0.01:  # housekeeping cadence
             self._sweep(now, core)
 

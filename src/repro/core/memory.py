@@ -131,6 +131,7 @@ class StreamMemory:  # scapcheck: single-owner
         self._m_stored = registry.counter(
             "scap_memory_stored_bytes_total", "bytes accepted into the pool"
         )
+        self._stored = 0  # bytes accepted since end_batch
 
     # ------------------------------------------------------------------
     def advance(self, now: float) -> None:
@@ -166,8 +167,11 @@ class StreamMemory:  # scapcheck: single-owner
                 if used > self.peak_used:
                     self.peak_used = used
                 if self._obs.enabled:
-                    self._m_stored.inc(nbytes)
-                    self._m_occupancy.observe(self.used / self.capacity)
+                    self._stored += nbytes
+                    occupancy = self._m_occupancy
+                    fraction = used / self.capacity
+                    occupancy.tally[fraction] += 1
+                    occupancy.running += fraction
                 if self._san is not None:
                     self._san.memory.on_store(nbytes)
                 return True
@@ -177,11 +181,23 @@ class StreamMemory:  # scapcheck: single-owner
         if self._obs.enabled:
             self._m_failures.inc()
             if not injected:
-                self._m_occupancy.observe(self.used / self.capacity)
+                occupancy = self._m_occupancy
+                fraction = self.used / self.capacity
+                occupancy.tally[fraction] += 1
+                occupancy.running += fraction
             self._obs.trace.emit(
                 now, HOOK_MEMORY_EXHAUSTED, five_tuple=stream_label, bytes=nbytes
             )
         return False
+
+    def end_batch(self) -> None:
+        """Publish the batch's stored bytes and occupancy samples."""
+        if not self._obs.enabled:
+            return
+        if self._stored:
+            self._m_stored.inc(self._stored)
+            self._stored = 0
+        self._m_occupancy.publish()
 
     def fraction_used(self, now: float) -> float:
         """Occupied fraction of the region at time ``now``.

@@ -17,6 +17,7 @@ Below ``base_threshold`` nothing is ever dropped.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
@@ -85,15 +86,21 @@ class PrioritizedPacketLoss:
             "scap_ppl_band",
             "watermark band of the last check (0 = below base threshold)",
         )
-        # Pre-resolved (priority, reason) drop counters: one dict hit on
-        # first use, then the enabled path is a bare Counter.inc.
-        self._drop_counters: Dict[Tuple[int, str], object] = {}
         self._band_width = (1.0 - self.base_threshold) / self.priority_levels
+        # Plain numbers until end_batch: ``checked`` as last published, the
+        # last fraction (the band gauge's) and drops per (priority, reason).
+        self._published_checks = 0
+        self._last_fraction: Optional[float] = None
+        self._drops: Dict[Tuple[int, str], int] = defaultdict(int)
 
     # ------------------------------------------------------------------
     def ensure_level(self, priority: int) -> None:
         """Grow the number of levels to cover ``priority``."""
         if priority + 1 > self.priority_levels:
+            if self._obs.enabled and self._last_fraction is not None:
+                # The checks so far were banded under the old levels.
+                self._m_band.set(self.band_index(self._last_fraction))
+                self._last_fraction = None
             self.priority_levels = priority + 1
             self._band_width = (1.0 - self.base_threshold) / self.priority_levels
 
@@ -120,33 +127,42 @@ class PrioritizedPacketLoss:
         """Decide whether to drop a packet of ``priority`` whose payload
         would land at byte ``stream_offset`` of its stream."""
         self.checked += 1
-        if self._obs.enabled:
-            self._m_checks.inc()
-            self._m_fraction.observe(fraction_used)
-            self._m_band.set(self.band_index(fraction_used))
         decision = _PASS
         if fraction_used > self.base_threshold:
             mark = self.watermark(priority)
             if fraction_used > mark:
-                self._count(priority, "watermark")
                 decision = PPLDecision(drop=True, reason="watermark")
             elif (
                 self.overload_cutoff is not None
                 and fraction_used > mark - self._band_width
                 and stream_offset >= self.overload_cutoff
             ):
-                self._count(priority, "overload_cutoff")
                 decision = PPLDecision(drop=True, reason="overload_cutoff")
+        if self._obs.enabled:
+            fraction = self._m_fraction
+            fraction.tally[fraction_used] += 1
+            fraction.running += fraction_used
+            self._last_fraction = fraction_used
+            if decision.drop:
+                # The ledger is KernelCounters.ppl_drops_by_priority; this
+                # only feeds the labelled metric.
+                self._drops[priority, decision.reason] += 1
         if self._san is not None:
             self._san.ppl.on_check(self, fraction_used, priority, decision)
         return decision
 
-    def _count(self, priority: int, reason: str) -> None:
-        # The per-priority drop ledger is KernelCounters.ppl_drops_by_priority;
-        # this only feeds the labelled metric.
-        if self._obs.enabled:
-            drop_counter = self._drop_counters.get((priority, reason))
-            if drop_counter is None:
-                drop_counter = self._m_drops.labels(priority, reason)
-                self._drop_counters[(priority, reason)] = drop_counter
-            drop_counter.inc()
+    def end_batch(self) -> None:
+        """Publish the batch's checks, fractions, drops and last band."""
+        if not self._obs.enabled:
+            return
+        if self.checked > self._published_checks:
+            self._m_checks.inc(self.checked - self._published_checks)
+            self._published_checks = self.checked
+        if self._drops:
+            for (priority, reason), count in self._drops.items():
+                self._m_drops.labels(priority, reason).inc(count)
+            self._drops.clear()
+        if self._last_fraction is not None:
+            self._m_band.set(self.band_index(self._last_fraction))
+            self._last_fraction = None
+        self._m_fraction.publish()

@@ -34,9 +34,7 @@ from ..nic.fdir import FdirFilter
 from ..nic.nic import SimulatedNIC
 from ..nic.rss import SYMMETRIC_RSS_KEY
 from ..observability import (
-    KERNEL_STAGES,
     NULL_OBSERVABILITY,
-    STAGE_PACKET_RECEIVE,
     Observability,
     ProfileReport,
     TelemetryRing,
@@ -114,18 +112,6 @@ class ScapRuntime:
             fault_injector=fault_injector,
         )
         registry = self.obs.registry
-        self._m_softirq_service = registry.histogram(
-            "scap_softirq_service_seconds",
-            "softirq service time per packet, in simulated seconds",
-        )
-        self._m_softirq_depth_family = registry.gauge(
-            "scap_softirq_queue_depth",
-            "RX-ring occupancy per core at packet arrival",
-            labels=("core",),
-        )
-        self._m_softirq_depth = [
-            self._m_softirq_depth_family.labels(core) for core in range(core_count)
-        ]
         self._m_ring_drops = registry.counter(
             "scap_ring_drops_total", "packets rejected by a full RX ring"
         )
@@ -185,9 +171,10 @@ class ScapRuntime:
         so every packet is handled under the verdict it would get if
         classified immediately before its softirq — which makes every
         simulated effect (admission, cycles, events, hooks) independent
-        of the batch size.  Metrics and profiler attributions are
-        recorded where they happen; only the NIC/runtime integer tallies
-        are accumulated locally and flushed once per batch.
+        of the batch size.  Metrics are kept as plain numbers (here, in
+        the kernel's batch context and in the pool) and published once at
+        the batch's end, so a mid-capture reader sees values as of the
+        last batch boundary, at most ``batch_size`` packets old.
         """
         packets = batch.packets
         count = len(packets)
@@ -211,9 +198,10 @@ class ScapRuntime:
         pending = self._pending_events
         pending.clear()
         dispatch = self.workers.dispatch
-        observe_service = self._m_softirq_service.observe
-        depth_gauges = self._m_softirq_depth
-        profiler = self.obs.profiler
+        service_seconds = ctx.service
+        stages = ctx.stages
+        ring_wait = stages[0].wait
+        depth = ctx.depth
         # Local NIC/runtime accounting, flushed once per batch.
         fcs_errors = 0
         fdir_drops = 0
@@ -242,16 +230,23 @@ class ScapRuntime:
             service = cycles / core_hz
             kernel_finish = server.push(now, 1, service)
             if enabled:
-                observe_service(service)
-                depth_gauges[queue].set(server.occupancy(now))
+                service_seconds.tally[service] += 1
+                service_seconds.running += service
+                depth[queue] = server.occupancy(now)
                 # Stages that charged nothing record no sample.
-                for stage, cyc in zip(KERNEL_STAGES, stage_cycles):
+                for stage, cyc in zip(stages, stage_cycles):
                     if cyc:
-                        profiler.record(stage, queue, cyc / core_hz)
-                # The packet's wait in the RX ring before its softirq ran.
-                profiler.record_wait(
-                    STAGE_PACKET_RECEIVE, queue, kernel_finish - service - now
-                )
+                        seconds = cyc / core_hz
+                        histogram = stage.service
+                        histogram.tally[seconds] += 1
+                        histogram.running += seconds
+                        stage.per_core[queue] += seconds
+                # The packet's wait in the RX ring before its softirq ran;
+                # float rounding can make it a hair negative: no sample.
+                wait = kernel_finish - service - now
+                if wait >= 0.0:
+                    ring_wait.tally[wait] += 1
+                    ring_wait.running += wait
             if pending:
                 for core, event in pending:
                     dispatch(core, event, kernel_finish)
@@ -262,6 +257,8 @@ class ScapRuntime:
                 # may have changed.
                 version = nic.classify_batch(batch, index + 1)
         kernel.end_batch(ctx)
+        if enabled:
+            self.workers.end_batch()
         self.packets_offered += count
         self.bytes_offered += bytes_offered
         self.ring_drops += ring_drops
@@ -278,12 +275,16 @@ class ScapRuntime:
                 self._m_ring_drops.inc(ring_drops)
 
     def finalize(self, end_time: float) -> None:
-        """Drain remaining flows at end of capture."""
+        """Drain remaining flows at end of capture and publish the
+        metrics the drain recorded, as the end of one more batch."""
         self._pending_events.clear()
         self.kernel.expire_and_drain(end_time)
         for core, event in self._pending_events:
             self.workers.dispatch(core, event, end_time)
         self._pending_events.clear()
+        if self.obs.enabled:
+            self.kernel.end_batch(self.kernel.begin_batch())
+            self.workers.end_batch()
         if self.sanitizers is not None:
             # Teardown invariant: every byte charged to stream memory
             # must have been returned by now (§5.3 accounting).

@@ -103,20 +103,32 @@ class WorkerPool:  # scapcheck: single-owner
             "scap_worker_events_dropped_total",
             "events rejected because a worker queue was full",
         )
+        stages = self.obs.profiler.stages
+        self._dequeue = stages[STAGE_EVENT_DEQUEUE]
+        self._callback = stages[STAGE_WORKER_CALLBACK]
+        self._depth: List[Optional[float]] = [None] * worker_count  # this batch's last
+
         #: Set while a data callback runs, so API calls made from inside
         #: the callback (keep_stream_chunk, discard_stream) can find it.
         self.current_event: Optional[Event] = None
 
     # ------------------------------------------------------------------
     def begin_batch(self) -> None:
-        """No-op, never called: ``dispatch`` records its metrics itself.
-
-        Kept (like :meth:`end_batch`) only because
-        ``benchmarks/perf/spec.py`` resolves both names on this class.
-        """
+        """No-op: a batch's samples wait in the instruments' tallies.
+        Kept because ``benchmarks/perf/spec.py`` resolves the name."""
 
     def end_batch(self) -> None:
-        """No-op, never called; see :meth:`begin_batch`."""
+        """Publish what ``dispatch`` recorded since the last call."""
+        if not self.obs.enabled:
+            return
+        self._m_service.publish()
+        depth = self._depth
+        for worker, value in enumerate(depth):
+            if value is not None:
+                self._m_depth[worker].set(value)
+                depth[worker] = None
+        self._dequeue.publish()
+        self._callback.publish()
 
     def worker_for_event(self, core: int, event: Event) -> int:
         """Pick the worker that owns this event's connection.
@@ -197,15 +209,22 @@ class WorkerPool:  # scapcheck: single-owner
             service += fault.sched_stall(ready_time, worker)
         finish = server.push(ready_time, 1, service)
         if self.obs.enabled:
-            self._m_service.observe(service)
-            self._m_depth[worker].set(server.occupancy(ready_time))
-            profiler = self.obs.profiler
-            profiler.record(STAGE_EVENT_DEQUEUE, worker, dispatch_cycles / core_hz)
-            profiler.record(STAGE_WORKER_CALLBACK, worker, app_cycles / core_hz)
+            histogram = self._m_service
+            histogram.tally[service] += 1
+            histogram.running += service
+            self._depth[worker] = server.occupancy(ready_time)
+            for stage, cycles in ((self._dequeue, dispatch_cycles), (self._callback, app_cycles)):
+                seconds = cycles / core_hz
+                histogram = stage.service
+                histogram.tally[seconds] += 1
+                histogram.running += seconds
+                stage.per_core[worker] += seconds
             # Time the event sat in the queue before its service began.
-            profiler.record_wait(
-                STAGE_EVENT_DEQUEUE, worker, finish - service - ready_time
-            )
+            wait = finish - service - ready_time
+            if wait >= 0.0:
+                histogram = self._dequeue.wait
+                histogram.tally[wait] += 1
+                histogram.running += wait
         stream = event.stream
         stream.processing_time += service
         self.current_event = event

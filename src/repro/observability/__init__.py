@@ -151,30 +151,18 @@ class Observability:
     """One run's observability context: a registry plus a trace buffer.
 
     ``enabled`` is a plain attribute read on every hook, so the
-    disabled fast path is a single boolean check.  Flip it through
-    :meth:`enable` / :meth:`disable` so the registry and tracer stay in
-    sync with it.
+    disabled fast path is a single boolean check.  It is fixed for the
+    context's life: a batch's metrics are taken and published under the
+    same setting.
     """
 
     def __init__(self, enabled: bool = False, trace_capacity: int = 4096):
         self.registry = MetricsRegistry(enabled=enabled)
         self.trace = TraceBuffer(capacity=trace_capacity, enabled=enabled)
-        #: Per-stage attribution of simulated time; its record() call
-        #: sites sit behind the components' ``obs.enabled`` guards.
+        #: Per-stage attribution of simulated time; the components record
+        #: into its stage tallies behind their ``obs.enabled`` guards.
         self.profiler = StageProfiler(self.registry)
         self.enabled = enabled
-
-    def enable(self) -> None:
-        """Turn metric recording and tracing on."""
-        self.enabled = True
-        self.registry.enabled = True
-        self.trace.enabled = True
-
-    def disable(self) -> None:
-        """Turn metric recording and tracing off (state is retained)."""
-        self.enabled = False
-        self.registry.enabled = False
-        self.trace.enabled = False
 
     # Convenience pass-throughs -----------------------------------------
     def export_prometheus(self) -> str:

@@ -30,20 +30,22 @@ time (packets waiting in the RX ring, events waiting in a worker
 queue, records sitting in a write batch) is recorded separately per
 stage — wait is latency, not load.
 
-Everything follows the registry's cost contract: hook call sites are
-guarded by one ``obs.enabled`` boolean and all child instruments are
-pre-resolved at construction time.
+Everything follows the registry's cost contract: a component records a
+stage's samples as plain numbers behind one ``obs.enabled`` boolean and
+publishes them once per batch (:class:`StageTally`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import defaultdict
+from dataclasses import asdict, dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from .registry import Histogram, MetricsRegistry
 
 __all__ = [
     "StageProfiler",
+    "StageTally",
     "StageProfile",
     "ProfileReport",
     "STAGE_PACKET_RECEIVE",
@@ -146,40 +148,47 @@ class ProfileReport:
 
     def to_dict(self) -> Dict[str, object]:
         """JSON-friendly form for exporters and the CLI ``--json`` path."""
+        stages = [asdict(entry) for entry in self.stages]
+        for entry in stages:
+            per_core = sorted(entry["per_core_seconds"].items())
+            entry["per_core_seconds"] = {str(core): seconds for core, seconds in per_core}
         return {
             "busy_seconds": self.busy_seconds,
             "attributed_seconds": self.attributed_seconds,
             "coverage": self.coverage,
-            "stages": [
-                {
-                    "stage": entry.stage,
-                    "service_seconds": entry.service_seconds,
-                    "fraction_of_busy": entry.fraction_of_busy,
-                    "samples": entry.samples,
-                    "p50": entry.p50,
-                    "p99": entry.p99,
-                    "wait_seconds": entry.wait_seconds,
-                    "wait_samples": entry.wait_samples,
-                    "wait_p99": entry.wait_p99,
-                    "per_core_seconds": {
-                        str(core): seconds
-                        for core, seconds in sorted(entry.per_core_seconds.items())
-                    },
-                }
-                for entry in self.stages
-            ],
+            "stages": stages,
         }
+
+
+class StageTally:
+    """One stage's instruments.  The component that charges the stage
+    adds each sample to the ``service`` or ``wait`` histogram's tally
+    (service seconds also to ``per_core``) and publishes per batch."""
+
+    __slots__ = ("service", "wait", "per_core", "busy")
+
+    def __init__(self, service: Histogram, wait: Histogram, busy):
+        self.service = service
+        self.wait = wait
+        self.per_core: Dict[int, float] = defaultdict(float)
+        self.busy = busy
+
+    def publish(self) -> None:
+        """Publish both histograms; the busy counter is the service sum."""
+        self.service.publish()
+        self.wait.publish()
+        self.busy.value = self.service.sum
 
 
 class StageProfiler:
     """Per-stage attribution of simulated service and queue-wait time.
 
     One instance lives on each :class:`~repro.observability.Observability`
-    context (``obs.profiler``).  Components never branch on the
-    profiler itself — every ``record``/``record_wait`` call site sits
-    inside the component's existing ``if obs.enabled:`` guard, so the
-    disabled fast path stays one boolean per hook.  All registry
-    children are pre-resolved here, per the registry's contract.
+    context (``obs.profiler``).  The component that charges a stage
+    records into its :class:`StageTally` behind its existing ``if
+    obs.enabled:`` guard and publishes it at the end of each batch, so
+    the disabled fast path stays one boolean per hook.  The totals are
+    the stage histograms' own ``sum`` and ``total``.
     """
 
     def __init__(self, registry: MetricsRegistry):
@@ -198,53 +207,20 @@ class StageProfiler:
             "total simulated seconds attributed per stage",
             labels=("stage",),
         )
-        # Pre-resolved children: the enabled path is attribute access.
-        self._service: Dict[str, Histogram] = {
-            stage: service_family.labels(stage) for stage in ALL_STAGES
+        self.stages: Dict[str, StageTally] = {
+            stage: StageTally(
+                service_family.labels(stage), wait_family.labels(stage),
+                busy_family.labels(stage),
+            )
+            for stage in ALL_STAGES
         }
-        self._wait: Dict[str, Histogram] = {
-            stage: wait_family.labels(stage) for stage in ALL_STAGES
-        }
-        self._busy = {stage: busy_family.labels(stage) for stage in ALL_STAGES}
-        # Plain accumulators backing the profile() report (mutated only
-        # behind the call sites' enabled guards).
-        self.service_seconds: Dict[str, float] = {stage: 0.0 for stage in ALL_STAGES}
-        self.wait_seconds: Dict[str, float] = {stage: 0.0 for stage in ALL_STAGES}
-        self.samples: Dict[str, int] = {stage: 0 for stage in ALL_STAGES}
-        self.wait_samples: Dict[str, int] = {stage: 0 for stage in ALL_STAGES}
-        self.per_core_seconds: Dict[str, Dict[int, float]] = {
-            stage: {} for stage in ALL_STAGES
-        }
+        #: The stages the kernel module charges, in ``KERNEL_STAGES`` order.
+        self.kernel_stages = tuple(self.stages[stage] for stage in KERNEL_STAGES)
 
-    # ------------------------------------------------------------------
-    # Hot-path recording (call sites hold the obs.enabled guard)
-    # ------------------------------------------------------------------
-    def record(self, stage: str, core: int, seconds: float) -> None:
-        """Attribute ``seconds`` of simulated service time to a stage."""
-        if seconds < 0.0:
-            return
-        self.service_seconds[stage] += seconds
-        self.samples[stage] += 1
-        per_core = self.per_core_seconds[stage]
-        per_core[core] = per_core.get(core, 0.0) + seconds
-        self._service[stage].observe(seconds)
-        self._busy[stage].inc(seconds)
-
-    def record_wait(self, stage: str, core: int, seconds: float) -> None:
-        """Attribute ``seconds`` of simulated queue-wait before a stage."""
-        if seconds < 0.0:
-            return
-        self.wait_seconds[stage] += seconds
-        self.wait_samples[stage] += 1
-        self._wait[stage].observe(seconds)
-
-    # ------------------------------------------------------------------
-    # Reduction
-    # ------------------------------------------------------------------
     @property
     def attributed_seconds(self) -> float:
         """Total service seconds attributed across all stages."""
-        return sum(self.service_seconds.values())
+        return sum(stage.service.sum for stage in self.stages.values())
 
     def report(self, busy_seconds: Optional[float] = None) -> ProfileReport:
         """Reduce the attributions to a :class:`ProfileReport`.
@@ -260,23 +236,23 @@ class StageProfiler:
             attributed_seconds=attributed,
             coverage=(attributed / busy) if busy > 0 else 0.0,
         )
-        for stage in ALL_STAGES:
-            seconds = self.service_seconds[stage]
-            waits = self.wait_seconds[stage]
-            if seconds == 0.0 and waits == 0.0 and not self.samples[stage]:
+        for name, stage in self.stages.items():
+            service = stage.service
+            wait = stage.wait
+            if service.sum == 0.0 and wait.sum == 0.0 and not service.total:
                 continue
             report.stages.append(
                 StageProfile(
-                    stage=stage,
-                    service_seconds=seconds,
-                    fraction_of_busy=(seconds / busy) if busy > 0 else 0.0,
-                    samples=self.samples[stage],
-                    p50=self._service[stage].quantile(0.5),
-                    p99=self._service[stage].quantile(0.99),
-                    wait_seconds=waits,
-                    wait_samples=self.wait_samples[stage],
-                    wait_p99=self._wait[stage].quantile(0.99),
-                    per_core_seconds=dict(self.per_core_seconds[stage]),
+                    stage=name,
+                    service_seconds=service.sum,
+                    fraction_of_busy=(service.sum / busy) if busy > 0 else 0.0,
+                    samples=service.total,
+                    p50=service.quantile(0.5),
+                    p99=service.quantile(0.99),
+                    wait_seconds=wait.sum,
+                    wait_samples=wait.total,
+                    wait_p99=wait.quantile(0.99),
+                    per_core_seconds=dict(stage.per_core),
                 )
             )
         return report

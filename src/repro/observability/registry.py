@@ -11,8 +11,9 @@ Design constraints (matching the in-kernel origin of these hooks):
 
 * **Cheap when disabled.**  Every mutation checks one boolean
   (``registry.enabled``) and returns; no allocation, no dict lookup.
-  Hot paths additionally pre-resolve their child instruments once (see
-  ``ScapKernelModule``) so the enabled path is a bare attribute bump.
+* **Hot paths publish per batch.**  A hot path keeps plain numbers while
+  a batch runs (a count, a gauge's last value, a histogram's tally) and
+  publishes them once at its end, so a sample costs no call.
 * **No wall-clock calls.**  The registry never reads real time; any
   timestamp attached to an export is injected by the caller from the
   simulated clock.
@@ -22,7 +23,7 @@ Design constraints (matching the in-kernel origin of these hooks):
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from collections import defaultdict
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 __all__ = [
@@ -96,10 +97,13 @@ class Histogram:
 
     ``bounds`` are the inclusive upper bounds of the finite buckets; an
     implicit +Inf bucket catches the rest.  ``counts[i]`` is the
-    *per-bucket* (non-cumulative) count; exporters accumulate.
+    *per-bucket* (non-cumulative) count; exporters accumulate.  A hot
+    path records a sample with no call, ``tally[value] += 1`` and
+    ``running += value``, and publishes once per batch; the published
+    ``sum`` is ``running``, added in arrival order.
     """
 
-    __slots__ = ("_registry", "bounds", "counts", "total", "sum")
+    __slots__ = ("_registry", "bounds", "counts", "total", "sum", "tally", "running")
 
     def __init__(self, registry: "MetricsRegistry", bounds: Sequence[float]):
         if list(bounds) != sorted(bounds) or len(set(bounds)) != len(bounds):
@@ -109,14 +113,32 @@ class Histogram:
         self.counts: List[int] = [0] * (len(self.bounds) + 1)
         self.total = 0
         self.sum = 0.0
+        self.tally: Dict[float, int] = defaultdict(int)  # unpublished: value -> count
+        self.running = 0.0  # ``sum`` plus the tally's samples
 
     def observe(self, value: float) -> None:
-        """Record one sample."""
+        """Record one sample and publish it."""
         if not self._registry.enabled:
             return
-        self.counts[bisect_left(self.bounds, value)] += 1
-        self.total += 1
-        self.sum += value
+        self.tally[value] += 1
+        self.running += value
+        self.publish()
+
+    def publish(self) -> None:
+        """Bin the tally into the buckets and publish ``running`` as ``sum``."""
+        tally = self.tally
+        if tally:
+            bounds = self.bounds
+            last = len(bounds)
+            index = 0
+            # One walk of the bounds: each value lands where bisect_left puts it.
+            for value in sorted(tally):
+                while index < last and bounds[index] < value:
+                    index += 1
+                self.counts[index] += tally[value]
+                self.total += tally[value]
+            tally.clear()
+        self.sum = self.running
 
     def cumulative(self) -> List[Tuple[float, int]]:
         """(upper_bound, cumulative_count) pairs, ending with +Inf."""

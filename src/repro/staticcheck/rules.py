@@ -157,7 +157,7 @@ class NoWallClockRule(Rule):
 # ----------------------------------------------------------------------
 # SC002 — observability hooks must be guarded by the disabled fast path
 # ----------------------------------------------------------------------
-_HOOK_METHODS = {"inc", "observe", "set"}
+_HOOK_METHODS = {"inc", "observe", "set", "publish"}
 
 
 def _receiver_is_metric(expr: ast.AST) -> bool:
@@ -220,7 +220,7 @@ class GuardedHooksRule(Rule):
 
     rule_id = "SC002"
     description = (
-        "observability hook calls (metric .inc/.observe/.set, trace .emit) "
+        "observability hook calls (metric .inc/.observe/.set/.publish, trace .emit) "
         "must be inside an `if <obs>.enabled:` fast-path guard"
     )
     # Beyond the simulated hot path, the service layer and the span /

@@ -237,11 +237,13 @@ class StoreWriter:
             # drain itself costs no simulated service time, so
             # store_drain is a wait-only stage.
             drained_at = max(record.timestamp for record in records)
-            record_wait = self._obs.profiler.record_wait
+            stage = self._obs.profiler.stages[STAGE_STORE_DRAIN]
+            wait = stage.wait
             for record in records:
-                record_wait(
-                    STAGE_STORE_DRAIN, core, drained_at - record.timestamp
-                )
+                seconds = drained_at - record.timestamp
+                wait.tally[seconds] += 1
+                wait.running += seconds
+            stage.publish()
         return len(records)
 
     def _writer_for(self, core: int) -> SegmentWriter:

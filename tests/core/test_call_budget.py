@@ -100,7 +100,9 @@ def test_capture_call_count_under_ceiling(monkeypatch):
 #: Calls of the same pass with observability on: metrics, hooks and
 #: the profiler all enabled.  Measured on the tree that set it; each
 #: change that makes observability cheaper lowers it in its own diff.
-OBSERVED_CALL_CEILING = 78_702
+#: Hot-path metrics are published once per batch, not per sample
+#: (78,702 when they were recorded per sample).
+OBSERVED_CALL_CEILING = 37_793
 
 
 def _observed_pass(enabled):

@@ -144,6 +144,17 @@ class TestSC002GuardedHooks:
         )
         assert [f.rule_id for f in findings] == ["SC002"]
 
+    def test_unguarded_batch_publish_flagged(self):
+        findings = run_rule(
+            GuardedHooksRule,
+            """
+            class Pipeline:
+                def end_batch(self):
+                    self._m_service.publish()
+            """,
+        )
+        assert [f.rule_id for f in findings] == ["SC002"]
+
     def test_unguarded_trace_emit_flagged(self):
         findings = run_rule(
             GuardedHooksRule,
