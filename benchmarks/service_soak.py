@@ -16,6 +16,9 @@ if:
 * a mid-soak scrape of the daemon's HTTP sidecar returns a **healthy**
   `/healthz` verdict, a ready `/readyz`, and a parseable `/metrics`
   exposition (the daemon runs with observability + telemetry on),
+* after the last capture, before shutdown, a `/metrics` scrape is the
+  daemon's own Prometheus export byte for byte: every recorded value
+  was published by the time its command answered,
 * the daemon never runs more than its loop thread and its owner thread
   (at most 3 live `scapd-*` threads, sampled while the clients are
   mid-flight, whatever `--clients` is),
@@ -207,6 +210,27 @@ def _scrape_sidecar(daemon, errors: list) -> dict:
     return out
 
 
+def _check_final_scrape(daemon, obs, errors: list) -> dict:
+    """After the last capture: ``/metrics`` equals the in-process export.
+
+    The telemetry timer may move the registry between two reads, so a
+    comparison counts only when the export is the same before and after
+    the scrape; a registry that never holds still is an error too.
+    """
+    host, port = daemon.http_address
+    for attempt in range(1, 21):
+        before = obs.export_prometheus()
+        with urlopen(f"http://{host}:{port}/metrics", timeout=10) as response:
+            scraped = response.read().decode("utf-8")
+        if obs.export_prometheus() == before:
+            if scraped != before:
+                errors.append("final scrape: /metrics differs from the daemon's export")
+            return {"attempts": attempt, "bytes": len(scraped)}
+        time.sleep(0.05)
+    errors.append("final scrape: the registry never held still across a scrape")
+    return {"attempts": attempt, "bytes": 0}
+
+
 def main(argv=None) -> int:
     """Run the soak; exit non-zero on any client error or ledger drift."""
     parser = argparse.ArgumentParser(description=__doc__)
@@ -220,6 +244,7 @@ def main(argv=None) -> int:
     run_dir = tempfile.mkdtemp(prefix="scap-soak-")
     path = os.path.join(run_dir, "scapd.sock")
     store_dir = os.path.join(run_dir, "store")
+    obs = Observability(enabled=True)
     daemon = ScapDaemon(
         DaemonConfig(
             store_dir=store_dir,
@@ -227,7 +252,7 @@ def main(argv=None) -> int:
             http_host="127.0.0.1",
             telemetry_cadence=0.2,
         ),
-        observability=Observability(enabled=True),
+        observability=obs,
     )
     daemon.add_unix_listener(path)
     daemon.start()
@@ -263,6 +288,7 @@ def main(argv=None) -> int:
         )
     elapsed = time.perf_counter() - start
     requery = _requery(path)
+    final_scrape = _check_final_scrape(daemon, obs, errors)
 
     telemetry_history = daemon.telemetry.as_dict() if daemon.telemetry else None
 
@@ -291,6 +317,7 @@ def main(argv=None) -> int:
         "ledgers_balanced": balanced,
         "ledgers": ledgers,
         "scrape": scrape,
+        "final_scrape": final_scrape,
         "peak_daemon_threads": peak_threads,
         "requery": requery,
         "telemetry_samples": (
@@ -310,6 +337,8 @@ def main(argv=None) -> int:
         f"{payload['events']} events; {len(errors)} errors; "
         f"ledgers balanced: {balanced}; mid-soak verdict: "
         f"{scrape.get('health', {}).get('verdict', 'unscraped')}; "
+        f"final /metrics compared with the export after {final_scrape['attempts']} "
+        "scrape(s); "
         f"{payload['telemetry_samples']} telemetry samples; "
         f"peak scapd-* threads: {peak_threads}; requery: {requery['streams']} streams, "
         f"{requery['bytes']} bytes, {requery.get('overlapping_connections', 0)} "
