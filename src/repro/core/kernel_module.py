@@ -120,11 +120,11 @@ class _BatchContext:
 
     __slots__ = (
         "bpf_match_all",
+        "core_packets",
+        "core_bytes",
         "enabled",
         "base_cycles",
         "lookup_hit_cycles",
-        "core_packets",
-        "core_bytes",
         "service",
         "stages",
         "depth",
@@ -132,11 +132,11 @@ class _BatchContext:
 
     def __init__(self, service: Histogram, stages: Tuple, cores: int):
         self.bpf_match_all = False
+        self.core_packets: Dict[int, int] = defaultdict(int)
+        self.core_bytes: Dict[int, int] = defaultdict(int)
         self.enabled = False
         self.base_cycles = 0.0
         self.lookup_hit_cycles = 0.0
-        self.core_packets: Dict[int, int] = defaultdict(int)
-        self.core_bytes: Dict[int, int] = defaultdict(int)
         self.service = service  # softirq service seconds
         self.stages = stages  # KERNEL_STAGES'; the first one's wait is the RX ring's
         self.depth: List[Optional[float]] = [None] * cores  # None: no packet this batch

@@ -275,8 +275,9 @@ class ScapRuntime:
                 self._m_ring_drops.inc(ring_drops)
 
     def finalize(self, end_time: float) -> None:
-        """Drain remaining flows at end of capture and publish the
-        metrics the drain recorded, as the end of one more batch."""
+        """Drain remaining flows at end of capture; publish their metrics.
+
+        The drain's metrics are published like one more batch's."""
         self._pending_events.clear()
         self.kernel.expire_and_drain(end_time)
         for core, event in self._pending_events:

@@ -106,8 +106,8 @@ class WorkerPool:  # scapcheck: single-owner
         stages = self.obs.profiler.stages
         self._dequeue = stages[STAGE_EVENT_DEQUEUE]
         self._callback = stages[STAGE_WORKER_CALLBACK]
-        self._depth: List[Optional[float]] = [None] * worker_count  # this batch's last
-
+        # Each queue's depth after its last event; None: no event since end_batch.
+        self._depth: List[Optional[float]] = [None] * worker_count
         #: Set while a data callback runs, so API calls made from inside
         #: the callback (keep_stream_chunk, discard_stream) can find it.
         self.current_event: Optional[Event] = None
