@@ -96,7 +96,8 @@ class TestRecovery:
             writer.append(record)
             ends.append(writer.disk_bytes)
         writer.seal()
-        blob = open(path, "rb").read()
+        with open(path, "rb") as handle:
+            blob = handle.read()
         torn = str(tmp_path / "torn.scap")
         for cut in range(len(blob) + 1):
             with open(torn, "wb") as handle:
@@ -121,7 +122,8 @@ class TestRecovery:
         for n in range(1, 3):
             writer.append(_record(n, data=b"x" * 50))
         writer.seal()
-        blob = bytearray(open(path, "rb").read())
+        with open(path, "rb") as handle:
+            blob = bytearray(handle.read())
         blob[first_end + 20] ^= 0xFF  # flip a byte inside record 2's body
         with open(path, "wb") as handle:
             handle.write(blob)
@@ -144,7 +146,8 @@ class TestRecovery:
         writer.append(_record(0))
         writer.append(_record(1))
         writer.seal()
-        blob = open(path, "rb").read()
+        with open(path, "rb") as handle:
+            blob = handle.read()
         one = str(tmp_path / "one.scap")
         short_writer = SegmentWriter(one)
         short_writer.append(_record(0))
