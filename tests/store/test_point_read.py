@@ -129,9 +129,12 @@ def _assemble(client_tuple, direction, records):
     )
 
 
-def _old_query(index, five_tuple=None, start_ts=None, end_ts=None):
+def _old_query(index, five_tuple=None, start_ts=None, end_ts=None, without=()):
+    """The expected streams; ``without`` names segment paths left unread."""
     matches = {}
     for segment, meta in _old_lookup(index, five_tuple, start_ts, end_ts):
+        if segment.path in without:
+            continue
         matches.setdefault(segment.path, set()).add(meta.file_offset)
     groups, group_tuple = {}, {}
     for path, wanted in matches.items():
@@ -458,14 +461,26 @@ class TestCorruption:
             assert reopened.query(connection).streams == after[connection]
         reopened.close(enforce_retention=False)
 
-    def test_bad_header_magic_raises_through_a_point_query(self, tmp_path):
+    def test_bad_header_magic_serves_nothing_from_that_segment(self, tmp_path):
+        """A wrong magic on an indexed segment is damage after indexing,
+        like a torn header: full and point queries raise nothing, that
+        segment serves nothing, every other segment serves in full.  A
+        scan of the file (and so a reopen) still rejects it."""
         store = self._store(tmp_path)
         segment, victim = self._victim(store)
+        assert len(store.index.segments) > 1
+        before = store.query(victim.client_tuple).streams
         with open(segment.path, "r+b") as handle:
             handle.write(b"NOTASEG\x01")
-        with pytest.raises(ValueError, match="bad magic"):
-            store.query(victim.client_tuple)
-        with pytest.raises(ValueError, match="bad magic"):
-            store.query()
+        skip = {segment.path}
+        assert store.query().streams == _old_query(store.index, without=skip)
+        for connection in store.connections():
+            expected = _old_query(store.index, connection, without=skip)
+            assert store.query(connection).streams == expected
+        after = store.query(victim.client_tuple).streams
+        assert sum(len(s.data) for s in after) < sum(len(s.data) for s in before)
         with pytest.raises(ValueError, match="bad magic"):
             list(scan_records(segment.path))
+        store.close(enforce_retention=False)
+        with pytest.raises(ValueError, match="bad magic"):
+            StreamStore(str(tmp_path))

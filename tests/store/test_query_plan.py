@@ -95,6 +95,20 @@ def _expected_read_bytes(used):
     return HEADER_BYTES * len(paths) + sum(FRAME_OVERHEAD + length for _p, _o, length in used)
 
 
+def _run_count(used):
+    """The reads of the ``(path, file_offset, length)`` frames besides
+    each segment's header: one per run of frames that lie next to each
+    other in one file, a run holding at most ``READ_BLOCK`` bytes."""
+    runs, before, start = 0, None, 0
+    for path, offset, length in sorted(used):
+        end = offset + FRAME_OVERHEAD + length
+        if before != (path, offset) or end - start > segment_module.READ_BLOCK:
+            runs += 1
+            start = offset
+        before = (path, end)
+    return runs
+
+
 @contextmanager
 def _counted_preads():
     """Count the bytes every ``os.pread`` returns while inside."""
@@ -263,9 +277,11 @@ def test_capture_recorded_twice_reads_one_capture(tmp_path):
 
     with mock.patch.object(segment_module.os, "pread", pread):
         answer = twice.query()
-    payload_read = sum(size - FRAME_OVERHEAD for offset, size in frames if offset)
+    used = _oracle(twice.index)[1]
+    assert len(used) == once.index.record_count
+    payload_read = sum(size for offset, size in frames if offset) - FRAME_OVERHEAD * len(used)
     assert payload_read == one_capture
-    assert len(frames) - sum(1 for offset, _ in frames if not offset) == once.index.record_count
+    assert len(frames) - sum(1 for offset, _ in frames if not offset) == _run_count(used)
     single = once.query()
     assert answer.total_bytes == single.total_bytes == one_capture
     assert [(s.client_tuple, s.direction, s.data, s.base_offset, s.gap_bytes)
