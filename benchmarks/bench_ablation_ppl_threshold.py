@@ -35,14 +35,14 @@ def _sweep_with_threshold(rate_gbps: float = 5.0):
                 socket.set_stream_priority(sd, 1)
 
         attach_app(socket, app)
-        base_creation = socket._callbacks["creation"]
+        base_creation = socket.callbacks.on_creation
 
         def creation(sd, base=base_creation, hook=on_creation):
             hook(sd)
             if base is not None:
                 base(sd)
 
-        socket.dispatch_creation(creation, cost=socket._cost_hooks["creation"])
+        socket.dispatch_creation(creation, cost=socket.callbacks.creation_cost)
         results[threshold] = socket.start_capture(name=f"base={threshold}")
     return results
 

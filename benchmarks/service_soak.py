@@ -6,7 +6,9 @@ mixed workload — captures, runtime config flips, subscriptions, store
 queries, and deliberately malformed frames — and the run only passes
 if:
 
-* no client observed a protocol-level failure it didn't provoke,
+* no client observed a protocol-level failure it didn't provoke (odd
+  clients also filter their subscription and install, then remove, a
+  keep-filter around each capture),
 * every capture's queried bytes match its reported delivered bytes,
 * after the clients finish, one client resubmits a round-0 capture, so
   its streams are stored again and a full query takes the planned read;
@@ -83,15 +85,24 @@ def _soak_client(
 ):
     try:
         client = ScapClient(unix_path=path, name=f"soak-{index}")
-        held = _Held(client.subscribe(events=["closed"]))
+        # Odd clients filter their subscription and, each round, keep
+        # only web traffic while their capture runs: the daemon's filter
+        # union and its per-subscription match run under concurrency.
+        flow_filter = "port 80 or 443" if index % 2 else ""
+        held = _Held(client.subscribe(events=["closed"], flow_filter=flow_filter))
         for round_index in range(rounds):
+            keep_filter = None
             if index % 2 == 0:
                 client.set_cutoff(50_000 + 1_000 * index)
                 client.set_priority(f"tcp and port {80 + index}", 2)
+            else:
+                keep_filter = client.install_filter(f"tcp port {80 if index % 4 == 1 else 443}")
             summary = client.submit_campus(
                 flows=6, seed=index * 31 + round_index, rate_bps=GBIT,
                 name=f"soak-{index}-{round_index}",
             )
+            if keep_filter is not None:
+                client.remove_filter(keep_filter)
             streams = client.query()
             queried = sum(len(s["data"]) for s in streams)
             if queried < summary["delivered_bytes"]:

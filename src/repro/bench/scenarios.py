@@ -198,7 +198,7 @@ def run_scap(
     else:
         attach_app(socket, app)
     if priority_rule is not None:
-        base_creation = socket._callbacks["creation"]
+        base_creation = socket.callbacks.on_creation
 
         def on_creation(stream):
             priority_rule(socket, stream)
@@ -206,7 +206,7 @@ def run_scap(
                 base_creation(stream)
 
         socket.dispatch_creation(
-            on_creation, cost=socket._cost_hooks["creation"]
+            on_creation, cost=socket.callbacks.creation_cost
         )
     result = socket.start_capture(name=name)
     _merge_app(result, app, trace)

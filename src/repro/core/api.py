@@ -40,6 +40,7 @@ from .constants import SCAP_DEFAULT, SCAP_TCP_FAST, Parameter
 from .packet_delivery import ScapPacketHeader, next_stream_packet
 from .runtime import ScapRuntime
 from .stream import StreamDescriptor
+from .workers import Callbacks, SharedApplication
 
 __all__ = [
     "ScapSocket",
@@ -119,16 +120,9 @@ class ScapSocket:
         self._core_count = core_count
         self._runtime_kwargs = runtime_kwargs
         self._runtime: Optional[ScapRuntime] = None
-        self._callbacks: Dict[str, Optional[Callable]] = {
-            "creation": None,
-            "data": None,
-            "termination": None,
-        }
-        self._cost_hooks: Dict[str, Optional[Callable]] = {
-            "creation": None,
-            "data": None,
-            "termination": None,
-        }
+        #: What ``dispatch_*`` registered, run as the capture's one
+        #: application (an attached store's recorder wraps them at start).
+        self.callbacks = Callbacks()
         self._closed = False
         self._recorder: Optional["StreamRecorder"] = None
         self._fault_plan = fault_plan
@@ -219,20 +213,20 @@ class ScapSocket:
         self, handler: Callable, cost: Optional[Callable] = None
     ) -> None:
         """scap_dispatch_creation: register the stream-creation callback."""
-        self._callbacks["creation"] = handler
-        self._cost_hooks["creation"] = cost
+        self.callbacks.on_creation = handler
+        self.callbacks.creation_cost = cost
 
     def dispatch_data(self, handler: Callable, cost: Optional[Callable] = None) -> None:
         """scap_dispatch_data: register the new-data callback."""
-        self._callbacks["data"] = handler
-        self._cost_hooks["data"] = cost
+        self.callbacks.on_data = handler
+        self.callbacks.data_cost = cost
 
     def dispatch_termination(
         self, handler: Callable, cost: Optional[Callable] = None
     ) -> None:
         """scap_dispatch_termination: register the termination callback."""
-        self._callbacks["termination"] = handler
-        self._cost_hooks["termination"] = cost
+        self.callbacks.on_termination = handler
+        self.callbacks.termination_cost = cost
 
     # ------------------------------------------------------------------
     # Capture
@@ -249,14 +243,9 @@ class ScapSocket:
             config=self.config,
             core_count=self._core_count,
             fault_injector=self.fault_injector,
+            applications=[SharedApplication("scap", self.config, self.callbacks)],
             **self._runtime_kwargs,
         )
-        runtime.callbacks.on_creation = self._callbacks["creation"]
-        runtime.callbacks.on_data = self._callbacks["data"]
-        runtime.callbacks.on_termination = self._callbacks["termination"]
-        runtime.callbacks.creation_cost = self._cost_hooks["creation"]
-        runtime.callbacks.data_cost = self._cost_hooks["data"]
-        runtime.callbacks.termination_cost = self._cost_hooks["termination"]
         if self._recorder is not None:
             self._recorder.bind(runtime)
         return runtime

@@ -17,7 +17,7 @@ only, discard all data".
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Iterable, List, Optional, Sequence
 
 from ..filters.bpf import BPFFilter
 from .constants import SCAP_UNLIMITED_CUTOFF
@@ -39,6 +39,21 @@ class CutoffPolicy:
         self.default = default
         self._per_direction: dict = {}
         self._classes: List[_ClassCutoff] = []
+        #: The policies a union resolves over (see :meth:`union`).
+        self._parts: List[CutoffPolicy] = []
+
+    @classmethod
+    def union(cls, policies: Sequence["CutoffPolicy"]) -> "CutoffPolicy":
+        """The policy that keeps of every stream what the most generous
+        of ``policies`` keeps: the largest effective cutoff, unlimited
+        winning (§5.6).  One policy is its own union."""
+        if len(policies) == 1:
+            return policies[0]
+        if any(policy.is_trivial for policy in policies):
+            return cls()
+        merged = cls(_largest(policy.default for policy in policies))
+        merged._parts = list(policies)
+        return merged
 
     def set_default(self, cutoff: int) -> None:
         """Set the socket-wide default cutoff."""
@@ -76,6 +91,7 @@ class CutoffPolicy:
             self.default == SCAP_UNLIMITED_CUTOFF
             and not self._classes
             and not self._per_direction
+            and not self._parts
         )
 
     # ------------------------------------------------------------------
@@ -83,6 +99,8 @@ class CutoffPolicy:
         """The cutoff that applies to ``stream`` right now."""
         if stream.cutoff != SCAP_UNLIMITED_CUTOFF:
             return stream.cutoff
+        if self._parts:
+            return _largest(part.effective_cutoff(stream) for part in self._parts)
         for class_cutoff in self._classes:
             if class_cutoff.bpf.matches_five_tuple(stream.five_tuple):
                 return class_cutoff.cutoff
@@ -103,3 +121,9 @@ class CutoffPolicy:
         if cutoff == SCAP_UNLIMITED_CUTOFF:
             return None
         return max(0, cutoff - next_offset)
+
+
+def _largest(cutoffs: Iterable[int]) -> int:
+    """The cutoff that keeps the most: unlimited, else the largest."""
+    values = list(cutoffs)
+    return SCAP_UNLIMITED_CUTOFF if SCAP_UNLIMITED_CUTOFF in values else max(values)

@@ -7,7 +7,8 @@ This composes the whole monitoring sensor for one Scap socket:
 * the per-core softirq :class:`~repro.kernelsim.server.QueueServer`
   charges the kernel module's cycles and bounds the RX ring;
 * events created by the kernel become work for the
-  :class:`~repro.core.workers.WorkerPool`;
+  :class:`~repro.core.workers.WorkerPool` of each application that
+  wants them (one pool per application; a socket is one, §5.6);
 * optional dynamic load balancing redirects streams from overloaded
   cores via FDIR steering filters.
 
@@ -18,7 +19,7 @@ reduces everything to a :class:`~repro.bench.results.RunResult`.
 from __future__ import annotations
 
 from itertools import islice
-from typing import List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from ..results import RunResult, ScapStats
 from ..kernelsim.cache import LocalityProfile
@@ -44,7 +45,7 @@ from .config import ScapConfig
 from .events import Event, EventType
 from .kernel_module import ScapKernelModule
 from .loadbalance import LoadBalancer
-from .workers import Callbacks, WorkerPool
+from .workers import SharedApplication, WorkerPool
 
 __all__ = ["ScapRuntime", "DEFAULT_BATCH_SIZE"]
 
@@ -53,7 +54,8 @@ DEFAULT_BATCH_SIZE = 64
 
 
 class ScapRuntime:
-    """One Scap socket's full capture pipeline on the simulated host."""
+    """One capture's full pipeline on the simulated host, serving
+    ``applications`` (§5.6) or, without any, one configured by ``config``."""
 
     def __init__(
         self,
@@ -70,6 +72,7 @@ class ScapRuntime:
         fault_injector: Optional[object] = None,
         batch_size: int = DEFAULT_BATCH_SIZE,
         telemetry: Optional[TelemetryRing] = None,
+        applications: Sequence[SharedApplication] = (),
     ):
         self.config = config or ScapConfig()
         self.config.validate()
@@ -87,7 +90,6 @@ class ScapRuntime:
             queue_count=core_count, rss_key=rss_key, fdir_capacity=fdir_capacity,
             observability=self.obs, sanitizers=self.sanitizers,
         )
-        self.callbacks = Callbacks()
         self.balancer = LoadBalancer(core_count) if enable_load_balancing else None
         self._pending_events: List[Tuple[int, Event]] = []
         self.kernel = ScapKernelModule(
@@ -101,16 +103,24 @@ class ScapRuntime:
             sanitizers=self.sanitizers,
             fault_injector=fault_injector,
         )
-        self.workers = WorkerPool(
-            worker_count=self.config.worker_threads,
-            cost_model=self.cost,
-            locality=self.locality,
-            event_queue_capacity=self.config.event_queue_capacity,
-            memory=self.kernel.memory,
-            callbacks=self.callbacks,
-            observability=self.obs,
-            fault_injector=fault_injector,
-        )
+        self.applications = list(applications) or [SharedApplication("scap", self.config)]
+        for app in self.applications:
+            app.workers = WorkerPool(
+                worker_count=app.config.worker_threads,
+                cost_model=self.cost,
+                locality=self.locality,
+                event_queue_capacity=app.config.event_queue_capacity,
+                memory=self.kernel.memory,
+                callbacks=app.callbacks,
+                observability=self.obs,
+                fault_injector=fault_injector,
+            )
+        #: The first application's callbacks and pool: a socket's only ones.
+        self.callbacks = self.applications[0].callbacks
+        self.workers = self.applications[0].workers
+        #: More than one application: kernel events fan out (``_fan_out``).
+        #: A slice, not ``len()``: the pass's call count is pinned exactly.
+        self._shared = bool(self.applications[1:])
         registry = self.obs.registry
         self._m_ring_drops = registry.counter(
             "scap_ring_drops_total", "packets rejected by a full RX ring"
@@ -160,6 +170,22 @@ class ScapRuntime:
             pair.core = target
         self.balancer.moved(source, target)
 
+    def _fan_out(self, core: int, event: Event, ready_time: float) -> float:
+        """Deliver one kernel event to every application that wants it.
+
+        The chunk's memory is released when the *slowest* of them
+        finishes with it (a shared read-only mapping, §5.6).
+        """
+        # Every application's interest is decided before any callback runs.
+        wanted = [app.workers for app in self.applications if app.wants(event)]
+        finish = ready_time
+        for workers in wanted:
+            finish = max(finish, workers.dispatch(core, event, ready_time, release=False))
+        chunk = event.chunk
+        if chunk is not None and not chunk.keep:
+            self.kernel.memory.schedule_release(finish, chunk.accounted_bytes)
+        return finish
+
     # ------------------------------------------------------------------
     def process_batch(self, batch: PacketBatch) -> None:
         """Run one batch through offload → softirq → kernel → workers.
@@ -197,7 +223,7 @@ class ScapRuntime:
         verdicts = batch.verdicts
         pending = self._pending_events
         pending.clear()
-        dispatch = self.workers.dispatch
+        dispatch = self._fan_out if self._shared else self.workers.dispatch
         service_seconds = ctx.service
         stages = ctx.stages
         ring_wait = stages[0].wait
@@ -258,7 +284,8 @@ class ScapRuntime:
                 version = nic.classify_batch(batch, index + 1)
         kernel.end_batch(ctx)
         if enabled:
-            self.workers.end_batch()
+            for app in self.applications:
+                app.workers.end_batch()
         self.packets_offered += count
         self.bytes_offered += bytes_offered
         self.ring_drops += ring_drops
@@ -280,12 +307,14 @@ class ScapRuntime:
         The drain's metrics are published like one more batch's."""
         self._pending_events.clear()
         self.kernel.expire_and_drain(end_time)
+        dispatch = self._fan_out if self._shared else self.workers.dispatch
         for core, event in self._pending_events:
-            self.workers.dispatch(core, event, end_time)
+            dispatch(core, event, end_time)
         self._pending_events.clear()
         if self.obs.enabled:
             self.kernel.end_batch(self.kernel.begin_batch())
-            self.workers.end_batch()
+            for app in self.applications:
+                app.workers.end_batch()
         if self.sanitizers is not None:
             # Teardown invariant: every byte charged to stream memory
             # must have been returned by now (§5.3 accounting).
@@ -322,11 +351,11 @@ class ScapRuntime:
         return self.result(rate_bps, name=name)
 
     def busy_seconds(self) -> float:
-        """Total simulated busy time across softirq cores and workers."""
-        return (
-            sum(server.busy_seconds for server in self.host.softirq)
-            + self.workers.busy_seconds()
-        )
+        """Total simulated busy time of the softirq cores and all applications' workers."""
+        busy = sum(server.busy_seconds for server in self.host.softirq)
+        for app in self.applications:
+            busy += app.workers.busy_seconds()
+        return busy
 
     def profile(self) -> ProfileReport:
         """The per-stage critical-path breakdown of this run.
@@ -346,7 +375,8 @@ class ScapRuntime:
         contributions (RX-ring rejections, NIC hardware drops); every
         consumer of totals goes through here.  The socket-level
         extension fields (FDIR, store, faults) are left at zero for
-        ``scap_get_stats`` to fill.
+        ``scap_get_stats`` to fill.  Deliveries are the first
+        application's (a socket's only one).
         """
         counters = self.kernel.counters
         agg = ScapStats(

@@ -1,5 +1,9 @@
 """Worker threads: per-core user-level stream processing (§2.4, §4.2).
 
+Each application of a capture has its own pool (its own process in the
+real system); a socket is one application, a shared capture several
+(§5.6), and :class:`SharedApplication` says which events one wants.
+
 The stub creates one worker thread per configured core; each polls the
 event queue its kernel counterpart fills and invokes the application's
 callbacks.  Here each worker is a :class:`QueueServer` whose service
@@ -11,7 +15,7 @@ virtual completion time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, List, Optional
 
 from ..kernelsim.cache import LocalityProfile
@@ -24,10 +28,12 @@ from ..observability import (
     STAGE_WORKER_CALLBACK,
     Observability,
 )
+from .config import ScapConfig
+from .constants import SCAP_UNLIMITED_CUTOFF
 from .events import Event, EventType
 from .memory import StreamMemory
 
-__all__ = ["Callbacks", "WorkerPool"]
+__all__ = ["Callbacks", "SharedApplication", "WorkerPool"]
 
 
 @dataclass
@@ -50,8 +56,33 @@ class Callbacks:
     termination_cost: Optional[Callable[[Event], float]] = None
 
 
+@dataclass
+class SharedApplication:
+    """One application of a capture: its config, callbacks, and (once a
+    runtime is built for it) its own worker pool and its statistics."""
+
+    name: str
+    config: ScapConfig = field(default_factory=ScapConfig)
+    callbacks: Callbacks = field(default_factory=Callbacks)
+    workers: Optional[WorkerPool] = None
+
+    def wants(self, event: Event) -> bool:
+        """Should this application receive ``event``?"""
+        if not self.config.bpf.matches_five_tuple(event.stream.five_tuple):
+            return False
+        if event.event_type != EventType.STREAM_DATA:
+            return True
+        cutoff = self.config.cutoffs.effective_cutoff(event.stream)
+        if cutoff == SCAP_UNLIMITED_CUTOFF:
+            return True
+        # Deliver only chunks that start below this app's own cutoff —
+        # the kernel captured up to the *largest* cutoff of all apps.
+        assert event.chunk is not None
+        return event.chunk.stream_offset < cutoff
+
+
 class WorkerPool:  # scapcheck: single-owner
-    """The user-level worker threads of one Scap socket.
+    """The user-level worker threads of one application.
 
     Single-owner: the runtime drives dispatch from the replay loop;
     worker "threads" are virtual-time servers, never OS threads, so

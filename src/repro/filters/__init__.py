@@ -1,5 +1,5 @@
 """BPF-style filter expressions."""
 
-from .bpf import BPFError, BPFFilter, compile_filter
+from .bpf import BPFError, BPFFilter, compile_filter, filter_union
 
-__all__ = ["BPFError", "BPFFilter", "compile_filter"]
+__all__ = ["BPFError", "BPFFilter", "compile_filter", "filter_union"]

@@ -18,14 +18,14 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from ..netstack.addresses import ip_to_int
 from ..netstack.flows import FiveTuple
 from ..netstack.ip import IPProtocol
 from ..netstack.packet import Packet
 
-__all__ = ["BPFError", "BPFFilter", "compile_filter"]
+__all__ = ["BPFError", "BPFFilter", "compile_filter", "filter_union"]
 
 
 class BPFError(ValueError):
@@ -481,3 +481,21 @@ class BPFFilter:
 def compile_filter(expression: str) -> BPFFilter:
     """Compile ``expression``; raises :class:`BPFError` on bad syntax."""
     return BPFFilter(expression)
+
+
+def filter_union(filters: Sequence[BPFFilter]) -> BPFFilter:
+    """The compiled disjunction of ``filters``: it keeps a packet (or a
+    flow) that any of them keeps.
+
+    One filter is its own union, and the union matches everything when
+    any part does.  Each part is parenthesized, and a part that compiles
+    alone inherits no qualifier from the part before it, so the joined
+    expression means exactly the disjunction.
+    """
+    if not filters:
+        raise ValueError("need at least one filter")
+    if len(filters) == 1:
+        return filters[0]
+    if any(part.is_match_all for part in filters):
+        return BPFFilter()
+    return BPFFilter(" or ".join(f"({part.expression})" for part in filters))

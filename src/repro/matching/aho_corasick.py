@@ -132,12 +132,6 @@ class AhoCorasick:
         """All matches in one buffer."""
         return [match for match, _ in self.iter_matches(data)]
 
-    def final_state(self, data: bytes, state: int = 0) -> int:
-        """The automaton state after consuming ``data`` (for streaming)."""
-        for byte in data:
-            state = self.step(state, byte)
-        return state
-
 
 class StreamMatcher:
     """Streaming wrapper: feed chunks, matches carry stream offsets.

@@ -7,7 +7,6 @@ to dotted-quad strings only at display boundaries.
 
 from __future__ import annotations
 
-import struct
 from functools import lru_cache
 
 __all__ = [
@@ -60,7 +59,3 @@ def bytes_to_mac(raw: bytes) -> str:
     if len(raw) != 6:
         raise ValueError("MAC addresses are exactly 6 bytes")
     return ":".join(f"{byte:02x}" for byte in raw)
-
-
-def _pack_ip(value: int) -> bytes:
-    return struct.pack("!I", value)

@@ -118,10 +118,6 @@ class FlowDirectorTable:  # scapcheck: single-owner
     def __len__(self) -> int:
         return self._count
 
-    @property
-    def is_full(self) -> bool:
-        return self._count >= self.capacity
-
     def add(self, new_filter: FdirFilter, now: float = 0.0) -> bool:
         """Install a filter, evicting the smallest-timeout one if full.
 

@@ -236,10 +236,6 @@ class SpanNode:
         """
         return max(0.0, self.record.duration - self.child_seconds)
 
-    def total_seconds(self) -> float:
-        """This span's wall duration, children included."""
-        return self.record.duration
-
     def format(self, indent: int = 0) -> List[str]:
         """Indented lines for the CLI tree rendering."""
         record = self.record

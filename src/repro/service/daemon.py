@@ -461,12 +461,6 @@ class ScapDaemon:
         self._on_loop(self._begin_reload, reply.put)
         return reply.get()
 
-    def sample_telemetry(self, now: float):
-        """Refresh derived queue gauges, then snapshot the registry at
-        the injected time ``now`` (the loop's timer passes
-        ``time.monotonic()``)."""
-        return self._on_loop(self._sample_telemetry, now)
-
     def health_structural(self) -> Dict[str, object]:
         """Non-rate facts the health verdict folds in: readiness, and
         ledger balance over *retired* sessions (a live one has events
@@ -927,10 +921,7 @@ class ScapDaemon:
             five_tuple = event[2]
             for receiver in receivers:
                 for subscription in receiver.subscriptions.values():
-                    if not subscription.wants(kind):
-                        continue
-                    bpf = subscription.bpf
-                    if bpf is not None and not bpf.matches_five_tuple(five_tuple):
+                    if not subscription.wants(kind, five_tuple):
                         continue
                     if receiver.queue_depth() >= receiver.quotas.max_queued_events:
                         self._pump(receiver)  # a client that keeps up loses nothing
@@ -1068,7 +1059,7 @@ class ScapDaemon:
 
     # -- runtime config --------------------------------------------------
     def _cmd_install_filter(self, request: _Request, frame: Frame):
-        expression = str(frame.header.get("expression", ""))
+        expression = str(frame.header.get("expression", "")).strip()
         if not expression:
             raise ServiceError(ERR_BAD_REQUEST, "install_filter needs an expression")
         BPFFilter(expression)  # validate before accepting
@@ -1132,7 +1123,6 @@ class ScapDaemon:
                 f"unknown event kinds {unknown}; valid: {list(EVENT_KINDS)}",
             )
         expression = str(frame.header.get("filter", ""))
-        bpf = BPFFilter(expression) if expression else None
         subscription = session.add_subscription(tuple(kinds), expression)
         if subscription is None:
             raise ServiceError(
@@ -1140,7 +1130,6 @@ class ScapDaemon:
                 f"subscription quota reached "
                 f"(max_subscriptions={session.quotas.max_subscriptions})",
             )
-        subscription.bpf = bpf
         return (
             {"subscription_id": subscription.subscription_id, "events": kinds},
             b"",

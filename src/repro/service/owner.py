@@ -20,7 +20,7 @@ import threading
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..core.api import ScapSocket
-from ..filters.bpf import BPFFilter
+from ..filters.bpf import BPFFilter, filter_union
 from ..netstack.flows import FiveTuple
 from ..netstack.pcap import write_pcap
 from ..observability import SpanRecorder
@@ -166,7 +166,7 @@ class CaptureOwner:
             core_count=self.core_count,
         )
         if filters:
-            scap.set_filter(" or ".join(f"({f})" for f in filters))
+            scap.config.bpf = filter_union([BPFFilter(f) for f in filters])
         if cutoff is not None:
             scap.set_cutoff(cutoff)
         if self.store is not None:

@@ -34,9 +34,11 @@ from __future__ import annotations
 
 import time
 from collections import deque
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 from typing import Callable, Deque, Dict, Optional, Tuple, Union
 
+from ..filters.bpf import BPFFilter
+from ..netstack.flows import FiveTuple
 from .protocol import EVENT_ROW, Frame, FrameReader, FrameRejection, encode_events
 
 __all__ = ["ClientQuotas", "Subscription", "SessionLedger", "ClientSession"]
@@ -82,12 +84,17 @@ class Subscription:  # scapcheck: single-owner
     expression: str = ""
     #: Monotone per-subscription sequence number (next to assign).
     next_seq: int = 0
-    #: Compiled BPF filter for ``expression`` (daemon-attached).
-    bpf: Optional[object] = None
+    #: ``expression`` compiled when the subscription is built.
+    bpf: BPFFilter = field(init=False)
 
-    def wants(self, kind: str) -> bool:
-        """True when this subscription selects ``kind`` events."""
-        return kind in self.kinds
+    def __post_init__(self) -> None:
+        self.bpf = BPFFilter(self.expression)
+
+    def wants(self, kind: str, five_tuple: FiveTuple) -> bool:
+        """True when this subscription selects ``kind`` events of the
+        flow ``five_tuple``; the filter test is a library application's
+        (:meth:`~repro.core.workers.SharedApplication.wants`)."""
+        return kind in self.kinds and self.bpf.matches_five_tuple(five_tuple)
 
 
 @dataclass

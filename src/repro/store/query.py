@@ -50,11 +50,6 @@ class StreamPayload:
     #: Bytes missing to gaps between stored records (eviction holes).
     gap_bytes: int = 0
 
-    @property
-    def directional_tuple(self) -> FiveTuple:
-        """Five-tuple with the sender of these bytes as the source."""
-        return self.client_tuple if self.direction == 0 else self.client_tuple.reversed()
-
 
 @dataclass
 class QueryResult:

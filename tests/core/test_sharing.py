@@ -128,3 +128,128 @@ def test_merge_reassembly_mode_prefers_strict():
         _config(reassembly_mode=SCAP_TCP_STRICT),
     ])
     assert merged.reassembly_mode == SCAP_TCP_STRICT
+
+
+# ----------------------------------------------------------------------
+# The union of cutoff policies and of fields without a rule
+# ----------------------------------------------------------------------
+def _web_bytes(app_config, *others):
+    """Data bytes of port-80 streams one application receives from
+    ``campus_mix(flow_count=50, seed=77)`` at 1 Gbit/s, sharing the
+    capture with applications of the ``others`` configs."""
+    received = []
+
+    def on_data(stream):
+        if 80 in (stream.five_tuple.src_port, stream.five_tuple.dst_port):
+            received.append(stream.data_len)
+
+    app = SharedApplication("web", app_config)
+    app.callbacks.on_data = on_data
+    apps = [app] + [SharedApplication(f"other-{i}", c) for i, c in enumerate(others)]
+    SharedCaptureRuntime(apps).run(campus_mix(flow_count=50, seed=77), 1e9)
+    return sum(received)
+
+
+def test_class_cutoff_survives_sharing():
+    """A class cutoff of one application is not lost to another's
+    default: sharing delivers what the application gets alone."""
+
+    def web_unlimited():
+        config = _config()
+        config.cutoffs.set_default(100)
+        config.cutoffs.add_class_cutoff(SCAP_UNLIMITED_CUTOFF, BPFFilter("tcp port 80"))
+        return config
+
+    other = _config()
+    other.cutoffs.set_default(100)
+    alone = _web_bytes(web_unlimited())
+    assert alone == 349_389
+    assert _web_bytes(web_unlimited(), other) == alone
+
+
+def test_direction_cutoff_survives_sharing():
+    a = _config()
+    a.cutoffs.set_default(0)
+    a.cutoffs.add_direction_cutoff(SCAP_UNLIMITED_CUTOFF, 1)
+    b = _config()
+    b.cutoffs.set_default(100)
+    merged = merge_configs([a, b]).cutoffs
+    from repro.core.stream import StreamDescriptor
+    from repro.netstack import FiveTuple
+
+    flow = FiveTuple(1, 2, 3, 80, 6)
+    assert merged.effective_cutoff(StreamDescriptor(flow, 0, 6)) == 100
+    assert merged.effective_cutoff(StreamDescriptor(flow, 1, 6)) == SCAP_UNLIMITED_CUTOFF
+    assert not merged.is_trivial
+
+
+def test_merged_cutoffs_take_the_largest_per_stream():
+    from repro.core.stream import StreamDescriptor
+    from repro.netstack import FiveTuple
+
+    a = _config()
+    a.cutoffs.set_default(500)
+    a.cutoffs.add_class_cutoff(50, BPFFilter("udp"))
+    b = _config()
+    b.cutoffs.set_default(200)
+    b.cutoffs.add_class_cutoff(9000, BPFFilter("udp port 53"))
+    merged = merge_configs([a, b]).cutoffs
+    tcp = StreamDescriptor(FiveTuple(1, 2, 3, 80, 6), 0, 6)
+    dns = StreamDescriptor(FiveTuple(1, 2, 3, 53, 17), 0, 17)
+    udp = StreamDescriptor(FiveTuple(1, 2, 3, 99, 17), 0, 17)
+    assert merged.effective_cutoff(tcp) == 500
+    assert merged.effective_cutoff(dns) == 9000
+    assert merged.effective_cutoff(udp) == 200
+    # A per-stream cutoff still overrides every scope.
+    udp.cutoff = 7
+    assert merged.effective_cutoff(udp) == 7
+    # An application that keeps everything makes the union keep everything.
+    assert merge_configs([a, b, _config()]).cutoffs.is_trivial
+
+
+def test_agreed_fields_are_kept():
+    merged = merge_configs([
+        _config(reassembly_policy="first", fdir_initial_timeout=5.0),
+        _config(reassembly_policy="first", fdir_initial_timeout=5.0),
+    ])
+    assert (merged.reassembly_policy, merged.fdir_initial_timeout) == ("first", 5.0)
+
+
+@pytest.mark.parametrize("name, values", [
+    ("reassembly_policy", ("first", "linux")),
+    ("fdir_initial_timeout", (5.0, 2.0)),
+])
+def test_disagreement_without_a_rule_is_refused(name, values):
+    configs = [_config(**{name: value}) for value in values]
+    with pytest.raises(ValueError, match=name):
+        merge_configs(configs)
+
+
+def test_merging_one_config_reproduces_it():
+    config = _config(
+        reassembly_policy="first", fdir_initial_timeout=5.0, chunk_size=4096,
+        overlap_size=100, flush_timeout=0.5, overload_cutoff=2048, worker_threads=3,
+        bpf=BPFFilter("tcp"), need_pkts=True,
+    )
+    config.cutoffs.set_default(1000)
+    config.cutoffs.add_direction_cutoff(10, 1)
+    assert merge_configs([config]) == config
+
+
+def test_shared_runtime_is_observed():
+    """Every application's pool counts in the shared runtime's profile
+    and busy time."""
+    from repro.observability import Observability
+
+    apps = [SharedApplication(name, _config()) for name in ("a", "b")]
+    shared = SharedCaptureRuntime(apps, observability=Observability(enabled=True))
+    shared.run(campus_mix(flow_count=30, seed=77), 1e9)
+    runtime = shared.runtime
+    report = runtime.profile()
+    assert report.stage("event_dequeue") is not None
+    assert report.stage("worker_callback") is not None
+    softirq = sum(server.busy_seconds for server in runtime.host.softirq)
+    pools = [app.workers.busy_seconds() for app in apps]
+    assert all(busy > 0 for busy in pools)
+    assert runtime.busy_seconds() == pytest.approx(softirq + sum(pools))
+    assert report.coverage == pytest.approx(1.0, rel=1e-6)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.netstack import FiveTuple
 from repro.service.protocol import (
     EVENT_ROW,
     MSG_EVENT,
@@ -118,11 +119,25 @@ def test_subscription_quota_and_removal():
     a = session.add_subscription(("created",))
     b = session.add_subscription(("data", "closed"))
     assert session.add_subscription(("data",)) is None
-    assert a.wants("created") and not a.wants("data")
-    assert b.wants("closed")
+    flow = FiveTuple(*FLOW)
+    assert a.wants("created", flow) and not a.wants("data", flow)
+    assert b.wants("closed", flow)
     assert session.remove_subscription(a.subscription_id)
     assert not session.remove_subscription(a.subscription_id)
     assert session.add_subscription(("data",)) is not None
+
+
+def test_subscription_filter_is_compiled_when_built():
+    session = _session()
+    web = session.add_subscription(("data",), "tcp port 80")
+    dns = session.add_subscription(("data",), "udp port 53")
+    blank = session.add_subscription(("data",), "   ")
+    flow = FiveTuple(*FLOW)
+    assert web.wants("data", flow) and not web.wants("closed", flow)
+    assert not dns.wants("data", flow)
+    assert blank.wants("data", flow)
+    with pytest.raises(ValueError):
+        session.add_subscription(("data",), "port")
 
 
 def test_feed_quota():
