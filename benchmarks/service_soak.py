@@ -45,6 +45,7 @@ import argparse
 import hashlib
 import json
 import os
+import shutil
 import socket
 import tempfile
 import threading
@@ -253,18 +254,29 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     run_dir = tempfile.mkdtemp(prefix="scap-soak-")
+    try:
+        obs = Observability(enabled=True)
+        daemon = ScapDaemon(
+            DaemonConfig(
+                store_dir=os.path.join(run_dir, "store"),
+                quotas=ClientQuotas(max_queued_events=2048),
+                http_host="127.0.0.1",
+                telemetry_cadence=0.2,
+            ),
+            observability=obs,
+        )
+        try:
+            return _soak(args, daemon, obs, run_dir)
+        finally:
+            daemon.shutdown()  # idempotent: a soak that ran to its end already stopped it
+    finally:
+        shutil.rmtree(run_dir, ignore_errors=True)
+
+
+def _soak(args, daemon, obs: Observability, run_dir: str) -> int:
+    """The soak against ``daemon``, whose files live in ``run_dir``."""
     path = os.path.join(run_dir, "scapd.sock")
-    store_dir = os.path.join(run_dir, "store")
-    obs = Observability(enabled=True)
-    daemon = ScapDaemon(
-        DaemonConfig(
-            store_dir=store_dir,
-            quotas=ClientQuotas(max_queued_events=2048),
-            http_host="127.0.0.1",
-            telemetry_cadence=0.2,
-        ),
-        observability=obs,
-    )
+    store_dir = daemon.config.store_dir
     daemon.add_unix_listener(path)
     daemon.start()
 

@@ -375,10 +375,14 @@ class ScapRuntime:
         contributions (RX-ring rejections, NIC hardware drops); every
         consumer of totals goes through here.  The socket-level
         extension fields (FDIR, store, faults) are left at zero for
-        ``scap_get_stats`` to fill.  Deliveries are the first
-        application's (a socket's only one).
+        ``scap_get_stats`` to fill.  Deliveries are summed over every
+        application: a byte two applications receive counts twice.
         """
         counters = self.kernel.counters
+        delivered = processed = 0
+        for app in self.applications:
+            delivered += app.workers.bytes_delivered
+            processed += app.workers.events_processed
         agg = ScapStats(
             pkts_received=counters.packets_seen,
             pkts_dropped=(
@@ -388,9 +392,9 @@ class ScapRuntime:
             ),
             pkts_discarded=self.nic.stats.dropped_at_nic + counters.early_discards(),
             bytes_received=counters.bytes_seen,
-            bytes_delivered=self.workers.bytes_delivered,
+            bytes_delivered=delivered,
             streams_seen=self.kernel.flows.created_total,
-            events_processed=self.workers.events_processed,
+            events_processed=processed,
             ppl_drops_by_priority=dict(counters.ppl_drops_by_priority),
             nic_fcs_errors=self.nic.stats.fcs_errors,
         )
@@ -409,12 +413,25 @@ class ScapRuntime:
         return agg
 
     def result(self, rate_bps: float, name: str = "scap") -> RunResult:
-        """Reduce all counters to a RunResult for this run."""
+        """Reduce all counters to a RunResult for this run.
+
+        Deliveries and ``events_dropped`` are summed over every
+        application, as in :meth:`aggregate`.  ``user_utilization`` is
+        the mean busy fraction over the workers of every application
+        together: their summed busy time over ``duration`` times their
+        number (capped at 1), so one application's is its pool's.
+        """
         duration = (
             self.bytes_offered * 8 / rate_bps if rate_bps > 0 else 0.0
         )
         counters = self.kernel.counters
         agg = self.aggregate()
+        busy, workers, dropped = 0.0, 0, 0
+        for app in self.applications:
+            busy += app.workers.busy_seconds()
+            workers += len(app.workers.servers)
+            dropped += app.workers.events_dropped
+        utilization = min(1.0, busy / (duration * workers)) if duration > 0 and workers else 0.0
         result = RunResult(
             system=name,
             rate_bps=rate_bps,
@@ -426,7 +443,7 @@ class ScapRuntime:
             nic_filter_drops=self.nic.stats.dropped_at_nic,
             delivered_bytes=agg.bytes_delivered,
             delivered_events=agg.events_processed,
-            user_utilization=self.workers.utilization(duration),
+            user_utilization=utilization,
             softirq_load=self.host.softirq_load(duration),
             streams_created=self.kernel.flows.created_total,
             packets_by_priority=dict(counters.packets_by_priority),
@@ -434,7 +451,7 @@ class ScapRuntime:
             memory_peak_fraction=self.kernel.memory.peak_used
             / self.kernel.memory.capacity,
         )
-        result.extra["events_dropped"] = float(self.workers.events_dropped)
+        result.extra["events_dropped"] = float(dropped)
         result.extra["fdir_installs"] = float(counters.fdir_installs)
         result.extra["stored_bytes"] = float(counters.stored_bytes)
         result.extra["packets_to_memory"] = float(counters.packets_seen)

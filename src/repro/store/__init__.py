@@ -6,7 +6,7 @@ failure model.  The usual entry point is :class:`StreamStore`; the
 capture socket.
 """
 
-from .index import RecordMeta, SegmentMeta, StoreIndex
+from .index import SegmentMeta, StoreIndex
 from .query import QueryResult, StreamPayload, run_query
 from .replay import StoredStreamSource
 from .retention import ClassQuota, RetentionEngine, RetentionPolicy, RetentionReport
@@ -29,7 +29,6 @@ __all__ = [
     "StoreWriter",
     "StoreIndex",
     "SegmentMeta",
-    "RecordMeta",
     "QueryResult",
     "StreamPayload",
     "run_query",

@@ -3,51 +3,48 @@
 The index is *derived* state: opening a store directory scans every
 ``seg-*.scap`` file with the truncation-tolerant reader, so recovery
 after a crash and a normal open are the same code path; a segment the
-writer seals while the store is open is indexed from the entries the
-writer kept, without re-reading it.  Per record we keep a small
-:class:`RecordMeta` (identity, time, offset into both the stream and
-the file, and the segment it lives in) grouped per segment in file
-order, plus one lookup map from canonical five-tuple to that
-connection's entries.  A lookup returns its matches grouped per
-segment; a five-tuple lookup costs what it matches, a lookup without
-time bounds hands over the lists it keeps instead of walking them, and
-none touches disk: the file is opened only for the payload bytes of
-the frames a lookup named.  The index also keeps the set of connections
-whose stored bytes may overlap (:attr:`StoreIndex.overlapping`), so a
-query plans its read only where a frame can be redundant.
+writer seals while the store is open is indexed from the columns the
+writer kept, without re-reading it.  No record is a Python object: per
+segment the index keeps the
+:class:`~repro.store.segment.SegmentColumns` its writer or scan filled,
+one ``array`` per field with a row per frame, and per connection one
+``array`` of row numbers (its *bucket*) under the connection's
+canonical five-tuple.  A lookup returns row numbers grouped per
+segment; a five-tuple lookup costs what it matches, and none touches
+disk: the file is opened only for the payload bytes of the frames a
+lookup named.  The index also keeps the set of connections whose
+stored bytes may overlap (:attr:`StoreIndex.overlapping`), so a query
+plans its read only where a frame can be redundant.
 """
 
 from __future__ import annotations
 
 import math
 import os
+from array import array
 from dataclasses import dataclass, field
-from itertools import groupby
-from operator import attrgetter
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from ..netstack.flows import FiveTuple
-from .segment import RecordMeta, SegmentInfo, read_segment
+from .segment import SegmentColumns, SegmentInfo, index_segment
 
-__all__ = ["RecordMeta", "SegmentMeta", "StoreIndex"]
+__all__ = ["SegmentMeta", "StoreIndex"]
+
+Key = Tuple[int, int, int, int, int]
 
 
 @dataclass
 class SegmentMeta:
-    """One segment file plus the metadata of every record inside it."""
+    """One indexed segment file: what its seal or scan learned, rows included."""
 
     info: SegmentInfo
-    records: List[RecordMeta] = field(default_factory=list)
+    #: What the buckets of the index holding the segment name it by.
+    serial: int = field(default=-1, compare=False)
 
     @property
     def path(self) -> str:
         """Path of the segment file."""
         return self.info.path
-
-    @property
-    def payload_bytes(self) -> int:
-        """Live payload bytes indexed in this segment."""
-        return sum(record.length for record in self.records)
 
 
 class StoreIndex:
@@ -64,17 +61,22 @@ class StoreIndex:
 
     def __init__(self):
         self.segments: Dict[str, SegmentMeta] = {}
-        self._by_tuple: Dict[Tuple[int, int, int, int, int], List[RecordMeta]] = {}
+        self._serials: Dict[int, SegmentMeta] = {}
+        self._next_serial = 0
+        #: Per connection key, its bucket: a run per segment holding
+        #: records of it, in install order — the segment's serial, the
+        #: number of rows, then the rows in file order.
+        self._by_tuple: Dict[Key, array] = {}
         #: Keys of the connections with a direction some record of which
         #: starts before the end of the one indexed before it in that
         #: direction (a bucket's order): re-recorded bytes, or records
         #: out of offset order.  A connection outside the set has every
         #: direction in offset order without overlap, so no frame of it
         #: is redundant to a query.  Callers must not mutate it.
-        self.overlapping: Set[Tuple[int, int, int, int, int]] = set()
-        #: Per key and direction, the end offset of the last record
-        #: indexed; what the next record is checked against.
-        self._ends: Dict[Tuple[int, int, int, int, int], Dict[int, int]] = {}
+        self.overlapping: Set[Key] = set()
+        #: Per key, indexed by direction byte, the end offset of the last
+        #: record indexed; what the next record is checked against.
+        self._ends: Dict[Key, array] = {}
         self._record_count = 0
         self._payload_bytes = 0
         self._disk_bytes = 0
@@ -97,12 +99,7 @@ class StoreIndex:
 
     # ------------------------------------------------------------------
     def scan_directory(self, directory: str) -> List[SegmentMeta]:
-        """(Re)build the index from every segment file in ``directory``."""
-        self.segments.clear()
-        self._by_tuple.clear()
-        self.overlapping.clear()
-        self._ends.clear()
-        self._record_count = self._payload_bytes = self._disk_bytes = 0
+        """Index every segment file in ``directory``; return their entries."""
         added = []
         for name in sorted(os.listdir(directory)):
             if not (name.startswith("seg-") and name.endswith(".scap")):
@@ -112,37 +109,49 @@ class StoreIndex:
 
     def add_segment_file(self, path: str) -> SegmentMeta:
         """Scan one segment file and index everything recoverable."""
-        _records, info = read_segment(path)
-        return self._install(SegmentMeta(info=info, records=info.records))
+        return self._install(SegmentMeta(index_segment(path)))
 
     def add_sealed(self, info: SegmentInfo) -> SegmentMeta:
         """Index a segment the writer just sealed, without rescanning."""
-        return self._install(SegmentMeta(info=info, records=info.records))
+        return self._install(SegmentMeta(info))
+
+    def _keys(self, columns: SegmentColumns) -> List[Key]:
+        """The key of each connection number of ``columns``."""
+        tuples = columns.tuples
+        return [self._key(tuples[start : start + 5]) for start in range(0, len(tuples), 5)]
 
     def _install(self, segment: SegmentMeta) -> SegmentMeta:
-        # Records are installed in file order and a segment all at once,
-        # so inside a bucket one segment's entries are adjacent and in
-        # file order; removal keeps that (lookup relies on both).  The
-        # key is the same for either direction, so no client tuple is built.
+        # A segment is installed all at once, as one run at the end of
+        # each bucket it touches; removal keeps the other runs in their
+        # order (lookup relies on both).
+        serial = segment.serial = self._next_serial
+        self._next_serial += 1
         self.segments[segment.path] = segment
-        by_tuple, ends = self._by_tuple, self._ends
-        for meta in segment.records:
-            meta.segment = segment
-            key = self._key(meta.five_tuple)
-            bucket = by_tuple.get(key)
-            if bucket is None:
-                by_tuple[key] = [meta]
-                ends[key] = last = {}
-            else:
-                bucket.append(meta)
-                last = ends[key]
-            direction = meta.direction
-            if meta.stream_offset < last.get(direction, 0):
+        self._serials[serial] = segment
+        info = segment.info
+        columns = info.columns
+        # An end offset slot per direction byte up to the largest stored.
+        zeros = array("Q", bytes(8 * (max(columns.direction, default=0) + 1)))
+        runs: Dict[Key, array] = {}
+        targets = []  # per connection number: its key, run and end offsets
+        for key in self._keys(columns):
+            ends = self._ends.setdefault(key, array("Q"))
+            ends.extend(zeros[len(ends) :])
+            targets.append((key, runs.setdefault(key, array("Q", (serial, 0))), ends))
+        directions, offsets, lengths = columns.direction, columns.stream_offset, columns.length
+        for row, number in enumerate(columns.conn):
+            key, run, ends = targets[number]
+            run.append(row)
+            direction, offset = directions[row], offsets[row]
+            if offset < ends[direction]:
                 self.overlapping.add(key)
-            last[direction] = meta.stream_offset + meta.length
-        self._record_count += len(segment.records)
-        self._payload_bytes += segment.payload_bytes
-        self._disk_bytes += segment.info.disk_bytes
+            ends[direction] = offset + lengths[row]
+        for key, run in runs.items():
+            run[1] = len(run) - 2
+            self._by_tuple.setdefault(key, array("Q")).extend(run)
+        self._record_count += info.record_count
+        self._payload_bytes += info.payload_bytes
+        self._disk_bytes += info.disk_bytes
         return segment
 
     def remove_segment(self, path: str) -> Optional[SegmentMeta]:
@@ -150,28 +159,35 @@ class StoreIndex:
         segment = self.segments.pop(path, None)
         if segment is None:
             return None
-        self._record_count -= len(segment.records)
-        self._payload_bytes -= segment.payload_bytes
-        self._disk_bytes -= segment.info.disk_bytes
-        for key in {self._key(meta.five_tuple) for meta in segment.records}:
-            bucket = [meta for meta in self._by_tuple[key] if meta.segment is not segment]
+        del self._serials[segment.serial]
+        info = segment.info
+        self._record_count -= info.record_count
+        self._payload_bytes -= info.payload_bytes
+        self._disk_bytes -= info.disk_bytes
+        for key in set(self._keys(info.columns)):
+            bucket, start = self._by_tuple[key], 0
+            while bucket[start] != segment.serial:
+                start += 2 + bucket[start + 1]
+            del bucket[start : start + 2 + bucket[start + 1]]
             self.overlapping.discard(key)
             if bucket:
-                self._by_tuple[key] = bucket
                 self._recheck(key, bucket)
             else:
-                del self._by_tuple[key]
-                del self._ends[key]
+                del self._by_tuple[key], self._ends[key]
         return segment
 
-    def _recheck(self, key: Tuple[int, int, int, int, int], bucket: List[RecordMeta]) -> None:
+    def _recheck(self, key: Key, bucket: array) -> None:
         """Recompute one connection's overlap flag and end offsets from
         what is left of its bucket, as ``_install`` would have."""
-        last = self._ends[key] = {}
-        for meta in bucket:
-            if meta.stream_offset < last.get(meta.direction, 0):
-                self.overlapping.add(key)
-            last[meta.direction] = meta.stream_offset + meta.length
+        ends = self._ends[key]
+        ends[:] = array("Q", bytes(8 * len(ends)))
+        for segment, rows in self._runs(bucket):
+            columns = segment.info.columns
+            for row in rows:
+                direction, offset = columns.direction[row], columns.stream_offset[row]
+                if offset < ends[direction]:
+                    self.overlapping.add(key)
+                ends[direction] = offset + columns.length[row]
 
     def replace_segment(self, path: str, replacement: SegmentMeta) -> None:
         """Swap a segment's index entry after a compaction rewrite."""
@@ -180,7 +196,7 @@ class StoreIndex:
 
     # ------------------------------------------------------------------
     @staticmethod
-    def _key(five_tuple: FiveTuple) -> Tuple[int, int, int, int, int]:
+    def _key(five_tuple: Sequence[int]) -> Key:
         """The connection's key: its canonical form as plain ints, the
         same for either direction (``FiveTuple.canonical``, unbuilt)."""
         src_ip, src_port, dst_ip, dst_port, protocol = five_tuple
@@ -188,56 +204,61 @@ class StoreIndex:
             return (src_ip, src_port, dst_ip, dst_port, protocol)
         return (dst_ip, dst_port, src_ip, src_port, protocol)
 
+    def _runs(self, bucket: array) -> Iterator[Tuple[SegmentMeta, array]]:
+        """``(segment, rows)`` of each run of ``bucket``, in bucket order."""
+        start, end = 0, len(bucket)
+        while start < end:
+            rows = start + 2
+            start = rows + bucket[start + 1]
+            yield self._serials[bucket[rows - 2]], bucket[rows:start]
+
     def lookup(
         self,
         five_tuple: Optional[FiveTuple] = None,
         start_ts: Optional[float] = None,
         end_ts: Optional[float] = None,
-    ) -> List[Tuple[SegmentMeta, List[RecordMeta]]]:
-        """The matches of a tuple/time query, grouped per segment.
+    ) -> List[Tuple[SegmentMeta, Sequence[int]]]:
+        """The matches of a tuple/time query: row numbers grouped per segment.
 
         ``five_tuple`` matches either direction of the connection;
         ``start_ts``/``end_ts`` bound the record timestamp inclusively.
         With no arguments, everything matches.  Groups come in
-        ``(first_ts, path)`` order, entries in file order inside a
-        group, and no group is empty.  With a ``five_tuple`` only that
-        connection's entries are visited, not the whole index.  Without
-        time bounds the lists the index keeps are handed over: each
-        segment's ``records``, or the bucket of a connection whose
-        entries sit in one segment; only a connection spread over
-        several segments is split into per-segment runs.  Callers must
-        not mutate the lists.
+        ``(first_ts, path)`` order, rows in file order inside a group,
+        and no group is empty.  With a ``five_tuple`` only that
+        connection's bucket is visited, not the whole index.  Without
+        time bounds no row is visited one by one: a segment's rows are
+        a ``range``, a connection's rows in a segment a slice of its
+        bucket.
         """
         if five_tuple is None:
             groups = [
-                (segment, segment.records)
+                (segment, range(segment.info.record_count))
                 for segment in self.segments.values()
-                if segment.records
+                if segment.info.record_count
             ]
+            groups.sort(key=lambda group: (group[0].info.first_ts, group[0].info.path))
         else:
             bucket = self._by_tuple.get(self._key(five_tuple))
             if bucket is None:
                 return []
-            if bucket[0].segment is bucket[-1].segment:
-                groups = [(bucket[0].segment, bucket)]
+            if bucket[1] + 2 == len(bucket):  # one run: nothing to order
+                groups = [(self._serials[bucket[0]], bucket[2:])]
             else:
-                groups = [
-                    (segment, list(metas))
-                    for segment, metas in groupby(bucket, attrgetter("segment"))
-                ]
-        groups.sort(key=lambda group: (group[0].info.first_ts, group[0].info.path))
+                groups = list(self._runs(bucket))
+                groups.sort(key=lambda group: (group[0].info.first_ts, group[0].info.path))
         if start_ts is None and end_ts is None:
             return groups
         low = -math.inf if start_ts is None else start_ts
         high = math.inf if end_ts is None else end_ts
         kept = []
-        for segment, metas in groups:
+        for segment, rows in groups:
             info = segment.info
             if info.last_ts < low or info.oldest_ts > high:
                 continue
-            metas = [meta for meta in metas if low <= meta.timestamp <= high]
-            if metas:
-                kept.append((segment, metas))
+            timestamp = info.columns.timestamp
+            rows = [row for row in rows if low <= timestamp[row] <= high]
+            if rows:
+                kept.append((segment, rows))
         return kept
 
     def connections(self) -> List[FiveTuple]:
@@ -247,9 +268,13 @@ class StoreIndex:
         path)`` order and records in file order.
         """
 
-        def store_order(meta: RecordMeta) -> Tuple[float, str, int]:
-            return (meta.segment.info.first_ts, meta.segment.path, meta.file_offset)
+        def first_record(entry: Tuple[SegmentMeta, int]) -> Tuple[float, str, int]:
+            info = entry[0].info
+            return (info.first_ts, info.path, info.columns.file_offset[entry[1]])
 
-        first = [min(bucket, key=store_order) for bucket in self._by_tuple.values()]
-        first.sort(key=store_order)
-        return [meta.client_tuple for meta in first]
+        first = [
+            min(((segment, rows[0]) for segment, rows in self._runs(bucket)), key=first_record)
+            for bucket in self._by_tuple.values()
+        ]
+        first.sort(key=first_record)
+        return [segment.info.columns.client_tuple(row) for segment, row in first]

@@ -9,7 +9,7 @@ assembly sorts by offset and trims any overlap between adjacent
 records — re-recorded bytes (a capture submitted twice, chunk overlap,
 retransmission re-delivery) never appear twice in the output.
 
-The plan applies assembly's own rule to the index entries, so a record
+The plan applies assembly's own rule to the index columns, so a record
 whose bytes an earlier one already covers is never read.  It runs only
 for connections in the index's ``overlapping`` set; a store without
 re-recorded bytes takes the unplanned read unchanged.  If a frame the
@@ -22,10 +22,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import compress
-from typing import Dict, Iterator, List, Optional, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from ..netstack.flows import FiveTuple
-from .index import RecordMeta, SegmentMeta, StoreIndex
+from .index import SegmentMeta, StoreIndex
 from .segment import read_payloads
 
 __all__ = ["StreamPayload", "QueryResult", "run_query"]
@@ -85,7 +85,7 @@ def run_query(
     """Select, load, and reassemble matching streams from the store.
 
     Only the matching frames are read: each segment group the index
-    returns is opened once and read at its entries' file offsets, which
+    returns is opened once and read at its rows' file offsets, which
     come in ascending order — so the cost is the matching records and
     their bytes, and a query that matches everything reads each segment
     front to back.  Where a matched connection is in the index's
@@ -106,9 +106,10 @@ def run_query(
         groups, spans = _plan(groups, overlapping)
     while True:
         directions: Dict[Tuple[int, int, int, int, int, int], List[Tuple[tuple, memoryview]]] = {}
-        for segment, entries in groups:
-            frames = read_payloads(segment.info.path, entries)
-            if spans is not None and len(frames) < len(entries):
+        for segment, rows in groups:
+            info = segment.info
+            frames = read_payloads(info.path, info.columns, rows)
+            if spans is not None and len(frames) < len(rows):
                 break  # a planned frame failed its check
             for frame in frames:
                 src_ip, src_port, dst_ip, dst_port, protocol, direction, _, _, _ = frame[0]
@@ -133,38 +134,38 @@ def run_query(
 
 
 def _plan(
-    groups: List[Tuple[SegmentMeta, List[RecordMeta]]],
-    overlapping: Set[Tuple[int, int, int, int, int]],
-) -> Tuple[
-    List[Tuple[SegmentMeta, List[RecordMeta]]],
-    Dict[Tuple[int, int, int, int, int, int], Tuple[float, float]],
-]:
+    groups: List[Tuple[SegmentMeta, Sequence[int]]], overlapping: Set[Tuple[int, ...]]
+) -> Tuple[List[Tuple[SegmentMeta, Sequence[int]]], Dict[Tuple[int, ...], Tuple[float, float]]]:
     """The lookup ``groups`` without the frames assembly would discard.
 
-    Works from index entries alone.  Each direction of an
+    Works from the index columns alone.  Each direction of an
     ``overlapping`` connection is ordered as :func:`_assemble` orders
     its frames — by ``(stream_offset, -length)``, stable over lookup
-    order — and an entry whose end is not past the bytes already
-    covered is dropped; the first entry always stays, since it sets
-    ``base_offset``.  Returns the kept entries, grouped as ``groups``
+    order — and a row whose end is not past the bytes already covered
+    is dropped; the first row always stays, since it sets
+    ``base_offset``.  Returns the kept rows, grouped as ``groups``
     (empty groups left out), and each planned direction's
-    ``(first_ts, last_ts)`` over every matched entry.
+    ``(first_ts, last_ts)`` over every matched row.
     """
     # Per planned direction, (stream_offset, -length, position, timestamp)
-    # of each entry, where position counts entries in lookup order: the
+    # of each row, where position counts rows in lookup order: the
     # tuples sort into assembly's order with ties kept in lookup order.
     directions: Dict[Tuple[int, int, int, int, int, int], List[tuple]] = {}
     position = 0
-    for _segment, metas in groups:
-        for meta in metas:
-            src_ip, src_port, dst_ip, dst_port, protocol = meta.five_tuple
+    for segment, rows in groups:
+        columns = segment.info.columns
+        tuples, conn, direction = columns.tuples, columns.conn, columns.direction
+        offsets, lengths, timestamps = columns.stream_offset, columns.length, columns.timestamp
+        for row in rows:
+            start = 5 * conn[row]
+            src_ip, src_port, dst_ip, dst_port, protocol = tuples[start : start + 5]
             if (src_ip, src_port) <= (dst_ip, dst_port):
                 key = (src_ip, src_port, dst_ip, dst_port, protocol)
             else:
                 key = (dst_ip, dst_port, src_ip, src_port, protocol)
             if key in overlapping:
-                directions.setdefault(key + (meta.direction,), []).append(
-                    (meta.stream_offset, -meta.length, position, meta.timestamp)
+                directions.setdefault(key + (direction[row],), []).append(
+                    (offsets[row], -lengths[row], position, timestamps[row])
                 )
             position += 1
     keep = bytearray(b"\x01") * position
@@ -185,12 +186,12 @@ def _plan(
         return groups, spans
     kept = []
     position = 0
-    for segment, metas in groups:
-        end = position + len(metas)
-        metas = list(compress(metas, keep[position:end]))
+    for segment, rows in groups:
+        end = position + len(rows)
+        rows = list(compress(rows, keep[position:end]))
         position = end
-        if metas:
-            kept.append((segment, metas))
+        if rows:
+            kept.append((segment, rows))
     return kept, spans
 
 

@@ -43,21 +43,18 @@ class StoredStreamSource:
 
     def as_trace(self) -> Trace:
         """Synthesize the replay trace from the stored streams."""
-        connections: Dict[
-            Tuple[int, int, int, int, int], Dict[int, StreamPayload]
-        ] = {}
+        connections: Dict[FiveTuple, Dict[int, StreamPayload]] = {}
         order: List[Tuple[float, FiveTuple]] = []
         for stream in self.result:
-            key = _key(stream.client_tuple)
-            if key not in connections:
-                connections[key] = {}
+            if stream.client_tuple not in connections:
+                connections[stream.client_tuple] = {}
                 order.append((stream.first_ts, stream.client_tuple))
-            connections[key][stream.direction] = stream
+            connections[stream.client_tuple][stream.direction] = stream
         order.sort(key=lambda item: (item[0], item[1]))
         packets: List[Packet] = []
         flows: List[FlowSpec] = []
         for index, (start_ts, client_tuple) in enumerate(order):
-            directions = connections[_key(client_tuple)]
+            directions = connections[client_tuple]
             client = directions.get(0)
             server = directions.get(1)
             messages = _interleave(client, server)
@@ -91,16 +88,6 @@ class StoredStreamSource:
         return Trace(packets, flows, name=self.name)
 
 
-def _key(five_tuple: FiveTuple) -> Tuple[int, int, int, int, int]:
-    return (
-        five_tuple.src_ip,
-        five_tuple.src_port,
-        five_tuple.dst_ip,
-        five_tuple.dst_port,
-        five_tuple.protocol,
-    )
-
-
 def _interleave(client, server) -> List[Tuple[int, bytes]]:
     """Order the two directions' payloads by their first timestamps.
 
@@ -118,4 +105,4 @@ def _interleave(client, server) -> List[Tuple[int, bytes]]:
 
 
 def _chunks(data: bytes, size: int) -> List[bytes]:
-    return [data[index : index + size] for index in range(0, len(data), size)] or []
+    return [data[index : index + size] for index in range(0, len(data), size)]

@@ -26,8 +26,8 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
 from ..filters.bpf import BPFFilter
-from .index import RecordMeta, SegmentMeta, StoreIndex
-from .segment import SegmentWriter, scan_records
+from .index import SegmentMeta, StoreIndex
+from .segment import SegmentColumns, SegmentWriter, scan_records
 
 #: Suffix of the copy ``_compact`` writes before swapping it in.
 TMP_SUFFIX = ".tmp"
@@ -120,21 +120,21 @@ class RetentionEngine:
         report = RetentionReport()
         horizon = now_ts - self.policy.max_age
         for segment in list(self.index.segments.values()):
-            if segment.records and segment.info.last_ts < horizon:
+            if segment.info.record_count and segment.info.last_ts < horizon:
                 report.merge(self._delete_segment(segment))
         return report
 
     def _enforce_quota(self, quota: ClassQuota) -> RetentionReport:
         matcher = quota.bpf
 
-        def in_class(meta: RecordMeta) -> bool:
-            return matcher.matches_five_tuple(meta.client_tuple)
+        def in_class(columns: SegmentColumns, row: int) -> bool:
+            return matcher.matches_five_tuple(columns.client_tuple(row))
 
         live = sum(
-            meta.length
+            segment.info.columns.length[row]
             for segment in self.index.segments.values()
-            for meta in segment.records
-            if in_class(meta)
+            for row in range(segment.info.record_count)
+            if in_class(segment.info.columns, row)
         )
         if live <= quota.max_bytes:
             return RetentionReport()
@@ -161,24 +161,27 @@ class RetentionEngine:
     # ------------------------------------------------------------------
     def _evict(self, want_bytes: int, predicate=None) -> RetentionReport:
         """Evict ≥ ``want_bytes`` of payload, tails before heads."""
-        candidates: List[Tuple[SegmentMeta, RecordMeta]] = [
-            (segment, meta)
+        candidates: List[Tuple[SegmentMeta, int]] = [
+            (segment, row)
             for segment in self.index.segments.values()
-            for meta in segment.records
-            if predicate is None or predicate(meta)
+            for row in range(segment.info.record_count)
+            if predicate is None or predicate(segment.info.columns, row)
         ]
-        # Heavy-tail order: deepest stream offset first, then lowest
-        # priority, then oldest timestamp.
-        candidates.sort(
-            key=lambda pair: (-pair[1].stream_offset, pair[1].priority, pair[1].timestamp)
-        )
+
+        def heavy_tail(candidate: Tuple[SegmentMeta, int]) -> Tuple[int, int, float]:
+            # Deepest stream offset first, then lowest priority, then oldest.
+            columns, row = candidate[0].info.columns, candidate[1]
+            return (-columns.stream_offset[row], columns.priority[row], columns.timestamp[row])
+
+        candidates.sort(key=heavy_tail)
         doomed: Dict[str, Set[int]] = {}
         gathered = 0
-        for segment, meta in candidates:
+        for segment, row in candidates:
             if gathered >= want_bytes:
                 break
-            doomed.setdefault(segment.path, set()).add(meta.file_offset)
-            gathered += meta.length
+            columns = segment.info.columns
+            doomed.setdefault(segment.path, set()).add(columns.file_offset[row])
+            gathered += columns.length[row]
         report = RetentionReport()
         for path, offsets in doomed.items():
             report.merge(self._compact(self.index.segments[path], offsets))
@@ -187,13 +190,13 @@ class RetentionEngine:
     def _compact(self, segment: SegmentMeta, doomed_offsets: Set[int]) -> RetentionReport:
         """Rewrite ``segment`` without the doomed records (atomic swap)."""
         report = RetentionReport()
-        survivors = [
-            meta for meta in segment.records if meta.file_offset not in doomed_offsets
+        columns = segment.info.columns
+        victims = [
+            row for row, offset in enumerate(columns.file_offset) if offset in doomed_offsets
         ]
-        victims = [meta for meta in segment.records if meta.file_offset in doomed_offsets]
         if not victims:
             return report
-        if not survivors:
+        if len(victims) == segment.info.record_count:
             return self._delete_segment(segment)
         path = segment.path
         tmp_path = path + TMP_SUFFIX
@@ -215,7 +218,7 @@ class RetentionEngine:
         self.index.add_segment_file(path)
         report.segments_compacted += 1
         report.evicted_records += len(victims)
-        report.evicted_bytes += sum(meta.length for meta in victims)
+        report.evicted_bytes += sum(columns.length[row] for row in victims)
         return report
 
     def _delete_segment(self, segment: SegmentMeta) -> RetentionReport:
@@ -224,6 +227,6 @@ class RetentionEngine:
         if os.path.exists(segment.path):
             os.unlink(segment.path)
         report.segments_deleted += 1
-        report.evicted_records += len(segment.records)
-        report.evicted_bytes += sum(meta.length for meta in segment.records)
+        report.evicted_records += segment.info.record_count
+        report.evicted_bytes += segment.info.payload_bytes
         return report

@@ -28,21 +28,21 @@ from __future__ import annotations
 import os
 import struct
 import zlib
+from array import array
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, BinaryIO, Iterator, List, Optional, Sequence, Tuple
+from functools import partial
+from typing import BinaryIO, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..netstack.flows import FiveTuple
-
-if TYPE_CHECKING:
-    from .index import SegmentMeta
 
 __all__ = [
     "SEGMENT_MAGIC",
     "FOOTER_MAGIC",
     "StreamRecord",
-    "RecordMeta",
+    "SegmentColumns",
     "SegmentInfo",
     "SegmentWriter",
+    "index_segment",
     "read_segment",
     "scan_records",
     "read_payloads",
@@ -96,82 +96,68 @@ class StreamRecord:
 
     def encode(self) -> bytes:
         """Serialize to the (uncompressed) frame body."""
-        ft = self.five_tuple
-        return (
-            _BODY.pack(
-                ft.src_ip,
-                ft.src_port,
-                ft.dst_ip,
-                ft.dst_port,
-                ft.protocol,
-                self.direction,
-                self.timestamp,
-                self.stream_offset,
-                self.priority,
-            )
-            + self.data
-        )
+        return _BODY.pack(
+            *self.five_tuple, self.direction, self.timestamp, self.stream_offset, self.priority
+        ) + self.data
 
     @classmethod
     def decode(cls, body: bytes | memoryview) -> "StreamRecord":
         """Parse a frame body back into a record (its payload copied out)."""
-        (
-            src_ip,
-            src_port,
-            dst_ip,
-            dst_port,
-            protocol,
-            direction,
-            timestamp,
-            stream_offset,
-            priority,
-        ) = _BODY.unpack_from(body)
+        fields = _BODY.unpack_from(body)
         return cls(
-            five_tuple=FiveTuple(src_ip, src_port, dst_ip, dst_port, protocol),
-            direction=direction,
-            stream_offset=stream_offset,
-            timestamp=timestamp,
-            data=bytes(body[_BODY.size :]),
-            priority=priority,
+            FiveTuple(*fields[:5]), fields[5], fields[7], fields[6], bytes(body[_BODY.size :]),
+            fields[8],
         )
 
 
 @dataclass
-class RecordMeta:
-    """Index entry for one stored record (payload stays on disk).
+class SegmentColumns:
+    """The index fields of one segment's frames, one ``array`` per field.
 
-    Built where the frame's file offset is known — by the writer as it
-    appends, by the scan as it recovers — so indexing a segment never
-    needs its payloads.
+    Row ``i`` is the ``i``-th frame in file order.  A row's directional
+    five-tuple is ``tuples[5 * conn : 5 * conn + 5]``: ``tuples`` holds
+    each distinct five-tuple of the segment once, in order of first
+    appearance, and ``conn`` the row's connection number.  Filled where
+    the frame's file offset is known — by the writer as it appends, by
+    the scan as it recovers — so indexing a segment never needs its
+    payloads, and no row is a Python object.
     """
 
-    five_tuple: FiveTuple
-    direction: int
-    stream_offset: int
-    timestamp: float
-    length: int
-    priority: int
-    file_offset: int
-    #: The indexed segment holding this record; set by ``StoreIndex``.
-    segment: Optional[SegmentMeta] = field(default=None, repr=False, compare=False)
+    file_offset: array = field(default_factory=partial(array, "Q"))
+    length: array = field(default_factory=partial(array, "I"))
+    stream_offset: array = field(default_factory=partial(array, "Q"))
+    timestamp: array = field(default_factory=partial(array, "d"))
+    direction: array = field(default_factory=partial(array, "B"))
+    priority: array = field(default_factory=partial(array, "H"))
+    conn: array = field(default_factory=partial(array, "I"))
+    tuples: array = field(default_factory=partial(array, "I"))
 
-    @classmethod
-    def of(cls, record: StreamRecord, file_offset: int) -> "RecordMeta":
-        """The index entry of ``record`` framed at ``file_offset``."""
-        return cls(
-            record.five_tuple,
-            record.direction,
-            record.stream_offset,
-            record.timestamp,
-            len(record.data),
-            record.priority,
-            file_offset,
-        )
+    def append(
+        self, numbers: Dict[tuple, int], five_tuple: tuple, direction: int, stream_offset: int,
+        timestamp: float, length: int, priority: int, file_offset: int,
+    ) -> None:
+        """Add the row of the frame at ``file_offset``.
 
-    @property
-    def client_tuple(self) -> FiveTuple:
-        """The connection's five-tuple from the client's perspective."""
-        return self.five_tuple if self.direction == 0 else self.five_tuple.reversed()
+        ``numbers`` maps the five-tuples appended so far to their
+        connection numbers; the appender keeps it while it appends.
+        """
+        number = numbers.get(five_tuple)
+        if number is None:
+            number = numbers[five_tuple] = len(numbers)
+            self.tuples.extend(five_tuple)
+        self.conn.append(number)
+        self.file_offset.append(file_offset)
+        self.length.append(length)
+        self.stream_offset.append(stream_offset)
+        self.timestamp.append(timestamp)
+        self.direction.append(direction)
+        self.priority.append(priority)
+
+    def client_tuple(self, row: int) -> FiveTuple:
+        """The connection's five-tuple of ``row`` from the client's perspective."""
+        start = 5 * self.conn[row]
+        five_tuple = FiveTuple(*self.tuples[start : start + 5])
+        return five_tuple.reversed() if self.direction[row] else five_tuple
 
 
 @dataclass
@@ -191,17 +177,17 @@ class SegmentInfo:
     oldest_ts: float = 0.0
     #: Bytes of torn tail discarded by recovery (0 for clean segments).
     torn_bytes: int = 0
-    #: Index entry of every written / recovered record, in file order.
-    records: List[RecordMeta] = field(default_factory=list, repr=False)
+    #: Index fields of every written / recovered record, in file order.
+    columns: SegmentColumns = field(default_factory=SegmentColumns, repr=False)
 
 
 class SegmentWriter:
     """Appends records to one segment file; ``seal`` finishes it.
 
     The writer owns the file handle; ``append`` returns the frame's
-    file offset and keeps the record's index entry (no payload), which
-    ``seal`` hands over with the :class:`SegmentInfo` so the index can
-    point straight at every frame without re-reading the file.
+    file offset and adds the record's row to the segment's columns (no
+    payload), which ``seal`` hands over in the :class:`SegmentInfo` so
+    the index can point at every frame without re-reading the file.
     ``fsync=True`` makes every append durable individually (slow, used
     by tests that model crash points); otherwise data is flushed on
     seal/close.
@@ -218,13 +204,9 @@ class SegmentWriter:
         self.core = core
         self.compress = compress
         self.fsync = fsync
-        self.record_count = 0
-        self.payload_bytes = 0
         self.compressed_saved = 0
-        self.first_ts = 0.0
-        self.last_ts = 0.0
-        self.oldest_ts = 0.0
-        self._records: List[RecordMeta] = []
+        self._columns = SegmentColumns()
+        self._numbers: Dict[tuple, int] = {}
         self._file: Optional[BinaryIO] = open(path, "wb")
         self._file.write(_HEADER.pack(SEGMENT_MAGIC, core, 0))
         self._offset = _HEADER.size
@@ -235,9 +217,9 @@ class SegmentWriter:
         return self._offset
 
     @property
-    def closed(self) -> bool:
-        """True once the writer was sealed or closed."""
-        return self._file is None
+    def record_count(self) -> int:
+        """Records appended so far."""
+        return len(self._columns.file_offset)
 
     def append(self, record: StreamRecord) -> int:
         """Write one record frame; return its file offset."""
@@ -260,21 +242,19 @@ class SegmentWriter:
             self._file.flush()
             os.fsync(self._file.fileno())
         self._offset += len(frame)
-        if self.record_count == 0:
-            self.first_ts = self.oldest_ts = record.timestamp
-        self.oldest_ts = min(self.oldest_ts, record.timestamp)
-        self.last_ts = max(self.last_ts, record.timestamp)
-        self.record_count += 1
-        self.payload_bytes += len(record.data)
-        self._records.append(RecordMeta.of(record, offset))
+        self._columns.append(
+            self._numbers, record.five_tuple, record.direction, record.stream_offset,
+            record.timestamp, len(record.data), record.priority, offset,
+        )
         return offset
 
     def seal(self) -> SegmentInfo:
         """Write the footer, fsync, close; return the segment's info."""
         if self._file is None:
             raise ValueError(f"segment {self.path} is closed")
+        info = _counted(SegmentInfo(self.path, self.core, sealed=True, columns=self._columns))
         fbody = _FOOTER_BODY.pack(
-            self.record_count, self.first_ts, self.last_ts, self.payload_bytes
+            info.record_count, info.first_ts, info.last_ts, info.payload_bytes
         )
         self._file.write(
             _FOOTER_HEAD.pack(_FOOTER_SENTINEL, zlib.crc32(fbody)) + fbody + FOOTER_MAGIC
@@ -284,18 +264,9 @@ class SegmentWriter:
         os.fsync(self._file.fileno())
         self._file.close()
         self._file = None
-        return SegmentInfo(
-            path=self.path,
-            core=self.core,
-            sealed=True,
-            record_count=self.record_count,
-            payload_bytes=self.payload_bytes,
-            disk_bytes=self._offset,
-            first_ts=self.first_ts,
-            last_ts=self.last_ts,
-            oldest_ts=self.oldest_ts,
-            records=self._records,
-        )
+        self._numbers = {}
+        info.disk_bytes = self._offset
+        return info
 
     def close(self) -> None:
         """Close without sealing (leaves a recoverable, unsealed file)."""
@@ -313,9 +284,8 @@ def scan_records(path: str) -> Iterator[Tuple[int, StreamRecord]]:
     body is short, or whose CRC mismatches ends the scan — everything
     before it is returned.  A sealed footer also ends the scan cleanly.
     """
-    records, info = _scan(path)
-    for meta, record in zip(info.records, records):
-        yield meta.file_offset, record
+    records, info = read_segment(path)
+    yield from zip(info.columns.file_offset, records)
 
 
 def _read_header(fd: int, path: str) -> Optional[int]:
@@ -381,22 +351,38 @@ def _read_footer(fd: int, position: int) -> Optional[Tuple[int, float, float, in
     return _FOOTER_BODY.unpack(fbody)
 
 
-def _scan(path: str) -> Tuple[List[StreamRecord], SegmentInfo]:
-    """Scan one segment; return its records and a SegmentInfo.
+def _counted(info: SegmentInfo) -> SegmentInfo:
+    """``info`` with its record count, payload bytes and time range
+    taken from its columns; ``last_ts`` counts up from 0.0."""
+    columns = info.columns
+    stamps = columns.timestamp
+    info.record_count = len(stamps)
+    info.payload_bytes = sum(columns.length)
+    if stamps:
+        info.first_ts, info.oldest_ts = stamps[0], min(stamps)
+        info.last_ts = max(0.0, max(stamps))
+    return info
+
+
+def index_segment(path: str, records: Optional[List[StreamRecord]] = None) -> SegmentInfo:
+    """Scan one segment: what :func:`read_segment` learns, records aside.
 
     The frames are read in blocks of :data:`READ_BLOCK` bytes through
     one bare descriptor; a frame that runs past a block carries its
-    head over into the next read.
+    head over into the next read.  Each frame that passes its checks is
+    indexed from its fixed fields into ``info.columns``; only when
+    ``records`` is given is it decoded (its payload copied) into it.
     """
     info = SegmentInfo(path=path)
-    records: List[StreamRecord] = []
+    columns = info.columns
+    numbers: Dict[tuple, int] = {}
     fd = os.open(path, _O_READ)
     try:
-        size = os.fstat(fd).st_size
+        size = info.disk_bytes = os.fstat(fd).st_size
         core = _read_header(fd, path)
         if core is None:
             info.torn_bytes = size
-            return records, info
+            return info
         info.core = core
         position = _HEADER.size
         view = memoryview(b"")
@@ -415,17 +401,16 @@ def _scan(path: str) -> Tuple[List[StreamRecord], SegmentInfo]:
                 view = memoryview(b"".join((view[at:], more)))
                 at = 0
                 continue
-            record = StreamRecord.decode(body)
-            records.append(record)
-            info.records.append(RecordMeta.of(record, position))
-            info.payload_bytes += len(record.data)
-            if info.record_count == 0:
-                info.first_ts = info.oldest_ts = record.timestamp
-            info.oldest_ts = min(info.oldest_ts, record.timestamp)
-            info.last_ts = max(info.last_ts, record.timestamp)
-            info.record_count += 1
+            fields = _BODY.unpack_from(body)
+            columns.append(
+                numbers, fields[:5], fields[5], fields[7], fields[6],
+                len(body) - _BODY.size, fields[8], position,
+            )
+            if records is not None:
+                records.append(StreamRecord.decode(body))
             position += frame_bytes
             at += frame_bytes
+        _counted(info)
         footer = _read_footer(fd, position)
         if footer is not None and footer[0] == info.record_count:
             # A footer whose count disagrees with the frames before it
@@ -436,24 +421,23 @@ def _scan(path: str) -> Tuple[List[StreamRecord], SegmentInfo]:
             info.torn_bytes = size - position
     finally:
         os.close(fd)
-    info.disk_bytes = size
-    return records, info
+    return info
 
 
 def read_payloads(
-    path: str, entries: Sequence[RecordMeta]
+    path: str, columns: SegmentColumns, rows: Sequence[int]
 ) -> List[Tuple[tuple, memoryview]]:
-    """Read the frames the index ``entries`` name (ascending) and nothing else.
+    """Read the frames of the ``rows`` of ``columns`` (ascending) and nothing else.
 
     One bare ``os.open`` (no file object) closed before returning, the
     file size taken by ``fstat``, the header read and its magic checked:
     a torn header or a wrong magic (damage after indexing) serves
-    nothing from this segment.  Entries whose frames lie next to each
-    other form a run: an entry joins the run before it when its frame
+    nothing from this segment.  Rows whose frames lie next to each
+    other form a run: a row joins the run before it when its frame
     starts where that run's last frame ends at its uncompressed size
-    (frame header, fixed fields and the entry's length) and the run
+    (frame header, fixed fields and the row's length) and the run
     stays within :data:`READ_BLOCK` bytes.  Each run is read with one
-    ``pread``; a compressed frame is shorter than its entry predicts,
+    ``pread``; a compressed frame is shorter than its row predicts,
     so it ends its run.  Every frame passes the checks a scan applies
     (:func:`_parse_frame`: length inside the file, not the footer, CRC)
     before it is used; one whose length field says it is longer than
@@ -465,27 +449,28 @@ def read_payloads(
     its run's read): no record object, no copy.
     """
     frames: List[Tuple[tuple, memoryview]] = []
+    file_offset, length = columns.file_offset, columns.length
     fd = os.open(path, _O_READ)
     try:
         size = os.fstat(fd).st_size
         header = os.pread(fd, _HEADER.size, 0)
         if len(header) < _HEADER.size or not header.startswith(SEGMENT_MAGIC):
             return frames
-        first, count = 0, len(entries)
+        first, count = 0, len(rows)
         while first < count:
-            # The run from ``entries[first]``: each next entry starts
-            # where the frame before it ends uncompressed.
-            start = end = entries[first].file_offset
+            # The run from ``rows[first]``: each next row starts where
+            # the frame before it ends uncompressed.
+            start = end = file_offset[rows[first]]
             last = first
-            while last < count and entries[last].file_offset == end:
-                frame_end = end + _FRAME_FIXED + entries[last].length
+            while last < count and file_offset[rows[last]] == end:
+                frame_end = end + _FRAME_FIXED + length[rows[last]]
                 if frame_end - start > READ_BLOCK and last > first:
                     break
                 end = frame_end
                 last += 1
             view = memoryview(os.pread(fd, end - start, start))
-            for meta in entries[first:last]:
-                position = meta.file_offset
+            for row in rows[first:last]:
+                position = file_offset[row]
                 frame = _parse_frame(view, position - start, position, size)
                 if frame is not None and frame[0] is None:
                     longer = memoryview(os.pread(fd, frame[1], position))
@@ -506,4 +491,5 @@ def read_segment(path: str) -> Tuple[List[StreamRecord], SegmentInfo]:
     Works on sealed and torn segments alike; ``info.sealed`` says which
     it was and ``info.torn_bytes`` how much tail (if any) was discarded.
     """
-    return _scan(path)
+    records: List[StreamRecord] = []
+    return records, index_segment(path, records)

@@ -93,7 +93,7 @@ class StreamStore:
         self.evicted_bytes = 0
         self.evicted_records = 0
         self.last_ts = max(
-            (segment.info.last_ts for segment in recovered if segment.records),
+            (segment.info.last_ts for segment in recovered if segment.info.record_count),
             default=0.0,
         )
         self._obs = observability or NULL_OBSERVABILITY

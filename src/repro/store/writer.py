@@ -71,7 +71,6 @@ class StoreWriter:
         self._pending: List[List[StreamRecord]] = [[] for _ in range(cores)]
         self._pending_bytes = [0] * cores
         self.enqueued_bytes = 0
-        self.written_records = 0
         self.written_bytes = 0
         self.compressed_saved = 0
         self.segments_sealed = 0
@@ -217,7 +216,6 @@ class StoreWriter:
                     self._san.store.on_drop(len(record.data))
                 continue
             writer.append(record)
-            self.written_records += 1
             self.written_bytes += len(record.data)
             written_payload += len(record.data)
             if self._san is not None:

@@ -253,3 +253,27 @@ def test_shared_runtime_is_observed():
     assert all(busy > 0 for busy in pools)
     assert runtime.busy_seconds() == pytest.approx(softirq + sum(pools))
     assert report.coverage == pytest.approx(1.0, rel=1e-6)
+
+
+def test_shared_runtime_totals_count_every_application():
+    """The runtime's own result and stats sum the deliveries of every
+    application, not the first one's; its user utilization is the busy
+    fraction of all their workers together."""
+    web = SharedApplication("web", _config(bpf=BPFFilter("tcp port 80")))
+    everything = SharedApplication("everything", _config())
+    shared = SharedCaptureRuntime([web, everything])
+    shared.run(campus_mix(flow_count=30, seed=77), 1e9)
+    runtime = shared.runtime
+    assert web.workers.bytes_delivered == 234_271
+    assert everything.workers.bytes_delivered == 871_446
+    result = runtime.result(1e9, name="shared-kernel")
+    assert result.delivered_bytes == runtime.aggregate().bytes_delivered == 1_105_717
+    assert result.delivered_events == runtime.aggregate().events_processed == (
+        web.workers.events_processed + everything.workers.events_processed
+    )
+    assert result.extra["events_dropped"] == (
+        web.workers.events_dropped + everything.workers.events_dropped
+    )
+    busy = web.workers.busy_seconds() + everything.workers.busy_seconds()
+    workers = len(web.workers.servers) + len(everything.workers.servers)
+    assert result.user_utilization == pytest.approx(busy / (result.duration * workers))

@@ -25,7 +25,7 @@ from repro.store import (
 from repro.store import segment as segment_module
 from repro.store.query import StreamPayload
 
-from .test_retention import assert_index_coherent
+from .test_retention import assert_index_coherent, rows_of
 
 ABSENT = FiveTuple(1, 1, 2, 2, IPProtocol.TCP)
 
@@ -88,7 +88,7 @@ def _old_lookup(index, five_tuple=None, start_ts=None, end_ts=None):
     wanted = StoreIndex._key(five_tuple) if five_tuple is not None else None
     segments = sorted(index.segments.values(), key=lambda s: (s.info.first_ts, s.info.path))
     for segment in segments:
-        for meta in segment.records:
+        for meta in rows_of(segment):
             if wanted is not None and StoreIndex._key(meta.client_tuple) != wanted:
                 continue
             if start_ts is not None and meta.timestamp < start_ts:
@@ -189,17 +189,17 @@ def _assert_point_reads_match(store):
             got = store.query(five_tuple=connection, **window).streams
             assert got == _old_query(index, connection, **window), window
             assert got == _of(store.query(**window).streams, connection), window
-            # Same (segment, meta) objects in the same order, not only
+            # Same (segment, row) entries in the same order, not only
             # the same bytes once assembled.
             pairs = [
-                (segment, meta)
-                for segment, metas in index.lookup(connection, **window)
-                for meta in metas
+                (segment, row)
+                for segment, rows in index.lookup(connection, **window)
+                for row in rows
             ]
             old_pairs = list(_old_lookup(index, connection, **window))
             assert len(pairs) == len(old_pairs)
             assert all(
-                new[0] is old[0] and new[1] is old[1] for new, old in zip(pairs, old_pairs)
+                new[0] is old[0] and new[1] == old[1].row for new, old in zip(pairs, old_pairs)
             )
 
 
@@ -217,8 +217,8 @@ class TestDifferential:
             for connection in store.connections()
             if len({
                 segment.path
-                for segment, metas in store.index.lookup(connection)
-                for _meta in metas
+                for segment, rows in store.index.lookup(connection)
+                for _row in rows
             }) > 1
         ]
         assert straddlers  # records of one connection on both sides of a roll
@@ -293,26 +293,31 @@ class TestDifferential:
         index = store.index
 
         def flat(groups):
-            return [(segment, meta) for segment, metas in groups for meta in metas]
+            return [(segment, meta) for segment, rows in groups for meta in rows_of(segment, rows)]
 
         def check_shape(groups):
-            assert all(metas for _segment, metas in groups)
-            keys = [(segment.info.first_ts, segment.path) for segment, _metas in groups]
+            assert all(len(rows) for _segment, rows in groups)
+            keys = [(segment.info.first_ts, segment.path) for segment, _rows in groups]
             assert keys == sorted(set(keys))
-            for _segment, metas in groups:
-                offsets = [meta.file_offset for meta in metas]
+            for segment, rows in groups:
+                offsets = [meta.file_offset for meta in rows_of(segment, rows)]
                 assert offsets == sorted(offsets)
 
         everything = index.lookup()
         check_shape(everything)
-        assert all(metas is segment.records for segment, metas in everything)
+        # Unbounded, every row of a segment is handed over as a range.
+        assert all(rows == range(segment.info.record_count) for segment, rows in everything)
         assert flat(everything) == list(_old_lookup(index))
         cut_inside = 0
         for connection in store.connections():
             whole = index.lookup(connection)
             check_shape(whole)
             if len(whole) == 1:
-                assert whole[0][1] is index._by_tuple[StoreIndex._key(connection)]
+                # A connection in one segment: its bucket's one run, whole.
+                bucket = index._by_tuple[StoreIndex._key(connection)]
+                assert bucket[1] == len(bucket) - 2
+                assert whole[0][0] is index._serials[bucket[0]]
+                assert list(whole[0][1]) == list(bucket[2:])
                 continue
             stamps = sorted(meta.timestamp for _segment, meta in flat(whole))
             window = {"start_ts": stamps[len(stamps) // 3], "end_ts": stamps[2 * len(stamps) // 3]}
@@ -321,9 +326,11 @@ class TestDifferential:
             pairs = flat(groups)
             old_pairs = list(_old_lookup(index, connection, **window))
             assert len(pairs) == len(old_pairs)
-            assert all(new[0] is old[0] and new[1] is old[1] for new, old in zip(pairs, old_pairs))
-            sizes = {segment.path: len(metas) for segment, metas in whole}
-            cut_inside += any(0 < len(metas) < sizes[segment.path] for segment, metas in groups)
+            assert all(
+                new[0] is old[0] and new[1].row == old[1].row for new, old in zip(pairs, old_pairs)
+            )
+            sizes = {segment.path: len(rows) for segment, rows in whole}
+            cut_inside += any(0 < len(rows) < sizes[segment.path] for segment, rows in groups)
             point = store.query(connection, **window).streams
             scan = _of(store.query(**window).streams, connection)
             assert point == scan == _old_query(index, connection, **window)
@@ -355,7 +362,7 @@ class TestDifferential:
         monkeypatch.setattr(segment_module, "open", no_open, raising=False)
         assert store.query(five_tuple=ABSENT).streams == []
         assert store.query(five_tuple=ABSENT, start_ts=0.0, end_ts=1e9).streams == []
-        assert [meta for _, metas in store.index.lookup(ABSENT) for meta in metas] == []
+        assert [row for _, rows in store.index.lookup(ABSENT) for row in rows] == []
         connection = store.connections()[0]
         assert store.query(five_tuple=connection, start_ts=1e9).streams == []
         monkeypatch.undo()
@@ -384,7 +391,7 @@ class TestCorruption:
     def _victim(store):
         """A mid-file record of the first segment, with its connection."""
         segment = min(store.index.segments.values(), key=lambda s: s.path)
-        meta = segment.records[len(segment.records) // 2]
+        meta = rows_of(segment)[segment.info.record_count // 2]
         return segment, meta
 
     @pytest.mark.parametrize("compress", [False, True])
@@ -398,7 +405,7 @@ class TestCorruption:
         )
         before = {c: store.query(c).streams for c in connections}
         survivors = [
-            meta for seg, metas in store.index.lookup(affected) for meta in metas
+            meta for seg, rows in store.index.lookup(affected) for meta in rows_of(seg, rows)
             if seg is not segment or meta.file_offset < victim.file_offset
         ]
         with open(segment.path, "r+b") as handle:
@@ -438,8 +445,8 @@ class TestCorruption:
             c for c in connections
             if all(
                 seg is not segment or meta.file_offset < victim.file_offset
-                for seg, metas in store.index.lookup(c)
-                for meta in metas
+                for seg, rows in store.index.lookup(c)
+                for meta in rows_of(seg, rows)
             )
         ]
         os.truncate(segment.path, victim.file_offset + 9 + victim.length // 2)

@@ -31,7 +31,7 @@ from repro.store import segment as segment_module
 from repro.store.query import StreamPayload
 from repro.traffic import campus_mix
 
-from .test_retention import assert_index_coherent
+from .test_retention import assert_index_coherent, rows_of
 
 #: ``os.pread`` bytes of a segment header and of one frame around its
 #: payload (frame header plus the record's fixed fields).
@@ -416,7 +416,7 @@ def test_damage_to_a_skipped_frame_changes_nothing(tmp_path, point):
     _, used = _oracle(store.index, **query)
     used = {(path, offset) for path, offset, _length in used}
     skipped = [
-        meta for segment in store.index.segments.values() for meta in segment.records
+        meta for segment in store.index.segments.values() for meta in rows_of(segment)
         if StoreIndex._key(meta.five_tuple) == StoreIndex._key(connection)
         and (segment.path, meta.file_offset) not in used
     ]
@@ -425,9 +425,9 @@ def test_damage_to_a_skipped_frame_changes_nothing(tmp_path, point):
     _flip(victim.segment.path, victim.file_offset)
     asked = set()
 
-    def read_payloads(path, entries):
-        asked.update((path, meta.file_offset) for meta in entries)
-        return segment_module.read_payloads(path, entries)
+    def read_payloads(path, columns, rows):
+        asked.update((path, columns.file_offset[row]) for row in rows)
+        return segment_module.read_payloads(path, columns, rows)
 
     with mock.patch.object(query_module, "read_payloads", read_payloads):
         assert store.query(**query).streams == before
@@ -447,7 +447,7 @@ def test_damage_to_a_used_frame_reads_as_unplanned(tmp_path, point):
         if any(
             meta.file_offset == frame[1]
             and StoreIndex._key(meta.five_tuple) == StoreIndex._key(connection)
-            for meta in store.index.segments[frame[0]].records
+            for meta in rows_of(store.index.segments[frame[0]])
         )
     )
     _flip(path, offset)

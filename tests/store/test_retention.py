@@ -2,12 +2,19 @@
 
 import os
 import shutil
-from itertools import groupby
+from typing import NamedTuple
 
 import pytest
 
 from repro.netstack import FiveTuple, IPProtocol
-from repro.store import ClassQuota, RetentionPolicy, StoreIndex, StreamRecord, StreamStore
+from repro.store import (
+    ClassQuota,
+    RetentionPolicy,
+    SegmentMeta,
+    StoreIndex,
+    StreamRecord,
+    StreamStore,
+)
 from repro.store import retention
 
 
@@ -22,49 +29,98 @@ def _record(port=80, offset=0, ts=0.0, size=100, priority=0, src_port=1000):
     )
 
 
-def assert_index_coherent(index):
-    """``_by_tuple`` holds exactly the records of the live segments.
+class Row(NamedTuple):
+    """One indexed record, read back from its segment's columns."""
 
-    ``StoreIndex.lookup`` answers five-tuple queries from that map
-    alone, so it must never drift from ``segments[*].records``: the same
-    objects, each under its own connection's key and pointing back at
-    the live segment that lists it, one segment's entries adjacent and
-    in file order inside a bucket, and no empty buckets left behind.  The running
-    record and payload totals equal a fresh sum over those records, and
-    the disk total a fresh sum over the segments.  The overlap set is
-    what a fresh walk of the buckets gives.
+    segment: SegmentMeta
+    row: int
+    five_tuple: FiveTuple
+    client_tuple: FiveTuple
+    direction: int
+    stream_offset: int
+    timestamp: float
+    length: int
+    priority: int
+    file_offset: int
+
+
+def rows_of(segment, rows=None):
+    """The :class:`Row` of each of ``rows`` (by default every row) of ``segment``."""
+    columns = segment.info.columns
+    tuples = columns.tuples
+    return [
+        Row(
+            segment, row, FiveTuple(*tuples[5 * columns.conn[row] : 5 * columns.conn[row] + 5]),
+            columns.client_tuple(row),
+            columns.direction[row], columns.stream_offset[row], columns.timestamp[row],
+            columns.length[row], columns.priority[row], columns.file_offset[row],
+        )
+        for row in (range(len(columns.file_offset)) if rows is None else rows)
+    ]
+
+
+def assert_index_coherent(index):
+    """The buckets hold exactly the rows of the live segments.
+
+    ``StoreIndex.lookup`` answers five-tuple queries from the buckets
+    alone, so they must never drift from the segments' columns: every
+    row of every live segment exactly once, under its own connection's
+    key, in a run that names (by serial) the live segment holding it;
+    one run per segment inside a bucket, its rows in file order; no
+    empty bucket or run left behind.  The running record and payload
+    totals equal a fresh sum over those rows, and the disk total a
+    fresh sum over the segments.  The overlap set and the end offsets
+    are what a fresh walk of the buckets gives.
     """
     listed = {
-        id(meta): meta for segment in index.segments.values() for meta in segment.records
+        (id(segment), row)
+        for segment in index.segments.values()
+        for row in range(len(segment.info.columns.file_offset))
     }
-    mapped = [meta for bucket in index._by_tuple.values() for meta in bucket]
-    assert len(mapped) == len(listed)
-    assert index.record_count == len(listed)
-    assert index.payload_bytes == sum(meta.length for meta in listed.values())
+    assert index.record_count == len(listed) == sum(
+        segment.info.record_count for segment in index.segments.values()
+    )
+    assert index.payload_bytes == sum(
+        sum(segment.info.columns.length) for segment in index.segments.values()
+    )
     assert index.disk_bytes == sum(
         segment.info.disk_bytes for segment in index.segments.values()
     )
-    assert {id(meta) for meta in mapped} == set(listed)
+    assert sorted(id(segment) for segment in index._serials.values()) == sorted(
+        id(segment) for segment in index.segments.values()
+    )
+    for segment in index.segments.values():
+        assert index._serials[segment.serial] is segment
+        offsets = list(segment.info.columns.file_offset)
+        assert offsets == sorted(offsets)  # a row per frame, in file order
+    mapped, overlapping, ends = [], set(), {}
     for key, bucket in index._by_tuple.items():
-        assert bucket, key
-        for meta in bucket:
-            assert index._key(meta.client_tuple) == key
-            assert index.segments.get(meta.segment.path) is meta.segment
-            assert any(meta is listed_meta for listed_meta in meta.segment.records)
-        runs = [id(segment) for segment, _run in groupby(bucket, key=lambda m: m.segment)]
-        assert len(runs) == len(set(runs)), key  # one segment's entries are adjacent
-        for segment in {id(meta.segment): meta.segment for meta in bucket}.values():
-            offsets = [meta.file_offset for meta in bucket if meta.segment is segment]
-            assert offsets == sorted(offsets)
-    overlapping, ends = set(), {}
-    for key, bucket in index._by_tuple.items():
+        runs, start = [], 0
+        while start < len(bucket):
+            count = bucket[start + 1]
+            runs.append((bucket[start], list(bucket[start + 2 : start + 2 + count])))
+            start += 2 + count
+        assert runs and start == len(bucket), key
+        assert len(runs) == len({serial for serial, _rows in runs}), key  # one run per segment
         last = ends[key] = {}
-        for meta in bucket:
-            if meta.stream_offset < last.get(meta.direction, 0):
-                overlapping.add(key)
-            last[meta.direction] = meta.stream_offset + meta.length
+        for serial, rows in runs:
+            assert rows and rows == sorted(set(rows)), key
+            segment = index._serials[serial]
+            assert index.segments.get(segment.path) is segment
+            for meta in rows_of(segment, rows):
+                assert index._key(meta.client_tuple) == key
+                mapped.append((id(segment), meta.row))
+                if meta.stream_offset < last.get(meta.direction, 0):
+                    overlapping.add(key)
+                last[meta.direction] = meta.stream_offset + meta.length
+    assert len(mapped) == len(listed)
+    assert set(mapped) == listed
     assert index.overlapping == overlapping
-    assert index._ends == ends
+    assert index._ends.keys() == ends.keys()
+    for key, last in ends.items():
+        # A slot per direction up to the largest seen; unseen ones hold 0.
+        assert max(last) < len(index._ends[key])
+        assert list(index._ends[key]) == [last.get(d, 0) for d in range(len(index._ends[key]))]
 
 
 def _checked(index):
@@ -105,7 +161,7 @@ class TestMaxAge:
         assert all(
             meta.timestamp == 100.0
             for segment in store.index.segments.values()
-            for meta in segment.records
+            for meta in rows_of(segment)
         )
 
     def test_recent_segments_survive(self, tmp_path):
@@ -128,7 +184,7 @@ class TestMaxBytes:
         survivors = [
             meta.stream_offset
             for segment in store.index.segments.values()
-            for meta in segment.records
+            for meta in rows_of(segment)
         ]
         assert survivors  # head survives
         assert min(survivors) == 0
@@ -180,7 +236,7 @@ class TestClassQuotas:
         survivors = [
             meta.priority
             for segment in store.index.segments.values()
-            for meta in segment.records
+            for meta in rows_of(segment)
         ]
         assert survivors == [9]
 
@@ -243,7 +299,7 @@ class TestCompaction:
         before = store.query().streams
         rescanned = StoreIndex()
         store.index.replace_segment(path, rescanned.add_segment_file(path))
-        assert store.index.segments[path].records is rescanned.segments[path].records
+        assert store.index.segments[path].info.columns is rescanned.segments[path].info.columns
         assert store.query().streams == before
         for connection in store.connections():
             assert store.query(connection).streams == [

@@ -26,6 +26,7 @@ from repro.store import segment as segment_module
 
 from .test_point_read import _assemble
 from .test_query_plan import FRAME_OVERHEAD, HEADER_BYTES, _oracle
+from .test_retention import rows_of
 
 
 def _client(n):
@@ -67,7 +68,7 @@ def _per_frame_query(index, five_tuple=None, start_ts=None, end_ts=None):
     directions, names = {}, {}
     for segment in segments:
         offsets = [
-            meta.file_offset for meta in segment.records
+            meta.file_offset for meta in rows_of(segment)
             if (wanted is None or StoreIndex._key(meta.client_tuple) == wanted)
             and (start_ts is None or meta.timestamp >= start_ts)
             and (end_ts is None or meta.timestamp <= end_ts)
@@ -156,7 +157,7 @@ def _fill(directory, compress=False):
 def _frames(store):
     """The one segment and its entries in file order."""
     (segment,) = store.index.segments.values()
-    return segment, segment.records
+    return segment, rows_of(segment)
 
 
 def _entry_end(meta):
@@ -260,16 +261,16 @@ def test_frame_longer_than_its_entry_is_read_whole(tmp_path):
     """An entry that understates its frame's length ends its run short;
     the frame is read again at the length its header gives."""
     store = _fill(str(tmp_path))
-    _segment, entries = _frames(store)
+    segment, entries = _frames(store)
     victim = entries[len(entries) // 2]
-    victim.length -= 5
+    segment.info.columns.length[victim.row] -= 5
     with _preads() as reads:
         answer = store.query().streams
     offsets = [offset for offset, _size in reads]
     assert offsets == [0, entries[0].file_offset, victim.file_offset,
                        entries[len(entries) // 2 + 1].file_offset]
     assert answer == _per_frame_query(store.index)
-    victim.length += 5
+    segment.info.columns.length[victim.row] += 5
     assert answer == store.query().streams
     store.close(enforce_retention=False)
 

@@ -5,7 +5,7 @@ import os
 import pytest
 
 from repro.netstack import FiveTuple, IPProtocol
-from repro.store import SegmentWriter, StreamRecord, read_segment, scan_records
+from repro.store import SegmentWriter, StreamRecord, StreamStore, read_segment, scan_records
 
 
 def _record(n=0, data=b"payload", direction=0, priority=0, ts=None):
@@ -130,6 +130,19 @@ class TestRecovery:
         records, info = read_segment(path)
         assert len(records) == 1  # CRC catches the flip; scan stops there
         assert not info.sealed and info.torn_bytes > 0
+
+    def test_torn_header_counts_on_disk(self, tmp_path):
+        """A segment whose 16-byte header is torn holds no record, but its
+        bytes are on disk: the scan and the store's disk total count them."""
+        path = tmp_path / "seg-0-000000.scap"
+        path.write_bytes(b"SCAPSEG\x01\x00\x00")  # 10 bytes of a header
+        records, info = read_segment(str(path))
+        assert records == [] and not info.sealed
+        assert info.disk_bytes == info.torn_bytes == 10
+        store = StreamStore(str(tmp_path))
+        stats = store.stats()
+        assert (stats.record_count, stats.disk_bytes) == (0, 10)
+        store.close(enforce_retention=False)
 
     def test_bad_magic_rejected(self, tmp_path):
         path = str(tmp_path / "seg.scap")

@@ -130,7 +130,7 @@ class TestStoreWriter:
         def no_reread(path):
             raise AssertionError(f"sealing re-read {path}")
 
-        monkeypatch.setattr("repro.store.index.read_segment", no_reread)
+        monkeypatch.setattr("repro.store.index.index_segment", no_reread)
         for n in range(40):
             store.append(_record(n, size=20 + 37 * (n % 7)), core=n % 2)
             if n == 25:
@@ -142,7 +142,7 @@ class TestStoreWriter:
         assert sorted(reopened.index.segments) == sorted(store.index.segments)
         for path, live in store.index.segments.items():
             scanned = reopened.index.segments[path]
-            assert live.records == scanned.records  # every RecordMeta row
+            assert live.info.columns == scanned.info.columns  # every row of every column
             assert live.info == scanned.info  # sealed, counts, bytes, time range
             assert live.info.disk_bytes == os.path.getsize(path)
         assert store.index.record_count == 40
