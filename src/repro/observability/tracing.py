@@ -150,23 +150,6 @@ class TraceBuffer:
             raise ValueError(f"unknown hook(s): {sorted(unknown)}")
         return [event for event in self._events if event.hook in wanted]
 
-    def by_stream(self, five_tuple) -> List[TraceEvent]:
-        """The retained events carrying a stream's five-tuple.
-
-        ``five_tuple`` is a :class:`~repro.netstack.flows.FiveTuple`
-        (either direction) or its string form; events whose
-        ``five_tuple`` field has the same :func:`canonical_tuple_str`
-        key are returned, so both directions of a connection fold
-        together.
-        """
-        key = canonical_tuple_str(five_tuple)
-        return [
-            event
-            for event in self._events
-            if isinstance(label := event.fields.get("five_tuple"), str)
-            and canonical_tuple_str(label) == key
-        ]
-
     def clear(self) -> None:
         """Drop all retained events (counts are kept)."""
         self._events.clear()

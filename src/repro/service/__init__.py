@@ -13,7 +13,7 @@ from .client import CallTimeout, EventStream, RemoteCallError, ScapClient
 from .daemon import DaemonConfig, ScapDaemon
 from .owner import trace_to_pcap_bytes
 from .protocol import (
-    COMMAND_CODE_MAP,
+    COMMANDS,
     ERROR_CODES,
     IDEMPOTENT_COMMANDS,
     MAX_FRAME_BYTES,
@@ -41,7 +41,7 @@ __all__ = [
     "Subscription",
     "PROTOCOL_VERSION",
     "MAX_FRAME_BYTES",
-    "COMMAND_CODE_MAP",
+    "COMMANDS",
     "IDEMPOTENT_COMMANDS",
     "ERROR_CODES",
     "Frame",

@@ -59,7 +59,7 @@ from ..observability.spans import KIND_INTERNAL, KIND_SERVER, Span
 from .health import DEFAULT_HEALTH_RULES, HealthReport, HealthServer, evaluate_health
 from .owner import EVENT_BURST, POST_DONE, POST_EVENTS, CaptureOwner, guarded, store_stats
 from .protocol import (
-    COMMAND_CODE_MAP,
+    COMMANDS,
     ERR_BAD_FRAME,
     ERR_BAD_REQUEST,
     ERR_QUOTA,
@@ -238,7 +238,7 @@ def register_service_metrics(registry) -> Dict[str, Any]:
             "telemetry-ring snapshots taken",
         ),
     }
-    for command in tuple(COMMAND_CODE_MAP) + ("?",):
+    for command in COMMANDS + ("?",):
         metrics["requests"].labels(command)
         metrics["command_seconds"].labels(command)
     for code in ERROR_CODES:
@@ -387,7 +387,7 @@ class ScapDaemon:
         #: One ``_cmd_<name>`` per command of the protocol's catalogue:
         #: ``(request, frame) -> (header, payload) | DEFERRED``.
         self._handlers: Dict[str, Callable] = {
-            name: getattr(self, f"_cmd_{name}") for name in COMMAND_CODE_MAP
+            name: getattr(self, f"_cmd_{name}") for name in COMMANDS
         }
 
     # ------------------------------------------------------------------

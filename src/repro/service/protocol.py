@@ -20,10 +20,8 @@ payload so it is never base64-inflated.  A message that carries many
 items — a query reply's streams, an event frame's events — leaves only
 their count in the header: each item is one fixed-width row
 (:data:`STREAM_ROW`, :data:`EVENT_ROW`) at the head of the payload, and
-the items' bytes follow the rows in row order.  Commands are also assigned
-stable numeric codes (:data:`COMMAND_CODE_MAP`) so a non-Python client
-can dispatch without string comparisons, mirroring the filter-code map
-idiom of socket service APIs.
+the items' bytes follow the rows in row order.  A command travels as its
+name in the header; :data:`COMMANDS` lists every name the daemon serves.
 
 Robustness contract (see ``docs/SERVICE.md``): a peer that receives an
 oversized, zero-length, or undecodable frame must *reject the frame*,
@@ -58,7 +56,7 @@ __all__ = [
     "ROWS_MINOR",
     "STREAM_ROW",
     "EVENT_ROW",
-    "COMMAND_CODE_MAP",
+    "COMMANDS",
     "IDEMPOTENT_COMMANDS",
     "ERR_BAD_FRAME",
     "ERR_BAD_REQUEST",
@@ -121,32 +119,14 @@ MSG_NAMES = {
     MSG_ERROR: "error",
 }
 
-#: Stable numeric codes per command (the DarwinApi filter-code idiom):
-#: the JSON header names the command, the code lets non-JSON dispatch
-#: tables and wire traces stay compact and unambiguous across versions.
-COMMAND_CODE_MAP: Dict[str, int] = {
-    "hello": 0x68656C6F,          # "helo"
-    "ping": 0x70696E67,           # "ping"
-    "submit_trace": 0x74726163,   # "trac"
-    "feed_open": 0x666F7065,      # "fope"
-    "feed_append": 0x66617070,    # "fapp"
-    "feed_commit": 0x66636D74,    # "fcmt"
-    "install_filter": 0x66696C74,  # "filt"
-    "remove_filter": 0x7266696C,   # "rfil"
-    "set_cutoff": 0x63757466,     # "cutf"
-    "set_priority": 0x7072696F,   # "prio"
-    "remove_priority": 0x72707269,  # "rpri"
-    "subscribe": 0x73756273,      # "subs"
-    "unsubscribe": 0x75737562,    # "usub"
-    "query": 0x71756572,          # "quer"
-    "bulk_query": 0x62756C6B,     # "bulk"
-    "stats": 0x73746174,          # "stat"
-    "spans": 0x73706E73,          # "spns"
-    "telemetry": 0x746C6D74,      # "tlmt"
-    "health": 0x686C7468,         # "hlth"
-    "reload": 0x726C6F64,         # "rlod"
-    "shutdown": 0x73687574,       # "shut"
-}
+#: Every command the daemon serves, by the name a request header
+#: carries: its handler table and its metric labels.
+COMMANDS = (
+    "hello", "ping", "submit_trace", "feed_open", "feed_append", "feed_commit",
+    "install_filter", "remove_filter", "set_cutoff", "set_priority", "remove_priority",
+    "subscribe", "unsubscribe", "query", "bulk_query", "stats", "spans", "telemetry",
+    "health", "reload", "shutdown",
+)
 
 #: Commands safe to retry after a timeout (no server-side state change).
 IDEMPOTENT_COMMANDS = frozenset(

@@ -52,11 +52,11 @@ class StoreIndex:
 
     Mutated only by the one thread that drives the owning store
     (`` # scapcheck: single-owner `` applies to callers); supports
-    add/remove of whole segments (sealing, retention) and in-place
-    replacement after compaction rewrites.  Those are the only ways
-    records enter or leave the index, so they keep the record, payload
-    and disk totals as running sums: reading them costs O(1).  They
-    keep :attr:`overlapping` the same way.
+    add/remove of whole segments (sealing, retention; a compaction
+    removes the old segment and adds its sealed copy).  Those are the
+    only ways records enter or leave the index, so they keep the record,
+    payload and disk totals as running sums: reading them costs O(1).
+    They keep :attr:`overlapping` the same way.
     """
 
     def __init__(self):
@@ -115,10 +115,11 @@ class StoreIndex:
         """Index a segment the writer just sealed, without rescanning."""
         return self._install(SegmentMeta(info))
 
-    def _keys(self, columns: SegmentColumns) -> List[Key]:
+    @staticmethod
+    def _keys(columns: SegmentColumns) -> List[Key]:
         """The key of each connection number of ``columns``."""
-        tuples = columns.tuples
-        return [self._key(tuples[start : start + 5]) for start in range(0, len(tuples), 5)]
+        values = iter(columns.tuples)
+        return list(map(StoreIndex._key, zip(values, values, values, values, values)))
 
     def _install(self, segment: SegmentMeta) -> SegmentMeta:
         # A segment is installed all at once, as one run at the end of
@@ -189,18 +190,13 @@ class StoreIndex:
                     self.overlapping.add(key)
                 ends[direction] = offset + columns.length[row]
 
-    def replace_segment(self, path: str, replacement: SegmentMeta) -> None:
-        """Swap a segment's index entry after a compaction rewrite."""
-        self.remove_segment(path)
-        self._install(replacement)
-
     # ------------------------------------------------------------------
     @staticmethod
     def _key(five_tuple: Sequence[int]) -> Key:
         """The connection's key: its canonical form as plain ints, the
         same for either direction (``FiveTuple.canonical``, unbuilt)."""
         src_ip, src_port, dst_ip, dst_port, protocol = five_tuple
-        if (src_ip, src_port) <= (dst_ip, dst_port):
+        if src_ip < dst_ip or (src_ip == dst_ip and src_port <= dst_port):
             return (src_ip, src_port, dst_ip, dst_port, protocol)
         return (dst_ip, dst_port, src_ip, src_port, protocol)
 

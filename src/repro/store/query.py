@@ -22,11 +22,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import compress
+from operator import attrgetter
 from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from ..netstack.flows import FiveTuple
-from .index import SegmentMeta, StoreIndex
-from .segment import read_payloads
+from .index import Key, SegmentMeta, StoreIndex
+from .segment import SegmentColumns, read_payloads
 
 __all__ = ["StreamPayload", "QueryResult", "run_query"]
 
@@ -70,7 +71,7 @@ class QueryResult:
 
     def connections(self) -> List[FiveTuple]:
         """Distinct client-perspective connections in this result."""
-        seen: Dict[Tuple[int, int, int, int, int], FiveTuple] = {}
+        seen: Dict[Key, FiveTuple] = {}
         for stream in self.streams:
             seen.setdefault(StoreIndex._key(stream.client_tuple), stream.client_tuple)
         return list(seen.values())
@@ -92,7 +93,11 @@ def run_query(
     ``overlapping`` set, :func:`_plan` first drops the frames whose
     bytes assembly would discard, so those are never read.  Frames are
     then grouped by connection and direction, offset-sorted, and
-    overlap-trimmed.
+    overlap-trimmed.  A frame's identity is its row: its connection is
+    its segment's key for the row's connection number (each segment's
+    keys computed once per query) or, in a point query, where every row
+    is of the one connection, the queried five-tuple; its direction is
+    the row's.
 
     A planned read is strict: if a frame it asked for fails its check,
     the query reads again everything the lookup matched, as an unplanned
@@ -100,42 +105,48 @@ def run_query(
     unplanned query gives.
     """
     groups = full = index.lookup(five_tuple, start_ts, end_ts)
+    keys = None
+    if five_tuple is None:
+        keys = {segment.serial: StoreIndex._keys(segment.info.columns) for segment, _ in full}
     spans = None
     overlapping = index.overlapping
     if overlapping and (five_tuple is None or StoreIndex._key(five_tuple) in overlapping):
-        groups, spans = _plan(groups, overlapping)
+        groups, spans = _plan(groups, five_tuple, keys, overlapping)
     while True:
-        directions: Dict[Tuple[int, int, int, int, int, int], List[Tuple[tuple, memoryview]]] = {}
+        directions: Dict[Tuple[Key, int], List[Tuple[SegmentColumns, int, memoryview]]] = {}
         for segment, rows in groups:
             info = segment.info
-            frames = read_payloads(info.path, info.columns, rows)
+            columns = info.columns
+            frames = read_payloads(info.path, columns, rows)
             if spans is not None and len(frames) < len(rows):
                 break  # a planned frame failed its check
-            for frame in frames:
-                src_ip, src_port, dst_ip, dst_port, protocol, direction, _, _, _ = frame[0]
-                if (src_ip, src_port) <= (dst_ip, dst_port):
-                    key = (src_ip, src_port, dst_ip, dst_port, protocol, direction)
-                else:
-                    key = (dst_ip, dst_port, src_ip, src_port, protocol, direction)
-                directions.setdefault(key, []).append(frame)
+            names = None if five_tuple else keys[segment.serial]
+            conn, direction = columns.conn, columns.direction
+            for row, payload in frames:
+                directions.setdefault(
+                    (five_tuple or names[conn[row]], direction[row]), []
+                ).append((columns, row, payload))
         else:
             break
         groups, spans = full, None
     streams = [_assemble(frames) for frames in directions.values()]
     if spans:
         # A planned direction's time span covers the frames left unread.
-        for key, stream in zip(directions, streams):
-            span = spans.get(key)
+        for name, stream in zip(directions, streams):
+            span = spans.get(name)
             if span is not None:
                 stream.first_ts, stream.last_ts = span
     if len(streams) > 1:
-        streams.sort(key=lambda stream: (stream.first_ts, stream.client_tuple, stream.direction))
+        streams.sort(key=attrgetter("first_ts", "client_tuple", "direction"))
     return QueryResult(streams=streams)
 
 
 def _plan(
-    groups: List[Tuple[SegmentMeta, Sequence[int]]], overlapping: Set[Tuple[int, ...]]
-) -> Tuple[List[Tuple[SegmentMeta, Sequence[int]]], Dict[Tuple[int, ...], Tuple[float, float]]]:
+    groups: List[Tuple[SegmentMeta, Sequence[int]]],
+    five_tuple: Optional[FiveTuple],
+    keys: Optional[Dict[int, List[Key]]],
+    overlapping: Set[Key],
+) -> Tuple[List[Tuple[SegmentMeta, Sequence[int]]], Dict[Tuple[Key, int], Tuple[float, float]]]:
     """The lookup ``groups`` without the frames assembly would discard.
 
     Works from the index columns alone.  Each direction of an
@@ -143,36 +154,37 @@ def _plan(
     its frames — by ``(stream_offset, -length)``, stable over lookup
     order — and a row whose end is not past the bytes already covered
     is dropped; the first row always stays, since it sets
-    ``base_offset``.  Returns the kept rows, grouped as ``groups``
-    (empty groups left out), and each planned direction's
-    ``(first_ts, last_ts)`` over every matched row.
+    ``base_offset``.  A row's connection is named by ``five_tuple`` (a
+    point query's, every row of which is planned) or by its key in
+    ``keys`` (per segment serial, by connection number).  Returns the
+    kept rows, grouped as ``groups`` (empty groups left out), and each
+    planned direction's ``(first_ts, last_ts)`` over every matched row.
     """
     # Per planned direction, (stream_offset, -length, position, timestamp)
     # of each row, where position counts rows in lookup order: the
     # tuples sort into assembly's order with ties kept in lookup order.
-    directions: Dict[Tuple[int, int, int, int, int, int], List[tuple]] = {}
+    directions: Dict[Tuple[Key, int], List[tuple]] = {}
     position = 0
     for segment, rows in groups:
         columns = segment.info.columns
-        tuples, conn, direction = columns.tuples, columns.conn, columns.direction
+        # Per connection number, its key if it is planned, else None.
+        planned = None if five_tuple else [
+            name if name in overlapping else None for name in keys[segment.serial]
+        ]
+        conn, direction = columns.conn, columns.direction
         offsets, lengths, timestamps = columns.stream_offset, columns.length, columns.timestamp
         for row in rows:
-            start = 5 * conn[row]
-            src_ip, src_port, dst_ip, dst_port, protocol = tuples[start : start + 5]
-            if (src_ip, src_port) <= (dst_ip, dst_port):
-                key = (src_ip, src_port, dst_ip, dst_port, protocol)
-            else:
-                key = (dst_ip, dst_port, src_ip, src_port, protocol)
-            if key in overlapping:
-                directions.setdefault(key + (direction[row],), []).append(
+            name = five_tuple or planned[conn[row]]
+            if name is not None:
+                directions.setdefault((name, direction[row]), []).append(
                     (offsets[row], -lengths[row], position, timestamps[row])
                 )
             position += 1
     keep = bytearray(b"\x01") * position
     spans = {}
-    for key, entries in directions.items():
+    for name, entries in directions.items():
         stamps = [entry[3] for entry in entries]
-        spans[key] = (min(stamps), max(stamps))
+        spans[name] = (min(stamps), max(stamps))
         entries.sort()
         offset, negative_length, _, _ = entries[0]
         covered = offset - negative_length
@@ -195,30 +207,30 @@ def _plan(
     return kept, spans
 
 
-def _assemble(frames: List[Tuple[tuple, memoryview]]) -> StreamPayload:
+def _assemble(frames: List[Tuple[SegmentColumns, int, memoryview]]) -> StreamPayload:
     """Offset-sort, dedup overlap, and join one direction's payload views.
 
-    ``frames`` are :func:`~repro.store.segment.read_payloads` items of
-    one connection direction in read order (sorted here, in place, when
-    there is more than one); the first names the stream.  A frame's
-    fields are ``(src_ip, src_port, dst_ip, dst_port, protocol,
-    direction, timestamp, stream_offset, priority)``.
+    ``frames`` are ``(columns, row, payload)`` items of one connection
+    direction in read order (sorted here, in place, when there is more
+    than one): the payload a :func:`~repro.store.segment.read_payloads`
+    view, its stream offset and timestamp in ``columns`` at ``row``.
+    The first names the stream.
     """
-    fields, payload = frames[0]
-    src_ip, src_port, dst_ip, dst_port, protocol, direction, timestamp, offset, _ = fields
-    if direction:
-        client_tuple = FiveTuple(dst_ip, dst_port, src_ip, src_port, protocol)
-    else:
-        client_tuple = FiveTuple(src_ip, src_port, dst_ip, dst_port, protocol)
+    columns, row, payload = frames[0]
+    client_tuple, direction = columns.client_tuple(row), columns.direction[row]
     if len(frames) == 1:
-        return StreamPayload(client_tuple, direction, bytes(payload), timestamp, timestamp, offset)
-    frames.sort(key=lambda frame: (frame[0][7], -len(frame[1])))
-    stamps = [fields[6] for fields, _ in frames]
+        timestamp = columns.timestamp[row]
+        return StreamPayload(
+            client_tuple, direction, bytes(payload), timestamp, timestamp,
+            columns.stream_offset[row],
+        )
+    frames.sort(key=lambda frame: (frame[0].stream_offset[frame[1]], -len(frame[2])))
+    stamps = [columns.timestamp[row] for columns, row, _ in frames]
     parts: List[memoryview] = []
-    base_offset = next_offset = frames[0][0][7]
+    base_offset = next_offset = frames[0][0].stream_offset[frames[0][1]]
     gap_bytes = 0
-    for fields, payload in frames:
-        offset = fields[7]
+    for columns, row, payload in frames:
+        offset = columns.stream_offset[row]
         end = offset + len(payload)
         if end <= next_offset:
             continue  # fully duplicated bytes

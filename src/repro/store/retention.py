@@ -5,29 +5,33 @@ Three policies, enforced in order of decreasing certainty:
 1. **max-age** — segments whose newest record is older than
    ``max_age`` simulated seconds (relative to the enforcement time)
    are deleted whole.
-2. **per-class quotas** — byte budgets keyed by the same BPF
+2. **per-class quotas** — payload-byte budgets keyed by the same BPF
    expressions as `scap_set_cutoff` classes; a class over budget has
    records evicted from its streams until it fits.
-3. **max-bytes** — a global cap on the store's on-disk footprint.
+3. **max-bytes** — a global cap on the store's on-disk footprint,
+   each record measured by its frame's bytes on disk.
 
 Eviction is *heavy-tail aware*: victims are chosen highest stream
 offset first (then lowest priority, then oldest), so a stream's tail
 is always dropped before its head — the same asymmetry that makes the
 paper's per-stream cutoff effective on heavy-tailed traffic, applied
 after the fact.  Record eviction from sealed (immutable) segments is
-implemented by compaction: the segment is rewritten without the
-victims and atomically swapped in with ``os.replace``.
+implemented by compaction: the kept frames are copied as they are
+(compressed ones stay compressed) into a new file, which is swapped in
+with ``os.replace``; the directory is fsynced after every rename and
+delete.
 """
 
 from __future__ import annotations
 
 import os
+from contextlib import suppress
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from ..filters.bpf import BPFFilter
 from .index import SegmentMeta, StoreIndex
-from .segment import SegmentColumns, SegmentWriter, scan_records
+from .segment import SegmentColumns, SegmentInfo, SegmentWriter, copy_frames
 
 #: Suffix of the copy ``_compact`` writes before swapping it in.
 TMP_SUFFIX = ".tmp"
@@ -138,17 +142,19 @@ class RetentionEngine:
         )
         if live <= quota.max_bytes:
             return RetentionReport()
-        return self._evict(live - quota.max_bytes, predicate=in_class)
+        return self._evict(
+            live - quota.max_bytes, lambda info, row: info.columns.length[row], in_class
+        )
 
     def _enforce_bytes(self, max_bytes: int) -> RetentionReport:
         report = RetentionReport()
         excess = self.index.disk_bytes - max_bytes
         if excess <= 0:
             return report
-        # Tail-first record eviction shrinks payload; frame/seal overhead
-        # stays, so fall back to deleting whole oldest segments if the
-        # disk footprint is still over after compaction.
-        report.merge(self._evict(excess))
+        # Rows are measured by their frames' bytes on disk, which is
+        # what compaction takes off the file.  Should the footprint
+        # still be over, whole oldest segments go.
+        report.merge(self._evict(excess, SegmentInfo.frame_bytes))
         for segment in sorted(
             self.index.segments.values(),
             key=lambda seg: (seg.info.first_ts, seg.info.path),
@@ -159,8 +165,10 @@ class RetentionEngine:
         return report
 
     # ------------------------------------------------------------------
-    def _evict(self, want_bytes: int, predicate=None) -> RetentionReport:
-        """Evict ≥ ``want_bytes`` of payload, tails before heads."""
+    def _evict(
+        self, want_bytes: int, size: Callable[[SegmentInfo, int], int], predicate=None
+    ) -> RetentionReport:
+        """Evict rows whose ``size`` sums to ≥ ``want_bytes``, tails before heads."""
         candidates: List[Tuple[SegmentMeta, int]] = [
             (segment, row)
             for segment in self.index.segments.values()
@@ -179,54 +187,66 @@ class RetentionEngine:
         for segment, row in candidates:
             if gathered >= want_bytes:
                 break
-            columns = segment.info.columns
-            doomed.setdefault(segment.path, set()).add(columns.file_offset[row])
-            gathered += columns.length[row]
+            doomed.setdefault(segment.path, set()).add(row)
+            gathered += size(segment.info, row)
         report = RetentionReport()
-        for path, offsets in doomed.items():
-            report.merge(self._compact(self.index.segments[path], offsets))
+        for path, rows in doomed.items():
+            report.merge(self._compact(self.index.segments[path], rows))
         return report
 
-    def _compact(self, segment: SegmentMeta, doomed_offsets: Set[int]) -> RetentionReport:
-        """Rewrite ``segment`` without the doomed records (atomic swap)."""
-        report = RetentionReport()
-        columns = segment.info.columns
-        victims = [
-            row for row, offset in enumerate(columns.file_offset) if offset in doomed_offsets
-        ]
-        if not victims:
-            return report
-        if len(victims) == segment.info.record_count:
+    def _compact(self, segment: SegmentMeta, doomed: Set[int]) -> RetentionReport:
+        """Rewrite ``segment`` without the ``doomed`` rows (atomic swap).
+
+        The kept frames are copied as they are (:func:`copy_frames`),
+        and the copy's sealed info is indexed in the segment's place.
+        """
+        info = segment.info
+        if len(doomed) == info.record_count:
             return self._delete_segment(segment)
         path = segment.path
         tmp_path = path + TMP_SUFFIX
-        writer = SegmentWriter(tmp_path, core=segment.info.core, compress=False)
+        writer = SegmentWriter(tmp_path, core=info.core)
         try:
-            for offset, record in scan_records(path):
-                if offset in doomed_offsets:
-                    continue
-                writer.append(record)
-            writer.seal()
-            os.replace(tmp_path, path)
+            copy_frames(info, [row for row in range(info.record_count) if row not in doomed], writer)
+            copy = writer.seal()
+            _commit(path, tmp_path)
         except BaseException:
-            # The original segment is untouched until ``os.replace``;
-            # only the half-written copy has to go.
+            # The original segment is untouched until the rename; only
+            # the half-written copy has to go.
             writer.close()
-            os.unlink(tmp_path)
+            _commit(tmp_path)
             raise
+        copy.path = path
         self.index.remove_segment(path)
-        self.index.add_segment_file(path)
-        report.segments_compacted += 1
-        report.evicted_records += len(victims)
-        report.evicted_bytes += sum(columns.length[row] for row in victims)
-        return report
+        self.index.add_sealed(copy)
+        return RetentionReport(
+            evicted_records=len(doomed),
+            evicted_bytes=sum(info.columns.length[row] for row in doomed),
+            segments_compacted=1,
+        )
 
     def _delete_segment(self, segment: SegmentMeta) -> RetentionReport:
-        report = RetentionReport()
+        _commit(segment.path)
         self.index.remove_segment(segment.path)
-        if os.path.exists(segment.path):
-            os.unlink(segment.path)
-        report.segments_deleted += 1
-        report.evicted_records += segment.info.record_count
-        report.evicted_bytes += segment.info.payload_bytes
-        return report
+        return RetentionReport(
+            evicted_records=segment.info.record_count,
+            evicted_bytes=segment.info.payload_bytes,
+            segments_deleted=1,
+        )
+
+
+def _commit(path: str, replacement: Optional[str] = None) -> None:
+    """Move ``replacement`` over ``path`` (``os.replace``), or delete
+    ``path`` when there is no replacement; then fsync the directory, so
+    the change survives a crash.  Deleting a file already gone is not an
+    error."""
+    if replacement is not None:
+        os.replace(replacement, path)
+    else:
+        with suppress(FileNotFoundError):
+            os.unlink(path)
+    fd = os.open(os.path.dirname(path) or ".", os.O_RDONLY | os.O_CLOEXEC)
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)

@@ -42,6 +42,7 @@ __all__ = [
     "SegmentColumns",
     "SegmentInfo",
     "SegmentWriter",
+    "copy_frames",
     "index_segment",
     "read_segment",
     "scan_records",
@@ -155,9 +156,14 @@ class SegmentColumns:
 
     def client_tuple(self, row: int) -> FiveTuple:
         """The connection's five-tuple of ``row`` from the client's perspective."""
-        start = 5 * self.conn[row]
-        five_tuple = FiveTuple(*self.tuples[start : start + 5])
-        return five_tuple.reversed() if self.direction[row] else five_tuple
+        # tuple.__new__: the same FiveTuple, without namedtuple's __new__.
+        tuples, start = self.tuples, 5 * self.conn[row]
+        if self.direction[row]:
+            return tuple.__new__(FiveTuple, (
+                tuples[start + 2], tuples[start + 3], tuples[start], tuples[start + 1],
+                tuples[start + 4],
+            ))
+        return tuple.__new__(FiveTuple, tuples[start : start + 5])
 
 
 @dataclass
@@ -180,14 +186,24 @@ class SegmentInfo:
     #: Index fields of every written / recovered record, in file order.
     columns: SegmentColumns = field(default_factory=SegmentColumns, repr=False)
 
+    def frame_bytes(self, row: int) -> int:
+        """Bytes the frame of ``row`` takes on disk: up to the next row's
+        frame, or to the footer or torn tail."""
+        offsets = self.columns.file_offset
+        if row + 1 < len(offsets):
+            return offsets[row + 1] - offsets[row]
+        end = self.disk_bytes - self.torn_bytes - (_FOOTER_SIZE if self.sealed else 0)
+        return end - offsets[row]
+
 
 class SegmentWriter:
     """Appends records to one segment file; ``seal`` finishes it.
 
-    The writer owns the file handle; ``append`` returns the frame's
-    file offset and adds the record's row to the segment's columns (no
-    payload), which ``seal`` hands over in the :class:`SegmentInfo` so
-    the index can point at every frame without re-reading the file.
+    The writer owns the file handle; :meth:`write_frame` (which ``append``
+    calls with the frame it encodes) returns the frame's file offset and
+    adds its row to the segment's columns (no payload), which ``seal``
+    hands over in the :class:`SegmentInfo` so the index can point at
+    every frame without re-reading the file.
     ``fsync=True`` makes every append durable individually (slow, used
     by tests that model crash points); otherwise data is flushed on
     seal/close.
@@ -223,8 +239,6 @@ class SegmentWriter:
 
     def append(self, record: StreamRecord) -> int:
         """Write one record frame; return its file offset."""
-        if self._file is None:
-            raise ValueError(f"segment {self.path} is closed")
         body = record.encode()
         flags = 0
         if self.compress:
@@ -235,16 +249,31 @@ class SegmentWriter:
                 flags |= _FLAG_ZLIB
         if len(body) > _MAX_BODY:
             raise ValueError(f"record body too large: {len(body)} bytes")
+        return self.write_frame(
+            _FRAME.pack(len(body), zlib.crc32(body), flags) + body, record.five_tuple,
+            record.direction, record.stream_offset, record.timestamp, len(record.data),
+            record.priority,
+        )
+
+    def write_frame(
+        self, frame: bytes | memoryview, five_tuple: tuple, direction: int, stream_offset: int,
+        timestamp: float, length: int, priority: int,
+    ) -> int:
+        """Write one whole frame (header and body); add its row, return its offset.
+
+        ``length`` is the frame's payload bytes.
+        """
+        if self._file is None:
+            raise ValueError(f"segment {self.path} is closed")
         offset = self._offset
-        frame = _FRAME.pack(len(body), zlib.crc32(body), flags) + body
         self._file.write(frame)
         if self.fsync:
             self._file.flush()
             os.fsync(self._file.fileno())
         self._offset += len(frame)
         self._columns.append(
-            self._numbers, record.five_tuple, record.direction, record.stream_offset,
-            record.timestamp, len(record.data), record.priority, offset,
+            self._numbers, five_tuple, direction, stream_offset, timestamp, length, priority,
+            offset,
         )
         return offset
 
@@ -426,7 +455,7 @@ def index_segment(path: str, records: Optional[List[StreamRecord]] = None) -> Se
 
 def read_payloads(
     path: str, columns: SegmentColumns, rows: Sequence[int]
-) -> List[Tuple[tuple, memoryview]]:
+) -> List[Tuple[int, memoryview]]:
     """Read the frames of the ``rows`` of ``columns`` (ascending) and nothing else.
 
     One bare ``os.open`` (no file object) closed before returning, the
@@ -443,12 +472,12 @@ def read_payloads(
     before it is used; one whose length field says it is longer than
     its run holds is read again at that length first.  Like a scan, the
     read stops at the first frame that fails them, so the result is the
-    intact prefix of what was asked for.  Per frame it returns the
-    body's fixed fields as plain values (five-tuple, direction,
-    timestamp, stream offset, priority) and a view of its payload (into
-    its run's read): no record object, no copy.
+    intact prefix of what was asked for.  Per frame it returns the row
+    and a view of its payload (into its run's read): the frame's
+    identity is its row in ``columns``, so no body field is decoded and
+    nothing is copied.
     """
-    frames: List[Tuple[tuple, memoryview]] = []
+    frames: List[Tuple[int, memoryview]] = []
     file_offset, length = columns.file_offset, columns.length
     fd = os.open(path, _O_READ)
     try:
@@ -477,12 +506,39 @@ def read_payloads(
                     frame = _parse_frame(longer, 0, position, size)
                 if frame is None or frame[0] is None:
                     return frames
-                body = frame[0]
-                frames.append((_BODY.unpack_from(body), body[_BODY.size :]))
+                frames.append((row, frame[0][_BODY.size :]))
             first = last
     finally:
         os.close(fd)
     return frames
+
+
+def copy_frames(info: SegmentInfo, rows: Sequence[int], writer: SegmentWriter) -> None:
+    """Copy the frames of ``rows`` (ascending) of ``info`` to ``writer`` as they are.
+
+    Each frame, :meth:`SegmentInfo.frame_bytes` long, is read on its own
+    and passes :func:`_parse_frame` before it is written with its row;
+    the copy stops at the first that fails, as a scan does.  Nothing is
+    decoded or re-encoded, so a compressed frame stays compressed.
+    """
+    columns = info.columns
+    fd = os.open(info.path, _O_READ)
+    try:
+        size = os.fstat(fd).st_size
+        for row in rows:
+            position = columns.file_offset[row]
+            frame = os.pread(fd, info.frame_bytes(row), position)
+            checked = _parse_frame(memoryview(frame), 0, position, size)
+            if checked is None or checked[1] != len(frame):
+                return
+            start = 5 * columns.conn[row]
+            writer.write_frame(
+                frame, tuple(columns.tuples[start : start + 5]), columns.direction[row],
+                columns.stream_offset[row], columns.timestamp[row], columns.length[row],
+                columns.priority[row],
+            )
+    finally:
+        os.close(fd)
 
 
 def read_segment(path: str) -> Tuple[List[StreamRecord], SegmentInfo]:

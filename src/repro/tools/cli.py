@@ -568,7 +568,10 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     socket = _observed_run(args, trace_capacity=args.capacity)
     buffer = socket.observability.trace
     if args.stream:
-        events = buffer.by_stream(args.stream)
+        from ..observability import TimelineReconstructor
+
+        timeline = TimelineReconstructor(buffer).for_stream(args.stream)
+        events = timeline.events if timeline is not None else []
     else:
         events = buffer.events()
     if args.hook:

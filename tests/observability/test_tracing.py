@@ -6,8 +6,15 @@ from repro.observability import (
     ALL_HOOKS,
     HOOK_FDIR_EVICT,
     HOOK_PPL_DROP,
+    TimelineReconstructor,
     TraceBuffer,
 )
+
+
+def _stream_events(buffer, five_tuple):
+    """A connection's retained events: its timeline's, or none."""
+    timeline = TimelineReconstructor(buffer).for_stream(five_tuple)
+    return timeline.events if timeline is not None else []
 
 
 def test_emit_and_read_back():
@@ -94,7 +101,7 @@ def test_by_stream_matches_both_directions():
     buffer.emit(0.2, HOOK_PPL_DROP, five_tuple=other)
     buffer.emit(0.3, HOOK_PPL_DROP)  # no five_tuple field at all
     for query in (client, server):
-        events = buffer.by_stream(query)
+        events = _stream_events(buffer, query)
         assert len(events) == 2
         assert {event.fields["five_tuple"] for event in events} == {client, server}
 
@@ -106,8 +113,8 @@ def test_by_stream_accepts_five_tuple_objects():
     buffer = TraceBuffer(capacity=8, enabled=True)
     buffer.emit(0.0, HOOK_PPL_DROP, five_tuple=str(tuple_obj))
     buffer.emit(0.1, HOOK_PPL_DROP, five_tuple=str(tuple_obj.reversed()))
-    assert len(buffer.by_stream(tuple_obj)) == 2
-    assert len(buffer.by_stream(tuple_obj.reversed())) == 2
+    assert len(_stream_events(buffer, tuple_obj)) == 2
+    assert len(_stream_events(buffer, tuple_obj.reversed())) == 2
 
 
 def test_overwrite_accounting_stays_consistent():
@@ -134,5 +141,5 @@ def test_filters_see_only_the_retained_window():
     buffer.emit(0.1, HOOK_FDIR_EVICT, seq=1)
     buffer.emit(0.2, HOOK_FDIR_EVICT, seq=2)  # overwrites the ppl_drop
     assert buffer.by_hook(HOOK_PPL_DROP) == []
-    assert buffer.by_stream(client) == []
+    assert _stream_events(buffer, client) == []
     assert [event.fields["seq"] for event in buffer.by_hook(HOOK_FDIR_EVICT)] == [1, 2]

@@ -11,7 +11,6 @@ from repro.store import (
     ClassQuota,
     RetentionPolicy,
     SegmentMeta,
-    StoreIndex,
     StreamRecord,
     StreamStore,
 )
@@ -125,7 +124,7 @@ def assert_index_coherent(index):
 
 def _checked(index):
     """Re-check coherence after every mutation of ``index``."""
-    for name in ("_install", "remove_segment", "replace_segment"):
+    for name in ("_install", "remove_segment"):
 
         def checked(*args, _mutate=getattr(index, name), **kwargs):
             result = _mutate(*args, **kwargs)
@@ -193,6 +192,28 @@ class TestMaxBytes:
         stats = store.close(enforce_retention=False)
         assert stats.disk_bytes <= 800
         assert stats.evicted_records > 0
+
+    @pytest.mark.parametrize("compress, kept", [(True, 48), (False, 49)])
+    def test_cap_counts_disk_bytes(self, tmp_path, compress, kept):
+        """A cap 100 bytes under the store evicts frames worth 100 disk
+        bytes: two compressed frames of about 60 bytes, or one 4,045-byte
+        frame.  Measured in payload bytes, one 4,000-byte record would be
+        taken from the compressed segment, its rewrite left over the cap,
+        and the segment deleted whole."""
+        store = _store(tmp_path, segment_bytes=1 << 20, compress=compress)
+        for n in range(50):
+            store.append(_record(offset=n * 4000, ts=float(n), size=4000))
+        store.flush()
+        assert len(store.index.segments) == 1
+        cap = store.index.disk_bytes - 100
+        store.retention_policy.max_bytes = cap
+        report = store.enforce_retention()
+        stats = store.close(enforce_retention=False)
+        assert report.evicted_records == 50 - kept and report.segments_deleted == 0
+        assert stats.record_count == kept and stats.disk_bytes <= cap
+        assert sorted(meta.stream_offset for meta in rows_of(*store.index.segments.values())) == [
+            n * 4000 for n in range(kept)
+        ]
 
     def test_under_budget_untouched(self, tmp_path):
         store = _store(tmp_path, retention=RetentionPolicy(max_bytes=1 << 20))
@@ -265,14 +286,13 @@ class TestCompaction:
             store.append(_record(offset=n * 100, ts=float(n)))
         store.flush()
         before = [s.data for s in store.query().streams]
-        scan_records = retention.scan_records
+        copy_frames = retention.copy_frames
 
-        def torn_scan(path):
-            records = scan_records(path)
-            yield next(records)
+        def torn_copy(info, rows, writer):
+            copy_frames(info, rows[:1], writer)
             raise OSError("disk went away")
 
-        monkeypatch.setattr(retention, "scan_records", torn_scan)
+        monkeypatch.setattr(retention, "copy_frames", torn_copy)
         with pytest.raises(OSError, match="disk went away"):
             store.enforce_retention()
         assert not [name for name in os.listdir(tmp_path) if name.endswith(".tmp")]
@@ -289,24 +309,6 @@ class TestCompaction:
         )
         reopened.close(enforce_retention=False)
 
-    def test_replace_segment_keeps_the_tuple_map_coherent(self, tmp_path):
-        store = _store(tmp_path)
-        for n in range(30):
-            store.append(_record(offset=(n // 3) * 100, ts=float(n), src_port=1000 + n % 3))
-        store.flush()
-        assert len(store.index.segments) > 1
-        path = sorted(store.index.segments)[0]
-        before = store.query().streams
-        rescanned = StoreIndex()
-        store.index.replace_segment(path, rescanned.add_segment_file(path))
-        assert store.index.segments[path].info.columns is rescanned.segments[path].info.columns
-        assert store.query().streams == before
-        for connection in store.connections():
-            assert store.query(connection).streams == [
-                s for s in before if s.client_tuple == connection
-            ]
-        store.close(enforce_retention=False)
-
 
 class TestRunningTotals:
     def test_totals_equal_a_recomputed_sum(self, tmp_path):
@@ -315,7 +317,7 @@ class TestRunningTotals:
         after every index mutation: here seals, a ``max_bytes`` eviction
         that compacts one segment and deletes another, and then a
         reopen.  The disk total is also the size of the files."""
-        store = _store(tmp_path, retention=RetentionPolicy(max_bytes=2000))
+        store = _store(tmp_path, retention=RetentionPolicy(max_bytes=1600))
         for n in range(24):
             store.append(
                 _record(offset=(n // 3) * 100, ts=float(n), src_port=1000 + n % 3, size=50 + n)
