@@ -29,7 +29,11 @@ if:
   multi-event frame), and exactly as many as the daemon's final
   `delivered` for that client,
 * the daemon shuts down gracefully with **balanced ledgers**
-  (`enqueued == delivered + dropped` for every client).
+  (`enqueued == delivered + dropped` for every client),
+* every record left in the daemon's trace ring is a span: requests,
+  dropped events and evictions are counted by metrics and ledgers, so
+  the ring keeps what the `spans` command reads (the report gives how
+  many records it overwrote, `obs.trace.overwritten`).
 
 The telemetry ring's full JSON history is written next to the report
 (`--telemetry-out`) so CI can upload it as a forensics artifact.
@@ -53,7 +57,7 @@ import time
 
 from urllib.request import urlopen
 
-from repro.observability import Observability
+from repro.observability import HOOK_SPAN, Observability
 from repro.service import ClientQuotas, DaemonConfig, ScapClient, ScapDaemon
 from repro.service.protocol import MSG_REQUEST, encode_frame
 from repro.store import StreamStore
@@ -317,6 +321,9 @@ def _soak(args, daemon, obs: Observability, run_dir: str) -> int:
 
     daemon.shutdown()
     _check_reopened(store_dir, requery, errors)
+    foreign = sorted({record.hook for record in obs.trace} - {HOOK_SPAN})
+    if foreign:
+        errors.append(f"trace ring holds records that are not spans: {foreign}")
     balanced = daemon.ledgers_balanced()
     ledgers = {
         entry["name"]: entry["ledger"] for entry in daemon.final_ledgers.values()
@@ -342,6 +349,8 @@ def _soak(args, daemon, obs: Observability, run_dir: str) -> int:
         "scrape": scrape,
         "final_scrape": final_scrape,
         "peak_daemon_threads": peak_threads,
+        "trace_records": len(obs.trace),
+        "trace_overwritten": obs.trace.overwritten,
         "requery": requery,
         "telemetry_samples": (
             telemetry_history["sampled"] if telemetry_history else 0
@@ -363,7 +372,8 @@ def _soak(args, daemon, obs: Observability, run_dir: str) -> int:
         f"final /metrics compared with the export after {final_scrape['attempts']} "
         "scrape(s); "
         f"{payload['telemetry_samples']} telemetry samples; "
-        f"peak scapd-* threads: {peak_threads}; requery: {requery['streams']} streams, "
+        f"peak scapd-* threads: {peak_threads}; trace ring: {len(obs.trace)} records, "
+        f"{obs.trace.overwritten} overwritten; requery: {requery['streams']} streams, "
         f"{requery['bytes']} bytes, {requery.get('overlapping_connections', 0)} "
         "re-recorded connections"
     )

@@ -77,9 +77,6 @@ from .tracing import (
     HOOK_MEMORY_EXHAUSTED,
     HOOK_OVERLAP_RESOLVED,
     HOOK_PPL_DROP,
-    HOOK_SERVICE_CLIENT_EVICTED,
-    HOOK_SERVICE_EVENT_DROPPED,
-    HOOK_SERVICE_REQUEST,
     HOOK_SPAN,
     HOOK_STREAM_CREATED,
     HOOK_STREAM_TERMINATED,
@@ -113,9 +110,6 @@ __all__ = [
     "HOOK_OVERLAP_RESOLVED",
     "HOOK_EVENT_DROPPED",
     "HOOK_FAULT_INJECTED",
-    "HOOK_SERVICE_REQUEST",
-    "HOOK_SERVICE_EVENT_DROPPED",
-    "HOOK_SERVICE_CLIENT_EVICTED",
     "HOOK_SPAN",
     "Span",
     "SpanRecord",

@@ -31,9 +31,6 @@ __all__ = [
     "HOOK_OVERLAP_RESOLVED",
     "HOOK_EVENT_DROPPED",
     "HOOK_FAULT_INJECTED",
-    "HOOK_SERVICE_REQUEST",
-    "HOOK_SERVICE_EVENT_DROPPED",
-    "HOOK_SERVICE_CLIENT_EVICTED",
     "HOOK_SPAN",
     "ALL_HOOKS",
 ]
@@ -51,10 +48,6 @@ HOOK_HOLE_SKIPPED = "hole_skipped"
 HOOK_OVERLAP_RESOLVED = "overlap_resolved"
 HOOK_EVENT_DROPPED = "event_dropped"
 HOOK_FAULT_INJECTED = "fault_injected"
-# Service plane (the capture daemon of repro.service).
-HOOK_SERVICE_REQUEST = "service_request"
-HOOK_SERVICE_EVENT_DROPPED = "service_event_dropped"
-HOOK_SERVICE_CLIENT_EVICTED = "service_client_evicted"
 # Causal request spans (see repro.observability.spans).
 HOOK_SPAN = "span"
 
@@ -71,9 +64,6 @@ ALL_HOOKS = (
     HOOK_OVERLAP_RESOLVED,
     HOOK_EVENT_DROPPED,
     HOOK_FAULT_INJECTED,
-    HOOK_SERVICE_REQUEST,
-    HOOK_SERVICE_EVENT_DROPPED,
-    HOOK_SERVICE_CLIENT_EVICTED,
     HOOK_SPAN,
 )
 

@@ -231,27 +231,15 @@ class CaptureOwner:
 
     # -- store -----------------------------------------------------------
     def query(
-        self, parent: Optional[Span], specs: List[Dict[str, Any]], bulk: bool
+        self, parent: Optional[Span], spec: Dict[str, Any]
     ) -> Tuple[Dict[str, Any], List[bytes]]:
-        """Answer one ``query`` (``bulk`` False) or ``bulk_query``.
+        """Answer one ``query``.
 
-        The header counts each result's streams; the payload is every
+        The header counts the result's streams; the payload is every
         stream's :data:`~repro.service.protocol.STREAM_ROW`, then every
-        stream's data, both in header order, for one join.
+        stream's data, both in result order, for one join.
         """
         self.store.flush()  # make everything recorded so far queryable
-        rows: List[bytes] = []
-        chunks: List[bytes] = []
-        results = [self._one_query(spec, parent, rows, chunks) for spec in specs]
-        if bulk:
-            return ({"results": results}, rows + chunks)
-        return (results[0], rows + chunks)
-
-    def _one_query(
-        self, spec: Dict[str, Any], parent: Optional[Span], rows: List[bytes],
-        chunks: List[bytes],
-    ) -> Dict[str, Any]:
-        """Run one query spec, appending its streams' rows and data."""
         query_span = self._child_span(parent, "store:query", KIND_STORE)
         try:
             flow = spec.get("flow")
@@ -262,6 +250,8 @@ class CaptureOwner:
                 end_ts=spec.get("end"),
             )
             pack = STREAM_ROW.pack
+            rows: List[bytes] = []
+            chunks: List[bytes] = []
             for stream in result.streams:
                 data = stream.data
                 rows.append(pack(
@@ -272,7 +262,7 @@ class CaptureOwner:
             count = len(result.streams)
             if query_span is not None:
                 query_span.annotate(streams=count, bytes=result.total_bytes)
-            return {"streams": count, "total_bytes": result.total_bytes}
+            return ({"streams": count, "total_bytes": result.total_bytes}, rows + chunks)
         finally:
             if query_span is not None:
                 query_span.end()

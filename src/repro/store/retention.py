@@ -219,9 +219,11 @@ class RetentionEngine:
         copy.path = path
         self.index.remove_segment(path)
         self.index.add_sealed(copy)
+        # Every row not copied is gone: the doomed ones, and any kept one
+        # behind a frame that failed its check (the copy stops there).
         return RetentionReport(
-            evicted_records=len(doomed),
-            evicted_bytes=sum(info.columns.length[row] for row in doomed),
+            evicted_records=info.record_count - copy.record_count,
+            evicted_bytes=info.payload_bytes - copy.payload_bytes,
             segments_compacted=1,
         )
 

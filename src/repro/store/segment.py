@@ -203,10 +203,8 @@ class SegmentWriter:
     calls with the frame it encodes) returns the frame's file offset and
     adds its row to the segment's columns (no payload), which ``seal``
     hands over in the :class:`SegmentInfo` so the index can point at
-    every frame without re-reading the file.
-    ``fsync=True`` makes every append durable individually (slow, used
-    by tests that model crash points); otherwise data is flushed on
-    seal/close.
+    every frame without re-reading the file.  Frames are flushed and
+    fsynced by ``seal`` and ``close``, never one by one.
     """
 
     def __init__(
@@ -214,12 +212,10 @@ class SegmentWriter:
         path: str,
         core: int = 0,
         compress: bool = False,
-        fsync: bool = False,
     ):
         self.path = path
         self.core = core
         self.compress = compress
-        self.fsync = fsync
         self.compressed_saved = 0
         self._columns = SegmentColumns()
         self._numbers: Dict[tuple, int] = {}
@@ -267,9 +263,6 @@ class SegmentWriter:
             raise ValueError(f"segment {self.path} is closed")
         offset = self._offset
         self._file.write(frame)
-        if self.fsync:
-            self._file.flush()
-            os.fsync(self._file.fileno())
         self._offset += len(frame)
         self._columns.append(
             self._numbers, five_tuple, direction, stream_offset, timestamp, length, priority,

@@ -77,7 +77,6 @@ class StreamStore:
         cores: int = 1,
         segment_bytes: int = DEFAULT_SEGMENT_BYTES,
         compress: bool = False,
-        fsync: bool = False,
         retention: Optional[RetentionPolicy] = None,
         observability: Optional[Observability] = None,
         sanitizers: Optional[object] = None,
@@ -108,7 +107,6 @@ class StreamStore:
             cores=cores,
             segment_bytes=segment_bytes,
             compress=compress,
-            fsync=fsync,
             observability=observability,
             sanitizers=sanitizers,
             on_seal=self._on_seal,

@@ -54,7 +54,6 @@ class StoreWriter:
         cores: int = 1,
         segment_bytes: int = DEFAULT_SEGMENT_BYTES,
         compress: bool = False,
-        fsync: bool = False,
         observability: Optional[Observability] = None,
         sanitizers: Optional[object] = None,
         on_seal=None,
@@ -66,7 +65,6 @@ class StoreWriter:
         self.directory = directory
         self.segment_bytes = segment_bytes
         self.compress = compress
-        self.fsync = fsync
         #: Records waiting to be written, per core, and their payload.
         self._pending: List[List[StreamRecord]] = [[] for _ in range(cores)]
         self._pending_bytes = [0] * cores
@@ -253,7 +251,6 @@ class StoreWriter:
                 os.path.join(self.directory, name),
                 core=core,
                 compress=self.compress,
-                fsync=self.fsync,
             )
             self._active[core] = writer
         return writer

@@ -230,20 +230,6 @@ def test_subscription_quota_denied(tmp_path):
     daemon.shutdown()
 
 
-def test_feed_byte_quota_denied(tmp_path):
-    daemon, path = _start_daemon(
-        tmp_path,
-        DaemonConfig(quotas=ClientQuotas(max_feed_bytes=1024)),
-    )
-    client = ScapClient(unix_path=path)
-    feed_id = client.call("feed_open").header["feed_id"]
-    with pytest.raises(RemoteCallError) as err:
-        client.call("feed_append", payload=b"z" * 2048, feed_id=feed_id)
-    assert err.value.code == ERR_QUOTA
-    client.close()
-    daemon.shutdown()
-
-
 def test_unknown_command_and_bad_request(tmp_path):
     daemon, path = _start_daemon(tmp_path)
     client = ScapClient(unix_path=path)

@@ -204,7 +204,6 @@ def test_subscribing_mid_capture_holds_every_event_from_seq_0(tmp_path):
 @pytest.mark.parametrize("declared", [{"protocol_minor": 2}, {"protocol_minor": True}])
 @pytest.mark.parametrize("command, header", [
     ("query", {"flow": None}),
-    ("bulk_query", {"queries": [{"flow": None}]}),
     ("subscribe", {"events": KINDS}),
 ])
 def test_row_commands_below_minor_3_are_refused_and_the_connection_kept(

@@ -252,11 +252,11 @@ class _Store:
         return QueryResult(self.results.pop(0))
 
 
-def _reply(results, bulk):
-    """The wire reply the daemon's owner gives to queries answered with
-    ``results``, read back by a frame reader."""
-    owner = CaptureOwner(_Store(results), 1 << 20, 1, None, post=lambda item: None)
-    header, payload = owner.query(None, [{"flow": None}] * len(results), bulk)
+def _reply(streams):
+    """The wire reply the daemon's owner gives to a query answered with
+    ``streams``, read back by a frame reader."""
+    owner = CaptureOwner(_Store([streams]), 1 << 20, 1, None, post=lambda item: None)
+    header, payload = owner.query(None, {"flow": None})
     (frame,) = FrameReader().feed(encode_frame(MSG_RESPONSE, 1, header, payload))
     return frame
 
@@ -290,28 +290,23 @@ def test_event_rows_round_trip(events, sub, seq):
 @settings(max_examples=150, deadline=None)
 @given(results=st.lists(_STREAMS, min_size=1, max_size=4))
 def test_stream_rows_round_trip(results):
-    frame = _reply(results, bulk=True)
-    assert frame.header == {"results": [
-        {"streams": len(streams), "total_bytes": sum(len(s.data) for s in streams)}
-        for streams in results
-    ]}
-    counts = [entry["streams"] for entry in frame.header["results"]]
-    assert split_streams(counts, frame.payload) == [_as_dicts(s) for s in results]
-    single = _reply(results[:1], bulk=False)
-    assert split_streams([single.header["streams"]], single.payload) == [_as_dicts(results[0])]
+    for streams in results:
+        frame = _reply(streams)
+        assert frame.header == {
+            "streams": len(streams), "total_bytes": sum(len(s.data) for s in streams)
+        }
+        assert split_streams([frame.header["streams"]], frame.payload) == [_as_dicts(streams)]
 
 
-def test_a_bulk_reply_keeps_an_empty_result_in_its_place():
+def test_rows_carry_extreme_values_and_an_empty_result_carries_none():
     flow = FiveTuple(0xFFFFFFFF, 65535, 0, 0, 255)
-    first = [StreamPayload(flow, 0, b"abc", 1.5, 2.5, (1 << 64) - 1, (1 << 64) - 1)]
-    last = [StreamPayload(flow, 1, b"", 0.0, 0.0, 0, 0),
-            StreamPayload(flow.reversed(), 0, b"z" * 9, 3.0, 4.0, 7, 0)]
-    frame = _reply([first, [], last, []], bulk=True)
-    assert [entry["streams"] for entry in frame.header["results"]] == [1, 0, 2, 0]
-    assert split_streams([1, 0, 2, 0], frame.payload) == [
-        _as_dicts(first), [], _as_dicts(last), []
-    ]
-    empty = _reply([[]], bulk=False)
+    streams = [StreamPayload(flow, 0, b"abc", 1.5, 2.5, (1 << 64) - 1, (1 << 64) - 1),
+               StreamPayload(flow, 1, b"", 0.0, 0.0, 0, 0),
+               StreamPayload(flow.reversed(), 0, b"z" * 9, 3.0, 4.0, 7, 0)]
+    frame = _reply(streams)
+    assert frame.header == {"streams": 3, "total_bytes": 12}
+    assert split_streams([3], frame.payload) == [_as_dicts(streams)]
+    empty = _reply([])
     assert empty.header == {"streams": 0, "total_bytes": 0} and empty.payload == b""
     assert split_streams([0], b"") == [[]]
     (frame,) = FrameReader().feed(encode_events(1, 0, []))
@@ -327,13 +322,11 @@ def test_a_reply_header_does_not_grow_with_its_item_count():
     few, many = ([("data", 1, flow, 0, 1, i, b"x") for i in range(n)] for n in (10, 99))
     assert _header_len(encode_events(1, 0, few)) == _header_len(encode_events(1, 0, many))
     streams = [StreamPayload(FiveTuple(*flow), 0, b"", 0.0, 1.0, 0) for _ in range(99)]
-    for bulk in (False, True):
-        owner = CaptureOwner(_Store([streams[:10], streams]), 1 << 20, 1, None, lambda item: None)
-        lengths = [
-            _header_len(encode_frame(MSG_RESPONSE, 1, *owner.query(None, [{}], bulk)))
-            for _ in range(2)
-        ]
-        assert lengths[0] == lengths[1], bulk
+    owner = CaptureOwner(_Store([streams[:10], streams]), 1 << 20, 1, None, lambda item: None)
+    lengths = [
+        _header_len(encode_frame(MSG_RESPONSE, 1, *owner.query(None, {}))) for _ in range(2)
+    ]
+    assert lengths[0] == lengths[1]
 
 
 @pytest.mark.parametrize("cut", [-1, 1, EVENT_ROW.size])
@@ -351,7 +344,7 @@ def test_event_rows_that_do_not_fill_the_payload_are_refused(cut):
 
 def test_stream_rows_that_do_not_fill_the_payload_are_refused():
     flow = FiveTuple(1, 2, 3, 4, 6)
-    frame = _reply([[StreamPayload(flow, 0, b"abc", 0.0, 1.0, 0)] * 2], bulk=False)
+    frame = _reply([StreamPayload(flow, 0, b"abc", 0.0, 1.0, 0)] * 2)
     for counts, payload in (
         ([2], frame.payload[:-1]), ([2], frame.payload + b"!"), ([1], frame.payload),
         ([3], frame.payload), ([-1], frame.payload), ([True], frame.payload),

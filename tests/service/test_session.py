@@ -140,17 +140,6 @@ def test_subscription_filter_is_compiled_when_built():
         session.add_subscription(("data",), "port")
 
 
-def test_feed_quota():
-    session = _session(ClientQuotas(max_feed_bytes=10))
-    feed = session.open_feed()
-    assert session.append_feed(feed, b"12345")
-    assert not session.append_feed(feed, b"123456")  # would exceed 10
-    assert session.append_feed(feed, b"67890")
-    assert session.close_feed(feed) == b"1234567890"
-    with pytest.raises(KeyError):
-        session.append_feed(feed, b"x")
-
-
 def test_mark_evicted_fires_once():
     session = _session()
     session.ledger.dropped = 5

@@ -19,7 +19,7 @@ import pytest
 
 from repro.netstack import FiveTuple, IPProtocol
 from repro.store import ClassQuota, RetentionPolicy, StreamRecord, StreamStore
-from repro.store.segment import index_segment
+from repro.store.segment import index_segment, scan_records
 
 from .test_query_plan import _oracle
 
@@ -146,4 +146,33 @@ def test_renames_and_deletes_fsync_the_directory(tmp_path, monkeypatch):
     assert len(changes) == report.segments_deleted + report.segments_compacted
     for i in changes:
         assert events[i + 1 : i + 2] == [("fsync", (directory.st_dev, directory.st_ino))], events
+    store.close(enforce_retention=False)
+
+
+def test_rows_lost_behind_a_damaged_frame_are_counted_as_evicted(tmp_path):
+    """The copy stops at the first kept frame that fails its check; the
+    report, and so the store's eviction counters, count every row that
+    was not copied, not only the rows meant to go."""
+    store = StreamStore(str(tmp_path), cores=1)
+    for n in range(10):  # one stream, so its deepest record is the victim
+        store.append(StreamRecord(_client(0), 0, 100 * n, 1.0 + n, bytes([65 + n]) * 100))
+    store.flush()
+    (segment,) = store.index.segments.values()
+    info = segment.info
+    damaged = info.columns.file_offset[5] + info.frame_bytes(5) - 1
+    with open(info.path, "r+b") as handle:
+        handle.seek(damaged)
+        byte = handle.read(1)[0]
+        handle.seek(damaged)
+        handle.write(bytes([byte ^ 0xFF]))
+    store.retention_policy.max_bytes = store.index.disk_bytes - 100
+    report = store.enforce_retention()
+    (segment,) = store.index.segments.values()
+    assert segment.info.record_count == 5  # rows 0-4: the copy stopped at row 5
+    stats = store.stats()
+    assert report.evicted_records == stats.evicted_records == 5
+    assert report.evicted_bytes == stats.evicted_bytes == 500
+    assert [record.data[:1] for _, record in scan_records(segment.path)] == [
+        bytes([65 + n]) for n in range(5)
+    ]
     store.close(enforce_retention=False)
