@@ -78,6 +78,7 @@ from .protocol import (
     MSG_REQUEST,
     MSG_RESPONSE,
     PROTOCOL_MINOR,
+    RECV_BYTES,
     REJECT_CATEGORIES,
     ROWS_MINOR,
     Frame,
@@ -85,7 +86,7 @@ from .protocol import (
     Payload,
     ProtocolError,
     ServiceError,
-    encode_frame,
+    frame_parts,
 )
 from .session import ClientQuotas, ClientSession
 
@@ -102,8 +103,6 @@ _INJECTED_GARBAGE = FrameRejection(
 #: a peer that never resynchronizes is noise, not a client.
 MAX_CONSECUTIVE_REJECTIONS = 8
 
-#: Bytes asked of a readable socket per loop pass.
-RECV_BYTES = 1 << 16
 #: Events (a burst is one inbox item; a completion or a foreign call
 #: counts as one) the inbox holds before a producer blocks, and how many
 #: the loop takes between socket passes.
@@ -722,9 +721,7 @@ class ScapDaemon:
         if self._obs.enabled:
             self._m_errors.labels(code).inc()
         session.send_bytes(
-            encode_frame(
-                MSG_ERROR, request_id, {"code": code, "message": message}
-            )
+            frame_parts(MSG_ERROR, request_id, {"code": code, "message": message})
         )
 
     def _dispatch(self, session: ClientSession, frame: Frame) -> None:
@@ -788,7 +785,7 @@ class ScapDaemon:
             request.handler_span.end(status=status)
         if status == "ok":
             try:
-                frame = encode_frame(MSG_RESPONSE, request.request_id, header, payload)
+                frame = frame_parts(MSG_RESPONSE, request.request_id, header, payload)
             except ProtocolError as exc:  # the result does not fit one frame
                 status, header = exc.code, exc.message
             else:

@@ -56,6 +56,7 @@ def test_serve_process_full_loop(tmp_path):
         assert closed == len(streams)
         assert sum(len(s["data"]) for s in streams) == summary["delivered_bytes"]
         client.shutdown_server()
+        client.close()
         out, err = process.communicate(timeout=60)
         assert process.returncode == 0, err
         assert "ledgers balanced: True" in out
@@ -75,6 +76,7 @@ def test_serve_process_auth(tmp_path):
         client = ScapClient(unix_path=sock, token="hunter2")
         assert client.ping()["pong"] is True
         client.shutdown_server()
+        client.close()
         process.communicate(timeout=60)
         assert process.returncode == 0
     finally:

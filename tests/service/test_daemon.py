@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import os
 import socket
+import sys
 import threading
+import time
 
 import pytest
 
@@ -35,6 +37,7 @@ from repro.service.protocol import (
     MSG_ERROR,
     MSG_REQUEST,
     MSG_RESPONSE,
+    RECV_BYTES,
     Frame,
 )
 from repro.store import StreamStore
@@ -378,6 +381,7 @@ def test_shutdown_refuses_new_work(tmp_path):
     daemon, path = _start_daemon(tmp_path)
     client = ScapClient(unix_path=path)
     assert client.shutdown_server()["shutting_down"] is True
+    client.close()
     daemon.shutdown()  # idempotent with the remote-triggered one
     assert not os.path.exists(path)
 
@@ -486,3 +490,29 @@ def test_blank_keep_filter_is_refused(tmp_path):
     client.close()
     other.close()
     daemon.shutdown()
+
+
+def test_a_declared_length_is_not_allocated_ahead_of_the_bytes(tmp_path):
+    """A peer declaring a ``max_frame_bytes`` frame and sending its first
+    64 KiB leaves the daemon holding what it received, plus at most the
+    one read in hand."""
+    config = DaemonConfig(max_frame_bytes=16 << 20)
+    daemon, path = _start_daemon(tmp_path, config)
+    raw = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+    try:
+        raw.connect(path)
+        head = config.max_frame_bytes.to_bytes(4, "big") + b"z" * (64 << 10)
+        raw.sendall(head)
+        deadline = time.monotonic() + 10.0
+        while time.monotonic() < deadline:
+            sessions = list(daemon._sessions.values())
+            if sessions and sessions[0].ledger.bytes_received == len(head):
+                break
+            time.sleep(0.01)
+        (session,) = sessions
+        assert session.ledger.bytes_received == len(head)
+        held = sys.getsizeof(session.reader._buffer) - sys.getsizeof(bytearray())
+        assert len(head) <= held <= len(head) + RECV_BYTES
+    finally:
+        raw.close()
+        daemon.shutdown()

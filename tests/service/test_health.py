@@ -160,6 +160,7 @@ def test_readyz_tracks_lifecycle_not_health(sidecar):
     with pytest.raises(urllib.error.HTTPError) as err:
         _get(server, "/readyz")
     assert err.value.code == 503
+    err.value.close()
 
 
 def test_unknown_paths_are_404(sidecar):
@@ -167,4 +168,5 @@ def test_unknown_paths_are_404(sidecar):
     with pytest.raises(urllib.error.HTTPError) as err:
         _get(server, "/nope")
     assert err.value.code == 404
+    err.value.close()
     assert server.requests_served >= 1
