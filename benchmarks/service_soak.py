@@ -15,15 +15,17 @@ if:
   that query's digest (every stream's identity, metadata and bytes) is
   what the store directory answers, byte for byte, when it is reopened
   with ``StreamStore`` after the daemon shut down,
-* a mid-soak scrape of the daemon's HTTP sidecar returns a **healthy**
+* a mid-soak scrape of the daemon's HTTP endpoints returns a **healthy**
   `/healthz` verdict, a ready `/readyz`, and a parseable `/metrics`
   exposition (the daemon runs with observability + telemetry on),
 * after the last capture, before shutdown, a `/metrics` scrape is the
   daemon's own Prometheus export byte for byte: every recorded value
   was published by the time its command answered,
-* the daemon never runs more than its loop thread and its owner thread
-  (at most 3 live `scapd-*` threads, sampled while the clients are
-  mid-flight, whatever `--clients` is),
+* the daemon never runs a thread but its loop thread and its owner
+  thread: every live thread the soak did not start itself (its client
+  threads, and the drainer threads its `ScapClient`s start) is counted,
+  sampled while the clients are mid-flight and while the mid-soak
+  scrape runs, whatever `--clients` is,
 * every subscriber held its events with contiguous `seq` from 0 (no
   event lost between `subscribe` and the first frame, none inside a
   multi-event frame), and exactly as many as the daemon's final
@@ -63,8 +65,10 @@ from repro.service.protocol import MSG_REQUEST, encode_frame
 from repro.store import StreamStore
 
 GBIT = 1e9
-#: The loop thread and the owner thread, with one to spare.
-MAX_DAEMON_THREADS = 3
+#: The threads the daemon runs, whatever its clients and HTTP peers do.
+DAEMON_THREADS = ("scapd-loop", "scapd-owner")
+#: The name of the thread a ``ScapClient`` reads its subscriptions on.
+CLIENT_DRAINER = "scap-client-drain"
 
 
 class _Held:
@@ -194,7 +198,7 @@ def _check_reopened(store_dir: str, requery: dict, errors: list) -> None:
         errors.append("requery: the reopened store answers differently from the daemon")
 
 
-def _scrape_sidecar(daemon, errors: list) -> dict:
+def _scrape_http(daemon, errors: list) -> dict:
     """Mid-soak HTTP checks: /metrics parses, /healthz healthy, /readyz."""
     host, port = daemon.http_address
     base = f"http://{host}:{port}"
@@ -297,29 +301,41 @@ def _soak(args, daemon, obs: Observability, run_dir: str) -> int:
     ]
     for thread in threads:
         thread.start()
-    # Scrape the sidecar while the clients are mid-flight: the health
-    # verdict must hold *under* the soak's self-inflicted load.
-    time.sleep(1.0)
-    scrape = _scrape_sidecar(daemon, errors)
+    # Scrape the HTTP endpoints while the clients are mid-flight: the
+    # health verdict must hold *under* the soak's self-inflicted load.
+    scrape: dict = {}
+    scraping = threading.Thread(target=lambda: scrape.update(_scrape_http(daemon, errors)))
+    own = {threading.current_thread(), scraping, *threads}
+    daemon_threads: set = set()
     peak_threads = 0
     deadline = time.monotonic() + 600
-    while any(t.is_alive() for t in threads) and time.monotonic() < deadline:
-        peak_threads = max(peak_threads, sum(
-            1 for t in threading.enumerate() if t.name.startswith("scapd-")
-        ))
-        time.sleep(0.05)
-    if peak_threads > MAX_DAEMON_THREADS:
+    scrape_at = time.monotonic() + 1.0
+    while time.monotonic() < deadline:
+        clients_running = any(t.is_alive() for t in threads)
+        if scraping.ident is None:
+            if time.monotonic() >= scrape_at or not clients_running:
+                scraping.start()
+        elif not clients_running and not scraping.is_alive():
+            break
+        names = [
+            t.name for t in threading.enumerate() if t not in own and t.name != CLIENT_DRAINER
+        ]
+        peak_threads = max(peak_threads, len(names))
+        daemon_threads.update(names)
+        time.sleep(0.001 if scraping.is_alive() else 0.05)
+    if not scrape:
+        errors.append("the mid-soak scrape did not finish")
+    if peak_threads > len(DAEMON_THREADS) or daemon_threads - set(DAEMON_THREADS):
         errors.append(
-            f"{peak_threads} live scapd-* threads mid-soak "
-            f"(at most {MAX_DAEMON_THREADS} whatever the client count)"
+            f"the daemon ran {peak_threads} threads at once, named "
+            f"{sorted(daemon_threads)} (only {', '.join(DAEMON_THREADS)} are allowed)"
         )
     elapsed = time.perf_counter() - start
     requery = _requery(path)
     final_scrape = _check_final_scrape(daemon, obs, errors)
 
-    telemetry_history = daemon.telemetry.as_dict() if daemon.telemetry else None
-
     daemon.shutdown()
+    telemetry_history = daemon.telemetry.as_dict() if daemon.telemetry else None
     _check_reopened(store_dir, requery, errors)
     foreign = sorted({record.hook for record in obs.trace} - {HOOK_SPAN})
     if foreign:
@@ -372,7 +388,7 @@ def _soak(args, daemon, obs: Observability, run_dir: str) -> int:
         f"final /metrics compared with the export after {final_scrape['attempts']} "
         "scrape(s); "
         f"{payload['telemetry_samples']} telemetry samples; "
-        f"peak scapd-* threads: {peak_threads}; trace ring: {len(obs.trace)} records, "
+        f"peak daemon threads: {peak_threads}; trace ring: {len(obs.trace)} records, "
         f"{obs.trace.overwritten} overwritten; requery: {requery['streams']} streams, "
         f"{requery['bytes']} bytes, {requery.get('overlapping_connections', 0)} "
         "re-recorded connections"

@@ -64,7 +64,6 @@ class ScapRuntime:
         cost_model: Optional[CostModel] = None,
         locality: Optional[LocalityProfile] = None,
         rss_key: bytes = SYMMETRIC_RSS_KEY,
-        fdir_capacity: int = 8192,
         max_streams: Optional[int] = None,
         enable_load_balancing: bool = False,
         observability: Optional[Observability] = None,
@@ -87,7 +86,7 @@ class ScapRuntime:
         self.fault_injector = fault_injector
         self.host = Host(core_count, self.cost)
         self.nic = SimulatedNIC(
-            queue_count=core_count, rss_key=rss_key, fdir_capacity=fdir_capacity,
+            queue_count=core_count, rss_key=rss_key,
             observability=self.obs, sanitizers=self.sanitizers,
         )
         self.balancer = LoadBalancer(core_count) if enable_load_balancing else None

@@ -9,9 +9,10 @@ qualifiers, protocol keywords, frame-length tests, and the full
 real BPF, omitted qualifiers are inherited from the previous primitive
 (``port 80 or 443``).
 
-The compiled form is a tree of small predicate objects; ``matches``
-evaluates a packet, and ``matches_five_tuple`` evaluates a flow key (for
-kernel-level per-stream classification where only the tuple is known).
+The compiled form is a tree of small predicate objects with one test
+each; ``matches`` evaluates a packet, and ``matches_five_tuple`` a flow
+key (for kernel-level per-stream classification where only the tuple
+is known), where per-frame tests are undecided rather than true.
 """
 
 from __future__ import annotations
@@ -74,10 +75,19 @@ _PROTO_NAMES = {"tcp": IPProtocol.TCP, "udp": IPProtocol.UDP, "icmp": IPProtocol
 
 
 class _Node:
-    def matches(self, packet: Packet) -> bool:
-        raise NotImplementedError
+    """One predicate of the compiled tree, evaluated one way for frames
+    and for flows.
 
-    def matches_five_tuple(self, five_tuple: FiveTuple) -> bool:
+    ``test(flow, wire_len, vlan)`` takes a frame's five-tuple (None for
+    a non-IP frame), its wire length and its VLAN id (None untagged).
+    A flow has only its tuple: it is tested with ``wire_len`` None, and
+    a per-frame test then answers None — undecided — instead of True or
+    False.  ``and``, ``or`` and ``not`` carry the None through, so a
+    flow is refused only where no frame of it could match.
+    """
+
+    def test(self, flow: Optional[FiveTuple], wire_len: Optional[int],
+             vlan: Optional[int]) -> Optional[bool]:
         raise NotImplementedError
 
 
@@ -86,13 +96,14 @@ class _And(_Node):
     left: _Node
     right: _Node
 
-    def matches(self, packet: Packet) -> bool:
-        return self.left.matches(packet) and self.right.matches(packet)
-
-    def matches_five_tuple(self, five_tuple: FiveTuple) -> bool:
-        return self.left.matches_five_tuple(five_tuple) and self.right.matches_five_tuple(
-            five_tuple
-        )
+    def test(self, flow, wire_len, vlan):
+        left = self.left.test(flow, wire_len, vlan)
+        if left is False:
+            return False
+        right = self.right.test(flow, wire_len, vlan)
+        if right is False:
+            return False
+        return None if left is None or right is None else True
 
 
 @dataclass
@@ -100,37 +111,33 @@ class _Or(_Node):
     left: _Node
     right: _Node
 
-    def matches(self, packet: Packet) -> bool:
-        return self.left.matches(packet) or self.right.matches(packet)
-
-    def matches_five_tuple(self, five_tuple: FiveTuple) -> bool:
-        return self.left.matches_five_tuple(five_tuple) or self.right.matches_five_tuple(
-            five_tuple
-        )
+    def test(self, flow, wire_len, vlan):
+        left = self.left.test(flow, wire_len, vlan)
+        if left is True:
+            return True
+        right = self.right.test(flow, wire_len, vlan)
+        if right is True:
+            return True
+        return None if left is None or right is None else False
 
 
 @dataclass
 class _Not(_Node):
     operand: _Node
 
-    def matches(self, packet: Packet) -> bool:
-        return not self.operand.matches(packet)
-
-    def matches_five_tuple(self, five_tuple: FiveTuple) -> bool:
-        return not self.operand.matches_five_tuple(five_tuple)
+    def test(self, flow, wire_len, vlan):
+        value = self.operand.test(flow, wire_len, vlan)
+        return None if value is None else not value
 
 
 @dataclass
 class _Proto(_Node):
     protocol: Optional[int]  # None means "any IP"
 
-    def matches(self, packet: Packet) -> bool:
-        if packet.ip is None:
+    def test(self, flow, wire_len, vlan):
+        if flow is None:
             return False
-        return self.protocol is None or packet.ip.protocol == self.protocol
-
-    def matches_five_tuple(self, five_tuple: FiveTuple) -> bool:
-        return self.protocol is None or five_tuple.protocol == self.protocol
+        return self.protocol is None or flow.protocol == self.protocol
 
 
 @dataclass
@@ -139,22 +146,14 @@ class _Host(_Node):
     direction: Optional[str]
     protocol: Optional[int]
 
-    def _match_tuple(self, src_ip: int, dst_ip: int, protocol: int) -> bool:
-        if self.protocol is not None and protocol != self.protocol:
+    def test(self, flow, wire_len, vlan):
+        if flow is None or (self.protocol is not None and flow.protocol != self.protocol):
             return False
         if self.direction == _DIR_SRC:
-            return src_ip == self.address
+            return flow.src_ip == self.address
         if self.direction == _DIR_DST:
-            return dst_ip == self.address
-        return self.address in (src_ip, dst_ip)
-
-    def matches(self, packet: Packet) -> bool:
-        if packet.ip is None:
-            return False
-        return self._match_tuple(packet.ip.src_ip, packet.ip.dst_ip, packet.ip.protocol)
-
-    def matches_five_tuple(self, five_tuple: FiveTuple) -> bool:
-        return self._match_tuple(five_tuple.src_ip, five_tuple.dst_ip, five_tuple.protocol)
+            return flow.dst_ip == self.address
+        return self.address in (flow.src_ip, flow.dst_ip)
 
 
 @dataclass
@@ -164,24 +163,16 @@ class _Net(_Node):
     direction: Optional[str]
     protocol: Optional[int]
 
-    def _match_tuple(self, src_ip: int, dst_ip: int, protocol: int) -> bool:
-        if self.protocol is not None and protocol != self.protocol:
+    def test(self, flow, wire_len, vlan):
+        if flow is None or (self.protocol is not None and flow.protocol != self.protocol):
             return False
-        src_in = (src_ip & self.mask) == self.network
-        dst_in = (dst_ip & self.mask) == self.network
+        src_in = (flow.src_ip & self.mask) == self.network
+        dst_in = (flow.dst_ip & self.mask) == self.network
         if self.direction == _DIR_SRC:
             return src_in
         if self.direction == _DIR_DST:
             return dst_in
         return src_in or dst_in
-
-    def matches(self, packet: Packet) -> bool:
-        if packet.ip is None:
-            return False
-        return self._match_tuple(packet.ip.src_ip, packet.ip.dst_ip, packet.ip.protocol)
-
-    def matches_five_tuple(self, five_tuple: FiveTuple) -> bool:
-        return self._match_tuple(five_tuple.src_ip, five_tuple.dst_ip, five_tuple.protocol)
 
 
 @dataclass
@@ -191,26 +182,18 @@ class _Port(_Node):
     direction: Optional[str]
     protocol: Optional[int]
 
-    def _match_ports(self, src_port: int, dst_port: int, protocol: int) -> bool:
-        if self.protocol is not None and protocol != self.protocol:
+    def test(self, flow, wire_len, vlan):
+        if flow is None or (self.protocol is not None and flow.protocol != self.protocol):
             return False
-        if protocol not in (IPProtocol.TCP, IPProtocol.UDP):
+        if flow.protocol not in (IPProtocol.TCP, IPProtocol.UDP):
             return False
-        src_in = self.low <= src_port <= self.high
-        dst_in = self.low <= dst_port <= self.high
+        src_in = self.low <= flow.src_port <= self.high
+        dst_in = self.low <= flow.dst_port <= self.high
         if self.direction == _DIR_SRC:
             return src_in
         if self.direction == _DIR_DST:
             return dst_in
         return src_in or dst_in
-
-    def matches(self, packet: Packet) -> bool:
-        if packet.ip is None:
-            return False
-        return self._match_ports(packet.src_port, packet.dst_port, packet.ip.protocol)
-
-    def matches_five_tuple(self, five_tuple: FiveTuple) -> bool:
-        return self._match_ports(five_tuple.src_port, five_tuple.dst_port, five_tuple.protocol)
 
 
 @dataclass
@@ -218,35 +201,24 @@ class _Length(_Node):
     limit: int
     less: bool
 
-    def matches(self, packet: Packet) -> bool:
-        if self.less:
-            return packet.wire_len <= self.limit
-        return packet.wire_len >= self.limit
-
-    def matches_five_tuple(self, five_tuple: FiveTuple) -> bool:
-        # Length tests are per-packet; at flow level they are vacuous.
-        return True
+    def test(self, flow, wire_len, vlan):
+        if wire_len is None:
+            return None
+        return wire_len <= self.limit if self.less else wire_len >= self.limit
 
 
 @dataclass
 class _Vlan(_Node):
     vlan_id: Optional[int]  # None: any tagged frame
 
-    def matches(self, packet: Packet) -> bool:
-        if packet.vlan_id is None:
-            return False
-        return self.vlan_id is None or packet.vlan_id == self.vlan_id
-
-    def matches_five_tuple(self, five_tuple: FiveTuple) -> bool:
-        # VLAN tags are per-frame; vacuous at flow level.
-        return True
+    def test(self, flow, wire_len, vlan):
+        if wire_len is None:
+            return None
+        return vlan is not None and (self.vlan_id is None or vlan == self.vlan_id)
 
 
 class _MatchAll(_Node):
-    def matches(self, packet: Packet) -> bool:
-        return True
-
-    def matches_five_tuple(self, five_tuple: FiveTuple) -> bool:
+    def test(self, flow, wire_len, vlan):
         return True
 
 
@@ -468,11 +440,14 @@ class BPFFilter:
 
     def matches(self, packet: Packet) -> bool:
         """True if ``packet`` satisfies the expression."""
-        return self._root.matches(packet)
+        return self._root.test(packet.five_tuple, packet.wire_len, packet.vlan_id) is True
 
     def matches_five_tuple(self, five_tuple: FiveTuple) -> bool:
-        """True if a flow with ``five_tuple`` can satisfy the expression."""
-        return self._root.matches_five_tuple(five_tuple)
+        """True if a flow with ``five_tuple`` can satisfy the expression.
+
+        A per-frame test (length, VLAN) that would decide the answer
+        leaves it True: some frame of the flow may pass it."""
+        return self._root.test(five_tuple, None, None) is not False
 
     def __repr__(self) -> str:
         return f"BPFFilter({self.expression!r})"

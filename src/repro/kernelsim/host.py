@@ -14,29 +14,29 @@ from typing import List
 from .costmodel import CostModel, DEFAULT_COST_MODEL
 from .server import QueueServer
 
-__all__ = ["Host"]
+__all__ = ["Host", "RX_RING_PACKETS"]
+
+#: Packets each per-queue NIC descriptor ring holds: if the softirq
+#: handler falls that far behind, the NIC drops on the wire side (rare
+#: in practice — the ring to user space fills first).
+RX_RING_PACKETS = 4096
 
 
 class Host:
-    """Cores plus per-core software-interrupt queue servers.
-
-    ``rx_ring_packets`` bounds the per-queue NIC descriptor ring: if the
-    softirq handler falls that far behind, the NIC drops on the wire
-    side (rare in practice — the ring to user space fills first).
-    """
+    """Cores plus per-core software-interrupt queue servers, each
+    bounded by :data:`RX_RING_PACKETS`."""
 
     def __init__(
         self,
         core_count: int = 8,
         cost_model: CostModel = DEFAULT_COST_MODEL,
-        rx_ring_packets: int = 4096,
     ):
         if core_count < 1:
             raise ValueError("need at least one core")
         self.core_count = core_count
         self.cost_model = cost_model
         self.softirq: List[QueueServer] = [
-            QueueServer(rx_ring_packets, name=f"softirq-core{core}")
+            QueueServer(RX_RING_PACKETS, name=f"softirq-core{core}")
             for core in range(core_count)
         ]
 

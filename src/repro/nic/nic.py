@@ -47,15 +47,12 @@ class SimulatedNIC:
         self,
         queue_count: int = 8,
         rss_key: bytes = SYMMETRIC_RSS_KEY,
-        fdir_capacity: int = 8192,
         observability: Optional[Observability] = None,
         sanitizers: Optional[object] = None,
     ):
         self.queue_count = queue_count
         self.rss = RSSHasher(queue_count, key=rss_key)
-        self.fdir = FlowDirectorTable(
-            fdir_capacity, observability=observability, sanitizers=sanitizers
-        )
+        self.fdir = FlowDirectorTable(observability=observability, sanitizers=sanitizers)
         self.offload = OffloadEngine(self.fdir, self.rss, queue_count)
         self.stats = NICStats(per_queue=[0] * queue_count)
 

@@ -147,7 +147,8 @@ class SpanRecorder:
         self.trace = trace
         self.clock = clock
         self.prefix = prefix
-        # In the daemon: scapd-loop and scapd-owner both start spans here.
+        # A client's caller threads share its recorder; the daemon's is
+        # the loop thread's alone.
         self._lock = threading.Lock()
         self._next_id = 0
         self.recorded = 0
@@ -183,8 +184,19 @@ class SpanRecorder:
             fields=dict(fields),
         )
 
-    def _finish(self, span: Span, status: str) -> SpanRecord:
-        duration = self.clock() - span.start
+    def record(
+        self, name: str, kind: str, parent: Span, start: float, end: float,
+        status: str = "ok", **fields,
+    ) -> SpanRecord:
+        """Record a child of ``parent`` that ran from ``start`` to ``end``
+        on this recorder's clock, timed by another thread (the daemon's
+        owner times its commands; the loop records them)."""
+        span = Span(self, parent.trace_id, self._allocate_id(), parent.span_id,
+                    name, kind, start, fields)
+        return self._finish(span, status, end)
+
+    def _finish(self, span: Span, status: str, end: Optional[float] = None) -> SpanRecord:
+        duration = (self.clock() if end is None else end) - span.start
         record = SpanRecord(
             trace_id=span.trace_id,
             span_id=span.span_id,

@@ -16,7 +16,6 @@ clock (packet timestamps), the daemon's loop-thread timer passes
 from __future__ import annotations
 
 import json
-import threading
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Deque, Dict, List, Optional
@@ -72,9 +71,8 @@ class TelemetryRing:
 
     ``sample`` is unconditional; ``maybe_sample`` applies the cadence
     so hot loops can call it every batch and still pay one snapshot
-    per interval.  All access is lock-protected: a timer on the
-    daemon's loop thread samples while the HTTP sidecar thread reads
-    history.
+    per interval.  One thread owns a ring: in the daemon, the loop
+    thread samples it and answers every reader.
     """
 
     def __init__(
@@ -93,8 +91,6 @@ class TelemetryRing:
         self._samples: Deque[TelemetrySample] = deque(maxlen=capacity)
         self._kinds: Dict[str, str] = {}
         self._families: Dict[str, List[str]] = {}
-        # In the daemon: scapd-loop samples, the HTTP sidecar's request threads read.
-        self._lock = threading.Lock()
         self.sampled = 0
         self.skipped = 0
 
@@ -102,41 +98,35 @@ class TelemetryRing:
         """Snapshot the registry at injected time ``now``."""
         values, kinds, families = _flatten(self.registry)
         entry = TelemetrySample(time=now, values=values)
-        with self._lock:
-            self._samples.append(entry)
-            self._kinds.update(kinds)
-            self._families = families
-            self.sampled += 1
+        self._samples.append(entry)
+        self._kinds.update(kinds)
+        self._families = families
+        self.sampled += 1
         return entry
 
     def maybe_sample(self, now: float) -> Optional[TelemetrySample]:
         """Snapshot only if at least one cadence has elapsed."""
-        with self._lock:
-            if self._samples and now - self._samples[-1].time < self.cadence:
-                self.skipped += 1
-                return None
+        if self._samples and now - self._samples[-1].time < self.cadence:
+            self.skipped += 1
+            return None
         return self.sample(now)
 
     def __len__(self) -> int:
-        with self._lock:
-            return len(self._samples)
+        return len(self._samples)
 
     def history(self) -> List[TelemetrySample]:
         """All retained samples, oldest first."""
-        with self._lock:
-            return list(self._samples)
+        return list(self._samples)
 
     def latest(self) -> Optional[TelemetrySample]:
         """The most recent sample, or None before the first one."""
-        with self._lock:
-            return self._samples[-1] if self._samples else None
+        return self._samples[-1] if self._samples else None
 
     def window(self) -> "tuple[Optional[TelemetrySample], Optional[TelemetrySample]]":
         """The last two samples ``(previous, latest)``; Nones until both exist."""
-        with self._lock:
-            if len(self._samples) < 2:
-                return None, None
-            return self._samples[-2], self._samples[-1]
+        if len(self._samples) < 2:
+            return None, None
+        return self._samples[-2], self._samples[-1]
 
     def rates(self) -> Dict[str, float]:
         """Per-second rates of every counter key over the last interval.
@@ -150,8 +140,7 @@ class TelemetryRing:
         dt = latest.time - previous.time
         if dt <= 0:
             return {}
-        with self._lock:
-            kinds = dict(self._kinds)
+        kinds = self._kinds
         out: Dict[str, float] = {}
         for key, value in latest.values.items():
             if kinds.get(key) != "counter":
@@ -169,18 +158,14 @@ class TelemetryRing:
         rates = self.rates()
         if not rates and len(self) < 2:
             return None
-        with self._lock:
-            keys = list(self._families.get(family, ()))
-        return sum(rates.get(key, 0.0) for key in keys)
+        return sum(rates.get(key, 0.0) for key in self._families.get(family, ()))
 
     def gauge_value(self, family: str) -> float:
         """Summed latest value across one family's children (0.0 if absent)."""
         latest = self.latest()
         if latest is None:
             return 0.0
-        with self._lock:
-            keys = list(self._families.get(family, ()))
-        return sum(latest.values.get(key, 0.0) for key in keys)
+        return sum(latest.values.get(key, 0.0) for key in self._families.get(family, ()))
 
     def as_dict(self) -> Dict[str, object]:
         """The full history as a plain dict (wire/JSON shape)."""

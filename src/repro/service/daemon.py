@@ -27,14 +27,15 @@ the final ledger.  The trace ring holds only spans, for ``spans``.
 
 Threading model (``docs/SERVICE.md`` has the full table): two threads
 whose state never overlaps, whatever the number of clients.  **The loop
-thread** (this module) runs one ``selectors`` loop over every socket
-and owns the sessions, the runtime config, the lifecycle flags, the
-client-plane fault draws and a timer heap; cheap commands are answered
-inline on it.  **The owner thread** (:mod:`repro.service.owner`) is the
-only code that touches a ``ScapSocket`` or the ``StreamStore``; its
-events and completions come back through the loop's one bounded inbox,
-in order.  Foreign threads calling the public methods post to the same
-inbox and wait.  Nothing is locked because nothing is shared.
+thread** (this module) runs one ``selectors`` loop over every socket —
+the HTTP endpoints' too — and owns the sessions, the runtime config,
+the lifecycle flags, the client-plane fault draws, the trace ring and a
+timer heap; cheap commands are answered inline on it.  **The owner
+thread** (:mod:`repro.service.owner`) is the only code that touches a
+``ScapSocket`` or the ``StreamStore``; its events and completions come
+back through the loop's one bounded inbox, in order.  Foreign threads
+calling the public methods post to the same inbox and wait.  Nothing
+is locked because nothing is shared.
 """
 
 from __future__ import annotations
@@ -59,8 +60,8 @@ from ..observability import (
     SpanTreeReconstructor,
     TelemetryRing,
 )
-from ..observability.spans import KIND_INTERNAL, KIND_SERVER, Span
-from .health import DEFAULT_HEALTH_RULES, HealthReport, HealthServer, evaluate_health
+from ..observability.spans import KIND_INTERNAL, KIND_SERVER, KIND_STORE, Span
+from .health import DEFAULT_HEALTH_RULES, HealthReport, evaluate_health, http_response
 from .owner import EVENT_BURST, POST_DONE, POST_EVENTS, CaptureOwner, guarded, store_stats
 from .protocol import (
     COMMANDS,
@@ -87,6 +88,7 @@ from .protocol import (
     ProtocolError,
     ServiceError,
     frame_parts,
+    write_parts,
 )
 from .session import ClientQuotas, ClientSession
 
@@ -117,6 +119,10 @@ RELOAD_DRAIN_SECONDS = 5.0
 #: What a handler returns when the response comes later (from the
 #: owner thread, or when a reload finishes).
 DEFERRED: Tuple[None, bytes] = (None, b"")
+#: Bytes of an HTTP request head read before it is answered 431.
+HTTP_HEAD_BYTES = 8192
+#: Seconds an HTTP peer is kept, from its accept, whatever it is doing.
+HTTP_DEADLINE_SECONDS = 10.0
 
 
 @dataclass
@@ -142,9 +148,11 @@ class DaemonConfig:
     max_frame_bytes: int = MAX_FRAME_BYTES
     #: Wall-clock seconds between telemetry-ring samples.
     telemetry_cadence: float = 1.0
-    #: Bind the HTTP health sidecar here (None = no sidecar).
-    #: Port 0 picks a free port; read it back from ``http_address``.
+    #: Serve ``/metrics``, ``/healthz`` and ``/readyz`` over HTTP on this
+    #: host, from the loop thread (None = no HTTP).  Port 0 picks a
+    #: free port; read it back from ``http_address``.
     http_host: Optional[str] = None
+    #: The HTTP port (see ``http_host``).
     http_port: int = 0
 
     def validate(self) -> None:
@@ -261,7 +269,7 @@ class _Request:
     request_id: int
     command: str
     #: ``daemon:<command>`` and ``handler:<command>`` (tracing only);
-    #: the owner parents its capture/store spans under the latter.
+    #: the owner's capture/store hop is recorded under the latter.
     span: Optional[Span] = None
     handler_span: Optional[Span] = None
 
@@ -274,6 +282,18 @@ class _Reload:
     #: ``time.monotonic()`` after which client queues are not waited for.
     deadline: float
     sealed: Optional[int] = None
+
+
+class _HttpPeer:
+    """One HTTP connection: the request head read so far, then the
+    response's unsent parts (None until it is rendered)."""
+
+    __slots__ = ("sock", "head", "unsent")
+
+    def __init__(self, sock: socket_module.socket):
+        self.sock = sock
+        self.head = bytearray()
+        self.unsent: Optional[List] = None
 
 
 class ScapDaemon:
@@ -326,9 +346,6 @@ class ScapDaemon:
         #: Ledger snapshots of sessions that finished (id -> dict).
         self.final_ledgers: Dict[int, Dict[str, object]] = {}
         self._balanced = True
-        #: For the sidecar thread and foreign callers: the loop
-        #: publishes a new dict by rebinding, never by mutation.
-        self._facts: Dict[str, object] = {"ledgers_balanced": True, "ready": False}
         # Families are registered here, on the registry's owning
         # thread (children pre-created); the loop only increments.
         registry = self._obs.registry
@@ -363,9 +380,9 @@ class ScapDaemon:
             self.telemetry = TelemetryRing(
                 registry, cadence=self.config.telemetry_cadence
             )
-        #: The HTTP sidecar (started by :meth:`start` when configured).
-        self.health_server: Optional[HealthServer] = None
-        #: Bound ``(host, port)`` of the sidecar once it is listening.
+        #: The HTTP listener (bound by :meth:`start` when configured).
+        self._http_listener: Optional[socket_module.socket] = None
+        #: Bound ``(host, port)`` of the HTTP listener.
         self.http_address: Optional[Tuple[str, int]] = None
         # The inbox is the one way in from any other thread; a byte on
         # the wake pipe tells a sleeping ``select`` it is not empty.
@@ -385,7 +402,6 @@ class ScapDaemon:
             self.store,
             memory_size=self.config.memory_size,
             core_count=self.config.core_count,
-            tracer=self._spans,
             post=self._post,
         )
         #: One ``_cmd_<name>`` per command of the protocol's catalogue:
@@ -411,37 +427,33 @@ class ScapDaemon:
 
     def add_tcp_listener(self, host: str = "127.0.0.1", port: int = 0) -> Tuple[str, int]:
         """Bind a TCP listener; returns (host, actual port)."""
-        sock = socket_module.socket(socket_module.AF_INET, socket_module.SOCK_STREAM)
-        sock.setsockopt(socket_module.SOL_SOCKET, socket_module.SO_REUSEADDR, 1)
-        sock.bind((host, port))
-        sock.listen(64)
+        sock = socket_module.create_server((host, port), backlog=64)
         bound = sock.getsockname()
         self._on_loop(self._add_listener, sock, f"tcp:{bound[0]}:{bound[1]}")
         return bound[0], bound[1]
 
     def start(self) -> None:
-        """Start the loop thread, the owner thread, and the sidecar."""
+        """Bind the HTTP listener (when configured), then start the loop
+        thread and the owner thread."""
         if self._loop_thread is not None:
             return
         if self.telemetry is not None:
             self._call_at(
                 time.monotonic() + self.config.telemetry_cadence, self._telemetry_tick
             )
+        if self.config.http_host is not None:
+            sock = socket_module.create_server(
+                (self.config.http_host, self.config.http_port), backlog=64
+            )
+            sock.setblocking(False)
+            host, port = sock.getsockname()[:2]
+            self._http_listener, self.http_address = sock, (host, port)
+            self._selector.register(sock, selectors.EVENT_READ, f"http:{host}:{port}")
         self._loop_thread = threading.Thread(
             target=self._run_loop, name="scapd-loop", daemon=True
         )
-        self._publish_facts()
         self._owner.thread.start()
         self._loop_thread.start()
-        if self.config.http_host is not None:
-            self.health_server = HealthServer(
-                self._obs.registry,
-                self.telemetry,
-                self.health_structural,
-                host=self.config.http_host,
-                port=self.config.http_port,
-            )
-            self.http_address = self.health_server.start()
 
     def serve_forever(self) -> None:
         """Serve until a shutdown has *completed*: clients drained,
@@ -465,19 +477,13 @@ class ScapDaemon:
         self._on_loop(self._begin_reload, reply.put)
         return reply.get()
 
-    def health_structural(self) -> Dict[str, object]:
-        """Non-rate facts the health verdict folds in: readiness, and
-        ledger balance over *retired* sessions (a live one has events
-        queued but not yet written)."""
-        return self._facts
-
     def health_report(self) -> HealthReport:
-        """Evaluate the default rule set right now (command + sidecar)."""
-        return evaluate_health(self.telemetry, DEFAULT_HEALTH_RULES, self._facts)
+        """Evaluate the default rule set right now, on the loop."""
+        return self._on_loop(self._health)
 
     def ledgers_balanced(self) -> bool:
         """True when every retired client's ledger reconciles."""
-        return bool(self._facts["ledgers_balanced"])
+        return self._on_loop(lambda: self._balanced)
 
     # ------------------------------------------------------------------
     # Getting onto the loop
@@ -538,6 +544,8 @@ class ScapDaemon:
                         # it set has put its item where the drain finds it.
                         self._wake_sent = False
                         self._drain_inbox()
+                    elif type(target) is _HttpPeer:
+                        self._on_http(target)
                     else:
                         self._on_accept(key.fileobj, target)
         finally:
@@ -589,6 +597,12 @@ class ScapDaemon:
             conn, _addr = listener.accept()
         except OSError:
             return
+        if label.startswith("http:"):  # answered also while not ready: /readyz says so
+            conn.setblocking(False)
+            peer = _HttpPeer(conn)
+            self._selector.register(conn, selectors.EVENT_READ, peer)
+            self._call_at(time.monotonic() + HTTP_DEADLINE_SECONDS, self._http_close, peer)
+            return
         if not self._ready():
             conn.close()
             return
@@ -615,18 +629,68 @@ class ScapDaemon:
             self._m_active.set(len(self._sessions))
         self._rearm(session)
 
-    def _publish_facts(self) -> None:
-        self._facts = {
-            "ledgers_balanced": self._balanced,
-            "ready": self._ready(),
-        }
-
     def _ready(self) -> bool:
         return (
             self._loop_thread is not None
             and not self._closing
             and self._reload is None
         )
+
+    def _health(self) -> HealthReport:
+        """The default rules' verdict, with readiness and the ledger
+        balance of *retired* sessions (a live one has events queued but
+        not yet written)."""
+        facts = {"ledgers_balanced": self._balanced, "ready": self._ready()}
+        return evaluate_health(self.telemetry, DEFAULT_HEALTH_RULES, facts)
+
+    # ------------------------------------------------------------------
+    # HTTP: /metrics, /healthz, /readyz, one exchange per connection
+    # ------------------------------------------------------------------
+    def _on_http(self, peer: _HttpPeer) -> None:
+        try:
+            if not self._advance_http(peer):
+                return
+        except BlockingIOError:
+            return
+        except OSError:
+            pass  # the peer is gone
+        except Exception:  # noqa: BLE001 — costs that peer, not the daemon
+            traceback.print_exc()
+        self._http_close(peer)
+
+    def _advance_http(self, peer: _HttpPeer) -> bool:
+        """Read the request head, write the response, then read (and
+        discard) until the peer hangs up, so that closing never resets
+        a response it has not read; True once the exchange is over."""
+        sock = peer.sock
+        if peer.unsent is None:
+            data = sock.recv(HTTP_HEAD_BYTES + 1 - len(peer.head))
+            if not data:
+                return True
+            peer.head += data
+            end = peer.head.find(b"\r\n\r\n")
+            if end < 0 and len(peer.head) <= HTTP_HEAD_BYTES:
+                return False
+            head = bytes(peer.head[:end]) if end >= 0 else None
+            peer.unsent = http_response(head, self._obs.registry, self._health)
+        elif not peer.unsent:
+            return not sock.recv(RECV_BYTES)
+        try:
+            write_parts(sock, peer.unsent)
+        except BlockingIOError:
+            pass
+        if peer.unsent:
+            self._selector.modify(sock, selectors.EVENT_WRITE, peer)
+        else:
+            sock.shutdown(socket_module.SHUT_WR)
+            self._selector.modify(sock, selectors.EVENT_READ, peer)
+        return False
+
+    def _http_close(self, peer: _HttpPeer) -> None:
+        """End an HTTP exchange (the deadline's timer, too, calls this)."""
+        if peer.sock.fileno() >= 0:
+            self._selector.unregister(peer.sock)
+            peer.sock.close()
 
     # ------------------------------------------------------------------
     # Telemetry (a timer on the loop's clock)
@@ -806,13 +870,19 @@ class ScapDaemon:
         request.session.inflight = None
         self._serve(request.session)
 
-    def _on_done(self, token, status: str, header: Any, payload: Payload, stats) -> None:
-        """The owner finished ``token``'s command: answer it."""
+    def _on_done(
+        self, token, status: str, header: Any, payload: Payload, stats,
+        started: float, ended: float,
+    ) -> None:
+        """The owner finished ``token``'s command (its body ran from
+        ``started`` to ``ended``): answer it."""
         self._store_stats = stats
         if isinstance(token, _Reload):
             token.sealed = header["sealed_segments"]
             self._reload_progress()
             return
+        if token.handler_span is not None:
+            self._record_owner_span(token, status, header, started, ended)
         if status == "ok" and token.command == "submit_trace":
             summary = header["result"]
             self._captures += 1
@@ -822,6 +892,27 @@ class ScapDaemon:
                 if summary["dropped_packets"]:
                     self._m_capture_dropped.inc(summary["dropped_packets"])
         self._resume(token, status, header, payload)
+
+    def _record_owner_span(
+        self, request: _Request, status: str, header: Any, started: float, ended: float
+    ) -> None:
+        """Record the owner's hop of ``request`` under its handler span;
+        its fields come from the reply header."""
+        fields: Dict[str, Any] = {}
+        if request.command == "submit_trace":
+            name, kind = "capture:run", KIND_INTERNAL
+            if status == "ok":
+                summary = header["result"]
+                fields = {
+                    "capture": summary["name"],
+                    "offered_packets": summary["offered_packets"],
+                    "dropped_packets": summary["dropped_packets"],
+                }
+        else:
+            name, kind = "store:query", KIND_STORE
+            if status == "ok":
+                fields = {"streams": header["streams"], "bytes": header["total_bytes"]}
+        self._spans.record(name, kind, request.handler_span, started, ended, status, **fields)
 
     def _pump(self, session: ClientSession) -> None:
         """Write what the socket takes; finalize a closing session that
@@ -896,7 +987,6 @@ class ScapDaemon:
             self._balanced = False
         if self._obs.enabled:
             self._m_active.set(len(self._sessions))
-        self._publish_facts()
         self._reload_progress()
         if self._draining and not self._sessions:
             self._finish_shutdown()
@@ -1003,7 +1093,7 @@ class ScapDaemon:
     def _cmd_submit_trace(self, request: _Request, frame: Frame):
         """Queue a capture under the runtime config as it is now."""
         self._owner.submit(
-            request, self._owner.capture, request.handler_span, frame.header, frame.payload,
+            request, self._owner.capture, frame.header, frame.payload,
             f"remote-{request.session.client_id}", tuple(self._filters.values()),
             self._cutoff, tuple(self._priorities.values()),
         )
@@ -1105,7 +1195,7 @@ class ScapDaemon:
     def _cmd_query(self, request: _Request, frame: Frame):
         self._require_rows(request, "query")
         self._require_store()
-        self._owner.submit(request, self._owner.query, request.handler_span, frame.header)
+        self._owner.submit(request, self._owner.query, frame.header)
         return DEFERRED
 
     # -- introspection and control --------------------------------------
@@ -1160,8 +1250,8 @@ class ScapDaemon:
         return ({"telemetry": payload}, b"")
 
     def _cmd_health(self, request: _Request, frame: Frame):
-        """The health verdict, same shape the sidecar's /healthz serves."""
-        return ({"health": self.health_report().as_dict()}, b"")
+        """The health verdict, same shape ``/healthz`` serves."""
+        return ({"health": self._health().as_dict()}, b"")
 
     def _require_control(self) -> None:
         if not self.config.allow_control:
@@ -1191,7 +1281,6 @@ class ScapDaemon:
             done({"sealed_segments": 0, "drained_clients": 0})
             return
         self._reload = reload = _Reload(done, time.monotonic() + RELOAD_DRAIN_SECONDS)
-        self._publish_facts()
         self._owner.submit(reload, self._owner.flush)
         self._call_at(reload.deadline, self._reload_progress)
 
@@ -1207,7 +1296,6 @@ class ScapDaemon:
         if waiting and time.monotonic() < reload.deadline:
             return
         self._reload = None
-        self._publish_facts()
         reload.done(
             {
                 "sealed_segments": reload.sealed,
@@ -1222,7 +1310,6 @@ class ScapDaemon:
             return
         self._closing = True
         self._drain_timeout = drain_timeout
-        self._publish_facts()
         for sock, label in self._listeners:
             self._selector.unregister(sock)
             sock.close()
@@ -1248,9 +1335,13 @@ class ScapDaemon:
             self._finish_shutdown()
 
     def _finish_shutdown(self) -> None:
-        if self.health_server is not None:
-            self.health_server.stop()
-            self.health_server = None
+        # HTTP is answered until here: /readyz says 503 while clients drain.
+        if self._http_listener is not None:
+            self._selector.unregister(self._http_listener)
+            self._http_listener.close()
+        for key in list(self._selector.get_map().values()):
+            if type(key.data) is _HttpPeer:
+                self._http_close(key.data)
         if self._obs.enabled:
             self._m_active.set(0)
         self._done = True

@@ -1,10 +1,11 @@
-"""Health/SLO surface: declarative rules plus an HTTP sidecar.
+"""Health/SLO surface: declarative rules and the HTTP endpoints.
 
 StreaMon's argument (PAPERS.md) is that continuously-evaluated
 conditions over monitoring state should become actionable signals.
 Here the state is the daemon's :class:`TelemetryRing` — cadenced
 registry snapshots with derived rates — and the signals are three
-endpoints a load balancer or operator can scrape:
+endpoints a load balancer or operator can scrape (the daemon's loop
+thread serves them; :func:`http_response` renders each answer):
 
 * ``/metrics`` — the Prometheus text exposition, produced by the very
   same :func:`~repro.observability.exporters.to_prometheus` call that
@@ -24,9 +25,8 @@ injected by the daemon and fail the verdict outright.
 from __future__ import annotations
 
 import json
-import threading
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from ..observability.exporters import to_prometheus
 from ..observability.telemetry import TelemetryRing
@@ -39,7 +39,7 @@ __all__ = [
     "DEFAULT_HEALTH_RULES",
     "HealthReport",
     "evaluate_health",
-    "HealthServer",
+    "http_response",
 ]
 
 VERDICT_HEALTHY = "healthy"
@@ -48,6 +48,13 @@ VERDICT_UNHEALTHY = "unhealthy"
 
 MODE_RATE = "rate"
 MODE_VALUE = "value"
+
+#: The statuses :func:`http_response` answers with, and their reasons.
+_REASONS = {
+    200: "OK", 400: "Bad Request", 404: "Not Found",
+    431: "Request Header Fields Too Large", 501: "Not Implemented",
+    503: "Service Unavailable",
+}
 
 
 @dataclass(frozen=True)
@@ -195,102 +202,47 @@ def evaluate_health(
     )
 
 
-class HealthServer:
-    """The HTTP sidecar: ``/metrics``, ``/healthz``, ``/readyz``.
+def http_response(
+    head: Optional[bytes], registry, report: Callable[[], HealthReport]
+) -> List[bytes]:
+    """The HTTP/1.0 response to one request, as its head and its body.
 
-    A ``ThreadingHTTPServer`` on its own daemon thread; every handler
-    is read-only over the registry/ring, so it needs no daemon locks.
-    Construct with callables so the sidecar stays decoupled from the
-    daemon's internals (and testable against fakes).  ``http.server``
-    is imported here, so only a daemon started with ``--http`` loads it.
+    ``head`` is the request line and header lines (without the blank
+    line that ends them), or None when they outgrew the reader's bound.
+    ``GET /metrics`` answers :func:`to_prometheus` of ``registry`` byte
+    for byte; ``/healthz`` and ``/readyz`` call ``report``.  As the
+    standard library's HTTP server would, a malformed request line gets
+    400, a method other than GET 501 and another path 404; an oversized
+    head gets 431.  Every response closes its connection.
     """
-
-    def __init__(
-        self,
-        registry,
-        ring: Optional[TelemetryRing],
-        structural,
-        host: str = "127.0.0.1",
-        port: int = 0,
-        rules: Tuple[HealthRule, ...] = DEFAULT_HEALTH_RULES,
-    ):
-        from http.server import ThreadingHTTPServer
-
-        self.registry = registry
-        self.ring = ring
-        self._structural = structural  # () -> Dict[str, object]
-        self.rules = rules
-        self._httpd = ThreadingHTTPServer((host, port), self._make_handler())
-        self._httpd.daemon_threads = True
-        self._thread: Optional[threading.Thread] = None
-        self.requests_served = 0
-
-    @property
-    def address(self) -> Tuple[str, int]:
-        """The bound ``(host, port)`` (port resolved when 0 was asked)."""
-        host, port = self._httpd.server_address[:2]
-        return str(host), int(port)
-
-    def report(self) -> HealthReport:
-        """Evaluate health right now (shared by HTTP and the command)."""
-        return evaluate_health(self.ring, self.rules, self._structural())
-
-    def start(self) -> Tuple[str, int]:
-        """Start serving; returns the bound address."""
-        self._thread = threading.Thread(
-            target=self._httpd.serve_forever,
-            name="scap-health-http",
-            daemon=True,
-        )
-        self._thread.start()
-        return self.address
-
-    def stop(self) -> None:
-        """Stop the listener and join its thread."""
-        self._httpd.shutdown()
-        self._httpd.server_close()
-        if self._thread is not None:
-            self._thread.join(timeout=5.0)
-            self._thread = None
-
-    def _make_handler(self):
-        from http.server import BaseHTTPRequestHandler
-
-        sidecar = self
-
-        class Handler(BaseHTTPRequestHandler):
-            # Keep scrapes quiet: no per-request stderr lines.
-            def log_message(self, *_args) -> None:
-                return
-
-            def _reply(self, status: int, content_type: str, body: bytes):
-                self.send_response(status)
-                self.send_header("Content-Type", content_type)
-                self.send_header("Content-Length", str(len(body)))
-                self.end_headers()
-                self.wfile.write(body)
-
-            def do_GET(self):  # noqa: N802 — http.server contract
-                sidecar.requests_served += 1
-                path = self.path.split("?", 1)[0]
-                if path == "/metrics":
-                    body = to_prometheus(sidecar.registry).encode("utf-8")
-                    self._reply(
-                        200,
-                        "text/plain; version=0.0.4; charset=utf-8",
-                        body,
-                    )
-                elif path == "/healthz":
-                    report = sidecar.report()
-                    status = 200 if report.verdict != VERDICT_UNHEALTHY else 503
-                    body = json.dumps(report.as_dict(), indent=2).encode("utf-8")
-                    self._reply(status, "application/json", body)
-                elif path == "/readyz":
-                    report = sidecar.report()
-                    status = 200 if report.ready else 503
-                    body = json.dumps({"ready": report.ready}).encode("utf-8")
-                    self._reply(status, "application/json", body)
-                else:
-                    self._reply(404, "text/plain", b"not found\n")
-
-        return Handler
+    content_type = "text/plain"
+    if head is None:
+        status, body = 431, b"request head too large\n"
+    else:
+        words = head.split(b"\r\n", 1)[0].split()
+        if len(words) != 3 or not words[2].startswith(b"HTTP/"):
+            status, body = 400, b"bad request\n"
+        elif words[0] != b"GET":
+            status, body = 501, b"unsupported method\n"
+        else:
+            path = words[1].split(b"?", 1)[0]
+            if path == b"/metrics":
+                status, body = 200, to_prometheus(registry).encode("utf-8")
+                content_type = "text/plain; version=0.0.4; charset=utf-8"
+            elif path == b"/healthz":
+                verdict = report()
+                status = 503 if verdict.verdict == VERDICT_UNHEALTHY else 200
+                body = json.dumps(verdict.as_dict(), indent=2).encode("utf-8")
+                content_type = "application/json"
+            elif path == b"/readyz":
+                ready = report().ready
+                status, body = (200 if ready else 503), json.dumps({"ready": ready}).encode()
+                content_type = "application/json"
+            else:
+                status, body = 404, b"not found\n"
+    line = (
+        f"HTTP/1.0 {status} {_REASONS[status]}\r\n"
+        f"Content-Type: {content_type}\r\nContent-Length: {len(body)}\r\n"
+        "Connection: close\r\n\r\n"
+    )
+    return [line.encode("ascii"), body]

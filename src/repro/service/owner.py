@@ -5,11 +5,12 @@ writer keeps owner-thread state, so one thread has both for their
 whole life: :class:`CaptureOwner` is the only code in the service that
 constructs a ``ScapSocket`` or calls ``flush``/``query``/``close`` on
 the store.  The loop thread (:mod:`repro.service.daemon`) feeds it
-commands — each carrying the config snapshot and span context it
-needs, so the owner never reads loop state — and gets stream events
-(a burst per inbox item) and completions back through its one bounded
-inbox, in order: every event of a capture is posted before that
-capture's completion.
+commands — each carrying the config snapshot it needs, so the owner
+never reads loop state — and gets stream events (a burst per inbox
+item) and completions back through its one bounded inbox, in order:
+every event of a capture is posted before that capture's completion.
+A completion carries when its command body started and ended, so the
+loop records the command's span: the owner never writes the trace ring.
 """
 
 from __future__ import annotations
@@ -17,14 +18,13 @@ from __future__ import annotations
 import io
 import queue
 import threading
+import time
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..core.api import ScapSocket
 from ..filters.bpf import BPFFilter, filter_union
 from ..netstack.flows import FiveTuple
 from ..netstack.pcap import write_pcap
-from ..observability import SpanRecorder
-from ..observability.spans import KIND_INTERNAL, KIND_STORE, Span
 from ..traffic import PcapSource, Trace, campus_mix
 from .protocol import ERR_BAD_REQUEST, ERR_INTERNAL, STREAM_ROW, ServiceError
 
@@ -35,7 +35,8 @@ GBIT = 1e9
 #: Inbox tags of what the owner posts to the loop: a burst of stream
 #: events ``(tag, [(kind, capture, five_tuple, direction, stream_id,
 #: offset, payload), ...])``; a finished command ``(tag, token, status,
-#: header | error message, payload, store counters)``; and its last word.
+#: header | error message, payload, store counters, started, ended)``,
+#: the last two ``time.monotonic()`` around its body; and its last word.
 POST_EVENTS = "events"
 POST_DONE = "done"
 POST_STOPPED = "stopped"
@@ -82,13 +83,11 @@ class CaptureOwner:
         store,
         memory_size: int,
         core_count: int,
-        tracer: Optional[SpanRecorder],
         post: Callable[[tuple], None],
     ):
         self.store = store
         self.memory_size = memory_size
         self.core_count = core_count
-        self._spans = tracer
         #: Puts one item in the loop's bounded inbox (blocks when full).
         self._post = post
         self._commands: "queue.SimpleQueue[Optional[tuple]]" = queue.SimpleQueue()
@@ -127,9 +126,11 @@ class CaptureOwner:
         if item is None:
             return False
         token, body, args = item
+        started = time.monotonic()
         outcome = guarded(body, *args)
+        ended = time.monotonic()
         self._post_events()  # also when the body raised: events come before the completion
-        self._post((POST_DONE, token, *outcome, store_stats(self.store)))
+        self._post((POST_DONE, token, *outcome, store_stats(self.store), started, ended))
         return True
 
     def _post_events(self) -> None:
@@ -140,7 +141,6 @@ class CaptureOwner:
     # -- capture ---------------------------------------------------------
     def capture(
         self,
-        parent: Optional[Span],
         header: Dict[str, Any],
         payload: bytes,
         default_name: str,
@@ -193,14 +193,7 @@ class CaptureOwner:
         scap.dispatch_creation(on_creation)
         scap.dispatch_data(lambda stream: event("data", stream, bytes(stream.data)))
         scap.dispatch_termination(lambda stream: event("closed", stream))
-        capture_span = self._child_span(parent, "capture:run", KIND_INTERNAL, capture=name)
         result = scap.start_capture(name=name)
-        if capture_span is not None:
-            capture_span.annotate(
-                offered_packets=result.offered_packets,
-                dropped_packets=result.dropped_packets,
-            )
-            capture_span.end()
         if self.store is not None:
             self.store.flush()
         trace.close()
@@ -219,20 +212,8 @@ class CaptureOwner:
         }
         return ({"result": summary}, b"")
 
-    def _child_span(
-        self, parent: Optional[Span], name: str, kind: str, **fields: Any
-    ) -> Optional[Span]:
-        tracer = self._spans
-        if tracer is None or parent is None:
-            return None
-        return tracer.start_span(
-            name, kind=kind, trace_id=parent.trace_id, parent_id=parent.span_id, **fields
-        )
-
     # -- store -----------------------------------------------------------
-    def query(
-        self, parent: Optional[Span], spec: Dict[str, Any]
-    ) -> Tuple[Dict[str, Any], List[bytes]]:
+    def query(self, spec: Dict[str, Any]) -> Tuple[Dict[str, Any], List[bytes]]:
         """Answer one ``query``.
 
         The header counts the result's streams; the payload is every
@@ -240,32 +221,25 @@ class CaptureOwner:
         stream's data, both in result order, for one join.
         """
         self.store.flush()  # make everything recorded so far queryable
-        query_span = self._child_span(parent, "store:query", KIND_STORE)
-        try:
-            flow = spec.get("flow")
-            five_tuple = FiveTuple(*flow) if flow is not None else None
-            result = self.store.query(
-                five_tuple,
-                start_ts=spec.get("start"),
-                end_ts=spec.get("end"),
-            )
-            pack = STREAM_ROW.pack
-            rows: List[bytes] = []
-            chunks: List[bytes] = []
-            for stream in result.streams:
-                data = stream.data
-                rows.append(pack(
-                    *stream.client_tuple, stream.direction, len(data), stream.first_ts,
-                    stream.last_ts, stream.base_offset, stream.gap_bytes,
-                ))
-                chunks.append(data)
-            count = len(result.streams)
-            if query_span is not None:
-                query_span.annotate(streams=count, bytes=result.total_bytes)
-            return ({"streams": count, "total_bytes": result.total_bytes}, rows + chunks)
-        finally:
-            if query_span is not None:
-                query_span.end()
+        flow = spec.get("flow")
+        five_tuple = FiveTuple(*flow) if flow is not None else None
+        result = self.store.query(
+            five_tuple,
+            start_ts=spec.get("start"),
+            end_ts=spec.get("end"),
+        )
+        pack = STREAM_ROW.pack
+        rows: List[bytes] = []
+        chunks: List[bytes] = []
+        for stream in result.streams:
+            data = stream.data
+            rows.append(pack(
+                *stream.client_tuple, stream.direction, len(data), stream.first_ts,
+                stream.last_ts, stream.base_offset, stream.gap_bytes,
+            ))
+            chunks.append(data)
+        count = len(result.streams)
+        return ({"streams": count, "total_bytes": result.total_bytes}, rows + chunks)
 
     def flush(self) -> Tuple[Dict[str, Any], bytes]:
         """Seal the store's active segments (the reload path)."""

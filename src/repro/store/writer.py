@@ -78,7 +78,6 @@ class StoreWriter:
         # ledger (enqueued == written + dropped).
         self.write_errors = 0
         self.write_error_bytes = 0
-        self.fsync_stall_seconds_total = 0.0
         self.segments_torn = 0
         self._last_record_ts = 0.0
         self._active: List[Optional[SegmentWriter]] = [None] * cores
@@ -278,9 +277,9 @@ class StoreWriter:
                 self._active[core] = None
                 self.segments_torn += 1
                 return None
-            self.fsync_stall_seconds_total += self._fault.store_fsync_stall(
-                self._last_record_ts
-            )
+            # Drawn for the fault schedule (and its digest); the stall
+            # itself costs the simulation nothing.
+            self._fault.store_fsync_stall(self._last_record_ts)
         info = writer.seal()
         self._active[core] = None
         self.segments_sealed += 1

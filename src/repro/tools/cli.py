@@ -37,7 +37,7 @@ Subcommands:
   under a seeded fault plan with sanitizers on, asserting the
   degradation invariants (docs/FAULT_INJECTION.md).
 * ``serve``    — run the capture daemon (service mode; docs/SERVICE.md);
-  ``--http`` adds the /metrics //healthz //readyz sidecar.
+  ``--http`` has its loop thread serve /metrics, /healthz and /readyz.
 * ``spans``    — fetch request-span records from a daemon and render
   causal client→daemon→store trees with per-hop timings.
 * ``top``      — live terminal view of a daemon's telemetry ring and
@@ -1020,7 +1020,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         http_port=http_port,
         telemetry_cadence=args.telemetry_cadence,
     )
-    # The sidecar serves the metrics registry, so it needs one.
+    # /metrics serves the metrics registry, so HTTP needs one.
     enable_obs = args.observability or args.http is not None
     observability = Observability(enabled=True) if enable_obs else None
     daemon = ScapDaemon(config, observability=observability, fault_plan=fault_plan)
@@ -1034,9 +1034,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         daemon.start()
         if daemon.http_address is not None:
             print(
-                f"health sidecar on "
-                f"http://{daemon.http_address[0]}:{daemon.http_address[1]} "
-                f"(/metrics /healthz /readyz)",
+                f"serving http://{daemon.http_address[0]}:{daemon.http_address[1]} "
+                f"(/metrics /healthz /readyz) from the daemon's loop",
                 flush=True,
             )
         daemon.serve_forever()

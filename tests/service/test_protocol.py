@@ -262,8 +262,8 @@ class _Store:
 def _reply(streams):
     """The wire reply the daemon's owner gives to a query answered with
     ``streams``, read back by a frame reader."""
-    owner = CaptureOwner(_Store([streams]), 1 << 20, 1, None, post=lambda item: None)
-    header, payload = owner.query(None, {"flow": None})
+    owner = CaptureOwner(_Store([streams]), 1 << 20, 1, post=lambda item: None)
+    header, payload = owner.query({"flow": None})
     (frame,) = FrameReader().feed(encode_frame(MSG_RESPONSE, 1, header, payload))
     return frame
 
@@ -331,9 +331,9 @@ def test_a_reply_header_does_not_grow_with_its_item_count():
         b"".join(event_parts(1, 0, many))
     )
     streams = [StreamPayload(FiveTuple(*flow), 0, b"", 0.0, 1.0, 0) for _ in range(99)]
-    owner = CaptureOwner(_Store([streams[:10], streams]), 1 << 20, 1, None, lambda item: None)
+    owner = CaptureOwner(_Store([streams[:10], streams]), 1 << 20, 1, lambda item: None)
     lengths = [
-        _header_len(encode_frame(MSG_RESPONSE, 1, *owner.query(None, {}))) for _ in range(2)
+        _header_len(encode_frame(MSG_RESPONSE, 1, *owner.query({}))) for _ in range(2)
     ]
     assert lengths[0] == lengths[1]
 

@@ -85,7 +85,7 @@ class TestSeededProjectFixtures:
             )
         assert sorted(sites) == [
             os.path.join("service", name)
-            for name in ("client.py", "daemon.py", "health.py", "owner.py")
+            for name in ("client.py", "daemon.py", "owner.py")
         ]
 
 

@@ -104,9 +104,8 @@ def test_fsync_stalls_accumulate(tmp_path):
     store.close()
     writer = store.writer
     assert writer.segments_sealed > 0
-    assert writer.fsync_stall_seconds_total == pytest.approx(
-        0.004 * writer.segments_sealed
-    )
+    # Every seal drew its 4 ms stall into the fault schedule.
+    assert writer._fault.count("store", "fsync_stall") == writer.segments_sealed
 
 
 def test_attach_after_first_enqueue_rejected(tmp_path):

@@ -3,9 +3,9 @@
 ``repro.tools.cli`` is the entry point of every ``repro-scap`` command,
 the daemon's included, so whatever it imports at module level every
 command pays for at start-up.  The analysis models (numpy), the apps
-and pattern matcher, the figure and baseline harnesses and the HTTP
-sidecar's ``http.server`` are each imported by the commands that use
-them.  A fresh interpreter is the only place where ``sys.modules``
+and pattern matcher, and the figure and baseline harnesses are each
+imported by the commands that use them; ``http.server`` by none (the
+daemon's loop answers HTTP itself).  A fresh interpreter is the only place where ``sys.modules``
 shows what an import pulled in.
 """
 
