@@ -3,12 +3,18 @@
 The CI `service-integration` job runs this against a live `ScapDaemon`
 on a Unix socket.  Eight clients hammer the daemon concurrently with a
 mixed workload — captures, runtime config flips, subscriptions, store
-queries, and deliberately malformed frames — and the run only passes
+queries, and deliberately malformed frames — while one more subscriber
+hangs up in the middle of round 0's events, and the run only passes
 if:
 
 * no client observed a protocol-level failure it didn't provoke (odd
   clients also filter their subscription and install, then remove, a
   keep-filter around each capture),
+* each client's zero-length frame and frame with an undecodable JSON
+  header are each answered with a `bad_frame` error, and the ping sent
+  behind them is answered on the same connection,
+* the subscriber that hangs up held an event first, so it left while
+  events were still fanning out to it,
 * every capture's queried bytes match its reported delivered bytes,
 * after the clients finish, one client resubmits a round-0 capture, so
   its streams are stored again and a full query takes the planned read;
@@ -61,7 +67,14 @@ from urllib.request import urlopen
 
 from repro.observability import HOOK_SPAN, Observability
 from repro.service import ClientQuotas, DaemonConfig, ScapClient, ScapDaemon
-from repro.service.protocol import MSG_REQUEST, encode_frame
+from repro.service.protocol import (
+    ERR_BAD_FRAME,
+    MSG_ERROR,
+    MSG_REQUEST,
+    MSG_RESPONSE,
+    FrameReader,
+    encode_frame,
+)
 from repro.store import StreamStore
 
 GBIT = 1e9
@@ -131,14 +144,7 @@ def _soak_client(
         deadline = time.monotonic() + 60
         while held.count < ledger["enqueued"] - ledger["dropped"] and time.monotonic() < deadline:
             held.drain(timeout=0.5)
-        # A malformed zero-length frame must cost a typed error, nothing more.
-        raw = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-        raw.connect(path)
-        raw.sendall(b"\x00\x00\x00\x00")
-        raw.sendall(encode_frame(MSG_REQUEST, 1, {"command": "ping"}))
-        raw.settimeout(5.0)
-        assert raw.recv(65536), "no reply after malformed frame"
-        raw.close()
+        _send_garbage(path)
         client.close()
         report[index] = {
             "client_id": client.client_id, "events": held.count,
@@ -147,6 +153,42 @@ def _soak_client(
     except Exception as exc:  # noqa: BLE001 — surfaced in the summary
         captures_done.abort()
         errors.append(f"client {index}: {type(exc).__name__}: {exc}")
+
+
+def _send_garbage(path: str) -> None:
+    """A zero-length frame and one whose JSON header does not decode must
+    each cost a typed ``bad_frame`` error, nothing more: the ping sent
+    behind them is answered on the same connection."""
+    ping = encode_frame(MSG_REQUEST, 1, {"command": "ping"})
+    # The header is the frame's last byte run: cut its closing brace.
+    undecodable = ping[:-1] + b"!"
+    raw = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+    raw.settimeout(5.0)
+    try:
+        raw.connect(path)
+        raw.sendall(b"\x00\x00\x00\x00" + undecodable + ping)
+        reader, frames = FrameReader(), []
+        while not any(f.msg_type == MSG_RESPONSE for f in frames):
+            data = raw.recv(65536)
+            assert data, "the daemon hung up on malformed frames"
+            frames.extend(reader.feed(data))
+    finally:
+        raw.close()
+    errors = [f.header["code"] for f in frames if f.msg_type == MSG_ERROR]
+    assert errors == [ERR_BAD_FRAME] * 2, f"malformed frames answered with {errors}"
+    assert frames[-1].header.get("pong"), f"ping answered with {frames[-1].header}"
+
+
+def _hang_up(stream, errors: list) -> None:
+    """Hang up as soon as the first of round 0's events arrives, while the
+    rest are still fanning out to this subscriber."""
+    try:
+        if stream.next_event(timeout=120) is None:
+            errors.append("hang-up: no event arrived before it hung up")
+    except Exception as exc:  # noqa: BLE001 — surfaced in the summary
+        errors.append(f"hang-up: {type(exc).__name__}: {exc}")
+    finally:
+        stream.client.close()
 
 
 def _streams_digest(rows) -> str:
@@ -292,6 +334,9 @@ def _soak(args, daemon, obs: Observability, run_dir: str) -> int:
     errors: list = []
     start = time.perf_counter()
     captures_done = threading.Barrier(args.clients)
+    # Subscribed before any capture runs, and only to `closed` like the
+    # clients, so the queue it abandons stays small.
+    hang_up = ScapClient(unix_path=path, name="hang-up").subscribe(events=["closed"])
     threads = [
         threading.Thread(
             target=_soak_client,
@@ -299,19 +344,21 @@ def _soak(args, daemon, obs: Observability, run_dir: str) -> int:
         )
         for i in range(args.clients)
     ]
+    hanging = threading.Thread(target=_hang_up, args=(hang_up, errors))
+    hanging.start()
     for thread in threads:
         thread.start()
     # Scrape the HTTP endpoints while the clients are mid-flight: the
     # health verdict must hold *under* the soak's self-inflicted load.
     scrape: dict = {}
     scraping = threading.Thread(target=lambda: scrape.update(_scrape_http(daemon, errors)))
-    own = {threading.current_thread(), scraping, *threads}
+    own = {threading.current_thread(), scraping, hanging, *threads}
     daemon_threads: set = set()
     peak_threads = 0
     deadline = time.monotonic() + 600
     scrape_at = time.monotonic() + 1.0
     while time.monotonic() < deadline:
-        clients_running = any(t.is_alive() for t in threads)
+        clients_running = any(t.is_alive() for t in (hanging, *threads))
         if scraping.ident is None:
             if time.monotonic() >= scrape_at or not clients_running:
                 scraping.start()

@@ -26,10 +26,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 from ..observability import (
     ProfileReport,
-    SpanRecord,
-    SpanTreeReconstructor,
     StreamTimeline,
-    TelemetryRing,
     TimelineReconstructor,
 )
 
@@ -65,8 +62,6 @@ __all__ = [
     "scap_next_stream_packet",
     "scap_get_stats",
     "scap_profile",
-    "scap_spans",
-    "scap_telemetry",
     "scap_stream_timeline",
     "scap_set_store",
     "scap_store_stats",
@@ -379,27 +374,6 @@ class ScapSocket:
         reconstructor = TimelineReconstructor(self.runtime.obs.trace)
         return reconstructor.for_stream(five_tuple)
 
-    def spans(self, trace_id: Optional[str] = None) -> "list[SpanRecord]":
-        """Span records retained in the run's trace ring.
-
-        Any :class:`~repro.observability.SpanRecorder` writing into this
-        run's observability context (for instance a traced
-        :class:`~repro.service.ScapClient` sharing the context) lands
-        here.  ``trace_id`` filters to one causal trace; with
-        observability off the list is empty.
-        """
-        reconstructor = SpanTreeReconstructor(self.runtime.obs.trace.events())
-        return reconstructor.select(trace_id)[1]
-
-    def telemetry(self) -> Optional[TelemetryRing]:
-        """The run's :class:`~repro.observability.TelemetryRing`, if any.
-
-        Present when the socket was created with a ``telemetry=`` ring
-        (forwarded to :class:`~repro.core.runtime.ScapRuntime`, which
-        samples it on *simulated* packet time during the run).
-        """
-        return self.runtime.telemetry
-
     def export_metrics(self, fmt: str = "prometheus", indent: Optional[int] = None) -> str:
         """Serialize the run's metrics registry.
 
@@ -551,16 +525,6 @@ def scap_get_stats(sc: ScapSocket) -> ScapStats:
 def scap_profile(sc: ScapSocket) -> ProfileReport:
     """Read the per-stage breakdown of the run's simulated busy time."""
     return sc.profile()
-
-
-def scap_spans(sc: ScapSocket, trace_id: Optional[str] = None) -> "list[SpanRecord]":
-    """Read the request spans retained in the run's trace ring."""
-    return sc.spans(trace_id=trace_id)
-
-
-def scap_telemetry(sc: ScapSocket) -> Optional[TelemetryRing]:
-    """Read the run's telemetry ring (None unless one was attached)."""
-    return sc.telemetry()
 
 
 def scap_stream_timeline(sc: ScapSocket, five_tuple: Any) -> Optional[StreamTimeline]:

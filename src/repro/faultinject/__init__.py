@@ -1,10 +1,8 @@
 """Deterministic fault injection for the capture pipeline.
 
-Five fault *planes* — wire, memory, store, scheduling, client — driven
-by one seeded :class:`FaultPlan` and applied by a :class:`FaultInjector`
-threaded through the runtime via ``scap_create(..., fault_plan=)``
-(the client plane is driven by the service daemon instead; see
-:mod:`repro.service`).
+Four fault *planes* — wire, memory, store, scheduling — driven by one
+seeded :class:`FaultPlan` and applied by a :class:`FaultInjector`
+threaded through the runtime via ``scap_create(..., fault_plan=)``.
 Same plan + same workload ⇒ byte-identical fault schedule (see
 ``docs/FAULT_INJECTION.md``).
 
@@ -15,7 +13,6 @@ pipeline, which in turn imports this package.
 
 from .injector import FaultInjector, FaultRecord
 from .plan import (
-    ClientFaults,
     FaultPlan,
     FaultWindow,
     MemoryFaults,
@@ -32,7 +29,6 @@ __all__ = [
     "MemoryFaults",
     "StoreFaults",
     "SchedFaults",
-    "ClientFaults",
     "FaultInjector",
     "FaultRecord",
     "FaultedWorkload",

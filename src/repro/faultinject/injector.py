@@ -29,7 +29,6 @@ PLANE_WIRE = "wire"
 PLANE_MEMORY = "memory"
 PLANE_STORE = "store"
 PLANE_SCHED = "sched"
-PLANE_CLIENT = "client"
 
 
 @dataclass(frozen=True)
@@ -62,9 +61,7 @@ class FaultInjector:
         self._obs = observability or NULL_OBSERVABILITY
         self._rngs: Dict[str, random.Random] = {
             plane: random.Random(f"{plan.seed}/{plane}")
-            for plane in (
-                PLANE_WIRE, PLANE_MEMORY, PLANE_STORE, PLANE_SCHED, PLANE_CLIENT
-            )
+            for plane in (PLANE_WIRE, PLANE_MEMORY, PLANE_STORE, PLANE_SCHED)
         }
         #: The schedule log: every injected fault, in injection order.
         self.schedule: List[FaultRecord] = []
@@ -194,16 +191,6 @@ class FaultInjector:
         self._record(now, PLANE_STORE, "write_error", f"bytes={nbytes}")
         return True
 
-    def store_fsync_stall(self, now: float) -> float:
-        """Seconds this seal's fsync stalls for (0.0 = no stall)."""
-        faults = self.plan.store
-        if faults.fsync_stall_rate <= 0.0 or not faults.window.contains(now):
-            return 0.0
-        if self._rngs[PLANE_STORE].random() >= faults.fsync_stall_rate:
-            return 0.0
-        self._record(now, PLANE_STORE, "fsync_stall", f"seconds={faults.fsync_stall_seconds}")
-        return faults.fsync_stall_seconds
-
     def store_torn_write(self, now: float) -> int:
         """Bytes to tear off this segment instead of sealing (0 = seal)."""
         faults = self.plan.store
@@ -215,45 +202,3 @@ class FaultInjector:
         tear = rng.randint(1, faults.torn_tail_bytes)
         self._record(now, PLANE_STORE, "torn_write", f"bytes={tear}")
         return tear
-
-    # ------------------------------------------------------------------
-    # Client plane (service daemon socket layer; see repro.service)
-    # ------------------------------------------------------------------
-    def client_slow(self, now: float) -> float:
-        """Seconds to stall a client's event delivery (0.0 = no fault)."""
-        faults = self.plan.client
-        if faults.slow_client_rate <= 0.0 or not faults.window.contains(now):
-            return 0.0
-        if self._rngs[PLANE_CLIENT].random() >= faults.slow_client_rate:
-            return 0.0
-        self._record(
-            now, PLANE_CLIENT, "slow_client",
-            f"seconds={faults.slow_client_seconds}",
-        )
-        return faults.slow_client_seconds
-
-    def client_disconnect(self, now: float) -> bool:
-        """Should this client be severed mid-subscription?"""
-        faults = self.plan.client
-        if (
-            faults.disconnect_mid_subscription_rate <= 0.0
-            or not faults.window.contains(now)
-        ):
-            return False
-        if (
-            self._rngs[PLANE_CLIENT].random()
-            >= faults.disconnect_mid_subscription_rate
-        ):
-            return False
-        self._record(now, PLANE_CLIENT, "disconnect_mid_subscription")
-        return True
-
-    def client_garbage(self, now: float) -> bool:
-        """Should this request frame be treated as wire garbage?"""
-        faults = self.plan.client
-        if faults.garbage_frame_rate <= 0.0 or not faults.window.contains(now):
-            return False
-        if self._rngs[PLANE_CLIENT].random() >= faults.garbage_frame_rate:
-            return False
-        self._record(now, PLANE_CLIENT, "garbage_frame")
-        return True

@@ -9,13 +9,10 @@ A :class:`FaultPlan` is a seed plus one config block per fault *plane*:
   :class:`~repro.core.memory.StreamMemory` and an occupancy *pressure
   boost* that pushes the PPL watermark bands and ``overload_cutoff``
   into action without needing a genuinely full pool;
-* **store** — segment write errors, fsync stalls, and torn tails that
-  feed the store's truncation-recovery path;
+* **store** — segment write errors and torn tails that feed the
+  store's truncation-recovery path;
 * **sched** — worker service-time stalls and forced event-queue
-  backpressure;
-* **client** — service-plane faults against the capture daemon's
-  socket layer (:mod:`repro.service`): slow clients, disconnects in
-  the middle of a subscription, and garbage frames.
+  backpressure.
 
 Every rate is an independent per-opportunity Bernoulli probability and
 every plane has a *window* in simulated time, so a plan can model a
@@ -37,7 +34,6 @@ __all__ = [
     "MemoryFaults",
     "StoreFaults",
     "SchedFaults",
-    "ClientFaults",
     "FaultPlan",
 ]
 
@@ -124,27 +120,18 @@ class StoreFaults:
     """Store-plane faults against the segment writer pipeline."""
 
     write_error_rate: float = 0.0    # per record: simulated EIO, record lost
-    fsync_stall_rate: float = 0.0    # per seal: the fsync blocks for a while
-    fsync_stall_seconds: float = 0.005
     torn_write_rate: float = 0.0     # per seal: crash mid-footer, tail torn
     torn_tail_bytes: int = 32        # max bytes chopped off a torn segment
     window: FaultWindow = field(default_factory=FaultWindow)
 
     def active(self) -> bool:
         """True when any store fault can ever fire."""
-        return (
-            self.write_error_rate > 0.0
-            or self.fsync_stall_rate > 0.0
-            or self.torn_write_rate > 0.0
-        )
+        return self.write_error_rate > 0.0 or self.torn_write_rate > 0.0
 
     def validate(self) -> None:
         """Raise ValueError on out-of-range knobs or an empty window."""
         _check_rate("store.write_error_rate", self.write_error_rate)
-        _check_rate("store.fsync_stall_rate", self.fsync_stall_rate)
         _check_rate("store.torn_write_rate", self.torn_write_rate)
-        if self.fsync_stall_seconds < 0:
-            raise ValueError("store.fsync_stall_seconds must be non-negative")
         if self.torn_tail_bytes < 1:
             raise ValueError("store.torn_tail_bytes must be positive")
         self.window.validate()
@@ -173,43 +160,6 @@ class SchedFaults:
 
 
 @dataclass(frozen=True)
-class ClientFaults:
-    """Client-plane faults against the service daemon's socket layer."""
-
-    #: Per delivered event: stall the client's sender this long, making
-    #: the client "slow" so backpressure/drop-oldest paths engage.
-    slow_client_rate: float = 0.0
-    slow_client_seconds: float = 0.005
-    #: Per enqueued event: sever the receiving client's connection in
-    #: the middle of its subscription.
-    disconnect_mid_subscription_rate: float = 0.0
-    #: Per request frame: pretend the wire mangled it, forcing the
-    #: daemon's typed-error rejection path.
-    garbage_frame_rate: float = 0.0
-    window: FaultWindow = field(default_factory=FaultWindow)
-
-    def active(self) -> bool:
-        """True when any client fault can ever fire."""
-        return (
-            self.slow_client_rate > 0.0
-            or self.disconnect_mid_subscription_rate > 0.0
-            or self.garbage_frame_rate > 0.0
-        )
-
-    def validate(self) -> None:
-        """Raise ValueError on out-of-range knobs or an empty window."""
-        _check_rate("client.slow_client_rate", self.slow_client_rate)
-        _check_rate(
-            "client.disconnect_mid_subscription_rate",
-            self.disconnect_mid_subscription_rate,
-        )
-        _check_rate("client.garbage_frame_rate", self.garbage_frame_rate)
-        if self.slow_client_seconds < 0:
-            raise ValueError("client.slow_client_seconds must be non-negative")
-        self.window.validate()
-
-
-@dataclass(frozen=True)
 class FaultPlan:
     """A seed plus per-plane fault configs — the whole chaos recipe.
 
@@ -223,7 +173,6 @@ class FaultPlan:
     memory: MemoryFaults = field(default_factory=MemoryFaults)
     store: StoreFaults = field(default_factory=StoreFaults)
     sched: SchedFaults = field(default_factory=SchedFaults)
-    client: ClientFaults = field(default_factory=ClientFaults)
 
     def validate(self) -> None:
         """Raise ValueError when any plane config is out of range."""
@@ -231,7 +180,6 @@ class FaultPlan:
         self.memory.validate()
         self.store.validate()
         self.sched.validate()
-        self.client.validate()
 
     def active(self) -> bool:
         """True when at least one plane can inject something."""
@@ -240,7 +188,6 @@ class FaultPlan:
             or self.memory.active()
             or self.store.active()
             or self.sched.active()
-            or self.client.active()
         )
 
     @classmethod
@@ -264,6 +211,15 @@ class FaultPlan:
         def rate() -> float:
             return round(rng.random() * intensity, 6)
 
+        def store_faults() -> StoreFaults:
+            write_error_rate = rate()
+            rng.random()  # a retired knob's draw: later plans stay as they were
+            return StoreFaults(
+                write_error_rate=write_error_rate,
+                torn_write_rate=rate(),
+                window=window,
+            )
+
         return cls(
             seed=seed,
             wire=WireFaults(
@@ -280,12 +236,7 @@ class FaultPlan:
                 pressure_boost=round(rng.random() * 0.3, 6),
                 window=window,
             ),
-            store=StoreFaults(
-                write_error_rate=rate(),
-                fsync_stall_rate=rate(),
-                torn_write_rate=rate(),
-                window=window,
-            ),
+            store=store_faults(),
             sched=SchedFaults(
                 stall_rate=rate(),
                 backpressure_rate=rate(),
@@ -296,7 +247,7 @@ class FaultPlan:
     def describe(self) -> str:
         """One human-readable line per active plane (CLI output)."""
         lines = [f"seed={self.seed}"]
-        for name in ("wire", "memory", "store", "sched", "client"):
+        for name in ("wire", "memory", "store", "sched"):
             plane = getattr(self, name)
             if plane.active():
                 knobs = " ".join(

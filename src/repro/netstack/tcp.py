@@ -23,7 +23,6 @@ __all__ = [
     "seq_diff",
     "seq_lt",
     "seq_lte",
-    "seq_max",
 ]
 
 TCP_MIN_HEADER_LEN = 20
@@ -69,11 +68,6 @@ def seq_lt(a: int, b: int) -> bool:
 def seq_lte(a: int, b: int) -> bool:
     """True if ``a`` precedes or equals ``b`` in sequence space."""
     return seq_diff(a, b) <= 0
-
-
-def seq_max(a: int, b: int) -> int:
-    """Return whichever of ``a``/``b`` is later in sequence space."""
-    return b if seq_lt(a, b) else a
 
 
 class TCPOption:

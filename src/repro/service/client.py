@@ -550,7 +550,7 @@ class ScapClient:
         return [split_streams([result.header["streams"]], result.payload)[0] for result in results]
 
     def stats(self) -> Dict[str, Any]:
-        """The daemon's server/client/store/fault statistics snapshot."""
+        """The daemon's server, per-client and store statistics snapshot."""
         return self.call("stats").header
 
     def spans(

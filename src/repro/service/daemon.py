@@ -29,13 +29,15 @@ Threading model (``docs/SERVICE.md`` has the full table): two threads
 whose state never overlaps, whatever the number of clients.  **The loop
 thread** (this module) runs one ``selectors`` loop over every socket —
 the HTTP endpoints' too — and owns the sessions, the runtime config,
-the lifecycle flags, the client-plane fault draws, the trace ring and a
-timer heap; cheap commands are answered inline on it.  **The owner
-thread** (:mod:`repro.service.owner`) is the only code that touches a
+the lifecycle flags, the trace ring and a timer heap; cheap commands
+are answered inline on it.  **The owner thread**
+(:mod:`repro.service.owner`) is the only code that touches a
 ``ScapSocket`` or the ``StreamStore``; its events and completions come
 back through the loop's one bounded inbox, in order.  Foreign threads
 calling the public methods post to the same inbox and wait.  Nothing
-is locked because nothing is shared.
+is locked because nothing is shared.  A misbehaving client is met only
+as a real peer: a slow reader fills its own bounded queue, a hang-up
+retires its session, garbage costs a typed ``bad_frame`` error.
 """
 
 from __future__ import annotations
@@ -93,13 +95,6 @@ from .protocol import (
 from .session import ClientQuotas, ClientSession
 
 __all__ = ["DaemonConfig", "ScapDaemon", "register_service_metrics"]
-
-#: ``category`` of fault-injected garbage frames (not a wire category),
-#: and the rejection such a frame is answered with.
-REJECT_INJECTED = "injected"
-_INJECTED_GARBAGE = FrameRejection(
-    "bad_frame", "injected garbage frame", 0, category=REJECT_INJECTED
-)
 
 #: Close a connection after this many consecutive malformed frames —
 #: a peer that never resynchronizes is noise, not a client.
@@ -256,7 +251,7 @@ def register_service_metrics(registry) -> Dict[str, Any]:
     for code in ERROR_CODES:
         metrics["errors"].labels(code)
     metrics["rejected"].labels(ERR_BAD_FRAME)
-    for category in REJECT_CATEGORIES + (REJECT_INJECTED,):
+    for category in REJECT_CATEGORIES:
         metrics["bad_frames"].labels(category)
     return metrics
 
@@ -307,7 +302,6 @@ class ScapDaemon:
         self,
         config: Optional[DaemonConfig] = None,
         observability: Optional[Observability] = None,
-        fault_plan: Optional[object] = None,
     ):
         self.config = config or DaemonConfig()
         self.config.validate()
@@ -322,8 +316,6 @@ class ScapDaemon:
         self._drain_timeout = 0.0
         self._reload: Optional[_Reload] = None
         self._captures = 0
-        #: Simulated clock high-water mark across submitted captures.
-        self._sim_now = 0.0
         self.store = None
         if self.config.store_dir is not None:
             from ..store import StreamStore
@@ -337,12 +329,6 @@ class ScapDaemon:
         self._cutoff: Optional[int] = None
         self._priorities: Dict[int, Tuple[str, int]] = {}
         self._next_priority_id = 1
-        # Client-plane fault injection.
-        self.fault_injector = None
-        if fault_plan is not None:
-            from ..faultinject import FaultInjector
-
-            self.fault_injector = FaultInjector(fault_plan, observability=observability)
         #: Ledger snapshots of sessions that finished (id -> dict).
         self.final_ledgers: Dict[int, Dict[str, object]] = {}
         self._balanced = True
@@ -618,9 +604,6 @@ class ScapDaemon:
         )
         session.reader.max_frame_bytes = self.config.max_frame_bytes
         session.authenticated = self.config.auth_tokens is None
-        injector = self.fault_injector
-        if injector is not None:
-            session.delivery_stall = lambda: injector.client_slow(self._sim_now)
         self._sessions[client_id] = session
         if self._obs.enabled:
             session.on_delivered = self._m_delivered.inc
@@ -741,7 +724,6 @@ class ScapDaemon:
         """Dispatch what the reader completed, in order, until a request
         defers its response (the rest waits behind it)."""
         backlog = session.backlog
-        injector = self.fault_injector
         while backlog and session.inflight is None and session.deadline is None:
             item = backlog.popleft()
             if isinstance(item, FrameRejection):
@@ -752,9 +734,6 @@ class ScapDaemon:
                     session, item.request_id, ERR_BAD_REQUEST,
                     f"unexpected {item.msg_type} frame from a client",
                 )
-            elif injector is not None and injector.client_garbage(self._sim_now):
-                # Fault plane: pretend the wire mangled this frame.
-                self._reject_frame(session, _INJECTED_GARBAGE, item.request_id)
             else:
                 session.consecutive_rejections = 0
                 self._dispatch(session, item)
@@ -763,19 +742,14 @@ class ScapDaemon:
                 return
         self._rearm(session)
 
-    def _reject_frame(
-        self, session: ClientSession, rejection: FrameRejection, request_id: int = 0
-    ) -> None:
+    def _reject_frame(self, session: ClientSession, rejection: FrameRejection) -> None:
         session.ledger.frames_rejected += 1
         session.consecutive_rejections += 1
         if self._obs.enabled:
             self._m_rejected.labels(rejection.reason).inc()
             self._m_bad_frames.labels(rejection.category).inc()
         self._send_error(
-            session,
-            request_id,
-            rejection.reason,
-            rejection.detail or "malformed frame",
+            session, 0, rejection.reason, rejection.detail or "malformed frame"
         )
 
     def _send_error(
@@ -886,7 +860,6 @@ class ScapDaemon:
         if status == "ok" and token.command == "submit_trace":
             summary = header["result"]
             self._captures += 1
-            self._sim_now = max(self._sim_now, summary["duration"])
             if self._obs.enabled:
                 self._m_captures.inc()
                 if summary["dropped_packets"]:
@@ -929,8 +902,8 @@ class ScapDaemon:
 
     def _rearm(self, session: ClientSession) -> None:
         """Wait for what the session waits on: requests (unless one is
-        deferred, responses are backing up, or it is closing),
-        write-readiness (a tail is unsent), a timer (an injected stall)."""
+        deferred, responses are backing up, or it is closing) and
+        write-readiness (a tail is unsent)."""
         if session.closed:
             return
         mask = 0
@@ -950,13 +923,6 @@ class ScapDaemon:
             else:
                 self._selector.modify(session.sock, mask, session)
             session.mask = mask
-        if session.resume_at is not None and not session.stall_timer:
-            session.stall_timer = True
-            self._call_at(session.resume_at, self._stall_over, session)
-
-    def _stall_over(self, session: ClientSession) -> None:
-        session.stall_timer = False
-        self._pump(session)
 
     def _retire(self, session: ClientSession, patience: float = RETIRE_SECONDS) -> None:
         """Stop serving the session; close it once its queued output has
@@ -1001,7 +967,6 @@ class ScapDaemon:
         receivers = [s for s in self._sessions.values() if s.subscriptions]
         if not receivers:
             return
-        injector = self.fault_injector
         for event in events:
             kind = event[0]
             five_tuple = event[2]
@@ -1016,10 +981,6 @@ class ScapDaemon:
                         if self._obs.enabled:
                             self._m_enqueued.inc()
                         touched[receiver.client_id] = receiver
-                        if injector is not None and injector.client_disconnect(self._sim_now):
-                            # Fault plane: sever this receiver mid-subscription.
-                            self._retire(receiver, 0.0)
-                            break
 
     def _flush_events(self, touched: Dict[int, ClientSession]) -> None:
         """One gathered write per receiver of what a drain queued, then
@@ -1200,23 +1161,15 @@ class ScapDaemon:
 
     # -- introspection and control --------------------------------------
     def _cmd_stats(self, request: _Request, frame: Frame):
-        faults = None
-        if self.fault_injector is not None:
-            faults = {
-                "total": self.fault_injector.total_injected,
-                "counts": self.fault_injector.counts_by_key(),
-            }
         return (
             {
                 "server": {
                     "captures": self._captures,
                     "active_clients": len(self._sessions),
                     "closing": self._closing,
-                    "sim_now": self._sim_now,
                 },
                 "clients": [s.describe() for s in self._sessions.values()],
                 "store": self._store_stats,
-                "faults": faults,
             },
             b"",
         )
@@ -1236,7 +1189,8 @@ class ScapDaemon:
         )
 
     def _cmd_telemetry(self, request: _Request, frame: Frame):
-        """The telemetry ring's history (optionally forcing a sample)."""
+        """The telemetry ring's history and its counters' latest rates
+        (optionally forcing a sample first)."""
         telemetry = self.telemetry
         if telemetry is None:
             return (
@@ -1247,6 +1201,7 @@ class ScapDaemon:
             self._sample_telemetry(time.monotonic())
         payload = telemetry.as_dict()
         payload["enabled"] = True
+        payload["rates"] = telemetry.rates()
         return ({"telemetry": payload}, b"")
 
     def _cmd_health(self, request: _Request, frame: Frame):

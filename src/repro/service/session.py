@@ -35,7 +35,6 @@ tests and the CI soak check.
 
 from __future__ import annotations
 
-import time
 from collections import deque
 from dataclasses import asdict, dataclass, field
 from typing import Callable, Deque, Dict, List, Optional, Tuple, Union
@@ -182,19 +181,14 @@ class ClientSession:  # scapcheck: single-owner
         self.subscriptions: Dict[int, Subscription] = {}
         self._next_subscription_id = 1
         self._on_send = on_send
-        #: Callable returning per-event injected stall (fault plane),
-        #: and the ``time.monotonic()`` at which one being served ends.
-        self.delivery_stall: Optional[Callable[[], float]] = None
-        self.resume_at: Optional[float] = None
         #: Called (count) after events are delivered / dropped — the
         #: daemon points these at its metrics.
         self.on_delivered: Optional[Callable[[int], None]] = None
         self.on_dropped: Optional[Callable[[int], None]] = None
-        #: Loop bookkeeping: the registered selector mask (0 = none),
-        #: whether a timer is set for ``resume_at``, and, once closing,
-        #: the ``time.monotonic()`` at which patience runs out.
+        #: Loop bookkeeping: the registered selector mask (0 = none)
+        #: and, once closing, the ``time.monotonic()`` at which
+        #: patience runs out.
         self.mask = 0
-        self.stall_timer = False
         self.deadline: Optional[float] = None
 
     # ------------------------------------------------------------------
@@ -316,18 +310,6 @@ class ClientSession:  # scapcheck: single-owner
             return
         queue = self._queue
         while queue:
-            limit = GATHER_BYTES
-            if self.delivery_stall is not None:
-                now = time.monotonic()
-                if self.resume_at is None:
-                    stall = self.delivery_stall()
-                    if stall > 0.0:
-                        self.resume_at = now + stall
-                        return
-                elif now < self.resume_at:
-                    return
-                self.resume_at = None
-                limit = 0  # one event: the fault plane draws once per event
             subscription_id, first_seq, _ = queue[0]
             run = []
             size = 0
@@ -336,7 +318,7 @@ class ClientSession:  # scapcheck: single-owner
                     break
                 run.append(event)
                 size += len(event[6]) + _ROW_BYTES
-                if size >= limit:
+                if size >= GATHER_BYTES:
                     break
             frame = event_parts(subscription_id, first_seq, run)
             for _ in run:

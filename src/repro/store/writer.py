@@ -277,9 +277,6 @@ class StoreWriter:
                 self._active[core] = None
                 self.segments_torn += 1
                 return None
-            # Drawn for the fault schedule (and its digest); the stall
-            # itself costs the simulation nothing.
-            self._fault.store_fsync_stall(self._last_record_ts)
         info = writer.seal()
         self._active[core] = None
         self.segments_sealed += 1

@@ -316,11 +316,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="simulated cores for submitted captures")
     serve.add_argument("--no-control", action="store_true",
                        help="refuse remote shutdown/reload commands")
-    serve.add_argument("--fault-seed", type=int, default=None,
-                       help="enable the client fault plane with this seed")
-    serve.add_argument("--slow-client-rate", type=float, default=0.0)
-    serve.add_argument("--disconnect-rate", type=float, default=0.0)
-    serve.add_argument("--garbage-frame-rate", type=float, default=0.0)
     serve.add_argument("--observability", action="store_true",
                        help="enable scap_service_* metrics and trace hooks")
     serve.add_argument("--http", default=None, type=_host_port, metavar="HOST:PORT",
@@ -901,19 +896,11 @@ def _top_frame(client) -> dict:
     telemetry = client.call("telemetry", sample=True).header["telemetry"]
     health = client.health()
     stats = client.stats()
-    samples = telemetry.get("samples", [])
     rates: dict = {}
-    if len(samples) >= 2:
-        previous, latest = samples[-2], samples[-1]
-        dt = latest["time"] - previous["time"]
-        if dt > 0:
-            for key, value in latest["values"].items():
-                delta = value - previous["values"].get(key, 0)
-                if delta <= 0:
-                    continue
-                # Aggregate label children under their family name.
-                family = key.split("{", 1)[0]
-                rates[family] = rates.get(family, 0.0) + delta / dt
+    # The ring's counter rates, label children summed under their family.
+    for key, value in telemetry.get("rates", {}).items():
+        family = key.split("{", 1)[0]
+        rates[family] = rates.get(family, 0.0) + value
     return {
         "verdict": health.get("verdict"),
         "ready": health.get("ready"),
@@ -921,7 +908,7 @@ def _top_frame(client) -> dict:
         "server": stats.get("server", {}),
         "clients": stats.get("clients", []),
         "rates": rates,
-        "samples": len(samples),
+        "samples": len(telemetry.get("samples", [])),
     }
 
 
@@ -991,18 +978,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     if args.unix is None and args.tcp is None:
         print("serve: need --unix PATH and/or --tcp HOST:PORT", file=sys.stderr)
         return 2
-    fault_plan = None
-    if args.fault_seed is not None:
-        from ..faultinject import ClientFaults, FaultPlan
-
-        fault_plan = FaultPlan(
-            seed=args.fault_seed,
-            client=ClientFaults(
-                slow_client_rate=args.slow_client_rate,
-                disconnect_mid_subscription_rate=args.disconnect_rate,
-                garbage_frame_rate=args.garbage_frame_rate,
-            ),
-        )
     http_host, http_port = args.http or (None, 0)
     config = DaemonConfig(
         store_dir=args.store,
@@ -1023,7 +998,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     # /metrics serves the metrics registry, so HTTP needs one.
     enable_obs = args.observability or args.http is not None
     observability = Observability(enabled=True) if enable_obs else None
-    daemon = ScapDaemon(config, observability=observability, fault_plan=fault_plan)
+    daemon = ScapDaemon(config, observability=observability)
     if args.unix is not None:
         daemon.add_unix_listener(args.unix)
         print(f"listening on unix:{args.unix}")

@@ -117,9 +117,7 @@ def test_corruption_plan_does_not_crash():
 def test_chaos_with_store_plane(tmp_path):
     plan = FaultPlan(
         seed=13,
-        store=StoreFaults(
-            write_error_rate=0.05, torn_write_rate=0.4, fsync_stall_rate=0.1
-        ),
+        store=StoreFaults(write_error_rate=0.05, torn_write_rate=0.4),
     )
     report = run_chaos_soak(plan, store_dir=str(tmp_path), **SOAK_KWARGS)
     assert report.ok, report.failures

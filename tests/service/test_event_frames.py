@@ -15,7 +15,6 @@ import time
 
 import pytest
 
-from repro.faultinject import ClientFaults, FaultPlan
 from repro.service import DaemonConfig, FrameReader, ScapClient, encode_frame
 from repro.service.protocol import (
     ERR_BAD_REQUEST,
@@ -38,19 +37,6 @@ KINDS = ["created", "data", "closed"]
 
 def _ledger(client, name):
     return next(entry for entry in client.stats()["clients"] if entry["name"] == name)
-
-
-def _read_events(raw, reader, count):
-    """Read event frames until they carry ``count`` events."""
-    frames = []
-    held = 0
-    raw.settimeout(10.0)
-    while held < count:
-        for frame in reader.feed(raw.recv(1 << 20)):
-            assert frame.msg_type == MSG_EVENT, frame.header
-            frames.append(frame)
-            held += frame.header["events"]
-    return frames
 
 
 def test_a_capture_arrives_in_few_event_frames(tmp_path):
@@ -112,28 +98,6 @@ def test_a_socket_taking_k_bytes_per_send_gets_every_event_once(k, monkeypatch):
     ]
     assert reader.pending_bytes == 0
     assert (session.ledger.delivered, session.ledger.dropped) == (count, 0)
-
-
-def test_a_delivery_stall_sends_one_event_per_frame(tmp_path):
-    plan = FaultPlan(
-        seed=3, client=ClientFaults(slow_client_rate=1.0, slow_client_seconds=0.001)
-    )
-    daemon, path = _start_daemon(tmp_path, DaemonConfig(), fault_plan=plan)
-    raw, reader = _raw_connect(path), FrameReader()
-    _raw_call(raw, reader, 1, "hello", name="slow", protocol_minor=PROTOCOL_MINOR)
-    _raw_call(raw, reader, 2, "subscribe", events=KINDS)
-    submitter = ScapClient(unix_path=path, name="submitter")
-    submitter.submit_campus(flows=4, seed=3, rate_bps=RATE)
-    enqueued = _ledger(submitter, "slow")["ledger"]["enqueued"]
-    assert enqueued > 0
-    frames = _read_events(raw, reader, enqueued)
-    assert [frame.header["events"] for frame in frames] == [1] * enqueued
-    assert [frame.header["seq"] for frame in frames] == list(range(enqueued))
-    assert daemon.fault_injector.count("client", "slow_client") > 0
-    raw.close()
-    submitter.close()
-    daemon.shutdown()
-    assert daemon.ledgers_balanced()
 
 
 @pytest.mark.parametrize("declared", [{}, {"protocol_minor": 1}])

@@ -21,7 +21,7 @@ from repro.service import (
     encode_frame,
     trace_to_pcap_bytes,
 )
-from repro.service.protocol import MSG_REQUEST, Frame
+from repro.service.protocol import MSG_REQUEST, REJECT_CATEGORIES, Frame
 from repro.tools.cli import main as cli_main
 from repro.traffic import campus_mix
 
@@ -159,6 +159,30 @@ def test_spans_and_top_cli_render_against_a_live_daemon(tmp_path, capsys):
         daemon.shutdown()
 
 
+def test_top_rates_hold_counters_only(tmp_path, capsys):
+    """A gauge that rose between the last two samples is a level, not a
+    rate: `top --json` reports only counter families."""
+    daemon, path = _start_traced_daemon(tmp_path)
+    clients = [ScapClient(unix_path=path, name=f"c{i}") for i in range(3)]
+    try:
+        clients[0].call("telemetry", sample=True)
+        clients.extend(ScapClient(unix_path=path, name=f"d{i}") for i in range(3))
+        clients[0].submit_campus(flows=4, seed=1, rate_bps=1e9)
+        assert cli_main(["top", "--unix", path, "--once", "--json"]) == 0
+        rates = json.loads(capsys.readouterr().out)["rates"]
+        gauges = {
+            name for name, family in daemon._obs.registry.families.items()
+            if family.kind == "gauge"
+        }
+        assert "scap_service_active_clients" in gauges
+        assert rates and not gauges & set(rates)
+        assert rates["scap_service_requests_total"] > 0
+    finally:
+        for client in clients:
+            client.close()
+        daemon.shutdown()
+
+
 def test_bad_frame_counters_reconcile_by_category(tmp_path):
     daemon, path = _start_traced_daemon(tmp_path, max_frame_bytes=4096)
     raw = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
@@ -201,7 +225,7 @@ def test_bad_frame_counters_reconcile_by_category(tmp_path):
         assert by_category["zero_length"] == 1
         assert by_category["oversized"] == 1
         assert by_category["undecodable"] == 2
-        assert by_category.get("injected", 0) == 0  # no fault injector here
+        assert set(by_category) == set(REJECT_CATEGORIES)
         # The per-reason total matches the untyped rejection counter.
         rejected = counters["scap_service_frames_rejected_total"]["values"]
         assert sum(e["value"] for e in rejected) == sum(by_category.values())

@@ -308,26 +308,6 @@ def test_peer_lost_on_a_gathered_write_drops_the_whole_batch_once():
     assert session.ledger.balanced()
 
 
-def test_delivery_stall_draws_once_per_event_and_writes_one_frame_a_time():
-    sock = CountingSocket(1 << 20)
-    session = _queued_session(sock=sock)
-    draws = []
-    session.delivery_stall = lambda: draws.append(1) or 0.0
-    session.pump()
-    assert len(draws) == 5
-    assert sock.offered == [len(frame) for frame in _frames([(i, i + 1) for i in range(5)])]
-    assert session.ledger.delivered == 5 and session.ledger.balanced()
-    # A stall holds the queue back after the draw that asked for it.
-    session = _queued_session(sock=CountingSocket(1 << 20))
-    answers = iter([0.0, 0.0, 30.0])
-    session.delivery_stall = lambda: next(answers)
-    session.pump()
-    assert session.ledger.delivered == 2 and session.queue_depth() == 3
-    assert session.resume_at is not None
-    session.pump()  # still stalled: no draw, no write
-    assert session.ledger.delivered == 2
-
-
 def test_gathered_writes_are_bounded(monkeypatch):
     sock = CountingSocket(1 << 20)
     _queued_session(sock=sock).pump()

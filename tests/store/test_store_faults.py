@@ -93,21 +93,6 @@ def test_torn_segment_not_indexed(tmp_path):
     reopened.close()
 
 
-def test_fsync_stalls_accumulate(tmp_path):
-    plan = FaultPlan(
-        seed=5,
-        store=StoreFaults(fsync_stall_rate=1.0, fsync_stall_seconds=0.004),
-    )
-    store = _store(tmp_path, plan, segment_bytes=2048)
-    for n in range(60):
-        store.append(_record(n))
-    store.close()
-    writer = store.writer
-    assert writer.segments_sealed > 0
-    # Every seal drew its 4 ms stall into the fault schedule.
-    assert writer._fault.count("store", "fsync_stall") == writer.segments_sealed
-
-
 def test_attach_after_first_enqueue_rejected(tmp_path):
     store = StreamStore(str(tmp_path))
     store.append(_record(0))

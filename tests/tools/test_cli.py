@@ -322,8 +322,6 @@ OPTION_DEFAULTS = {
               "--max-subscriptions": 8, "--max-queued-events": 1024,
               "--eviction-drop-limit": None, "--global-event-budget": None,
               "--memory-mb": 64, "--cores": 8, "--no-control": False,
-              "--fault-seed": None, "--slow-client-rate": 0.0,
-              "--disconnect-rate": 0.0, "--garbage-frame-rate": 0.0,
               "--observability": False, "--http": None,
               "--telemetry-cadence": 1.0},
     "spans": {**_ENDPOINT, "--trace-id": None, "--slowest": None, "--limit": None},
